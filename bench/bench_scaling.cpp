@@ -237,21 +237,15 @@ int main() {
 
   util::Table parity_table("Report-parity grid (reference vs optimized)");
   parity_table.header({"cell", "queries", "batches", "identical"});
-  // mode 0 = phased, 1 = async overlap, 2 = overlap + speculative dispatch
-  // windows (the regime where the event loop dispatches ahead of pending
-  // completions under a provable horizon — both host paths must still
-  // agree bit-for-bit).
-  for (const int mode : {0, 1, 2})
+  for (const bool overlap : {false, true})
     for (const bool open : {false, true})
       for (const std::size_t classes : {std::size_t{1}, std::size_t{2}}) {
-        const bool overlap = mode >= 1;
         serve::ServingConfig cfg;
         cfg.shards = 4;
         cfg.k = 8;
         cfg.batcher.max_batch = 16;
         cfg.cache.capacity_rows = 2048;
         cfg.overlap = overlap;
-        cfg.speculate = mode == 2;
         if (classes == 2) {
           serve::QosClassConfig hi;
           hi.name = "interactive";
@@ -282,16 +276,13 @@ int main() {
           lg.session_capacity = 4096;
           lg.session_churn = 0.01;
         }
-        // Closed-loop speculation only has room to run ahead when clients
-        // think between queries (the think time extends the safe horizon).
-        if (mode == 2 && !open) lg.think = Ns{40000.0};
 
         auto opt = run_synth(cfg, lg, arch, profile, 24);
         cfg.reference_host_path = true;
         auto ref = run_synth(cfg, lg, arch, profile, 24);
 
         const std::string cell =
-            std::string(mode == 2 ? "spec" : (overlap ? "overlap" : "phased")) +
+            std::string(overlap ? "overlap" : "phased") +
             (open ? ":open" : ":closed") + ":c" + std::to_string(classes);
         const bool same = bench::reports_equal(opt.report, ref.report, cell);
         parity_ok = parity_ok && same;

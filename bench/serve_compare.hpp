@@ -1,11 +1,10 @@
 // Exact-equality ServeReport comparator shared by the serving benches
 // (the bench-local analogue of the test suite's expect_reports_identical).
 // Every simulated-time field of every query, shard and class must match
-// bit-for-bit; host wall-clock spans and the speculative-window telemetry
-// (ServeReport::spec) are deliberately outside the contract — they
-// describe how the simulator ran on the host, which the determinism
-// contract allows to differ between scheduling modes. Prints the first
-// mismatch to stderr and returns false.
+// bit-for-bit; host wall-clock spans (ServeReport::host_span_us) are
+// deliberately outside the contract — they describe how the simulator ran
+// on the host, which the determinism contract allows to differ between
+// scheduling modes. Prints the first mismatch to stderr and returns false.
 #pragma once
 
 #include <iostream>

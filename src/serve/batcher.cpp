@@ -78,8 +78,6 @@ QosBatcher::QosBatcher(const QosBatcherConfig& cfg)
     IMARS_REQUIRE(c.weight >= 0.0, "QosBatcher: weight must be non-negative");
     IMARS_REQUIRE(c.request_cost > 0.0,
                   "QosBatcher: request_cost must be positive");
-    IMARS_REQUIRE(c.service_floor.value >= 0.0,
-                  "QosBatcher: service_floor must be non-negative");
   }
 }
 

@@ -125,17 +125,6 @@ struct QosClassConfig {
   /// path (StagePipeline::service_estimate) — still static, so the
   /// determinism contract is preserved.
   device::Ns service_estimate{0.0};
-  /// Guaranteed minimum dispatch-to-complete time of any batch of this
-  /// class (a provable lower bound, not an estimate). The speculative
-  /// dispatch window (ServingConfig::speculate) uses it to bound how far a
-  /// pending completion can move the device frontier: a larger floor means
-  /// a wider provably-safe dispatch horizon. The runtime merges it with
-  /// the servable's own structural floor (the output-stage merge cost,
-  /// StagePipeline::service_floor) and *validates* it at collection time —
-  /// a floor above any observed batch service time aborts the run rather
-  /// than silently breaking the safety argument. 0 (default) claims
-  /// nothing beyond the structural floor.
-  device::Ns service_floor{0.0};
   /// Device-time entitlement relative to the other classes. Weight 0 marks
   /// a scavenger class: it is only ever admitted when no other class has
   /// pending work.

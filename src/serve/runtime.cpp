@@ -88,6 +88,9 @@ ServingRuntime::ServingRuntime(
       pipeline_(checked_shards(servables_), specs_of(servables_), profile,
                 make_map(cfg, checked_shards(servables_))) {
   IMARS_REQUIRE(cfg_.k >= 1, "ServingRuntime: k must be >= 1");
+  if (cfg_.adaptive.enabled)
+    IMARS_REQUIRE(cfg_.adaptive.alpha > 0.0 && cfg_.adaptive.alpha <= 1.0,
+                  "ServingRuntime: adaptive alpha must be in (0, 1]");
   for (const auto& cls : qos_.classes)
     IMARS_REQUIRE(cls.servable < servables_.size(),
                   "ServingRuntime: class routed to a missing servable slot");
@@ -318,37 +321,11 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   // reads the device frontier, which completions advance). The phased loop
   // still overlaps query stages *within* a batch (the engine chains stages
   // with no barrier), but collects batch by batch.
-  //
-  // Speculative dispatch windows (ServingConfig::speculate) extend
-  // deferral into the completion-DEPENDENT regimes: every decision the
-  // phased loop takes with complete information is taken here only once
-  // it is PROVABLE from lower bounds — per-class service floors bound how
-  // early a pending completion can land — and where nothing is provable
-  // the loop collects a completion first, exactly as phased would.
-  // Decisions and timestamps therefore never diverge from phased
-  // execution; only the host-side placement of the waits does.
-  const bool speculate = cfg_.overlap && cfg_.speculate;
-  const bool defer = cfg_.overlap && ((open && !gated) || speculate);
+  const bool defer = cfg_.overlap && open && !gated;
   const std::size_t max_inflight =
       std::max<std::size_t>(cfg_.max_inflight, 1);
   const device::Ns window = qos.admit_window;
-  // Per-class provable service floors: the configured claim
-  // (QosClassConfig::service_floor) merged with the servable's structural
-  // merge floor (StagePipeline::service_floor). Every speculative proof
-  // below bounds a pending completion by dispatch + floor; collection
-  // validates the bound against each observed completion.
-  std::vector<device::Ns> floor_of;
-  for (const auto& cls : qos.classes)
-    floor_of.push_back(device::max(
-        cls.service_floor, pipeline_.service_floor(cls.servable, cfg_.k)));
-  // Closed-loop clients re-issue at complete + think, so the think time
-  // widens the horizon within which pending completions cannot inject an
-  // arrival.
-  const device::Ns think = open ? device::Ns{0.0} : gen.config().think;
   const bool adaptive = cfg_.adaptive.enabled;
-  if (adaptive)
-    IMARS_REQUIRE(cfg_.adaptive.alpha > 0.0 && cfg_.adaptive.alpha <= 1.0,
-                  "ServingRuntime: adaptive alpha must be in (0, 1]");
 
   // Closed loop: completions enqueue out-of-order arrivals, so a heap is
   // needed. Open loop / trace: next_arrival() already yields sorted
@@ -525,8 +502,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     ++cr.batches;
     const device::Ns slo = qos.classes[entry.qos_class].deadline;
     device::Ns batch_complete = entry.dispatch;
-    device::Ns batch_first_complete{
-        std::numeric_limits<double>::infinity()};
     device::Ns batch_device_time;
     // Cold-tier block-fault time (OpKind::kEtBlock) charged into this
     // batch, tallied separately: it feeds the adaptive-QoS observation
@@ -589,8 +564,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
       report.rank_stats.merge(res.stage_stats.back());
       report.makespan = device::max(report.makespan, res.complete);
       batch_complete = device::max(batch_complete, res.complete);
-      if (res.complete.value < batch_first_complete.value)
-        batch_first_complete = res.complete;
       batch_device_time += device_time;
 
       // Closed loop: the client issues its next query on completion.
@@ -598,15 +571,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
         if (auto next = gen.next(req.client, res.complete))
           arrivals.push(*next);
     }
-    // Floor validation: every speculative proof assumed no member of this
-    // batch completed before dispatch + floor. A configured service_floor
-    // that is not a true lower bound aborts the run here (identically
-    // with overlap on or off) instead of silently voiding the proofs.
-    if (!results.empty() && floor_of[entry.qos_class].value > 0.0)
-      IMARS_REQUIRE((batch_first_complete - entry.dispatch).value >=
-                        floor_of[entry.qos_class].value,
-                    "ServingRuntime: batch completed below its class "
-                    "service_floor — the floor is not a true lower bound");
     if (adaptive && !results.empty()) {
       AdaptiveObs obs;
       obs.batch_index = entry.batch_index;
@@ -676,7 +640,7 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
           batcher.set_request_cost(
               obs.cls, qos.classes[obs.cls].request_cost *
                            (req_ewma[obs.cls] / req_base[obs.cls]));
-        ++report.spec.estimate_commits;
+        ++report.estimate_commits;
         if (sink_ != nullptr) {
           sink_->on_counter("qos.est." + qos.classes[obs.cls].name, release,
                             est_ewma[obs.cls].value);
@@ -716,8 +680,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
                                  ccfg.servable, urgent);
     }
     inflight.push_back(std::move(entry));
-    if (inflight.size() > report.spec.peak_inflight)
-      report.spec.peak_inflight = inflight.size();
     if (!defer) {
       drain_one();
     } else {
@@ -775,18 +737,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     return best_vt.value_or(0);
   };
 
-  // Provable lower bound on the device backlog frontier while completions
-  // are pending: the committed frontier, plus each in-flight batch's
-  // guaranteed minimum completion (dispatch + its class floor — validated
-  // at collection). Clock commits only move forward, so the true frontier
-  // can never undercut this; with inflight empty it IS the frontier.
-  auto frontier_lb = [&] {
-    device::Ns lb = pipeline_.frontier();
-    for (const auto& e : inflight)
-      lb = device::max(lb, e.dispatch + floor_of[e.qos_class]);
-    return lb;
-  };
-
   // Releases ready batches while the admission gate is open at `now` (the
   // device backlog frontier within admit_window). Ungated: releases
   // everything immediately. The comparison uses the same
@@ -795,23 +745,7 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   // stay shut at its own opening instant.
   auto pump = [&](device::Ns now) {
     while (!ready.empty()) {
-      if (gated) {
-        if (speculate && !inflight.empty()) {
-          // Provably shut: even the frontier LOWER BOUND puts the gate
-          // beyond the window, so the exact frontier (>= the bound) does
-          // too — phased would break here as well. The in-flight batches
-          // keep executing while the event loop moves on.
-          if ((frontier_lb() - window).value > now.value) {
-            ++report.spec.gate_shut_proofs;
-            break;
-          }
-          // Not provably shut: collect everything first, so the exact
-          // gate check and pick_ready's per-class device-time totals read
-          // precisely the state phased admission reads.
-          while (!inflight.empty()) drain_one();
-        }
-        if ((pipeline_.frontier() - window).value > now.value) break;
-      }
+      if (gated && (pipeline_.frontier() - window).value > now.value) break;
       const std::size_t idx = gated ? pick_ready() : 0;
       Batch batch = std::move(ready[idx]);
       ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(idx));
@@ -845,56 +779,11 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   device::Ns last_enqueue{0.0};
   while (!arrivals_empty() || !batcher.empty() || !ready.empty() ||
          !inflight.empty()) {
-    if (speculate && !open && !inflight.empty()) {
-      if (arrivals_empty()) {
-        // Every remaining arrival comes from a pending completion: collect
-        // one — phased execution would already hold it in the heap.
-        drain_one();
-        continue;
-      }
-      // Closed-loop speculation horizon: an uncollected batch completes no
-      // earlier than dispatch + floor, so its clients' next arrivals land
-      // no earlier than H = min over inflight of (dispatch + floor), plus
-      // the think time. Any event strictly before H is decided on exactly
-      // the state phased execution sees (its extra arrivals all lie at or
-      // beyond H); at or past H nothing is provable, so collect first.
-      double horizon = std::numeric_limits<double>::infinity();
-      for (const auto& e : inflight)
-        horizon =
-            std::min(horizon, (e.dispatch + floor_of[e.qos_class]).value);
-      horizon += think.value;
-      double next_event = peek_arrival().enqueue.value;
-      if (const auto trigger = batcher.deadline(); trigger.has_value())
-        next_event = std::min(next_event, trigger->value);
-      if (!(next_event < horizon)) {
-        ++report.spec.window_stalls;
-        drain_one();
-        continue;
-      }
-      ++report.spec.window_proceeds;
-    }
     if (!arrivals_empty()) {
       const device::Ns next_arrival = peek_arrival().enqueue;
       const auto trigger = batcher.deadline();
       std::optional<device::Ns> gate;
-      if (gated && !ready.empty()) {
-        if (speculate && !inflight.empty()) {
-          // The exact frontier is unknowable with completions pending.
-          // When even its lower bound puts the gate opening at or after
-          // the next arrival, phased provably would not take the gate
-          // branch before that arrival (and any due trigger precedes
-          // both), so the decision below needs no gate candidate at all.
-          // Otherwise the ordering is unprovable: collect one completion
-          // and re-decide on tighter bounds.
-          if ((frontier_lb() - window).value < next_arrival.value) {
-            ++report.spec.window_stalls;
-            drain_one();
-            continue;
-          }
-        } else {
-          gate = pipeline_.frontier() - window;
-        }
-      }
+      if (gated && !ready.empty()) gate = pipeline_.frontier() - window;
       // Earliest actionable event wins; the arrival wins ties (matching
       // the PR 2 loop), and a due batcher trigger precedes a gate opening
       // at the same instant (close before release). The close time is
@@ -956,13 +845,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
       continue;
     }
     if (!ready.empty()) {
-      if (speculate && !inflight.empty()) {
-        // Only the gated backlog and in-flight work remain: the opening
-        // time needs the exact frontier, and with no arrivals left there
-        // is nothing to overlap with — collect down to phased state.
-        drain_one();
-        continue;
-      }
       // Only the gated backlog remains: open the gate at its own time.
       pump(device::max(pipeline_.frontier() - window, last_enqueue));
       continue;

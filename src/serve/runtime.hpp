@@ -125,22 +125,6 @@ struct ServingConfig {
   /// way.
   bool overlap = false;
   std::size_t max_inflight = 4;
-  /// Speculative dispatch windows: with `overlap` on, also defer collection
-  /// in the completion-DEPENDENT regimes (closed loop, gated admission) —
-  /// but only while the event loop can PROVE the pending completions cannot
-  /// affect its next decision. The proof is built from per-class service
-  /// floors (max of QosClassConfig::service_floor and the servable's
-  /// structural merge floor, StagePipeline::service_floor): every inflight
-  /// batch completes no earlier than dispatch + floor, so a closed loop's
-  /// next spawned arrival lands no earlier than that + think time, and a
-  /// gate whose frontier lower bound sits beyond the admit window is
-  /// provably still shut. Within that horizon the runtime dispatches ahead
-  /// and never rolls back; outside it, it drains exactly as the phased loop
-  /// would. Floors are validated against every observed completion
-  /// (IMARS_REQUIRE), and all decisions use only provable bounds, so
-  /// reports stay bit-identical to phased execution — speculation buys
-  /// host wall-clock overlap, never different simulated numbers.
-  bool speculate = false;
   /// Adaptive service estimates (see AdaptiveQosConfig).
   AdaptiveQosConfig adaptive;
 

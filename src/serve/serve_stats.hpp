@@ -177,6 +177,9 @@ struct ServeReport {
   recsys::StageStats rank_stats;
   device::Ns makespan;              ///< last completion time
   std::size_t batches = 0;
+  /// Adaptive EWMA observations committed into the batcher
+  /// (ServingConfig::adaptive); 0 with adaptation off.
+  std::size_t estimate_commits = 0;
   /// Streaming-mode aggregates (ServingConfig::streaming_report). When
   /// enabled, `queries` above stays empty and every aggregate view below
   /// answers from here instead; views needing per-query records
@@ -189,29 +192,6 @@ struct ServeReport {
   /// deliberately outside the bit-identical-reports contract, which covers
   /// simulated-time fields only.
   std::vector<std::pair<std::string, double>> host_span_us;
-
-  /// Speculative-dispatch / adaptive-QoS telemetry
-  /// (ServingConfig::speculate, ServingConfig::adaptive). Like
-  /// host_span_us this is OUTSIDE the bit-identical-reports contract:
-  /// speculation changes where the host waits, never what the simulation
-  /// computes, so phased and speculative runs produce identical simulated
-  /// fields but different counts here.
-  struct SpecStats {
-    /// Events processed inside a proven closed-loop horizon (collection
-    /// deferred past a decision the phased loop would have blocked on).
-    std::uint64_t window_proceeds = 0;
-    /// Decisions that were unprovable from the floors: the loop collected
-    /// a completion first, exactly as phased execution would have.
-    std::uint64_t window_stalls = 0;
-    /// Gated releases skipped because the frontier LOWER BOUND already
-    /// proved the gate shut (no collection needed to decide).
-    std::uint64_t gate_shut_proofs = 0;
-    /// Adaptive EWMA observations committed into the batcher.
-    std::uint64_t estimate_commits = 0;
-    /// Maximum batches simultaneously awaiting collection.
-    std::size_t peak_inflight = 0;
-  };
-  SpecStats spec;
 
   /// Total profiled host wall-clock (sum over host_span_us), microseconds.
   /// host.wait — the driver blocking on worker completion — is execution

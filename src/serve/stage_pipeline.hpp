@@ -446,15 +446,6 @@ class StagePipeline {
                               std::span<const device::Ns> stage_cost,
                               std::size_t k, std::size_t batch) const;
 
-  /// Provable lower bound on any batch's dispatch-to-complete time for
-  /// slot `slot` with top-k `k`: when the graph merges, collect() composes
-  /// the output stage as `end = start + t + merge_cost(1, k).latency` with
-  /// start >= dispatch and t >= 0 (IEEE addition of non-negatives is
-  /// monotone), so the single-slice merge latency is a floor no schedule
-  /// can undercut; a merge-free graph proves nothing (0). The speculative
-  /// dispatch window builds its safe horizon from this.
-  device::Ns service_floor(std::size_t slot, std::size_t k) const;
-
   /// Enqueues the batch's functional work; returns immediately. Stages
   /// chain across the shard executors with no inter-stage barrier.
   /// `servable` must outlive the handle and its spec must match slot

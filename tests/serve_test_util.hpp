@@ -18,9 +18,8 @@ namespace imars::serve_test {
 /// order with equal timestamps/latencies/energies/results, same batches,
 /// same cache counters, same per-shard busy time, same per-class
 /// accounting, same write-back traffic. Host-side telemetry
-/// (ServeReport::host_span_us, ServeReport::spec) is deliberately NOT
-/// compared — those fields describe how the simulator ran on the host
-/// (wall clock, speculative window bookkeeping), which the determinism
+/// (ServeReport::host_span_us) is deliberately NOT compared — it describes
+/// how the simulator ran on the host (wall clock), which the determinism
 /// contract explicitly allows to differ between scheduling modes.
 inline void expect_reports_identical(const serve::ServeReport& a,
                                      const serve::ServeReport& b) {

@@ -361,15 +361,13 @@ struct QosServeFixture {
   }
 
   /// Knobs riding along the (classes, open, overlap, gated) grid. The
-  /// same opts object drives a phased/speculative pair: `speculate` and
-  /// `adaptive` are inert without overlap / by schedule, so both runs see
-  /// an identical workload and config.
+  /// same opts object drives a phased/overlapped pair: `adaptive` commits
+  /// on a fixed schedule, so both runs see an identical workload and
+  /// config.
   struct RunOpts {
-    bool speculate = false;
     bool adaptive = false;
     double alpha = 0.2;
-    double think = 0.0;          ///< closed-loop client think time (ns)
-    double service_floor = 0.0;  ///< claimed floor, applied to every class
+    double think = 0.0;  ///< closed-loop client think time (ns)
     serve::ObserverSink* sink = nullptr;
   };
 
@@ -388,7 +386,6 @@ struct QosServeFixture {
     cfg.cache.capacity_rows = 1024;
     cfg.overlap = overlap;
     cfg.max_inflight = 3;
-    cfg.speculate = opts.speculate;
     cfg.adaptive.enabled = opts.adaptive;
     cfg.adaptive.alpha = opts.alpha;
     if (classes > 1) {
@@ -398,12 +395,6 @@ struct QosServeFixture {
       cfg.qos.classes = {interactive, make_class("bulk", 4, 300000.0, 4.0),
                          make_class("scavenger", 4, 300000.0, 0.0)};
       if (gated) cfg.qos.admit_window = Ns{50000.0};
-    }
-    if (opts.service_floor > 0.0) {
-      if (cfg.qos.classes.empty())
-        cfg.qos = QosBatcherConfig::single(cfg.batcher);
-      for (auto& cls : cfg.qos.classes)
-        cls.service_floor = Ns{opts.service_floor};
     }
     ServingRuntime rt(factory, cfg, core::ArchConfig{},
                       device::DeviceProfile::fefet45());
@@ -496,86 +487,51 @@ TEST(QosRuntime, GatedAdmissionIsSeedDeterministic) {
   }
 }
 
-// --- Speculative dispatch windows & adaptive estimates ----------------------
+// --- Overlap invariance & adaptive estimates -------------------------------
 
-TEST(QosRuntime, SpeculativeDispatchMatchesPhasedAcrossRegimeGrid) {
+TEST(QosRuntime, OverlapMatchesPhasedAcrossRegimeGrid) {
   QosServeFixture fx;
-  // Speculation recovers deferred collection in the completion-dependent
-  // regimes (closed loop, gated admission). Reports must stay
-  // bit-identical to phased execution across the whole grid — speculation
-  // moves host-side waits, never simulated numbers. Think time widens the
-  // closed-loop horizon, so both closed cells exercise real windows.
+  // Overlap defers collection only in the completion-independent regime
+  // (open loop, ungated); the closed loop and gated admission fall back to
+  // phased collection. Reports must stay bit-identical to phased execution
+  // across the whole grid — overlap moves host-side waits, never simulated
+  // numbers. Think time exercises the closed-loop re-issue delay.
   for (const std::size_t classes : {std::size_t{1}, std::size_t{3}}) {
     for (const bool open : {false, true}) {
       for (const bool gated : {false, true}) {
         if (gated && classes == 1) continue;  // gating needs a class table
         QosServeFixture::RunOpts opts;
-        opts.speculate = true;  // inert without overlap
         opts.think = open ? 0.0 : 40000.0;
         const auto phased = fx.run(classes, open, /*overlap=*/false, gated,
                                    opts);
-        const auto spec = fx.run(classes, open, /*overlap=*/true, gated,
-                                 opts);
-        serve_test::expect_reports_identical(phased, spec);
-        ASSERT_EQ(spec.size(), 40u)
+        const auto overlapped = fx.run(classes, open, /*overlap=*/true,
+                                       gated, opts);
+        serve_test::expect_reports_identical(phased, overlapped);
+        ASSERT_EQ(overlapped.size(), 40u)
             << "classes=" << classes << " open=" << open
             << " gated=" << gated;
-        // Phased never defers, so its speculative telemetry stays zero.
-        EXPECT_EQ(phased.spec.window_proceeds, 0u);
-        EXPECT_LE(phased.spec.peak_inflight, 1u);
       }
     }
   }
 }
 
-TEST(QosRuntime, ClosedLoopSpeculationActuallyOverlapsBatches) {
-  QosServeFixture fx;
-  // 8 clients arrive at t=0 with max_batch 4: the second size-triggered
-  // batch closes while the first is still provably in flight (the merge
-  // floor alone keeps the horizon open), so speculation must stack at
-  // least two uncollected batches — the regime the phased closed loop
-  // could never overlap.
-  QosServeFixture::RunOpts opts;
-  opts.speculate = true;
-  opts.think = 40000.0;
-  const auto report = fx.run(3, /*open=*/false, /*overlap=*/true,
-                             /*gated=*/false, opts);
-  EXPECT_GT(report.spec.window_proceeds, 0u);
-  EXPECT_GE(report.spec.peak_inflight, 2u);
-}
-
-TEST(QosRuntime, SpeculationIsInertWithoutOverlap) {
-  QosServeFixture fx;
-  QosServeFixture::RunOpts off;
-  QosServeFixture::RunOpts on;
-  on.speculate = true;
-  const auto base = fx.run(3, /*open=*/false, /*overlap=*/false,
-                           /*gated=*/false, off);
-  const auto spec = fx.run(3, /*open=*/false, /*overlap=*/false,
-                           /*gated=*/false, on);
-  serve_test::expect_reports_identical(base, spec);
-  EXPECT_EQ(spec.spec.window_proceeds, 0u);
-  EXPECT_EQ(spec.spec.window_stalls, 0u);
-}
-
 TEST(QosRuntime, AdaptiveReportsAreOverlapInvariant) {
   QosServeFixture fx;
   // Adaptive commits ride the fixed hold-back schedule, so the drifting
-  // estimates steer phased and speculative execution identically: the
+  // estimates steer phased and overlapped execution identically: the
   // reports (which now both follow the adapted estimates) stay
   // bit-identical, and the commit counts agree exactly.
   for (const bool open : {false, true}) {
     QosServeFixture::RunOpts opts;
     opts.adaptive = true;
-    opts.speculate = true;
     opts.think = open ? 0.0 : 40000.0;
     const auto phased = fx.run(3, open, /*overlap=*/false, /*gated=*/false,
                                opts);
     const auto overlapped = fx.run(3, open, /*overlap=*/true,
                                    /*gated=*/false, opts);
     serve_test::expect_reports_identical(phased, overlapped);
-    EXPECT_GT(phased.spec.estimate_commits, 0u);
-    EXPECT_EQ(phased.spec.estimate_commits, overlapped.spec.estimate_commits);
+    EXPECT_GT(phased.estimate_commits, 0u);
+    EXPECT_EQ(phased.estimate_commits, overlapped.estimate_commits);
   }
 }
 
@@ -615,8 +571,8 @@ TEST(QosRuntime, AdaptiveEwmaTracksObservedServiceExactly) {
   for (const auto& [name, value] : rec.counters)
     if (name.rfind("qos.est.", 0) == 0) got.emplace_back(name, value);
   ASSERT_EQ(service.size(), report.batches);
-  ASSERT_GT(report.spec.estimate_commits, 0u);
-  ASSERT_EQ(got.size(), report.spec.estimate_commits);
+  ASSERT_GT(report.estimate_commits, 0u);
+  ASSERT_EQ(got.size(), report.estimate_commits);
   // Submissions 0..N-1 commit batches 0..N-2-max_inflight, in order.
   ASSERT_EQ(got.size(), report.batches - 1 - 3);
   for (std::size_t b = 0; b < got.size(); ++b) {
@@ -625,25 +581,19 @@ TEST(QosRuntime, AdaptiveEwmaTracksObservedServiceExactly) {
   }
 }
 
-TEST(QosRuntime, ServiceFloorIsValidatedAgainstCompletions) {
+TEST(QosRuntime, AdaptiveAlphaIsValidatedAtConstruction) {
   QosServeFixture fx;
-  // A claimed floor far above any real batch service time voids every
-  // speculative proof — the run must abort, not silently diverge.
-  QosServeFixture::RunOpts bogus;
-  bogus.service_floor = 1.0e12;
-  EXPECT_THROW(
-      fx.run(3, /*open=*/false, /*overlap=*/false, /*gated=*/false, bogus),
-      std::runtime_error);
-  // A genuinely provable (tiny) floor changes nothing: same report as the
-  // floorless run, with or without speculation.
-  QosServeFixture::RunOpts tiny;
-  tiny.service_floor = 1.0;
-  tiny.speculate = true;
-  const auto base =
-      fx.run(3, /*open=*/false, /*overlap=*/false, /*gated=*/false);
-  const auto floored = fx.run(3, /*open=*/false, /*overlap=*/true,
-                              /*gated=*/false, tiny);
-  serve_test::expect_reports_identical(base, floored);
+  // A bad smoothing factor is a config error: the constructor rejects it,
+  // before any run() (and its placement warmup) starts.
+  for (const double alpha : {0.0, 1.5}) {
+    ServingConfig cfg;
+    cfg.adaptive.enabled = true;
+    cfg.adaptive.alpha = alpha;
+    EXPECT_THROW(ServingRuntime(fx.factory, cfg, core::ArchConfig{},
+                                device::DeviceProfile::fefet45()),
+                 std::runtime_error)
+        << "alpha=" << alpha;
+  }
 }
 
 TEST(QosBatcher, AdaptiveSettersFeedTriggerAndAdmission) {

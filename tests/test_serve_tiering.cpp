@@ -447,7 +447,7 @@ TEST(TieredRuntime, AdaptiveEstimatesAttributeFaultTimeSeparately) {
   // One committed observation per estimate commit, in batch-drain order
   // (single class: obs_pending is FIFO); the trailing batches' pending
   // observations never commit, so obs <= batches.
-  EXPECT_EQ(audit.obs.size(), tiered_report.spec.estimate_commits);
+  EXPECT_EQ(audit.obs.size(), tiered_report.estimate_commits);
   ASSERT_LE(audit.obs.size(), audit.batches.size());
   ASSERT_GT(audit.obs.size(), 0u);
   // Every committed observation is the batch's wall service MINUS its
