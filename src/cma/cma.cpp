@@ -1,6 +1,7 @@
 #include "cma/cma.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/error.hpp"
 #include "util/quant.hpp"
@@ -10,13 +11,20 @@ namespace imars::cma {
 using device::Component;
 using device::Ns;
 
+namespace {
+// Int8 lane l of a row: byte l%8 of word l/8 (see the layout in cma.hpp).
+std::int8_t lane(const std::uint64_t* words, std::size_t l) noexcept {
+  return static_cast<std::int8_t>(words[l / 8] >> (l % 8 * 8));
+}
+}  // namespace
+
 Cma::Cma(const device::DeviceProfile& profile, device::EnergyLedger* ledger)
     : profile_(&profile),
       ledger_(ledger),
       rows_(profile.cma_rows),
       cols_(profile.cma_cols),
-      data_(rows_, util::BitVec(profile.cma_cols)),
-      xmask_(rows_, util::BitVec(profile.cma_cols)),
+      words_per_row_((profile.cma_cols + 63) / 64),
+      data_(rows_ * words_per_row_, 0),
       valid_(rows_, false),
       writes_(rows_, 0) {
   IMARS_REQUIRE(ledger != nullptr, "Cma: ledger must not be null");
@@ -44,41 +52,55 @@ void Cma::require_mode(Mode m, const char* op) const {
                                 "' requires a different array mode");
 }
 
-device::Ns Cma::write_row(std::size_t row, const util::BitVec& bits) {
-  require_mode(Mode::kRam, "write_row");
-  check_row(row);
-  IMARS_REQUIRE(bits.size() == cols_, "Cma::write_row: width mismatch");
-  data_[row] = bits;
+device::Ns Cma::commit_write(std::size_t row) {
   valid_[row] = true;
   ++writes_[row];
   ledger_->charge(Component::kCmaRam, profile_->cma_write.energy);
   return profile_->cma_write.latency;
 }
 
-util::BitVec Cma::read_row(std::size_t row, device::Ns* latency) const {
+device::Ns Cma::write_row(std::size_t row, const util::BitVec& bits) {
+  require_mode(Mode::kRam, "write_row");
+  check_row(row);
+  IMARS_REQUIRE(bits.size() == cols_, "Cma::write_row: width mismatch");
+  std::copy_n(bits.words().begin(), words_per_row_, row_words(row));
+  return commit_write(row);
+}
+
+const std::uint64_t* Cma::charge_read(std::size_t row,
+                                      device::Ns* latency) const {
   require_mode(Mode::kRam, "read_row");
   check_row(row);
   IMARS_REQUIRE(valid_[row], "Cma::read_row: row never written");
   ledger_->charge(Component::kCmaRam, profile_->cma_read.energy);
   if (latency != nullptr) *latency = profile_->cma_read.latency;
-  return data_[row];
+  return row_words(row);
+}
+
+util::BitVec Cma::read_row(std::size_t row, device::Ns* latency) const {
+  return util::BitVec::from_words({charge_read(row, latency), words_per_row_},
+                                  cols_);
 }
 
 device::Ns Cma::write_row_i8(std::size_t row,
                              std::span<const std::int8_t> lanes) {
   IMARS_REQUIRE(lanes.size() == cols_ / 8, "Cma::write_row_i8: lane count");
-  util::BitVec bits(cols_);
-  for (std::size_t l = 0; l < lanes.size(); ++l)
-    bits.set_byte(l * 8, static_cast<std::uint8_t>(lanes[l]));
-  return write_row(row, bits);
+  require_mode(Mode::kRam, "write_row");
+  check_row(row);
+  std::uint64_t* w = row_words(row);
+  std::fill_n(w, words_per_row_, 0);
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    const auto byte = static_cast<std::uint8_t>(lanes[l]);
+    w[l / 8] |= std::uint64_t{byte} << (l % 8 * 8);
+  }
+  return commit_write(row);
 }
 
 std::vector<std::int8_t> Cma::read_row_i8(std::size_t row,
                                           device::Ns* latency) const {
-  const util::BitVec bits = read_row(row, latency);
+  const std::uint64_t* w = charge_read(row, latency);
   std::vector<std::int8_t> lanes(cols_ / 8);
-  for (std::size_t l = 0; l < lanes.size(); ++l)
-    lanes[l] = static_cast<std::int8_t>(bits.byte_at(l * 8));
+  for (std::size_t l = 0; l < lanes.size(); ++l) lanes[l] = lane(w, l);
   return lanes;
 }
 
@@ -86,7 +108,13 @@ void Cma::set_dont_care(std::size_t row, std::size_t col, bool dont_care) {
   require_mode(Mode::kRam, "set_dont_care");
   check_row(row);
   IMARS_REQUIRE(col < cols_, "Cma::set_dont_care: column out of range");
-  xmask_[row].set(col, dont_care);
+  // An absent mask means every cell is binary: clearing is then a no-op.
+  if (dont_care && xmask_.empty()) xmask_.assign(data_.size(), 0);
+  if (!xmask_.empty()) {
+    const std::uint64_t bit = 1ULL << (col % 64);
+    std::uint64_t& w = xmask_[row * words_per_row_ + col / 64];
+    w = dont_care ? (w | bit) : (w & ~bit);
+  }
   // Programming the ternary mask is a write through the same drivers.
   ledger_->charge(Component::kCmaRam, profile_->cma_write.energy);
 }
@@ -101,12 +129,20 @@ SearchResult Cma::search(const util::BitVec& query,
   // All matchlines evaluate in parallel: one search is one array operation
   // regardless of row count (O(1) search, Sec II-B).
   ledger_->charge(Component::kCmaSearch, profile_->cma_search.energy);
+  const std::uint64_t* q = query.words().data();
   for (std::size_t r = 0; r < rows_; ++r) {
     if (!valid_[r]) continue;
     // Mismatch current only flows through cells that are binary (not X) and
     // differ from the query bit.
-    const util::BitVec diff = (data_[r] ^ query) & ~xmask_[r];
-    if (diff.popcount() <= threshold) {
+    const std::uint64_t* d = row_words(r);
+    const std::uint64_t* x =
+        xmask_.empty() ? nullptr : xmask_.data() + r * words_per_row_;
+    std::size_t mismatches = 0;
+    for (std::size_t w = 0; w < words_per_row_; ++w) {
+      const std::uint64_t diff = (d[w] ^ q[w]) & (x ? ~x[w] : ~0ULL);
+      mismatches += static_cast<std::size_t>(std::popcount(diff));
+    }
+    if (mismatches <= threshold) {
       result.matchlines.set(r, true);
       result.matches.push_back(r);
     }
@@ -129,14 +165,20 @@ device::Ns Cma::add_rows(std::size_t dst_row, std::size_t a_row,
   check_row(b_row);
   IMARS_REQUIRE(valid_[a_row] && valid_[b_row],
                 "Cma::add_rows: source rows must be written");
+  const std::uint64_t* a = row_words(a_row);
+  const std::uint64_t* b = row_words(b_row);
+  std::uint64_t* dst = row_words(dst_row);
   const std::size_t lanes = cols_ / 8;
-  util::BitVec out(cols_);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const auto a = static_cast<std::int8_t>(data_[a_row].byte_at(l * 8));
-    const auto b = static_cast<std::int8_t>(data_[b_row].byte_at(l * 8));
-    out.set_byte(l * 8, static_cast<std::uint8_t>(util::sat_add_i8(a, b)));
+  // Each output word depends only on the same word of both sources, so
+  // building it in a temporary keeps a destination aliasing a source exact.
+  for (std::size_t w = 0; w < words_per_row_; ++w) {
+    std::uint64_t out = 0;
+    for (std::size_t l = w * 8; l < std::min(lanes, w * 8 + 8); ++l) {
+      const auto sum = util::sat_add_i8(lane(a, l), lane(b, l));
+      out |= std::uint64_t{static_cast<std::uint8_t>(sum)} << (l % 8 * 8);
+    }
+    dst[w] = out;
   }
-  data_[dst_row] = out;
   valid_[dst_row] = true;
   ++writes_[dst_row];  // the in-memory add rewrites the destination row
   ledger_->charge(Component::kCmaAdd, profile_->cma_add.energy);
@@ -149,9 +191,8 @@ device::Ns Cma::accumulate(std::size_t row,
   check_row(row);
   IMARS_REQUIRE(valid_[row], "Cma::accumulate: row never written");
   IMARS_REQUIRE(acc.size() == cols_ / 8, "Cma::accumulate: lane count");
-  for (std::size_t l = 0; l < acc.size(); ++l) {
-    acc[l] += static_cast<std::int8_t>(data_[row].byte_at(l * 8));
-  }
+  const std::uint64_t* w = row_words(row);
+  for (std::size_t l = 0; l < acc.size(); ++l) acc[l] += lane(w, l);
   ledger_->charge(Component::kCmaAdd, profile_->cma_add.energy);
   return profile_->cma_add.latency;
 }
@@ -178,18 +219,29 @@ double Cma::wearout_fraction() const noexcept {
          static_cast<double>(profile_->endurance_cycles);
 }
 
-util::BitVec Cma::peek_row(std::size_t row) const {
+const std::uint64_t* Cma::peek_words(std::size_t row) const {
   check_row(row);
   IMARS_REQUIRE(valid_[row], "Cma::peek_row: row never written");
-  return data_[row];
+  return row_words(row);
+}
+
+util::BitVec Cma::peek_row(std::size_t row) const {
+  return util::BitVec::from_words({peek_words(row), words_per_row_}, cols_);
 }
 
 std::vector<std::int8_t> Cma::peek_row_i8(std::size_t row) const {
-  const util::BitVec bits = peek_row(row);
+  const std::uint64_t* w = peek_words(row);
   std::vector<std::int8_t> lanes(cols_ / 8);
-  for (std::size_t l = 0; l < lanes.size(); ++l)
-    lanes[l] = static_cast<std::int8_t>(bits.byte_at(l * 8));
+  for (std::size_t l = 0; l < lanes.size(); ++l) lanes[l] = lane(w, l);
   return lanes;
+}
+
+void Cma::peek_accumulate_i8(std::size_t row,
+                             std::span<std::int32_t> acc) const {
+  const std::uint64_t* w = peek_words(row);
+  IMARS_REQUIRE(acc.size() == cols_ / 8,
+                "Cma::peek_accumulate_i8: lane count");
+  for (std::size_t l = 0; l < acc.size(); ++l) acc[l] += lane(w, l);
 }
 
 }  // namespace imars::cma

@@ -17,6 +17,21 @@
 // The functional behaviour here is bit-accurate; each operation charges the
 // Table II figures of merit to an EnergyLedger and returns its latency so
 // the caller can compose serial/parallel schedules.
+//
+// Storage layout. The whole array is one contiguous buffer of 64-bit words,
+// row-major: with W = ceil(cols/64), row r occupies words [r*W, r*W + W),
+// and bit c of the row lives in word c/64 at position c%64 (util::BitVec's
+// word layout, so read_row/write_row copy words verbatim). Int8 lane l
+// occupies bits [8l, 8l+8), i.e. byte l%8 of word l/8 with bit 8l as the
+// LSB; a lane never straddles words. Bits past `cols` in a row's last word
+// are always zero, like a query BitVec's tail, so they never mismatch in a
+// search. The don't-care mask has the same shape but is allocated on the
+// first set_dont_care(.., true); until then every cell is binary.
+//
+// A 256-column row costs 32 B of bits plus 8 B of write counter, ~40 B of
+// host memory; one heap-allocated BitVec each for data and mask would cost
+// ~168 B. Thousands of arrays per accelerator make this the simulator's
+// largest host-memory cost.
 #pragma once
 
 #include <cstdint>
@@ -138,19 +153,38 @@ class Cma {
   /// Unaccounted int8-lane view of a row (see peek_row).
   std::vector<std::int8_t> peek_row_i8(std::size_t row) const;
 
+  /// Unaccounted, allocation-free acc[l] += lane l of `row` (see peek_row).
+  /// `acc` must hold cols/8 lanes.
+  void peek_accumulate_i8(std::size_t row, std::span<std::int32_t> acc) const;
+
  private:
   void check_row(std::size_t row) const;
   void require_mode(Mode m, const char* op) const;
+  /// RAM-mode read checks + charge shared by read_row and read_row_i8.
+  const std::uint64_t* charge_read(std::size_t row, device::Ns* latency) const;
+  /// Valid-row check shared by the peek_* views.
+  const std::uint64_t* peek_words(std::size_t row) const;
+  /// Marks a freshly stored row written and charges the RAM write.
+  device::Ns commit_write(std::size_t row);
+
+  std::uint64_t* row_words(std::size_t row) noexcept {
+    return data_.data() + row * words_per_row_;
+  }
+  const std::uint64_t* row_words(std::size_t row) const noexcept {
+    return data_.data() + row * words_per_row_;
+  }
 
   const device::DeviceProfile* profile_;
   device::EnergyLedger* ledger_;
   std::size_t rows_;
   std::size_t cols_;
+  std::size_t words_per_row_;
   Mode mode_ = Mode::kRam;
   std::size_t mode_switches_ = 0;
 
-  std::vector<util::BitVec> data_;   ///< stored bits, one BitVec per row
-  std::vector<util::BitVec> xmask_;  ///< don't-care mask per row
+  std::vector<std::uint64_t> data_;   ///< rows x words_per_row_ stored bits
+  std::vector<std::uint64_t> xmask_;  ///< don't-care bits, same shape; empty
+                                      ///< until the first don't-care is set
   std::vector<bool> valid_;          ///< row has been written
   std::vector<std::uint64_t> writes_;  ///< per-row write counts (endurance)
 };

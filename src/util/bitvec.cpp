@@ -1,5 +1,6 @@
 #include "util/bitvec.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/error.hpp"
@@ -10,6 +11,34 @@ namespace {
 constexpr std::size_t kWordBits = 64;
 constexpr std::size_t word_count(std::size_t nbits) {
   return (nbits + kWordBits - 1) / kWordBits;
+}
+
+constexpr std::uint64_t low_mask(std::size_t n) {
+  return n >= kWordBits ? ~0ULL : (1ULL << n) - 1;
+}
+
+// Bits [pos, pos+n) of `w` as the low n bits of a word, 0 < n <= 64. The
+// field may straddle one word boundary; the caller guarantees it is in range.
+std::uint64_t load_bits(const std::uint64_t* w, std::size_t pos,
+                        std::size_t n) {
+  const std::size_t off = pos % kWordBits;
+  std::uint64_t v = w[pos / kWordBits] >> off;
+  if (off + n > kWordBits) v |= w[pos / kWordBits + 1] << (kWordBits - off);
+  return v & low_mask(n);
+}
+
+// Writes the low n bits of `v` into bits [pos, pos+n) of `w`, 0 < n <= 64.
+void store_bits(std::uint64_t* w, std::size_t pos, std::size_t n,
+                std::uint64_t v) {
+  const std::size_t off = pos % kWordBits;
+  const std::uint64_t mask = low_mask(n);
+  v &= mask;
+  std::uint64_t& lo = w[pos / kWordBits];
+  lo = (lo & ~(mask << off)) | (v << off);
+  if (off + n > kWordBits) {
+    std::uint64_t& hi = w[pos / kWordBits + 1];
+    hi = (hi & ~(mask >> (kWordBits - off))) | (v >> (kWordBits - off));
+  }
 }
 }  // namespace
 
@@ -121,9 +150,15 @@ void BitVec::copy_from(const BitVec& src, std::size_t src_begin,
                        std::size_t len, std::size_t dst_begin) {
   IMARS_REQUIRE(src_begin + len <= src.nbits_, "copy_from: source range");
   IMARS_REQUIRE(dst_begin + len <= nbits_, "copy_from: destination range");
-  // Bit-by-bit copy: ranges are short (<= 512 bits) in all call sites.
-  for (std::size_t i = 0; i < len; ++i) {
-    set(dst_begin + i, src.get(src_begin + i));
+  if (&src == this) {  // overlapping self-copy: read from a snapshot
+    const BitVec snapshot = src;
+    copy_from(snapshot, src_begin, len, dst_begin);
+    return;
+  }
+  for (std::size_t i = 0; i < len; i += kWordBits) {
+    const std::size_t n = std::min(kWordBits, len - i);
+    store_bits(words_.data(), dst_begin + i, n,
+               load_bits(src.words_.data(), src_begin + i, n));
   }
 }
 
@@ -136,18 +171,12 @@ BitVec BitVec::slice(std::size_t begin, std::size_t len) const {
 
 std::uint8_t BitVec::byte_at(std::size_t begin) const {
   IMARS_REQUIRE(begin + 8 <= nbits_, "byte_at: range out of bounds");
-  std::uint8_t value = 0;
-  for (int b = 0; b < 8; ++b) {
-    if (get(begin + static_cast<std::size_t>(b))) value |= (1u << b);
-  }
-  return value;
+  return static_cast<std::uint8_t>(load_bits(words_.data(), begin, 8));
 }
 
 void BitVec::set_byte(std::size_t begin, std::uint8_t value) {
   IMARS_REQUIRE(begin + 8 <= nbits_, "set_byte: range out of bounds");
-  for (int b = 0; b < 8; ++b) {
-    set(begin + static_cast<std::size_t>(b), (value >> b) & 1u);
-  }
+  store_bits(words_.data(), begin, 8, value);
 }
 
 std::string BitVec::to_string() const {

@@ -277,7 +277,127 @@ TEST(Cma, PeekDoesNotCharge) {
   const auto before = f.ledger.total().value;
   (void)f.array.peek_row(0);
   (void)f.array.peek_row_i8(0);
+  std::vector<std::int32_t> acc(32, 0);
+  f.array.peek_accumulate_i8(0, acc);
   EXPECT_DOUBLE_EQ(f.ledger.total().value, before);
+}
+
+// ---------- Storage contract -------------------------------------------------
+
+std::vector<std::int8_t> random_lanes(std::size_t n, util::Xoshiro256& rng) {
+  std::vector<std::int8_t> lanes(n);
+  for (auto& v : lanes) v = static_cast<std::int8_t>(rng.below(256));
+  return lanes;
+}
+
+TEST(Cma, LaneIsByteEightLInBothDirections) {
+  Fixture f;
+  util::Xoshiro256 rng(4);
+  const auto lanes = random_lanes(32, rng);
+  f.array.write_row_i8(0, std::vector<std::int8_t>(32, -1));  // overwritten
+  f.array.write_row_i8(0, lanes);
+  const BitVec bits = f.array.read_row(0);
+  for (std::size_t l = 0; l < 32; ++l)
+    EXPECT_EQ(static_cast<std::int8_t>(bits.byte_at(8 * l)), lanes[l]) << l;
+
+  const BitVec row = random_row(256, rng);
+  f.array.write_row(1, row);
+  const auto back = f.array.read_row_i8(1);
+  for (std::size_t l = 0; l < 32; ++l)
+    EXPECT_EQ(back[l], static_cast<std::int8_t>(row.byte_at(8 * l))) << l;
+}
+
+TEST(Cma, AddRowsDestinationMayAliasASource) {
+  Fixture f;
+  util::Xoshiro256 rng(5);
+  const auto a = random_lanes(32, rng);
+  const auto b = random_lanes(32, rng);
+  f.array.write_row_i8(0, a);
+  f.array.write_row_i8(1, b);
+  f.array.set_mode(Mode::kGpcim);
+  f.array.add_rows(0, 0, 1);
+  f.array.set_mode(Mode::kRam);
+  const auto sum = f.array.read_row_i8(0);
+  for (std::size_t l = 0; l < 32; ++l)
+    EXPECT_EQ(sum[l], util::sat_add_i8(a[l], b[l])) << "lane " << l;
+  EXPECT_EQ(f.array.row_writes(0), 2u);
+}
+
+TEST(Cma, DontCareSetThenClearedOnFreshArray) {
+  Fixture f;
+  const BitVec stored = BitVec::from_string("1" + std::string(255, '0'));
+  f.array.write_row(0, stored);
+  // Clearing before any mask exists is a charged no-op.
+  f.array.set_dont_care(0, 0, false);
+  EXPECT_EQ(f.ledger.ops(Component::kCmaRam), 2u);
+  const BitVec q(256);  // differs from the stored row in column 0 only
+  f.array.set_mode(Mode::kTcam);
+  EXPECT_TRUE(f.array.search(q, 0).matches.empty());
+
+  f.array.set_mode(Mode::kRam);
+  f.array.set_dont_care(0, 0, true);
+  f.array.set_mode(Mode::kTcam);
+  EXPECT_EQ(f.array.search(q, 0).matches, std::vector<std::size_t>{0});
+
+  f.array.set_mode(Mode::kRam);
+  f.array.set_dont_care(0, 0, false);
+  f.array.set_mode(Mode::kTcam);
+  EXPECT_TRUE(f.array.search(q, 0).matches.empty());
+  EXPECT_EQ(f.array.search(q, 1).matches, std::vector<std::size_t>{0});
+}
+
+// 200 columns: the last storage word is part-used, and its unused tail
+// must never count as a mismatch.
+TEST(Cma, NonWordMultipleWidthRoundTripsAndSearches) {
+  DeviceProfile profile = DeviceProfile::fefet45();
+  profile.cma_cols = 200;
+  EnergyLedger ledger;
+  Cma array(profile, &ledger);
+  util::Xoshiro256 rng(6);
+
+  const auto lanes = random_lanes(25, rng);
+  array.write_row_i8(0, lanes);
+  EXPECT_EQ(array.read_row_i8(0), lanes);
+  BitVec all_ones(200);
+  all_ones.fill(true);
+  std::vector<BitVec> rows{array.read_row(0)};
+  for (std::size_t r = 1; r < 16; ++r) {
+    rows.push_back(r == 15 ? all_ones : random_row(200, rng));
+    array.write_row(r, rows.back());
+    EXPECT_EQ(array.read_row(r), rows.back());
+  }
+
+  array.set_mode(Mode::kTcam);
+  for (std::size_t threshold : {0u, 50u, 100u, 150u, 200u}) {
+    for (const BitVec& q : {rows[3], all_ones, BitVec(200)}) {
+      std::vector<std::size_t> expected;
+      for (std::size_t r = 0; r < rows.size(); ++r)
+        if (rows[r].hamming(q) <= threshold) expected.push_back(r);
+      EXPECT_EQ(array.search(q, threshold).matches, expected)
+          << "threshold " << threshold;
+    }
+  }
+  // The all-ones row fills 200 of 256 stored bits: an all-ones query is an
+  // exact match, so the 56 unused tail bits never mismatch.
+  EXPECT_EQ(array.search(all_ones, 0).matches, std::vector<std::size_t>{15});
+}
+
+TEST(Cma, PeekAccumulateEqualsSumOfPeekedLanes) {
+  Fixture f;
+  util::Xoshiro256 rng(7);
+  std::vector<std::int32_t> expected(32, 0);
+  for (std::size_t r = 0; r < 12; ++r) {
+    f.array.write_row_i8(r, random_lanes(32, rng));
+    const auto lanes = f.array.peek_row_i8(r);
+    for (std::size_t l = 0; l < 32; ++l) expected[l] += lanes[l];
+  }
+  std::vector<std::int32_t> acc(32, 0);
+  for (std::size_t r = 0; r < 12; ++r) f.array.peek_accumulate_i8(r, acc);
+  EXPECT_EQ(acc, expected);
+
+  EXPECT_THROW(f.array.peek_accumulate_i8(12, acc), Error);
+  std::vector<std::int32_t> short_acc(31, 0);
+  EXPECT_THROW(f.array.peek_accumulate_i8(0, short_acc), Error);
 }
 
 }  // namespace

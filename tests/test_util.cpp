@@ -179,6 +179,54 @@ TEST(BitVec, SliceAndCopyFrom) {
   EXPECT_EQ(d.to_string(), "0110010100");
 }
 
+// byte_at/set_byte/copy_from/slice work on whole words; the oracle is plain
+// get/set (and string splicing), over random sizes with offsets and lengths
+// that straddle word boundaries, len = 0 and ranges ending on the last bit.
+TEST(BitVec, WordLevelRangeOpsMatchBitwiseOracle) {
+  util::Xoshiro256 rng(2024);
+  auto random_vec = [&](std::size_t n) {
+    BitVec v(n);
+    for (std::size_t i = 0; i < n; ++i) v.set(i, rng.bernoulli(0.5));
+    return v;
+  };
+  for (std::size_t trial = 0; trial < 600; ++trial) {
+    const std::size_t n = 8 + rng.below(300);
+    BitVec v = random_vec(n);
+
+    const std::size_t pos = trial % 4 == 0 ? n - 8 : rng.below(n - 7);
+    std::uint8_t want = 0;
+    for (std::size_t b = 0; b < 8; ++b)
+      if (v.get(pos + b)) want |= static_cast<std::uint8_t>(1u << b);
+    ASSERT_EQ(v.byte_at(pos), want) << "n " << n << " pos " << pos;
+    const auto byte = static_cast<std::uint8_t>(rng.below(256));
+    BitVec expect = v;
+    for (std::size_t b = 0; b < 8; ++b) expect.set(pos + b, (byte >> b) & 1u);
+    v.set_byte(pos, byte);
+    ASSERT_EQ(v.to_string(), expect.to_string()) << "n " << n << " pos " << pos;
+
+    const BitVec src = random_vec(1 + rng.below(300));
+    const std::size_t len =
+        trial % 5 == 0 ? 0 : rng.below(std::min(src.size(), n) + 1);
+    const std::size_t sb =
+        trial % 3 == 1 ? src.size() - len : rng.below(src.size() - len + 1);
+    const std::size_t db = trial % 3 == 2 ? n - len : rng.below(n - len + 1);
+    expect = v;
+    for (std::size_t i = 0; i < len; ++i) expect.set(db + i, src.get(sb + i));
+    v.copy_from(src, sb, len, db);
+    ASSERT_EQ(v.to_string(), expect.to_string())
+        << "n " << n << " src " << src.size() << " [" << sb << ", +" << len
+        << ") -> " << db;
+    EXPECT_EQ(src.slice(sb, len).to_string(), src.to_string().substr(sb, len));
+
+    // Overlapping self-copy behaves like memmove.
+    std::string s = v.to_string();
+    const std::size_t a = rng.below(n - len + 1);
+    s.replace(db, len, s.substr(a, len));
+    v.copy_from(v, a, len, db);
+    ASSERT_EQ(v.to_string(), s);
+  }
+}
+
 TEST(BitVec, OutOfRangeThrows) {
   BitVec v(16);
   EXPECT_THROW(v.get(16), Error);
