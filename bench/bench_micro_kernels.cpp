@@ -8,6 +8,7 @@
 #include "data/zipf.hpp"
 #include "lsh/lsh.hpp"
 #include "nn/embedding.hpp"
+#include "nn/layer.hpp"
 #include "tensor/qtensor.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
@@ -111,5 +112,48 @@ void BM_GemvI8(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(tensor::gemv_i8(w, in));
 }
 BENCHMARK(BM_GemvI8);
+
+// f32 training kernels at the paper's widest dense layers: the DLRM top
+// MLP's first layer (383 -> 256) and the YouTubeDNN filter tower's
+// (196 -> 128). Inputs are drawn at run time from a seeded RNG.
+tensor::Vector random_vector(std::size_t n, util::Xoshiro256& rng) {
+  tensor::Vector v(n);
+  for (auto& x : v) x = static_cast<float>(rng.normal());
+  return v;
+}
+
+void BM_GemvF32(benchmark::State& state) {
+  const auto in = static_cast<std::size_t>(state.range(0));
+  const auto out = static_cast<std::size_t>(state.range(1));
+  util::Xoshiro256 rng(9);
+  const auto w = tensor::Matrix::randn(out, in, 1.0f, rng);
+  const tensor::Vector x = random_vector(in, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(tensor::gemv(w, x));
+}
+BENCHMARK(BM_GemvF32)->Args({383, 256})->Args({196, 128});
+
+// One per-sample SGD step of a ReLU layer: forward, backward, apply_sgd.
+// Cycles through 64 samples with random-sign upstream gradients and a small
+// learning rate, so the weights (and the ReLU mask) barely drift.
+void BM_DenseTrainStep(benchmark::State& state) {
+  const auto in = static_cast<std::size_t>(state.range(0));
+  const auto out = static_cast<std::size_t>(state.range(1));
+  util::Xoshiro256 rng(10);
+  nn::Dense layer(in, out, nn::Activation::kRelu, rng);
+  std::vector<tensor::Vector> xs, gs;
+  for (int i = 0; i < 64; ++i) {
+    xs.push_back(random_vector(in, rng));
+    gs.push_back(random_vector(out, rng));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layer.forward(xs[i]));
+    benchmark::DoNotOptimize(layer.backward(gs[i]));
+    layer.apply_sgd(1e-5f);
+    i = (i + 1) % xs.size();
+  }
+  benchmark::DoNotOptimize(layer.weight().data().data());
+}
+BENCHMARK(BM_DenseTrainStep)->Args({383, 256})->Args({196, 128});
 
 }  // namespace

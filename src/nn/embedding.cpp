@@ -1,5 +1,7 @@
 #include "nn/embedding.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 
 namespace imars::nn {
@@ -61,6 +63,8 @@ void EmbeddingTable::accumulate_grad(std::span<const std::size_t> indices,
 }
 
 void EmbeddingTable::apply_sgd(float lr) {
+  IMARS_REQUIRE(std::isfinite(lr) && lr > 0.0f,
+                "EmbeddingTable::apply_sgd: lr must be finite and positive");
   for (const auto& [idx, g] : pending_grads_) {
     auto r = table_.row(idx);
     for (std::size_t c = 0; c < g.size(); ++c) r[c] -= lr * g[c];

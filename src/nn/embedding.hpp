@@ -46,6 +46,7 @@ class EmbeddingTable {
   /// rows (scaled 1/n for mean pooling).
   void accumulate_grad(std::span<const std::size_t> indices, Pooling pooling,
                        std::span<const float> grad);
+  /// Applies the pending gradients (lr must be finite and positive).
   void apply_sgd(float lr);
   void zero_grad();
 

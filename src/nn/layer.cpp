@@ -1,10 +1,36 @@
 #include "nn/layer.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
 
 namespace imars::nn {
+
+namespace {
+
+// w[i] -= lr * g[i]; g[i] = 0. Four lanes per step, vectorized like
+// tensor::axpy.
+void sgd_row(float lr, float* __restrict w, float* __restrict g,
+             std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    w[i] -= lr * g[i];
+    w[i + 1] -= lr * g[i + 1];
+    w[i + 2] -= lr * g[i + 2];
+    w[i + 3] -= lr * g[i + 3];
+    g[i] = 0.0f;
+    g[i + 1] = 0.0f;
+    g[i + 2] = 0.0f;
+    g[i + 3] = 0.0f;
+  }
+  for (; i < n; ++i) {
+    w[i] -= lr * g[i];
+    g[i] = 0.0f;
+  }
+}
+
+}  // namespace
 
 Dense::Dense(std::size_t in, std::size_t out, Activation act,
              util::Xoshiro256& rng)
@@ -14,7 +40,8 @@ Dense::Dense(std::size_t in, std::size_t out, Activation act,
       bias_(out, 0.0f),
       act_(act),
       grad_weight_(out, in),
-      grad_bias_(out, 0.0f) {
+      grad_bias_(out, 0.0f),
+      row_dirty_(out, 0) {
   IMARS_REQUIRE(in > 0 && out > 0, "Dense: dimensions must be positive");
 }
 
@@ -69,14 +96,15 @@ tensor::Vector Dense::backward(std::span<const float> grad_out) {
       break;
   }
 
-  // Accumulate dL/dW = grad_z * x^T, dL/db = grad_z.
+  // Accumulate dL/dW = grad_z * x^T, dL/db = grad_z. A zero grad_z[o]
+  // leaves row o untouched, and clean.
   for (std::size_t o = 0; o < out_dim(); ++o) {
     const float g = grad_z[o];
     if (g != 0.0f) {
-      auto wrow = grad_weight_.row(o);
-      for (std::size_t i = 0; i < in_dim(); ++i) wrow[i] += g * last_input_[i];
+      tensor::axpy(g, last_input_, grad_weight_.row(o));
+      row_dirty_[o] = 1;
     }
-    grad_bias_[o] += grad_z[o];
+    grad_bias_[o] += g;
   }
 
   // dL/dx = W^T grad_z.
@@ -84,16 +112,25 @@ tensor::Vector Dense::backward(std::span<const float> grad_out) {
 }
 
 void Dense::apply_sgd(float lr) {
-  auto w = weight_.data();
-  auto gw = grad_weight_.data();
-  for (std::size_t i = 0; i < w.size(); ++i) w[i] -= lr * gw[i];
+  IMARS_REQUIRE(std::isfinite(lr) && lr > 0.0f,
+                "Dense::apply_sgd: lr must be finite and positive");
+  for (std::size_t o = 0; o < out_dim(); ++o) {
+    if (row_dirty_[o] == 0) continue;
+    sgd_row(lr, weight_.row(o).data(), grad_weight_.row(o).data(), in_dim());
+    row_dirty_[o] = 0;
+  }
   for (std::size_t i = 0; i < bias_.size(); ++i) bias_[i] -= lr * grad_bias_[i];
-  zero_grad();
+  std::fill(grad_bias_.begin(), grad_bias_.end(), 0.0f);
 }
 
 void Dense::zero_grad() {
-  for (auto& g : grad_weight_.data()) g = 0.0f;
-  for (auto& g : grad_bias_) g = 0.0f;
+  for (std::size_t o = 0; o < out_dim(); ++o) {
+    if (row_dirty_[o] == 0) continue;
+    const auto g = grad_weight_.row(o);
+    std::fill(g.begin(), g.end(), 0.0f);
+    row_dirty_[o] = 0;
+  }
+  std::fill(grad_bias_.begin(), grad_bias_.end(), 0.0f);
 }
 
 }  // namespace imars::nn

@@ -1,11 +1,19 @@
 // Fully connected layer with activation, forward + backward.
 //
 // The DNN stacks in the paper are plain MLPs (YouTubeDNN 128-64-32 / 128-1,
-// DLRM 256-128-32 / 256-64-1). Training runs sample-at-a-time SGD — the
-// synthetic datasets are small and determinism matters more than throughput.
+// DLRM 256-128-32 / 256-64-1). Training runs sample-at-a-time SGD.
+//
+// The SGD update is dirty-row: backward() adds to a weight-gradient row only
+// when that output's upstream gradient is nonzero (ReLU zeroes about half
+// of them) and records the rows it touched. apply_sgd() and zero_grad()
+// then visit only those rows, plus the whole bias. A clean row's gradient
+// is +0, and w - lr * (+0) == w for every finite lr > 0, so the result is
+// bit-identical to a full sweep; apply_sgd() rejects any other lr.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -40,7 +48,8 @@ class Dense {
   /// and bias gradients internally and returns dLoss/dInput.
   tensor::Vector backward(std::span<const float> grad_out);
 
-  /// Applies accumulated gradients with plain SGD and clears them.
+  /// Applies accumulated gradients with plain SGD and clears them. `lr`
+  /// must be finite and positive.
   void apply_sgd(float lr);
 
   /// Clears accumulated gradients.
@@ -63,6 +72,9 @@ class Dense {
 
   tensor::Matrix grad_weight_;
   tensor::Vector grad_bias_;
+  // row_dirty_[o] != 0 when grad_weight_ row o may be nonzero; every other
+  // row is all +0.
+  std::vector<std::uint8_t> row_dirty_;
 
   // Cached forward state.
   tensor::Vector last_input_;

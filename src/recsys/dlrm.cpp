@@ -1,6 +1,7 @@
 #include "recsys/dlrm.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "nn/loss.hpp"
@@ -39,6 +40,8 @@ Dlrm::Dlrm(const data::DatasetSchema& schema, const DlrmConfig& cfg)
                        nn::Activation::kSigmoid, rng);
       }()) {
   IMARS_REQUIRE(!schema.user_item.empty(), "Dlrm: need sparse features");
+  IMARS_REQUIRE(std::isfinite(cfg.lr) && cfg.lr > 0.0f,
+                "Dlrm: lr must be finite and positive");
   util::Xoshiro256 rng(cfg.seed + 2);
   tables_.reserve(schema.user_item.size());
   for (const auto& spec : schema.user_item)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <numeric>
 #include <unordered_set>
 
@@ -66,6 +67,8 @@ YoutubeDnn::YoutubeDnn(const data::DatasetSchema& schema,
                        nn::Activation::kSigmoid, rng);
       }()) {
   IMARS_REQUIRE(cfg.emb_dim > 0, "YoutubeDnn: emb_dim must be positive");
+  IMARS_REQUIRE(std::isfinite(cfg.lr) && cfg.lr > 0.0f,
+                "YoutubeDnn: lr must be finite and positive");
   IMARS_REQUIRE(filter_mlp_.out_dim() == cfg.emb_dim,
                 "YoutubeDnn: tower output must equal emb_dim for the NNS");
   util::Xoshiro256 rng(cfg.seed + 3);

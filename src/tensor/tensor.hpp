@@ -4,6 +4,21 @@
 // row-major f32 matrices, gemm/gemv, elementwise ops and three activations.
 // Keeping this self-contained avoids an external BLAS dependency and keeps
 // results bit-reproducible across platforms.
+//
+// Kernel contract: every output element is computed in the summation order
+// of the naive loop, so a faster kernel returns the same bits as the plain
+// one (matmul stays the unblocked reference).
+//   * gemv blocks rows, never columns: its eight accumulators are eight
+//     independent rows, each starting at 0 and adding w[r][c] * v[c] for
+//     c = 0..cols-1 in order.
+//   * axpy runs four lanes at a time; each lane is a different element of
+//     y, so no sum is reassociated. gevm is one axpy per row, in row order.
+//   * gevm skips rows with v[r] == 0. On finite data that skip is exact:
+//     the row would only add +-0 products to each output.
+// This also needs a * b + c to stay a rounded multiply then a rounded add.
+// The builds set no -march, so x86-64 has no FMA instruction to contract
+// into. GCC contracts C++ even in ISO mode once FMA is enabled (for example
+// -march=haswell); such a build needs -ffp-contract=off to stay identical.
 #pragma once
 
 #include <cstddef>
@@ -64,6 +79,10 @@ Vector gemv(const Matrix& m, std::span<const float> v);
 
 /// out = v (r) * m (r x c)  — vector-matrix product (row vector).
 Vector gevm(std::span<const float> v, const Matrix& m);
+
+/// y += a * x, element by element (sizes must match; x and y must not
+/// overlap).
+void axpy(float a, std::span<const float> x, std::span<float> y);
 
 /// Elementwise helpers (sizes must match).
 Vector add(std::span<const float> a, std::span<const float> b);

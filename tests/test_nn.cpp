@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "nn/embedding.hpp"
 #include "nn/layer.hpp"
@@ -110,6 +116,124 @@ TEST(Dense, SgdStepReducesLoss) {
   EXPECT_NEAR(layer.infer(x)[0], target, 1e-3f);
 }
 
+// Bitwise equality: +0.0 and -0.0 differ, so do NaN payloads.
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+bool all_positive_zero(std::span<const float> a) {
+  return same_bits(a, Vector(a.size(), 0.0f));
+}
+
+void expect_same_state(const Dense& got, const Dense& want,
+                       const std::string& where) {
+  EXPECT_TRUE(same_bits(got.weight().data(), want.weight().data())) << where;
+  EXPECT_TRUE(same_bits(got.bias(), want.bias())) << where;
+  EXPECT_TRUE(same_bits(got.weight_grad().data(), want.weight_grad().data()))
+      << where;
+  EXPECT_TRUE(same_bits(got.bias_grad(), want.bias_grad())) << where;
+}
+
+// The plain SGD step Dense::apply_sgd must equal: w -= lr * gw over every
+// weight, clean rows included, then the same for the bias.
+void full_sweep_sgd(Dense& d, float lr) {
+  const auto w = d.mutable_weight().data();
+  const auto gw = d.weight_grad().data();
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] -= lr * gw[i];
+  auto& b = d.mutable_bias();
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] -= lr * d.bias_grad()[i];
+  d.zero_grad();
+}
+
+// Gaussian values with about a third exact zeros (half of them -0.0f), so
+// whole weight-gradient rows stay clean under every activation.
+Vector sparse_vector(std::size_t n, util::Xoshiro256& rng) {
+  Vector v(n);
+  for (auto& x : v) {
+    switch (rng.below(6)) {
+      case 0:
+        x = 0.0f;
+        break;
+      case 1:
+        x = -0.0f;
+        break;
+      default:
+        x = static_cast<float>(rng.normal());
+    }
+  }
+  return v;
+}
+
+// Dirty-row SGD against a full-sweep reference on a seeded schedule: 1-3
+// forward/backward calls per step, then apply_sgd or (one step in five)
+// zero_grad. A copy taken mid-accumulation is stepped alongside. 13 inputs
+// cover both the 4-lane body and the tail of the row update.
+TEST(Dense, DirtyRowSgdMatchesFullSweep) {
+  for (const Activation act :
+       {Activation::kIdentity, Activation::kRelu, Activation::kSigmoid}) {
+    const std::string name = "act " + std::to_string(static_cast<int>(act));
+    util::Xoshiro256 rng(100 + static_cast<std::uint64_t>(act));
+    Dense layer(13, 9, act, rng);
+    Dense ref = layer;
+    std::optional<Dense> copy;  // taken during step 7's accumulation
+    std::size_t clean_rows = 0, dirty_rows = 0;
+    for (int step = 0; step < 40; ++step) {
+      const std::string where = name + " step " + std::to_string(step);
+      const std::size_t calls = 1 + rng.below(3);
+      for (std::size_t k = 0; k < calls; ++k) {
+        const Vector x = sparse_vector(13, rng);
+        const Vector g = sparse_vector(9, rng);
+        EXPECT_TRUE(same_bits(layer.forward(x), ref.forward(x))) << where;
+        EXPECT_TRUE(same_bits(layer.backward(g), ref.backward(g))) << where;
+        if (copy) {
+          copy->forward(x);
+          copy->backward(g);
+        }
+        if (step == 7 && k == 0) copy = layer;
+      }
+      for (std::size_t o = 0; o < 9; ++o) {
+        if (all_positive_zero(layer.weight_grad().row(o))) {
+          ++clean_rows;
+        } else {
+          ++dirty_rows;
+        }
+      }
+      if (rng.below(5) == 0) {
+        layer.zero_grad();
+        ref.zero_grad();
+        if (copy) copy->zero_grad();
+      } else {
+        const float lr = 0.01f + 0.2f * static_cast<float>(rng.uniform());
+        layer.apply_sgd(lr);
+        full_sweep_sgd(ref, lr);
+        if (copy) copy->apply_sgd(lr);
+      }
+      EXPECT_TRUE(all_positive_zero(layer.weight_grad().data())) << where;
+      EXPECT_TRUE(all_positive_zero(layer.bias_grad())) << where;
+      expect_same_state(layer, ref, where);
+      if (copy) expect_same_state(*copy, ref, where + " copy");
+    }
+    EXPECT_TRUE(copy.has_value());
+    // The schedule must exercise both kinds of row.
+    EXPECT_GT(clean_rows, 20u) << name;
+    EXPECT_GT(dirty_rows, 20u) << name;
+  }
+}
+
+TEST(Dense, ApplySgdRejectsBadLearningRate) {
+  util::Xoshiro256 rng(16);
+  Dense layer(3, 2, Activation::kIdentity, rng);
+  layer.forward(Vector{1.0f, 2.0f, 3.0f});
+  layer.backward(Vector{1.0f, -1.0f});
+  const Dense before = layer;
+  for (const float lr : {0.0f, -0.01f, std::nanf(""),
+                         std::numeric_limits<float>::infinity()}) {
+    EXPECT_THROW(layer.apply_sgd(lr), Error) << lr;
+    EXPECT_TRUE(same_bits(layer.weight().data(), before.weight().data()));
+  }
+}
+
 TEST(Mlp, DimsAndParameterCount) {
   util::Xoshiro256 rng(6);
   Mlp mlp({8, 16, 4}, Activation::kIdentity, rng);
@@ -210,6 +334,19 @@ TEST(Embedding, TrainingPullsEmbeddingTowardTarget) {
   }
   const auto e = t.row(0);
   for (int c = 0; c < 4; ++c) EXPECT_NEAR(e[c], target[c], 1e-3f);
+}
+
+TEST(Embedding, ApplySgdRejectsBadLearningRate) {
+  util::Xoshiro256 rng(17);
+  EmbeddingTable t(3, 2, rng);
+  const std::size_t idx[1] = {1};
+  t.accumulate_grad(idx, Pooling::kSum, Vector{1.0f, -1.0f});
+  const tensor::Matrix before = t.matrix();
+  for (const float lr : {0.0f, -0.01f, std::nanf(""),
+                         std::numeric_limits<float>::infinity()}) {
+    EXPECT_THROW(t.apply_sgd(lr), Error) << lr;
+    EXPECT_EQ(t.matrix(), before);
+  }
 }
 
 TEST(Embedding, QuantizedSnapshotRoundTrips) {

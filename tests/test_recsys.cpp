@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "data/criteo.hpp"
 #include "data/movielens.hpp"
@@ -89,6 +90,16 @@ TEST(YoutubeDnn, PaperDnnDimensions) {
   EXPECT_EQ(cfg.filter_hidden, (std::vector<std::size_t>{128, 64, 32}));
   EXPECT_EQ(cfg.rank_hidden, (std::vector<std::size_t>{128}));
   EXPECT_EQ(cfg.emb_dim, 32u);
+}
+
+TEST(YoutubeDnn, RejectsBadLearningRate) {
+  const MovieLensSynth ds(small_ml());
+  for (const float lr : {0.0f, -0.01f, std::nanf(""),
+                         std::numeric_limits<float>::infinity()}) {
+    YoutubeDnnConfig bad = small_model();
+    bad.lr = lr;
+    EXPECT_THROW(YoutubeDnn(ds.schema(), bad), Error) << lr;
+  }
 }
 
 TEST(YoutubeDnn, FilterInputLayout) {
@@ -201,6 +212,16 @@ TEST(Dlrm, BottomMustEndAtEmbDim) {
   DlrmConfig bad = small_dlrm();
   bad.bottom_hidden = {32, 16};  // != emb_dim 8
   EXPECT_THROW(Dlrm(ds.schema(), bad), Error);
+}
+
+TEST(Dlrm, RejectsBadLearningRate) {
+  const CriteoSynth ds(small_criteo());
+  for (const float lr : {0.0f, -0.01f, std::nanf(""),
+                         std::numeric_limits<float>::infinity()}) {
+    DlrmConfig bad = small_dlrm();
+    bad.lr = lr;
+    EXPECT_THROW(Dlrm(ds.schema(), bad), Error) << lr;
+  }
 }
 
 TEST(Dlrm, InteractLayoutAndSymmetry) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 
 #include "tensor/qtensor.hpp"
 #include "tensor/tensor.hpp"
@@ -65,27 +67,94 @@ TEST(Matrix, MatmulAssociativityProperty) {
     EXPECT_NEAR(left.data()[i], right.data()[i], 1e-3f);
 }
 
-TEST(Matrix, GemvMatchesMatmul) {
-  const Matrix m = random_matrix(6, 4, 5);
-  util::Xoshiro256 rng(6);
-  Vector v(4);
-  for (auto& x : v) x = static_cast<float>(rng.normal());
-  const Vector out = tensor::gemv(m, v);
-  const Matrix vm(4, 1, {v[0], v[1], v[2], v[3]});
-  const Matrix ref = tensor::matmul(m, vm);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    EXPECT_NEAR(out[i], ref.at(i, 0), 1e-4f);
+// Shapes that hit every remainder of gemv's 8-row blocks and axpy's 4-lane
+// steps, from a single element up to the DLRM top-MLP width.
+constexpr std::size_t kGridRows[] = {1, 7, 8, 9, 16, 17, 256};
+constexpr std::size_t kGridCols[] = {1, 3, 4, 5, 8, 13, 383};
+
+// Bitwise equality: +0.0 and -0.0 differ, so do NaN payloads.
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+// n + 1 Gaussian floats with about one in eight an exact 0.0f and one in
+// eight -0.0f. Callers view [1, n + 1), so 16-byte loads of the view are
+// unaligned.
+std::vector<float> offset_buffer(std::size_t n, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<float> buf(n + 1);
+  for (auto& x : buf) {
+    switch (rng.below(8)) {
+      case 0:
+        x = 0.0f;
+        break;
+      case 1:
+        x = -0.0f;
+        break;
+      default:
+        x = static_cast<float>(rng.normal());
+    }
+  }
+  return buf;
+}
+
+std::span<const float> skip_first(const std::vector<float>& buf) {
+  return std::span<const float>(buf).subspan(1);
+}
+
+// matmul is the unblocked reference: out(i, 0) sums m(i, k) * v[k] for
+// k = 0..cols-1 in order, exactly like gemv's row i.
+TEST(Matrix, GemvMatchesMatmul) {
+  for (const std::size_t rows : kGridRows) {
+    for (const std::size_t cols : kGridCols) {
+      const Matrix m(rows, cols, offset_buffer(rows * cols - 1, rows * cols));
+      const auto vbuf = offset_buffer(cols, 1000 + rows + cols);
+      const auto v = skip_first(vbuf);
+      const Vector out = tensor::gemv(m, v);
+      const Matrix ref =
+          tensor::matmul(m, Matrix(cols, 1, Vector(v.begin(), v.end())));
+      EXPECT_TRUE(same_bits(out, ref.data())) << rows << "x" << cols;
+    }
+  }
+}
+
+// gemv of the transpose sums m(r, c) * v[r] for r = 0..rows-1 in order,
+// exactly like gevm's column c; gevm's zero-skip only drops +-0 products.
 TEST(Matrix, GevmIsTransposedGemv) {
-  const Matrix m = random_matrix(5, 7, 8);
-  util::Xoshiro256 rng(9);
-  Vector v(5);
-  for (auto& x : v) x = static_cast<float>(rng.normal());
-  const Vector a = tensor::gevm(v, m);
-  const Vector b = tensor::gemv(m.transposed(), v);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-4f);
+  for (const std::size_t rows : kGridRows) {
+    for (const std::size_t cols : kGridCols) {
+      const Matrix m = random_matrix(rows, cols, rows * 1000 + cols);
+      const auto vbuf = offset_buffer(rows, 2000 + rows + cols);
+      const auto v = skip_first(vbuf);
+      const Vector a = tensor::gevm(v, m);
+      const Vector b = tensor::gemv(m.transposed(), v);
+      EXPECT_TRUE(same_bits(a, b)) << rows << "x" << cols;
+    }
+  }
+}
+
+TEST(Matrix, AxpyMatchesScalarLoop) {
+  for (const std::size_t n : {0, 1, 3, 4, 5, 8, 13, 383}) {
+    const auto xbuf = offset_buffer(n, 3000 + n);
+    auto ybuf = offset_buffer(n, 4000 + n);
+    auto ref = ybuf;
+    const float a = -0.37f;
+    for (std::size_t i = 1; i <= n; ++i) ref[i] += a * xbuf[i];
+    tensor::axpy(a, skip_first(xbuf), std::span<float>(ybuf).subspan(1));
+    EXPECT_TRUE(same_bits(ybuf, ref)) << "n=" << n;
+  }
+}
+
+TEST(Matrix, AxpyRejectsSizeMismatchAndOverlap) {
+  Vector x(4, 1.0f), y(5, 0.0f);
+  EXPECT_THROW(tensor::axpy(1.0f, x, y), Error);
+  Vector buf(8, 1.0f);
+  const std::span<float> all(buf);
+  EXPECT_THROW(tensor::axpy(1.0f, all.subspan(0, 4), all.subspan(2, 4)), Error);
+  EXPECT_THROW(tensor::axpy(1.0f, all.subspan(2, 4), all.subspan(0, 4)), Error);
+  tensor::axpy(1.0f, all.subspan(0, 4), all.subspan(4, 4));  // adjacent: fine
+  EXPECT_EQ(buf, (Vector{1, 1, 1, 1, 2, 2, 2, 2}));
 }
 
 TEST(Elementwise, AddSubHadamard) {
