@@ -24,11 +24,34 @@ Cma::Cma(const device::DeviceProfile& profile, device::EnergyLedger* ledger)
       rows_(profile.cma_rows),
       cols_(profile.cma_cols),
       words_per_row_((profile.cma_cols + 63) / 64),
-      data_(rows_ * words_per_row_, 0),
-      valid_(rows_, false),
-      writes_(rows_, 0) {
+      store_(std::make_shared<Storage>(
+          Storage{std::vector<std::uint64_t>(rows_ * words_per_row_, 0),
+                  {},
+                  std::vector<bool>(rows_, false),
+                  std::vector<std::uint64_t>(rows_, 0)})) {
   IMARS_REQUIRE(ledger != nullptr, "Cma: ledger must not be null");
   IMARS_REQUIRE(cols_ % 8 == 0, "Cma: columns must be a multiple of 8");
+}
+
+Cma::Cma(const Cma& image, const device::DeviceProfile& profile,
+         device::EnergyLedger* ledger)
+    : Cma(image) {
+  IMARS_REQUIRE(ledger != nullptr, "Cma: ledger must not be null");
+  IMARS_REQUIRE(profile.cma_rows == rows_ && profile.cma_cols == cols_,
+                "Cma: replica profile geometry differs from the image");
+  profile_ = &profile;
+  ledger_ = ledger;
+}
+
+Cma::Storage& Cma::own() {
+  // A shared block is copied before the write, so the write reaches no
+  // other array; a sole owner writes in place. use_count() is a relaxed
+  // read: a count another thread is dropping costs at most one extra copy,
+  // and a count of 1 is exact once a sharer destroyed on another thread is
+  // ordered before this write (as joining that thread does).
+  if (store_.use_count() != 1) store_ = std::make_shared<Storage>(*store_);
+  // Every block is made by make_shared<Storage>, so the object is not const.
+  return const_cast<Storage&>(*store_);
 }
 
 void Cma::set_mode(Mode m) {
@@ -52,9 +75,9 @@ void Cma::require_mode(Mode m, const char* op) const {
                                 "' requires a different array mode");
 }
 
-device::Ns Cma::commit_write(std::size_t row) {
-  valid_[row] = true;
-  ++writes_[row];
+device::Ns Cma::commit_write(Storage& s, std::size_t row) {
+  s.valid[row] = true;
+  ++s.writes[row];
   ledger_->charge(Component::kCmaRam, profile_->cma_write.energy);
   return profile_->cma_write.latency;
 }
@@ -63,15 +86,16 @@ device::Ns Cma::write_row(std::size_t row, const util::BitVec& bits) {
   require_mode(Mode::kRam, "write_row");
   check_row(row);
   IMARS_REQUIRE(bits.size() == cols_, "Cma::write_row: width mismatch");
-  std::copy_n(bits.words().begin(), words_per_row_, row_words(row));
-  return commit_write(row);
+  Storage& s = own();
+  std::copy_n(bits.words().begin(), words_per_row_, row_words(s, row));
+  return commit_write(s, row);
 }
 
 const std::uint64_t* Cma::charge_read(std::size_t row,
                                       device::Ns* latency) const {
   require_mode(Mode::kRam, "read_row");
   check_row(row);
-  IMARS_REQUIRE(valid_[row], "Cma::read_row: row never written");
+  IMARS_REQUIRE(store_->valid[row], "Cma::read_row: row never written");
   ledger_->charge(Component::kCmaRam, profile_->cma_read.energy);
   if (latency != nullptr) *latency = profile_->cma_read.latency;
   return row_words(row);
@@ -87,13 +111,14 @@ device::Ns Cma::write_row_i8(std::size_t row,
   IMARS_REQUIRE(lanes.size() == cols_ / 8, "Cma::write_row_i8: lane count");
   require_mode(Mode::kRam, "write_row");
   check_row(row);
-  std::uint64_t* w = row_words(row);
+  Storage& s = own();
+  std::uint64_t* w = row_words(s, row);
   std::fill_n(w, words_per_row_, 0);
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     const auto byte = static_cast<std::uint8_t>(lanes[l]);
     w[l / 8] |= std::uint64_t{byte} << (l % 8 * 8);
   }
-  return commit_write(row);
+  return commit_write(s, row);
 }
 
 std::vector<std::int8_t> Cma::read_row_i8(std::size_t row,
@@ -109,10 +134,11 @@ void Cma::set_dont_care(std::size_t row, std::size_t col, bool dont_care) {
   check_row(row);
   IMARS_REQUIRE(col < cols_, "Cma::set_dont_care: column out of range");
   // An absent mask means every cell is binary: clearing is then a no-op.
-  if (dont_care && xmask_.empty()) xmask_.assign(data_.size(), 0);
-  if (!xmask_.empty()) {
+  if (dont_care || !store_->xmask.empty()) {
+    Storage& s = own();
+    if (s.xmask.empty()) s.xmask.assign(s.data.size(), 0);
     const std::uint64_t bit = 1ULL << (col % 64);
-    std::uint64_t& w = xmask_[row * words_per_row_ + col / 64];
+    std::uint64_t& w = s.xmask[row * words_per_row_ + col / 64];
     w = dont_care ? (w | bit) : (w & ~bit);
   }
   // Programming the ternary mask is a write through the same drivers.
@@ -130,13 +156,14 @@ SearchResult Cma::search(const util::BitVec& query,
   // regardless of row count (O(1) search, Sec II-B).
   ledger_->charge(Component::kCmaSearch, profile_->cma_search.energy);
   const std::uint64_t* q = query.words().data();
+  const Storage& s = *store_;
   for (std::size_t r = 0; r < rows_; ++r) {
-    if (!valid_[r]) continue;
+    if (!s.valid[r]) continue;
     // Mismatch current only flows through cells that are binary (not X) and
     // differ from the query bit.
-    const std::uint64_t* d = row_words(r);
+    const std::uint64_t* d = s.data.data() + r * words_per_row_;
     const std::uint64_t* x =
-        xmask_.empty() ? nullptr : xmask_.data() + r * words_per_row_;
+        s.xmask.empty() ? nullptr : s.xmask.data() + r * words_per_row_;
     std::size_t mismatches = 0;
     for (std::size_t w = 0; w < words_per_row_; ++w) {
       const std::uint64_t diff = (d[w] ^ q[w]) & (x ? ~x[w] : ~0ULL);
@@ -163,11 +190,12 @@ device::Ns Cma::add_rows(std::size_t dst_row, std::size_t a_row,
   check_row(dst_row);
   check_row(a_row);
   check_row(b_row);
-  IMARS_REQUIRE(valid_[a_row] && valid_[b_row],
+  IMARS_REQUIRE(store_->valid[a_row] && store_->valid[b_row],
                 "Cma::add_rows: source rows must be written");
-  const std::uint64_t* a = row_words(a_row);
-  const std::uint64_t* b = row_words(b_row);
-  std::uint64_t* dst = row_words(dst_row);
+  Storage& s = own();
+  const std::uint64_t* a = row_words(s, a_row);
+  const std::uint64_t* b = row_words(s, b_row);
+  std::uint64_t* dst = row_words(s, dst_row);
   const std::size_t lanes = cols_ / 8;
   // Each output word depends only on the same word of both sources, so
   // building it in a temporary keeps a destination aliasing a source exact.
@@ -179,8 +207,8 @@ device::Ns Cma::add_rows(std::size_t dst_row, std::size_t a_row,
     }
     dst[w] = out;
   }
-  valid_[dst_row] = true;
-  ++writes_[dst_row];  // the in-memory add rewrites the destination row
+  s.valid[dst_row] = true;
+  ++s.writes[dst_row];  // the in-memory add rewrites the destination row
   ledger_->charge(Component::kCmaAdd, profile_->cma_add.energy);
   return profile_->cma_add.latency;
 }
@@ -189,7 +217,7 @@ device::Ns Cma::accumulate(std::size_t row,
                            std::span<std::int32_t> acc) const {
   require_mode(Mode::kGpcim, "accumulate");
   check_row(row);
-  IMARS_REQUIRE(valid_[row], "Cma::accumulate: row never written");
+  IMARS_REQUIRE(store_->valid[row], "Cma::accumulate: row never written");
   IMARS_REQUIRE(acc.size() == cols_ / 8, "Cma::accumulate: lane count");
   const std::uint64_t* w = row_words(row);
   for (std::size_t l = 0; l < acc.size(); ++l) acc[l] += lane(w, l);
@@ -199,17 +227,17 @@ device::Ns Cma::accumulate(std::size_t row,
 
 bool Cma::row_valid(std::size_t row) const {
   check_row(row);
-  return valid_[row];
+  return store_->valid[row];
 }
 
 std::uint64_t Cma::row_writes(std::size_t row) const {
   check_row(row);
-  return writes_[row];
+  return store_->writes[row];
 }
 
 std::uint64_t Cma::max_row_writes() const noexcept {
   std::uint64_t m = 0;
-  for (auto w : writes_) m = std::max(m, w);
+  for (auto w : store_->writes) m = std::max(m, w);
   return m;
 }
 
@@ -221,7 +249,7 @@ double Cma::wearout_fraction() const noexcept {
 
 const std::uint64_t* Cma::peek_words(std::size_t row) const {
   check_row(row);
-  IMARS_REQUIRE(valid_[row], "Cma::peek_row: row never written");
+  IMARS_REQUIRE(store_->valid[row], "Cma::peek_row: row never written");
   return row_words(row);
 }
 

@@ -29,12 +29,18 @@
 // first set_dont_care(.., true); until then every cell is binary.
 //
 // A 256-column row costs 32 B of bits plus 8 B of write counter, ~40 B of
-// host memory; one heap-allocated BitVec each for data and mask would cost
-// ~168 B. Thousands of arrays per accelerator make this the simulator's
-// largest host-memory cost.
+// host memory. Thousands of arrays per accelerator make this the
+// simulator's largest host-memory cost, so the bits, mask, valid flags and
+// write counters live in one shared, copy-on-write block: a copy or a
+// replica (Cma(image, profile, ledger)) shares its source's block, and
+// every mutator first takes a private copy if the block is shared. Shard
+// replicas of one model therefore hold one table image between them, and a
+// write to any array is seen by no other. Profile, ledger, mode and
+// mode-switch count are per array.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -68,6 +74,14 @@ class Cma {
   /// which must outlive it — arrays are instantiated by the thousands, so
   /// the owner (e.g. core::ImarsAccelerator) holds one stable copy.
   Cma(const device::DeviceProfile& profile, device::EnergyLedger* ledger);
+
+  /// Replica of `image`: shares its stored bits, don't-care mask, valid
+  /// flags and write counters (copy-on-write, see above) and starts in its
+  /// mode with its mode-switch count, but charges `ledger` at `profile`'s
+  /// figures of merit. `profile` must have the image's geometry and, as
+  /// above, outlive the array.
+  Cma(const Cma& image, const device::DeviceProfile& profile,
+      device::EnergyLedger* ledger);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
@@ -158,6 +172,18 @@ class Cma {
   void peek_accumulate_i8(std::size_t row, std::span<std::int32_t> acc) const;
 
  private:
+  /// The programmed contents a copy or replica shares with its source.
+  struct Storage {
+    std::vector<std::uint64_t> data;    ///< rows x words_per_row_ stored bits
+    std::vector<std::uint64_t> xmask;   ///< don't-care bits, same shape;
+                                        ///< empty until the first don't-care
+    std::vector<bool> valid;            ///< row has been written
+    std::vector<std::uint64_t> writes;  ///< per-row write counts (endurance)
+  };
+
+  /// The storage for writing: copied first if any other array shares it.
+  Storage& own();
+
   void check_row(std::size_t row) const;
   void require_mode(Mode m, const char* op) const;
   /// RAM-mode read checks + charge shared by read_row and read_row_i8.
@@ -165,13 +191,13 @@ class Cma {
   /// Valid-row check shared by the peek_* views.
   const std::uint64_t* peek_words(std::size_t row) const;
   /// Marks a freshly stored row written and charges the RAM write.
-  device::Ns commit_write(std::size_t row);
+  device::Ns commit_write(Storage& s, std::size_t row);
 
-  std::uint64_t* row_words(std::size_t row) noexcept {
-    return data_.data() + row * words_per_row_;
+  std::uint64_t* row_words(Storage& s, std::size_t row) noexcept {
+    return s.data.data() + row * words_per_row_;
   }
   const std::uint64_t* row_words(std::size_t row) const noexcept {
-    return data_.data() + row * words_per_row_;
+    return store_->data.data() + row * words_per_row_;
   }
 
   const device::DeviceProfile* profile_;
@@ -181,12 +207,8 @@ class Cma {
   std::size_t words_per_row_;
   Mode mode_ = Mode::kRam;
   std::size_t mode_switches_ = 0;
-
-  std::vector<std::uint64_t> data_;   ///< rows x words_per_row_ stored bits
-  std::vector<std::uint64_t> xmask_;  ///< don't-care bits, same shape; empty
-                                      ///< until the first don't-care is set
-  std::vector<bool> valid_;          ///< row has been written
-  std::vector<std::uint64_t> writes_;  ///< per-row write counts (endurance)
+  /// Read-only here; only own() hands out a writable reference.
+  std::shared_ptr<const Storage> store_;
 };
 
 }  // namespace imars::cma

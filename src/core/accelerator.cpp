@@ -66,6 +66,24 @@ ImarsAccelerator::ImarsAccelerator(const ArchConfig& arch,
                 "ImarsAccelerator: one embedding row must fill one CMA row");
 }
 
+ImarsAccelerator::ImarsAccelerator(const ImarsAccelerator& image,
+                                   const device::DeviceProfile& profile)
+    : ImarsAccelerator(image.arch_, profile) {
+  // Same tables and bits; every array charges this replica's ledger at its
+  // profile's figures of merit.
+  const auto replicate = [this](const std::vector<cma::Cma>& arrays) {
+    std::vector<cma::Cma> out;
+    out.reserve(arrays.size());
+    for (const auto& a : arrays) out.emplace_back(a, profile_, &ledger_);
+    return out;
+  };
+  banks_.reserve(image.banks_.size());
+  for (const auto& ib : image.banks_) {
+    banks_.push_back({ib.name, ib.scale, ib.rows, ib.has_sigs, ib.placement,
+                      replicate(ib.data_cmas), replicate(ib.sig_cmas)});
+  }
+}
+
 ImarsAccelerator::BankState& ImarsAccelerator::bank(std::size_t table_id) {
   IMARS_REQUIRE(table_id < banks_.size(), "ImarsAccelerator: bad table id");
   return banks_[table_id];
@@ -79,6 +97,16 @@ const ImarsAccelerator::BankState& ImarsAccelerator::bank(
 
 std::size_t ImarsAccelerator::table_rows(std::size_t table_id) const {
   return bank(table_id).rows;
+}
+
+std::span<const cma::Cma> ImarsAccelerator::data_cmas(
+    std::size_t table_id) const {
+  return bank(table_id).data_cmas;
+}
+
+std::span<const cma::Cma> ImarsAccelerator::sig_cmas(
+    std::size_t table_id) const {
+  return bank(table_id).sig_cmas;
 }
 
 std::size_t ImarsAccelerator::active_mats() const {

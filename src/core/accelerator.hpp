@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,19 @@ class ImarsAccelerator {
   ImarsAccelerator(const ArchConfig& arch,
                    const device::DeviceProfile& profile);
 
+  /// Replica of `image` on `profile`: shares the image's loaded tables (the
+  /// CMA bits, copy-on-write; see cma::Cma) and builds its own ledger, NoC,
+  /// adder trees and CTR buffer, so every charge follows `profile`. The
+  /// image may be destroyed first. `profile` needs the image's geometry.
+  ImarsAccelerator(const ImarsAccelerator& image,
+                   const device::DeviceProfile& profile);
+
+  // Components keep pointers to profile_ and ledger_: no copy or move.
+  ImarsAccelerator(const ImarsAccelerator&) = delete;
+  ImarsAccelerator& operator=(const ImarsAccelerator&) = delete;
+  ImarsAccelerator(ImarsAccelerator&&) = delete;
+  ImarsAccelerator& operator=(ImarsAccelerator&&) = delete;
+
   const ArchConfig& arch() const noexcept { return arch_; }
 
   /// The accelerator's own stable copy of the device profile (safe to pass
@@ -88,6 +102,11 @@ class ImarsAccelerator {
   std::size_t active_banks() const noexcept { return banks_.size(); }
   std::size_t active_mats() const;
   std::size_t active_cmas() const;
+
+  /// A table's data arrays and (ItET only) signature arrays, read-only:
+  /// for wear and reconfiguration audits.
+  std::span<const cma::Cma> data_cmas(std::size_t table_id) const;
+  std::span<const cma::Cma> sig_cmas(std::size_t table_id) const;
 
   // --- ET operations -----------------------------------------------------
 

@@ -23,8 +23,6 @@ ImarsBackend::ImarsBackend(const recsys::YoutubeDnn& model,
       cfg_(cfg),
       acc_(std::make_unique<ImarsAccelerator>(arch, profile)),
       lsh_(model.config().emb_dim, arch.lsh_bits, cfg.lsh_seed) {
-  IMARS_REQUIRE(!calibration.empty(),
-                "ImarsBackend: calibration contexts required");
   IMARS_REQUIRE(cfg_.max_candidates <= arch.cma_rows,
                 "ImarsBackend: candidate cap exceeds the CTR buffer");
 
@@ -45,8 +43,26 @@ ImarsBackend::ImarsBackend(const recsys::YoutubeDnn& model,
   for (std::size_t r = 0; r < items_deq.rows(); ++r)
     sigs.push_back(lsh_.encode(items_deq.row(r)));
   itet_id_ = acc_->load_itet("ItET", items_q, sigs);
+  program_dnns(calibration);
+}
 
+ImarsBackend::ImarsBackend(const ImarsBackend& image,
+                           const device::DeviceProfile& profile,
+                           std::span<const UserContext> calibration)
+    : model_(image.model_),
+      cfg_(image.cfg_),
+      acc_(std::make_unique<ImarsAccelerator>(*image.acc_, profile)),
+      lsh_(image.lsh_),
+      uiet_ids_(image.uiet_ids_),
+      itet_id_(image.itet_id_) {
+  program_dnns(calibration);
+}
+
+void ImarsBackend::program_dnns(std::span<const UserContext> calibration) {
+  IMARS_REQUIRE(!calibration.empty(),
+                "ImarsBackend: calibration contexts required");
   // Crossbar DNN banks, calibrated on representative inputs.
+  const recsys::YoutubeDnn& model = *model_;
   std::vector<tensor::Vector> filter_calib;
   std::vector<tensor::Vector> rank_calib;
   filter_calib.reserve(calibration.size());
@@ -209,16 +225,31 @@ ImarsCtrBackend::ImarsCtrBackend(const recsys::Dlrm& model,
     : model_(&model),
       timing_(timing),
       acc_(std::make_unique<ImarsAccelerator>(arch, profile)) {
-  IMARS_REQUIRE(!calibration.empty(),
-                "ImarsCtrBackend: calibration samples required");
-
   const auto& schema = model.schema();
   table_ids_.resize(schema.user_item.size());
   for (std::size_t f = 0; f < schema.user_item.size(); ++f) {
     table_ids_[f] =
         acc_->load_uiet(schema.user_item[f].name, model.table(f).quantized());
   }
+  program_dnns(calibration);
+}
 
+ImarsCtrBackend::ImarsCtrBackend(
+    const ImarsCtrBackend& image, const device::DeviceProfile& profile,
+    std::span<const data::CriteoSample> calibration)
+    : model_(image.model_),
+      timing_(image.timing_),
+      acc_(std::make_unique<ImarsAccelerator>(*image.acc_, profile)),
+      table_ids_(image.table_ids_) {
+  program_dnns(calibration);
+}
+
+void ImarsCtrBackend::program_dnns(
+    std::span<const data::CriteoSample> calibration) {
+  IMARS_REQUIRE(!calibration.empty(),
+                "ImarsCtrBackend: calibration samples required");
+  const recsys::Dlrm& model = *model_;
+  const auto& schema = model.schema();
   std::vector<tensor::Vector> bottom_calib;
   std::vector<tensor::Vector> top_calib;
   bottom_calib.reserve(calibration.size());

@@ -46,6 +46,14 @@ class ImarsBackend : public recsys::FilterRankBackend {
                const ImarsBackendConfig& cfg,
                std::span<const recsys::UserContext> calibration);
 
+  /// Replica of `image` on `profile`: shares its loaded tables, LSH planes
+  /// and table ids (see ImarsAccelerator's replica constructor) and programs
+  /// its own crossbar banks on `profile`. Behaves exactly like a backend
+  /// constructed on `profile` from the image's model, config and
+  /// `calibration`.
+  ImarsBackend(const ImarsBackend& image, const device::DeviceProfile& profile,
+               std::span<const recsys::UserContext> calibration);
+
   std::string_view name() const override { return "imars-fefet"; }
 
   std::vector<std::size_t> filter(const recsys::UserContext& user,
@@ -72,6 +80,10 @@ class ImarsBackend : public recsys::FilterRankBackend {
   const ImarsBackendConfig& config() const noexcept { return cfg_; }
 
  private:
+  /// Programs the crossbar DNN banks on the accelerator's profile, then
+  /// clears the one-time set-up energy.
+  void program_dnns(std::span<const recsys::UserContext> calibration);
+
   const recsys::YoutubeDnn* model_;
   ImarsBackendConfig cfg_;
   std::unique_ptr<ImarsAccelerator> acc_;
@@ -88,6 +100,13 @@ class ImarsCtrBackend : public recsys::CtrBackend {
   /// `calibration` supplies representative (dense, sparse) samples.
   ImarsCtrBackend(const recsys::Dlrm& model, const ArchConfig& arch,
                   const device::DeviceProfile& profile, TimingMode timing,
+                  std::span<const data::CriteoSample> calibration);
+
+  /// Replica of `image` on `profile`: shares its loaded tables and table
+  /// ids and programs its own crossbar banks on `profile` (as
+  /// ImarsBackend's replica constructor does).
+  ImarsCtrBackend(const ImarsCtrBackend& image,
+                  const device::DeviceProfile& profile,
                   std::span<const data::CriteoSample> calibration);
 
   std::string_view name() const override { return "imars-fefet"; }
@@ -115,6 +134,10 @@ class ImarsCtrBackend : public recsys::CtrBackend {
   const ImarsAccelerator& accelerator() const noexcept { return *acc_; }
 
  private:
+  /// Programs the bottom and top MLPs on the accelerator's profile, then
+  /// clears the one-time set-up energy.
+  void program_dnns(std::span<const data::CriteoSample> calibration);
+
   const recsys::Dlrm* model_;
   TimingMode timing_;
   std::unique_ptr<ImarsAccelerator> acc_;

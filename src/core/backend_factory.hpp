@@ -14,11 +14,17 @@
 //
 // Replicas must be *functionally* identical (same model, same quantization)
 // regardless of slot so that sharded execution reproduces single-backend
-// results; the slot's profile may only change hardware timing/energy.
+// results; the slot's profile may only change hardware timing/energy. The
+// iMARS factories exploit that: each quantizes and loads its model's tables
+// once, into an image built by its first call, and every call — slot 0
+// included — returns a replica sharing the image's CMA bits (see
+// ImarsBackend's replica constructor). Fabric memory then holds one table
+// image per model, not one per shard. Serving only reads the image, and any
+// write takes a private copy first (cma::Cma), so shards sharing it still
+// run concurrently on their own worker threads.
 #pragma once
 
 #include <functional>
-#include <future>
 #include <memory>
 #include <span>
 #include <vector>
@@ -51,49 +57,49 @@ using ShardedBackendFactory =
 using CtrBackendFactory =
     std::function<std::unique_ptr<recsys::CtrBackend>(const ShardSlot&)>;
 
-/// Builds one replica per profile slot in parallel (construction — table
-/// loading, crossbar programming — is the expensive part and parallelizes;
-/// the futures' get() orders construction before any worker-thread use).
+/// Builds one replica per profile slot, in slot order on the calling
+/// thread. The iMARS factories load their tables once and share them, so
+/// only the first call is expensive; building on the caller also keeps that
+/// image in the caller's malloc arena, where repeated set-ups reuse freed
+/// memory instead of growing a worker thread's arena.
 template <class Backend>
 std::vector<std::unique_ptr<Backend>> build_replicas(
     const std::function<std::unique_ptr<Backend>(const ShardSlot&)>& factory,
     std::span<const device::DeviceProfile> profiles) {
-  std::vector<std::future<std::unique_ptr<Backend>>> futs;
-  futs.reserve(profiles.size());
-  for (std::size_t s = 0; s < profiles.size(); ++s) {
-    futs.push_back(std::async(std::launch::async, [&factory, &profiles, s] {
-      return factory(ShardSlot{s, profiles[s]});
-    }));
-  }
   std::vector<std::unique_ptr<Backend>> replicas;
-  replicas.reserve(futs.size());
-  for (auto& f : futs) replicas.push_back(f.get());
-  for (const auto& r : replicas)
-    IMARS_REQUIRE(r != nullptr, "build_replicas: factory returned null");
+  replicas.reserve(profiles.size());
+  for (std::size_t s = 0; s < profiles.size(); ++s) {
+    replicas.push_back(factory(ShardSlot{s, profiles[s]}));
+    IMARS_REQUIRE(replicas.back() != nullptr,
+                  "build_replicas: factory returned null");
+  }
   return replicas;
 }
 
 /// Lifts a uniform factory into the per-slot shape (the slot is ignored).
 ShardedBackendFactory per_slot(BackendFactory factory);
 
-/// Factory for iMARS replicas: each call quantizes/loads the model into a
-/// fresh functional accelerator. `model` must outlive the factory and every
-/// backend it builds; `calibration` is copied into the factory.
+/// Factory for iMARS replicas: the first call quantizes/loads the model into
+/// the factory's image (thread-safe), and every call returns a replica of
+/// it on `profile`. `model` must outlive the factory and every backend it
+/// builds; `calibration` is copied into the factory.
 BackendFactory imars_backend_factory(
     const recsys::YoutubeDnn& model, const ArchConfig& arch,
     const device::DeviceProfile& profile, const ImarsBackendConfig& cfg,
     std::vector<recsys::UserContext> calibration);
 
 /// Per-slot iMARS factory: the replica is built on the slot's own device
-/// profile (mixed-technology fabrics). `model` must outlive the factory.
+/// profile (mixed-technology fabrics); the image is built on the first
+/// call's. `model` must outlive the factory.
 ShardedBackendFactory imars_sharded_backend_factory(
     const recsys::YoutubeDnn& model, const ArchConfig& arch,
     const ImarsBackendConfig& cfg,
     std::vector<recsys::UserContext> calibration);
 
-/// Per-slot iMARS CTR factory (DLRM over Criteo): one ImarsCtrBackend per
-/// shard, built on the slot's device profile. `model` must outlive the
-/// factory; `calibration` is copied into the factory.
+/// Per-slot iMARS CTR factory (DLRM over Criteo): one ImarsCtrBackend
+/// replica per shard, built on the slot's device profile over one shared
+/// image. `model` must outlive the factory; `calibration` is copied into
+/// the factory.
 CtrBackendFactory imars_ctr_backend_factory(
     const recsys::Dlrm& model, const ArchConfig& arch, TimingMode timing,
     std::vector<data::CriteoSample> calibration);

@@ -47,8 +47,8 @@ class ShardRouter final : public ServableBackend {
   static PipelineSpec pipeline_spec();
 
   /// Uniform fabric: `shards` identical replicas from `factory` (built in
-  /// parallel). `traffic` describes the per-stage ET row accesses for cache
-  /// bookkeeping.
+  /// shard order; see core::build_replicas). `traffic` describes the
+  /// per-stage ET row accesses for cache bookkeeping.
   ShardRouter(const core::BackendFactory& factory, std::size_t shards,
               TrafficSpec traffic = {});
 

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
+#include <type_traits>
 
 #include "core/accelerator.hpp"
 #include "core/calibration.hpp"
@@ -34,6 +36,14 @@ struct Fixture {
   ArchConfig arch;
   ImarsAccelerator acc{arch, profile};
 };
+
+// The RSC bus, IBC network, controller, adder trees and every CMA point at
+// the accelerator's own profile and ledger, so a copy or move would leave
+// them dangling. A second accelerator is made with the replica constructor.
+static_assert(!std::is_copy_constructible_v<ImarsAccelerator>);
+static_assert(!std::is_move_constructible_v<ImarsAccelerator>);
+static_assert(!std::is_copy_assignable_v<ImarsAccelerator>);
+static_assert(!std::is_move_assignable_v<ImarsAccelerator>);
 
 TEST(Accelerator, GeometryChecks) {
   DeviceProfile profile = DeviceProfile::fefet45();
@@ -314,6 +324,59 @@ TEST(Accelerator, ResetEnergyClearsLedger) {
   EXPECT_GT(f.acc.ledger().total().value, 0.0);
   f.acc.reset_energy();
   EXPECT_DOUBLE_EQ(f.acc.ledger().total().value, 0.0);
+}
+
+// ---------- replicas ---------------------------------------------------------
+
+TEST(Accelerator, ReplicaServesTheImageTablesOnItsOwnFabric) {
+  auto image = std::make_unique<Fixture>();
+  const QMatrix table = random_table(900, 22);
+  const lsh::RandomHyperplaneLsh hasher(32, 256, 97);
+  const Matrix deq = table.dequantize();
+  std::vector<util::BitVec> sigs;
+  for (std::size_t r = 0; r < deq.rows(); ++r)
+    sigs.push_back(hasher.encode(deq.row(r)));
+  const auto uiet = image->acc.load_uiet("UIET", random_table(300, 23));
+  const auto itet = image->acc.load_itet("ItET", table, sigs);
+  image->acc.reset_energy();
+
+  const DeviceProfile reram = DeviceProfile::reram45();
+  ImarsAccelerator replica(image->acc, reram);
+  // Answers and costs must not lean on the image once the replica exists.
+  image.reset();
+
+  EXPECT_EQ(replica.table_count(), 2u);
+  EXPECT_EQ(replica.table_rows(itet), 900u);
+  EXPECT_EQ(replica.active_cmas(), 2u + 4u + 4u);
+  EXPECT_DOUBLE_EQ(replica.ledger().total().value, 0.0);
+  EXPECT_EQ(replica.sig_cmas(itet).size(), 4u);
+  for (const auto& a : replica.sig_cmas(itet)) {
+    EXPECT_EQ(a.mode(), cma::Mode::kTcam);
+    EXPECT_DOUBLE_EQ(a.wearout_fraction(),
+                     1.0 / static_cast<double>(reram.endurance_cycles));
+  }
+  EXPECT_TRUE(replica.sig_cmas(uiet).empty());
+
+  recsys::OpCost cost;
+  const auto got = replica.nns(itet, sigs[7], 40, &cost);
+  std::vector<std::size_t> expected;
+  for (std::size_t r = 0; r < sigs.size(); ++r)
+    if (sigs[r].hamming(sigs[7]) <= 40) expected.push_back(r);
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(replica.ledger().ops(Component::kCmaSearch), 4u);
+  EXPECT_DOUBLE_EQ(replica.ledger().energy(Component::kCmaSearch).value,
+                   4.0 * reram.cma_search.energy.value);
+
+  const auto row = replica.read_row(itet, 650, nullptr);
+  for (std::size_t c = 0; c < 32; ++c)
+    EXPECT_EQ(row.lanes[c], static_cast<std::int32_t>(table.at(650, c)));
+}
+
+TEST(Accelerator, ReplicaRejectsAProfileOfAnotherGeometry) {
+  Fixture f;
+  DeviceProfile narrow = DeviceProfile::fefet45();
+  narrow.cma_rows = 128;
+  EXPECT_THROW(ImarsAccelerator(f.acc, narrow), Error);
 }
 
 }  // namespace

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <thread>
 
 #include "baseline/cpu_backend.hpp"
 #include "baseline/exact_nns.hpp"
 #include "core/backend.hpp"
+#include "core/backend_factory.hpp"
 #include "data/criteo.hpp"
 #include "data/movielens.hpp"
 #include "recsys/dlrm.hpp"
@@ -212,7 +215,6 @@ struct CtrFixture {
     util::Xoshiro256 rng(43);
     model->train_epoch(*ds, rng);
 
-    std::vector<data::CriteoSample> calib;
     for (std::size_t i = 0; i < 8; ++i) calib.push_back(ds->sample(i));
     backend = std::make_unique<ImarsCtrBackend>(
         *model, ArchConfig{}, DeviceProfile::fefet45(),
@@ -220,6 +222,7 @@ struct CtrFixture {
   }
   std::unique_ptr<data::CriteoSynth> ds;
   std::unique_ptr<recsys::Dlrm> model;
+  std::vector<data::CriteoSample> calib;
   std::unique_ptr<ImarsCtrBackend> backend;
 };
 
@@ -259,6 +262,197 @@ TEST(ImarsCtrBackend, SparseCountMismatchThrows) {
   const auto& s = f.ds->sample(0);
   std::vector<std::size_t> wrong(s.sparse.begin(), s.sparse.end() - 1);
   EXPECT_THROW((void)f.backend->score(s.dense, wrong, nullptr), Error);
+}
+
+// ---------- shard replicas -------------------------------------------------
+//
+// A factory-built replica must be indistinguishable from a backend built
+// directly on the slot's profile. The factory builds its image on its first
+// call's profile (FeFET-45 here), so a replica charging through the image's
+// profile shows on the FeFET-22 and ReRAM-45 slots, and one charging
+// through the image's ledger shows on every slot.
+
+std::vector<DeviceProfile> slot_profiles() {
+  return {DeviceProfile::fefet45(), DeviceProfile::fefet22(),
+          DeviceProfile::reram45()};
+}
+
+void expect_same_cost(const recsys::OpCost& a, const recsys::OpCost& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.latency.value, b.latency.value) << what;
+  EXPECT_EQ(a.energy.value, b.energy.value) << what;
+}
+
+void expect_same_stats(const StageStats& a, const StageStats& b,
+                       const std::string& what) {
+  for (std::size_t k = 0; k < a.ops.size(); ++k)
+    expect_same_cost(a.ops[k], b.ops[k],
+                     what + ", op kind " + std::to_string(k));
+}
+
+// Per-component ledger, resource census, and every array's reconfiguration
+// count, per-row write counters and wear.
+void expect_same_fabric(const core::ImarsAccelerator& a,
+                        const core::ImarsAccelerator& b) {
+  for (std::size_t c = 0;
+       c < static_cast<std::size_t>(device::Component::kCount); ++c) {
+    const auto comp = static_cast<device::Component>(c);
+    EXPECT_EQ(a.ledger().energy(comp).value, b.ledger().energy(comp).value)
+        << device::component_name(comp);
+    EXPECT_EQ(a.ledger().ops(comp), b.ledger().ops(comp))
+        << device::component_name(comp);
+  }
+  EXPECT_EQ(a.active_cmas(), b.active_cmas());
+  EXPECT_EQ(a.active_mats(), b.active_mats());
+  ASSERT_EQ(a.table_count(), b.table_count());
+  for (std::size_t t = 0; t < a.table_count(); ++t) {
+    for (const bool sigs : {false, true}) {
+      const auto xs = sigs ? a.sig_cmas(t) : a.data_cmas(t);
+      const auto ys = sigs ? b.sig_cmas(t) : b.data_cmas(t);
+      ASSERT_EQ(xs.size(), ys.size());
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        const std::string where = "table " + std::to_string(t) +
+                                  (sigs ? " sig" : " data") + " array " +
+                                  std::to_string(i);
+        EXPECT_EQ(xs[i].mode_switches(), ys[i].mode_switches()) << where;
+        EXPECT_EQ(xs[i].wearout_fraction(), ys[i].wearout_fraction())
+            << where;
+        std::vector<std::uint64_t> wx, wy;
+        for (std::size_t r = 0; r < xs[i].rows(); ++r) {
+          wx.push_back(xs[i].row_writes(r));
+          wy.push_back(ys[i].row_writes(r));
+        }
+        EXPECT_EQ(wx, wy) << where;
+      }
+    }
+  }
+}
+
+void expect_same_ranking(const std::vector<recsys::ScoredItem>& a,
+                         const std::vector<recsys::ScoredItem>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].item, b[i].item);
+    EXPECT_EQ(a[i].score, b[i].score);
+  }
+}
+
+TEST(ImarsBackend, FactoryReplicasMatchDirectBackendsPerTechnology) {
+  BackendFixture f;
+  ImarsBackendConfig bcfg;
+  bcfg.nns_radius = 110;
+  const auto factory = core::imars_sharded_backend_factory(
+      *f.model, ArchConfig{}, bcfg, f.calib);
+  const auto profiles = slot_profiles();
+  for (std::size_t s = 0; s < profiles.size(); ++s) {
+    SCOPED_TRACE(profiles[s].name);
+    const auto built = factory(core::ShardSlot{s, profiles[s]});
+    auto& replica = dynamic_cast<ImarsBackend&>(*built);
+    ImarsBackend direct(*f.model, ArchConfig{}, profiles[s], bcfg, f.calib);
+    expect_same_fabric(replica.accelerator(), direct.accelerator());
+
+    const std::size_t itet = direct.accelerator().table_count() - 1;
+    for (std::size_t u = 0; u < 6; ++u) {
+      const auto ctx = f.model->make_context(*f.ds, u);
+      const std::string who = "user " + std::to_string(u);
+
+      StageStats fr, fd;
+      const auto cands = replica.filter(ctx, &fr);
+      EXPECT_EQ(cands, direct.filter(ctx, &fd)) << who;
+      expect_same_stats(fr, fd, who + " filter");
+
+      // Exact top-k NNS: the TCAM threshold sweep.
+      StageStats er, ed;
+      const auto q = replica.signature_of(replica.user_embedding_hw(ctx, &er));
+      EXPECT_EQ(q, direct.signature_of(direct.user_embedding_hw(ctx, &ed)));
+      expect_same_stats(er, ed, who + " embedding");
+      recsys::OpCost kr, kd;
+      EXPECT_EQ(replica.accelerator().nns_topk(itet, q, 12, &kr),
+                direct.accelerator().nns_topk(itet, q, 12, &kd))
+          << who;
+      expect_same_cost(kr, kd, who + " nns_topk");
+
+      // Ranking ends in topk_ctr through each backend's own CTR buffer.
+      std::vector<std::size_t> ranked = cands;
+      if (ranked.empty()) ranked = {2, 11, 23, 37, 41};
+      StageStats rr, rd;
+      expect_same_ranking(replica.rank(ctx, ranked, 5, &rr),
+                          direct.rank(ctx, ranked, 5, &rd));
+      expect_same_stats(rr, rd, who + " rank");
+    }
+    expect_same_fabric(replica.accelerator(), direct.accelerator());
+  }
+}
+
+TEST(ImarsCtrBackend, FactoryReplicasMatchDirectBackendsPerTechnology) {
+  CtrFixture f;
+  const auto timing = core::TimingMode::kActualPlacement;
+  const auto factory =
+      core::imars_ctr_backend_factory(*f.model, ArchConfig{}, timing, f.calib);
+  const auto profiles = slot_profiles();
+  for (std::size_t s = 0; s < profiles.size(); ++s) {
+    SCOPED_TRACE(profiles[s].name);
+    const auto built = factory(core::ShardSlot{s, profiles[s]});
+    auto& replica = dynamic_cast<ImarsCtrBackend&>(*built);
+    ImarsCtrBackend direct(*f.model, ArchConfig{}, profiles[s], timing,
+                           f.calib);
+    expect_same_fabric(replica.accelerator(), direct.accelerator());
+
+    for (std::size_t i = 0; i < 10; ++i) {
+      const auto& sample = f.ds->sample(i);
+      const std::string who = "sample " + std::to_string(i);
+
+      StageStats gr, gd, dr, dd, tr, td;
+      const auto embs = replica.gather_tower(sample.sparse, &gr);
+      EXPECT_EQ(embs, direct.gather_tower(sample.sparse, &gd)) << who;
+      expect_same_stats(gr, gd, who + " gather");
+      const auto bottom = replica.dense_tower(sample.dense, &dr);
+      EXPECT_EQ(bottom, direct.dense_tower(sample.dense, &dd)) << who;
+      expect_same_stats(dr, dd, who + " dense");
+      EXPECT_EQ(replica.interact_top(embs, bottom, &tr),
+                direct.interact_top(embs, bottom, &td))
+          << who;
+      expect_same_stats(tr, td, who + " interact");
+
+      StageStats sr, sd;
+      EXPECT_EQ(replica.score(sample.dense, sample.sparse, &sr),
+                direct.score(sample.dense, sample.sparse, &sd))
+          << who;
+      expect_same_stats(sr, sd, who + " score");
+    }
+    expect_same_fabric(replica.accelerator(), direct.accelerator());
+  }
+}
+
+// The factory is thread-safe: replicas requested from several threads at
+// once share one image, whichever call builds it, and still behave like
+// direct backends on their profiles.
+TEST(ImarsCtrBackend, ConcurrentFactoryCallsMatchDirectBackends) {
+  CtrFixture f;
+  const auto timing = core::TimingMode::kActualPlacement;
+  const auto factory =
+      core::imars_ctr_backend_factory(*f.model, ArchConfig{}, timing, f.calib);
+  const auto profiles = slot_profiles();
+  std::vector<std::unique_ptr<recsys::CtrBackend>> built(profiles.size());
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t s = 0; s < profiles.size(); ++s)
+      threads.emplace_back(
+          [&, s] { built[s] = factory(core::ShardSlot{s, profiles[s]}); });
+    for (auto& t : threads) t.join();
+  }
+  for (std::size_t s = 0; s < profiles.size(); ++s) {
+    SCOPED_TRACE(profiles[s].name);
+    ImarsCtrBackend direct(*f.model, ArchConfig{}, profiles[s], timing,
+                           f.calib);
+    for (std::size_t i = 0; i < 5; ++i) {
+      const auto& sample = f.ds->sample(i);
+      StageStats a, b;
+      EXPECT_EQ(built[s]->score(sample.dense, sample.sparse, &a),
+                direct.score(sample.dense, sample.sparse, &b));
+      expect_same_stats(a, b, "sample " + std::to_string(i));
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "cma/cma.hpp"
 #include "util/error.hpp"
@@ -398,6 +402,142 @@ TEST(Cma, PeekAccumulateEqualsSumOfPeekedLanes) {
   EXPECT_THROW(f.array.peek_accumulate_i8(12, acc), Error);
   std::vector<std::int32_t> short_acc(31, 0);
   EXPECT_THROW(f.array.peek_accumulate_i8(0, short_acc), Error);
+}
+
+// ---------- shared storage: copies and replicas are copy-on-write ------------
+
+// The don't-care cells the sharing tests set up and then mutate.
+const std::vector<std::pair<std::size_t, std::size_t>> kMaskCells = {
+    {0, 3}, {1, 9}};
+
+// Everything a write could change in an array, read through the public
+// API. The don't-care state is probed at kMaskCells by searching a replica
+// on its own ledger, so the probe neither charges the array nor touches
+// its mode.
+struct Contents {
+  std::vector<bool> valid;
+  std::vector<std::uint64_t> writes;
+  std::vector<BitVec> bits;  ///< peek_row of valid rows, empty otherwise
+  std::vector<bool> dont_care;
+  bool operator==(const Contents&) const = default;
+};
+
+Contents contents_of(const Cma& array) {
+  Contents c;
+  for (std::size_t r = 0; r < array.rows(); ++r) {
+    c.valid.push_back(array.row_valid(r));
+    c.writes.push_back(array.row_writes(r));
+    c.bits.push_back(c.valid.back() ? array.peek_row(r) : BitVec());
+  }
+  const DeviceProfile profile = DeviceProfile::fefet45();
+  EnergyLedger ledger;
+  Cma probe(array, profile, &ledger);
+  probe.set_mode(Mode::kTcam);
+  for (const auto& [row, col] : kMaskCells) {
+    // Flipping the stored bit at `col` mismatches unless the cell is X.
+    BitVec q = array.peek_row(row);
+    q.set(col, !q.get(col));
+    const auto m = probe.search(q, 0).matches;
+    c.dont_care.push_back(std::find(m.begin(), m.end(), row) != m.end());
+  }
+  return c;
+}
+
+// An image with written rows 0..7 and a don't-care at kMaskCells[0].
+struct SharedFixture {
+  SharedFixture() {
+    util::Xoshiro256 rng(11);
+    for (std::size_t r = 0; r < 8; ++r)
+      image.write_row(r, random_row(256, rng));
+    image.set_dont_care(kMaskCells[0].first, kMaskCells[0].second, true);
+  }
+  DeviceProfile fefet = DeviceProfile::fefet45();
+  DeviceProfile reram = DeviceProfile::reram45();
+  EnergyLedger image_ledger, ledger_a, ledger_b;
+  Cma image{fefet, &image_ledger};
+};
+
+TEST(Cma, ReplicaSharesContentsUnderItsOwnProfileAndLedger) {
+  SharedFixture f;
+  f.image.set_mode(Mode::kTcam);
+  const Cma replica(f.image, f.reram, &f.ledger_a);
+  EXPECT_EQ(contents_of(replica), contents_of(f.image));
+  // Mode and switch count start from the image's, then are the replica's.
+  EXPECT_EQ(replica.mode(), Mode::kTcam);
+  EXPECT_EQ(replica.mode_switches(), 1u);
+  // Wear is judged against the replica's endurance budget.
+  EXPECT_DOUBLE_EQ(replica.wearout_fraction(),
+                   1.0 / static_cast<double>(f.reram.endurance_cycles));
+
+  f.image_ledger.clear();
+  const auto r = replica.search(f.image.peek_row(2), 0);
+  EXPECT_EQ(r.matches, std::vector<std::size_t>{2});
+  EXPECT_DOUBLE_EQ(r.latency.value, f.reram.cma_search.latency.value);
+  EXPECT_DOUBLE_EQ(f.ledger_a.energy(Component::kCmaSearch).value,
+                   f.reram.cma_search.energy.value);
+  EXPECT_DOUBLE_EQ(f.image_ledger.total().value, 0.0);
+
+  DeviceProfile narrow = f.fefet;
+  narrow.cma_rows = 128;
+  EXPECT_THROW(Cma(f.image, narrow, &f.ledger_b), Error);
+  EXPECT_THROW(Cma(f.image, f.reram, nullptr), Error);
+}
+
+// Every mutator, applied to the image, a replica or a plain copy, changes
+// that array only: the image and every sibling keep their bits, valid
+// flags, don't-care mask and write counters.
+TEST(Cma, WritesToAnySharerReachNoOther) {
+  util::Xoshiro256 rng(12);
+  const BitVec fresh = random_row(256, rng);
+  const auto lanes = random_lanes(32, rng);
+  const std::vector<std::pair<std::string, std::function<void(Cma&)>>> ops = {
+      {"write_row (rewrite)", [&](Cma& a) { a.write_row(2, fresh); }},
+      {"write_row (new row)", [&](Cma& a) { a.write_row(200, fresh); }},
+      {"write_row_i8", [&](Cma& a) { a.write_row_i8(3, lanes); }},
+      {"set_dont_care (set)",
+       [](Cma& a) { a.set_dont_care(kMaskCells[1].first,
+                                    kMaskCells[1].second, true); }},
+      {"set_dont_care (clear)",
+       [](Cma& a) { a.set_dont_care(kMaskCells[0].first,
+                                    kMaskCells[0].second, false); }},
+      {"add_rows",
+       [](Cma& a) {
+         a.set_mode(Mode::kGpcim);
+         a.add_rows(4, 5, 6);
+         a.set_mode(Mode::kRam);
+       }},
+  };
+  for (const auto& [name, op] : ops) {
+    for (std::size_t writer = 0; writer < 4; ++writer) {
+      SharedFixture f;
+      Cma replica_a(f.image, f.reram, &f.ledger_a);
+      Cma replica_b(f.image, f.fefet, &f.ledger_b);
+      Cma copy = f.image;
+      std::vector<Cma*> arrays = {&f.image, &replica_a, &replica_b, &copy};
+      std::vector<Contents> before;
+      for (const Cma* a : arrays) before.push_back(contents_of(*a));
+
+      op(*arrays[writer]);
+      for (std::size_t i = 0; i < arrays.size(); ++i) {
+        const bool changed = contents_of(*arrays[i]) != before[i];
+        EXPECT_EQ(changed, i == writer)
+            << name << ": writer " << writer << ", array " << i;
+      }
+    }
+  }
+}
+
+// A replica owes nothing to its image once built.
+TEST(Cma, ReplicaOutlivesItsImage) {
+  auto f = std::make_unique<SharedFixture>();
+  const Contents expected = contents_of(f->image);
+  EnergyLedger ledger;
+  const DeviceProfile profile = DeviceProfile::fefet22();
+  Cma replica(f->image, profile, &ledger);
+  f.reset();
+  EXPECT_EQ(contents_of(replica), expected);
+  replica.write_row(9, BitVec(256));
+  EXPECT_TRUE(replica.row_valid(9));
 }
 
 }  // namespace
