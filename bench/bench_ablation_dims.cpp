@@ -1,4 +1,4 @@
-// Ablation X2 (DESIGN.md): dimensioning B / M / C.
+// Ablation X2: dimensioning B / M / C.
 //
 // Sec III-A1: "design parameters B, M and C largely impact the area,
 // capacity and the performance of iMARS". This bench sweeps C (CMAs per

@@ -1,4 +1,4 @@
-// Ablation X1 (DESIGN.md): the intra-bank adder-tree fan-in.
+// Ablation X1: the intra-bank adder-tree fan-in.
 //
 // Sec III-A1 calls the fan-in of 4 "a design choice made as a compromise
 // between area footprint of the iMARS banks and performance of the

@@ -1,4 +1,4 @@
-// Ablation X3 (DESIGN.md): LSH signature length.
+// Ablation X3: LSH signature length.
 //
 // Sec III-B fixes the signature length at 256 bits ("requires 2 CMAs to
 // store a single entry"). This bench sweeps the length and reports the

@@ -1,4 +1,4 @@
-// Ablation X4 (DESIGN.md): memory technology.
+// Ablation X4: memory technology.
 //
 // Sec II-B argues for FeFET CMAs over CMOS (density, leakage) and ReRAM
 // (write cost). This bench runs the Table III ET-lookup composition and the

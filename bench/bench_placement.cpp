@@ -1,23 +1,21 @@
-// Frequency-aware placement & write-back benchmark (extension): hot-pinned
-// vs uniform item placement on a mixed-technology filter/rank fabric, under
-// two Zipf skews and a read-only vs 10%-update mix.
+// Capability-weighted placement & write-back benchmark (extension):
+// weighted vs uniform item placement on a mixed-technology filter/rank
+// fabric, under two Zipf skews and a read-only vs 10%-update mix.
 //
 // Fabric: FeFET-22 + 2x FeFET-45 + ReRAM-45 behind one ServingRuntime.
-// Three placements over the SAME open-loop Poisson stream:
+// Two placements over the SAME open-loop Poisson stream:
 //   uniform    modulo bucket ring (frequency- and capability-blind)
 //   weighted   ShardMap::from_costs over measured per-item rank cost (PR 2)
-//   pinned     weighted base + PlacementPolicy hot-row pins from a warmup
-//              window (hot candidates land on the low-row-latency shards)
 //
 // The update-mix points drive the write-back cache model: 10% of arrivals
 // are embedding-update writes absorbed by the periphery buffer (dirty rows,
 // eviction flushes) instead of queries.
 //
-// Full-mode acceptance (exit nonzero on violation):
-//   * pinned p99 strictly beats uniform p99 under BOTH skews, read-only
-//     and update mix;
-//   * per-query top-k parity between pinned and uniform placements
-//     (placement moves work, never results).
+// Acceptance (exit nonzero on violation):
+//   * per-query top-k parity between weighted and uniform placements
+//     (placement moves work, never results);
+//   * full mode: weighted p99 strictly beats uniform p99 under BOTH skews,
+//     read-only and update mix.
 //
 // Emits BENCH_placement.json (bench/harness.hpp JsonReport).
 #include <iostream>
@@ -38,7 +36,6 @@ namespace {
 struct PlacementPoint {
   std::string name;
   bool weighted = false;
-  bool pinned = false;
 };
 
 struct LoadPoint {
@@ -58,7 +55,7 @@ std::string load_name(const LoadPoint& lp) {
 
 int main(int argc, char** argv) {
   // --self-profile / --trace <file>: observation only (harness.hpp); the
-  // trace exports the pinned placement under the heaviest load point.
+  // trace exports the weighted placement under the heaviest load point.
   const auto obs = bench::parse_observe_flags(argc, argv);
   const bool quick = bench::quick_mode();
   const double scale = quick ? 0.04 : 0.12;
@@ -128,15 +125,14 @@ int main(int argc, char** argv) {
             << util::Table::num(qps_anchor, 0) << " QPS\n\n";
 
   const std::vector<PlacementPoint> placements = {
-      {"uniform", false, false},
-      {"weighted", true, false},
-      {"pinned", false, true},  // uniform ring + hot pins
+      {"uniform", false},
+      {"weighted", true},
   };
   const std::vector<LoadPoint> loads = {
       {0.8, 0.0}, {0.8, 0.1}, {1.2, 0.0}, {1.2, 0.1}};
 
   // One runtime per placement, reused across load points (run() resets
-  // clocks/cache; the pinned runtime re-profiles its warmup per run).
+  // clocks/cache).
   std::vector<std::unique_ptr<serve::ServingRuntime>> runtimes;
   for (const auto& p : placements) {
     auto router = std::make_unique<serve::ShardRouter>(sharded_factory,
@@ -154,19 +150,6 @@ int main(int argc, char** argv) {
     cfg.overlap = true;
     cfg.self_profile = obs.any();
     if (p.weighted) cfg.shard_map = serve::ShardMap::from_costs(rank_costs);
-    if (p.pinned) {
-      // Pins over the frequency- and capability-BLIND uniform ring: the
-      // warmup-profiled hot rows carry ~all of the Zipf traffic, so the
-      // pin layer alone must recover (and beat) what capability weighting
-      // buys — the cold tail stays on the uniform ring.
-      cfg.placement.enabled = true;
-      cfg.placement.hot_rows = quick ? 48 : 96;
-      cfg.placement.warmup_queries = quick ? 32 : 64;
-      // The rank stage is row fetch + per-candidate DNN, so the greedy
-      // balances on the measured whole-stage per-item cost rather than the
-      // bare row timings.
-      cfg.placement.shard_costs = rank_costs;
-    }
     runtimes.push_back(std::make_unique<serve::ServingRuntime>(
         std::move(router), cfg, arch, base_profile, profiles));
   }
@@ -174,14 +157,14 @@ int main(int argc, char** argv) {
   bench::JsonReport json("placement");
   util::Table table("Placement grid (" + std::to_string(queries) +
                     " arrivals/point, open loop @1.2x capacity)");
-  table.header({"load", "placement", "QPS", "p50 us", "p99 us", "pin rate",
-                "hit rate", "wr hit", "flush KB"});
+  table.header({"load", "placement", "QPS", "p50 us", "p99 us", "hit rate",
+                "wr hit", "flush KB"});
 
   bool p99_ok = true, parity_ok = true;
   for (const auto& lp : loads) {
     // id -> topk of the uniform run, for cross-placement parity.
     std::map<std::size_t, std::vector<recsys::ScoredItem>> uniform_topk;
-    double uniform_p99 = 0.0, pinned_p99 = 0.0;
+    double uniform_p99 = 0.0, weighted_p99 = 0.0;
     for (std::size_t pi = 0; pi < placements.size(); ++pi) {
       const auto& p = placements[pi];
       serve::LoadGenConfig lg;
@@ -196,7 +179,7 @@ int main(int argc, char** argv) {
       serve::LoadGenerator gen(lg);
 
       serve::TraceLog trace;
-      const bool traced = !obs.trace_path.empty() && p.pinned &&
+      const bool traced = !obs.trace_path.empty() && p.weighted &&
                           &lp == &loads.back();
       if (traced) runtimes[pi]->set_observer(&trace);
       const auto report = runtimes[pi]->run(gen, users);
@@ -210,12 +193,11 @@ int main(int argc, char** argv) {
         bench::print_host_spans(load_name(lp) + "/" + p.name,
                                 report.host_span_us, std::cout);
       const double p99 = report.p99_latency_ns();
-      if (p.name == "uniform") {
+      if (!p.weighted) {
         uniform_p99 = p99;
         for (const auto& q : report.queries) uniform_topk[q.id] = q.topk;
-      }
-      if (p.name == "pinned") {
-        pinned_p99 = p99;
+      } else {
+        weighted_p99 = p99;
         // Placement permutation invariance: identical results per query.
         for (const auto& q : report.queries) {
           const auto it = uniform_topk.find(q.id);
@@ -233,7 +215,6 @@ int main(int argc, char** argv) {
       table.row({load_name(lp), p.name, util::Table::num(report.qps(), 0),
                  util::Table::num(report.p50_latency_ns() * 1e-3, 1),
                  util::Table::num(p99 * 1e-3, 1),
-                 util::Table::num(report.pin_hit_rate(), 2),
                  util::Table::num(report.cache.hit_rate(), 3),
                  util::Table::num(report.cache.write_hit_rate(), 2),
                  util::Table::num(
@@ -251,9 +232,6 @@ int main(int argc, char** argv) {
                       .set("p50_us", report.p50_latency_ns() * 1e-3)
                       .set("p95_us", report.p95_latency_ns() * 1e-3)
                       .set("p99_us", p99 * 1e-3)
-                      .set("pin_hit_rate", report.pin_hit_rate())
-                      .set("pinned_rows",
-                           runtimes[pi]->pipeline().shard_map().pinned_rows())
                       .set("cache_hit_rate", report.cache.hit_rate())
                       .set("updates", report.updates)
                       .set("update_write_hit_rate",
@@ -269,11 +247,11 @@ int main(int argc, char** argv) {
             .set("util_shard" + std::to_string(s),
                  report.rank_utilization(s));
     }
-    if (pinned_p99 >= uniform_p99) {
+    if (weighted_p99 >= uniform_p99) {
       p99_ok = false;
       std::cout << "  [accept] " << load_name(lp)
-                << ": pinned p99 NOT better than uniform ("
-                << util::Table::num(pinned_p99 * 1e-3, 1) << " vs "
+                << ": weighted p99 NOT better than uniform ("
+                << util::Table::num(weighted_p99 * 1e-3, 1) << " vs "
                 << util::Table::num(uniform_p99 * 1e-3, 1) << " us)\n";
     }
   }
@@ -282,17 +260,16 @@ int main(int argc, char** argv) {
 
   std::cout << "\nReading: the uniform ring sends one quarter of every\n"
                "query's candidates to the slow ReRAM shard; the weighted map\n"
-               "shrinks that slice, and the pin layer moves the Zipf-hot\n"
-               "candidates (which appear in most queries) onto the FeFET-22\n"
-               "rows, so the per-query critical path stops being paced by\n"
-               "the slow technology. The update mix shows the write-back\n"
-               "buffer absorbing hot-row writes (write hit rate) and paying\n"
+               "shrinks that slice in proportion to measured rank cost, so\n"
+               "the per-query critical path stops being paced by the slow\n"
+               "technology. The update mix shows the write-back buffer\n"
+               "absorbing hot-row writes (write hit rate) and paying\n"
                "deferred flushes on eviction.\n";
 
   if (!parity_ok)
     std::cout << "\nFAIL: placement changed per-query top-k results\n";
   if (!p99_ok && !quick)
-    std::cout << "\nFAIL: pinned placement did not strictly beat uniform "
+    std::cout << "\nFAIL: weighted placement did not strictly beat uniform "
                  "p99 under skew\n";
   // Quick mode keeps the parity gate only (tiny streams make tail
   // percentiles noisy); full mode enforces the p99 acceptance too.

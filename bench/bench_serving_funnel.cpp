@@ -12,11 +12,9 @@
 //              funnel into one dispatch saves the second batching round;
 //   parity   — the overlap-invariance contract holds for the funnel
 //              across the full regime grid (open/closed x gated/ungated,
-//              overlap off vs on, bit-identical reports), the degenerate
-//              funnel (fixed retrieval, no re-rank) is bit-identical to
-//              the two-stage ShardRouter it collapses to, and
-//              MicroRec-style table combining keeps every query's top-k
-//              items and scores while strictly cutting device time.
+//              overlap off vs on, bit-identical reports), and the
+//              degenerate funnel (fixed retrieval, no re-rank) is
+//              bit-identical to the two-stage ShardRouter it collapses to.
 //
 // Emits BENCH_funnel.json. Exit 0 iff all three gates hold.
 #include <algorithm>
@@ -39,32 +37,6 @@
 #include "util/table.hpp"
 
 using namespace imars;
-
-namespace {
-
-double sum_device_us(const serve::ServeReport& r) {
-  double us = 0.0;
-  for (const auto& q : r.queries) us += q.device_time.value * 1e-3;
-  return us;
-}
-
-/// Same top-k items AND scores for every query (order-sensitive: the merge
-/// is deterministic, so a reordering is a real divergence).
-bool results_match(const serve::ServeReport& a, const serve::ServeReport& b) {
-  if (a.queries.size() != b.queries.size()) return false;
-  for (std::size_t i = 0; i < a.queries.size(); ++i) {
-    const auto& qa = a.queries[i];
-    const auto& qb = b.queries[i];
-    if (qa.id != qb.id || qa.topk.size() != qb.topk.size()) return false;
-    for (std::size_t j = 0; j < qa.topk.size(); ++j)
-      if (qa.topk[j].item != qb.topk[j].item ||
-          qa.topk[j].score != qb.topk[j].score)
-        return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   // --trace <file>: export the fused open-loop run as Chrome trace-event
@@ -188,8 +160,7 @@ int main(int argc, char** argv) {
 
   // --- gate 3a: overlap-invariance grid ----------------------------------
   bool grid_ok = true;
-  serve::ServeReport fused;        // open, ungated, phased
-  serve::ServeReport closed_plain; // closed, ungated, phased (combine ref)
+  serve::ServeReport fused;  // open, ungated, phased
   util::Table grid_table("Parity grid (overlap off vs on, bit-identical)");
   grid_table.header({"regime", "p99 us", "QPS", "parity"});
   serve::TraceLog trace_log;
@@ -205,7 +176,6 @@ int main(int argc, char** argv) {
       const bool eq = bench::reports_equal(off, on, "grid:" + regime);
       grid_ok = grid_ok && eq;
       if (open && !gated) fused = off;
-      if (!open && !gated) closed_plain = off;
       grid_table.row({regime, util::Table::num(off.p99_latency_ns() * 1e-3, 1),
                       util::Table::num(off.qps(), 0), eq ? "OK" : "FAIL"});
       json.record("grid_" + regime)
@@ -294,33 +264,12 @@ int main(int argc, char** argv) {
       .set("collapsed", dprobe.degenerate() ? 1 : 0)
       .set("ok", degenerate_ok ? 1 : 0);
 
-  // --- gate 3c: table combining keeps results, cuts device time ----------
-  serve::FunnelConfig cmb = fcfg;
-  cmb.combine_tables = true;
-  serve::FunnelServable cprobe(*ml.model, arch, factory, profs, cmb);
-  const auto rep_cmb = run_funnel(cmb, make_cfg(false, false), make_load(false));
-  const double dev_plain = sum_device_us(closed_plain);
-  const double dev_cmb = sum_device_us(rep_cmb);
-  const bool combine_ok = results_match(closed_plain, rep_cmb) &&
-                          dev_cmb < dev_plain;
-  std::cout << "table combining (" << cprobe.combined_rows()
-            << "-row combined table): device time " << dev_plain << " us -> "
-            << dev_cmb << " us, results "
-            << (results_match(closed_plain, rep_cmb) ? "identical" : "DIVERGED")
-            << ": " << (combine_ok ? "OK" : "FAIL") << "\n";
-  json.record("combine")
-      .set("combined_rows", cprobe.combined_rows())
-      .set("flat_device_us", dev_plain)
-      .set("combined_device_us", dev_cmb)
-      .set("device_time_cut", dev_plain > 0 ? 1.0 - dev_cmb / dev_plain : 0.0)
-      .set("ok", combine_ok ? 1 : 0);
-
-  const bool parity_ok = grid_ok && degenerate_ok && combine_ok;
+  const bool parity_ok = grid_ok && degenerate_ok;
   json.record("delta")
       .set("recall_at_k", recall)
       .set("fused_vs_two_pass_p99_gain",
            two_pass_p99 > 0 ? two_pass_p99 / std::max(fused_p99, 1.0) : 0.0)
-      .set("parity_grid_ok", grid_ok ? 1 : 0)
+      .set("parity_grid_ok", parity_ok ? 1 : 0)
       .set("all_gates_ok", (recall_ok && tail_ok && parity_ok) ? 1 : 0);
   json.write();
 

@@ -90,9 +90,10 @@ int main() {
       << "(the RSC serialization across 26 banks is modelled explicitly).\n"
       << "Energy: the Criteo point anchors the per-array peripheral\n"
       << "calibration; MovieLens energy composes ~2x below the paper's\n"
-      << "value (see EXPERIMENTS.md for the residual analysis). The\n"
-      << "orderings the paper reports -- iMARS wins latency by 40-60x,\n"
-      << "energy by 1.5-2.5 orders, Criteo > MovieLens latency, MovieLens\n"
-      << "energy reduction >> Criteo's -- all reproduce.\n";
+      << "value (kPeripheralPjPerActiveCmaPerOp in core/calibration.hpp\n"
+      << "carries the derivation). The orderings the paper reports --\n"
+      << "iMARS wins latency by 40-60x, energy by 1.5-2.5 orders,\n"
+      << "Criteo > MovieLens latency, MovieLens energy reduction >>\n"
+      << "Criteo's -- all reproduce.\n";
   return 0;
 }

@@ -3,7 +3,7 @@
 // The paper measures a Nvidia GTX 1080 with nvidia-smi (energy) and
 // lineprofiler (latency). That hardware is not available here, so we use an
 // analytical model whose constants are calibrated to every GPU data point
-// the paper publishes (substitution documented in DESIGN.md section 2):
+// the paper publishes (each fit is derived below):
 //
 //   * ET lookup (Table III), one input:
 //       MovieLens filtering (6 tables):  9.27 us / 203.97 uJ

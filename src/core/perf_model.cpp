@@ -216,24 +216,4 @@ OpCost PerfModel::cold_flush_extra() const {
   return OpCost{p.cold_row_stream.latency, p.cold_row_stream.energy};
 }
 
-OpCost PerfModel::reduction_saving() const {
-  if (!profile_.in_crossbar_reduction) return OpCost{};
-  const auto& p = profile_;
-  // Each merged row's reduced-away result return: the per-bank 256-bit
-  // transfers et_lookup serializes on the RSC bus, one bus burst per
-  // emb_dim row. The replacement GPCiM add is charged against the energy
-  // credit (clamped at zero — cma_add outweighs the bus energy on every
-  // preset).
-  const std::size_t bytes = arch_.emb_dim;  // int8 lanes
-  const std::size_t cycles =
-      (bytes * 8 + p.rsc_bus_bits - 1) / p.rsc_bus_bits;
-  OpCost cost;
-  cost.latency = p.rsc_cycle * static_cast<double>(cycles);
-  const Pj credit = p.rsc_energy * static_cast<double>(cycles);
-  cost.energy = credit.value > p.cma_add.energy.value
-                    ? credit - p.cma_add.energy
-                    : Pj{0.0};
-  return cost;
-}
-
 }  // namespace imars::core

@@ -3,8 +3,8 @@
 // PerfModel mirrors the accounting rules of ImarsAccelerator analytically so
 // the table benches can evaluate worst-case costs without instantiating the
 // functional machine, and so tests can cross-check that the two never
-// diverge. All formulas reference DESIGN.md section 5; the two calibration
-// constants live in core/calibration.hpp.
+// diverge. Each formula's derivation is commented at its definition in
+// perf_model.cpp; the calibration constants live in core/calibration.hpp.
 #pragma once
 
 #include <cstddef>
@@ -85,15 +85,6 @@ class PerfModel {
   /// the extra stream-out on top of row_write() (which covers the array
   /// write + RSC transfer).
   recsys::OpCost cold_flush_extra() const;
-
-  /// Per-merged-row saving of in-crossbar embedding reduction: pooling a
-  /// bag's rows with GPCiM adds inside the array removes that row's
-  /// 256-bit result return on the serialized RSC bus (the `+ tables` term
-  /// of et_lookup's RSC phase). The in-array add costs more energy than
-  /// the transfer it replaces on every preset, so the energy credit
-  /// clamps at zero — the win is latency/bus pressure, not energy. Zero
-  /// unless profile().in_crossbar_reduction.
-  recsys::OpCost reduction_saving() const;
 
   const ArchConfig& arch() const noexcept { return arch_; }
   const device::DeviceProfile& profile() const noexcept { return profile_; }

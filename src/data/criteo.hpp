@@ -1,5 +1,5 @@
 // Synthetic Criteo-Kaggle-style CTR dataset (substitution for the real
-// dataset; see DESIGN.md section 2).
+// dataset, which is not bundled).
 //
 // Matches the statistics the iMARS evaluation depends on:
 //   * 13 dense (continuous) features + 26 categorical features,

@@ -1,5 +1,5 @@
-// Synthetic MovieLens-1M-style dataset (substitution for the real dataset;
-// see DESIGN.md section 2).
+// Synthetic MovieLens-1M-style dataset (substitution for the real dataset,
+// which is not bundled).
 //
 // Matches the statistics iMARS' evaluation depends on:
 //   * 6040 users, 3952 movies (MovieLens-1M counts),

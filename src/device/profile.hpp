@@ -66,14 +66,6 @@ struct DeviceProfile {
   /// row is charged separately at the usual per-row serialization).
   OpCost cold_row_stream{Pj{60.0}, Ns{12.0}};
 
-  /// In-crossbar embedding reduction (ReCross-style): gather stages that
-  /// declare the capability pool multi-row lookups inside the array with
-  /// GPCiM adds, returning one reduced vector per bag over the RSC bus
-  /// instead of one transfer per row. Off in every preset; enabling it
-  /// changes ET-bank claims, so it is excluded from the bit-parity
-  /// envelope.
-  bool in_crossbar_reduction = false;
-
   /// Per-layer digital overhead of a crossbar DNN pass (DAC input streaming,
   /// ADC conversion, activation periphery). Calibrated so that the filtering
   /// DNN stack (3 layers) reproduces the paper's reported 2.69x improvement
@@ -86,8 +78,9 @@ struct DeviceProfile {
   // The paper states the widths (RSC 256-bit, IBC 128 B/shot) and that the
   // serialization overhead is included in its results, but does not publish
   // the cycle-level numbers; these follow the NanGate 45nm synthesis numbers
-  // typical of on-chip buses of those widths and are part of the documented
-  // calibration (DESIGN.md section 5).
+  // typical of on-chip buses of those widths. The RSC term is part of the
+  // serialized sequence kWorstCaseLookupsPerTable is solved against
+  // (core/calibration.hpp).
   std::size_t rsc_bus_bits = 256;
   Ns rsc_cycle{2.0};        ///< per 256-bit transfer on the RSC bus
   Pj rsc_energy{12.0};      ///< per 256-bit transfer

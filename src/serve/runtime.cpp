@@ -113,14 +113,6 @@ ServingRuntime::ServingRuntime(
   // The config's shard count reflects the fabric actually built.
   cfg_.shards = servables_.front()->shards();
   row_bytes_ = arch.emb_dim;  // int8 lanes: one byte per lane per row
-  if (cfg_.placement.enabled) {
-    IMARS_REQUIRE(cfg_.placement.hot_rows >= 1,
-                  "ServingRuntime: placement needs a positive hot_rows");
-    IMARS_REQUIRE(!cfg_.placement.histogram.empty() ||
-                      cfg_.placement.warmup_queries >= 1,
-                  "ServingRuntime: placement needs an offline histogram or "
-                  "a warmup window");
-  }
   if (cfg_.placement.warm_rows > 0) {
     IMARS_REQUIRE(cfg_.cache.tiering_enabled(),
                   "ServingRuntime: warm_rows needs a tiering-enabled cache");
@@ -186,47 +178,6 @@ QosBatcherConfig ServingRuntime::resolved_qos() {
   return qos;
 }
 
-ShardMap ServingRuntime::placed_map(const LoadGenConfig& load) {
-  const PlacementConfig& pc = cfg_.placement;
-  std::vector<HotKey> hot;
-  if (!pc.histogram.empty()) {
-    hot = PlacementPolicy::top_keys(pc.histogram, pc.hot_rows);
-  } else {
-    // Warmup window: replay the run's own arrival stream (fresh generator,
-    // same seed) and histogram the work-item keys each request would route
-    // through the map. Runs replica 0 on the calling thread — no batch is
-    // in flight yet, exactly like the QoS estimate probes.
-    std::unordered_map<std::size_t, std::uint64_t> counts;
-    LoadGenerator warm(load);
-    ServableBackend& sv = *servables_.front();
-    std::size_t profiled = 0;
-    for (std::size_t i = 0; profiled < pc.warmup_queries; ++i) {
-      const std::optional<Request> r =
-          load.arrivals == ArrivalProcess::kClosedLoop
-              ? warm.next(i % load.clients, device::Ns{0.0})
-              : warm.next_arrival();
-      if (!r) break;
-      // Updates never route items through the map in the served run, so
-      // they contribute nothing to the profile; the window counts QUERIES.
-      if (r->is_update) continue;
-      ++profiled;
-      for (std::size_t key : sv.profile_items(*r)) ++counts[key];
-    }
-    hot = PlacementPolicy::top_keys(counts, pc.hot_rows);
-  }
-  // Greedy balance costs: an explicit per-item override when configured,
-  // else the per-shard row costs resolved through the fabric's own cache
-  // timings (one PerfModel per shard technology); a single shared timing
-  // means a homogeneous fabric — pins then only balance the hot mass.
-  std::vector<device::Ns> cost = pc.shard_costs;
-  if (cost.empty() && timings_.size() == cfg_.shards)
-    for (const auto& t : timings_) cost.push_back(t.row_miss.latency);
-  IMARS_REQUIRE(cost.empty() || cost.size() == cfg_.shards,
-                "ServingRuntime: one placement shard cost per shard");
-  return PlacementPolicy::pin_hot(make_map(cfg_, cfg_.shards), hot, cost,
-                                  pc.hot_rows);
-}
-
 std::vector<std::uint64_t> ServingRuntime::warm_pin_keys(
     const LoadGenConfig& load) {
   const PlacementConfig& pc = cfg_.placement;
@@ -234,11 +185,12 @@ std::vector<std::uint64_t> ServingRuntime::warm_pin_keys(
   if (!pc.warm_histogram.empty()) {
     hot = PlacementPolicy::top_keys(pc.warm_histogram, pc.warm_rows);
   } else {
-    // Same warmup replay as placed_map, but histogramming ET *row* keys
-    // (the cache's key space) through the servable's access lists instead
-    // of the map's work-item keys. Stage 0 is the gather/entry stage of
-    // every built-in graph, so its accesses over the profile items are the
-    // request's ET row footprint.
+    // Warmup window: replay the run's own arrival stream (fresh generator,
+    // same seed) and histogram the ET *row* keys (the cache's key space)
+    // each query touches. Stage 0 is the gather/entry stage of every
+    // built-in graph, so its accesses over the profile items are the
+    // request's ET row footprint. Runs replica 0 on the calling thread —
+    // no batch is in flight yet, exactly like the QoS estimate probes.
     std::unordered_map<std::size_t, std::uint64_t> counts;
     LoadGenerator warm(load);
     ServableBackend& sv = *servables_.front();
@@ -249,6 +201,8 @@ std::vector<std::uint64_t> ServingRuntime::warm_pin_keys(
               ? warm.next(i % load.clients, device::Ns{0.0})
               : warm.next_arrival();
       if (!r) break;
+      // Updates are applied as writes, not served as queries, so the
+      // window counts QUERIES.
       if (r->is_update) continue;
       ++profiled;
       for (const auto& a : sv.accesses(0, *r, sv.profile_items(*r)))
@@ -263,10 +217,6 @@ std::vector<std::uint64_t> ServingRuntime::warm_pin_keys(
 }
 
 ServeReport ServingRuntime::run(LoadGenerator& gen) {
-  // Frequency-aware placement re-derives its pin layer per run (the warmup
-  // profile tracks the generator's config); disabled, the configured map
-  // is never touched and routing stays bit-identical to the pin-free map.
-  if (cfg_.placement.enabled) pipeline_.set_shard_map(placed_map(gen.config()));
   pipeline_.reset_clock();
   // Observation is attached for this run only; the sink is a pure observer
   // (see ObserverSink), so every path below is bit-identical with or
@@ -288,7 +238,7 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   cache.set_reference_bookkeeping(cfg_.reference_host_path);
   // Tier-aware pin resolution: static warm pins resolve before serving,
   // from the offline row histogram or the warmup replay (deterministic for
-  // this run's load config, like the work-item pin layer above).
+  // this run's load config).
   if (cfg_.placement.warm_rows > 0 && cache.tiering_enabled())
     cache.pin_warm(warm_pin_keys(gen.config()));
   // A tiering-enabled cache participates in collection even with a
@@ -421,8 +371,8 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
                   "ServingRuntime: update routed to a missing class");
     const QosClassConfig& ccfg = qos.classes[cls];
     ServableBackend& sv = *servables_[ccfg.servable];
-    // Ring only: the update is keyed by request id, not by an item row.
-    const std::size_t home = pipeline_.shard_map().ring_of(r.id);
+    // The update's home shard, keyed by request id like a query's home.
+    const std::size_t home = pipeline_.shard_map().shard_of(r.id);
     const CacheTiming& timing =
         timings_.size() == 1 ? timings_.front() : timings_[home];
     // Same key namespace as the read path (co-resident servables must not
@@ -519,8 +469,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
         device_time += s.total().latency;
         batch_fault_time += s.at(recsys::OpKind::kEtBlock).latency;
       }
-      report.routed_items += res.routed_items;
-      report.pinned_items += res.pinned_items;
       ++cr.queries;
       cr.device_time += device_time;
       if (slo.value > 0.0 && (res.complete - req.enqueue) > slo)

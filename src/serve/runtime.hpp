@@ -44,35 +44,18 @@
 
 namespace imars::serve {
 
-/// Frequency-aware placement (PlacementPolicy pin layer over the
-/// configured ShardMap): the hottest profiled work-item keys are pinned to
-/// low-row-latency shards before serving. The frequency profile comes from
-/// an offline `histogram` when one is supplied, otherwise from a warmup
-/// window — a fresh LoadGenerator over the run's own config (same seed, so
-/// the profiled traffic is the served traffic) driven through
-/// ServableBackend::profile_items on the calling thread before any batch
-/// is in flight. Per-shard row costs are resolved through the fabric's own
-/// cache timings (each shard's PerfModel row-fetch cost), so mixed
-/// technologies pin their hot rows onto the fastest CMAs. Disabled, the
-/// configured map is never touched — read-only runs stay bit-identical.
+/// Static tier placement: the hottest ET *rows* are pinned warm-resident
+/// in the tiered cache before serving, so benches can compare static warm
+/// pins against online migration under identical routing. The row profile
+/// comes from an offline `warm_histogram` when one is supplied, otherwise
+/// from a warmup window — a fresh LoadGenerator over the run's own config
+/// (same seed, so the profiled traffic is the served traffic) whose
+/// queries' row accesses (ServableBackend::profile_items, then
+/// ServableBackend::accesses) are counted on the calling thread before any
+/// batch is in flight.
 struct PlacementConfig {
-  bool enabled = false;
-  std::size_t hot_rows = 0;        ///< pins to place (must be positive)
   std::size_t warmup_queries = 0;  ///< profile window length
-  std::vector<HotKey> histogram;   ///< offline profile (overrides warmup)
-  /// Per-shard per-item cost driving the greedy pin balance. Empty = the
-  /// per-shard PerfModel row-fetch timings (pure row-latency placement);
-  /// benches pass measured whole-stage per-item costs instead when the
-  /// serving stage does more than fetch the row (e.g. per-candidate DNN).
-  std::vector<device::Ns> shard_costs;
-  // --- tier-aware pin resolution (tiered embedding memory) -------------
-  /// Hottest ET *rows* (not work items) pinned warm-resident in the tiered
-  /// cache before serving — static tier placement, independent of
-  /// `enabled` (which governs the work-item pin layer) so benches can
-  /// compare static warm pins against online migration under identical
-  /// routing. Resolved from `warm_histogram` when supplied, else from the
-  /// same warmup replay, profiling row accesses through
-  /// ServableBackend::accesses. Requires a tiering-enabled cache; 0 = no
+  /// Hottest ET rows pinned warm. Requires a tiering-enabled cache; 0 = no
   /// warm pins.
   std::size_t warm_rows = 0;
   /// Offline row-frequency profile for warm pinning: key =
@@ -114,7 +97,7 @@ struct ServingConfig {
   /// Capability weights of the item partition (one per shard).
   std::vector<double> shard_weights;
   std::size_t map_granularity = 64;  ///< buckets per shard (weighted maps)
-  /// Frequency-aware hot-row pinning over the map above.
+  /// Static warm-tier pins (see PlacementConfig).
   PlacementConfig placement;
   /// Async stage overlap: keep up to `max_inflight` batches in flight so a
   /// later batch's early stages overlap an earlier batch's late stages on
@@ -231,15 +214,10 @@ class ServingRuntime {
   /// overlap-invariant determinism contract holds.
   QosBatcherConfig resolved_qos();
 
-  /// The configured map with the PlacementPolicy pin layer applied
-  /// (placement must be enabled). Profiles on the calling thread before
-  /// serving; deterministic for a given load config.
-  ShardMap placed_map(const LoadGenConfig& load);
-
   /// Tier-aware pin resolution: the hottest `placement.warm_rows` ET row
   /// keys, from the offline warm_histogram or a warmup replay profiling
   /// row accesses (slot 0's namespace). Deterministic for a given load
-  /// config, like placed_map.
+  /// config.
   std::vector<std::uint64_t> warm_pin_keys(const LoadGenConfig& load);
 
   ServingConfig cfg_;

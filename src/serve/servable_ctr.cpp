@@ -18,25 +18,22 @@ constexpr std::size_t kInteractStage = 2;
 PipelineSpec CtrServable::pipeline_spec(CtrGraph graph) {
   PipelineSpec spec;
   spec.merge_topk = false;  // one shard scores the impression; no tournament
-  // Every stage issuing the sparse-feature lookups declares the
-  // in-crossbar-reduction capability (StageSpec::reduce); it stays inert
-  // — timed identically — unless the device profile opts in.
   switch (graph) {
     case CtrGraph::kFused:
-      spec.stages = {{"score", StageKind::kSharded, {}, /*reduce=*/true}};
+      spec.stages = {{"score", StageKind::kSharded, {}}};
       break;
     case CtrGraph::kTowerChain:
       // The same three tower stages, serialized (an implicit linear
       // chain): the dense stage passes the impression through as the
       // interact stage's work item.
-      spec.stages = {{"gather", StageKind::kSharded, {}, /*reduce=*/true},
+      spec.stages = {{"gather", StageKind::kSharded, {}},
                      {"dense", StageKind::kReplicated, {}},
                      {"interact", StageKind::kSharded, {}}};
       break;
     case CtrGraph::kTowerDag:
       // Parallel feature towers: gather (CMA banks) and dense (crossbars)
       // are both sources; interact joins on the later arriving tower.
-      spec.stages = {{"gather", StageKind::kSharded, {}, /*reduce=*/true},
+      spec.stages = {{"gather", StageKind::kSharded, {}},
                      {"dense", StageKind::kReplicated, {}},
                      {"interact", StageKind::kSharded, {"gather", "dense"}}};
       break;

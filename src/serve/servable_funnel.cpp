@@ -174,29 +174,6 @@ FunnelServable::FunnelServable(const recsys::YoutubeDnn& model,
         break;  // replica filter pass
     }
   }
-
-  if (cfg_.combine_tables && cfg_.rerank) {
-    // Greedy MicroRec combining over the rank features, schema order:
-    // fold in every single-valued feature while the product table fits.
-    combined_rows_ = 1;
-    const auto& schema = model.schema();
-    for (std::size_t f : model.rank_features()) {
-      const auto& feat = schema.user_item[f];
-      if (feat.multi_hot != 1) continue;
-      if (combined_rows_ * feat.cardinality > cfg_.combine_max_rows) continue;
-      combined_rows_ *= feat.cardinality;
-      combined_feats_.push_back(f);
-    }
-    std::sort(combined_feats_.begin(), combined_feats_.end());
-    if (combined_feats_.size() < 2) {
-      // Nothing to merge — combining a single table is a rename.
-      combined_feats_.clear();
-      combined_rows_ = 0;
-    } else {
-      combined_table_ = kUietTableBase +
-                        static_cast<std::uint32_t>(schema.user_item.size());
-    }
-  }
 }
 
 void FunnelServable::bind_users(std::span<const recsys::UserContext> users) {
@@ -232,19 +209,6 @@ std::size_t FunnelServable::sig_cmas(std::size_t entries) const {
   const std::size_t per_entry = (cfg_.lsh_bits + 255) / 256;  // paper: 2 CMAs
   return std::max<std::size_t>((entries + rows - 1) / rows, 1) *
          std::max<std::size_t>(per_entry, 1);
-}
-
-std::optional<std::uint32_t> FunnelServable::combined_row(
-    const recsys::UserContext& user) const {
-  std::uint64_t row = 0;
-  const auto& schema = model_->schema();
-  for (std::size_t f : combined_feats_) {
-    if (user.sparse[f].size() != 1) return std::nullopt;
-    const std::size_t idx = user.sparse[f].front();
-    if (idx >= schema.user_item[f].cardinality) return std::nullopt;
-    row = row * schema.user_item[f].cardinality + idx;
-  }
-  return static_cast<std::uint32_t>(row);
 }
 
 std::vector<std::size_t> FunnelServable::retrieve_on(
@@ -301,22 +265,14 @@ void FunnelServable::charge_rerank(std::size_t shard,
   const auto& pm = perf_[shard];
   const auto& schema = model_->schema();
   const std::size_t rows = std::max<std::size_t>(arch_.cma_rows, 1);
-  const bool combined = combined_rows_ > 0 && combined_row(user).has_value();
 
-  // Per candidate: the rank-feature pooled lookups (the combined table
-  // collapses its folded features into ONE lookup), the candidate's ItET
+  // Per candidate: the rank-feature pooled lookups, the candidate's ItET
   // row fetch, and one rank-MLP forward.
   core::EtLookupParams et;
   et.tables = model_->rank_features().size() + 1;  // + ItET history pool
   std::size_t cmas = (schema.item_count + rows - 1) / rows;
   for (std::size_t f : model_->rank_features())
     cmas += (schema.user_item[f].cardinality + rows - 1) / rows;
-  if (combined) {
-    et.tables = et.tables - combined_feats_.size() + 1;
-    for (std::size_t f : combined_feats_)
-      cmas -= (schema.user_item[f].cardinality + rows - 1) / rows;
-    cmas += (combined_rows_ + rows - 1) / rows;
-  }
   et.lookups_per_table = std::max<std::size_t>(user.history.size(), 1);
   et.mats_per_table = 1;
   et.active_cmas = std::max<std::size_t>(cmas, 1);
@@ -422,32 +378,8 @@ void FunnelServable::accesses_into(std::size_t stage, const Request& req,
     return;
   }
   IMARS_REQUIRE(stage == s_rerank_, "FunnelServable: unknown stage");
-  const auto combined = combined_rows_ > 0 ? combined_row(user) : std::nullopt;
   for (std::size_t item : slice) {
-    if (combined.has_value()) {
-      // The folded features are ONE combined-table row; the rest of the
-      // rank features and the history pool stay individual.
-      out.push_back({combined_table_, *combined, false});
-      for (std::size_t f : model_->rank_features()) {
-        if (std::find(combined_feats_.begin(), combined_feats_.end(), f) !=
-            combined_feats_.end())
-          continue;
-        bool first = true;
-        for (std::size_t idx : user.sparse[f]) {
-          out.push_back({kUietTableBase + static_cast<std::uint32_t>(f),
-                         static_cast<std::uint32_t>(idx), true, first});
-          first = false;
-        }
-      }
-      bool first = true;
-      for (std::size_t h : user.history) {
-        out.push_back(
-            {kItetTable, static_cast<std::uint32_t>(h), true, first});
-        first = false;
-      }
-    } else {
-      append_pooled_pass(user, model_->rank_features(), out);
-    }
+    append_pooled_pass(user, model_->rank_features(), out);
     out.push_back({kItetTable, static_cast<std::uint32_t>(item), false});
   }
 }

@@ -29,14 +29,6 @@
 // that shard's PerfModel, so a heterogeneous fabric prices every stage on
 // the silicon it actually runs on.
 //
-// MicroRec-style table combining (optional, default off): the re-rank
-// stage's small single-valued categorical lookups (MovieLens: gender x age
-// x occupation x favourite genre = 7938 rows) collapse into ONE combined
-// table indexed by the mixed-radix product key, turning several DRAM-ish
-// row touches per candidate into one. The combined table lives under its
-// own RowAccess id so the hot cache prices it separately, and the measured
-// ET cost shrinks to the combined lookup via PerfModel.
-//
 // Degenerate mode (RetrievalKind::kFixed with rerank off) collapses the
 // spec to the exact filter->rank graph ShardRouter serves, with identical
 // stage semantics and RowAccess traffic — the bit-parity anchor the tests
@@ -45,7 +37,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -73,8 +64,7 @@ enum class RetrievalKind : std::uint8_t {
 };
 
 /// Funnel shape and knobs. Every field defaults to the paper-anchored
-/// values; `combine_tables` defaults OFF so existing accounting is
-/// untouched unless a caller opts in.
+/// values.
 struct FunnelConfig {
   RetrievalKind retrieval = RetrievalKind::kIvf;
   /// Candidates the retrieval tier emits per query (ANN top-k).
@@ -88,12 +78,6 @@ struct FunnelConfig {
   std::size_t rank_keep = 64;
   /// Present the re-rank stage (off = the rank stage is the output).
   bool rerank = true;
-  /// MicroRec-style combining of the re-rank stage's small single-valued
-  /// categorical lookups into one product-keyed table.
-  bool combine_tables = false;
-  /// Cap on the combined table's row count (RowAccess table ids must stay
-  /// well-formed; features are greedily combined while the product fits).
-  std::size_t combine_max_rows = 65536;
   /// IVF build/search parameters (RetrievalKind::kIvf).
   baseline::IvfIndex::Config ivf{};
   /// Signature geometry; defaults match ImarsBackendConfig so the filter
@@ -119,7 +103,7 @@ class RetrievalBackend {
 class FunnelServable final : public ServableBackend {
  public:
   /// RowAccess table-key namespace: shared with ShardRouter (the funnel
-  /// serves the same replicas) plus one combined-table id past the UIETs.
+  /// serves the same replicas).
   static constexpr std::uint32_t kItetTable = ShardRouter::kItetTable;
   static constexpr std::uint32_t kUietTableBase = ShardRouter::kUietTableBase;
 
@@ -153,15 +137,6 @@ class FunnelServable final : public ServableBackend {
   const FunnelConfig& config() const noexcept { return cfg_; }
   /// True when the spec collapsed to the exact ShardRouter graph.
   bool degenerate() const noexcept { return degenerate_; }
-  /// Rows of the combined re-rank table (0 = combining off or no
-  /// combinable features).
-  std::size_t combined_rows() const noexcept { return combined_rows_; }
-  /// Schema indices of the features folded into the combined table.
-  std::span<const std::size_t> combined_features() const noexcept {
-    return combined_feats_;
-  }
-  /// RowAccess table id of the combined table (one past the UIETs).
-  std::uint32_t combined_table() const noexcept { return combined_table_; }
 
   /// Offline probe of the retrieval tier for one user (recall@k audits):
   /// the candidate list the retrieve stage would produce, no cost
@@ -223,10 +198,6 @@ class FunnelServable final : public ServableBackend {
                      recsys::StageStats* stats) const;
   /// Signature CMAs spanned by `entries` item signatures.
   std::size_t sig_cmas(std::size_t entries) const;
-  /// Mixed-radix combined row of the user's single-valued combined
-  /// features; nullopt when any combined feature is not single-valued.
-  std::optional<std::uint32_t> combined_row(
-      const recsys::UserContext& user) const;
 
   const recsys::YoutubeDnn* model_;
   core::ArchConfig arch_;
@@ -247,10 +218,6 @@ class FunnelServable final : public ServableBackend {
   std::unique_ptr<RetrievalBackend> retrieval_;    // null for kFixed
   std::unique_ptr<lsh::RandomHyperplaneLsh> lsh_;  // signatures
   std::vector<util::BitVec> item_sigs_;            // per item, lsh_ planes
-
-  std::vector<std::size_t> combined_feats_;  // schema indices, ascending
-  std::size_t combined_rows_ = 0;
-  std::uint32_t combined_table_ = 0;
 };
 
 }  // namespace imars::serve

@@ -1,6 +1,5 @@
-// Serving telemetry, following the StreamReport idioms of
-// core/query_engine.hpp: per-query records plus aggregate QPS, latency
-// percentiles, cache hit rate and per-shard utilization — but over the
+// Serving telemetry: per-query records plus aggregate QPS, latency
+// percentiles, cache hit rate and per-shard utilization over the
 // *concurrent* runtime, so latencies include queueing/batching delay and
 // throughput is makespan-based rather than derived from mean stage times.
 //
@@ -204,7 +203,7 @@ struct ServeReport {
     return sum;
   }
 
-  // --- write-back / placement telemetry -----------------------------------
+  // --- write-back telemetry -----------------------------------------------
   std::size_t updates = 0;      ///< embedding-update requests applied
   /// Total hardware cost of the update traffic (periphery-buffer fills,
   /// write-through row writes, dirty-row eviction flushes applied outside
@@ -212,16 +211,6 @@ struct ServeReport {
   /// into the evicting stage's kEtWrite cost instead.
   recsys::OpCost update_cost;
   std::size_t flush_bytes = 0;  ///< dirty-row flush traffic (row bytes)
-  std::size_t routed_items = 0;  ///< work items routed through the ShardMap
-  std::size_t pinned_items = 0;  ///< of those, items served via a hot pin
-  /// Fraction of routed work items a PlacementPolicy pin placed (0 when
-  /// placement is disabled).
-  double pin_hit_rate() const noexcept {
-    return routed_items == 0
-               ? 0.0
-               : static_cast<double>(pinned_items) /
-                     static_cast<double>(routed_items);
-  }
 
   std::size_t size() const noexcept {
     return streaming.enabled ? streaming.queries : queries.size();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -23,9 +24,14 @@ ShardMap ShardMap::weighted(std::span<const double> weights,
   IMARS_REQUIRE(granularity >= 1, "ShardMap::weighted: zero granularity");
   double total = 0.0;
   for (double w : weights) {
+    IMARS_REQUIRE(std::isfinite(w), "ShardMap::weighted: non-finite weight");
     IMARS_REQUIRE(w >= 0.0, "ShardMap::weighted: negative weight");
     total += w;
   }
+  // An overflowing sum would zero every bucket share below and deal the
+  // ring out evenly whatever the weights say.
+  IMARS_REQUIRE(std::isfinite(total),
+                "ShardMap::weighted: weight sum overflows");
   IMARS_REQUIRE(total > 0.0, "ShardMap::weighted: all weights zero");
 
   const std::size_t ns = weights.size();
@@ -80,8 +86,12 @@ ShardMap ShardMap::from_costs(std::span<const device::Ns> per_item_cost,
   std::vector<double> weights(per_item_cost.size(), 0.0);
   bool any = false;
   for (std::size_t s = 0; s < per_item_cost.size(); ++s) {
-    if (per_item_cost[s].value > 0.0) {
-      weights[s] = 1.0 / per_item_cost[s].value;
+    const double cost = per_item_cost[s].value;
+    IMARS_REQUIRE(std::isfinite(cost), "ShardMap::from_costs: non-finite cost");
+    if (cost > 0.0) {
+      weights[s] = 1.0 / cost;
+      IMARS_REQUIRE(std::isfinite(weights[s]),
+                    "ShardMap::from_costs: cost reciprocal overflows");
       any = true;
     }
   }
@@ -99,17 +109,6 @@ ShardMap ShardMap::from_costs(std::span<const device::Ns> per_item_cost,
   for (double& w : weights)
     if (w == 0.0) w = mean;
   return weighted(weights, granularity);
-}
-
-void ShardMap::set_pins(
-    std::vector<std::pair<std::size_t, std::uint32_t>> pins) {
-  IMARS_REQUIRE(!table_.empty(), "ShardMap::set_pins: empty map");
-  pins_.clear();
-  pins_.reserve(pins.size());
-  for (const auto& [key, shard] : pins) {
-    IMARS_REQUIRE(shard < shards(), "ShardMap::set_pins: shard out of range");
-    pins_[key] = shard;  // later entries win (deterministic for callers)
-  }
 }
 
 std::vector<HotKey> PlacementPolicy::top_keys(std::vector<HotKey> profile,
@@ -131,55 +130,6 @@ std::vector<HotKey> PlacementPolicy::top_keys(
   keys.reserve(counts.size());
   for (const auto& [key, freq] : counts) keys.push_back({key, freq});
   return top_keys(std::move(keys), max_pins);
-}
-
-ShardMap PlacementPolicy::pin_hot(const ShardMap& base,
-                                  std::span<const HotKey> hot,
-                                  std::span<const device::Ns> shard_row_cost,
-                                  std::size_t max_pins) {
-  IMARS_REQUIRE(!base.empty(), "PlacementPolicy::pin_hot: empty base map");
-  IMARS_REQUIRE(!base.has_pins(),
-                "PlacementPolicy::pin_hot: base map already has pins (the "
-                "policy would replace them — clear or merge explicitly)");
-  const std::size_t ns = base.shards();
-  IMARS_REQUIRE(shard_row_cost.empty() || shard_row_cost.size() == ns,
-                "PlacementPolicy::pin_hot: one row cost per shard");
-  std::vector<double> cost(ns, 1.0);
-  if (!shard_row_cost.empty()) {
-    // Non-positive entries (unmeasured / zero-cost oracle shards) take the
-    // uniform cost so they still attract their share of pins.
-    for (std::size_t s = 0; s < ns; ++s)
-      if (shard_row_cost[s].value > 0.0) cost[s] = shard_row_cost[s].value;
-  }
-
-  // Greedy hottest-first weighted load balance (LPT on popularity mass
-  // scaled by per-row cost): the first key lands on the cheapest shard,
-  // later keys fill in wherever the pinned busy-time estimate stays
-  // lowest. Deterministic: the profile is pre-sorted and ties break to the
-  // lower shard index.
-  std::vector<double> load(ns, 0.0);
-  std::vector<std::pair<std::size_t, std::uint32_t>> pins;
-  const std::size_t n = std::min(hot.size(), max_pins);
-  pins.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (hot[i].freq == 0) break;  // profile is sorted: nothing hot follows
-    std::size_t best = 0;
-    double best_key = 0.0;
-    for (std::size_t s = 0; s < ns; ++s) {
-      const double k =
-          (load[s] + static_cast<double>(hot[i].freq)) * cost[s];
-      if (s == 0 || k < best_key) {
-        best = s;
-        best_key = k;
-      }
-    }
-    load[best] += static_cast<double>(hot[i].freq);
-    pins.emplace_back(hot[i].key, static_cast<std::uint32_t>(best));
-  }
-
-  ShardMap pinned = base;
-  pinned.set_pins(std::move(pins));
-  return pinned;
 }
 
 double ShardMap::share(std::size_t s) const {

@@ -1,5 +1,4 @@
-// Capability-weighted item placement across accelerator shards, with an
-// optional frequency-aware pin layer.
+// Capability-weighted item placement across accelerator shards.
 //
 // PR 1 placed items with a hard-coded `item % N`, which assumes every shard
 // ranks at the same speed. Mixed-technology fabrics (e.g. FeFET-45 next to
@@ -10,27 +9,22 @@
 // proportionally to capability weights (largest-remainder rounding), so a
 // shard with twice the measured rank-stage throughput owns twice the items.
 // Zero-weight shards own no buckets and legitimately receive empty slices.
+// Any map is a disjoint cover, so placement changes where work runs, never
+// which keys are served.
 //
 // The uniform map uses exactly `shards` buckets, making `shard_of(key)`
 // bit-identical to the old `key % N` — the refactor cannot perturb PR 1's
 // timing with identical shards.
 //
-// Frequency-aware placement (PlacementPolicy, cf. RecFlash
-// arXiv:2604.25338): the bucket ring is frequency-blind, so a Zipf-hot key
-// lands wherever `key % buckets` happens to fall — possibly on the slowest
-// technology. A *pin* overrides the ring for an individual key; the
-// PlacementPolicy pins the hottest keys of a measured (or offline)
-// frequency profile onto low-row-latency shards, balancing the pinned
-// popularity mass by each shard's per-row cost. Pins never change which
-// keys are served (any map is a disjoint cover), only where — results are
-// placement-invariant by construction, timing is not.
+// PlacementPolicy::top_keys orders a key-frequency profile hottest-first;
+// the tiered cache's static warm pins (PlacementConfig::warm_rows) are
+// resolved through it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "device/units.hpp"
@@ -48,15 +42,17 @@ class ShardMap {
   static ShardMap uniform(std::size_t shards);
 
   /// Capability-weighted placement: `granularity * shards` buckets are
-  /// apportioned by largest remainder. Weights must be non-negative with a
-  /// positive sum; a zero-weight shard owns no buckets.
+  /// apportioned by largest remainder. Weights must be finite and
+  /// non-negative with a positive, finite sum; a zero-weight shard owns no
+  /// buckets.
   static ShardMap weighted(std::span<const double> weights,
                            std::size_t granularity = 64);
 
   /// Weights derived from measured per-item stage cost: capability is the
   /// reciprocal of cost, so faster shards own proportionally more keys.
   /// Non-positive costs (e.g. the zero-cost CPU oracle) fall back to the
-  /// uniform weight.
+  /// uniform weight; a non-finite cost, or one so small that its
+  /// reciprocal overflows, is rejected.
   static ShardMap from_costs(std::span<const device::Ns> per_item_cost,
                              std::size_t granularity = 64);
 
@@ -64,25 +60,11 @@ class ShardMap {
   std::size_t shards() const noexcept { return share_.size(); }
   std::size_t buckets() const noexcept { return table_.size(); }
 
-  /// The shard owning WORK-ITEM `key`: its pin when one exists, the bucket
-  /// ring otherwise. Every key maps to exactly one shard, so the per-shard
-  /// slices of any key set are disjoint and cover it.
+  /// The shard owning key `key` (a work item or a request id). Every key
+  /// maps to exactly one shard, so the per-shard slices of any key set are
+  /// disjoint and cover it.
   std::size_t shard_of(std::size_t key) const {
     IMARS_REQUIRE(!table_.empty(), "ShardMap::shard_of: empty map");
-    if (!pins_.empty()) {
-      const auto it = pins_.find(key);
-      if (it != pins_.end()) return it->second;
-    }
-    return ring_of(key);
-  }
-
-  /// The bucket-ring shard of `key`, IGNORING pins. Query-home placement
-  /// (and update-home routing) uses this: pins express where embedding
-  /// ROWS live, and request ids share the key space with item keys — a
-  /// pinned hot item must not drag every request whose id collides with it
-  /// onto the pin's shard.
-  std::size_t ring_of(std::size_t key) const {
-    IMARS_REQUIRE(!table_.empty(), "ShardMap::ring_of: empty map");
     return table_[key % table_.size()];
   }
 
@@ -102,23 +84,9 @@ class ShardMap {
   void partition_into(std::span<const std::size_t> keys,
                       std::vector<std::vector<std::size_t>>& slices) const;
 
-  // --- frequency-aware pins -------------------------------------------
-
-  /// Replaces the pin table: each (key, shard) entry overrides the bucket
-  /// ring for that key. Shard indices must be in range.
-  void set_pins(std::vector<std::pair<std::size_t, std::uint32_t>> pins);
-
-  bool has_pins() const noexcept { return !pins_.empty(); }
-  std::size_t pinned_rows() const noexcept { return pins_.size(); }
-  /// True when `key` routes through a pin rather than the bucket ring.
-  bool is_pinned(std::size_t key) const {
-    return !pins_.empty() && pins_.find(key) != pins_.end();
-  }
-
  private:
   std::vector<std::uint32_t> table_;  ///< bucket -> shard
   std::vector<double> share_;         ///< per-shard fraction of buckets
-  std::unordered_map<std::size_t, std::uint32_t> pins_;  ///< key overrides
 };
 
 /// One entry of a key-frequency profile (warmup window or offline
@@ -128,7 +96,7 @@ struct HotKey {
   std::uint64_t freq = 0;
 };
 
-/// Builds frequency-aware pin layers over a base ShardMap.
+/// Orders key-frequency profiles for static pinning.
 class PlacementPolicy {
  public:
   /// The `max_pins` hottest keys of `counts`, hottest first (frequency
@@ -142,20 +110,6 @@ class PlacementPolicy {
   /// offline histogram); zero-frequency entries are dropped.
   static std::vector<HotKey> top_keys(std::vector<HotKey> profile,
                                       std::size_t max_pins);
-
-  /// `base` with up to `max_pins` of the hottest profiled keys pinned to
-  /// low-latency shards. Keys are assigned hottest-first by greedy weighted
-  /// load balance: key k goes to the shard minimizing
-  /// (pinned_mass + freq_k) * row_cost — so the hottest rows land on the
-  /// fastest CMA technology while no shard accumulates a disproportionate
-  /// share of the hot mass. `shard_row_cost` holds one per-row latency per
-  /// shard (e.g. each shard's PerfModel::row_fetch); empty or non-positive
-  /// entries fall back to uniform cost. Zero-frequency keys are never
-  /// pinned. `base` must be pin-free: the policy would otherwise silently
-  /// replace hand-set pins, so that conflict is an error.
-  static ShardMap pin_hot(const ShardMap& base, std::span<const HotKey> hot,
-                          std::span<const device::Ns> shard_row_cost,
-                          std::size_t max_pins);
 };
 
 }  // namespace imars::serve

@@ -110,7 +110,7 @@ class ShardRouter final : public ServableBackend {
   std::vector<RowAccess> update_accesses(const Request& req) const override;
 
   /// Candidate items of the request's filter pass, probed on replica 0 —
-  /// the keys its rank stage routes through the ShardMap (placement
+  /// the keys its rank stage routes through the ShardMap (warm-pin
   /// frequency profiling).
   std::vector<std::size_t> profile_items(const Request& req) override;
 

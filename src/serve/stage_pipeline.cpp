@@ -311,14 +311,6 @@ void StagePipeline::reset_clock() {
   next_collect_seq_ = next_submit_seq_;
 }
 
-void StagePipeline::set_shard_map(ShardMap map) {
-  IMARS_REQUIRE(map.shards() == shards(),
-                "StagePipeline::set_shard_map: shard count mismatch");
-  IMARS_REQUIRE(next_submit_seq_ == next_collect_seq_,
-                "StagePipeline::set_shard_map: batches in flight");
-  map_ = std::move(map);
-}
-
 void StagePipeline::charge_write(std::size_t shard,
                                  const recsys::OpCost& cost, device::Ns at) {
   IMARS_REQUIRE(shard < shards(),
@@ -506,9 +498,7 @@ StagePipeline::BatchHandle StagePipeline::submit(Batch batch,
     const Request& req = st->batch.requests[qi];
     // All placement routes through the ShardMap: queries spread over the
     // replicated stage's replicas by id, proportionally to capability.
-    // Homes use the bucket ring only — row pins must not capture requests
-    // whose ids collide with pinned item keys.
-    st->home[qi] = map_.ring_of(req.id);
+    st->home[qi] = map_.shard_of(req.id);
     if (needs_initial) st->init_items[qi] = servable.initial_items(req);
     // Kick off every source stage; the rest chain along the graph edges.
     for (std::size_t s = 0; s < stages; ++s)
@@ -713,7 +703,7 @@ void StagePipeline::finish_stage(
 StageStats StagePipeline::adjust_stage(
     const StageStats& measured, std::span<const RowAccess> accesses,
     HotEmbeddingCache* cache, const CacheTiming& timing,
-    std::uint32_t table_base, bool reduce,
+    std::uint32_t table_base,
     HotEmbeddingCache::TierFlush* flushed_out) const {
   if (flushed_out != nullptr) *flushed_out = {};
   if (cache == nullptr) return measured;
@@ -727,39 +717,7 @@ StageStats StagePipeline::adjust_stage(
   // group per stage per query); only the full-group COUNT feeds the
   // adjustment, so the tally order cannot affect results.
   group_scratch_.clear();
-  // Pooled-workload in-crossbar reduction: rows can only accumulate on the
-  // bitlines of the array they are RESIDENT IN, so a pooling scope — one
-  // pooled feature chain (bag of rows walked first_in_table..), or one
-  // parallel bank group — merges only the missed rows that land in the
-  // same (table, CMA array) cell; each such cell returns ONE reduced
-  // vector over the serialized RSC bus, saving the result return of every
-  // missed row past the cell's first. Hits are excluded (they never
-  // crossed the bus). The former model credited misses per scope without
-  // the array split, overstating savings for scopes spread across arrays
-  // (e.g. one-hot lookups in 26 distinct tables, which can never merge).
-  reduce_scratch_.clear();
-  const bool reduce_active = reduce &&
-                             timing.reduce_saving.latency > device::Ns{0.0} &&
-                             timing.array_rows > 0;
-  // Pooled chain id: increments at each chain head (first_in_table), so
-  // distinct features' bags never merge even when they alias a table.
-  std::uint64_t chain = 0;
-  const auto tally_reduce = [&](std::uint64_t scope, std::uint32_t table,
-                                std::uint32_t row) {
-    const auto array =
-        static_cast<std::uint32_t>(row / timing.array_rows);
-    auto it = std::find_if(reduce_scratch_.begin(), reduce_scratch_.end(),
-                           [&](const ReduceCell& c) {
-                             return c.scope == scope && c.table == table &&
-                                    c.array == array;
-                           });
-    if (it == reduce_scratch_.end())
-      reduce_scratch_.push_back({scope, table, array, 1});
-    else
-      ++it->misses;
-  };
   for (const auto& a : accesses) {
-    if (a.pooled && a.first_in_table) ++chain;
     const bool hit = cache->access(table_base + a.table, a.row);
     if (a.parallel_bank) {
       auto it = std::find_if(
@@ -773,9 +731,6 @@ StageStats StagePipeline::adjust_stage(
       if (hit) {
         ++(*it)[2];
         ++parallel_hits;
-      } else if (reduce_active) {
-        tally_reduce((std::uint64_t{a.parallel_group} << 1) | 1, a.table,
-                     a.row);
       }
       continue;
     }
@@ -786,16 +741,11 @@ StageStats StagePipeline::adjust_stage(
         ++pooled_first_hits;
       else
         ++pooled_hits;
-    } else if (a.pooled && reduce_active) {
-      tally_reduce(chain << 1, a.table, a.row);
     }
   }
   std::size_t full_groups = 0;
   for (const auto& g : group_scratch_)
     if (g[1] > 0 && g[2] == g[1]) ++full_groups;
-  std::uint64_t merged_rows = 0;
-  for (const auto& c : reduce_scratch_)
-    if (c.misses > 1) merged_rows += c.misses - 1;
   // Tiered memory: misses whose block was not warm-resident faulted whole
   // cold-tier blocks in — charge each at the block-fetch cost, in the new
   // ET-block category so the flat store's accounting is untouched.
@@ -808,8 +758,7 @@ StageStats StagePipeline::adjust_stage(
   if (flushed_out != nullptr) *flushed_out = tier_flush;
   const double flushed = static_cast<double>(tier_flush.rows);
   if (pooled_hits == 0 && pooled_first_hits == 0 && row_hits == 0 &&
-      parallel_hits == 0 && flushed == 0.0 && block_faults == 0 &&
-      merged_rows == 0)
+      parallel_hits == 0 && flushed == 0.0 && block_faults == 0)
     return measured;
 
   // Replace each hit's CMA+bus cost with the hot-buffer cost, clamped so an
@@ -846,15 +795,6 @@ StageStats StagePipeline::adjust_stage(
                         timing.row_miss.energy * pll)
                            .value)} +
               timing.hit.energy * (hits + pll);
-  if (merged_rows > 0) {
-    // Subtract the reduced-away result returns, clamped like the hit
-    // credits above so the ET cost can never go negative.
-    const double m = static_cast<double>(merged_rows);
-    et.latency = device::max(et.latency - timing.reduce_saving.latency * m,
-                             device::Ns{0.0});
-    et.energy = device::Pj{std::max(
-        0.0, (et.energy - timing.reduce_saving.energy * m).value)};
-  }
   if (flushed > 0.0) {
     OpCost& wr = adjusted.at(OpKind::kEtWrite);
     wr.latency += timing.row_write.latency * flushed;
@@ -954,8 +894,7 @@ void StagePipeline::collect_into(BatchHandle handle,
     QueryResult& out = results[qi];
     // Reused QueryResult slots carry the previous batch's values; every
     // field is either assigned below or reset here (the sharded walk
-    // ACCUMULATES into stage_stats / routed counters, so those must start
-    // from zero).
+    // ACCUMULATES into stage_stats, so those must start from zero).
     out.request = req;
     out.batch_id = st->batch.id;
     out.batch_size = n;
@@ -964,8 +903,6 @@ void StagePipeline::collect_into(BatchHandle handle,
     out.stage_latency.resize(stages);
     out.stage_stats.assign(stages, StageStats{});
     out.work_items = 0;
-    out.routed_items = 0;
-    out.pinned_items = 0;
 
     device::Ns complete = st->batch.dispatch;
     for (std::size_t s : graph.order) {
@@ -1015,8 +952,7 @@ void StagePipeline::collect_into(BatchHandle handle,
         std::vector<RowAccess> ref_rows;
         const StageStats adj =
             adjust_stage(rec.rep_stats, stage_accesses(s, fed, ref_rows),
-                         cache, timing_of(home), table_base,
-                         spec.stages[s].reduce, &flushed);
+                         cache, timing_of(home), table_base, &flushed);
         out.stage_stats[s] = adj;
         const device::Ns t = adj.total().latency;
         // Flush write-backs (kEtWrite) occupy the same in-memory arrays as
@@ -1083,7 +1019,7 @@ void StagePipeline::collect_into(BatchHandle handle,
         const StageStats adj = adjust_stage(
             rec.shard_stats[shard],
             stage_accesses(s, rec.slices[shard], ref_rows), cache,
-            timing_of(shard), table_base, spec.stages[s].reduce, &flushed);
+            timing_of(shard), table_base, &flushed);
         out.stage_stats[s].merge(adj);
         const device::Ns t = adj.total().latency;
         const device::Ns et = adj.at(OpKind::kEtLookup).latency +
@@ -1124,15 +1060,6 @@ void StagePipeline::collect_into(BatchHandle handle,
           span.et_busy = et;
           sink_->on_stage(span);
         }
-      }
-      // Placement telemetry: how much of the routed traffic the pin layer
-      // placed. Skipped entirely on pin-free maps (read-only parity).
-      if (map_.has_pins()) {
-        for (const auto& slice : rec.slices)
-          for (std::size_t key : slice) {
-            ++out.routed_items;
-            if (map_.is_pinned(key)) ++out.pinned_items;
-          }
       }
       if (spec.stages[s].emit_topk > 0) {
         // Emitting stage: the per-shard partials ship to the controller

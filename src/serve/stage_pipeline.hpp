@@ -96,16 +96,6 @@ struct CacheTiming {
   /// Extra stream-out of a dirty row flushed past the warm arrays into
   /// the cold bulk tier (on top of row_write); zero with tiering disabled.
   recsys::OpCost cold_flush;
-  /// Per-merged-row saving of in-crossbar embedding reduction
-  /// (PerfModel::reduction_saving); zero unless the device profile
-  /// declares the capability.
-  recsys::OpCost reduce_saving;
-  /// Rows per CMA array (ArchConfig::cma_rows): in-crossbar reduction can
-  /// only merge rows RESIDENT IN THE SAME ARRAY (the accumulate happens on
-  /// the array's bitlines), so the pooled-workload model groups a feature's
-  /// missed rows by `row / array_rows` under the sequential row placement.
-  /// Zero disables reduction accounting entirely.
-  std::size_t array_rows = 0;
 
   static CacheTiming from_model(const core::PerfModel& model,
                                 std::size_t cold_block_rows = 0) {
@@ -118,9 +108,7 @@ struct CacheTiming {
                        model.buffer_fill(),
                        model.cold_block_fetch(cold_block_rows),
                        cold_block_rows > 0 ? model.cold_flush_extra()
-                                           : recsys::OpCost{},
-                       model.reduction_saving(),
-                       model.arch().cma_rows};
+                                           : recsys::OpCost{}};
   }
 };
 
@@ -156,14 +144,6 @@ struct StageSpec {
   /// as declared and a stage with an empty list is a source (ready at
   /// batch dispatch).
   std::vector<std::string> deps;
-  /// The stage's lookups may be pooled inside the array (in-crossbar
-  /// embedding reduction): with a device profile declaring
-  /// in_crossbar_reduction, each pooling scope's missed rows that land in
-  /// the SAME CMA array return one reduced vector over the RSC bus instead
-  /// of one transfer per row (pooled-workload model — rows of a pooled
-  /// feature chain or a parallel bank group merge only with same-array
-  /// neighbours). Inert (timed identically) unless the profile opts in.
-  bool reduce = false;
   /// Non-zero on a SHARDED stage makes it a *producing* stage: its per-
   /// shard partials are merged (score desc, item asc) into a global
   /// top-`emit_topk` ITEM LIST that downstream stages consume as their
@@ -316,7 +296,7 @@ class ServableBackend {
   }
 
   /// Work-item keys `req` would route through the ShardMap, for
-  /// frequency-profiling a PlacementPolicy warmup window (e.g. the filter
+  /// frequency-profiling a warm-pin warmup window (e.g. the filter
   /// stage's candidate items). May run replica 0 functionally on the
   /// calling thread, so it must NOT be called while a batch is in flight —
   /// the runtime profiles before serving, like stage_cost_estimate().
@@ -357,11 +337,6 @@ class StagePipeline {
     /// linear chain exactly the stage's serial latency share.
     std::vector<device::Ns> stage_latency;
     std::vector<recsys::StageStats> stage_stats;  ///< cache-adjusted
-    /// Work items this query routed through the ShardMap across ALL
-    /// sharded stages, and how many of them a PlacementPolicy pin placed
-    /// (both zero when the map has no pins — the count is skipped).
-    std::size_t routed_items = 0;
-    std::size_t pinned_items = 0;
   };
 
   /// An in-flight batch: functional work enqueued, accounting pending.
@@ -409,11 +384,6 @@ class StagePipeline {
     return offsets_.at(slot);
   }
   const ShardMap& shard_map() const noexcept { return map_; }
-
-  /// Replaces the item placement (e.g. with a PlacementPolicy pin layer).
-  /// Only legal while no batch is in flight — item routing must not change
-  /// under a submitted batch's feet.
-  void set_shard_map(ShardMap map);
 
   /// Attaches a pure-observer sink (nullptr detaches): collect() reports
   /// every (stage, shard) execution span with its unit/ET-bank wait
@@ -561,8 +531,6 @@ class StagePipeline {
   /// Applies the cache to `accesses` and rewrites the stage's ET-lookup
   /// cost; returns the adjusted stats. `table_base` namespaces the cache
   /// keys (co-resident servables must not alias each other's tables).
-  /// `reduce` marks a stage declaring the in-crossbar reduction
-  /// capability (effective only when the device profile opts in).
   /// `flushed` (optional) receives the dirty-row flush counts (with their
   /// tier split) charged into the stage's kEtWrite cost, for the
   /// observer's cache-flush events. Cold-tier block faults raised by the
@@ -572,7 +540,6 @@ class StagePipeline {
                                   HotEmbeddingCache* cache,
                                   const CacheTiming& timing,
                                   std::uint32_t table_base,
-                                  bool reduce = false,
                                   HotEmbeddingCache::TierFlush* flushed =
                                       nullptr) const;
 
@@ -627,16 +594,6 @@ class StagePipeline {
   /// groups per stage are few (e.g. DLRM impressions in flight), so a flat
   /// linear-scan vector beats the former per-call std::map.
   mutable std::vector<std::array<std::uint64_t, 3>> group_scratch_;
-  /// adjust_stage() pooled-workload reduction tally: one cell per
-  /// (pooling scope, table, CMA array) holding the scope's missed-row
-  /// count in that array — only same-array rows of one scope can merge.
-  struct ReduceCell {
-    std::uint64_t scope;
-    std::uint32_t table;
-    std::uint32_t array;
-    std::uint64_t misses;
-  };
-  mutable std::vector<ReduceCell> reduce_scratch_;
   /// collect()-scope scratch for the fed-item concatenation of a
   /// multi-source consume_items stage (single-threaded there).
   std::vector<std::size_t> fed_scratch_;

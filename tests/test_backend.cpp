@@ -186,6 +186,7 @@ TEST(ImarsBackend, RecommendComposesBothStages) {
   const auto recs = recsys::recommend(*f.backend, ctx, 5, &fs, &rs);
   EXPECT_LE(recs.size(), 5u);
   EXPECT_GT(fs.total().latency.value, 0.0);
+  EXPECT_GT(fs.total().energy.value, 0.0);
   if (!recs.empty()) {
     EXPECT_GT(rs.total().latency.value, 0.0);
   }

@@ -175,6 +175,13 @@ TEST(CpuBackend, Fp32FilterReturnsRequestedCandidateCount) {
   CpuBackend backend(*f.model, cfg);
   const auto ctx = f.model->make_context(*f.ds, 0);
   EXPECT_EQ(backend.filter(ctx, nullptr).size(), 12u);
+  // The CPU oracle carries no cost model: both stages charge nothing.
+  recsys::StageStats fs, rs;
+  const auto candidates = backend.filter(ctx, &fs);
+  (void)backend.rank(ctx, candidates, 5, &rs);
+  EXPECT_DOUBLE_EQ(fs.total().latency.value, 0.0);
+  EXPECT_DOUBLE_EQ(rs.total().latency.value, 0.0);
+  EXPECT_DOUBLE_EQ(fs.total().energy.value + rs.total().energy.value, 0.0);
 }
 
 TEST(CpuBackend, Int8CosineApproximatesFp32) {

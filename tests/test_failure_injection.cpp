@@ -4,12 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "adder/adder_tree.hpp"
-#include "baseline/cpu_backend.hpp"
 #include "cma/cma.hpp"
 #include "core/accelerator.hpp"
 #include "core/backend.hpp"
 #include "core/mapping.hpp"
-#include "core/query_engine.hpp"
 #include "data/criteo.hpp"
 #include "data/movielens.hpp"
 #include "noc/controller.hpp"
@@ -135,22 +133,6 @@ TEST(FailureInjection, AdderTreeInputValidation) {
   const std::vector<adder::Lanes> ragged = {adder::Lanes(32, 0),
                                             adder::Lanes(31, 0)};
   EXPECT_THROW((void)mat_tree.sum(ragged, nullptr), Error);
-}
-
-TEST(FailureInjection, QueryEngineRejectsEmptyStream) {
-  data::MovieLensConfig dcfg;
-  dcfg.num_users = 60;
-  dcfg.num_items = 80;
-  dcfg.seed = 3;
-  const data::MovieLensSynth ds(dcfg);
-  recsys::YoutubeDnnConfig mcfg;
-  mcfg.emb_dim = 32;
-  mcfg.filter_hidden = {32, 32};
-  mcfg.rank_hidden = {16};
-  mcfg.seed = 4;
-  recsys::YoutubeDnn model(ds.schema(), mcfg);
-  baseline::CpuBackend backend(model, baseline::CpuBackendConfig{});
-  EXPECT_THROW((void)core::run_stream(backend, {}, 5), Error);
 }
 
 TEST(FailureInjection, TrainerRejectsZeroEpochs) {

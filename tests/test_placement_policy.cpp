@@ -1,9 +1,8 @@
-// Frequency-aware placement tests: ShardMap pin layer semantics, the
-// PlacementPolicy greedy hot-row assignment (hand-checked against the
-// weighted-load formula), runtime warmup profiling, and the ISSUE's
-// placement permutation-invariance property — ANY placement policy must
-// yield identical top-k/scores to uniform placement (timing may differ,
-// results may not), across the overlap x loop x class grid.
+// Placement tests: PlacementPolicy's hottest-first profile ordering, the
+// runtime's static warm-tier pins (config validation, warmup-replay
+// determinism), and the placement permutation-invariance property — ANY
+// ShardMap must yield identical top-k/scores to uniform placement (timing
+// may differ, results may not), across the overlap x loop x class grid.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -32,49 +31,6 @@ using serve::ServingConfig;
 using serve::ServingRuntime;
 using serve::ShardMap;
 
-// --- ShardMap pin layer ----------------------------------------------------
-
-TEST(ShardMapPins, PinsOverrideBucketRingOnlyForPinnedKeys) {
-  ShardMap map = ShardMap::uniform(4);
-  EXPECT_FALSE(map.has_pins());
-  map.set_pins({{7, 2}, {8, 2}});
-  EXPECT_TRUE(map.has_pins());
-  EXPECT_EQ(map.pinned_rows(), 2u);
-  EXPECT_EQ(map.shard_of(7), 2u);  // ring would say 7 % 4 == 3
-  EXPECT_EQ(map.shard_of(8), 2u);  // ring would say 0
-  EXPECT_TRUE(map.is_pinned(7));
-  EXPECT_FALSE(map.is_pinned(6));
-  for (std::size_t key = 0; key < 24; ++key)
-    if (key != 7 && key != 8) EXPECT_EQ(map.shard_of(key), key % 4);
-}
-
-TEST(ShardMapPins, PartitionRemainsDisjointCoverUnderPins) {
-  ShardMap map = ShardMap::uniform(3);
-  map.set_pins({{0, 2}, {4, 0}, {5, 0}});
-  std::vector<std::size_t> keys;
-  for (std::size_t k = 0; k < 30; ++k) keys.push_back(k);
-  const auto slices = map.partition(keys);
-  std::size_t total = 0;
-  std::vector<bool> seen(30, false);
-  for (std::size_t s = 0; s < slices.size(); ++s)
-    for (std::size_t k : slices[s]) {
-      EXPECT_EQ(map.shard_of(k), s);
-      EXPECT_FALSE(seen[k]);
-      seen[k] = true;
-      ++total;
-    }
-  EXPECT_EQ(total, keys.size());
-}
-
-TEST(ShardMapPins, SetPinsReplacesAndValidates) {
-  ShardMap map = ShardMap::uniform(2);
-  map.set_pins({{3, 1}});
-  map.set_pins({{9, 0}});  // replaces, does not accumulate
-  EXPECT_FALSE(map.is_pinned(3));
-  EXPECT_TRUE(map.is_pinned(9));
-  EXPECT_THROW(map.set_pins({{1, 5}}), imars::Error);  // shard out of range
-}
-
 // --- PlacementPolicy -------------------------------------------------------
 
 TEST(PlacementPolicy, TopKeysSortsHottestFirstDeterministically) {
@@ -90,45 +46,6 @@ TEST(PlacementPolicy, TopKeysSortsHottestFirstDeterministically) {
   EXPECT_EQ(all.size(), 4u);
 }
 
-TEST(PlacementPolicy, GreedyAssignmentBalancesMassByRowCost) {
-  // Hand-checked greedy: shards cost {1, 3}; hot keys freq {8, 4, 2, 1}.
-  //   k0: (0+8)*1=8  vs (0+8)*3=24  -> shard 0 (load 8)
-  //   k1: (8+4)*1=12 vs (0+4)*3=12  -> tie, lower index -> shard 0 (load 12)
-  //   k2: (12+2)*1=14 vs (0+2)*3=6  -> shard 1 (load 2)
-  //   k3: (12+1)*1=13 vs (2+1)*3=9  -> shard 1
-  const std::vector<HotKey> hot = {{100, 8}, {101, 4}, {102, 2}, {103, 1}};
-  const std::vector<Ns> cost = {Ns{1.0}, Ns{3.0}};
-  const ShardMap pinned =
-      PlacementPolicy::pin_hot(ShardMap::uniform(2), hot, cost, 4);
-  EXPECT_EQ(pinned.pinned_rows(), 4u);
-  EXPECT_EQ(pinned.shard_of(100), 0u);
-  EXPECT_EQ(pinned.shard_of(101), 0u);
-  EXPECT_EQ(pinned.shard_of(102), 1u);
-  EXPECT_EQ(pinned.shard_of(103), 1u);
-}
-
-TEST(PlacementPolicy, UniformCostBalancesPopularityMass) {
-  // Equal costs: pure LPT on frequency mass.
-  //   k0(4)->s0, k1(3)->s1, k2(2)->s1 (5 vs 6), k3(1)->s0 (5 vs 6).
-  const std::vector<HotKey> hot = {{0, 4}, {1, 3}, {2, 2}, {3, 1}};
-  const ShardMap pinned =
-      PlacementPolicy::pin_hot(ShardMap::uniform(2), hot, {}, 4);
-  EXPECT_EQ(pinned.shard_of(0), 0u);
-  EXPECT_EQ(pinned.shard_of(1), 1u);
-  EXPECT_EQ(pinned.shard_of(2), 1u);
-  EXPECT_EQ(pinned.shard_of(3), 0u);
-}
-
-TEST(PlacementPolicy, RejectsBaseMapWithHandSetPins) {
-  // pin_hot would silently replace hand-set pins; that conflict is an
-  // explicit error instead.
-  ShardMap base = ShardMap::uniform(2);
-  base.set_pins({{5, 1}});
-  const std::vector<HotKey> hot = {{0, 4}};
-  EXPECT_THROW((void)PlacementPolicy::pin_hot(base, hot, {}, 1),
-               imars::Error);
-}
-
 TEST(PlacementPolicy, OfflineHistogramOverloadMatchesCountsOverload) {
   std::unordered_map<std::size_t, std::uint64_t> counts = {
       {10, 4}, {11, 9}, {12, 4}, {13, 0}};
@@ -141,16 +58,6 @@ TEST(PlacementPolicy, OfflineHistogramOverloadMatchesCountsOverload) {
     EXPECT_EQ(a[i].key, b[i].key);
     EXPECT_EQ(a[i].freq, b[i].freq);
   }
-}
-
-TEST(PlacementPolicy, MaxPinsCapsAndZeroFreqStops) {
-  const std::vector<HotKey> hot = {{0, 4}, {1, 3}, {2, 0}, {3, 0}};
-  const ShardMap pinned =
-      PlacementPolicy::pin_hot(ShardMap::uniform(2), hot, {}, 10);
-  EXPECT_EQ(pinned.pinned_rows(), 2u);  // zero-frequency tail never pins
-  const ShardMap capped =
-      PlacementPolicy::pin_hot(ShardMap::uniform(2), hot, {}, 1);
-  EXPECT_EQ(capped.pinned_rows(), 1u);
 }
 
 // --- Runtime placement -----------------------------------------------------
@@ -236,93 +143,90 @@ struct PlacementFixture {
   core::BackendFactory factory;
 };
 
-TEST(RuntimePlacement, WarmupWindowPinsHotRowsAndReportsPinHits) {
-  PlacementFixture fx;
-  const auto report =
-      fx.run(1, /*open=*/false, /*overlap=*/false, [](ServingConfig& cfg) {
-        cfg.placement.enabled = true;
-        cfg.placement.hot_rows = 16;
-        cfg.placement.warmup_queries = 24;
-      });
-  ASSERT_EQ(report.size(), 40u);
-  // Pins were derived and traffic actually routed through them.
-  EXPECT_GT(report.routed_items, 0u);
-  EXPECT_GT(report.pinned_items, 0u);
-  EXPECT_GT(report.pin_hit_rate(), 0.0);
-  EXPECT_LE(report.pin_hit_rate(), 1.0);
+// --- Static warm-tier pins ------------------------------------------------
+
+/// A tiered cache that keeps only pinned blocks warm (migration off), with
+/// a hot buffer small enough that row traffic reaches the tiers.
+void tiered_cache(ServingConfig& cfg) {
+  cfg.cache.capacity_rows = 16;
+  cfg.cache.warm_capacity_rows = 64;
+  cfg.cache.cold_block_rows = 4;
+  cfg.cache.migrate = false;
 }
 
-TEST(RuntimePlacement, PlacementRunsAreSeedDeterministic) {
+TEST(RuntimePlacement, MisconfiguredWarmPinsRejected) {
   PlacementFixture fx;
-  auto configure = [](ServingConfig& cfg) {
-    cfg.placement.enabled = true;
-    cfg.placement.hot_rows = 12;
+  // Warm pins without a tiered cache have nowhere to live.
+  EXPECT_THROW(fx.run(1, false, false,
+                      [](ServingConfig& cfg) {
+                        cfg.placement.warm_rows = 8;
+                        cfg.placement.warmup_queries = 8;
+                      }),
+               imars::Error);
+  // Warm pins with neither an offline histogram nor a warmup window.
+  EXPECT_THROW(fx.run(1, false, false,
+                      [](ServingConfig& cfg) {
+                        tiered_cache(cfg);
+                        cfg.placement.warm_rows = 8;
+                      }),
+               imars::Error);
+}
+
+TEST(RuntimePlacement, WarmupReplayWarmPinsAreSeedDeterministicAndHit) {
+  PlacementFixture fx;
+  auto pinned = [](ServingConfig& cfg) {
+    tiered_cache(cfg);
+    cfg.placement.warm_rows = 12;
     cfg.placement.warmup_queries = 20;
   };
-  const auto a = fx.run(1, true, true, configure);
-  const auto b = fx.run(1, true, true, configure);
+  const auto a = fx.run(1, true, true, pinned);
+  const auto b = fx.run(1, true, true, pinned);
   serve_test::expect_reports_identical(a, b);
-  EXPECT_EQ(a.pinned_items, b.pinned_items);
-  EXPECT_EQ(a.routed_items, b.routed_items);
+  // With migration off only pinned blocks are warm, so every warm hit is
+  // a pin's doing; without pins the same stream never hits warm.
+  EXPECT_GT(a.cache.warm_hits, 0u);
+  const auto unpinned = fx.run(1, true, true, tiered_cache);
+  EXPECT_EQ(unpinned.cache.warm_hits, 0u);
+  serve_test::expect_results_identical(a, unpinned);
 }
 
-TEST(RuntimePlacement, MisconfiguredPlacementRejected) {
-  PlacementFixture fx;
-  EXPECT_THROW(fx.run(1, false, false,
-                      [](ServingConfig& cfg) {
-                        cfg.placement.enabled = true;  // no pins, no profile
-                      }),
-               imars::Error);
-  EXPECT_THROW(fx.run(1, false, false,
-                      [](ServingConfig& cfg) {
-                        cfg.placement.enabled = true;
-                        cfg.placement.hot_rows = 8;  // no profile source
-                      }),
-               imars::Error);
-}
-
-// --- The permutation-invariance property (ISSUE satellite) -----------------
-// Any placement policy — warmup-profiled pins, an adversarial offline
-// histogram, even every hot row slammed onto one shard — must yield
-// identical per-query top-k/scores to uniform placement, across the
+// --- The permutation-invariance property ----------------------------------
+// Any placement — capability weights from skewed measured costs, a map
+// with a zero-weight shard, even every key slammed onto one shard — must
+// yield identical per-query top-k/scores to uniform placement, across the
 // overlap x loop x class grid. Timing may differ; results may not.
 
 TEST(RuntimePlacement, PermutationInvarianceAcrossOverlapLoopClassGrid) {
   PlacementFixture fx;
+  const std::vector<Ns> skewed_costs = {Ns{1.0}, Ns{4.0}, Ns{9.0}};
+  const std::vector<double> zero_weight = {3.0, 0.0, 1.0};
+  const std::vector<double> lopsided = {0.0, 0.0, 1.0};
+  ASSERT_DOUBLE_EQ(ShardMap::weighted(lopsided).share(2), 1.0);
   for (const std::size_t classes : {std::size_t{1}, std::size_t{3}}) {
     for (const bool open : {false, true}) {
       for (const bool overlap : {false, true}) {
         const auto uniform =
             fx.run(classes, open, overlap, [](ServingConfig&) {});
-        // Warmup-profiled frequency-aware pins.
-        const auto pinned =
-            fx.run(classes, open, overlap, [](ServingConfig& cfg) {
-              cfg.placement.enabled = true;
-              cfg.placement.hot_rows = 24;
-              cfg.placement.warmup_queries = 24;
+        // Capability weights from skewed measured per-item costs.
+        const auto costed =
+            fx.run(classes, open, overlap, [&](ServingConfig& cfg) {
+              cfg.shard_map = ShardMap::from_costs(skewed_costs);
             });
-        // Adversarial offline histogram: fabricated frequencies pinning a
-        // spread of item keys wherever the greedy sends them.
-        const auto offline =
-            fx.run(classes, open, overlap, [](ServingConfig& cfg) {
-              cfg.placement.enabled = true;
-              cfg.placement.hot_rows = 32;
-              for (std::size_t k = 0; k < 32; ++k)
-                cfg.placement.histogram.push_back(
-                    {k * 3 % 90, 100 - k});
+        // A zero-weight shard receives no items and no queries.
+        const auto zeroed =
+            fx.run(classes, open, overlap, [&](ServingConfig& cfg) {
+              cfg.shard_map = ShardMap::weighted(zero_weight);
             });
-        // Pathological hand-built map: every third key pinned to shard 2.
-        const auto lopsided =
-            fx.run(classes, open, overlap, [](ServingConfig& cfg) {
-              ShardMap map = ShardMap::uniform(3);
-              std::vector<std::pair<std::size_t, std::uint32_t>> pins;
-              for (std::size_t k = 0; k < 90; k += 3) pins.push_back({k, 2});
-              map.set_pins(std::move(pins));
-              cfg.shard_map = std::move(map);
+        // Pathological map: every item and query lands on shard 2.
+        const auto one_shard =
+            fx.run(classes, open, overlap, [&](ServingConfig& cfg) {
+              cfg.shard_map = ShardMap::weighted(lopsided);
             });
-        serve_test::expect_results_identical(uniform, pinned);
-        serve_test::expect_results_identical(uniform, offline);
-        serve_test::expect_results_identical(uniform, lopsided);
+        for (const auto& q : zeroed.queries) EXPECT_NE(q.home_shard, 1u);
+        for (const auto& q : one_shard.queries) EXPECT_EQ(q.home_shard, 2u);
+        serve_test::expect_results_identical(uniform, costed);
+        serve_test::expect_results_identical(uniform, zeroed);
+        serve_test::expect_results_identical(uniform, one_shard);
       }
     }
   }

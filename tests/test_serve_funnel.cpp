@@ -1,8 +1,8 @@
 // Tests for the full-funnel servable (src/serve/servable_funnel.*):
 // retrieval recall against the exact-NNS oracle, produced-item-set graph
 // validation, bit-parity of the degenerate funnel against ShardRouter,
-// placement invariance of the four-stage graph, table combining, and
-// trace well-formedness of a funnel run.
+// placement invariance of the four-stage graph, and trace well-formedness
+// of a funnel run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -303,51 +303,6 @@ TEST(Funnel, PlacementPermutationInvariance) {
       EXPECT_FLOAT_EQ(hit.score, fx.model->ctr(fx.users[q.user], hit.item))
           << "query " << q.id;
   }
-}
-
-// --- Table combining -------------------------------------------------------
-
-TEST(Funnel, TableCombiningKeepsResultsAndCutsRerankCost) {
-  FunnelFixture fx;
-  FunnelConfig base;
-  base.retrieval = RetrievalKind::kIvf;
-  base.retrieve_k = 48;
-  base.filter_radius = 120;
-  base.rank_keep = 16;
-
-  ServingConfig cfg;
-  cfg.k = 5;
-  cfg.batcher.max_batch = 4;
-  cfg.batcher.max_wait = Ns{500000.0};
-  cfg.cache.capacity_rows = 256;
-
-  auto run_with = [&](bool combine) {
-    FunnelConfig fcfg = base;
-    fcfg.combine_tables = combine;
-    auto rt = fx.runtime(fcfg, 2, cfg);
-    auto& funnel = dynamic_cast<FunnelServable&>(rt->servable());
-    if (combine) {
-      EXPECT_GE(funnel.combined_features().size(), 2u);
-      EXPECT_GT(funnel.combined_rows(), 0u);
-      EXPECT_LE(funnel.combined_rows(), base.combine_max_rows);
-    } else {
-      EXPECT_EQ(funnel.combined_rows(), 0u);
-    }
-    LoadGenerator gen(small_stream(fx.users.size()));
-    return rt->run(gen, fx.users);
-  };
-
-  const auto plain = run_with(false);
-  const auto combined = run_with(true);
-  // Combining only fuses lookups — results are untouched.
-  serve_test::expect_results_identical(plain, combined);
-
-  // ...but the re-rank's ET traffic shrinks: fewer device-time ns in total.
-  double plain_device = 0.0, combined_device = 0.0;
-  for (const auto& q : plain.queries) plain_device += q.device_time.value;
-  for (const auto& q : combined.queries)
-    combined_device += q.device_time.value;
-  EXPECT_LT(combined_device, plain_device);
 }
 
 // --- Trace well-formedness of a funnel run ---------------------------------

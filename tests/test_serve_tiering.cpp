@@ -8,10 +8,7 @@
 // migration stays bit-identical under overlap on/off because commits
 // happen at batch-dispatch boundaries — the fault-attributed adaptive QoS
 // observations (cold-block fault time never reaches the EWMA; the trace
-// carries the attribution), and the pooled-workload in-crossbar reduction
-// model: pooled chains whose missed rows share a CMA array earn a real
-// tail-latency cut at identical results, while one-hot lookups spread over
-// distinct tables earn exactly nothing — bit-identical reports.
+// carries the attribution).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -20,16 +17,12 @@
 
 #include "baseline/cpu_backend.hpp"
 #include "core/backend_factory.hpp"
-#include "data/criteo.hpp"
 #include "data/movielens.hpp"
-#include "recsys/dlrm.hpp"
 #include "recsys/youtube_dnn.hpp"
 #include "serve/hot_cache.hpp"
 #include "serve/load_gen.hpp"
 #include "serve/observe.hpp"
 #include "serve/runtime.hpp"
-#include "serve/servable_ctr.hpp"
-#include "serve/shard_router.hpp"
 #include "serve_test_util.hpp"
 #include "util/rng.hpp"
 
@@ -38,7 +31,6 @@ namespace {
 
 using device::Ns;
 using serve::ArrivalProcess;
-using serve::CtrServable;
 using serve::HotCacheConfig;
 using serve::HotEmbeddingCache;
 using serve::LoadGenConfig;
@@ -485,153 +477,6 @@ TEST(TieredRuntime, AdaptiveEstimatesAttributeFaultTimeSeparately) {
   const auto overlapped = run(tiered, /*overlap=*/true, nullptr);
   serve_test::expect_reports_identical(tiered_report, again);
   serve_test::expect_reports_identical(tiered_report, overlapped);
-}
-
-// --- Pooled-workload in-crossbar reduction (MovieLens history chains) ------
-
-// The reduction model merges only missed rows of ONE pooling scope that
-// are resident in the SAME CMA array (the accumulate happens on the
-// array's bitlines). MovieLens history chains pool 3-8 ItET rows per pass
-// and the 90-item catalog fits inside array 0 (256 rows per array), so
-// chains with >= 2 misses earn real credit: identical results, strictly
-// better tail latency. The capability must also stay inert unless BOTH the
-// stage declares it (StageSpec::reduce) and the device profile opts in.
-TEST(TieredRuntime, PooledReductionCutsTailAndNeedsStageOptIn) {
-  TierFixture fx;
-  auto run = [&](const device::DeviceProfile& profile, bool stage_reduce) {
-    auto router = std::make_unique<serve::ShardRouter>(fx.factory, 3);
-    if (stage_reduce) {
-      auto spec = serve::ShardRouter::pipeline_spec();
-      for (auto& s : spec.stages) s.reduce = true;
-      router->override_spec(std::move(spec));
-    }
-    ServingConfig cfg;
-    cfg.k = 5;
-    cfg.batcher.max_batch = 4;
-    cfg.batcher.max_wait = Ns{300000.0};
-    cfg.cache.capacity_rows = 48;  // small: pooled chains actually miss
-    ServingRuntime rt(std::move(router), cfg, core::ArchConfig{}, profile);
-    LoadGenConfig lg;
-    lg.clients = 8;
-    lg.total_queries = 60;
-    lg.num_users = fx.users.size();
-    lg.user_zipf_s = 1.1;
-    lg.seed = 271;
-    // Open loop: completion-independent arrivals, so both profiles see the
-    // identical query stream and only the ET timing may differ.
-    lg.arrivals = ArrivalProcess::kOpenPoisson;
-    lg.rate_qps = 2.0e5;
-    LoadGenerator gen(lg);
-    return rt.run(gen, fx.users);
-  };
-  const auto flat_profile = device::DeviceProfile::fefet45();
-  auto reduce_profile = flat_profile;
-  reduce_profile.in_crossbar_reduction = true;
-
-  const auto flat = run(flat_profile, /*stage_reduce=*/true);
-  const auto reduced = run(reduce_profile, /*stage_reduce=*/true);
-  // Merging partial results inside the array never changes WHAT is
-  // computed — and the reduced-away result returns are real latency. The
-  // arrival stream (and with it every batch close) is identical, so the
-  // reduced run dominates query by query: no query completes later, the
-  // chains that merged complete strictly earlier, and the total device
-  // time strictly shrinks.
-  serve_test::expect_results_identical(flat, reduced);
-  ASSERT_EQ(flat.queries.size(), reduced.queries.size());
-  double flat_device = 0.0, reduced_device = 0.0;
-  std::size_t strictly_faster = 0;
-  for (std::size_t i = 0; i < flat.queries.size(); ++i) {
-    const double lf =
-        (flat.queries[i].complete - flat.queries[i].enqueue).value;
-    const double lr =
-        (reduced.queries[i].complete - reduced.queries[i].enqueue).value;
-    EXPECT_LE(lr, lf + 1e-6);
-    if (lf - lr > 1e-6) ++strictly_faster;
-    flat_device += flat.queries[i].device_time.value;
-    reduced_device += reduced.queries[i].device_time.value;
-  }
-  EXPECT_GT(strictly_faster, 0u);
-  EXPECT_LT(reduced_device, flat_device);
-  EXPECT_LE(reduced.p99_latency_ns(), flat.p99_latency_ns());
-  EXPECT_LE(reduced.makespan.value, flat.makespan.value);
-
-  // Profile opt-in WITHOUT the stage declaration is inert — bit-identical
-  // to the flat-profile run (whose stage flag is in turn inert without the
-  // profile), down to every timestamp and counter.
-  const auto undeclared = run(reduce_profile, /*stage_reduce=*/false);
-  serve_test::expect_reports_identical(flat, undeclared);
-}
-
-// --- In-crossbar reduction on the CTR fabric -------------------------------
-
-struct CtrTierFixture {
-  CtrTierFixture() {
-    data::CriteoConfig dcfg;
-    dcfg.num_samples = 64;
-    dcfg.seed = 61;
-    ds = std::make_unique<data::CriteoSynth>(dcfg);
-
-    recsys::DlrmConfig mcfg;
-    mcfg.seed = 63;
-    model = std::make_unique<recsys::Dlrm>(ds->schema(), mcfg);
-
-    for (std::size_t i = 0; i < 8; ++i) calib.push_back(ds->sample(i));
-    factory = core::imars_ctr_backend_factory(
-        *model, core::ArchConfig{}, core::TimingMode::kWorstCaseSameArray,
-        calib);
-    for (std::size_t i = 0; i < ds->size(); ++i)
-      samples.push_back(ds->sample(i));
-  }
-
-  serve::ServeReport run(const device::DeviceProfile& profile) {
-    const std::vector<device::DeviceProfile> profiles(2, profile);
-    auto servable = std::make_unique<CtrServable>(factory, profiles);
-    servable->bind_samples(samples);
-    ServingConfig cfg;
-    cfg.k = 1;
-    cfg.batcher.max_batch = 4;
-    cfg.batcher.max_wait = Ns{500000.0};
-    cfg.cache.capacity_rows = 2048;
-    ServingRuntime rt(std::move(servable), cfg, core::ArchConfig{}, profile);
-    LoadGenConfig lg;
-    lg.clients = 8;
-    lg.total_queries = 32;
-    lg.num_users = samples.size();
-    lg.user_zipf_s = 1.0;
-    lg.seed = 67;
-    // Open loop: the arrival stream is completion-independent, so both
-    // profiles see the identical query/batch sequence and only the gather
-    // timing may differ.
-    lg.arrivals = ArrivalProcess::kOpenPoisson;
-    lg.rate_qps = 2.0e5;
-    LoadGenerator gen(lg);
-    return rt.run(gen);
-  }
-
-  std::unique_ptr<data::CriteoSynth> ds;
-  std::unique_ptr<recsys::Dlrm> model;
-  std::vector<data::CriteoSample> calib;
-  std::vector<data::CriteoSample> samples;
-  core::CtrBackendFactory factory;
-};
-
-// DLRM's sparse lookups are one-hot rows in 26 DISTINCT tables: no two
-// missed rows of one impression's bank group ever share a (table, CMA
-// array) cell, so the pooled-workload model gives the capability exactly
-// ZERO credit here — turning it on must be completely inert, down to every
-// timestamp. (The former single-row model credited misses per scope
-// without the same-array constraint and manufactured a tail-latency win
-// out of rows that can never meet on a bitline; this is the regression
-// anchor for that fix.)
-TEST(TieredCtr, ReductionIsInertOnDistinctTableOneHotLookups) {
-  CtrTierFixture fx;
-  const auto flat_profile = device::DeviceProfile::fefet45();
-  auto reduce_profile = flat_profile;
-  reduce_profile.in_crossbar_reduction = true;
-
-  const auto flat = fx.run(flat_profile);
-  const auto reduced = fx.run(reduce_profile);
-  serve_test::expect_reports_identical(flat, reduced);
 }
 
 }  // namespace

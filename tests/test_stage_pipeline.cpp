@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "baseline/cpu_backend.hpp"
@@ -113,6 +115,50 @@ TEST(ShardMap, FromCostsFavorsFasterShards) {
   const auto uniform = ShardMap::from_costs(zeros);
   for (std::size_t s = 0; s < 3; ++s)
     EXPECT_DOUBLE_EQ(uniform.share(s), 1.0 / 3.0);
+}
+
+/// The imars::Error text `fn` throws, or empty when it returns.
+template <class Fn>
+std::string error_text(Fn&& fn) {
+  try {
+    (void)fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(ShardMap, RejectsNonFiniteWeightsAndCosts) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto weighted = [](std::vector<double> w) {
+    return error_text([&] { return ShardMap::weighted(w); });
+  };
+  const auto from_costs = [](std::vector<Ns> c) {
+    return error_text([&] { return ShardMap::from_costs(c); });
+  };
+  // An infinite weight would make every share NaN before the float->int
+  // bucket cast; NaN fails every comparison.
+  EXPECT_NE(weighted({inf, 1.0}).find("non-finite weight"), std::string::npos);
+  EXPECT_NE(weighted({1.0, nan}).find("non-finite weight"), std::string::npos);
+  // Finite weights whose sum overflows would zero every share and deal
+  // the buckets out evenly whatever the weights say.
+  EXPECT_NE(weighted({1e308, 1e308, 1.0}).find("sum overflows"),
+            std::string::npos);
+  // A non-finite cost is rejected, not treated as "unmeasured".
+  EXPECT_NE(from_costs({Ns{inf}, Ns{1.0}}).find("non-finite cost"),
+            std::string::npos);
+  EXPECT_NE(from_costs({Ns{1.0}, Ns{nan}}).find("non-finite cost"),
+            std::string::npos);
+  EXPECT_NE(from_costs({Ns{-inf}, Ns{1.0}}).find("non-finite cost"),
+            std::string::npos);
+  // A subnormal cost's reciprocal overflows to an infinite weight.
+  EXPECT_NE(from_costs({Ns{1e-320}, Ns{1.0}}).find("reciprocal overflows"),
+            std::string::npos);
+  // The documented fallbacks still hold: non-positive costs mean
+  // "unmeasured", and large finite weights that sum finitely are fine.
+  EXPECT_EQ(from_costs({Ns{0.0}, Ns{-1.0}, Ns{2.0}}), "");
+  EXPECT_EQ(weighted({1e307, 1e307}), "");
 }
 
 // --- Heterogeneous partitions over the CPU oracle --------------------------
@@ -734,12 +780,7 @@ PipelineSpec random_dag(util::Xoshiro256& rng, std::size_t n) {
 
 /// resolve()'s error text, or empty when the spec is accepted.
 std::string resolve_error(const PipelineSpec& spec) {
-  try {
-    (void)spec.resolve();
-  } catch (const Error& e) {
-    return e.what();
-  }
-  return {};
+  return error_text([&] { return spec.resolve(); });
 }
 
 TEST(PipelineSpecFuzz, RejectedGraphsNameTheOffendingStage) {

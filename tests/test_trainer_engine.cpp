@@ -1,15 +1,11 @@
-// Tests for the training driver and the query-stream engine.
+// Tests for the model trainer (recsys/trainer.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "baseline/cpu_backend.hpp"
-#include "core/backend.hpp"
-#include "core/query_engine.hpp"
 #include "data/movielens.hpp"
 #include "recsys/trainer.hpp"
 #include "recsys/youtube_dnn.hpp"
-#include "util/rng.hpp"
 
 namespace imars {
 namespace {
@@ -119,72 +115,6 @@ TEST(Trainer, DlrmAucImprovesOverTraining) {
   EXPECT_GT(result.best_metric, 0.55);  // AUC above chance
   // Last evaluation should not be far below the best (stable training).
   EXPECT_GT(result.history.back().metric, result.best_metric - 0.1);
-}
-
-// ---------- query engine --------------------------------------------------------
-
-TEST(QueryEngine, StreamOverCpuBackend) {
-  Fixture f;
-  util::Xoshiro256 rng(80);
-  for (int e = 0; e < 2; ++e) f.model->train_filter_epoch(*f.ds, rng);
-
-  baseline::CpuBackendConfig cfg;
-  cfg.candidates = 10;
-  baseline::CpuBackend backend(*f.model, cfg);
-
-  std::vector<recsys::UserContext> users;
-  for (std::size_t u = 0; u < 25; ++u)
-    users.push_back(f.model->make_context(*f.ds, u));
-
-  const auto report = core::run_stream(backend, users, 5);
-  EXPECT_EQ(report.size(), 25u);
-  for (const auto& q : report.queries) EXPECT_EQ(q.candidates, 10u);
-  // CPU oracle carries no cost model: all latencies zero, percentiles safe.
-  EXPECT_DOUBLE_EQ(report.mean_latency_ns(), 0.0);
-  EXPECT_DOUBLE_EQ(report.p99_latency_ns(), 0.0);
-}
-
-TEST(QueryEngine, StreamOverImarsBackendHasOrderedPercentiles) {
-  MovieLensConfig dcfg;
-  dcfg.num_users = 60;
-  dcfg.num_items = 80;
-  dcfg.seed = 81;
-  const MovieLensSynth ds(dcfg);
-  YoutubeDnnConfig mcfg;  // 32-d default for the hardware constraint
-  mcfg.seed = 82;
-  YoutubeDnn model(ds.schema(), mcfg);
-
-  std::vector<recsys::UserContext> calib;
-  for (std::size_t u = 0; u < 6; ++u) calib.push_back(model.make_context(ds, u));
-  core::ImarsBackendConfig icfg;
-  icfg.nns_radius = 110;
-  core::ImarsBackend backend(model, core::ArchConfig{},
-                             device::DeviceProfile::fefet45(), icfg, calib);
-
-  std::vector<recsys::UserContext> users;
-  for (std::size_t u = 0; u < 30; ++u) users.push_back(model.make_context(ds, u));
-  const auto report = core::run_stream(backend, users, 5);
-
-  EXPECT_GT(report.mean_latency_ns(), 0.0);
-  EXPECT_LE(report.p50_latency_ns(), report.p95_latency_ns());
-  EXPECT_LE(report.p95_latency_ns(), report.p99_latency_ns());
-  EXPECT_GT(report.mean_energy_pj(), 0.0);
-
-  // Pipelining never hurts and never beats the bottleneck stage.
-  EXPECT_GE(report.qps_pipelined(), report.qps_serial());
-}
-
-TEST(QueryEngine, StageStatsAccumulateAcrossStream) {
-  Fixture f;
-  baseline::CpuBackendConfig cfg;
-  baseline::CpuBackend backend(*f.model, cfg);
-  std::vector<recsys::UserContext> users;
-  for (std::size_t u = 0; u < 5; ++u)
-    users.push_back(f.model->make_context(*f.ds, u));
-  const auto report = core::run_stream(backend, users, 3);
-  // Functional-only backend: stats exist but are all zero.
-  EXPECT_DOUBLE_EQ(report.filter_stats.total().latency.value, 0.0);
-  EXPECT_EQ(report.queries.size(), 5u);
 }
 
 }  // namespace
