@@ -1,171 +1,74 @@
 // Million-user steady-state scaling bench (MARM-style, arXiv:2411.09425):
 //
-//   Part A — report-parity grid. The engine's optimized host path (state
-//     pooling, partition/access scratch reuse, partial-sort top-k, SoA
-//     report arena) must produce BIT-IDENTICAL simulated-time reports to
-//     the pre-optimization reference path
-//     (ServingConfig::reference_host_path) across
-//     overlap x {closed, open} x class-count. Any mismatch fails the bench
-//     (nonzero exit) — this is the CI gate for the optimization work.
-//
-//   Part B — cache scaling-law curves. Hit rate / p50 / p99 / QPS versus
+//   Part A — cache scaling-law curves. Hit rate / p50 / p99 / QPS versus
 //     hot-cache capacity across user populations {1e5, 1e6, 1e7} (reduced
 //     in quick mode) with the cuckoo session layer churning, reporting
 //     both the modeled metrics and the simulator's own wall-clock
 //     (queries per host-second).
 //
-//   Part C — host speedup A/B. The quick scaling workload runs under both
-//     host paths with self-profiling on; the acceptance figure is
-//     reference host wall-clock / optimized host wall-clock >= 3x (also a
-//     gate), with the two reports again compared field-for-field.
+//   Part B — host allocation budget. A scaling workload runs under a
+//     counting global operator new; the heap allocations run() makes per
+//     served query must stay at or below kAllocBudgetPerQuery (a gate:
+//     nonzero exit above it). The count does not depend on host speed or
+//     load, so it pins the steady-state allocation avoidance of the host
+//     path (state pooling, scratch reuse, request recycling, the report
+//     arena) where a wall-clock ratio would only be noise.
 //
-//   Part D — steady-state endurance (full mode): a 1e7-user population
+//   Part C — steady-state endurance (full mode): a 1e7-user population
 //     driven through a ~1e6-slot session table to saturation, where every
 //     arrival exercises the bounded cuckoo kick chain (forced evictions,
 //     max kick chain <= the configured bound).
 //
-// The servable is synthetic (hash-scored candidates, ET-row traffic keyed
-// by the candidate items) so host-path cost dominates and population
-// scale is free — the engine, batcher, cache and session layers under
-// test are the real ones. Emits BENCH_scaling.json.
-#include <algorithm>
+// The servable is synthetic (bench/synth_servable.hpp), so host-path cost
+// dominates and population scale is free. Its reports on the scaling grid
+// are pinned bit for bit by the golden digests in tests/test_serve.cpp.
+// Emits BENCH_scaling.json.
+#include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
-#include <memory>
-#include <span>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/perf_model.hpp"
 #include "device/profile.hpp"
 #include "harness.hpp"
 #include "serve/runtime.hpp"
-#include "serve_compare.hpp"
+#include "synth_servable.hpp"
 #include "util/table.hpp"
 
 using namespace imars;
-using device::Ns;
 
 namespace {
 
-/// splitmix64 — cheap deterministic scoring/item hash.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+/// Calls of the global operator new so far, on every thread.
+std::atomic<std::uint64_t> g_heap_allocs{0};
+
+/// Part B's gate. GCC 12 / libstdc++ 12 measure ~7.73 allocations per
+/// query on the quick workload and ~7.18 on the full one; one extra
+/// allocation per query, or per (query, shard) on its 4 shards, crosses 8.
+constexpr double kAllocBudgetPerQuery = 8.0;
+
+}  // namespace
+
+// Counting global allocator for Part B. libstdc++'s array and nothrow
+// forms forward to this one; over-aligned allocations are not counted.
+void* operator new(std::size_t size) {
+  ++g_heap_allocs;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
 }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
-/// Synthetic single-stage sharded servable: `candidates` hash-derived
-/// items per query (rotated by the session's query sequence, so session
-/// state is live personalization input), hash scores, and one ET row per
-/// candidate for the hot cache — item popularity inherits the user Zipf
-/// skew through the per-user candidate sets.
-class SynthServable final : public serve::ServableBackend {
- public:
-  SynthServable(std::size_t shards, std::size_t candidates,
-                std::size_t item_space, recsys::OpCost row_cost,
-                recsys::OpCost score_cost)
-      : shards_(shards),
-        candidates_(candidates),
-        item_space_(item_space),
-        row_cost_(row_cost),
-        score_cost_(score_cost) {
-    spec_.stages = {{"score", serve::StageKind::kSharded, {}}};
-    spec_.merge_topk = true;
-  }
-
-  std::string_view name() const override { return "synth-scaling"; }
-  const serve::PipelineSpec& spec() const override { return spec_; }
-  std::size_t shards() const override { return shards_; }
-
-  std::vector<std::size_t> initial_items(
-      const serve::Request& req) const override {
-    std::vector<std::size_t> items(candidates_);
-    // A session's candidate window drifts with its query sequence: repeat
-    // visitors re-rank a partially fresh slate (per-session state feeding
-    // request construction, not just telemetry).
-    const std::uint64_t base =
-        req.user * 0x9e3779b97f4a7c15ULL + (req.session_seq / 4u);
-    for (std::size_t j = 0; j < candidates_; ++j)
-      items[j] = mix(base + j) % item_space_;
-    return items;
-  }
-
-  std::vector<std::size_t> run_replicated(std::size_t, std::size_t,
-                                          const serve::Request&,
-                                          recsys::StageStats*) override {
-    return {};  // the graph has no replicated stage
-  }
-
-  std::vector<recsys::ScoredItem> run_sharded(
-      std::size_t, std::size_t, const serve::Request& req,
-      std::span<const std::size_t> slice, std::size_t k,
-      recsys::StageStats* stats) override {
-    const double n = static_cast<double>(slice.size());
-    auto& et = stats->at(recsys::OpKind::kEtLookup);
-    et.latency.value += row_cost_.latency.value * n;
-    et.energy.value += row_cost_.energy.value * n;
-    auto& dnn = stats->at(recsys::OpKind::kDnn);
-    dnn.latency.value += score_cost_.latency.value * n;
-    dnn.energy.value += score_cost_.energy.value * n;
-
-    std::vector<recsys::ScoredItem> out;
-    out.reserve(slice.size());
-    for (std::size_t item : slice)
-      out.push_back({item, static_cast<float>(
-                               mix(item ^ (req.user << 1)) >> 40)});
-    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-      return a.score != b.score ? a.score > b.score : a.item < b.item;
-    });
-    if (out.size() > k) out.resize(k);
-    return out;
-  }
-
-  std::vector<serve::RowAccess> accesses(
-      std::size_t stage, const serve::Request& req,
-      std::span<const std::size_t> slice) const override {
-    std::vector<serve::RowAccess> out;
-    accesses_into(stage, req, slice, out);
-    return out;
-  }
-
-  void accesses_into(std::size_t, const serve::Request&,
-                     std::span<const std::size_t> slice,
-                     std::vector<serve::RowAccess>& out) const override {
-    for (std::size_t item : slice)
-      out.push_back({0, static_cast<std::uint32_t>(item), false, false});
-  }
-
- private:
-  std::size_t shards_;
-  std::size_t candidates_;
-  std::size_t item_space_;
-  recsys::OpCost row_cost_;
-  recsys::OpCost score_cost_;
-  serve::PipelineSpec spec_;
-};
-
-/// Timing constants shared by every fabric the bench builds.
-struct SynthCosts {
-  recsys::OpCost row;    ///< ET row fetch (the cache-creditable part)
-  recsys::OpCost score;  ///< per-candidate scoring work
-};
-
-SynthCosts synth_costs(const core::ArchConfig& arch,
-                       const device::DeviceProfile& profile) {
-  const core::PerfModel model(arch, profile);
-  const auto fetch = model.row_fetch();
-  return {recsys::OpCost{fetch.latency, fetch.energy},
-          recsys::OpCost{Ns{25.0}, device::Pj{40.0}}};
-}
+namespace {
 
 struct RunResult {
   serve::ServeReport report;
-  double wall_ms = 0.0;        ///< whole run() wall-clock
+  double wall_ms = 0.0;           ///< whole run() wall-clock
+  std::uint64_t heap_allocs = 0;  ///< operator new calls inside run()
   serve::SessionTable::Stats sessions;
   std::size_t session_occupancy = 0;
   double session_load = 0.0;
@@ -175,20 +78,18 @@ struct RunResult {
 RunResult run_synth(const serve::ServingConfig& cfg,
                     const serve::LoadGenConfig& lg,
                     const core::ArchConfig& arch,
-                    const device::DeviceProfile& profile,
-                    std::size_t candidates) {
-  const auto costs = synth_costs(arch, profile);
-  serve::ServingRuntime rt(
-      std::make_unique<SynthServable>(cfg.shards, candidates, lg.num_users,
-                                      costs.row, costs.score),
-      cfg, arch, profile);
+                    const device::DeviceProfile& profile) {
+  serve::ServingRuntime rt(bench::make_synth(cfg, lg, arch, profile), cfg,
+                           arch, profile);
   serve::LoadGenerator gen(lg);
-  const auto t0 = std::chrono::steady_clock::now();
   RunResult r;
+  const std::uint64_t allocs0 = g_heap_allocs.load();
+  const auto t0 = std::chrono::steady_clock::now();
   r.report = rt.run(gen);
   r.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
+  r.heap_allocs = g_heap_allocs.load() - allocs0;
   if (const auto* s = gen.sessions(); s != nullptr) {
     r.sessions = s->stats();
     r.session_occupancy = s->occupancy();
@@ -206,101 +107,17 @@ int main() {
   const auto profile = device::DeviceProfile::fefet45();
   bench::JsonReport json("scaling");
 
-  std::cout << "=== Million-user steady state: host-path parity + cache "
-               "scaling laws ===\n\n";
+  std::cout << "=== Million-user steady state: cache scaling laws + host "
+               "allocation budget ===\n\n";
 
-  // --- Part A: report-parity grid ----------------------------------------
-  // reference_host_path re-enacts the pre-optimization allocation pattern;
-  // every simulated figure must match the pooled path bit-for-bit across
-  // overlap x arrival-process x class-count.
-  const std::size_t grid_queries = quick ? 160 : 480;
-  const std::size_t grid_users = 20000;
-  bool parity_ok = true;
+  // The open-loop rate every part drives: the closed-loop throughput of
+  // the scaling grid's fabric.
+  const double open_rate =
+      run_synth(bench::grid_serving_config(),
+                bench::grid_load_config(quick ? 160 : 480), arch, profile)
+          .report.qps();
 
-  // Calibrate an open-loop rate once from a closed-loop run (optimized
-  // path; the rate only needs to be identical across each compared pair).
-  double open_rate = 0.0;
-  {
-    serve::ServingConfig cfg;
-    cfg.shards = 4;
-    cfg.k = 8;
-    cfg.batcher.max_batch = 16;
-    cfg.cache.capacity_rows = 2048;
-    serve::LoadGenConfig lg;
-    lg.clients = 16;
-    lg.total_queries = grid_queries;
-    lg.num_users = grid_users;
-    lg.seed = 11;
-    const auto cal = run_synth(cfg, lg, arch, profile, 24);
-    open_rate = cal.report.qps();
-  }
-
-  util::Table parity_table("Report-parity grid (reference vs optimized)");
-  parity_table.header({"cell", "queries", "batches", "identical"});
-  for (const bool overlap : {false, true})
-    for (const bool open : {false, true})
-      for (const std::size_t classes : {std::size_t{1}, std::size_t{2}}) {
-        serve::ServingConfig cfg;
-        cfg.shards = 4;
-        cfg.k = 8;
-        cfg.batcher.max_batch = 16;
-        cfg.cache.capacity_rows = 2048;
-        cfg.overlap = overlap;
-        if (classes == 2) {
-          serve::QosClassConfig hi;
-          hi.name = "interactive";
-          hi.max_batch = 8;
-          hi.max_wait = Ns{100000.0};
-          hi.weight = 2.0;
-          serve::QosClassConfig lo;
-          lo.name = "bulk";
-          lo.max_batch = 32;
-          lo.max_wait = Ns{400000.0};
-          lo.weight = 1.0;
-          cfg.qos.classes = {hi, lo};
-        }
-        serve::LoadGenConfig lg;
-        lg.clients = 16;
-        lg.total_queries = grid_queries;
-        lg.num_users = grid_users;
-        lg.seed = 11;
-        if (open) {
-          lg.arrivals = serve::ArrivalProcess::kOpenPoisson;
-          lg.rate_qps = open_rate;
-        }
-        if (classes == 2) lg.class_mix = {0.6, 0.4};
-        // Session layer on in half the cells (keyed off overlap so the
-        // grid also proves parity under session-stamped requests).
-        if (overlap) {
-          lg.session_mode = true;
-          lg.session_capacity = 4096;
-          lg.session_churn = 0.01;
-        }
-
-        auto opt = run_synth(cfg, lg, arch, profile, 24);
-        cfg.reference_host_path = true;
-        auto ref = run_synth(cfg, lg, arch, profile, 24);
-
-        const std::string cell =
-            std::string(overlap ? "overlap" : "phased") +
-            (open ? ":open" : ":closed") + ":c" + std::to_string(classes);
-        const bool same = bench::reports_equal(opt.report, ref.report, cell);
-        parity_ok = parity_ok && same;
-        parity_table.row({cell, std::to_string(opt.report.size()),
-                          std::to_string(opt.report.batches),
-                          same ? "yes" : "NO"});
-        json.record("parity:" + cell)
-            .set("overlap", overlap ? 1 : 0)
-            .set("arrivals", open ? "poisson" : "closed")
-            .set("classes", classes)
-            .set("queries", opt.report.size())
-            .set("identical", same ? 1 : 0);
-      }
-  parity_table.print(std::cout);
-  std::cout << (parity_ok ? "parity grid: all cells bit-identical\n\n"
-                          : "parity grid: MISMATCH (see above)\n\n");
-
-  // --- Part B: cache scaling-law curves ----------------------------------
+  // --- Part A: cache scaling-law curves ----------------------------------
   // Hit rate / latency / QPS versus hot-cache capacity across population
   // scales, with the session layer churning. Streaming reports bound
   // memory, so the curve points scale to 1e7 users without retaining
@@ -337,7 +154,7 @@ int main() {
       lg.session_capacity = std::max<std::size_t>(pop / 10, 4096);
       lg.session_churn = 0.01;
 
-      const auto r = run_synth(cfg, lg, arch, profile, 24);
+      const auto r = run_synth(cfg, lg, arch, profile);
       const double qphs =
           r.wall_ms > 0.0
               ? static_cast<double>(r.report.size()) / (r.wall_ms * 1e-3)
@@ -370,73 +187,52 @@ int main() {
     }
   curve_table.print(std::cout);
 
-  // --- Part C: host speedup A/B ------------------------------------------
-  // The same scaling workload under both host paths with self-profiling:
-  // the acceptance figure is reference/optimized profiled host wall-clock.
-  const std::size_t ab_queries = quick ? 6000 : 30000;
-  serve::ServingConfig ab_cfg;
-  ab_cfg.shards = 4;
-  ab_cfg.k = 8;
-  ab_cfg.batcher.max_batch = 32;
-  ab_cfg.cache.capacity_rows = 16384;
-  ab_cfg.overlap = true;
-  ab_cfg.self_profile = true;
-  serve::LoadGenConfig ab_lg;
-  ab_lg.clients = 32;
-  ab_lg.total_queries = ab_queries;
-  ab_lg.num_users = 100000;
-  ab_lg.seed = 23;
-  ab_lg.arrivals = serve::ArrivalProcess::kOpenPoisson;
-  ab_lg.rate_qps = open_rate;
-  ab_lg.session_mode = true;
-  ab_lg.session_capacity = 16384;
-  ab_lg.session_churn = 0.01;
+  // --- Part B: host allocation budget ------------------------------------
+  // A 1e5-user scaling workload (16384-row cache, session churn) with
+  // self-profiling on; the gate counts run()'s heap allocations per
+  // served query.
+  const std::size_t budget_queries = quick ? 6000 : 30000;
+  serve::ServingConfig budget_cfg;
+  budget_cfg.shards = 4;
+  budget_cfg.k = 8;
+  budget_cfg.batcher.max_batch = 32;
+  budget_cfg.cache.capacity_rows = 16384;
+  budget_cfg.overlap = true;
+  budget_cfg.self_profile = true;
+  serve::LoadGenConfig budget_lg;
+  budget_lg.clients = 32;
+  budget_lg.total_queries = budget_queries;
+  budget_lg.num_users = 100000;
+  budget_lg.seed = 23;
+  budget_lg.arrivals = serve::ArrivalProcess::kOpenPoisson;
+  budget_lg.rate_qps = open_rate;
+  budget_lg.session_mode = true;
+  budget_lg.session_capacity = 16384;
+  budget_lg.session_churn = 0.01;
 
-  // Untimed warmup: the A/B pair runs back to back, but the first of the
-  // two otherwise pays for whatever state the scaling sweep above left
-  // behind (allocator arenas, page cache, CPU clocks) — measured as a 4x
-  // inflation of the first run's dispatch span in full mode. One throwaway
-  // run equalizes the starting conditions for both timed runs.
-  run_synth(ab_cfg, ab_lg, arch, profile, 24);
-  auto ab_opt = run_synth(ab_cfg, ab_lg, arch, profile, 24);
-  ab_cfg.reference_host_path = true;
-  auto ab_ref = run_synth(ab_cfg, ab_lg, arch, profile, 24);
-  const bool ab_same =
-      bench::reports_equal(ab_opt.report, ab_ref.report, "speedup A/B");
-  parity_ok = parity_ok && ab_same;
+  const auto budget = run_synth(budget_cfg, budget_lg, arch, profile);
+  const double allocs_per_query =
+      static_cast<double>(budget.heap_allocs) /
+      static_cast<double>(budget.report.size());
+  const bool budget_ok = allocs_per_query <= kAllocBudgetPerQuery;
+  std::cout << "\nhost allocation budget (" << budget.report.size()
+            << " queries): " << budget.heap_allocs << " heap allocations, "
+            << util::Table::num(allocs_per_query, 4) << " per query (budget "
+            << util::Table::num(kAllocBudgetPerQuery, 0) << ")"
+            << (budget_ok ? "" : " — OVER BUDGET") << "\n";
+  bench::print_host_spans("allocation-budget run",
+                          budget.report.host_span_us, std::cout);
+  auto& budget_json = json.record("alloc_budget");
+  budget_json.set("queries", budget.report.size())
+      .set("heap_allocs", static_cast<std::size_t>(budget.heap_allocs))
+      .set("allocs_per_query", allocs_per_query)
+      .set("budget_per_query", kAllocBudgetPerQuery)
+      .set("within_budget", budget_ok ? 1 : 0)
+      .set("wall_ms", budget.wall_ms);
+  for (const auto& [name, us] : budget.report.host_span_us)
+    budget_json.set(name + "_us", us);
 
-  const double opt_us = ab_opt.report.host_total_us();
-  const double ref_us = ab_ref.report.host_total_us();
-  const double speedup = opt_us > 0.0 ? ref_us / opt_us : 0.0;
-
-  util::Table ab_table("Host hot-path wall-clock (self-profiled spans, " +
-                       std::to_string(ab_queries) + " queries)");
-  ab_table.header({"span", "reference us", "optimized us", "speedup"});
-  for (const auto& [name, r_us] : ab_ref.report.host_span_us) {
-    double o_us = 0.0;
-    for (const auto& [oname, ous] : ab_opt.report.host_span_us)
-      if (oname == name) o_us = ous;
-    ab_table.row({name, util::Table::num(r_us, 0), util::Table::num(o_us, 0),
-                  o_us > 0.0 ? util::Table::factor(r_us / o_us) : "-"});
-  }
-  ab_table.row({"TOTAL", util::Table::num(ref_us, 0),
-                util::Table::num(opt_us, 0), util::Table::factor(speedup)});
-  ab_table.print(std::cout);
-
-  auto& ab_json = json.record("host_speedup");
-  ab_json.set("queries", ab_queries)
-      .set("reference_host_us", ref_us)
-      .set("optimized_host_us", opt_us)
-      .set("host_speedup", speedup)
-      .set("reports_identical", ab_same ? 1 : 0)
-      .set("reference_wall_ms", ab_ref.wall_ms)
-      .set("optimized_wall_ms", ab_opt.wall_ms);
-  for (const auto& [name, us] : ab_ref.report.host_span_us)
-    ab_json.set("ref_" + name + "_us", us);
-  for (const auto& [name, us] : ab_opt.report.host_span_us)
-    ab_json.set("opt_" + name + "_us", us);
-
-  // --- Part D: steady-state endurance (full mode) -------------------------
+  // --- Part C: steady-state endurance (full mode) -------------------------
   // A 1e7-user population through a ~1e6-slot session table until the
   // cuckoo layer saturates: near-capacity occupancy, forced evictions
   // absorbing the overflow, kick chains still bounded.
@@ -461,7 +257,7 @@ int main() {
     lg.session_max_kicks = 32;
     lg.session_churn = 0.002;
 
-    const auto r = run_synth(cfg, lg, arch, profile, 24);
+    const auto r = run_synth(cfg, lg, arch, profile);
     const double qphs =
         r.wall_ms > 0.0
             ? static_cast<double>(r.report.size()) / (r.wall_ms * 1e-3)
@@ -502,15 +298,5 @@ int main() {
   }
 
   json.write();
-
-  const bool speedup_ok = speedup >= 3.0;
-  std::cout << "\nhost speedup (reference / optimized): "
-            << util::Table::factor(speedup)
-            << (speedup_ok ? " (>= 3x acceptance met)"
-                           : " (BELOW the 3x acceptance bar)")
-            << "\nparity: "
-            << (parity_ok ? "all compared reports bit-identical"
-                          : "MISMATCH — optimization changed reports")
-            << "\n";
-  return parity_ok && speedup_ok ? 0 : 1;
+  return budget_ok ? 0 : 1;
 }

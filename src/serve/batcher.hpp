@@ -210,8 +210,7 @@ class QosBatcher {
   /// Returns drained `Batch::requests` storage to the spare pool so the
   /// next close_batch reuses its capacity instead of allocating. Purely a
   /// memory-recycling hint: batch ids, composition and close times are
-  /// identical whether or not anything is ever recycled (the optimized
-  /// runtime feeds it, the reference path never calls it).
+  /// identical whether or not anything is ever recycled.
   void recycle(std::vector<Request>&& storage);
 
  private:

@@ -105,38 +105,12 @@ HotEmbeddingCache::TierFlush HotEmbeddingCache::take_flushed_tiers() {
   return f;
 }
 
-/// Shared flush/evict tail: tier-split flush accounting plus the observer
-/// callback, identical for both bookkeeping modes.
-void HotEmbeddingCache::note_evict(std::uint64_t key, bool was_dirty) {
-  const Tier dest = dest_tier(key);
-  if (was_dirty) {
-    ++stats_.flushes;
-    ++pending_flushes_;
-    if (tier_on_) {
-      if (dest == Tier::kWarm) {
-        ++stats_.flushes_warm;
-        ++pending_flush_warm_;
-      } else {
-        ++stats_.flushes_cold;
-        ++pending_flush_cold_;
-      }
-    }
-  }
-  if (sink_ != nullptr)
-    sink_->on_cache_evict(static_cast<std::uint32_t>(key >> 32),
-                          static_cast<std::uint32_t>(key), was_dirty, dest);
-}
-
 bool HotEmbeddingCache::contains(std::uint32_t table, std::uint32_t row) const {
-  if (reference_)
-    return resident_ref_.find(key_of(table, row)) != resident_ref_.end();
   const std::uint64_t* slot = table_.find(key_of(table, row));
   return slot != nullptr && (*slot & kResidentBit) != 0;
 }
 
 bool HotEmbeddingCache::dirty(std::uint32_t table, std::uint32_t row) const {
-  if (reference_)
-    return dirty_ref_.find(key_of(table, row)) != dirty_ref_.end();
   return dirty_.contains(key_of(table, row));
 }
 
@@ -165,10 +139,27 @@ void HotEmbeddingCache::evict(std::uint64_t key) {
   *table_.find(key) &= ~kResidentBit;
   --resident_count_;
   // A dirty row leaves the buffer through its deferred array write: the
-  // eviction flushes it. Read-only streams keep dirty_ empty, so this
-  // branch never perturbs their accounting.
+  // eviction flushes it, landing in the row's owning tier. Read-only
+  // streams keep dirty_ empty, so this branch never perturbs their
+  // accounting.
   const bool was_dirty = !dirty_.empty() && dirty_.erase(key);
-  note_evict(key, was_dirty);
+  const Tier dest = dest_tier(key);
+  if (was_dirty) {
+    ++stats_.flushes;
+    ++pending_flushes_;
+    if (tier_on_) {
+      if (dest == Tier::kWarm) {
+        ++stats_.flushes_warm;
+        ++pending_flush_warm_;
+      } else {
+        ++stats_.flushes_cold;
+        ++pending_flush_cold_;
+      }
+    }
+  }
+  if (sink_ != nullptr)
+    sink_->on_cache_evict(static_cast<std::uint32_t>(key >> 32),
+                          static_cast<std::uint32_t>(key), was_dirty, dest);
 }
 
 std::uint64_t HotEmbeddingCache::take_flushed() {
@@ -179,7 +170,6 @@ std::uint64_t HotEmbeddingCache::take_flushed() {
 
 bool HotEmbeddingCache::access(std::uint32_t table, std::uint32_t row) {
   const std::uint64_t key = key_of(table, row);
-  if (reference_) return access_ref(key);
   // Single probe: bump the lifetime frequency and read residency together.
   // `slot` is held across the admission bookkeeping below, which is only
   // sound because nothing after this line structurally mutates table_:
@@ -253,7 +243,6 @@ bool HotEmbeddingCache::access(std::uint32_t table, std::uint32_t row) {
 
 bool HotEmbeddingCache::update(std::uint32_t table, std::uint32_t row) {
   const std::uint64_t key = key_of(table, row);
-  if (reference_) return update_ref(key);
   std::uint64_t& slot = table_[key];
   const std::uint64_t freq =
       (slot & kFreqMask) + 1;  // updates count toward LFU admission
@@ -273,101 +262,6 @@ bool HotEmbeddingCache::update(std::uint32_t table, std::uint32_t row) {
   }
   // No write-allocate: the array takes the write directly, so an update
   // flood can never displace the read-hot set.
-  ++stats_.update_misses;
-  if (sink_ != nullptr) sink_->on_cache_update(/*absorbed=*/false);
-  return false;
-}
-
-// --- reference bookkeeping -------------------------------------------------
-// The pre-optimization implementation, frozen: node-based unordered maps
-// for the frequency history and resident set, and a heap settle attempted
-// on every full-cache miss. Kept verbatim (modulo member names) so the
-// reference host path pays exactly the bookkeeping cost the engine had
-// before this rework, while making the same decisions to the bit.
-
-bool HotEmbeddingCache::settle_heap_ref() {
-  while (!heap_.empty()) {
-    const auto [freq, key] = heap_.top();
-    const auto it = resident_ref_.find(key);
-    if (it == resident_ref_.end()) {
-      heap_.pop();  // evicted row, stale entry
-      continue;
-    }
-    if (it->second != freq) {
-      heap_.pop();  // frequency advanced since this entry was pushed
-      heap_.emplace(it->second, key);
-      continue;
-    }
-    return true;
-  }
-  return false;
-}
-
-void HotEmbeddingCache::evict_ref(std::uint64_t key) {
-  resident_ref_.erase(key);
-  const bool was_dirty = !dirty_ref_.empty() && dirty_ref_.erase(key) > 0;
-  note_evict(key, was_dirty);
-}
-
-bool HotEmbeddingCache::access_ref(std::uint64_t key) {
-  const std::uint64_t freq = ++freq_ref_[key];
-
-  if (cfg_.capacity_rows == 0) {
-    ++stats_.misses;
-    if (tier_on_) touch_tiers(key, freq);
-    return false;
-  }
-
-  if (auto it = resident_ref_.find(key); it != resident_ref_.end()) {
-    it->second = freq;  // heap entry refreshed lazily in settle_heap_ref()
-    ++stats_.hits;
-    return true;
-  }
-
-  ++stats_.misses;
-  // The tier stack is shared with the optimized path (like heap_), and the
-  // decision points match it line for line, so tier state and statistics
-  // are bit-identical across bookkeeping modes.
-  if (tier_on_) {
-    touch_tiers(key, freq);
-    if (freq < cfg_.promote_min_freq) return false;
-  }
-  if (resident_ref_.size() < cfg_.capacity_rows) {
-    resident_ref_.emplace(key, freq);
-    if (tier_on_) ++stats_.promotions;
-    heap_.emplace(freq, key);
-    return false;
-  }
-
-  if (settle_heap_ref()) {
-    const auto [min_freq, min_key] = heap_.top();
-    if (freq > min_freq) {
-      heap_.pop();
-      evict_ref(min_key);
-      resident_ref_.emplace(key, freq);
-      tier_bound_ = min_freq;  // settled-min LFU bound for tier demotion
-      if (tier_on_) ++stats_.promotions;
-      heap_.emplace(freq, key);
-    }
-  }
-  return false;
-}
-
-bool HotEmbeddingCache::update_ref(std::uint64_t key) {
-  ++freq_ref_[key];  // updates count toward LFU admission on later reads
-
-  if (cfg_.capacity_rows == 0) {
-    ++stats_.update_misses;  // no buffer: pure write-through
-    if (sink_ != nullptr) sink_->on_cache_update(/*absorbed=*/false);
-    return false;
-  }
-  if (auto it = resident_ref_.find(key); it != resident_ref_.end()) {
-    it->second = freq_ref_[key];  // heap refreshed lazily
-    dirty_ref_.insert(key);
-    ++stats_.update_hits;
-    if (sink_ != nullptr) sink_->on_cache_update(/*absorbed=*/true);
-    return true;
-  }
   ++stats_.update_misses;
   if (sink_ != nullptr) sink_->on_cache_update(/*absorbed=*/false);
   return false;

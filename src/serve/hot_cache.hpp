@@ -46,8 +46,6 @@
 #include <deque>
 #include <queue>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "serve/observe.hpp"
@@ -176,21 +174,8 @@ class HotEmbeddingCache {
   /// Observation never alters admission, eviction or the statistics.
   void set_observer(ObserverSink* sink) noexcept { sink_ = sink; }
 
-  /// Reference (pre-optimization) bookkeeping: node-based hash maps for
-  /// the frequency history / resident set and a heap settle on every
-  /// full-cache miss — exactly the data structures and work the cache had
-  /// before the hot-path rework. Every decision and statistic is identical
-  /// (the scaling bench's parity grid asserts it run for run); only the
-  /// host cost differs. Set by the runtime under
-  /// ServingConfig::reference_host_path. Must be chosen before first use.
-  void set_reference_bookkeeping(bool on) noexcept { reference_ = on; }
-
-  std::size_t resident_rows() const noexcept {
-    return reference_ ? resident_ref_.size() : resident_count_;
-  }
-  std::size_t dirty_rows() const noexcept {
-    return reference_ ? dirty_ref_.size() : dirty_.size();
-  }
+  std::size_t resident_rows() const noexcept { return resident_count_; }
+  std::size_t dirty_rows() const noexcept { return dirty_.size(); }
   bool contains(std::uint32_t table, std::uint32_t row) const;
   bool dirty(std::uint32_t table, std::uint32_t row) const;
 
@@ -209,26 +194,18 @@ class HotEmbeddingCache {
   /// frequency; returns false when the resident set is empty.
   bool settle_heap();
 
-  /// Drops `key` from the resident set; a dirty row records its flush.
+  /// Drops `key` from the resident set; a dirty row records its flush
+  /// (split by destination tier), and the observer sees the eviction.
   void evict(std::uint64_t key);
 
   /// Tier bookkeeping for one hot-buffer miss at lifetime frequency
   /// `freq`: a warm-resident (or pinned) block is a warm hit and refreshes
   /// the block heat; anything else is a cold block fault, which admits the
   /// block warm when migration is on (demotion deferred to the next
-  /// commit). Shared verbatim by both bookkeeping modes, so tier decisions
-  /// are mode-independent.
+  /// commit).
   void touch_tiers(std::uint64_t key, std::uint64_t freq);
   /// Destination tier of a row leaving the hot buffer (flush/evict).
   Tier dest_tier(std::uint64_t key) const;
-  /// Shared flush/evict tail of evict()/evict_ref().
-  void note_evict(std::uint64_t key, bool was_dirty);
-
-  // Reference-bookkeeping twins (pre-optimization data structures).
-  bool access_ref(std::uint64_t key);
-  bool update_ref(std::uint64_t key);
-  bool settle_heap_ref();
-  void evict_ref(std::uint64_t key);
 
   using HeapEntry = std::pair<std::uint64_t, std::uint64_t>;  // (freq, key)
 
@@ -251,12 +228,6 @@ class HotEmbeddingCache {
   /// only grow and admissions replace the min with a hotter row). Misses
   /// at or below it skip the admission settle entirely.
   std::uint64_t settled_min_ = 0;
-  // Reference-bookkeeping state (populated only when reference_ is set):
-  // the node-based containers the cache used before the hot-path rework.
-  bool reference_ = false;
-  std::unordered_map<std::uint64_t, std::uint64_t> freq_ref_;
-  std::unordered_map<std::uint64_t, std::uint64_t> resident_ref_;
-  std::unordered_set<std::uint64_t> dirty_ref_;
   util::FlatSet64 dirty_;          // resident rows awaiting flush
   std::uint64_t pending_flushes_ = 0;        // since last take_flushed()
   std::uint64_t pending_flush_warm_ = 0;     // tier split of the above
@@ -270,8 +241,7 @@ class HotEmbeddingCache {
   // block packs {pin bit | reprieve bit | block heat}, where heat is the
   // max lifetime frequency seen through the block. The FIFO holds every
   // unpinned resident block in admission order; commit_migrations() pops
-  // from the front. Shared (not duplicated) by the reference-bookkeeping
-  // mode — like heap_ — so both modes make bit-identical tier decisions.
+  // from the front.
   static constexpr std::uint64_t kPinBit = 1ULL << 63;
   static constexpr std::uint64_t kChanceBit = 1ULL << 62;
   static constexpr std::uint64_t kHeatMask = kChanceBit - 1;
@@ -281,11 +251,12 @@ class HotEmbeddingCache {
   util::FlatMap64 warm_;               ///< block key -> pin|chance|heat
   std::deque<std::uint64_t> warm_fifo_;  ///< unpinned residents, FIFO order
   /// Settled-min LFU bound shared with the tier layer: the frequency of
-  /// the coldest hot-resident row at the last hot admission. Updated at
-  /// the same decision point in both bookkeeping modes (admissions are
-  /// mode-identical), so commit_migrations() sees the same bound either
-  /// way. Distinct from settled_min_, which the reference path never
-  /// maintains.
+  /// the row the last full-buffer admission evicted (the coldest
+  /// hot-resident row at that point). Deliberately NOT settled_min_: that
+  /// one moves on every heap settle, including settles whose miss is not
+  /// hot enough to admit, while this one moves only when a row is
+  /// replaced. commit_migrations() grants its reprieves against this one,
+  /// so merging the two would change tier decisions.
   std::uint64_t tier_bound_ = 0;
   std::uint64_t pending_block_faults_ = 0;  // since last take_block_faults()
   std::uint64_t faults_since_commit_ = 0;   // for the migrate trace instant

@@ -10,6 +10,9 @@ namespace imars::serve {
 StreamingHistogram::StreamingHistogram(double rel_err) : rel_err_(rel_err) {
   IMARS_REQUIRE(rel_err > 0.0 && rel_err < 1.0,
                 "StreamingHistogram: rel_err must be in (0, 1)");
+  IMARS_REQUIRE(rel_err >= kMinRelErr,
+                "StreamingHistogram: rel_err below 1e-6 overflows the int32 "
+                "bucket index");
   base_ = (1.0 + rel_err) * (1.0 + rel_err);
   log_base_ = std::log(base_);
 }

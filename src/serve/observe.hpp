@@ -69,6 +69,12 @@ constexpr std::string_view to_string(CloseTrigger t) {
 /// dispatch) collect in a dedicated zero bucket.
 class StreamingHistogram {
  public:
+  /// Finest accepted resolution. Bucket indices are int32 and every finite
+  /// positive double has |ln x| <= 744.5, so ln(base) must exceed
+  /// 744.5 / 2^31, i.e. rel_err above ~1.74e-7; the floor leaves margin.
+  static constexpr double kMinRelErr = 1e-6;
+
+  /// `rel_err` in [kMinRelErr, 1); anything else throws.
   explicit StreamingHistogram(double rel_err = 0.01);
 
   void record(double x);

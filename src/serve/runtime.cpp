@@ -222,20 +222,12 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   // (see ObserverSink), so every path below is bit-identical with or
   // without it.
   pipeline_.set_observer(sink_);
-  // Host-path A/B switch (ServingConfig::reference_host_path): simulated
-  // time is bit-identical either way; only host-side allocation behavior
-  // differs.
-  pipeline_.set_reference_mode(cfg_.reference_host_path);
   // Latency-critical classes without a hand-tuned service_estimate get a
   // graph-aware default (critical path through the servable's stage DAG,
   // probed before serving) for the preemptive-close slack computation.
   const QosBatcherConfig qos = resolved_qos();
   HotEmbeddingCache cache(cfg_.cache);
   cache.set_observer(sink_);
-  // The reference host path also re-enacts the cache's pre-optimization
-  // bookkeeping (node-based maps, per-miss heap settles) — same decisions,
-  // original host cost.
-  cache.set_reference_bookkeeping(cfg_.reference_host_path);
   // Tier-aware pin resolution: static warm pins resolve before serving,
   // from the offline row histogram or the warmup replay (deterministic for
   // this run's load config).
@@ -247,9 +239,8 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
       cfg_.cache.capacity_rows > 0 || cache.tiering_enabled() ? &cache
                                                               : nullptr;
   QosBatcher batcher(qos);
-  // Optimized host path: collected request storage flows back to the
-  // batcher's spare pool instead of being freed (the engine ignores the
-  // hook in reference mode). The hook captures this run's batcher, so it
+  // Collected request storage flows back to the batcher's spare pool
+  // instead of being freed. The hook captures this run's batcher, so it
   // must not outlive the run — the guard clears it on every exit path.
   pipeline_.set_request_recycler([&batcher](std::vector<Request>&& storage) {
     batcher.recycle(std::move(storage));
@@ -414,10 +405,10 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   // Deterministic accounting of the oldest in-flight batch (collection
   // happens in dispatch order, so overlapped and phased execution yield
   // bit-identical reports).
-  // Optimized-path scratch: one result buffer reused across every drained
-  // batch, and the SoA arena accumulating per-query records until the
-  // single materialization after the event loop.
-  std::vector<StagePipeline::QueryResult> collected;
+  // One result buffer reused across every drained batch, and the arena
+  // accumulating per-query records until the single materialization after
+  // the event loop.
+  std::vector<StagePipeline::QueryResult> results;
   QueryArena arena;
   auto drain_one = [&] {
     InflightBatch entry = std::move(inflight.front());
@@ -438,14 +429,9 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     }
     {
       HostProfiler::Scope host(prof, "host.collect");
-      if (cfg_.reference_host_path)
-        collected = pipeline_.collect(std::move(entry.handle),
-                                      *entry.servable, cache_ptr, timings_);
-      else
-        pipeline_.collect_into(std::move(entry.handle), *entry.servable,
-                               cache_ptr, timings_, collected);
+      pipeline_.collect(std::move(entry.handle), *entry.servable, cache_ptr,
+                        timings_, results);
     }
-    const auto& results = collected;
     HostProfiler::Scope host(prof, "host.report");
     ++report.batches;
     ClassReport& cr = report.classes[entry.qos_class];
@@ -498,14 +484,9 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
         q.rank_latency = res.stage_latency.back();
         q.energy = energy;
         q.device_time = device_time;
-        if (cfg_.reference_host_path) {
-          q.topk = res.topk;
-          report.queries.push_back(std::move(q));
-        } else {
-          // SoA arena: scalar columns + flat top-k pool, materialized into
-          // report.queries once after the event loop (identical records).
-          arena.push(q, res.topk);
-        }
+        // Flat arena: one scalar record + the flat top-k pool, materialized
+        // into report.queries once after the event loop.
+        arena.push(q, res.topk);
       }
       for (std::size_t s = 0; s + 1 < res.stage_stats.size(); ++s)
         report.filter_stats.merge(res.stage_stats[s]);
@@ -604,9 +585,8 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     const QosClassConfig& ccfg = qos.classes[cls];
     ServableBackend* servable = servables_[ccfg.servable].get();
     const bool urgent = ccfg.deadline.value > 0.0;
-    // Batch coordinates are captured BEFORE submit consumes the batch (the
-    // optimized path moves the request storage into the engine; the
-    // reference path copies, re-enacting the pre-optimization behavior).
+    // Batch coordinates are captured BEFORE submit consumes the batch
+    // (its request storage moves into the engine).
     InflightBatch entry;
     entry.servable = servable;
     entry.qos_class = cls;
@@ -620,12 +600,8 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     entry.trigger = batch.trigger;
     {
       HostProfiler::Scope host(prof, "host.submit");
-      entry.handle =
-          cfg_.reference_host_path
-              ? pipeline_.submit(batch, *servable, cfg_.k, ccfg.servable,
-                                 urgent)
-              : pipeline_.submit(std::move(batch), *servable, cfg_.k,
-                                 ccfg.servable, urgent);
+      entry.handle = pipeline_.submit(std::move(batch), *servable, cfg_.k,
+                                      ccfg.servable, urgent);
     }
     inflight.push_back(std::move(entry));
     if (!defer) {
@@ -804,10 +780,8 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   apply_updates_until(device::Ns{std::numeric_limits<double>::infinity()});
 
   // One bulk AoS materialization of the arena-accumulated records, outside
-  // every host span (the reference path pushed directly; streaming retains
-  // none).
-  if (!cfg_.reference_host_path && !report.streaming.enabled)
-    report.queries = arena.materialize();
+  // every host span (streaming retains none).
+  if (!report.streaming.enabled) report.queries = arena.materialize();
 
   report.shards.assign(pipeline_.usage().begin(), pipeline_.usage().end());
   for (std::size_t slot = 0; slot < pipeline_.spec_count(); ++slot) {

@@ -113,8 +113,9 @@ struct ServingConfig {
 
   /// Streaming report: drop per-query retention and fill
   /// ServeReport::streaming instead — means exact, percentiles within
-  /// `streaming_rel_err` (see StreamingAggregates). Aggregate views answer
-  /// identically (within resolution); record-only views throw.
+  /// `streaming_rel_err` (see StreamingAggregates; at least
+  /// StreamingHistogram::kMinRelErr). Aggregate views answer identically
+  /// (within resolution); record-only views throw.
   bool streaming_report = false;
   double streaming_rel_err = 0.01;
   /// Wall-clock self-profiling of the simulator's own hot path (batcher
@@ -123,15 +124,6 @@ struct ServingConfig {
   /// ServeReport::host_span_us. Host-side telemetry only — simulated time
   /// and reports are unaffected.
   bool self_profile = false;
-  /// Re-enact the pre-optimization host hot path (fresh allocations per
-  /// batch everywhere: engine State, item partitions, row-access lists,
-  /// full-sort top-k merge, per-query record pushes) instead of the pooled
-  /// arena path. Simulated-time reports are BIT-IDENTICAL in both modes —
-  /// bench_scaling's parity grid gates on that — and the two self-profiled
-  /// host wall-clocks quantify the optimization (its >= 3x acceptance
-  /// figure). Off = the optimized path; there is no reason to enable this
-  /// outside A/B measurement.
-  bool reference_host_path = false;
 
   /// The effective class table (explicit `qos`, or the single-tenant table
   /// derived from `batcher`).

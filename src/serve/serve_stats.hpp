@@ -51,10 +51,9 @@ struct ServedQuery {
 
 /// Accumulation arena for per-query records. The steady-state drain loop
 /// appends one query's scalar fields as a single contiguous POD record
-/// (one growth check, one cache line stream — column-per-field scatter
-/// measurably LOST to the reference path here) and its top-k items into
-/// one flat pool — amortized growth, no per-query vector allocation inside
-/// the profiled host.report span. materialize() rebuilds the public
+/// (one growth check, one cache line stream) and its top-k items into one
+/// flat pool — amortized growth, no per-query vector allocation inside the
+/// profiled host.report span. materialize() rebuilds the public
 /// ServedQuery records (identical values) in one pass after the event
 /// loop, outside every host span.
 struct QueryArena {
@@ -186,10 +185,9 @@ struct ServeReport {
   StreamingAggregates streaming;
   /// Host wall-clock totals per self-profile span name (microseconds; name
   /// order), filled only when ServingConfig::self_profile is set. This is
-  /// WALL-CLOCK telemetry of the simulator itself — bench_scaling divides
-  /// reference by optimized totals for its host-speedup figure — and is
-  /// deliberately outside the bit-identical-reports contract, which covers
-  /// simulated-time fields only.
+  /// WALL-CLOCK telemetry of the simulator itself, and the one field
+  /// outside the bit-identical-reports contract, which covers simulated
+  /// fields only.
   std::vector<std::pair<std::string, double>> host_span_us;
 
   /// Total profiled host wall-clock (sum over host_span_us), microseconds.

@@ -137,14 +137,6 @@ double ShardMap::share(std::size_t s) const {
   return share_[s];
 }
 
-std::vector<std::vector<std::size_t>> ShardMap::partition(
-    std::span<const std::size_t> keys) const {
-  IMARS_REQUIRE(!table_.empty(), "ShardMap::partition: empty map");
-  std::vector<std::vector<std::size_t>> slices(shards());
-  for (std::size_t key : keys) slices[shard_of(key)].push_back(key);
-  return slices;
-}
-
 void ShardMap::partition_into(
     std::span<const std::size_t> keys,
     std::vector<std::vector<std::size_t>>& slices) const {

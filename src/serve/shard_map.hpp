@@ -73,14 +73,10 @@ class ShardMap {
 
   /// Splits `keys` into per-shard slices, preserving input order within
   /// each slice. Slices are disjoint by construction and their union is
-  /// `keys`.
-  std::vector<std::vector<std::size_t>> partition(
-      std::span<const std::size_t> keys) const;
-
-  /// partition() into caller-owned storage: `slices` is resized to the
-  /// shard count and each slice cleared (capacity kept) and refilled, so a
-  /// hot scheduling loop reuses its slice buffers instead of allocating a
-  /// vector-of-vectors per (query, stage). Contents match partition().
+  /// `keys`. `slices` is resized to the shard count and each slice cleared
+  /// (capacity kept) and refilled, so a hot scheduling loop reuses its
+  /// slice buffers instead of allocating a vector-of-vectors per (query,
+  /// stage).
   void partition_into(std::span<const std::size_t> keys,
                       std::vector<std::vector<std::size_t>>& slices) const;
 

@@ -332,12 +332,6 @@ device::Ns StagePipeline::frontier() const {
   return frontier_;
 }
 
-void StagePipeline::set_reference_mode(bool on) {
-  IMARS_REQUIRE(next_submit_seq_ == next_collect_seq_,
-                "StagePipeline::set_reference_mode: batches in flight");
-  reference_mode_ = on;
-}
-
 device::Ns StagePipeline::service_estimate(
     std::size_t slot, std::span<const device::Ns> stage_cost, std::size_t k,
     std::size_t batch) const {
@@ -359,7 +353,7 @@ StagePipeline::acquire_state(std::size_t queries, std::size_t stages,
                              const PipelineSpec& spec) {
   const std::size_t ns = shards();
   std::shared_ptr<BatchHandle::State> st;
-  if (!reference_mode_ && !state_pool_.empty()) {
+  if (!state_pool_.empty()) {
     st = std::move(state_pool_.back());
     state_pool_.pop_back();
   } else {
@@ -480,19 +474,14 @@ StagePipeline::BatchHandle StagePipeline::submit(Batch batch,
     return false;
   }();
 
-  // Optimized dispatch buffers the batch's source-stage tasks per shard
-  // and hands each shard ONE composite task — one queue lock and worker
-  // wake per shard per batch instead of per query (the futex wake is the
-  // dominant host cost of fine-grained dispatch). The reference path keeps
-  // the historical per-query enqueues. Host-side granularity only: tasks
+  // Dispatch buffers the batch's source-stage tasks per shard and hands
+  // each shard ONE composite task — one queue lock and worker wake per
+  // shard per batch instead of per query (the futex wake is the dominant
+  // host cost of fine-grained dispatch). Host-side granularity only: tasks
   // run in the same per-shard order, and every timing decision is composed
   // later in collect().
-  DeferredTasks* defer = nullptr;
-  if (!reference_mode_) {
-    dispatch_scratch_.resize(ns);
-    for (auto& tasks : dispatch_scratch_) tasks.clear();
-    defer = &dispatch_scratch_;
-  }
+  dispatch_scratch_.resize(ns);
+  for (auto& tasks : dispatch_scratch_) tasks.clear();
 
   for (std::size_t qi = 0; qi < n; ++qi) {
     const Request& req = st->batch.requests[qi];
@@ -502,20 +491,20 @@ StagePipeline::BatchHandle StagePipeline::submit(Batch batch,
     if (needs_initial) st->init_items[qi] = servable.initial_items(req);
     // Kick off every source stage; the rest chain along the graph edges.
     for (std::size_t s = 0; s < stages; ++s)
-      if (graph.preds[s].empty()) schedule_stage(st, servable, qi, s, defer);
+      if (graph.preds[s].empty())
+        schedule_stage(st, servable, qi, s, &dispatch_scratch_);
   }
 
-  if (defer != nullptr)
-    for (std::size_t shard = 0; shard < ns; ++shard) {
-      if (dispatch_scratch_[shard].empty()) continue;
-      executors_.at(shard).submit(
-          [this, st, &servable, shard,
-           tasks = std::move(dispatch_scratch_[shard])] {
-            for (const auto& [qi, stage] : tasks)
-              run_stage_task(st, servable, qi, stage, shard);
-          },
-          st->urgent);
-    }
+  for (std::size_t shard = 0; shard < ns; ++shard) {
+    if (dispatch_scratch_[shard].empty()) continue;
+    executors_.at(shard).submit(
+        [this, st, &servable, shard,
+         tasks = std::move(dispatch_scratch_[shard])] {
+          for (const auto& [qi, stage] : tasks)
+            run_stage_task(st, servable, qi, stage, shard);
+        },
+        st->urgent);
+  }
 
   BatchHandle handle;
   handle.state_ = std::move(st);
@@ -644,16 +633,9 @@ void StagePipeline::schedule_stage_unchecked(
   auto& rec = st->rec[qi][stage];
   const auto& sources = graph.item_sources[stage];
   if (sources.empty()) {
-    if (reference_mode_)
-      rec.slices = map_.partition(st->init_items[qi]);
-    else
-      map_.partition_into(st->init_items[qi], rec.slices);
+    map_.partition_into(st->init_items[qi], rec.slices);
   } else if (sources.size() == 1) {
-    const auto& items = st->rec[qi][sources.front()].out_items;
-    if (reference_mode_)
-      rec.slices = map_.partition(items);
-    else
-      map_.partition_into(items, rec.slices);
+    map_.partition_into(st->rec[qi][sources.front()].out_items, rec.slices);
   } else {
     // A join over several replicated feeders consumes the concatenation
     // of their outputs, in declared edge order (deterministic).
@@ -662,10 +644,7 @@ void StagePipeline::schedule_stage_unchecked(
       const auto& out = st->rec[qi][src].out_items;
       items.insert(items.end(), out.begin(), out.end());
     }
-    if (reference_mode_)
-      rec.slices = map_.partition(items);
-    else
-      map_.partition_into(items, rec.slices);
+    map_.partition_into(items, rec.slices);
   }
   std::size_t nonempty = 0;
   for (const auto& s : rec.slices)
@@ -835,19 +814,10 @@ OpCost StagePipeline::merge_cost(std::size_t slices, std::size_t k) const {
   return cost;
 }
 
-std::vector<StagePipeline::QueryResult> StagePipeline::collect(
-    BatchHandle handle, ServableBackend& servable, HotEmbeddingCache* cache,
-    std::span<const CacheTiming> timing) {
-  std::vector<QueryResult> results;
-  collect_into(std::move(handle), servable, cache, timing, results);
-  return results;
-}
-
-void StagePipeline::collect_into(BatchHandle handle,
-                                 ServableBackend& servable,
-                                 HotEmbeddingCache* cache,
-                                 std::span<const CacheTiming> timing,
-                                 std::vector<QueryResult>& results) {
+void StagePipeline::collect(BatchHandle handle, ServableBackend& servable,
+                            HotEmbeddingCache* cache,
+                            std::span<const CacheTiming> timing,
+                            std::vector<QueryResult>& results) {
   IMARS_REQUIRE(handle.valid(), "StagePipeline::collect: invalid handle");
   IMARS_REQUIRE(handle.state_->seq == next_collect_seq_,
                 "StagePipeline::collect: handles must be collected in "
@@ -886,9 +856,8 @@ void StagePipeline::collect_into(BatchHandle handle,
   stage_end_scratch_.resize(stages);
   auto& stage_end = stage_end_scratch_;
   // The top-k tie-break (score_order: score desc, item asc) is a strict
-  // total order over distinct items, so any correct sorting algorithm
-  // yields one answer — the optimized partial_sort below is
-  // value-identical to the reference full sort.
+  // total order over distinct items, so the partial_sort below yields the
+  // same answer as any full sort.
   for (std::size_t qi = 0; qi < n; ++qi) {
     const Request& req = st->batch.requests[qi];
     QueryResult& out = results[qi];
@@ -912,18 +881,11 @@ void StagePipeline::collect_into(BatchHandle handle,
         ready = device::max(ready, stage_end[p]);
 
       // Row-access lists exist only to feed the cache; skip them when no
-      // cache is configured. The optimized path appends into a reused
-      // scratch buffer (accesses_into); the reference path materializes
-      // the pre-optimization per-stage vector.
+      // cache is configured. They append into a reused scratch buffer.
       const auto stage_accesses =
-          [&](std::size_t stage, std::span<const std::size_t> slice,
-              std::vector<RowAccess>& ref_store)
+          [&](std::size_t stage, std::span<const std::size_t> slice)
           -> std::span<const RowAccess> {
         if (cache == nullptr) return {};
-        if (reference_mode_) {
-          ref_store = servable.accesses(stage, req, slice);
-          return ref_store;
-        }
         access_scratch_.clear();
         servable.accesses_into(stage, req, slice, access_scratch_);
         return access_scratch_;
@@ -949,10 +911,9 @@ void StagePipeline::collect_into(BatchHandle handle,
           fed = fed_scratch_;
         }
         HotEmbeddingCache::TierFlush flushed;
-        std::vector<RowAccess> ref_rows;
         const StageStats adj =
-            adjust_stage(rec.rep_stats, stage_accesses(s, fed, ref_rows),
-                         cache, timing_of(home), table_base, &flushed);
+            adjust_stage(rec.rep_stats, stage_accesses(s, fed), cache,
+                         timing_of(home), table_base, &flushed);
         out.stage_stats[s] = adj;
         const device::Ns t = adj.total().latency;
         // Flush write-backs (kEtWrite) occupy the same in-memory arrays as
@@ -1015,11 +976,9 @@ void StagePipeline::collect_into(BatchHandle handle,
         if (rec.slices.empty() || rec.slices[shard].empty()) continue;
         ++contributing;
         HotEmbeddingCache::TierFlush flushed;
-        std::vector<RowAccess> ref_rows;
         const StageStats adj = adjust_stage(
-            rec.shard_stats[shard],
-            stage_accesses(s, rec.slices[shard], ref_rows), cache,
-            timing_of(shard), table_base, &flushed);
+            rec.shard_stats[shard], stage_accesses(s, rec.slices[shard]),
+            cache, timing_of(shard), table_base, &flushed);
         out.stage_stats[s].merge(adj);
         const device::Ns t = adj.total().latency;
         const device::Ns et = adj.at(OpKind::kEtLookup).latency +
@@ -1099,54 +1058,43 @@ void StagePipeline::collect_into(BatchHandle handle,
           out.work_items = st->rec[qi][s].out_items.size();
     }
 
-    if (reference_mode_) {
-      std::vector<recsys::ScoredItem> all;
-      for (std::size_t shard = 0; shard < ns; ++shard)
-        all.insert(all.end(), st->partials[qi][shard].begin(),
-                   st->partials[qi][shard].end());
-      std::sort(all.begin(), all.end(), score_order);
-      if (all.size() > st->k) all.resize(st->k);
-      out.topk = std::move(all);
-    } else {
-      // Concat into reused scratch, order only the k survivors.
-      topk_scratch_.clear();
-      for (std::size_t shard = 0; shard < ns; ++shard)
-        topk_scratch_.insert(topk_scratch_.end(),
-                             st->partials[qi][shard].begin(),
-                             st->partials[qi][shard].end());
-      const std::size_t keep = std::min(st->k, topk_scratch_.size());
-      std::partial_sort(topk_scratch_.begin(),
-                        topk_scratch_.begin() +
-                            static_cast<std::ptrdiff_t>(keep),
-                        topk_scratch_.end(), score_order);
-      out.topk.assign(topk_scratch_.begin(),
-                      topk_scratch_.begin() +
-                          static_cast<std::ptrdiff_t>(keep));
-    }
+    // Concat into reused scratch, order only the k survivors.
+    topk_scratch_.clear();
+    for (std::size_t shard = 0; shard < ns; ++shard)
+      topk_scratch_.insert(topk_scratch_.end(),
+                           st->partials[qi][shard].begin(),
+                           st->partials[qi][shard].end());
+    const std::size_t keep = std::min(st->k, topk_scratch_.size());
+    std::partial_sort(
+        topk_scratch_.begin(),
+        topk_scratch_.begin() + static_cast<std::ptrdiff_t>(keep),
+        topk_scratch_.end(), score_order);
+    out.topk.assign(topk_scratch_.begin(),
+                    topk_scratch_.begin() + static_cast<std::ptrdiff_t>(keep));
   }
 
-  if (!reference_mode_) {
-    // Close the allocate/free cycle: the batch's request storage flows back
-    // to its producer (set_request_recycler), and the State — with all its
-    // per-query buffers — parks in the pool for the next submit. Its
-    // pending_ entry is erased NOW: a pooled State never expires, so
-    // leaving the weak pointer behind would grow the list without bound.
-    if (request_recycler_) request_recycler_(std::move(st->batch.requests));
-    st->batch.requests.clear();
-    {
-      std::lock_guard lock(pending_mu_);
-      std::erase_if(pending_, [&](const auto& wp) {
-        return wp.expired() || wp.lock() == st;
-      });
-    }
-    state_pool_.push_back(std::move(st));
+  // Close the allocate/free cycle: the batch's request storage flows back
+  // to its producer (set_request_recycler), and the State — with all its
+  // per-query buffers — parks in the pool for the next submit. Its
+  // pending_ entry is erased NOW: a pooled State never expires, so
+  // leaving the weak pointer behind would grow the list without bound.
+  if (request_recycler_) request_recycler_(std::move(st->batch.requests));
+  st->batch.requests.clear();
+  {
+    std::lock_guard lock(pending_mu_);
+    std::erase_if(pending_, [&](const auto& wp) {
+      return wp.expired() || wp.lock() == st;
+    });
   }
+  state_pool_.push_back(std::move(st));
 }
 
 std::vector<StagePipeline::QueryResult> StagePipeline::execute(
     const Batch& batch, ServableBackend& servable, std::size_t k,
     HotEmbeddingCache* cache, std::span<const CacheTiming> timing) {
-  return collect(submit(batch, servable, k), servable, cache, timing);
+  std::vector<QueryResult> results;
+  collect(submit(batch, servable, k), servable, cache, timing, results);
+  return results;
 }
 
 }  // namespace imars::serve

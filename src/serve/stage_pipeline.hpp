@@ -274,11 +274,11 @@ class ServableBackend {
       std::span<const std::size_t> slice) const = 0;
 
   /// Appends the same rows accesses() would return to `out` — the engine's
-  /// optimized collect() path feeds a reused scratch buffer so the per-
-  /// (stage, shard, query) vector allocation disappears from the host hot
-  /// path. The default delegates to accesses() (still one allocation);
-  /// servables serving high-rate streams should override it to append
-  /// directly and implement accesses() on top of it.
+  /// collect() feeds a reused scratch buffer so the per-(stage, shard,
+  /// query) vector allocation disappears from the host hot path. The
+  /// default delegates to accesses() (still one allocation); servables
+  /// serving high-rate streams should override it to append directly and
+  /// implement accesses() on top of it.
   virtual void accesses_into(std::size_t stage, const Request& req,
                              std::span<const std::size_t> slice,
                              std::vector<RowAccess>& out) const {
@@ -434,35 +434,17 @@ class StagePipeline {
   /// submission order — the pipeline clocks advance batch by batch.
   /// `timing` holds either one CacheTiming shared by all shards or one per
   /// shard (heterogeneous fabrics: hits must credit back the *owning*
-  /// shard's miss cost, not the controller profile's).
-  std::vector<QueryResult> collect(BatchHandle handle,
-                                   ServableBackend& servable,
-                                   HotEmbeddingCache* cache,
-                                   std::span<const CacheTiming> timing);
+  /// shard's miss cost, not the controller profile's). `results` is resized
+  /// to the batch and refilled in place, so a steady-state drain loop
+  /// reuses one result buffer (and its per-query vectors) across batches.
+  void collect(BatchHandle handle, ServableBackend& servable,
+               HotEmbeddingCache* cache, std::span<const CacheTiming> timing,
+               std::vector<QueryResult>& results);
 
-  /// collect() into caller-owned storage: `results` is resized to the batch
-  /// and refilled in place, so a steady-state drain loop reuses one result
-  /// buffer (and its per-query vectors) instead of allocating a fresh
-  /// std::vector<QueryResult> per batch. Values are identical to collect().
-  void collect_into(BatchHandle handle, ServableBackend& servable,
-                    HotEmbeddingCache* cache,
-                    std::span<const CacheTiming> timing,
-                    std::vector<QueryResult>& results);
-
-  /// Reference mode re-enacts the engine's pre-optimization host hot path
-  /// for A/B wall-clock comparison and report-parity gating (bench_scaling):
-  /// every batch allocates a fresh State (no pooling), item partitions and
-  /// row-access lists materialize as fresh vectors, and the top-k merge
-  /// full-sorts a fresh concatenation. Simulated-time results are
-  /// bit-identical in both modes — only host-side allocation behavior
-  /// differs. Only legal while no batch is in flight.
-  void set_reference_mode(bool on);
-  bool reference_mode() const noexcept { return reference_mode_; }
-
-  /// Optimized-path hook: after collect() has accounted a batch, its
-  /// request storage is handed to `recycler` (e.g. QosBatcher::recycle)
-  /// instead of being freed, closing the allocate/free cycle between the
-  /// batcher and the engine. Ignored in reference mode.
+  /// After collect() has accounted a batch, its request storage is
+  /// handed to `recycler` (e.g. QosBatcher::recycle) instead of being
+  /// freed, closing the allocate/free cycle between the batcher and the
+  /// engine.
   void set_request_recycler(
       std::function<void(std::vector<Request>&&)> recycler) {
     request_recycler_ = std::move(recycler);
@@ -544,7 +526,7 @@ class StagePipeline {
                                       nullptr) const;
 
   /// Acquires a batch State: pooled (structure-preserving reset, steady
-  /// state allocates nothing) or fresh in reference mode.
+  /// state allocates nothing) or fresh while the pool is empty.
   std::shared_ptr<BatchHandle::State> acquire_state(std::size_t queries,
                                                     std::size_t stages,
                                                     const PipelineSpec& spec);
@@ -571,13 +553,10 @@ class StagePipeline {
   /// by batch, so out-of-order collection would corrupt them silently).
   std::uint64_t next_submit_seq_ = 0;
   std::uint64_t next_collect_seq_ = 0;
-  /// Pre-optimization host path for A/B comparison (set_reference_mode).
-  bool reference_mode_ = false;
-  /// Collected States parked for reuse (never in reference mode). Their
-  /// pending_ entries are erased at collect, so pooling cannot grow the
-  /// weak-pointer list.
+  /// Collected States parked for reuse. Their pending_ entries are erased
+  /// at collect, so pooling cannot grow the weak-pointer list.
   std::vector<std::shared_ptr<BatchHandle::State>> state_pool_;
-  /// Optimized-path request-storage recycler (set_request_recycler).
+  /// Request-storage recycler (set_request_recycler).
   std::function<void(std::vector<Request>&&)> request_recycler_;
   /// Running maximum over every committed clock value — all clock updates
   /// are monotone non-decreasing, so this equals the full scan frontier()

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -152,6 +153,17 @@ TEST(StreamingHistogram, RejectsBadConfigs) {
   EXPECT_THROW(StreamingHistogram h(0.0), std::runtime_error);
   EXPECT_THROW(StreamingHistogram h(-0.1), std::runtime_error);
   EXPECT_THROW(StreamingHistogram h(1.0), std::runtime_error);
+  // Finer than the floor, a sample's bucket index overflows int32 (at
+  // 1e-17, (1 + r)^2 rounds to 1 and every index is infinite).
+  EXPECT_THROW(StreamingHistogram h(1e-9), std::runtime_error);
+  EXPECT_THROW(StreamingHistogram h(1e-17), std::runtime_error);
+  // At the floor, the extreme finite samples still index in range.
+  StreamingHistogram fine(StreamingHistogram::kMinRelErr);
+  fine.record(std::numeric_limits<double>::denorm_min());
+  fine.record(std::numeric_limits<double>::max());
+  EXPECT_EQ(fine.bucket_count(), 2u);
+  EXPECT_EQ(fine.percentile(0.0), std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(fine.percentile(100.0), std::numeric_limits<double>::max());
   StreamingHistogram a(0.01), b(0.02);
   EXPECT_THROW(a.merge(b), std::runtime_error);
 }

@@ -1,19 +1,26 @@
 // Tests for the concurrent serving runtime (src/serve/): dynamic batching
 // triggers, shard-merge correctness against single-backend top-k, hot-cache
-// admission and hit-rate monotonicity under Zipf skew, and end-to-end
-// closed-loop serving telemetry.
+// admission and hit-rate monotonicity under Zipf skew, end-to-end
+// closed-loop serving telemetry, and the golden report digests of the
+// scaling grid.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <future>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "baseline/cpu_backend.hpp"
 #include "core/backend_factory.hpp"
+#include "core/config.hpp"
 #include "data/movielens.hpp"
 #include "data/zipf.hpp"
+#include "device/profile.hpp"
 #include "recsys/youtube_dnn.hpp"
 #include "serve/batcher.hpp"
 #include "serve/executor.hpp"
@@ -24,6 +31,7 @@
 #include "serve/shard_router.hpp"
 #include "serve/stage_pipeline.hpp"
 #include "serve_test_util.hpp"
+#include "synth_servable.hpp"
 #include "util/rng.hpp"
 
 namespace imars {
@@ -486,6 +494,116 @@ TEST(LoadGenerator, ClosedLoopBudgetAndOrdering) {
     ++issued;
   }
   EXPECT_EQ(issued, lg.total_queries);
+}
+
+// --- golden report digests --------------------------------------------------
+// The scaling grid — phased/overlap x closed/open arrivals x one/two QoS
+// classes — on the synthetic servable, pinned as per-section report
+// digests. A change anywhere in shared accounting (cache-adjusted stage
+// costs, the event clocks, the tier stack, the batcher) moves at least
+// one cell. The rows pin one toolchain's float results (GCC 12, glibc
+// 2.36, x86-64); the library builds with -ffp-contract=off, so an
+// FMA-capable -march does not move them. After an intended change, run
+// this test: every moved cell prints its new row, ready to paste over the
+// old one.
+
+serve::ServeReport serve_synth(const ServingConfig& cfg,
+                               const LoadGenConfig& lg) {
+  const core::ArchConfig arch;
+  const auto profile = device::DeviceProfile::fefet45();
+  ServingRuntime rt(bench::make_synth(cfg, lg, arch, profile), cfg, arch,
+                    profile);
+  LoadGenerator gen(lg);
+  return rt.run(gen);
+}
+
+/// A golden row as it appears in the table below.
+std::string golden_row(std::string_view cell,
+                       const serve_test::ReportDigest& d) {
+  std::string row = "{\"" + std::string(cell) + "\", {{";
+  for (std::size_t s = 0; s < d.sections.size(); ++s) {
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "%s0x%016llxULL", s == 0 ? "" : ", ",
+                  static_cast<unsigned long long>(d.sections[s]));
+    row += hex;
+  }
+  return row + "}}},";
+}
+
+TEST(ServeReport, GoldenDigestsPinTheScalingGrid) {
+  struct Golden {
+    std::string_view cell;
+    serve_test::ReportDigest digest;
+  };
+  // clang-format off
+  static constexpr Golden kGolden[] = {
+      {"phased:closed:c1", {{0x390b71d3b642a137ULL, 0x5d5e6b26af0b3b55ULL, 0x429ed30ee39394f0ULL, 0x7fcf285121116c09ULL}}},
+      {"phased:closed:c2", {{0xc573bbe13c004a4aULL, 0x2f6f859be45b544bULL, 0xb0c6f4d7963573f2ULL, 0x7ce83168952701ebULL}}},
+      {"phased:open:c1", {{0x272969bda174b1caULL, 0x5d5e6b26af0b3b55ULL, 0x429ed30ee39394f0ULL, 0x02a0ea0c8b9647ccULL}}},
+      {"phased:open:c2", {{0x2ccb7ad72874d794ULL, 0x97061a1cbbd3dc37ULL, 0xa7559849f60786daULL, 0x00530ea96478a090ULL}}},
+      {"overlap:closed:c1", {{0x9f392a35b83de559ULL, 0x3cc8ffad636b28fdULL, 0x737497d3cef2e580ULL, 0x9cc5368504537126ULL}}},
+      {"overlap:closed:c2", {{0x7b0f1b0f07c0df3bULL, 0xe8f1351234e08d45ULL, 0x5edcf50ad3e90576ULL, 0x23a78743a7c0f2b2ULL}}},
+      {"overlap:open:c1", {{0x25a25f953d94bb67ULL, 0x3cc8ffad636b28fdULL, 0x737497d3cef2e580ULL, 0x843a0cd708fb66e1ULL}}},
+      {"overlap:open:c2", {{0xe8ee1b6024254388ULL, 0x8060598235be1845ULL, 0x9dd34ea2deabacedULL, 0x362a7d68dfb4ea56ULL}}},
+  };
+  // clang-format on
+  constexpr std::size_t kQueries = 160;
+  // The open-loop cells arrive at the closed-loop grid fabric's throughput.
+  const double open_rate =
+      serve_synth(bench::grid_serving_config(),
+                  bench::grid_load_config(kQueries))
+          .qps();
+  std::size_t i = 0;
+  for (const bool overlap : {false, true})
+    for (const bool open : {false, true})
+      for (const std::size_t classes : {std::size_t{1}, std::size_t{2}}) {
+        const std::string cell = std::string(overlap ? "overlap" : "phased") +
+                                 (open ? ":open" : ":closed") + ":c" +
+                                 std::to_string(classes);
+        ASSERT_LT(i, std::size(kGolden));
+        const Golden& golden = kGolden[i++];
+        ASSERT_EQ(cell, golden.cell);
+
+        ServingConfig cfg = bench::grid_serving_config();
+        cfg.overlap = overlap;
+        LoadGenConfig lg = bench::grid_load_config(kQueries);
+        if (classes == 2) {
+          serve::QosClassConfig hi;
+          hi.name = "interactive";
+          hi.max_batch = 8;
+          hi.max_wait = Ns{100000.0};
+          hi.weight = 2.0;
+          serve::QosClassConfig lo;
+          lo.name = "bulk";
+          lo.max_batch = 32;
+          lo.max_wait = Ns{400000.0};
+          lo.weight = 1.0;
+          cfg.qos.classes = {hi, lo};
+          lg.class_mix = {0.6, 0.4};
+        }
+        if (open) {
+          lg.arrivals = serve::ArrivalProcess::kOpenPoisson;
+          lg.rate_qps = open_rate;
+        }
+        // The session layer is on in the overlap half of the grid.
+        if (overlap) {
+          lg.session_mode = true;
+          lg.session_capacity = 4096;
+          lg.session_churn = 0.01;
+        }
+
+        const serve_test::ReportDigest d =
+            serve_test::report_digest(serve_synth(cfg, lg));
+        for (std::size_t s = 0; s < d.sections.size(); ++s)
+          if (d.sections[s] != golden.digest.sections[s]) {
+            ADD_FAILURE() << "golden digest moved in cell " << cell
+                          << ": first differing section \""
+                          << serve_test::kSectionNames[s]
+                          << "\"\n  new row: " << golden_row(cell, d);
+            break;
+          }
+      }
+  EXPECT_EQ(i, std::size(kGolden));
 }
 
 }  // namespace

@@ -91,7 +91,10 @@ TEST(ShardMap, PartitionIsDisjointCover) {
   std::vector<std::size_t> items;
   for (std::size_t i = 0; i < 500; ++i) items.push_back(i * 7 + 3);
 
-  const auto slices = map.partition(items);
+  // A reused buffer arrives holding stale slices (more of them than the
+  // map has shards); partitioning must clear them, not append to them.
+  std::vector<std::vector<std::size_t>> slices = {{1, 2}, {3}, {}, {4, 5}};
+  map.partition_into(items, slices);
   ASSERT_EQ(slices.size(), 3u);
   std::multiset<std::size_t> covered;
   for (std::size_t s = 0; s < slices.size(); ++s)
