@@ -4,11 +4,16 @@
 // the modeled hardware numbers in the other benches.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "cma/cma.hpp"
 #include "data/zipf.hpp"
 #include "lsh/lsh.hpp"
 #include "nn/embedding.hpp"
 #include "nn/layer.hpp"
+#include "serve/hot_cache.hpp"
+#include "synth_servable.hpp"
 #include "tensor/qtensor.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
@@ -103,6 +108,38 @@ void BM_ZipfSample(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(zipf.sample(rng));
 }
 BENCHMARK(BM_ZipfSample);
+
+// One synth_host_1m pass through the hot-row cache: 200k queries from
+// Zipf(0.9) users over 10^6, each touching the 24 hashed candidate rows
+// the synthetic servable derives from its user, into a fresh 16384-row
+// cache — 4.8M accesses over one 10^6-row table. The stream is drawn
+// once, outside the timed loop; `per_access` is the layer's host time per
+// access.
+void BM_HotCacheAccess(benchmark::State& state) {
+  // The synthetic servable's item space is its user population.
+  constexpr std::size_t kUsers = 1000000, kQueries = 200000;
+  constexpr std::size_t kRowsPerQuery = 24;
+  const data::ZipfSampler zipf(kUsers, 0.9);
+  util::Xoshiro256 rng(11);
+  std::vector<std::uint32_t> stream;
+  stream.reserve(kQueries * kRowsPerQuery);
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    const std::uint64_t base = zipf.sample(rng) * 0x9e3779b97f4a7c15ULL;
+    for (std::size_t j = 0; j < kRowsPerQuery; ++j)
+      stream.push_back(
+          static_cast<std::uint32_t>(bench::synth_mix(base + j) % kUsers));
+  }
+  for (auto _ : state) {
+    serve::HotEmbeddingCache cache(serve::HotCacheConfig{16384});
+    for (const std::uint32_t row : stream)
+      benchmark::DoNotOptimize(cache.access(0, row));
+  }
+  state.counters["per_access"] = benchmark::Counter(
+      static_cast<double>(stream.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_HotCacheAccess)->Unit(benchmark::kMillisecond);
 
 void BM_GemvI8(benchmark::State& state) {
   util::Xoshiro256 rng(8);

@@ -11,6 +11,24 @@ HotEmbeddingCache::HotEmbeddingCache(const HotCacheConfig& cfg)
     warm_capacity_blocks_ = cfg_.warm_capacity_rows / cfg_.cold_block_rows;
 }
 
+std::uint64_t& HotEmbeddingCache::history(std::uint64_t key) {
+  // The directory holds page addresses, not indices into pages_: one
+  // dependent load fewer on the per-access path.
+  std::uint64_t& page = page_dir_[page_of(key)];
+  if (page == 0) {
+    pages_.push_back(std::make_unique<std::uint64_t[]>(kPageRows));
+    page = reinterpret_cast<std::uintptr_t>(pages_.back().get());
+  }
+  return reinterpret_cast<std::uint64_t*>(page)[key & (kPageRows - 1)];
+}
+
+std::uint64_t* HotEmbeddingCache::find_history(std::uint64_t key) noexcept {
+  const std::uint64_t* page = page_dir_.find(page_of(key));
+  return page == nullptr
+             ? nullptr
+             : &reinterpret_cast<std::uint64_t*>(*page)[key & (kPageRows - 1)];
+}
+
 // --- tiered embedding memory -----------------------------------------------
 
 bool HotEmbeddingCache::warm_resident(std::uint32_t table,
@@ -106,7 +124,7 @@ HotEmbeddingCache::TierFlush HotEmbeddingCache::take_flushed_tiers() {
 }
 
 bool HotEmbeddingCache::contains(std::uint32_t table, std::uint32_t row) const {
-  const std::uint64_t* slot = table_.find(key_of(table, row));
+  const std::uint64_t* slot = find_history(key_of(table, row));
   return slot != nullptr && (*slot & kResidentBit) != 0;
 }
 
@@ -117,7 +135,7 @@ bool HotEmbeddingCache::dirty(std::uint32_t table, std::uint32_t row) const {
 bool HotEmbeddingCache::settle_heap() {
   while (!heap_.empty()) {
     const auto [freq, key] = heap_.top();
-    const std::uint64_t* slot = table_.find(key);
+    const std::uint64_t* slot = find_history(key);
     if (slot == nullptr || (*slot & kResidentBit) == 0) {
       heap_.pop();  // evicted row, stale entry
       continue;
@@ -135,8 +153,8 @@ bool HotEmbeddingCache::settle_heap() {
 
 void HotEmbeddingCache::evict(std::uint64_t key) {
   // The frequency history outlives residency, so eviction is a bit clear
-  // on the existing slot — never an erase.
-  *table_.find(key) &= ~kResidentBit;
+  // on the existing slot.
+  *find_history(key) &= ~kResidentBit;
   --resident_count_;
   // A dirty row leaves the buffer through its deferred array write: the
   // eviction flushes it, landing in the row's owning tier. Read-only
@@ -170,16 +188,10 @@ std::uint64_t HotEmbeddingCache::take_flushed() {
 
 bool HotEmbeddingCache::access(std::uint32_t table, std::uint32_t row) {
   const std::uint64_t key = key_of(table, row);
-  // Single probe: bump the lifetime frequency and read residency together.
-  // `slot` is held across the admission bookkeeping below, which is only
-  // sound because nothing after this line structurally mutates table_:
-  // settle_heap() and evict() use table_.find (never rehashes) and
-  // evict()'s erase targets dirty_, a different map. The generation
-  // snapshot turns that argument into a debug-mode check — any future
-  // insert/erase on table_ between here and the last `slot` write trips
-  // the asserts instead of silently dereferencing a stale pointer.
-  std::uint64_t& slot = table_[key];
-  [[maybe_unused]] const std::uint64_t gen = table_.generation();
+  // One slot read bumps the lifetime frequency and reads residency
+  // together. History slots never move, so `slot` stays valid across the
+  // admission bookkeeping below.
+  std::uint64_t& slot = history(key);
   const std::uint64_t freq = (slot & kFreqMask) + 1;
   const bool resident = (slot & kResidentBit) != 0;
   slot = (slot & kResidentBit) | freq;
@@ -199,13 +211,12 @@ bool HotEmbeddingCache::access(std::uint32_t table, std::uint32_t row) {
 
   ++stats_.misses;
   if (tier_on_) {
-    touch_tiers(key, freq);  // warm_ only — never mutates table_
+    touch_tiers(key, freq);
     // Promotion threshold: rows below the access-count bar serve from
     // their tier and never contend for the hot buffer.
     if (freq < cfg_.promote_min_freq) return false;
   }
   if (resident_count_ < cfg_.capacity_rows) {
-    assert(table_.generation() == gen && "stale FlatMap64 slot pointer");
     slot |= kResidentBit;
     ++resident_count_;
     if (tier_on_) ++stats_.promotions;
@@ -229,8 +240,7 @@ bool HotEmbeddingCache::access(std::uint32_t table, std::uint32_t row) {
     settled_min_ = min_freq;
     if (freq > min_freq) {
       heap_.pop();
-      evict(min_key);  // bit-clear on the existing slot — never an erase
-      assert(table_.generation() == gen && "stale FlatMap64 slot pointer");
+      evict(min_key);
       slot |= kResidentBit;
       ++resident_count_;
       tier_bound_ = min_freq;  // settled-min LFU bound for tier demotion
@@ -243,7 +253,7 @@ bool HotEmbeddingCache::access(std::uint32_t table, std::uint32_t row) {
 
 bool HotEmbeddingCache::update(std::uint32_t table, std::uint32_t row) {
   const std::uint64_t key = key_of(table, row);
-  std::uint64_t& slot = table_[key];
+  std::uint64_t& slot = history(key);
   const std::uint64_t freq =
       (slot & kFreqMask) + 1;  // updates count toward LFU admission
   const bool resident = (slot & kResidentBit) != 0;

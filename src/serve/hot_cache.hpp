@@ -10,6 +10,14 @@
 // exceeds the coldest resident row's, so one-off scans cannot flush the
 // hot set.
 //
+// The access history is row-indexed, like the ET tables it shadows: every
+// servable reports rows as ET row indices, so rows of one table cluster in
+// a dense index range. A page of 512 rows is one zero-filled block of
+// 64-bit slots, allocated on the first touch of any of its rows and never
+// moved; a small FlatMap64 directory finds the page of (table, row >> 9).
+// The history thus costs 8 B x 512 rows per touched page, and an access
+// reads one slot.
+//
 // Write-back (embedding-update traffic, cf. MARM arXiv:2411.09425): an
 // update to a *resident* row is absorbed into the periphery buffer — the
 // row is marked dirty and the fill is charged at the buffer-write cost
@@ -44,6 +52,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <queue>
 #include <span>
 #include <vector>
@@ -190,6 +199,19 @@ class HotEmbeddingCache {
     return (key & ~0xffffffffULL) | (row - row % cfg_.cold_block_rows);
   }
 
+  /// Page-directory key of `key`: the table bits over the row's page.
+  static std::uint64_t page_of(std::uint64_t key) noexcept {
+    return (key & ~0xffffffffULL) | ((key & 0xffffffffULL) >> kPageShift);
+  }
+  /// History slot of `key`: {resident bit | lifetime freq}. Allocates the
+  /// key's zero-filled page on first touch; the slot never moves after.
+  std::uint64_t& history(std::uint64_t key);
+  /// History slot of `key`, or nullptr while its page is untouched.
+  std::uint64_t* find_history(std::uint64_t key) noexcept;
+  const std::uint64_t* find_history(std::uint64_t key) const noexcept {
+    return const_cast<HotEmbeddingCache*>(this)->find_history(key);
+  }
+
   /// Pops stale heap entries until the top reflects a current resident
   /// frequency; returns false when the resident set is empty.
   bool settle_heap();
@@ -213,16 +235,22 @@ class HotEmbeddingCache {
   CacheStats stats_;
   ObserverSink* sink_ = nullptr;  ///< pure observer; never feeds back
   // access() is the single hottest call in StagePipeline::collect(), so
-  // the frequency history and the resident set share ONE open-addressing
-  // table (util::FlatMap64): the resident set's per-key frequency is
-  // always the lifetime frequency (every touch of a resident row syncs
-  // it), so a slot packs {resident bit | lifetime freq} and an access is a
-  // single probe. Eviction clears the bit — the frequency history must
-  // survive the eviction anyway — so admission churn never erases or
-  // re-inserts a key. None of this changes any decision the cache makes.
+  // the frequency history and the resident set share ONE slot per row: the
+  // resident set's per-key frequency is always the lifetime frequency
+  // (every touch of a resident row syncs it), so a slot packs {resident
+  // bit | lifetime freq}. Eviction clears the bit — the frequency history
+  // must survive the eviction anyway. The slots live in row-indexed pages
+  // of kPageRows (8 B x 512 rows = 4 KiB per touched page), allocated
+  // zero-filled on first touch; pages never move, so a slot reference
+  // stays valid however many pages are added after it.
   static constexpr std::uint64_t kResidentBit = 1ULL << 63;
   static constexpr std::uint64_t kFreqMask = kResidentBit - 1;
-  util::FlatMap64 table_;          // key -> resident bit | lifetime freq
+  static constexpr unsigned kPageShift = 9;
+  static constexpr std::size_t kPageRows = std::size_t{1} << kPageShift;
+  /// (table << 32 | row >> kPageShift) -> address of the page's first
+  /// slot; a fresh entry reads 0.
+  util::FlatMap64 page_dir_;
+  std::vector<std::unique_ptr<std::uint64_t[]>> pages_;  ///< owns the pages
   std::size_t resident_count_ = 0;
   /// Lower bound on the coldest resident frequency (monotone: frequencies
   /// only grow and admissions replace the min with a hotter row). Misses

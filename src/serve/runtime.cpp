@@ -366,16 +366,13 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     const std::size_t home = pipeline_.shard_map().shard_of(r.id);
     const CacheTiming& timing =
         timings_.size() == 1 ? timings_.front() : timings_[home];
-    // Same key namespace as the read path (co-resident servables must not
-    // alias each other's rows).
-    const std::uint32_t table_base =
-        static_cast<std::uint32_t>(ccfg.servable) << 16;
     recsys::OpCost cost;
     // The cache object is used even when the read path runs cache-less
     // (capacity 0): update() then degrades to counted write-through, which
     // is exactly the telemetry a buffer-less fabric should report.
     for (const auto& a : sv.update_accesses(r)) {
-      const bool absorbed = cache.update(table_base + a.table, a.row);
+      const bool absorbed =
+          cache.update(cache_table_id(ccfg.servable, a.table), a.row);
       const recsys::OpCost& c =
           absorbed ? timing.buffer_fill : timing.row_write;
       cost.latency += c.latency;

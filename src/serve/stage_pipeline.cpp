@@ -681,8 +681,7 @@ void StagePipeline::finish_stage(
 
 StageStats StagePipeline::adjust_stage(
     const StageStats& measured, std::span<const RowAccess> accesses,
-    HotEmbeddingCache* cache, const CacheTiming& timing,
-    std::uint32_t table_base,
+    HotEmbeddingCache* cache, const CacheTiming& timing, std::size_t slot,
     HotEmbeddingCache::TierFlush* flushed_out) const {
   if (flushed_out != nullptr) *flushed_out = {};
   if (cache == nullptr) return measured;
@@ -697,7 +696,7 @@ StageStats StagePipeline::adjust_stage(
   // adjustment, so the tally order cannot affect results.
   group_scratch_.clear();
   for (const auto& a : accesses) {
-    const bool hit = cache->access(table_base + a.table, a.row);
+    const bool hit = cache->access(cache_table_id(slot, a.table), a.row);
     if (a.parallel_bank) {
       auto it = std::find_if(
           group_scratch_.begin(), group_scratch_.end(),
@@ -840,9 +839,6 @@ void StagePipeline::collect(BatchHandle handle, ServableBackend& servable,
   const PipelineSpec& spec = specs_[st->spec_idx];
   const PipelineSpec::Graph& graph = graphs_[st->spec_idx];
   const std::size_t base = offsets_[st->spec_idx];
-  // Co-resident servables must never alias each other's hot-cache rows.
-  const std::uint32_t table_base =
-      static_cast<std::uint32_t>(st->spec_idx) << 16;
   const std::size_t stages = spec.stage_count();
 
   // Deterministic accounting in batch order: cache rewrite of ET costs,
@@ -913,7 +909,7 @@ void StagePipeline::collect(BatchHandle handle, ServableBackend& servable,
         HotEmbeddingCache::TierFlush flushed;
         const StageStats adj =
             adjust_stage(rec.rep_stats, stage_accesses(s, fed), cache,
-                         timing_of(home), table_base, &flushed);
+                         timing_of(home), st->spec_idx, &flushed);
         out.stage_stats[s] = adj;
         const device::Ns t = adj.total().latency;
         // Flush write-backs (kEtWrite) occupy the same in-memory arrays as
@@ -978,7 +974,7 @@ void StagePipeline::collect(BatchHandle handle, ServableBackend& servable,
         HotEmbeddingCache::TierFlush flushed;
         const StageStats adj = adjust_stage(
             rec.shard_stats[shard], stage_accesses(s, rec.slices[shard]),
-            cache, timing_of(shard), table_base, &flushed);
+            cache, timing_of(shard), st->spec_idx, &flushed);
         out.stage_stats[s].merge(adj);
         const device::Ns t = adj.total().latency;
         const device::Ns et = adj.at(OpKind::kEtLookup).latency +

@@ -73,6 +73,7 @@
 #include "serve/observe.hpp"
 #include "serve/serve_stats.hpp"
 #include "serve/shard_map.hpp"
+#include "util/error.hpp"
 
 namespace imars::serve {
 
@@ -114,8 +115,10 @@ struct CacheTiming {
 
 /// One ET row touched by a query (cache bookkeeping granularity).
 struct RowAccess {
+  /// ET table index within the servable; must be below kMaxRowAccessTable
+  /// (the hot cache keeps the servable's slot in the bits above it).
   std::uint32_t table = 0;
-  std::uint32_t row = 0;
+  std::uint32_t row = 0;  ///< row index within the ET table
   bool pooled = false;  ///< pooled lookup (vs RAM-mode row fetch)
   bool first_in_table = false;  ///< first row of its table's pooled chain
   /// The row was read by one of several banks operating in parallel (the
@@ -128,6 +131,19 @@ struct RowAccess {
   /// scored impression); meaningful only when `parallel_bank` is set.
   std::uint32_t parallel_group = 0;
 };
+
+/// Exclusive bound on RowAccess::table.
+inline constexpr std::uint32_t kMaxRowAccessTable = 1u << 16;
+
+/// Hot-cache table id of table `table` of co-resident servable slot
+/// `slot`: the slot fills the upper 16 bits, so co-resident servables
+/// never alias each other's rows. The read path (collect()) and the
+/// update path (ServingRuntime) both key the cache through here.
+inline std::uint32_t cache_table_id(std::size_t slot, std::uint32_t table) {
+  IMARS_REQUIRE(table < kMaxRowAccessTable,
+                "cache_table_id: RowAccess::table must be below 1 << 16");
+  return static_cast<std::uint32_t>(slot << 16) | table;
+}
 
 /// How one pipeline stage spreads over the shard fabric.
 enum class StageKind : std::uint8_t {
@@ -511,8 +527,8 @@ class StagePipeline {
                     std::size_t stage);
 
   /// Applies the cache to `accesses` and rewrites the stage's ET-lookup
-  /// cost; returns the adjusted stats. `table_base` namespaces the cache
-  /// keys (co-resident servables must not alias each other's tables).
+  /// cost; returns the adjusted stats. The cache keys are namespaced by the
+  /// servable's `slot` (see cache_table_id()).
   /// `flushed` (optional) receives the dirty-row flush counts (with their
   /// tier split) charged into the stage's kEtWrite cost, for the
   /// observer's cache-flush events. Cold-tier block faults raised by the
@@ -521,7 +537,7 @@ class StagePipeline {
                                   std::span<const RowAccess> accesses,
                                   HotEmbeddingCache* cache,
                                   const CacheTiming& timing,
-                                  std::uint32_t table_base,
+                                  std::size_t slot,
                                   HotEmbeddingCache::TierFlush* flushed =
                                       nullptr) const;
 

@@ -1,14 +1,18 @@
 // Open-addressing hash containers for the serving hot path.
 //
-// The hot-embedding cache performs two point lookups per ET row access
-// (frequency history + resident set) and an erase/insert pair per LFU
-// admission. With node-based std::unordered_map that is one malloc per
-// new key and a free+malloc per admission — per-event heap traffic in the
-// simulator's innermost loop. FlatMap64 is a linear-probing open table
-// (u64 -> u64, splitmix64-finalized hash, backward-shift deletion, no
-// tombstones) with identical observable semantics: point queries only, no
-// iteration order is ever exposed, so swapping it in cannot change any
-// simulated figure.
+// The hot-embedding cache keeps three point-lookup structures keyed by
+// packed 64-bit ids: the directory of its row-indexed history pages (keyed
+// by table and row >> 9; one probe per ET row access, over few keys), the
+// warm tier's block map and the set of dirty resident rows. With
+// node-based std::unordered_map each new key would be one malloc and each
+// erase a free — per-event heap traffic in the simulator's innermost
+// loop. FlatMap64 is a linear-probing open table (u64 -> u64,
+// splitmix64-finalized hash, backward-shift deletion, no tombstones) with
+// identical observable semantics: point queries only, no iteration order
+// is ever exposed, so swapping it in cannot change any simulated figure.
+// Any insert may rehash and any erase may shift entries, so a pointer
+// returned by find() or operator[] is valid only until the next insert or
+// erase.
 #pragma once
 
 #include <cstddef>
@@ -31,16 +35,6 @@ class FlatMap64 {
     state_.assign(state_.size(), 0);
     size_ = 0;
   }
-
-  /// Structural-modification generation, for debug-mode invalidation
-  /// checks: bumped by every rehash (any `operator[]`/`set` insert may
-  /// trigger one) and by every successful erase (backward-shift deletion
-  /// moves surviving entries) — exactly the operations that silently
-  /// invalidate pointers previously returned by find()/operator[]. A
-  /// caller holding a value pointer across a possibly-mutating call
-  /// should snapshot generation() first and assert it is unchanged before
-  /// dereferencing again (see hot_cache.cpp's access()/update()).
-  std::uint64_t generation() const noexcept { return generation_; }
 
   /// Pointer to the value of `key`, or nullptr when absent.
   std::uint64_t* find(std::uint64_t key) noexcept {
@@ -105,7 +99,6 @@ class FlatMap64 {
     }
     state_[i] = 0;
     --size_;
-    ++generation_;  // surviving entries may have shifted slots
     return true;
   }
 
@@ -134,7 +127,6 @@ class FlatMap64 {
   }
 
   void rehash(std::size_t cap) {  // cap is a power of two
-    ++generation_;  // every slot moves: all outstanding pointers die
     std::vector<std::uint64_t> old_keys = std::move(keys_);
     std::vector<std::uint64_t> old_vals = std::move(vals_);
     std::vector<std::uint8_t> old_state = std::move(state_);
@@ -157,7 +149,6 @@ class FlatMap64 {
   std::vector<std::uint8_t> state_;
   std::size_t size_ = 0;
   std::size_t mask_ = 0;
-  std::uint64_t generation_ = 0;
 };
 
 /// FlatMap64 with the value ignored: the resident-dirty set.

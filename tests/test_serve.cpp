@@ -9,10 +9,13 @@
 #include <cstdio>
 #include <future>
 #include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baseline/cpu_backend.hpp"
@@ -195,6 +198,129 @@ TEST(HotEmbeddingCache, HitRateMonotoneInZipfSkew) {
     prev = rate;
   }
   EXPECT_GT(prev, 0.5);  // heavy skew concentrates traffic in the hot set
+}
+
+// Eager LFU reference for the cache's flat mode: residents sit in an
+// ordered set keyed by (lifetime freq, key), so the coldest one is always
+// begin(), and a miss on a full buffer replaces it only when strictly
+// hotter. Updates bump the frequency and dirty a resident row; evicting a
+// dirty row flushes it.
+struct EagerLfu {
+  explicit EagerLfu(std::size_t cap) : capacity(cap) {}
+
+  std::size_t capacity;
+  std::map<std::uint64_t, std::uint64_t> freq;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> resident;  // (freq, key)
+  std::set<std::uint64_t> dirty;
+  serve::CacheStats stats;
+  std::uint64_t pending_flushes = 0;
+
+  bool contains(std::uint64_t key) const {
+    const auto it = freq.find(key);
+    return it != freq.end() && resident.contains({it->second, key});
+  }
+  /// Bumps the lifetime frequency; returns {new freq, resident}.
+  std::pair<std::uint64_t, bool> touch(std::uint64_t key) {
+    std::uint64_t& f = freq[key];
+    const bool res = resident.erase({f, key}) > 0;
+    ++f;
+    if (res) resident.insert({f, key});
+    return {f, res};
+  }
+  bool access(std::uint64_t key) {
+    const auto [f, res] = touch(key);
+    if (res) {
+      ++stats.hits;
+      return true;
+    }
+    ++stats.misses;
+    if (resident.size() == capacity) {
+      const auto [min_freq, min_key] = *resident.begin();
+      if (f <= min_freq) return false;
+      resident.erase(resident.begin());
+      if (dirty.erase(min_key) > 0) {
+        ++stats.flushes;
+        ++pending_flushes;
+      }
+    }
+    resident.insert({f, key});
+    return false;
+  }
+  bool update(std::uint64_t key) {
+    const auto [f, res] = touch(key);
+    if (!res) {
+      ++stats.update_misses;
+      return false;
+    }
+    dirty.insert(key);
+    ++stats.update_hits;
+    return true;
+  }
+};
+
+// Pins every observable of the flat-mode cache to the eager reference on a
+// Zipf stream with 10% updates. The keys straddle history-page boundaries
+// (rows 511/512/513) and the extremes of both key halves.
+TEST(HotEmbeddingCache, MatchesEagerLfuReference) {
+  constexpr std::uint32_t kTables[] = {0, 1, 0xFFFF, 0xFFFFFFFF};
+  std::vector<std::uint32_t> rows = {0,    511,  512,        513,
+                                     1,    1023, 1024,       0xFFFFFFFF,
+                                     4095, 4096, 0xFFFFFE00, 0xFFFFFDFF};
+  util::Xoshiro256 row_rng(5);
+  while (rows.size() < 48)
+    rows.push_back(static_cast<std::uint32_t>(row_rng.below(1ULL << 32)));
+  const auto key_of = [](std::uint32_t t, std::uint32_t r) {
+    return (static_cast<std::uint64_t>(t) << 32) | r;
+  };
+  const std::size_t pool = std::size(kTables) * rows.size();
+
+  std::uint64_t flushes = 0;
+  for (const std::size_t capacity : {1, 7, 64}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    HotEmbeddingCache cache(HotCacheConfig{capacity});
+    EagerLfu ref(capacity);
+    const data::ZipfSampler zipf(pool, 0.9);
+    util::Xoshiro256 rng(17 + capacity);
+    const auto expect_same_residency = [&](std::uint32_t t, std::uint32_t r) {
+      const std::uint64_t k = key_of(t, r);
+      ASSERT_EQ(cache.contains(t, r), ref.contains(k)) << t << ":" << r;
+      ASSERT_EQ(cache.dirty(t, r), ref.dirty.contains(k)) << t << ":" << r;
+    };
+    for (std::size_t op = 0; op < 20000; ++op) {
+      const std::size_t i = zipf.sample(rng);
+      const std::uint32_t t = kTables[i % std::size(kTables)];
+      const std::uint32_t r = rows[i / std::size(kTables)];
+      if (rng.bernoulli(0.1)) {
+        ASSERT_EQ(cache.update(t, r), ref.update(key_of(t, r))) << "op " << op;
+      } else {
+        ASSERT_EQ(cache.access(t, r), ref.access(key_of(t, r))) << "op " << op;
+      }
+      if (rng.bernoulli(0.2)) {
+        ASSERT_EQ(cache.take_flushed(), ref.pending_flushes) << "op " << op;
+        ref.pending_flushes = 0;
+      }
+      ASSERT_EQ(cache.resident_rows(), ref.resident.size()) << "op " << op;
+      ASSERT_EQ(cache.dirty_rows(), ref.dirty.size()) << "op " << op;
+      expect_same_residency(t, r);
+      if (op % 500 == 0)
+        for (const std::uint32_t tt : kTables)
+          for (const std::uint32_t rr : rows) expect_same_residency(tt, rr);
+    }
+    const serve::CacheStats& s = cache.stats();
+    EXPECT_EQ(s.hits, ref.stats.hits);
+    EXPECT_EQ(s.misses, ref.stats.misses);
+    EXPECT_EQ(s.update_hits, ref.stats.update_hits);
+    EXPECT_EQ(s.update_misses, ref.stats.update_misses);
+    EXPECT_EQ(s.flushes, ref.stats.flushes);
+    EXPECT_EQ(s.warm_hits + s.cold_faults + s.cold_rows_fetched +
+                  s.warm_evictions + s.promotions + s.flushes_warm +
+                  s.flushes_cold,
+              0u);  // flat mode: the tier counters stay at zero
+    EXPECT_EQ(cache.take_flushed(), ref.pending_flushes);
+    EXPECT_GT(s.hits, 0u);
+    flushes += s.flushes;
+  }
+  EXPECT_GT(flushes, 0u);  // the stream exercises dirty evictions
 }
 
 // --- Sharded serving over the CPU oracle ----------------------------------

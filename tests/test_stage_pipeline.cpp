@@ -572,6 +572,96 @@ TEST(ServingRuntime, CoResidentTenantsServeDistinctServables) {
   }
 }
 
+/// One sharded stage whose reads and update writes all land on ET table
+/// `table`, row = item (reads) or user (writes).
+class OneTableServable final : public serve::ServableBackend {
+ public:
+  explicit OneTableServable(std::uint32_t table) : table_(table) {
+    spec_.stages = {{"score", StageKind::kSharded, {}}};
+    spec_.merge_topk = true;
+  }
+
+  std::string_view name() const override { return "one-table"; }
+  const PipelineSpec& spec() const override { return spec_; }
+  std::size_t shards() const override { return 1; }
+  std::vector<std::size_t> initial_items(const Request&) const override {
+    return {3, 4};
+  }
+  std::vector<std::size_t> run_replicated(std::size_t, std::size_t,
+                                          const Request&,
+                                          recsys::StageStats*) override {
+    return {};
+  }
+  std::vector<recsys::ScoredItem> run_sharded(
+      std::size_t, std::size_t, const Request&,
+      std::span<const std::size_t> slice, std::size_t,
+      recsys::StageStats* stats) override {
+    stats->at(recsys::OpKind::kEtLookup).latency = Ns{10.0};
+    std::vector<recsys::ScoredItem> out;
+    for (std::size_t item : slice)
+      out.push_back({item, static_cast<float>(item)});
+    return out;
+  }
+  std::vector<serve::RowAccess> accesses(
+      std::size_t, const Request&,
+      std::span<const std::size_t> slice) const override {
+    std::vector<serve::RowAccess> out;
+    for (std::size_t item : slice)
+      out.push_back({table_, static_cast<std::uint32_t>(item)});
+    return out;
+  }
+  std::vector<serve::RowAccess> update_accesses(
+      const Request& req) const override {
+    return {{table_, static_cast<std::uint32_t>(req.user)}};
+  }
+
+ private:
+  std::uint32_t table_;
+  PipelineSpec spec_;
+};
+
+// The hot cache keys a row by a 32-bit table id whose upper 16 bits hold
+// the servable's co-resident slot, so a RowAccess::table of 1 << 16 would
+// alias slot 1's table 0. Both the read path and the update path reject
+// it; the largest in-range table serves.
+TEST(ServingRuntime, RejectsRowAccessTablesBeyondTheSlotNamespace) {
+  const auto profile = device::DeviceProfile::fefet45();
+  const serve::CacheTiming timing = serve::CacheTiming::from_model(
+      core::PerfModel(core::ArchConfig{}, profile));
+  Batch batch;
+  batch.requests.push_back(make_request(0, 0.0));
+  for (const std::uint32_t table : {0xFFFFu, 0x10000u}) {
+    SCOPED_TRACE(table);
+    OneTableServable servable(table);
+    StagePipeline pipe(1, servable.spec(), profile);
+    serve::HotEmbeddingCache cache(serve::HotCacheConfig{4});
+    if (table == 0xFFFFu) {
+      EXPECT_EQ(pipe.execute(batch, servable, 2, &cache, timing).size(), 1u);
+      EXPECT_EQ(cache.stats().accesses(), 2u);
+    } else {
+      EXPECT_THROW(pipe.execute(batch, servable, 2, &cache, timing), Error);
+    }
+
+    ServingConfig cfg;
+    cfg.k = 2;
+    cfg.cache.capacity_rows = 4;
+    ServingRuntime rt(std::make_unique<OneTableServable>(table), cfg,
+                      core::ArchConfig{}, profile);
+    LoadGenConfig lg;
+    lg.clients = 1;
+    lg.total_queries = 4;
+    lg.num_users = 8;
+    lg.seed = 7;
+    lg.update_fraction = 1.0;  // updates only: no batch is ever in flight
+    LoadGenerator gen(lg);
+    if (table == 0xFFFFu) {
+      EXPECT_EQ(rt.run(gen).updates, 4u);
+    } else {
+      EXPECT_THROW(rt.run(gen), Error);
+    }
+  }
+}
+
 // --- Poisson open-loop arrivals --------------------------------------------
 
 TEST(LoadGenerator, PoissonArrivalsAreSeededAndRateConsistent) {

@@ -400,49 +400,14 @@ TEST(FlatMap64, PointOperationsMatchReferenceMapUnderChurn) {
   }
 }
 
-// Regression for the pointer-invalidation hazard: pointers returned by
-// find()/operator[] are silently invalidated by any insert that rehashes
-// and by any successful erase (backward-shift deletion moves survivors).
-// generation() must tick on exactly those operations so callers holding a
-// pointer across them (hot_cache.cpp's access()) can assert validity.
-TEST(FlatMap64, GenerationTicksOnRehashAndEraseOnly) {
-  util::FlatMap64 map;
-  map.set(1, 10);  // initial rehash(64)
-  const std::uint64_t after_first = map.generation();
-  EXPECT_GE(after_first, 1u);
-
-  // Non-rehashing mutations keep every pointer valid: the generation must
-  // hold still. Initial capacity 64 rehashes above 48 entries.
-  std::uint64_t gen = map.generation();
-  for (std::uint64_t k = 2; k <= 40; ++k) map[k] = k;
-  map.set(1, 11);            // overwrite: no structural change
-  (void)map.find(7);         // lookups never mutate
-  EXPECT_EQ(map.generation(), gen);
-
-  // Growth past 3/4 load rehashes and bumps the generation.
-  for (std::uint64_t k = 41; k <= 60; ++k) map[k] = k;
-  EXPECT_GT(map.generation(), gen);
-
-  // A successful erase bumps it (survivors may backward-shift)...
-  gen = map.generation();
-  EXPECT_TRUE(map.erase(17));
-  EXPECT_EQ(map.generation(), gen + 1);
-  // ...a failed erase does not (nothing moved).
-  EXPECT_FALSE(map.erase(17));
-  EXPECT_EQ(map.generation(), gen + 1);
-}
-
-// The documented safe pattern in hot_cache.cpp: a value reference from
-// operator[] stays valid across finds and erases on OTHER containers, and
-// the generation check proves it for any given interleaving.
+// A value reference from operator[] stays valid across lookups, which
+// never mutate the table.
 TEST(FlatMap64, HeldReferenceSurvivesNonMutatingProbes) {
   util::FlatMap64 map;
   for (std::uint64_t k = 0; k < 30; ++k) map[k] = k;
   std::uint64_t& slot = map[5];
-  const std::uint64_t gen = map.generation();
   (void)map.find(11);
   (void)map.contains(29);
-  ASSERT_EQ(map.generation(), gen);  // still safe to dereference
   slot = 123;
   EXPECT_EQ(*map.find(5), 123u);
 }
