@@ -216,35 +216,6 @@ int main(int argc, char** argv) {
             << "% lower) at goodput ratio "
             << util::Table::num(goodput_ratio, 3) << "\n\n";
 
-  // Adaptive estimates: EWMA over observed batch service, committed on the
-  // inflight hold-back schedule. Adaptation CHANGES the simulated schedule
-  // (closes fire off live estimates rather than the static config), so this
-  // is a separate record next to the static "qos" run — the determinism
-  // claim for adaptation (overlap on/off agree) is asserted in the test
-  // suite.
-  serve::ServingConfig adapt_cfg = qos_cfg;
-  adapt_cfg.self_profile = false;
-  adapt_cfg.adaptive.enabled = true;
-  serve::ServingRuntime adapt_rt(fx.factory, adapt_cfg, fx.arch, fx.profile);
-  serve::LoadGenerator adapt_gen(mix_lg);
-  const auto adapt = adapt_rt.run(adapt_gen, fx.users);
-  std::cout << "adaptive estimates: interactive p99 "
-            << util::Table::num(adapt.class_p99_latency_ns(0) * 1e-3, 1)
-            << " us (static " << util::Table::num(p99_qos * 1e-3, 1)
-            << " us), "
-            << adapt.estimate_commits
-            << " EWMA commits\n\n";
-  json.record("qos_adaptive")
-      .set("queries", overload_queries)
-      .set("rate_qps", overload_rate)
-      .set("alpha", adapt_cfg.adaptive.alpha)
-      .set("interactive_p99_us", adapt.class_p99_latency_ns(0) * 1e-3)
-      .set("bulk_p99_us", adapt.class_p99_latency_ns(1) * 1e-3)
-      .set("goodput_qps", adapt.qps())
-      .set("estimate_commits", adapt.estimate_commits)
-      .set("slo_violations",
-           adapt.classes.size() > 1 ? adapt.classes[0].slo_violations : 0);
-
   // --- fairness experiment: two saturated tenants, weights 1:3 -----------
   serve::ServingConfig fair_cfg = base_config(fx);
   serve::QosClassConfig light;

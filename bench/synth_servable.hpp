@@ -6,7 +6,7 @@
 // batcher, cache and session layers under it are the real ones. Also
 // defines the scaling grid's base fabric and load: bench_scaling
 // calibrates its open-loop rate on them, and the golden test serves its
-// eight cells on them.
+// ten cells on them.
 #pragma once
 
 #include <algorithm>
@@ -112,6 +112,13 @@ class SynthServable final : public serve::ServableBackend {
                      std::vector<serve::RowAccess>& out) const override {
     for (std::size_t item : slice)
       out.push_back({0, static_cast<std::uint32_t>(item), false, false});
+  }
+
+  /// An update writes the row of the request's first candidate.
+  std::vector<serve::RowAccess> update_accesses(
+      const serve::Request& req) const override {
+    return {{0, static_cast<std::uint32_t>(initial_items(req).front()),
+             false, false}};
   }
 
  private:

@@ -1,6 +1,7 @@
 #include "serve/batcher.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "util/error.hpp"
@@ -69,29 +70,22 @@ QosBatcherConfig QosBatcherConfig::single(const DynamicBatcherConfig& cfg) {
 QosBatcher::QosBatcher(const QosBatcherConfig& cfg)
     : cfg_(cfg),
       queues_(cfg.classes.size()),
-      admitted_cost_(cfg.classes.size(), 0.0) {
+      admitted_(cfg.classes.size(), 0) {
   IMARS_REQUIRE(!cfg_.classes.empty(), "QosBatcher: need at least one class");
+  IMARS_REQUIRE(std::isfinite(cfg_.admit_window.value),
+                "QosBatcher: admit_window must be finite");
   for (const auto& c : cfg_.classes) {
     IMARS_REQUIRE(c.max_batch >= 1, "QosBatcher: max_batch must be >= 1");
     IMARS_REQUIRE(c.max_wait.value >= 0.0,
                   "QosBatcher: max_wait must be non-negative");
     IMARS_REQUIRE(c.weight >= 0.0, "QosBatcher: weight must be non-negative");
-    IMARS_REQUIRE(c.request_cost > 0.0,
-                  "QosBatcher: request_cost must be positive");
+    IMARS_REQUIRE(std::isfinite(c.deadline.value),
+                  "QosBatcher: deadline must be finite");
+    IMARS_REQUIRE(std::isfinite(c.service_estimate.value) &&
+                      c.service_estimate.value >= 0.0,
+                  "QosBatcher: service_estimate must be finite and "
+                  "non-negative");
   }
-}
-
-void QosBatcher::set_service_estimate(std::size_t cls, device::Ns estimate) {
-  IMARS_REQUIRE(cls < cfg_.classes.size(), "QosBatcher: class out of range");
-  IMARS_REQUIRE(estimate.value >= 0.0,
-                "QosBatcher: service_estimate must be non-negative");
-  cfg_.classes[cls].service_estimate = estimate;
-}
-
-void QosBatcher::set_request_cost(std::size_t cls, double cost) {
-  IMARS_REQUIRE(cls < cfg_.classes.size(), "QosBatcher: class out of range");
-  IMARS_REQUIRE(cost > 0.0, "QosBatcher: request_cost must be positive");
-  cfg_.classes[cls].request_cost = cost;
 }
 
 void QosBatcher::add(const Request& r) {
@@ -160,7 +154,7 @@ double QosBatcher::virtual_time(std::size_t cls) const {
   IMARS_REQUIRE(cls < queues_.size(), "QosBatcher: class out of range");
   const double w = cfg_.classes[cls].weight;
   if (w <= 0.0) return std::numeric_limits<double>::infinity();
-  return admitted_cost_[cls] / w;
+  return static_cast<double>(admitted_[cls]) / w;
 }
 
 std::optional<device::Ns> QosBatcher::deadline() const {
@@ -246,8 +240,7 @@ Batch QosBatcher::close_batch(std::size_t cls, device::Ns now,
   }
   b.requests.assign(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(count));
   q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(count));
-  admitted_cost_[cls] +=
-      cfg_.classes[cls].request_cost * static_cast<double>(count);
+  admitted_[cls] += count;
   return b;
 }
 

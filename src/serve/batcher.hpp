@@ -114,6 +114,7 @@ struct QosClassConfig {
   /// (close time = enqueue + max(0, deadline - service_estimate), capped by
   /// max_wait), and the runtime's admission queue serves it
   /// earliest-deadline-first while it stays inside its weight entitlement.
+  /// Non-positive = no SLO; must be finite.
   device::Ns deadline{0.0};
   /// Expected dispatch-to-complete time of one of this class's batches,
   /// used by the preemptive close above. A static, configured estimate (the
@@ -123,16 +124,12 @@ struct QosClassConfig {
   /// bit-identical. Left unset (0) on a latency-critical class, the
   /// runtime defaults it from the servable's probed stage-graph critical
   /// path (StagePipeline::service_estimate) — still static, so the
-  /// determinism contract is preserved.
+  /// determinism contract is preserved. Must be finite and non-negative.
   device::Ns service_estimate{0.0};
   /// Device-time entitlement relative to the other classes. Weight 0 marks
   /// a scavenger class: it is only ever admitted when no other class has
   /// pending work.
   double weight = 1.0;
-  /// Admission-accounting cost of one request (virtual-time units). Classes
-  /// whose per-request device cost differs materially should scale this so
-  /// weighted admission tracks device time rather than request count.
-  double request_cost = 1.0;
   /// Which servable of the runtime serves this class (index into the
   /// servable table; classes may share one).
   std::size_t servable = 0;
@@ -146,7 +143,7 @@ struct QosBatcherConfig {
   /// where admission order (deadline classes first within entitlement, then
   /// weighted virtual time) is decided. Non-positive = ungated: batches
   /// release the instant they close, which is exactly the PR 2 single-queue
-  /// behavior.
+  /// behavior. Must be finite.
   device::Ns admit_window{0.0};
 
   bool gated() const noexcept { return admit_window.value > 0.0; }
@@ -185,9 +182,9 @@ class QosBatcher {
 
   /// Closes and returns one batch whose trigger has fired by `now`,
   /// weight-0 classes last and simultaneous fires resolved by weighted
-  /// virtual time (cumulative admitted request_cost / weight, ties to the
-  /// lower class index). Call repeatedly until nullopt — several classes
-  /// can fire on one event.
+  /// virtual time (requests admitted so far / weight, ties to the lower
+  /// class index). Call repeatedly until nullopt — several classes can
+  /// fire on one event.
   std::optional<Batch> poll(device::Ns now);
 
   /// Unconditionally closes up to max_batch requests of one class
@@ -197,15 +194,6 @@ class QosBatcher {
   /// Weighted virtual time of a class (admission accounting); weight-0
   /// classes report +inf.
   double virtual_time(std::size_t cls) const;
-
-  /// Adaptive-QoS hooks (ServingConfig::adaptive): replace a class's
-  /// service_estimate / request_cost mid-run. The runtime only calls these
-  /// at window boundaries it can prove are reached identically with
-  /// overlap on or off, so every close decision still depends on the
-  /// arrival stream plus an identical update schedule — the determinism
-  /// contract of the static estimates carries over unchanged.
-  void set_service_estimate(std::size_t cls, device::Ns estimate);
-  void set_request_cost(std::size_t cls, double cost);
 
   /// Returns drained `Batch::requests` storage to the spare pool so the
   /// next close_batch reuses its capacity instead of allocating. Purely a
@@ -227,7 +215,7 @@ class QosBatcher {
 
   QosBatcherConfig cfg_;
   std::vector<std::deque<Request>> queues_;  ///< one per class
-  std::vector<double> admitted_cost_;        ///< per class, request_cost sum
+  std::vector<std::size_t> admitted_;        ///< per class, requests closed
   std::vector<std::vector<Request>> spares_; ///< recycled batch storage
   std::size_t next_batch_id_ = 0;
 };

@@ -210,12 +210,7 @@ bool HotEmbeddingCache::access(std::uint32_t table, std::uint32_t row) {
   }
 
   ++stats_.misses;
-  if (tier_on_) {
-    touch_tiers(key, freq);
-    // Promotion threshold: rows below the access-count bar serve from
-    // their tier and never contend for the hot buffer.
-    if (freq < cfg_.promote_min_freq) return false;
-  }
+  if (tier_on_) touch_tiers(key, freq);
   if (resident_count_ < cfg_.capacity_rows) {
     slot |= kResidentBit;
     ++resident_count_;

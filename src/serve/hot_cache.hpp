@@ -70,9 +70,6 @@ struct HotCacheConfig {
   std::size_t warm_capacity_rows = 0;
   /// Rows pulled per cold-tier block fault. 0 disables tiering.
   std::size_t cold_block_rows = 0;
-  /// Minimum lifetime access count before a row may be promoted into the
-  /// hot periphery buffer (tiered mode only; 0 = no threshold).
-  std::uint64_t promote_min_freq = 0;
   /// Online migration: cold faults admit their block warm and commits
   /// demote over-capacity blocks. Off = only pinned blocks stay warm
   /// (unpinned traffic streams through the cold tier, faulting per miss).

@@ -16,6 +16,8 @@ LoadGenerator::LoadGenerator(const LoadGenConfig& cfg)
       churn_rng_(util::hash64(cfg.seed, 0x636875726eULL)) {
   IMARS_REQUIRE(cfg_.clients >= 1, "LoadGenerator: need at least one client");
   IMARS_REQUIRE(cfg_.num_users >= 1, "LoadGenerator: empty user population");
+  IMARS_REQUIRE(std::isfinite(cfg_.think.value) && cfg_.think.value >= 0.0,
+                "LoadGenerator: think must be finite and non-negative");
   if (cfg_.session_mode) {
     IMARS_REQUIRE(cfg_.session_churn >= 0.0 && cfg_.session_churn <= 1.0,
                   "LoadGenerator: session_churn must be in [0, 1]");

@@ -47,7 +47,7 @@ struct LoadGenConfig {
   std::size_t total_queries = 256; ///< stream length
   std::size_t num_users = 1;       ///< user-context population size
   double user_zipf_s = 0.9;        ///< popularity skew over users
-  device::Ns think{0.0};           ///< per-client think time (closed loop)
+  device::Ns think{0.0};           ///< closed-loop think time (finite, >= 0)
   std::uint64_t seed = 7;
   ArrivalProcess arrivals = ArrivalProcess::kClosedLoop;
   double rate_qps = 0.0;           ///< open-loop mean arrival rate (device s)

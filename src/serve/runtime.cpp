@@ -17,17 +17,10 @@ namespace imars::serve {
 
 ShardMap ServingRuntime::make_map(const ServingConfig& cfg,
                                   std::size_t shards) {
-  if (!cfg.shard_map.empty()) {
-    IMARS_REQUIRE(cfg.shard_weights.empty(),
-                  "ServingRuntime: set shard_map or shard_weights, not both");
-    IMARS_REQUIRE(cfg.shard_map.shards() == shards,
-                  "ServingRuntime: shard_map covers a different shard count");
-    return cfg.shard_map;
-  }
-  if (cfg.shard_weights.empty()) return ShardMap::uniform(shards);
-  IMARS_REQUIRE(cfg.shard_weights.size() == shards,
-                "ServingRuntime: one shard weight per shard");
-  return ShardMap::weighted(cfg.shard_weights, cfg.map_granularity);
+  if (cfg.shard_map.empty()) return ShardMap::uniform(shards);
+  IMARS_REQUIRE(cfg.shard_map.shards() == shards,
+                "ServingRuntime: shard_map covers a different shard count");
+  return cfg.shard_map;
 }
 
 namespace {
@@ -88,9 +81,6 @@ ServingRuntime::ServingRuntime(
       pipeline_(checked_shards(servables_), specs_of(servables_), profile,
                 make_map(cfg, checked_shards(servables_))) {
   IMARS_REQUIRE(cfg_.k >= 1, "ServingRuntime: k must be >= 1");
-  if (cfg_.adaptive.enabled)
-    IMARS_REQUIRE(cfg_.adaptive.alpha > 0.0 && cfg_.adaptive.alpha <= 1.0,
-                  "ServingRuntime: adaptive alpha must be in (0, 1]");
   for (const auto& cls : qos_.classes)
     IMARS_REQUIRE(cls.servable < servables_.size(),
                   "ServingRuntime: class routed to a missing servable slot");
@@ -137,6 +127,11 @@ ShardRouter& ServingRuntime::router() {
 }
 
 namespace {
+
+/// Deferred collection's in-flight depth: submission waits for the oldest
+/// batch once this many are in flight. Host scheduling only — reports are
+/// identical at any depth.
+constexpr std::size_t kMaxInflight = 4;
 
 struct ArrivalLater {
   bool operator()(const Request& a, const Request& b) const {
@@ -263,10 +258,7 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   // still overlaps query stages *within* a batch (the engine chains stages
   // with no barrier), but collects batch by batch.
   const bool defer = cfg_.overlap && open && !gated;
-  const std::size_t max_inflight =
-      std::max<std::size_t>(cfg_.max_inflight, 1);
   const device::Ns window = qos.admit_window;
-  const bool adaptive = cfg_.adaptive.enabled;
 
   // Closed loop: completions enqueue out-of-order arrivals, so a heap is
   // needed. Open loop / trace: next_arrival() already yields sorted
@@ -318,35 +310,12 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     ServableBackend* servable = nullptr;
     std::size_t qos_class = 0;
     std::size_t id = 0;        ///< batch id (observer span key)
-    std::size_t batch_index = 0;  ///< submission sequence (adaptive commits)
     device::Ns first_enqueue;  ///< oldest member's arrival
     device::Ns dispatch;  ///< batch close time (update-ordering fence)
     device::Ns release;   ///< admission-gate release (== dispatch ungated)
     CloseTrigger trigger = CloseTrigger::kSize;
   };
   std::deque<InflightBatch> inflight;
-
-  // Adaptive-QoS observation pipeline: collection records each batch's
-  // observed service time (and per-request device time); submission
-  // commits observations back into the batcher on the fixed hold-back
-  // schedule documented at submit_batch. FIFO in both modes (inflight is
-  // drained in submission order), so the committed stream is identical
-  // with overlap on or off.
-  struct AdaptiveObs {
-    std::size_t batch_index = 0;
-    std::size_t cls = 0;
-    device::Ns service;        ///< dispatch -> last member complete
-    double per_request = 0.0;  ///< mean per-request device time (ns)
-  };
-  std::deque<AdaptiveObs> obs_pending;
-  std::vector<device::Ns> est_ewma;
-  for (const auto& cls : qos.classes) est_ewma.push_back(cls.service_estimate);
-  std::vector<double> req_ewma(qos.classes.size(), 0.0);
-  // First committed per-request observation per class: the baseline that
-  // anchors request_cost scaling (cost tracks RELATIVE drift, so the
-  // configured cross-class cost ratios keep their meaning).
-  std::vector<double> req_base(qos.classes.size(), 0.0);
-  std::size_t next_batch_index = 0;
 
   // Embedding-update requests awaiting application, in arrival order.
   // Updates bypass the batcher entirely; their write traffic is applied in
@@ -435,11 +404,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     ++cr.batches;
     const device::Ns slo = qos.classes[entry.qos_class].deadline;
     device::Ns batch_complete = entry.dispatch;
-    device::Ns batch_device_time;
-    // Cold-tier block-fault time (OpKind::kEtBlock) charged into this
-    // batch, tallied separately: it feeds the adaptive-QoS observation
-    // adjustment below, and stays exactly zero with tiering disabled.
-    device::Ns batch_fault_time;
     for (const auto& res : results) {
       const Request& req = res.request;
       // Whole-run telemetry (class accounting, stage stats, makespan) is
@@ -450,7 +414,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
       for (const auto& s : res.stage_stats) {
         energy += s.total().energy;
         device_time += s.total().latency;
-        batch_fault_time += s.at(recsys::OpKind::kEtBlock).latency;
       }
       ++cr.queries;
       cr.device_time += device_time;
@@ -490,35 +453,11 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
       report.rank_stats.merge(res.stage_stats.back());
       report.makespan = device::max(report.makespan, res.complete);
       batch_complete = device::max(batch_complete, res.complete);
-      batch_device_time += device_time;
 
       // Closed loop: the client issues its next query on completion.
       if (!open)
         if (auto next = gen.next(req.client, res.complete))
           arrivals.push(*next);
-    }
-    if (adaptive && !results.empty()) {
-      AdaptiveObs obs;
-      obs.batch_index = entry.batch_index;
-      obs.cls = entry.qos_class;
-      // Tier-fault attribution: cold-block fault bursts are a tier-warming
-      // TRANSIENT, not class service drift — feeding them into the EWMA as
-      // ordinary service time inflates the estimate and triggers spurious
-      // preemptive closes for several commit windows after the hot set has
-      // re-warmed. The fault-charged time is subtracted from both observed
-      // figures (clamped at zero: faults overlap across shards, so their
-      // sum can exceed the batch's wall service). With tiering disabled
-      // kEtBlock is identically zero and the observations are unchanged.
-      obs.service = device::max(
-          batch_complete - entry.dispatch - batch_fault_time,
-          device::Ns{0.0});
-      obs.per_request =
-          std::max(batch_device_time.value - batch_fault_time.value, 0.0) /
-          static_cast<double>(results.size());
-      obs_pending.push_back(obs);
-      if (sink_ != nullptr && batch_fault_time.value > 0.0)
-        sink_->on_counter("qos.fault." + qos.classes[entry.qos_class].name,
-                          batch_complete, batch_fault_time.value);
     }
     if (sink_ != nullptr) {
       const QosClassConfig& ccfg = qos.classes[entry.qos_class];
@@ -538,46 +477,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   };
 
   auto submit_batch = [&](Batch batch, device::Ns release) {
-    const std::size_t my_index = next_batch_index++;
-    // Adaptive commits happen here, on a fixed hold-back schedule: an
-    // observation of batch B is applied only once `max_inflight` later
-    // submissions have occurred. Submission always trims inflight to
-    // max_inflight, so by submission S both the phased and the deferred
-    // loop are guaranteed to have collected every batch B with
-    // B + max_inflight < S — the commit stream (and with it every
-    // subsequent close decision) is identical with overlap on or off.
-    if (adaptive) {
-      while (!obs_pending.empty() &&
-             obs_pending.front().batch_index + max_inflight < my_index) {
-        const AdaptiveObs obs = obs_pending.front();
-        obs_pending.pop_front();
-        const double a = cfg_.adaptive.alpha;
-        est_ewma[obs.cls] = device::Ns{
-            a * obs.service.value + (1.0 - a) * est_ewma[obs.cls].value};
-        batcher.set_service_estimate(obs.cls, est_ewma[obs.cls]);
-        if (req_base[obs.cls] <= 0.0) {
-          req_base[obs.cls] = obs.per_request;
-          req_ewma[obs.cls] = obs.per_request;
-        } else {
-          req_ewma[obs.cls] =
-              a * obs.per_request + (1.0 - a) * req_ewma[obs.cls];
-        }
-        if (req_base[obs.cls] > 0.0)
-          batcher.set_request_cost(
-              obs.cls, qos.classes[obs.cls].request_cost *
-                           (req_ewma[obs.cls] / req_base[obs.cls]));
-        ++report.estimate_commits;
-        if (sink_ != nullptr) {
-          sink_->on_counter("qos.est." + qos.classes[obs.cls].name, release,
-                            est_ewma[obs.cls].value);
-          // The committed observation itself (fault-adjusted batch
-          // service), so a trace can audit the attribution against the
-          // raw batch spans.
-          sink_->on_counter("qos.obs." + qos.classes[obs.cls].name, release,
-                            obs.service.value);
-        }
-      }
-    }
     const std::size_t cls = batch.qos_class;
     const QosClassConfig& ccfg = qos.classes[cls];
     ServableBackend* servable = servables_[ccfg.servable].get();
@@ -591,7 +490,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     entry.first_enqueue = batch.requests.empty()
                               ? batch.dispatch
                               : batch.requests.front().enqueue;
-    entry.batch_index = my_index;
     entry.dispatch = batch.dispatch;
     entry.release = release;
     entry.trigger = batch.trigger;
@@ -604,7 +502,7 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     if (!defer) {
       drain_one();
     } else {
-      while (inflight.size() > max_inflight) drain_one();
+      while (inflight.size() > kMaxInflight) drain_one();
     }
   };
 

@@ -7,10 +7,10 @@
 // (arrivals, batch triggers, admission-gate openings, completions), while
 // the functional recommendation work of each dispatched batch executes
 // concurrently on the per-shard worker threads. With `overlap` enabled
-// under completion-independent arrivals (open loop / trace), up to
-// `max_inflight` batches stay in flight: batch b+1's early stages run on
-// the worker threads while batch b's late stages finish (batch composition
-// is completion-independent there, so the deferred accounting is
+// under completion-independent arrivals (open loop / trace), up to four
+// batches stay in flight: batch b+1's early stages run on the worker
+// threads while batch b's late stages finish (batch composition is
+// completion-independent there, so the deferred accounting is
 // bit-identical to phased execution).
 //
 // Multi-tenant QoS (PR 3): requests carry a priority class; each class has
@@ -63,24 +63,6 @@ struct PlacementConfig {
   std::vector<HotKey> warm_histogram;
 };
 
-/// Adaptive QoS estimates: EWMA over the observed dispatch-to-complete
-/// time of each class's batches, fed back into the batcher's preemptive
-/// close (service_estimate) and gated-admission accounting (request_cost,
-/// scaled by observed per-request device time). Observations commit on a
-/// fixed schedule — a batch's measurement is applied only once
-/// `max_inflight` later batches have been submitted, a point reached
-/// identically under phased and overlapped execution (submission n always
-/// waits for collection n - max_inflight) — so adaptation never breaks the
-/// overlap-invariance contract: reports stay bit-identical with overlap on
-/// or off, they just both follow the drifting estimates. Off (default),
-/// the estimates stay exactly as configured and every previously recorded
-/// report reproduces bit-identically.
-struct AdaptiveQosConfig {
-  bool enabled = false;
-  /// EWMA smoothing factor in (0, 1]: est' = alpha * obs + (1-alpha) * est.
-  double alpha = 0.2;
-};
-
 struct ServingConfig {
   std::size_t shards = 4;
   std::size_t k = 10;  ///< global top-k per query
@@ -90,26 +72,20 @@ struct ServingConfig {
   QosBatcherConfig qos;
   HotCacheConfig cache;
   TrafficSpec traffic;  ///< per-stage ET traffic (filter/rank servable)
-  /// Explicit item partition (e.g. ShardMap::from_costs over probed stage
-  /// costs); when empty, one is derived from `shard_weights`, or the
-  /// uniform modulo-compatible placement if those are empty too.
+  /// Explicit item partition (e.g. ShardMap::weighted over capability
+  /// weights, or ShardMap::from_costs over probed stage costs); when
+  /// empty, the uniform modulo-compatible placement.
   ShardMap shard_map;
-  /// Capability weights of the item partition (one per shard).
-  std::vector<double> shard_weights;
-  std::size_t map_granularity = 64;  ///< buckets per shard (weighted maps)
   /// Static warm-tier pins (see PlacementConfig).
   PlacementConfig placement;
-  /// Async stage overlap: keep up to `max_inflight` batches in flight so a
-  /// later batch's early stages overlap an earlier batch's late stages on
-  /// the worker threads. Honored under completion-independent arrivals
-  /// (open loop / trace) with an ungated QoS config (closed-loop batch
+  /// Async stage overlap: keep up to four batches in flight so a later
+  /// batch's early stages overlap an earlier batch's late stages on the
+  /// worker threads. Honored under completion-independent arrivals (open
+  /// loop / trace) with an ungated QoS config (closed-loop batch
   /// composition and the admission gate both depend on completions, so
   /// those loops stay phased); hardware-time reports are identical either
   /// way.
   bool overlap = false;
-  std::size_t max_inflight = 4;
-  /// Adaptive service estimates (see AdaptiveQosConfig).
-  AdaptiveQosConfig adaptive;
 
   /// Streaming report: drop per-query retention and fill
   /// ServeReport::streaming instead — means exact, percentiles within

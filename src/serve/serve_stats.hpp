@@ -175,9 +175,6 @@ struct ServeReport {
   recsys::StageStats rank_stats;
   device::Ns makespan;              ///< last completion time
   std::size_t batches = 0;
-  /// Adaptive EWMA observations committed into the batcher
-  /// (ServingConfig::adaptive); 0 with adaptation off.
-  std::size_t estimate_commits = 0;
   /// Streaming-mode aggregates (ServingConfig::streaming_report). When
   /// enabled, `queries` above stays empty and every aggregate view below
   /// answers from here instead; views needing per-query records

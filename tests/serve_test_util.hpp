@@ -32,9 +32,9 @@ namespace imars::serve_test {
 
 /// Sections of the report walk, in walk order; a digest keeps one hash per
 /// section so a golden mismatch names the first section that moved.
-///   counts  — run totals: queries, batches, updates, estimate commits,
-///             flush bytes, makespan, update cost, summed stage stats and
-///             the stage layout;
+///   counts  — run totals: queries, batches, updates, flush bytes,
+///             makespan, update cost, summed stage stats and the stage
+///             layout;
 ///   cache   — every CacheStats counter;
 ///   clocks  — per-shard stage and write busy time, per-class records;
 ///   queries — per-query records (streaming aggregates in streaming mode).
@@ -113,7 +113,6 @@ void visit_report(const serve::ServeReport& r, Emit&& emit) {
   section = 0;  // counts
   count("queries", r.size());
   count("batches", r.batches);
-  count("estimate_commits", r.estimate_commits);
   count("updates", r.updates);
   count("flush_bytes", r.flush_bytes);
   real("makespan", r.makespan.value);

@@ -6,11 +6,9 @@
 // (overlap on/off x open/closed loop x 1/3 classes).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
+#include <limits>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "baseline/cpu_backend.hpp"
@@ -21,6 +19,7 @@
 #include "serve/load_gen.hpp"
 #include "serve/runtime.hpp"
 #include "serve_test_util.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace imars {
@@ -273,7 +272,11 @@ TEST(QosBatcher, WeightedAdmissionSplitsSimultaneousFires) {
     ASSERT_TRUE(second.has_value());
     ++closed[first->qos_class];
     ++closed[second->qos_class];
-    // Virtual time must favor the heavy class 3:1 in the long run.
+    // Virtual time is exactly the class's closed requests over its weight
+    // (every batch here holds one request)...
+    EXPECT_EQ(b.virtual_time(0), static_cast<double>(closed[0]) / 1.0);
+    EXPECT_EQ(b.virtual_time(1), static_cast<double>(closed[1]) / 3.0);
+    // ...and must favor the heavy class 3:1 in the long run.
     EXPECT_LE(b.virtual_time(1), b.virtual_time(0) + 1.0);
   }
   EXPECT_EQ(closed[0] + closed[1], 80u);
@@ -332,6 +335,48 @@ TEST(QosBatcher, RejectsBadConfigsAndLabels) {
   QosBatcher b(two);
   EXPECT_THROW(b.add(make_request(0, 0.0, 2)), std::runtime_error);
   EXPECT_THROW((void)b.pending(7), std::runtime_error);
+
+  // Time knobs. A non-positive deadline or admission window still means
+  // "none", but a NaN one used to switch the SLO or the gate off without
+  // a word, so a non-finite value is a named error; so is a negative or
+  // non-finite service estimate.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto error_with = [&](auto&& tweak) -> std::string {
+    QosBatcherConfig cfg = two;
+    tweak(cfg);
+    try {
+      QosBatcher rejected(cfg);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return {};
+  };
+  for (const double v : {nan, inf, -inf}) {
+    EXPECT_NE(error_with([&](QosBatcherConfig& c) {
+                c.classes[1].deadline = Ns{v};
+              }).find("deadline must be finite"),
+              std::string::npos)
+        << v;
+    EXPECT_NE(error_with([&](QosBatcherConfig& c) {
+                c.admit_window = Ns{v};
+              }).find("admit_window must be finite"),
+              std::string::npos)
+        << v;
+  }
+  for (const double v : {nan, inf, -1.0}) {
+    EXPECT_NE(error_with([&](QosBatcherConfig& c) {
+                c.classes[0].service_estimate = Ns{v};
+              }).find("service_estimate must be finite and non-negative"),
+              std::string::npos)
+        << v;
+  }
+  EXPECT_EQ(error_with([](QosBatcherConfig& c) {
+              c.classes[0].deadline = Ns{-1.0};
+              c.classes[0].service_estimate = Ns{0.0};
+              c.admit_window = Ns{-1.0};
+            }),
+            "");
 }
 
 // --- Runtime determinism grid ----------------------------------------------
@@ -360,24 +405,10 @@ struct QosServeFixture {
     factory = core::cpu_backend_factory(*model, cpu_cfg);
   }
 
-  /// Knobs riding along the (classes, open, overlap, gated) grid. The
-  /// same opts object drives a phased/overlapped pair: `adaptive` commits
-  /// on a fixed schedule, so both runs see an identical workload and
-  /// config.
-  struct RunOpts {
-    bool adaptive = false;
-    double alpha = 0.2;
-    double think = 0.0;  ///< closed-loop client think time (ns)
-    serve::ObserverSink* sink = nullptr;
-  };
-
+  /// One cell of the (classes, open, overlap, gated) grid; `think_ns` is
+  /// the closed-loop client think time.
   serve::ServeReport run(std::size_t classes, bool open, bool overlap,
-                         bool gated = false) {
-    return run(classes, open, overlap, gated, RunOpts{});
-  }
-
-  serve::ServeReport run(std::size_t classes, bool open, bool overlap,
-                         bool gated, const RunOpts& opts) {
+                         bool gated = false, double think_ns = 0.0) {
     ServingConfig cfg;
     cfg.shards = 3;
     cfg.k = 5;
@@ -385,9 +416,6 @@ struct QosServeFixture {
     cfg.batcher.max_wait = Ns{300000.0};
     cfg.cache.capacity_rows = 1024;
     cfg.overlap = overlap;
-    cfg.max_inflight = 3;
-    cfg.adaptive.enabled = opts.adaptive;
-    cfg.adaptive.alpha = opts.alpha;
     if (classes > 1) {
       auto interactive = make_class("interactive", 2, 300000.0, 2.0);
       interactive.deadline = Ns{150000.0};
@@ -398,13 +426,12 @@ struct QosServeFixture {
     }
     ServingRuntime rt(factory, cfg, core::ArchConfig{},
                       device::DeviceProfile::fefet45());
-    rt.set_observer(opts.sink);
     LoadGenConfig lg;
     lg.clients = 8;
     lg.total_queries = 40;
     lg.num_users = users.size();
     lg.seed = 171;
-    lg.think = Ns{opts.think};
+    lg.think = Ns{think_ns};
     if (classes > 1) lg.class_mix = {0.2, 0.7, 0.1};
     if (open) {
       lg.arrivals = ArrivalProcess::kOpenPoisson;
@@ -487,7 +514,7 @@ TEST(QosRuntime, GatedAdmissionIsSeedDeterministic) {
   }
 }
 
-// --- Overlap invariance & adaptive estimates -------------------------------
+// --- Overlap invariance -----------------------------------------------------
 
 TEST(QosRuntime, OverlapMatchesPhasedAcrossRegimeGrid) {
   QosServeFixture fx;
@@ -500,12 +527,11 @@ TEST(QosRuntime, OverlapMatchesPhasedAcrossRegimeGrid) {
     for (const bool open : {false, true}) {
       for (const bool gated : {false, true}) {
         if (gated && classes == 1) continue;  // gating needs a class table
-        QosServeFixture::RunOpts opts;
-        opts.think = open ? 0.0 : 40000.0;
+        const double think_ns = open ? 0.0 : 40000.0;
         const auto phased = fx.run(classes, open, /*overlap=*/false, gated,
-                                   opts);
+                                   think_ns);
         const auto overlapped = fx.run(classes, open, /*overlap=*/true,
-                                       gated, opts);
+                                       gated, think_ns);
         serve_test::expect_reports_identical(phased, overlapped);
         ASSERT_EQ(overlapped.size(), 40u)
             << "classes=" << classes << " open=" << open
@@ -513,114 +539,6 @@ TEST(QosRuntime, OverlapMatchesPhasedAcrossRegimeGrid) {
       }
     }
   }
-}
-
-TEST(QosRuntime, AdaptiveReportsAreOverlapInvariant) {
-  QosServeFixture fx;
-  // Adaptive commits ride the fixed hold-back schedule, so the drifting
-  // estimates steer phased and overlapped execution identically: the
-  // reports (which now both follow the adapted estimates) stay
-  // bit-identical, and the commit counts agree exactly.
-  for (const bool open : {false, true}) {
-    QosServeFixture::RunOpts opts;
-    opts.adaptive = true;
-    opts.think = open ? 0.0 : 40000.0;
-    const auto phased = fx.run(3, open, /*overlap=*/false, /*gated=*/false,
-                               opts);
-    const auto overlapped = fx.run(3, open, /*overlap=*/true,
-                                   /*gated=*/false, opts);
-    serve_test::expect_reports_identical(phased, overlapped);
-    EXPECT_GT(phased.estimate_commits, 0u);
-    EXPECT_EQ(phased.estimate_commits, overlapped.estimate_commits);
-  }
-}
-
-namespace {
-struct CounterRecorder final : serve::ObserverSink {
-  std::vector<std::pair<std::string, double>> counters;
-  void on_counter(std::string_view name, Ns, double value) override {
-    counters.emplace_back(std::string(name), value);
-  }
-};
-}  // namespace
-
-TEST(QosRuntime, AdaptiveEwmaTracksObservedServiceExactly) {
-  QosServeFixture fx;
-  // With alpha = 1 the EWMA degenerates to "estimate := last committed
-  // observation", so every committed qos.est.<class> counter must equal
-  // the observed service time (dispatch -> last member complete) of the
-  // corresponding batch — batches commit in submission order (== batch id
-  // order when ungated), held back by max_inflight (3 in this fixture).
-  CounterRecorder rec;
-  QosServeFixture::RunOpts opts;
-  opts.adaptive = true;
-  opts.alpha = 1.0;
-  opts.sink = &rec;
-  const auto report = fx.run(3, /*open=*/true, /*overlap=*/false,
-                             /*gated=*/false, opts);
-  // Per-batch observed service and class, keyed by batch id.
-  std::map<std::size_t, double> service;
-  std::map<std::size_t, std::string> cls_of;
-  for (const auto& q : report.queries) {
-    const double s = (q.complete - q.dispatch).value;
-    auto [it, fresh] = service.try_emplace(q.batch, s);
-    if (!fresh) it->second = std::max(it->second, s);
-    cls_of[q.batch] = report.classes[q.qos_class].name;
-  }
-  std::vector<std::pair<std::string, double>> got;
-  for (const auto& [name, value] : rec.counters)
-    if (name.rfind("qos.est.", 0) == 0) got.emplace_back(name, value);
-  ASSERT_EQ(service.size(), report.batches);
-  ASSERT_GT(report.estimate_commits, 0u);
-  ASSERT_EQ(got.size(), report.estimate_commits);
-  // Submissions 0..N-1 commit batches 0..N-2-max_inflight, in order.
-  ASSERT_EQ(got.size(), report.batches - 1 - 3);
-  for (std::size_t b = 0; b < got.size(); ++b) {
-    EXPECT_EQ(got[b].first, "qos.est." + cls_of[b]) << "commit " << b;
-    EXPECT_DOUBLE_EQ(got[b].second, service[b]) << "commit " << b;
-  }
-}
-
-TEST(QosRuntime, AdaptiveAlphaIsValidatedAtConstruction) {
-  QosServeFixture fx;
-  // A bad smoothing factor is a config error: the constructor rejects it,
-  // before any run() (and its placement warmup) starts.
-  for (const double alpha : {0.0, 1.5}) {
-    ServingConfig cfg;
-    cfg.adaptive.enabled = true;
-    cfg.adaptive.alpha = alpha;
-    EXPECT_THROW(ServingRuntime(fx.factory, cfg, core::ArchConfig{},
-                                device::DeviceProfile::fefet45()),
-                 std::runtime_error)
-        << "alpha=" << alpha;
-  }
-}
-
-TEST(QosBatcher, AdaptiveSettersFeedTriggerAndAdmission) {
-  // set_service_estimate moves the preemptive trigger of the CURRENT
-  // queue contents (trigger_time recomputes per call), and
-  // set_request_cost rescales subsequent admission accounting.
-  auto cls = make_class("interactive", 8, 1e9, 1.0);
-  cls.deadline = Ns{100.0};
-  cls.service_estimate = Ns{30.0};
-  QosBatcherConfig cfg;
-  cfg.classes = {cls};
-  QosBatcher b(cfg);
-  b.add(make_request(0, 1000.0));
-  ASSERT_TRUE(b.deadline().has_value());
-  EXPECT_DOUBLE_EQ(b.deadline()->value, 1070.0);
-  b.set_service_estimate(0, Ns{60.0});
-  EXPECT_DOUBLE_EQ(b.deadline()->value, 1040.0);
-  ASSERT_TRUE(b.poll(Ns{1040.0}).has_value());
-  EXPECT_DOUBLE_EQ(b.virtual_time(0), 1.0);  // request_cost 1 x 1 request
-  b.set_request_cost(0, 4.0);
-  b.add(make_request(1, 2000.0));
-  ASSERT_TRUE(b.flush(Ns{2000.0}).has_value());
-  EXPECT_DOUBLE_EQ(b.virtual_time(0), 5.0);  // + 4.0 under the new cost
-  // Setter validation mirrors the constructor's.
-  EXPECT_THROW(b.set_service_estimate(1, Ns{1.0}), std::runtime_error);
-  EXPECT_THROW(b.set_service_estimate(0, Ns{-1.0}), std::runtime_error);
-  EXPECT_THROW(b.set_request_cost(0, 0.0), std::runtime_error);
 }
 
 TEST(QosRuntime, StaleScavengerTriggerNeverBackdatesDispatch) {

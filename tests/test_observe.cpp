@@ -322,7 +322,6 @@ struct ObserveFixture {
     cfg.batcher.max_wait = Ns{300000.0};
     cfg.cache.capacity_rows = 1024;
     cfg.overlap = o.overlap;
-    cfg.max_inflight = 3;
     cfg.streaming_report = o.streaming;
     cfg.self_profile = o.self_profile;
     if (o.classes > 1) {

@@ -97,7 +97,6 @@ struct PlacementFixture {
     cfg.batcher.max_wait = Ns{300000.0};
     cfg.cache.capacity_rows = 256;
     cfg.overlap = overlap;
-    cfg.max_inflight = 3;
     if (classes > 1) {
       serve::QosClassConfig interactive;
       interactive.name = "interactive";

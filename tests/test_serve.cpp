@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <future>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -35,6 +36,7 @@
 #include "serve/stage_pipeline.hpp"
 #include "serve_test_util.hpp"
 #include "synth_servable.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace imars {
@@ -622,11 +624,36 @@ TEST(LoadGenerator, ClosedLoopBudgetAndOrdering) {
   EXPECT_EQ(issued, lg.total_queries);
 }
 
+TEST(LoadGenerator, RejectsNonFiniteOrNegativeThink) {
+  // A NaN think time made every closed-loop arrival, and with them the
+  // makespan and p99, NaN; a negative one issued a client's next query
+  // before its previous one completed.
+  for (const double think : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -1e6}) {
+    LoadGenConfig lg;
+    lg.think = Ns{think};
+    try {
+      LoadGenerator gen(lg);
+      ADD_FAILURE() << "think " << think << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "think must be finite and non-negative"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  LoadGenConfig lg;
+  lg.think = Ns{40000.0};
+  EXPECT_NO_THROW(LoadGenerator gen(lg));
+}
+
 // --- golden report digests --------------------------------------------------
 // The scaling grid — phased/overlap x closed/open arrivals x one/two QoS
-// classes — on the synthetic servable, pinned as per-section report
-// digests. A change anywhere in shared accounting (cache-adjusted stage
-// costs, the event clocks, the tier stack, the batcher) moves at least
+// classes — and two gated cells with tiered memory and update writes, on
+// the synthetic servable, pinned as per-section report digests. A change
+// anywhere in shared accounting (cache-adjusted stage costs, the event
+// clocks, the tier stack, the batcher, the write path) moves at least
 // one cell. The rows pin one toolchain's float results (GCC 12, glibc
 // 2.36, x86-64); the library builds with -ffp-contract=off, so an
 // FMA-capable -march does not move them. After an intended change, run
@@ -656,6 +683,22 @@ std::string golden_row(std::string_view cell,
   return row + "}}},";
 }
 
+/// The scaling grid's two QoS classes: interactive (batch 8, wait
+/// 100 us, weight 2) and bulk (batch 32, wait 400 us, weight 1).
+std::vector<serve::QosClassConfig> grid_classes() {
+  serve::QosClassConfig hi;
+  hi.name = "interactive";
+  hi.max_batch = 8;
+  hi.max_wait = Ns{100000.0};
+  hi.weight = 2.0;
+  serve::QosClassConfig lo;
+  lo.name = "bulk";
+  lo.max_batch = 32;
+  lo.max_wait = Ns{400000.0};
+  lo.weight = 1.0;
+  return {hi, lo};
+}
+
 TEST(ServeReport, GoldenDigestsPinTheScalingGrid) {
   struct Golden {
     std::string_view cell;
@@ -663,14 +706,16 @@ TEST(ServeReport, GoldenDigestsPinTheScalingGrid) {
   };
   // clang-format off
   static constexpr Golden kGolden[] = {
-      {"phased:closed:c1", {{0x390b71d3b642a137ULL, 0x5d5e6b26af0b3b55ULL, 0x429ed30ee39394f0ULL, 0x7fcf285121116c09ULL}}},
-      {"phased:closed:c2", {{0xc573bbe13c004a4aULL, 0x2f6f859be45b544bULL, 0xb0c6f4d7963573f2ULL, 0x7ce83168952701ebULL}}},
-      {"phased:open:c1", {{0x272969bda174b1caULL, 0x5d5e6b26af0b3b55ULL, 0x429ed30ee39394f0ULL, 0x02a0ea0c8b9647ccULL}}},
-      {"phased:open:c2", {{0x2ccb7ad72874d794ULL, 0x97061a1cbbd3dc37ULL, 0xa7559849f60786daULL, 0x00530ea96478a090ULL}}},
-      {"overlap:closed:c1", {{0x9f392a35b83de559ULL, 0x3cc8ffad636b28fdULL, 0x737497d3cef2e580ULL, 0x9cc5368504537126ULL}}},
-      {"overlap:closed:c2", {{0x7b0f1b0f07c0df3bULL, 0xe8f1351234e08d45ULL, 0x5edcf50ad3e90576ULL, 0x23a78743a7c0f2b2ULL}}},
-      {"overlap:open:c1", {{0x25a25f953d94bb67ULL, 0x3cc8ffad636b28fdULL, 0x737497d3cef2e580ULL, 0x843a0cd708fb66e1ULL}}},
-      {"overlap:open:c2", {{0xe8ee1b6024254388ULL, 0x8060598235be1845ULL, 0x9dd34ea2deabacedULL, 0x362a7d68dfb4ea56ULL}}},
+      {"phased:closed:c1", {{0x15862f25203d6057ULL, 0x5d5e6b26af0b3b55ULL, 0x429ed30ee39394f0ULL, 0x7fcf285121116c09ULL}}},
+      {"phased:closed:c2", {{0x5ccdab059f5c3feaULL, 0x2f6f859be45b544bULL, 0xb0c6f4d7963573f2ULL, 0x7ce83168952701ebULL}}},
+      {"phased:open:c1", {{0x62f52748833e966aULL, 0x5d5e6b26af0b3b55ULL, 0x429ed30ee39394f0ULL, 0x02a0ea0c8b9647ccULL}}},
+      {"phased:open:c2", {{0xcfc2b1042acf8354ULL, 0x97061a1cbbd3dc37ULL, 0xa7559849f60786daULL, 0x00530ea96478a090ULL}}},
+      {"overlap:closed:c1", {{0xc86ed93c42812bf9ULL, 0x3cc8ffad636b28fdULL, 0x737497d3cef2e580ULL, 0x9cc5368504537126ULL}}},
+      {"overlap:closed:c2", {{0xb8db5e6f53891cdbULL, 0xe8f1351234e08d45ULL, 0x5edcf50ad3e90576ULL, 0x23a78743a7c0f2b2ULL}}},
+      {"overlap:open:c1", {{0x72cf9442b990b307ULL, 0x3cc8ffad636b28fdULL, 0x737497d3cef2e580ULL, 0x843a0cd708fb66e1ULL}}},
+      {"overlap:open:c2", {{0x0c93a7ce5d7949c8ULL, 0x8060598235be1845ULL, 0x9dd34ea2deabacedULL, 0x362a7d68dfb4ea56ULL}}},
+      {"gated:closed:c2", {{0x8a4034390c483933ULL, 0x8d885967b115a99dULL, 0xb92be6fcae8a76afULL, 0xdfda00f748330c4eULL}}},
+      {"gated:open:c2", {{0x9be04db54154bc94ULL, 0x9ecd5755a6ea5174ULL, 0x1d6c14cf26eb40acULL, 0xf55754da85c5849aULL}}},
   };
   // clang-format on
   constexpr std::size_t kQueries = 160;
@@ -680,31 +725,29 @@ TEST(ServeReport, GoldenDigestsPinTheScalingGrid) {
                   bench::grid_load_config(kQueries))
           .qps();
   std::size_t i = 0;
+  const auto expect_golden = [&](const std::string& cell,
+                                 const serve::ServeReport& report) {
+    ASSERT_LT(i, std::size(kGolden));
+    const Golden& golden = kGolden[i++];
+    ASSERT_EQ(cell, golden.cell);
+    const serve_test::ReportDigest d = serve_test::report_digest(report);
+    for (std::size_t s = 0; s < d.sections.size(); ++s)
+      if (d.sections[s] != golden.digest.sections[s]) {
+        ADD_FAILURE() << "golden digest moved in cell " << cell
+                      << ": first differing section \""
+                      << serve_test::kSectionNames[s]
+                      << "\"\n  new row: " << golden_row(cell, d);
+        break;
+      }
+  };
   for (const bool overlap : {false, true})
     for (const bool open : {false, true})
       for (const std::size_t classes : {std::size_t{1}, std::size_t{2}}) {
-        const std::string cell = std::string(overlap ? "overlap" : "phased") +
-                                 (open ? ":open" : ":closed") + ":c" +
-                                 std::to_string(classes);
-        ASSERT_LT(i, std::size(kGolden));
-        const Golden& golden = kGolden[i++];
-        ASSERT_EQ(cell, golden.cell);
-
         ServingConfig cfg = bench::grid_serving_config();
         cfg.overlap = overlap;
         LoadGenConfig lg = bench::grid_load_config(kQueries);
         if (classes == 2) {
-          serve::QosClassConfig hi;
-          hi.name = "interactive";
-          hi.max_batch = 8;
-          hi.max_wait = Ns{100000.0};
-          hi.weight = 2.0;
-          serve::QosClassConfig lo;
-          lo.name = "bulk";
-          lo.max_batch = 32;
-          lo.max_wait = Ns{400000.0};
-          lo.weight = 1.0;
-          cfg.qos.classes = {hi, lo};
+          cfg.qos.classes = grid_classes();
           lg.class_mix = {0.6, 0.4};
         }
         if (open) {
@@ -717,18 +760,43 @@ TEST(ServeReport, GoldenDigestsPinTheScalingGrid) {
           lg.session_capacity = 4096;
           lg.session_churn = 0.01;
         }
-
-        const serve_test::ReportDigest d =
-            serve_test::report_digest(serve_synth(cfg, lg));
-        for (std::size_t s = 0; s < d.sections.size(); ++s)
-          if (d.sections[s] != golden.digest.sections[s]) {
-            ADD_FAILURE() << "golden digest moved in cell " << cell
-                          << ": first differing section \""
-                          << serve_test::kSectionNames[s]
-                          << "\"\n  new row: " << golden_row(cell, d);
-            break;
-          }
+        expect_golden(std::string(overlap ? "overlap" : "phased") +
+                          (open ? ":open" : ":closed") + ":c" +
+                          std::to_string(classes),
+                      serve_synth(cfg, lg));
       }
+  // The gated cells add what the grid never does: gated admission, a
+  // three-tier cache and update writes, i.e. the update and tier-commit
+  // fences of the event loop. Gating collects phased whatever `overlap`
+  // says, so these cells have no overlap half.
+  for (const bool open : {false, true}) {
+    ServingConfig cfg = bench::grid_serving_config();
+    cfg.qos.classes = grid_classes();
+    cfg.qos.classes[0].deadline = Ns{400000.0};
+    cfg.qos.admit_window = Ns{20000.0};
+    cfg.cache.capacity_rows = 256;
+    cfg.cache.warm_capacity_rows = 2048;
+    cfg.cache.cold_block_rows = 8;
+    LoadGenConfig lg = bench::grid_load_config(kQueries);
+    lg.class_mix = {0.6, 0.4};
+    lg.user_zipf_s = 1.2;
+    lg.update_fraction = 0.1;
+    if (open) {
+      lg.arrivals = serve::ArrivalProcess::kOpenPoisson;
+      lg.rate_qps = open_rate;
+    }
+    const std::string cell =
+        std::string("gated") + (open ? ":open" : ":closed") + ":c2";
+    const serve::ServeReport report = serve_synth(cfg, lg);
+    expect_golden(cell, report);
+    EXPECT_GT(report.updates, 0u) << cell;
+    EXPECT_GT(report.cache.cold_faults, 0u) << cell;
+    EXPECT_GT(report.cache.warm_evictions, 0u) << cell;
+    EXPECT_GT(report.cache.update_hits, 0u) << cell;
+    double write_busy = 0.0;
+    for (const auto& shard : report.shards) write_busy += shard.write_busy.value;
+    EXPECT_GT(write_busy, 0.0) << cell;
+  }
   EXPECT_EQ(i, std::size(kGolden));
 }
 

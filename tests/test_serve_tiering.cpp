@@ -1,18 +1,14 @@
 // Tiered embedding memory tests (hot periphery buffer / warm CMA banks /
 // modeled cold bulk tier): unit-level tier mechanics in HotEmbeddingCache
 // (block faults, warm hits, FIFO demotion with one reprieve, pins,
-// promote_min_freq gating, degenerate knob combinations), the runtime-level
-// bit-parity contracts the ISSUE pins down — a zero-capacity tier config
-// degrades to the flat store bit-identically across the whole scheduling
-// grid (overlap x open/closed x gated x class count), and enabled
-// migration stays bit-identical under overlap on/off because commits
-// happen at batch-dispatch boundaries — the fault-attributed adaptive QoS
-// observations (cold-block fault time never reaches the EWMA; the trace
-// carries the attribution).
+// degenerate knob combinations) and the runtime-level bit-parity
+// contracts: a zero-capacity tier config degrades to the flat store
+// bit-identically across the whole scheduling grid (overlap x open/closed
+// x gated x class count), and enabled migration stays bit-identical under
+// overlap on/off because commits happen at batch-dispatch boundaries.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "baseline/cpu_backend.hpp"
@@ -21,7 +17,6 @@
 #include "recsys/youtube_dnn.hpp"
 #include "serve/hot_cache.hpp"
 #include "serve/load_gen.hpp"
-#include "serve/observe.hpp"
 #include "serve/runtime.hpp"
 #include "serve_test_util.hpp"
 #include "util/rng.hpp"
@@ -176,26 +171,6 @@ TEST(TieredCache, PinsBeyondCapacityDoNotHangCommit) {
   EXPECT_EQ(cache.stats().warm_evictions, 0u);
 }
 
-TEST(TieredCache, PromoteMinFreqGatesHotAdmission) {
-  HotCacheConfig cfg;
-  cfg.capacity_rows = 4;
-  cfg.warm_capacity_rows = 8;
-  cfg.cold_block_rows = 4;
-  cfg.promote_min_freq = 3;
-  HotEmbeddingCache cache(cfg);
-  EXPECT_FALSE(cache.access(0, 0));  // freq 1: below the threshold
-  EXPECT_FALSE(cache.contains(0, 0));
-  EXPECT_FALSE(cache.access(0, 0));  // freq 2: still below
-  EXPECT_FALSE(cache.contains(0, 0));
-  EXPECT_FALSE(cache.access(0, 0));  // freq 3: admitted to the hot buffer
-  EXPECT_TRUE(cache.contains(0, 0));
-  EXPECT_EQ(cache.stats().promotions, 1u);
-  EXPECT_TRUE(cache.access(0, 0));  // hot hit; tiers no longer consulted
-  // Both below-threshold misses after the fault hit the warm block (the
-  // admitting miss consults the tiers too — it is still a hot-buffer miss).
-  EXPECT_EQ(cache.stats().warm_hits, 2u);
-}
-
 // --- Runtime-level fixtures ------------------------------------------------
 
 struct TierFixture {
@@ -231,7 +206,6 @@ struct TierFixture {
     cfg.batcher.max_wait = Ns{300000.0};
     cfg.cache = cache;
     cfg.overlap = overlap;
-    cfg.max_inflight = 3;
     if (classes > 1) {
       QosClassConfig interactive;
       interactive.name = "interactive";
@@ -350,133 +324,6 @@ TEST(TieredRuntime, MigrationDeterministicUnderOverlap) {
               phased.cache.flushes_warm + phased.cache.flushes_cold);
     EXPECT_GT(phased.cache.flushes, 0u);
   }
-}
-
-// --- Adaptive QoS under tier faults ----------------------------------------
-
-// Records the per-batch lifecycle spans next to the adaptive estimator's
-// counter stream, so a test can audit the fault attribution: "qos.fault.*"
-// fires at drain for every batch that charged cold-block time, "qos.obs.*"
-// fires at commit with the observation the EWMA actually consumed.
-struct QosAudit final : serve::ObserverSink {
-  std::vector<serve::BatchSpan> batches;
-  std::vector<double> obs;     // committed observations, commit order
-  std::vector<double> faults;  // fault-charged ns, faulting-batch order
-  void on_batch(const serve::BatchSpan& b) override { batches.push_back(b); }
-  void on_counter(std::string_view name, Ns, double value) override {
-    if (name.starts_with("qos.obs.")) obs.push_back(value);
-    if (name.starts_with("qos.fault.")) faults.push_back(value);
-  }
-};
-
-// Cold-block fault bursts are a tier-warming TRANSIENT, not class service
-// drift: the adaptive estimator must subtract the fault-charged time
-// (OpKind::kEtBlock) from the batch observation it feeds the EWMA — else a
-// drift-induced fault burst inflates the estimate and triggers spurious
-// preemptive closes long after the hot set re-warmed. The trace keeps the
-// attribution auditable, and the commit schedule stays deterministic.
-TEST(TieredRuntime, AdaptiveEstimatesAttributeFaultTimeSeparately) {
-  TierFixture fx;
-  // Two-phase drift trace (the bench's shape, miniature): phase B rotates
-  // every drawn user by half the population, so the phase-A warm blocks go
-  // stale and faults recur MID-RUN, not just during warm-up.
-  std::vector<serve::Request> trace;
-  {
-    double t0 = 0.0;
-    for (int phase = 0; phase < 2; ++phase) {
-      LoadGenConfig pl;
-      pl.clients = 8;
-      pl.total_queries = 30;
-      pl.num_users = fx.users.size();
-      pl.user_zipf_s = 1.1;
-      pl.seed = 271 + static_cast<std::uint64_t>(phase);
-      pl.arrivals = ArrivalProcess::kOpenPoisson;
-      pl.rate_qps = 2.0e5;
-      LoadGenerator gen(pl);
-      double last = t0;
-      while (auto r = gen.next_arrival()) {
-        serve::Request q = *r;
-        if (phase == 1)
-          q.user = (q.user + fx.users.size() / 2) % fx.users.size();
-        q.enqueue = Ns{q.enqueue.value + t0};
-        q.id = trace.size();
-        last = q.enqueue.value;
-        trace.push_back(q);
-      }
-      t0 = last + 5000.0;  // one small gap between the phases
-    }
-  }
-  auto run = [&](const HotCacheConfig& cache, bool overlap,
-                 serve::ObserverSink* sink) {
-    ServingConfig cfg;
-    cfg.shards = 3;
-    cfg.k = 5;
-    cfg.batcher.max_batch = 4;
-    cfg.batcher.max_wait = Ns{300000.0};
-    cfg.cache = cache;
-    cfg.overlap = overlap;
-    cfg.adaptive.enabled = true;
-    ServingRuntime rt(fx.factory, cfg, core::ArchConfig{},
-                      device::DeviceProfile::fefet45());
-    if (sink != nullptr) rt.set_observer(sink);
-    LoadGenConfig lg;
-    lg.arrivals = ArrivalProcess::kTrace;
-    lg.trace = trace;
-    lg.num_users = fx.users.size();
-    LoadGenerator gen(lg);
-    return rt.run(gen, fx.users);
-  };
-
-  HotCacheConfig tiered;
-  tiered.capacity_rows = 48;
-  tiered.warm_capacity_rows = 64;
-  tiered.cold_block_rows = 4;
-  QosAudit audit;
-  const auto tiered_report = run(tiered, /*overlap=*/false, &audit);
-  ASSERT_GT(tiered_report.cache.cold_faults, 0u);
-  ASSERT_FALSE(audit.faults.empty());  // the attribution is visible
-  for (const double f : audit.faults) EXPECT_GT(f, 0.0);
-  // One committed observation per estimate commit, in batch-drain order
-  // (single class: obs_pending is FIFO); the trailing batches' pending
-  // observations never commit, so obs <= batches.
-  EXPECT_EQ(audit.obs.size(), tiered_report.estimate_commits);
-  ASSERT_LE(audit.obs.size(), audit.batches.size());
-  ASSERT_GT(audit.obs.size(), 0u);
-  // Every committed observation is the batch's wall service MINUS its
-  // fault-charged time (clamped at zero) — never more than the raw span,
-  // and strictly less wherever a fault was charged (warm-up faults land in
-  // the first batches, which always commit).
-  std::size_t strictly_adjusted = 0;
-  for (std::size_t k = 0; k < audit.obs.size(); ++k) {
-    const double raw =
-        audit.batches[k].complete.value - audit.batches[k].close.value;
-    EXPECT_LE(audit.obs[k], raw + 1e-6);
-    if (raw - audit.obs[k] > 1.0) ++strictly_adjusted;
-  }
-  EXPECT_GT(strictly_adjusted, 0u);
-
-  // With tiering disabled kEtBlock is identically zero: no fault counters,
-  // and every committed observation IS the raw batch service.
-  HotCacheConfig flat;
-  flat.capacity_rows = 48;
-  QosAudit flat_audit;
-  const auto flat_report = run(flat, /*overlap=*/false, &flat_audit);
-  EXPECT_EQ(flat_report.cache.cold_faults, 0u);
-  EXPECT_TRUE(flat_audit.faults.empty());
-  ASSERT_GT(flat_audit.obs.size(), 0u);
-  for (std::size_t k = 0; k < flat_audit.obs.size(); ++k) {
-    const double raw = flat_audit.batches[k].complete.value -
-                       flat_audit.batches[k].close.value;
-    EXPECT_DOUBLE_EQ(flat_audit.obs[k], raw);
-  }
-
-  // The adjustment must not perturb the commit-schedule determinism the
-  // adaptive contract guarantees: bit-identical reruns, and bit-identical
-  // under overlap on/off.
-  const auto again = run(tiered, /*overlap=*/false, nullptr);
-  const auto overlapped = run(tiered, /*overlap=*/true, nullptr);
-  serve_test::expect_reports_identical(tiered_report, again);
-  serve_test::expect_reports_identical(tiered_report, overlapped);
 }
 
 }  // namespace

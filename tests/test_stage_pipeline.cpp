@@ -395,7 +395,8 @@ TEST(CtrServable, ServesThroughSharedRuntime) {
   cfg.batcher.max_batch = 4;
   cfg.batcher.max_wait = Ns{500000.0};
   cfg.cache.capacity_rows = 2048;
-  cfg.shard_weights = {2.0, 1.0};
+  const std::vector<double> weights = {2.0, 1.0};
+  cfg.shard_map = ShardMap::weighted(weights);
   ServingRuntime rt(std::move(servable), cfg, core::ArchConfig{}, profile);
 
   LoadGenConfig lg;
@@ -438,7 +439,6 @@ TEST(ServingRuntime, OverlapPreservesHardwareTimeReport) {
     cfg.batcher.max_wait = Ns{300000.0};
     cfg.cache.capacity_rows = 1024;
     cfg.overlap = overlap;
-    cfg.max_inflight = 3;
     ServingRuntime rt(fx.factory, cfg, core::ArchConfig{},
                       device::DeviceProfile::fefet45());
     LoadGenConfig lg;
@@ -1336,7 +1336,6 @@ TEST(ServingRuntime, ExplicitGraphMatchesImplicitChainAcrossGrid) {
     cfg.batcher.max_wait = Ns{300000.0};
     cfg.cache.capacity_rows = 1024;
     cfg.overlap = overlap;
-    cfg.max_inflight = 3;
     if (classes > 1) {
       serve::QosClassConfig interactive;
       interactive.name = "interactive";

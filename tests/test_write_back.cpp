@@ -193,7 +193,6 @@ struct WriteBackFixture {
     cfg.batcher.max_wait = Ns{300000.0};
     cfg.cache.capacity_rows = cache_rows;
     cfg.overlap = overlap;
-    cfg.max_inflight = 3;
     ServingRuntime rt(factory, cfg, core::ArchConfig{},
                       device::DeviceProfile::fefet45());
     LoadGenConfig lg;
