@@ -78,6 +78,7 @@ QosBatcher::QosBatcher(const QosBatcherConfig& cfg)
     IMARS_REQUIRE(c.max_batch >= 1, "QosBatcher: max_batch must be >= 1");
     IMARS_REQUIRE(c.max_wait.value >= 0.0,
                   "QosBatcher: max_wait must be non-negative");
+    IMARS_REQUIRE(std::isfinite(c.weight), "QosBatcher: weight must be finite");
     IMARS_REQUIRE(c.weight >= 0.0, "QosBatcher: weight must be non-negative");
     IMARS_REQUIRE(std::isfinite(c.deadline.value),
                   "QosBatcher: deadline must be finite");

@@ -37,13 +37,18 @@ LoadGenerator::LoadGenerator(const LoadGenConfig& cfg)
                     "LoadGenerator: trace arrivals must be time-ordered");
   }
   for (double share : cfg_.class_mix) {
+    IMARS_REQUIRE(std::isfinite(share),
+                  "LoadGenerator: class_mix shares must be finite");
     IMARS_REQUIRE(share >= 0.0,
                   "LoadGenerator: class_mix shares must be non-negative");
     mix_total_ += share;
   }
-  if (!cfg_.class_mix.empty())
+  if (!cfg_.class_mix.empty()) {
+    IMARS_REQUIRE(std::isfinite(mix_total_),
+                  "LoadGenerator: class_mix total must be finite");
     IMARS_REQUIRE(mix_total_ > 0.0,
                   "LoadGenerator: class_mix must have a positive share");
+  }
   IMARS_REQUIRE(cfg_.update_fraction >= 0.0 && cfg_.update_fraction <= 1.0,
                 "LoadGenerator: update_fraction must be in [0, 1]");
 }

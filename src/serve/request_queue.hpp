@@ -1,6 +1,6 @@
-// Thread-safe bounded MPMC queue: the hand-off primitive of the serving
-// runtime (incoming requests into the batcher, work items into the shard
-// executors). Blocking push/pop with close() for clean shutdown.
+// Thread-safe unbounded MPMC queue: the work queue each shard executor
+// drains (serve/executor.hpp). Blocking pop with close() for clean
+// shutdown.
 //
 // Two priority bands: urgent items pop before normal ones (FIFO within a
 // band), so a latency-critical tenant's functional work overtakes queued
@@ -10,9 +10,7 @@
 #pragma once
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -22,19 +20,14 @@ namespace imars::serve {
 template <class T>
 class RequestQueue {
  public:
-  explicit RequestQueue(
-      std::size_t capacity = std::numeric_limits<std::size_t>::max())
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// Blocks while the queue is full. Returns false (drops the value) if the
-  /// queue was closed. Urgent items enter the priority band and pop before
-  /// any normal item.
+  /// Returns false (drops the value) if the queue was closed. Urgent items
+  /// enter the priority band and pop before any normal item.
   bool push(T value, bool urgent = false) {
-    std::unique_lock lock(mu_);
-    not_full_.wait(lock, [this] { return closed_ || size_locked() < capacity_; });
-    if (closed_) return false;
-    (urgent ? urgent_ : items_).push_back(std::move(value));
-    lock.unlock();
+    {
+      std::lock_guard lock(mu_);
+      if (closed_) return false;
+      (urgent ? urgent_ : items_).push_back(std::move(value));
+    }
     not_empty_.notify_one();
     return true;
   }
@@ -43,14 +36,14 @@ class RequestQueue {
   /// closed and drained.
   std::optional<T> pop() {
     std::unique_lock lock(mu_);
-    not_empty_.wait(lock, [this] { return closed_ || size_locked() > 0; });
-    return pop_locked(lock);
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    std::unique_lock lock(mu_);
-    return pop_locked(lock);
+    not_empty_.wait(lock, [this] {
+      return closed_ || !items_.empty() || !urgent_.empty();
+    });
+    auto& band = urgent_.empty() ? items_ : urgent_;
+    if (band.empty()) return std::nullopt;
+    T value = std::move(band.front());
+    band.pop_front();
+    return value;
   }
 
   /// Wakes all waiters; pending items remain poppable, pushes are refused.
@@ -60,40 +53,13 @@ class RequestQueue {
       closed_ = true;
     }
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
-
-  bool closed() const {
-    std::lock_guard lock(mu_);
-    return closed_;
-  }
-
-  std::size_t size() const {
-    std::lock_guard lock(mu_);
-    return size_locked();
-  }
-
-  std::size_t capacity() const noexcept { return capacity_; }
 
  private:
-  std::size_t size_locked() const { return items_.size() + urgent_.size(); }
-
-  std::optional<T> pop_locked(std::unique_lock<std::mutex>& lock) {
-    auto& band = urgent_.empty() ? items_ : urgent_;
-    if (band.empty()) return std::nullopt;
-    T value = std::move(band.front());
-    band.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return value;
-  }
-
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> items_;
   std::deque<T> urgent_;  ///< priority band, served before items_
-  std::size_t capacity_;
   bool closed_ = false;
 };
 

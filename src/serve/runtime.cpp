@@ -234,16 +234,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
       cfg_.cache.capacity_rows > 0 || cache.tiering_enabled() ? &cache
                                                               : nullptr;
   QosBatcher batcher(qos);
-  // Collected request storage flows back to the batcher's spare pool
-  // instead of being freed. The hook captures this run's batcher, so it
-  // must not outlive the run — the guard clears it on every exit path.
-  pipeline_.set_request_recycler([&batcher](std::vector<Request>&& storage) {
-    batcher.recycle(std::move(storage));
-  });
-  struct RecyclerGuard {
-    StagePipeline& pipeline;
-    ~RecyclerGuard() { pipeline.set_request_recycler(nullptr); }
-  } recycler_guard{pipeline_};
   // Wall-clock self-profiling of the event-model hot path; host-side
   // telemetry only, exempt from the simulated-time determinism contract.
   HostProfiler prof;
@@ -395,8 +385,11 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     }
     {
       HostProfiler::Scope host(prof, "host.collect");
-      pipeline_.collect(std::move(entry.handle), *entry.servable, cache_ptr,
-                        timings_, results);
+      // Collected request storage flows back to the batcher's spare pool
+      // instead of being freed.
+      batcher.recycle(pipeline_.collect(std::move(entry.handle),
+                                        *entry.servable, cache_ptr, timings_,
+                                        results));
     }
     HostProfiler::Scope host(prof, "host.report");
     ++report.batches;

@@ -19,33 +19,6 @@ recsys::OpCost scaled(const recsys::OpCost& cost, std::size_t n) {
   return {device::Ns{cost.latency.value * f}, device::Pj{cost.energy.value * f}};
 }
 
-/// One pooled pass over the user's feature rows + history (the ShardRouter
-/// traffic idiom: the first row of each table's chain is a bare read).
-void append_pooled_pass(const recsys::UserContext& user,
-                        std::span<const std::size_t> features,
-                        std::vector<RowAccess>& out) {
-  auto add_feature = [&](std::size_t f) {
-    bool first = true;
-    for (std::size_t idx : user.sparse[f]) {
-      out.push_back(
-          {FunnelServable::kUietTableBase + static_cast<std::uint32_t>(f),
-           static_cast<std::uint32_t>(idx), true, first});
-      first = false;
-    }
-  };
-  if (features.empty()) {
-    for (std::size_t f = 0; f < user.sparse.size(); ++f) add_feature(f);
-  } else {
-    for (std::size_t f : features) add_feature(f);
-  }
-  bool first = true;
-  for (std::size_t item : user.history) {
-    out.push_back({FunnelServable::kItetTable,
-                   static_cast<std::uint32_t>(item), true, first});
-    first = false;
-  }
-}
-
 /// IVF-Flat retrieval adapter (the FAISS-style tier of the GPU baseline).
 class IvfRetrieval final : public RetrievalBackend {
  public:
@@ -179,18 +152,6 @@ FunnelServable::FunnelServable(const recsys::YoutubeDnn& model,
 void FunnelServable::bind_users(std::span<const recsys::UserContext> users) {
   IMARS_REQUIRE(!users.empty(), "FunnelServable: empty user population");
   users_ = users;
-}
-
-void FunnelServable::override_spec(PipelineSpec spec) {
-  IMARS_REQUIRE(spec.stage_count() == spec_.stage_count() &&
-                    spec.merge_topk == spec_.merge_topk &&
-                    spec.resolve() == spec_.resolve(),
-                "FunnelServable::override_spec: spec must resolve to the "
-                "canonical funnel graph");
-  for (std::size_t s = 0; s < spec.stage_count(); ++s)
-    IMARS_REQUIRE(spec.stages[s].kind == spec_.stages[s].kind,
-                  "FunnelServable::override_spec: stage kind mismatch");
-  spec_ = std::move(spec);
 }
 
 recsys::FilterRankBackend& FunnelServable::backend(std::size_t shard) {
@@ -369,19 +330,11 @@ void FunnelServable::accesses_into(std::size_t stage, const Request& req,
   }
   if (stage == s_filter_) return;  // signature sweep: no ET rows
   if (stage == s_rank_) {
-    // The backend re-runs the pooled rank lookups once per candidate
-    // (Table III prices the ranking lookup per item input).
-    for (std::size_t item : slice) {
-      append_pooled_pass(user, traffic_.rank_features, out);
-      out.push_back({kItetTable, static_cast<std::uint32_t>(item), false});
-    }
+    append_rank_pass(user, traffic_.rank_features, slice, out);
     return;
   }
   IMARS_REQUIRE(stage == s_rerank_, "FunnelServable: unknown stage");
-  for (std::size_t item : slice) {
-    append_pooled_pass(user, model_->rank_features(), out);
-    out.push_back({kItetTable, static_cast<std::uint32_t>(item), false});
-  }
+  append_rank_pass(user, model_->rank_features(), slice, out);
 }
 
 std::vector<RowAccess> FunnelServable::accesses(

@@ -102,11 +102,6 @@ class RetrievalBackend {
 
 class FunnelServable final : public ServableBackend {
  public:
-  /// RowAccess table-key namespace: shared with ShardRouter (the funnel
-  /// serves the same replicas).
-  static constexpr std::uint32_t kItetTable = ShardRouter::kItetTable;
-  static constexpr std::uint32_t kUietTableBase = ShardRouter::kUietTableBase;
-
   /// The stage graph `cfg` implies: 2 stages (degenerate), 3 (ANN retrieval,
   /// no re-rank) or 4 (full funnel).
   static PipelineSpec pipeline_spec(const FunnelConfig& cfg);
@@ -128,10 +123,6 @@ class FunnelServable final : public ServableBackend {
   /// Binds the user-context population Request::user indexes (same
   /// contract as ShardRouter::bind_users).
   void bind_users(std::span<const recsys::UserContext> users);
-
-  /// Replaces the spec with an equivalent declaration of the same graph
-  /// (must resolve identically; stage kinds must match).
-  void override_spec(PipelineSpec spec);
 
   recsys::FilterRankBackend& backend(std::size_t shard);
   const FunnelConfig& config() const noexcept { return cfg_; }

@@ -101,19 +101,15 @@ std::vector<recsys::ScoredItem> ShardRouter::run_sharded(
   return shards_[shard]->rank(user_of(req), slice, k, stats);
 }
 
-namespace {
-
-/// Appends one pooled pass over the user's feature rows + history. The
-/// first row of each table's chain is marked (its in-array cost is a bare
-/// read, not a read+write+add increment).
 void append_pooled_pass(const recsys::UserContext& user,
                         std::span<const std::size_t> features,
                         std::vector<RowAccess>& out) {
   auto add_feature = [&](std::size_t f) {
     bool first = true;
     for (std::size_t idx : user.sparse[f]) {
-      out.push_back({ShardRouter::kUietTableBase + static_cast<std::uint32_t>(f),
-                     static_cast<std::uint32_t>(idx), true, first});
+      out.push_back(
+          {ShardRouter::kUietTableBase + static_cast<std::uint32_t>(f),
+           static_cast<std::uint32_t>(idx), true, first});
       first = false;
     }
   };
@@ -130,27 +126,15 @@ void append_pooled_pass(const recsys::UserContext& user,
   }
 }
 
-}  // namespace
-
-std::vector<RowAccess> ShardRouter::filter_accesses(
-    const recsys::UserContext& user) const {
-  std::vector<RowAccess> out;
-  append_pooled_pass(user, traffic_.filter_features, out);
-  return out;
-}
-
-std::vector<RowAccess> ShardRouter::rank_accesses(
-    const recsys::UserContext& user,
-    std::span<const std::size_t> slice) const {
-  // The backend re-runs the pooled rank lookups once per candidate item
-  // (backend.cpp (2b)); mirror that so the adjustment matches the measured
-  // per-candidate ET cost.
-  std::vector<RowAccess> out;
-  for (std::size_t item : slice) {
-    append_pooled_pass(user, traffic_.rank_features, out);
-    out.push_back({kItetTable, static_cast<std::uint32_t>(item), false});
+void append_rank_pass(const recsys::UserContext& user,
+                      std::span<const std::size_t> features,
+                      std::span<const std::size_t> items,
+                      std::vector<RowAccess>& out) {
+  for (std::size_t item : items) {
+    append_pooled_pass(user, features, out);
+    out.push_back(
+        {ShardRouter::kItetTable, static_cast<std::uint32_t>(item), false});
   }
-  return out;
 }
 
 std::vector<RowAccess> ShardRouter::accesses(
@@ -165,18 +149,16 @@ void ShardRouter::accesses_into(std::size_t stage, const Request& req,
                                 std::span<const std::size_t> slice,
                                 std::vector<RowAccess>& out) const {
   const auto& user = user_of(req);
-  if (stage == 0) {
+  if (stage == 0)
     append_pooled_pass(user, traffic_.filter_features, out);
-    return;
-  }
-  for (std::size_t item : slice) {
-    append_pooled_pass(user, traffic_.rank_features, out);
-    out.push_back({kItetTable, static_cast<std::uint32_t>(item), false});
-  }
+  else
+    append_rank_pass(user, traffic_.rank_features, slice, out);
 }
 
 std::vector<RowAccess> ShardRouter::update_accesses(const Request& req) const {
-  return filter_accesses(user_of(req));
+  std::vector<RowAccess> out;
+  append_pooled_pass(user_of(req), traffic_.filter_features, out);
+  return out;
 }
 
 std::vector<std::size_t> ShardRouter::profile_items(const Request& req) {

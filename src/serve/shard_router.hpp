@@ -67,6 +67,9 @@ class ShardRouter final : public ServableBackend {
   /// filter->rank graph (must resolve identically — e.g. the chain with
   /// its edge declared explicitly instead of implied). Exists so tests can
   /// assert implicit-linear and explicit-DAG specs are interchangeable.
+  /// Call it before the router is handed to a runtime: the pipeline copies
+  /// the spec at construction and submit() requires the servable's spec to
+  /// equal that copy.
   void override_spec(PipelineSpec spec);
 
   recsys::FilterRankBackend& backend(std::size_t shard);
@@ -119,17 +122,6 @@ class ShardRouter final : public ServableBackend {
   /// covers the full candidate set of the probe's filter pass at top-`k`.
   std::vector<device::Ns> stage_cost_estimate(std::size_t k) override;
 
-  /// ET rows a query's filter pass touches (filter-feature sparse rows +
-  /// history, pooled once).
-  std::vector<RowAccess> filter_accesses(const recsys::UserContext& user) const;
-
-  /// ET rows one shard's rank pass touches: per candidate in the slice, the
-  /// rank-feature sparse rows + history (the backend re-pools them for
-  /// every item) plus the candidate's own ItET row fetch.
-  std::vector<RowAccess> rank_accesses(
-      const recsys::UserContext& user,
-      std::span<const std::size_t> slice) const;
-
  private:
   const recsys::UserContext& user_of(const Request& req) const;
 
@@ -138,5 +130,22 @@ class ShardRouter final : public ServableBackend {
   std::vector<std::unique_ptr<recsys::FilterRankBackend>> shards_;
   std::span<const recsys::UserContext> users_;
 };
+
+/// Appends one pooled pass over the user's `features` sparse rows (every
+/// sparse feature when empty) + history: a query's filter pass. The first
+/// row of each table's chain is marked (its in-array cost is a bare read,
+/// not a read+write+add increment).
+void append_pooled_pass(const recsys::UserContext& user,
+                        std::span<const std::size_t> features,
+                        std::vector<RowAccess>& out);
+
+/// Appends a rank pass over `items`: per candidate, one pooled pass over
+/// `features` + history (the backend re-pools them for every item; Table
+/// III prices the ranking lookup per item input) plus the candidate's own
+/// ItET row fetch.
+void append_rank_pass(const recsys::UserContext& user,
+                      std::span<const std::size_t> features,
+                      std::span<const std::size_t> items,
+                      std::vector<RowAccess>& out);
 
 }  // namespace imars::serve

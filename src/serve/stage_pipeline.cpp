@@ -196,12 +196,14 @@ struct StagePipeline::BatchHandle::State {
   std::uint64_t seq = 0;  ///< submission order (collect() enforces it)
 
   struct StageRec {
-    StageStats rep_stats;  ///< replicated-stage measured costs
     /// The stage's produced item set: a replicated stage's output, or an
     /// emitting sharded stage's merged global top-emit_topk item list.
     std::vector<std::size_t> out_items;
-    std::vector<std::vector<std::size_t>> slices;  ///< sharded: per shard
-    std::vector<StageStats> shard_stats;           ///< sharded: per shard
+    /// Per shard: the items the stage's execution there works on (a
+    /// sharded stage's ShardMap slice; a replicated stage's fed items, on
+    /// its home shard only) and that execution's measured costs.
+    std::vector<std::vector<std::size_t>> slices;
+    std::vector<StageStats> shard_stats;
     /// Emitting (emit_topk) sharded stage: per-shard scored partials held
     /// until the last slice joins, then merged into out_items.
     std::vector<std::vector<recsys::ScoredItem>> emit;
@@ -213,9 +215,9 @@ struct StagePipeline::BatchHandle::State {
   /// Partial scored results of the OUTPUT sharded stage, [query][shard].
   std::vector<std::vector<std::vector<recsys::ScoredItem>>> partials;
   std::size_t stages = 0;  ///< stage count of the slot's graph
-  /// Per (query, stage), flattened qi * stages + s: slice fan-in of a
-  /// running sharded stage / pending predecessor edges of a not-yet-ready
-  /// stage.
+  /// Per (query, stage), flattened qi * stages + s: executions still
+  /// running of a dispatched stage / pending predecessor edges of a
+  /// not-yet-ready stage.
   std::unique_ptr<std::atomic<std::size_t>[]> fan_in;
   std::unique_ptr<std::atomic<std::size_t>[]> deps_left;
   std::unique_ptr<std::atomic<std::size_t>[]> stages_left;  ///< per query
@@ -236,6 +238,13 @@ struct StagePipeline::BatchHandle::State {
   }
   std::atomic<std::size_t>& deps(std::size_t qi, std::size_t s) {
     return deps_left[qi * stages + s];
+  }
+  /// Whether stage `s` of query `qi` executes on `shard`: a replicated
+  /// stage on the query's home shard only, a sharded stage wherever its
+  /// slice is non-empty.
+  bool runs_on(std::size_t qi, std::size_t s, bool replicated,
+               std::size_t shard) const {
+    return replicated ? shard == home[qi] : !rec[qi][s].slices[shard].empty();
   }
 
   void fail(std::exception_ptr e) {
@@ -373,12 +382,9 @@ StagePipeline::acquire_state(std::size_t queries, std::size_t stages,
     query_rec.resize(stages);
     for (std::size_t s = 0; s < stages; ++s) {
       auto& r = query_rec[s];
-      r.rep_stats = StageStats{};
       r.out_items.clear();
-      if (spec.stages[s].kind == StageKind::kSharded)
-        r.shard_stats.assign(ns, StageStats{});
-      else
-        r.shard_stats.clear();
+      r.shard_stats.assign(ns, StageStats{});
+      r.slices.resize(ns);
       for (auto& slice : r.slices) slice.clear();
       if (spec.stages[s].emit_topk > 0) {
         r.emit.resize(ns);
@@ -430,21 +436,8 @@ StagePipeline::BatchHandle StagePipeline::submit(Batch batch,
                 "StagePipeline::submit: spec slot out of range");
   const PipelineSpec& spec = specs_[spec_idx];
   const PipelineSpec::Graph& graph = graphs_[spec_idx];
-  const PipelineSpec& sspec = servable.spec();
-  IMARS_REQUIRE(sspec.stage_count() == spec.stage_count() &&
-                    sspec.merge_topk == spec.merge_topk,
+  IMARS_REQUIRE(servable.spec() == spec,
                 "StagePipeline::submit: servable stage graph mismatch");
-  for (std::size_t s = 0; s < spec.stage_count(); ++s)
-    IMARS_REQUIRE(sspec.stages[s].kind == spec.stages[s].kind,
-                  "StagePipeline::submit: servable stage kind mismatch");
-  // The servable's declared edges must resolve to the slot's graph (an
-  // implicit linear chain and its explicit declaration are interchangeable
-  // — both resolve to the same Graph). Two linear chains with matching
-  // stage count, kinds and merge flag resolve identically by construction,
-  // so the hot per-batch path skips the re-resolution entirely.
-  if (!sspec.linear_chain() || !spec.linear_chain())
-    IMARS_REQUIRE(sspec.resolve() == graph,
-                  "StagePipeline::submit: servable stage graph mismatch");
 
   const std::size_t stages = spec.stage_count();
   auto st = acquire_state(n, stages, spec);
@@ -532,73 +525,55 @@ void StagePipeline::run_stage_task(
     std::size_t qi, std::size_t stage, std::size_t shard) {
   const PipelineSpec& spec = specs_[st->spec_idx];
   const PipelineSpec::Graph& graph = graphs_[st->spec_idx];
-  if (spec.stages[stage].kind == StageKind::kReplicated) {
-    auto& r = st->rec[qi][stage];
-    const auto& sources = graph.item_sources[stage];
-    try {
-      if (sources.empty()) {
-        r.out_items = servable.run_replicated(
-            stage, shard, st->batch.requests[qi], &r.rep_stats);
-      } else if (sources.size() == 1) {
-        // consume_items: the predecessor's produced items feed the stage.
-        r.out_items = servable.run_replicated_fed(
-            stage, shard, st->batch.requests[qi],
-            st->rec[qi][sources.front()].out_items, &r.rep_stats);
-      } else {
-        std::vector<std::size_t> fed;
-        for (std::size_t src : sources) {
-          const auto& out = st->rec[qi][src].out_items;
-          fed.insert(fed.end(), out.begin(), out.end());
-        }
-        r.out_items = servable.run_replicated_fed(
-            stage, shard, st->batch.requests[qi], fed, &r.rep_stats);
-      }
-    } catch (...) {
-      st->fail(std::current_exception());
-    }
-    finish_stage(st, servable, qi, stage);
-    return;
-  }
-
-  const bool is_output = stage == graph.output_stage;
   const std::size_t emit_k = spec.stages[stage].emit_topk;
+  const Request& req = st->batch.requests[qi];
   auto& r = st->rec[qi][stage];
   try {
-    auto partial = servable.run_sharded(
-        stage, shard, st->batch.requests[qi], r.slices[shard],
-        emit_k > 0 ? emit_k : st->k, &r.shard_stats[shard]);
-    // Only the output stage's partials reach the top-k merge; an emitting
-    // interior stage holds them per shard for the item-list merge below;
-    // any other interior sharded stage (e.g. an embedding-gather tower)
-    // feeds timing and successors, not results.
-    if (is_output)
-      st->partials[qi][shard] = std::move(partial);
-    else if (emit_k > 0)
-      r.emit[shard] = std::move(partial);
+    if (spec.stages[stage].kind == StageKind::kReplicated) {
+      // consume_items: the predecessors' produced items are the slice.
+      r.out_items =
+          graph.item_sources[stage].empty()
+              ? servable.run_replicated(stage, shard, req,
+                                        &r.shard_stats[shard])
+              : servable.run_replicated_fed(stage, shard, req,
+                                            r.slices[shard],
+                                            &r.shard_stats[shard]);
+    } else {
+      auto partial = servable.run_sharded(
+          stage, shard, req, r.slices[shard], emit_k > 0 ? emit_k : st->k,
+          &r.shard_stats[shard]);
+      // Only the output stage's partials reach the top-k merge; an
+      // emitting interior stage holds them per shard for the item-list
+      // merge below; any other interior sharded stage (e.g. an
+      // embedding-gather tower) feeds timing and successors, not results.
+      if (stage == graph.output_stage)
+        st->partials[qi][shard] = std::move(partial);
+      else if (emit_k > 0)
+        r.emit[shard] = std::move(partial);
+    }
   } catch (...) {
     st->fail(std::current_exception());
   }
-  if (st->fan(qi, stage).fetch_sub(1) == 1) {
-    if (emit_k > 0 && !st->failed.load(std::memory_order_acquire)) {
-      // Last slice joined: merge the per-shard partials (shard-order
-      // concat, engine score order, truncate) into the stage's produced
-      // item list — the work-item set its successors partition. The same
-      // merge regardless of slice arrival order, so overlap cannot change
-      // downstream routing.
-      try {
-        std::vector<recsys::ScoredItem> all;
-        for (const auto& e : r.emit) all.insert(all.end(), e.begin(), e.end());
-        std::sort(all.begin(), all.end(), score_order);
-        if (all.size() > emit_k) all.resize(emit_k);
-        r.out_items.clear();
-        r.out_items.reserve(all.size());
-        for (const auto& si : all) r.out_items.push_back(si.item);
-      } catch (...) {
-        st->fail(std::current_exception());
-      }
+  if (st->fan(qi, stage).fetch_sub(1) != 1) return;
+  if (emit_k > 0 && !st->failed.load(std::memory_order_acquire)) {
+    // Last slice joined: merge the per-shard partials (shard-order concat,
+    // engine score order, truncate) into the stage's produced item list —
+    // the work-item set its successors partition. The same merge
+    // regardless of slice arrival order, so overlap cannot change
+    // downstream routing.
+    try {
+      std::vector<recsys::ScoredItem> all;
+      for (const auto& e : r.emit) all.insert(all.end(), e.begin(), e.end());
+      std::sort(all.begin(), all.end(), score_order);
+      if (all.size() > emit_k) all.resize(emit_k);
+      r.out_items.clear();
+      r.out_items.reserve(all.size());
+      for (const auto& si : all) r.out_items.push_back(si.item);
+    } catch (...) {
+      st->fail(std::current_exception());
     }
-    finish_stage(st, servable, qi, stage);
   }
+  finish_stage(st, servable, qi, stage);
 }
 
 void StagePipeline::schedule_stage_unchecked(
@@ -613,49 +588,42 @@ void StagePipeline::schedule_stage_unchecked(
     return;
   }
 
-  if (spec.stages[stage].kind == StageKind::kReplicated) {
-    const std::size_t shard = st->home[qi];
-    if (defer != nullptr) {
-      (*defer)[shard].emplace_back(qi, stage);
-      return;
-    }
-    executors_.at(shard).submit(
-        [this, st, &servable, qi, stage, shard] {
-          run_stage_task(st, servable, qi, stage, shard);
-        },
-        st->urgent);
-    return;
-  }
-
-  // Sharded stage: partition the stage's input items (the replicated
-  // source stages' outputs, or the request's own item set), fan out to
-  // the owning shards, join on the last slice.
-  auto& rec = st->rec[qi][stage];
+  // The stage's input items: its one producing source's output, the
+  // concatenation of several in declared edge order (deterministic), or
+  // with none the request's own item set for a sharded stage.
+  const bool replicated = spec.stages[stage].kind == StageKind::kReplicated;
   const auto& sources = graph.item_sources[stage];
-  if (sources.empty()) {
-    map_.partition_into(st->init_items[qi], rec.slices);
-  } else if (sources.size() == 1) {
-    map_.partition_into(st->rec[qi][sources.front()].out_items, rec.slices);
-  } else {
-    // A join over several replicated feeders consumes the concatenation
-    // of their outputs, in declared edge order (deterministic).
-    std::vector<std::size_t> items;
+  std::span<const std::size_t> items;
+  std::vector<std::size_t> joined;
+  if (sources.size() == 1) {
+    items = st->rec[qi][sources.front()].out_items;
+  } else if (sources.size() > 1) {
     for (std::size_t src : sources) {
       const auto& out = st->rec[qi][src].out_items;
-      items.insert(items.end(), out.begin(), out.end());
+      joined.insert(joined.end(), out.begin(), out.end());
     }
-    map_.partition_into(items, rec.slices);
+    items = joined;
+  } else if (!replicated) {
+    items = st->init_items[qi];
   }
-  std::size_t nonempty = 0;
-  for (const auto& s : rec.slices)
-    if (!s.empty()) ++nonempty;
-  if (nonempty == 0) {
+  // A replicated stage runs once, on the query's home shard, over its fed
+  // items; a sharded stage runs on every shard its slice is non-empty on
+  // and joins on the last slice.
+  auto& slices = st->rec[qi][stage].slices;
+  if (replicated)
+    slices[st->home[qi]].assign(items.begin(), items.end());
+  else
+    map_.partition_into(items, slices);
+  std::size_t fan_in = 0;
+  for (std::size_t shard = 0; shard < slices.size(); ++shard)
+    if (st->runs_on(qi, stage, replicated, shard)) ++fan_in;
+  if (fan_in == 0) {
     finish_stage(st, servable, qi, stage);
     return;
   }
-  st->fan(qi, stage).store(nonempty);
-  for (std::size_t shard = 0; shard < rec.slices.size(); ++shard) {
-    if (rec.slices[shard].empty()) continue;
+  st->fan(qi, stage).store(fan_in);
+  for (std::size_t shard = 0; shard < slices.size(); ++shard) {
+    if (!st->runs_on(qi, stage, replicated, shard)) continue;
     if (defer != nullptr) {
       (*defer)[shard].emplace_back(qi, stage);
       continue;
@@ -813,10 +781,9 @@ OpCost StagePipeline::merge_cost(std::size_t slices, std::size_t k) const {
   return cost;
 }
 
-void StagePipeline::collect(BatchHandle handle, ServableBackend& servable,
-                            HotEmbeddingCache* cache,
-                            std::span<const CacheTiming> timing,
-                            std::vector<QueryResult>& results) {
+std::vector<Request> StagePipeline::collect(
+    BatchHandle handle, ServableBackend& servable, HotEmbeddingCache* cache,
+    std::span<const CacheTiming> timing, std::vector<QueryResult>& results) {
   IMARS_REQUIRE(handle.valid(), "StagePipeline::collect: invalid handle");
   IMARS_REQUIRE(handle.state_->seq == next_collect_seq_,
                 "StagePipeline::collect: handles must be collected in "
@@ -858,7 +825,7 @@ void StagePipeline::collect(BatchHandle handle, ServableBackend& servable,
     const Request& req = st->batch.requests[qi];
     QueryResult& out = results[qi];
     // Reused QueryResult slots carry the previous batch's values; every
-    // field is either assigned below or reset here (the sharded walk
+    // field is either assigned below or reset here (the per-shard walk
     // ACCUMULATES into stage_stats, so those must start from zero).
     out.request = req;
     out.batch_id = st->batch.id;
@@ -876,41 +843,28 @@ void StagePipeline::collect(BatchHandle handle, ServableBackend& servable,
       for (std::size_t p : graph.preds[s])
         ready = device::max(ready, stage_end[p]);
 
-      // Row-access lists exist only to feed the cache; skip them when no
-      // cache is configured. They append into a reused scratch buffer.
-      const auto stage_accesses =
-          [&](std::size_t stage, std::span<const std::size_t> slice)
-          -> std::span<const RowAccess> {
-        if (cache == nullptr) return {};
-        access_scratch_.clear();
-        servable.accesses_into(stage, req, slice, access_scratch_);
-        return access_scratch_;
-      };
-
-      if (spec.stages[s].kind == StageKind::kReplicated) {
-        const std::size_t home = st->home[qi];
-        // A consume_items stage's row traffic depends on WHICH candidates
-        // its predecessors produced, so its fed item set doubles as the
-        // accesses() slice (empty for ordinary replicated stages — the
-        // pre-funnel contract).
-        std::span<const std::size_t> fed{};
-        const auto& fed_sources = graph.item_sources[s];
-        if (fed_sources.size() == 1) {
-          fed = st->rec[qi][fed_sources.front()].out_items;
-        } else if (fed_sources.size() > 1) {
-          fed_scratch_.clear();
-          for (std::size_t src : fed_sources) {
-            const auto& items = st->rec[qi][src].out_items;
-            fed_scratch_.insert(fed_scratch_.end(), items.begin(),
-                                items.end());
-          }
-          fed = fed_scratch_;
+      // Each execution occupies its shard's stage unit and, with ET
+      // traffic, the shard's shared ET banks; the stage ends with its last
+      // execution. A replicated stage runs once, on the query's home shard.
+      const bool replicated = spec.stages[s].kind == StageKind::kReplicated;
+      device::Ns end = ready;
+      std::size_t contributing = 0;
+      for (std::size_t shard = 0; shard < ns; ++shard) {
+        if (!st->runs_on(qi, s, replicated, shard)) continue;
+        ++contributing;
+        // Row-access lists exist only to feed the cache; skip them when no
+        // cache is configured. They append into a reused scratch buffer.
+        std::span<const RowAccess> accesses;
+        if (cache != nullptr) {
+          access_scratch_.clear();
+          servable.accesses_into(s, req, rec.slices[shard], access_scratch_);
+          accesses = access_scratch_;
         }
         HotEmbeddingCache::TierFlush flushed;
         const StageStats adj =
-            adjust_stage(rec.rep_stats, stage_accesses(s, fed), cache,
-                         timing_of(home), st->spec_idx, &flushed);
-        out.stage_stats[s] = adj;
+            adjust_stage(rec.shard_stats[shard], accesses, cache,
+                         timing_of(shard), st->spec_idx, &flushed);
+        out.stage_stats[s].merge(adj);
         const device::Ns t = adj.total().latency;
         // Flush write-backs (kEtWrite) occupy the same in-memory arrays as
         // the lookups, so they extend the shared ET-bank claim — as do
@@ -919,79 +873,22 @@ void StagePipeline::collect(BatchHandle handle, ServableBackend& servable,
         const device::Ns et = adj.at(OpKind::kEtLookup).latency +
                               adj.at(OpKind::kEtWrite).latency +
                               adj.at(OpKind::kEtBlock).latency;
-        ShardClocks& c = clocks_[home];
+        ShardClocks& c = clocks_[shard];
         const device::Ns unit_free = c.stage_free[base + s];
         const device::Ns shared_free = c.shared_free;
         // A stage with no ET traffic (e.g. a pure crossbar tower) neither
         // waits on nor claims the shard's shared ET banks — that is what
-        // lets parallel feature towers genuinely overlap. Every pre-DAG
-        // stage carries ET cost, so their timing is unchanged.
+        // lets parallel feature towers genuinely overlap.
         const device::Ns start =
             et.value > 0.0 ? std::max({ready, unit_free, shared_free})
                            : std::max(ready, unit_free);
-        const device::Ns end = start + t;
-        c.stage_free[base + s] = end;
+        const device::Ns exec_end = start + t;
+        c.stage_free[base + s] = exec_end;
         if (et.value > 0.0) c.shared_free = start + et;
-        // et <= t, so `end` dominates both commits.
-        frontier_ = device::max(frontier_, end);
-        usage_[home].stage_busy[base + s] += t;
-        out.stage_latency[s] = end - ready;
-        stage_end[s] = end;
-        complete = device::max(complete, end);
-        if (sink_ != nullptr) {
-          if (flushed.rows > 0)
-            sink_->on_cache_flush(home, start, flushed.rows, flushed.warm,
-                                  flushed.cold);
-          StageSpan span;
-          span.slot = st->spec_idx;
-          span.stage = s;
-          span.name = spec.stages[s].name;
-          span.shard = home;
-          span.query = req.id;
-          span.batch = st->batch.id;
-          span.ready = ready;
-          span.start = start;
-          span.end = end;
-          span.unit_wait = device::max(unit_free - ready, device::Ns{0.0});
-          span.et_wait =
-              et.value > 0.0
-                  ? device::max(shared_free - device::max(ready, unit_free),
-                                device::Ns{0.0})
-                  : device::Ns{0.0};
-          span.et_busy = et;
-          sink_->on_stage(span);
-        }
-        continue;
-      }
-
-      // Sharded stage: slices run concurrently across shards; each occupies
-      // its shard's stage unit and ET banks.
-      device::Ns end = ready;
-      std::size_t contributing = 0;
-      for (std::size_t shard = 0; shard < ns; ++shard) {
-        if (rec.slices.empty() || rec.slices[shard].empty()) continue;
-        ++contributing;
-        HotEmbeddingCache::TierFlush flushed;
-        const StageStats adj = adjust_stage(
-            rec.shard_stats[shard], stage_accesses(s, rec.slices[shard]),
-            cache, timing_of(shard), st->spec_idx, &flushed);
-        out.stage_stats[s].merge(adj);
-        const device::Ns t = adj.total().latency;
-        const device::Ns et = adj.at(OpKind::kEtLookup).latency +
-                              adj.at(OpKind::kEtWrite).latency +
-                              adj.at(OpKind::kEtBlock).latency;
-        ShardClocks& c = clocks_[shard];
-        const device::Ns unit_free = c.stage_free[base + s];
-        const device::Ns shared_free = c.shared_free;
-        const device::Ns start =
-            et.value > 0.0 ? std::max({ready, unit_free, shared_free})
-                           : std::max(ready, unit_free);
-        const device::Ns slice_end = start + t;
-        c.stage_free[base + s] = slice_end;
-        if (et.value > 0.0) c.shared_free = start + et;
-        frontier_ = device::max(frontier_, slice_end);
+        // et <= t, so `exec_end` dominates both commits.
+        frontier_ = device::max(frontier_, exec_end);
         usage_[shard].stage_busy[base + s] += t;
-        end = device::max(end, slice_end);
+        end = device::max(end, exec_end);
         if (sink_ != nullptr) {
           if (flushed.rows > 0)
             sink_->on_cache_flush(shard, start, flushed.rows, flushed.warm,
@@ -1005,7 +902,7 @@ void StagePipeline::collect(BatchHandle handle, ServableBackend& servable,
           span.batch = st->batch.id;
           span.ready = ready;
           span.start = start;
-          span.end = slice_end;
+          span.end = exec_end;
           span.unit_wait = device::max(unit_free - ready, device::Ns{0.0});
           span.et_wait =
               et.value > 0.0
@@ -1069,12 +966,12 @@ void StagePipeline::collect(BatchHandle handle, ServableBackend& servable,
                     topk_scratch_.begin() + static_cast<std::ptrdiff_t>(keep));
   }
 
-  // Close the allocate/free cycle: the batch's request storage flows back
-  // to its producer (set_request_recycler), and the State — with all its
-  // per-query buffers — parks in the pool for the next submit. Its
+  // Close the allocate/free cycle: the batch's request storage goes back
+  // to the caller (for its producer to reuse), and the State — with all
+  // its per-query buffers — parks in the pool for the next submit. Its
   // pending_ entry is erased NOW: a pooled State never expires, so
   // leaving the weak pointer behind would grow the list without bound.
-  if (request_recycler_) request_recycler_(std::move(st->batch.requests));
+  std::vector<Request> spent = std::move(st->batch.requests);
   st->batch.requests.clear();
   {
     std::lock_guard lock(pending_mu_);
@@ -1083,6 +980,7 @@ void StagePipeline::collect(BatchHandle handle, ServableBackend& servable,
     });
   }
   state_pool_.push_back(std::move(st));
+  return spent;
 }
 
 std::vector<StagePipeline::QueryResult> StagePipeline::execute(

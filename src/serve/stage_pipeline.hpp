@@ -17,7 +17,11 @@
 //     per shard; every stage with embedding-table traffic contends for its
 //     shard's shared ET banks — the same contention rule as
 //     core/throughput.hpp — while ET-free stages (pure crossbar towers)
-//     overlap freely.
+//     overlap freely. Both kinds run as per-shard executions: a
+//     replicated stage as one on the query's home shard, whose slice holds
+//     its fed items; a sharded stage as one on each shard whose ShardMap
+//     slice is non-empty. Dispatch, the worker task and the clock claim
+//     in collect() therefore each have one path for both kinds.
 //   * the *workload* is an abstract ServableBackend: the two-stage
 //     YouTubeDNN flow (serve/shard_router.hpp) and the single-stage
 //     DLRM/Criteo CTR flow (serve/servable_ctr.hpp) both serve through the
@@ -55,7 +59,6 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -175,6 +178,8 @@ struct StageSpec {
   /// passes them as the accesses() slice. Requires an explicit dependency
   /// graph with at least one producing predecessor. Default off.
   bool consume_items = false;
+
+  bool operator==(const StageSpec&) const = default;
 };
 
 /// Stage graph of a workload: a DAG of replicated/sharded stages. A
@@ -222,6 +227,8 @@ struct PipelineSpec {
     bool operator==(const Graph&) const = default;
   };
 
+  bool operator==(const PipelineSpec&) const = default;
+
   /// Resolves and validates the graph. Throws imars::Error on: an empty
   /// graph, duplicate or empty stage names (when edges are declared),
   /// edges naming unknown stages, dependency cycles, or `merge_topk` on a
@@ -264,9 +271,11 @@ class ServableBackend {
 
   /// Runs replicated stage `stage` of `req` over the item set `fed`
   /// produced by the stage's graph predecessors (StageSpec::consume_items):
-  /// the funnel's filter narrowing the retrieval stage's candidates. Only
-  /// called for stages with resolved item sources; the default ignores the
-  /// fed items and delegates to run_replicated().
+  /// the funnel's filter narrowing the retrieval stage's candidates. `fed`
+  /// is the stage's slice on its home shard: the producing predecessors'
+  /// items, concatenated in declared edge order; accesses() receives the
+  /// same slice. Only called for stages with resolved item sources; the
+  /// default ignores the fed items and delegates to run_replicated().
   virtual std::vector<std::size_t> run_replicated_fed(
       std::size_t stage, std::size_t shard, const Request& req,
       std::span<const std::size_t> fed, recsys::StageStats* stats) {
@@ -283,8 +292,9 @@ class ServableBackend {
       recsys::StageStats* stats) = 0;
 
   /// ET rows stage `stage` of `req` touches (hot-cache bookkeeping).
-  /// `slice` is the shard's slice for sharded stages, empty for replicated
-  /// ones. Called from collect() — single-threaded, deterministic order.
+  /// `slice` is the executing shard's slice: a sharded stage's ShardMap
+  /// slice, a replicated stage's fed items (empty unless it consumes
+  /// items). Called from collect() — single-threaded, deterministic order.
   virtual std::vector<RowAccess> accesses(
       std::size_t stage, const Request& req,
       std::span<const std::size_t> slice) const = 0;
@@ -434,12 +444,12 @@ class StagePipeline {
 
   /// Enqueues the batch's functional work; returns immediately. Stages
   /// chain across the shard executors with no inter-stage barrier.
-  /// `servable` must outlive the handle and its spec must match slot
-  /// `spec_idx`; `batch` is taken by value (move it in to skip the request
-  /// copy — lvalue callers keep the pre-existing copy semantics). Urgent
-  /// batches (latency-critical tenants) overtake queued normal work on the
-  /// shard threads — host-side ordering only, reported hardware time is
-  /// unaffected.
+  /// `servable` must outlive the handle and its spec() must equal slot
+  /// `spec_idx`'s spec; `batch` is taken by value (move it in to skip the
+  /// request copy — lvalue callers keep the pre-existing copy semantics).
+  /// Urgent batches (latency-critical tenants) overtake queued normal work
+  /// on the shard threads — host-side ordering only, reported hardware
+  /// time is unaffected.
   BatchHandle submit(Batch batch, ServableBackend& servable,
                      std::size_t k, std::size_t spec_idx = 0,
                      bool urgent = false);
@@ -453,18 +463,15 @@ class StagePipeline {
   /// shard's miss cost, not the controller profile's). `results` is resized
   /// to the batch and refilled in place, so a steady-state drain loop
   /// reuses one result buffer (and its per-query vectors) across batches.
-  void collect(BatchHandle handle, ServableBackend& servable,
-               HotEmbeddingCache* cache, std::span<const CacheTiming> timing,
-               std::vector<QueryResult>& results);
-
-  /// After collect() has accounted a batch, its request storage is
-  /// handed to `recycler` (e.g. QosBatcher::recycle) instead of being
-  /// freed, closing the allocate/free cycle between the batcher and the
-  /// engine.
-  void set_request_recycler(
-      std::function<void(std::vector<Request>&&)> recycler) {
-    request_recycler_ = std::move(recycler);
-  }
+  /// Every (stage, shard) execution is claimed on the clocks at one site:
+  /// a replicated stage's one execution on the query's home shard and a
+  /// sharded stage's execution on each shard with a non-empty slice alike.
+  /// Returns the batch's spent request storage, for the caller to hand
+  /// back to its producer (e.g. QosBatcher::recycle) instead of freeing it.
+  std::vector<Request> collect(BatchHandle handle, ServableBackend& servable,
+                               HotEmbeddingCache* cache,
+                               std::span<const CacheTiming> timing,
+                               std::vector<QueryResult>& results);
 
   /// submit() + collect() in one step (no cross-batch overlap).
   std::vector<QueryResult> execute(const Batch& batch,
@@ -514,8 +521,9 @@ class StagePipeline {
                                 ServableBackend& servable, std::size_t qi,
                                 std::size_t stage,
                                 DeferredTasks* defer = nullptr);
-  /// The functional body of one (query, stage) task on `shard`'s worker
-  /// thread — shared by the per-query and composite dispatch paths.
+  /// The functional body of one (query, stage) execution on `shard`'s
+  /// worker thread — shared by the per-query and composite dispatch paths.
+  /// The last of the stage's executions to finish completes the stage.
   void run_stage_task(const std::shared_ptr<BatchHandle::State>& st,
                       ServableBackend& servable, std::size_t qi,
                       std::size_t stage, std::size_t shard);
@@ -572,8 +580,6 @@ class StagePipeline {
   /// Collected States parked for reuse. Their pending_ entries are erased
   /// at collect, so pooling cannot grow the weak-pointer list.
   std::vector<std::shared_ptr<BatchHandle::State>> state_pool_;
-  /// Request-storage recycler (set_request_recycler).
-  std::function<void(std::vector<Request>&&)> request_recycler_;
   /// Running maximum over every committed clock value — all clock updates
   /// are monotone non-decreasing, so this equals the full scan frontier()
   /// used to compute, without the O(shards * stages) walk per admission
@@ -589,9 +595,6 @@ class StagePipeline {
   /// groups per stage are few (e.g. DLRM impressions in flight), so a flat
   /// linear-scan vector beats the former per-call std::map.
   mutable std::vector<std::array<std::uint64_t, 3>> group_scratch_;
-  /// collect()-scope scratch for the fed-item concatenation of a
-  /// multi-source consume_items stage (single-threaded there).
-  std::vector<std::size_t> fed_scratch_;
   /// submit()-scope buffer for the batched initial dispatch (submission is
   /// single-threaded by the collect-order contract).
   DeferredTasks dispatch_scratch_;

@@ -3,7 +3,8 @@
 //   * expect_reports_identical — the "same seed => bit-identical report"
 //     comparator that determinism tests assert (overlap on/off, seed
 //     replays, QoS grids, observers attached or not).
-//   * report_digest — the FNV-1a digest the golden tests pin.
+//   * report_digest — the FNV-1a digest the golden tests pin
+//     (expect_golden compares one against a committed GoldenRow).
 // Both walk the same field list (visit_report), so the comparator and the
 // goldens define one contract. Bit-identical means equal bits: every
 // timestamp, latency, energy and score compares by representation, not
@@ -222,6 +223,39 @@ inline ReportDigest report_digest(const serve::ServeReport& r) {
     d.sections[f.section] = fnv1a(d.sections[f.section], f.bits);
   });
   return d;
+}
+
+/// A committed golden row: a cell name and its report's digest.
+struct GoldenRow {
+  std::string_view cell;
+  ReportDigest digest;
+};
+
+/// `d` as a golden row, paste-ready: {"cell", {{0x...ULL, ...}}},
+inline std::string golden_row(std::string_view cell, const ReportDigest& d) {
+  std::string row = "{\"" + std::string(cell) + "\", {{";
+  for (std::size_t s = 0; s < d.sections.size(); ++s) {
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "%s0x%016llxULL", s == 0 ? "" : ", ",
+                  static_cast<unsigned long long>(d.sections[s]));
+    row += hex;
+  }
+  return row + "}}},";
+}
+
+/// Asserts `report` served `golden`'s cell with `golden`'s digest. A moved
+/// cell names its first differing section and prints its new row.
+inline void expect_golden(const GoldenRow& golden, std::string_view cell,
+                          const serve::ServeReport& report) {
+  ASSERT_EQ(cell, golden.cell);
+  const ReportDigest d = report_digest(report);
+  for (std::size_t s = 0; s < d.sections.size(); ++s)
+    if (d.sections[s] != golden.digest.sections[s]) {
+      ADD_FAILURE() << "golden digest moved in cell " << cell
+                    << ": first differing section \"" << kSectionNames[s]
+                    << "\"\n  new row: " << golden_row(cell, d);
+      return;
+    }
 }
 
 /// Every simulated field of `r`, in walk order.

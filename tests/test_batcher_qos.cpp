@@ -371,6 +371,15 @@ TEST(QosBatcher, RejectsBadConfigsAndLabels) {
               std::string::npos)
         << v;
   }
+  // A non-finite weight is a named error too: +inf used to pass, making
+  // that class's fair share inf/inf = NaN and every other class's zero.
+  for (const double v : {nan, inf}) {
+    EXPECT_NE(error_with([&](QosBatcherConfig& c) {
+                c.classes[1].weight = v;
+              }).find("weight must be finite"),
+              std::string::npos)
+        << v;
+  }
   EXPECT_EQ(error_with([](QosBatcherConfig& c) {
               c.classes[0].deadline = Ns{-1.0};
               c.classes[0].service_estimate = Ns{0.0};

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <future>
 #include <iterator>
 #include <limits>
@@ -14,7 +13,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -648,6 +646,32 @@ TEST(LoadGenerator, RejectsNonFiniteOrNegativeThink) {
   EXPECT_NO_THROW(LoadGenerator gen(lg));
 }
 
+TEST(LoadGenerator, RejectsNonFiniteClassMix) {
+  // An infinite share used to label 0 of 1,000 draws as its class, and two
+  // DBL_MAX shares overflowed the total to inf with the same result; a NaN
+  // share was misreported as negative.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double big = std::numeric_limits<double>::max();
+  const auto error_with = [](std::vector<double> mix) -> std::string {
+    LoadGenConfig lg;
+    lg.class_mix = std::move(mix);
+    try {
+      LoadGenerator gen(lg);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return {};
+  };
+  for (const double share : {inf, nan})
+    EXPECT_NE(error_with({share, 1.0}).find("class_mix shares must be finite"),
+              std::string::npos)
+        << share;
+  EXPECT_NE(error_with({big, big}).find("class_mix total must be finite"),
+            std::string::npos);
+  EXPECT_EQ(error_with({big, 1.0}), "");
+}
+
 // --- golden report digests --------------------------------------------------
 // The scaling grid — phased/overlap x closed/open arrivals x one/two QoS
 // classes — and two gated cells with tiered memory and update writes, on
@@ -670,19 +694,6 @@ serve::ServeReport serve_synth(const ServingConfig& cfg,
   return rt.run(gen);
 }
 
-/// A golden row as it appears in the table below.
-std::string golden_row(std::string_view cell,
-                       const serve_test::ReportDigest& d) {
-  std::string row = "{\"" + std::string(cell) + "\", {{";
-  for (std::size_t s = 0; s < d.sections.size(); ++s) {
-    char hex[32];
-    std::snprintf(hex, sizeof hex, "%s0x%016llxULL", s == 0 ? "" : ", ",
-                  static_cast<unsigned long long>(d.sections[s]));
-    row += hex;
-  }
-  return row + "}}},";
-}
-
 /// The scaling grid's two QoS classes: interactive (batch 8, wait
 /// 100 us, weight 2) and bulk (batch 32, wait 400 us, weight 1).
 std::vector<serve::QosClassConfig> grid_classes() {
@@ -700,12 +711,8 @@ std::vector<serve::QosClassConfig> grid_classes() {
 }
 
 TEST(ServeReport, GoldenDigestsPinTheScalingGrid) {
-  struct Golden {
-    std::string_view cell;
-    serve_test::ReportDigest digest;
-  };
   // clang-format off
-  static constexpr Golden kGolden[] = {
+  static constexpr serve_test::GoldenRow kGolden[] = {
       {"phased:closed:c1", {{0x15862f25203d6057ULL, 0x5d5e6b26af0b3b55ULL, 0x429ed30ee39394f0ULL, 0x7fcf285121116c09ULL}}},
       {"phased:closed:c2", {{0x5ccdab059f5c3feaULL, 0x2f6f859be45b544bULL, 0xb0c6f4d7963573f2ULL, 0x7ce83168952701ebULL}}},
       {"phased:open:c1", {{0x62f52748833e966aULL, 0x5d5e6b26af0b3b55ULL, 0x429ed30ee39394f0ULL, 0x02a0ea0c8b9647ccULL}}},
@@ -728,17 +735,7 @@ TEST(ServeReport, GoldenDigestsPinTheScalingGrid) {
   const auto expect_golden = [&](const std::string& cell,
                                  const serve::ServeReport& report) {
     ASSERT_LT(i, std::size(kGolden));
-    const Golden& golden = kGolden[i++];
-    ASSERT_EQ(cell, golden.cell);
-    const serve_test::ReportDigest d = serve_test::report_digest(report);
-    for (std::size_t s = 0; s < d.sections.size(); ++s)
-      if (d.sections[s] != golden.digest.sections[s]) {
-        ADD_FAILURE() << "golden digest moved in cell " << cell
-                      << ": first differing section \""
-                      << serve_test::kSectionNames[s]
-                      << "\"\n  new row: " << golden_row(cell, d);
-        break;
-      }
+    serve_test::expect_golden(kGolden[i++], cell, report);
   };
   for (const bool overlap : {false, true})
     for (const bool open : {false, true})

@@ -4,25 +4,31 @@
 // serving parity against serial ImarsCtrBackend::score, async stage-
 // overlap determinism, Poisson open-loop arrivals, and the stage DAG:
 // spec validation, diamond-graph fan-out/join timing, tower-parallel CTR
-// graphs, graph-aware QoS service estimates, and the DAG<->linear
-// bit-parity grid.
+// graphs, graph-aware QoS service estimates, the DAG<->linear
+// bit-parity grid, and the golden report digests of the servable graphs.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "baseline/cpu_backend.hpp"
 #include "core/backend_factory.hpp"
+#include "core/calibration.hpp"
 #include "data/criteo.hpp"
 #include "data/movielens.hpp"
+#include "harness.hpp"
 #include "recsys/dlrm.hpp"
 #include "recsys/youtube_dnn.hpp"
 #include "serve/runtime.hpp"
 #include "serve/servable_ctr.hpp"
+#include "serve/servable_funnel.hpp"
 #include "serve/shard_map.hpp"
 #include "serve/stage_pipeline.hpp"
 #include "serve_test_util.hpp"
@@ -37,10 +43,12 @@ using serve::ArrivalProcess;
 using serve::Batch;
 using serve::CtrGraph;
 using serve::CtrServable;
+using serve::FunnelConfig;
 using serve::LoadGenConfig;
 using serve::LoadGenerator;
 using serve::PipelineSpec;
 using serve::Request;
+using serve::RetrievalKind;
 using serve::ServingConfig;
 using serve::ServingRuntime;
 using serve::ShardMap;
@@ -1394,6 +1402,165 @@ TEST(ShardRouter, OverrideSpecRejectsDifferentGraphs) {
                      {"filter", StageKind::kReplicated, {"rank"}}};
   reversed.merge_topk = true;
   EXPECT_THROW(router.override_spec(reversed), Error);
+}
+
+// --- golden report digests of the servable graphs ---------------------------
+// ServeReport.GoldenDigestsPinTheScalingGrid serves one sharded stage. These
+// cells serve the multi-stage graphs on trained models: a replicated filter
+// feeding a sharded rank (ShardRouter, open and gated), the funnel's fed
+// filter and emit_topk rank merge (FunnelServable over IVF retrieval), and
+// DLRM's tower chain and tower DAG join with parallel-bank lookups on a
+// mixed FeFET/ReRAM fabric with a cost-weighted ShardMap. Same contract as
+// the scaling grid: after an intended change, paste the printed rows.
+
+TEST(StagePipeline, GoldenDigestsPinTheServableGraphs) {
+  // clang-format off
+  static constexpr serve_test::GoldenRow kGolden[] = {
+      {"filter_rank:open", {{0x29b01ad0b71a86efULL, 0x79c43d090eaf2465ULL, 0x9d8eb8a6c8dadd29ULL, 0xeb8a738c8453d70eULL}}},
+      {"filter_rank:gated", {{0x925a1ecea4925fd1ULL, 0x8a58c44302440016ULL, 0x6aef0c7d16275596ULL, 0x8f68cb8c0cd61f7dULL}}},
+      {"funnel:open", {{0xaa29ed64845cd916ULL, 0x1a238824606edb5fULL, 0x7983545d7b845839ULL, 0x8ab0e7d3693cc642ULL}}},
+      {"ctr_chain:open", {{0x8307fc65d6f6978cULL, 0xc3dd5e31cd02772eULL, 0xeda8046fb51b348cULL, 0xe203db1e20a5609dULL}}},
+      {"ctr_dag:open", {{0x0143bb12ead15902ULL, 0xc3dd5e31cd02772eULL, 0xeda8046fb51b348cULL, 0xf7edcbe290571ae2ULL}}},
+  };
+  // clang-format on
+  const core::ArchConfig arch;
+  const auto fefet45 = device::DeviceProfile::fefet45();
+
+  // YouTubeDNN on three FeFET-45 iMARS replicas.
+  auto ml = bench::make_movielens(0.02, 1, 1, 505);
+  std::vector<recsys::UserContext> users;
+  for (std::size_t u = 0; u < ml.ds->num_users(); ++u)
+    users.push_back(ml.model->make_context(*ml.ds, u));
+  core::ImarsBackendConfig icfg;
+  icfg.timing = core::TimingMode::kWorstCaseSameArray;
+  icfg.max_candidates = core::kEndToEndCandidates;
+  icfg.nns_radius = 64;
+  const std::vector<recsys::UserContext> calib(users.begin(),
+                                               users.begin() + 8);
+  const auto factory =
+      core::imars_backend_factory(*ml.model, arch, fefet45, icfg, calib);
+  const std::vector<device::DeviceProfile> profiles(3, fefet45);
+
+  ServingConfig yt;
+  yt.shards = 3;
+  yt.k = 5;
+  yt.batcher.max_batch = 4;
+  yt.batcher.max_wait = Ns{300000.0};
+  yt.cache.capacity_rows = 256;
+  yt.overlap = true;
+  yt.traffic.filter_features = ml.model->filter_features();
+  yt.traffic.rank_features = ml.model->rank_features();
+  serve::QosClassConfig interactive;
+  interactive.name = "interactive";
+  interactive.max_batch = 2;
+  interactive.max_wait = Ns{100000.0};
+  interactive.weight = 2.0;
+  interactive.deadline = Ns{300000.0};
+  serve::QosClassConfig bulk;
+  bulk.name = "bulk";
+  bulk.max_batch = 4;
+  bulk.max_wait = Ns{300000.0};
+  bulk.weight = 1.0;
+  yt.qos.classes = {interactive, bulk};
+  LoadGenConfig yt_load;
+  yt_load.clients = 6;
+  yt_load.total_queries = 48;
+  yt_load.num_users = users.size();
+  yt_load.user_zipf_s = 0.9;
+  yt_load.seed = 909;
+  yt_load.class_mix = {0.4, 0.6};
+  LoadGenConfig yt_open = yt_load;
+  yt_open.arrivals = ArrivalProcess::kOpenPoisson;
+  yt_open.rate_qps = 2.0e4;
+
+  std::size_t i = 0;
+  const auto expect_golden = [&](std::string_view cell,
+                                 const serve::ServeReport& report) {
+    ASSERT_LT(i, std::size(kGolden));
+    serve_test::expect_golden(kGolden[i++], cell, report);
+  };
+  const auto serve_yt = [&](std::unique_ptr<ServingRuntime> rt,
+                            const LoadGenConfig& lg) {
+    LoadGenerator gen(lg);
+    return rt->run(gen, users);
+  };
+
+  expect_golden("filter_rank:open",
+                serve_yt(std::make_unique<ServingRuntime>(factory, yt, arch,
+                                                          fefet45),
+                         yt_open));
+  {
+    ServingConfig gated = yt;
+    gated.qos.admit_window = Ns{20000.0};
+    gated.cache.capacity_rows = 64;
+    gated.cache.warm_capacity_rows = 512;
+    gated.cache.cold_block_rows = 8;
+    LoadGenConfig lg = yt_load;
+    lg.update_fraction = 0.1;
+    const auto report = serve_yt(
+        std::make_unique<ServingRuntime>(factory, gated, arch, fefet45), lg);
+    expect_golden("filter_rank:gated", report);
+    EXPECT_GT(report.updates, 0u);
+    EXPECT_GT(report.cache.cold_faults, 0u);
+  }
+  {
+    FunnelConfig fc;
+    fc.retrieval = RetrievalKind::kIvf;
+    fc.retrieve_k = 40;
+    fc.filter_radius = 120;
+    fc.rank_keep = 16;
+    fc.ivf.nlist = 8;
+    fc.ivf.nprobe = 6;
+    const auto report = serve_yt(
+        std::make_unique<ServingRuntime>(
+            std::make_unique<serve::FunnelServable>(*ml.model, arch, factory,
+                                                    profiles, fc, yt.traffic),
+            yt, arch, fefet45),
+        yt_open);
+    expect_golden("funnel:open", report);
+    EXPECT_EQ(report.stage_names.front().size(), 4u);
+  }
+
+  // DLRM on a FeFET-45 / FeFET-22 / ReRAM-45 fabric.
+  auto cr = bench::make_criteo(400, 1);
+  std::vector<data::CriteoSample> samples;
+  for (std::size_t s = 0; s < cr.ds->size(); ++s)
+    samples.push_back(cr.ds->sample(s));
+  const std::vector<data::CriteoSample> ctr_calib(samples.begin(),
+                                                  samples.begin() + 8);
+  const auto ctr_factory = core::imars_ctr_backend_factory(
+      *cr.model, arch, core::TimingMode::kWorstCaseSameArray, ctr_calib);
+  const std::vector<device::DeviceProfile> ctr_profiles = {
+      fefet45, device::DeviceProfile::fefet22(),
+      device::DeviceProfile::reram45()};
+  for (const auto& [cell, graph] :
+       {std::pair{"ctr_chain:open", CtrGraph::kTowerChain},
+        std::pair{"ctr_dag:open", CtrGraph::kTowerDag}}) {
+    auto servable =
+        std::make_unique<CtrServable>(ctr_factory, ctr_profiles, graph);
+    servable->bind_samples(samples);
+    ServingConfig cfg;
+    cfg.k = 1;
+    cfg.batcher.max_batch = 8;
+    cfg.batcher.max_wait = Ns{300000.0};
+    cfg.cache.capacity_rows = 512;
+    cfg.overlap = true;
+    cfg.shard_map =
+        ShardMap::from_costs(servable->probe_score_cost(samples.front()));
+    ServingRuntime rt(std::move(servable), cfg, arch, fefet45, ctr_profiles);
+    LoadGenConfig lg;
+    lg.total_queries = 200;
+    lg.num_users = samples.size();
+    lg.arrivals = ArrivalProcess::kOpenPoisson;
+    lg.rate_qps = 1.0e6;
+    lg.seed = 77;
+    lg.update_fraction = 0.1;
+    LoadGenerator gen(lg);
+    const auto report = rt.run(gen);
+    expect_golden(cell, report);
+    EXPECT_GT(report.cache.hits, 0u) << cell;
+  }
+  EXPECT_EQ(i, std::size(kGolden));
 }
 
 TEST(LoadGenerator, ModesRejectWrongEntryPoint) {
