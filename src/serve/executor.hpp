@@ -32,11 +32,7 @@ class ShardExecutor {
   ShardExecutor& operator=(const ShardExecutor&) = delete;
 
   /// Enqueues `fn`; tasks execute in submission order on the shard thread.
-  /// Urgent tasks (a latency-critical tenant's work) overtake queued normal
-  /// tasks but stay FIFO among themselves.
-  void submit(std::function<void()> fn, bool urgent = false) {
-    tasks_.push(std::move(fn), urgent);
-  }
+  void submit(std::function<void()> fn) { tasks_.push(std::move(fn)); }
 
  private:
   void run() {

@@ -180,12 +180,6 @@ void HotEmbeddingCache::evict(std::uint64_t key) {
                           static_cast<std::uint32_t>(key), was_dirty, dest);
 }
 
-std::uint64_t HotEmbeddingCache::take_flushed() {
-  const std::uint64_t n = pending_flushes_;
-  pending_flushes_ = 0;
-  return n;
-}
-
 bool HotEmbeddingCache::access(std::uint32_t table, std::uint32_t row) {
   const std::uint64_t key = key_of(table, row);
   // One slot read bumps the lifetime frequency and reads residency

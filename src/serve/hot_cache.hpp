@@ -25,10 +25,10 @@
 // a non-resident row writes through to the array (PerfModel::row_write).
 // When a dirty row is evicted by frequency admission, its deferred array
 // write finally happens: the eviction *flushes* the row, and the caller
-// charges the flush into hardware time (take_flushed()). Updates bump the
-// LFU frequency but never allocate on write — a pure update stream cannot
-// flush the read-hot set. With capacity 0 every update degrades to plain
-// write-through.
+// charges the flush into hardware time (take_flushed_tiers()). Updates
+// bump the LFU frequency but never allocate on write — a pure update
+// stream cannot flush the read-hot set. With capacity 0 every update
+// degrades to plain write-through.
 //
 // Tiered embedding memory (RecFlash arXiv:2604.25338 frequency mapping):
 // behind the hot periphery buffer sit a *warm* tier (rows resident in the
@@ -119,7 +119,7 @@ class HotEmbeddingCache {
   /// Records one access to row `row` of table `table`; returns true on a
   /// cache hit. Updates frequency counters and the resident set. Admitting
   /// a hotter row may evict a dirty resident — the flush is recorded for
-  /// take_flushed().
+  /// take_flushed_tiers().
   bool access(std::uint32_t table, std::uint32_t row);
 
   /// Records one embedding-update write; returns true when the buffer
@@ -130,15 +130,11 @@ class HotEmbeddingCache {
   bool update(std::uint32_t table, std::uint32_t row);
 
   /// Dirty-row flushes recorded since the last call (evictions of rows
-  /// holding a deferred array write); clears the counter. Callers charge
-  /// each flush at the row-write cost into the hardware time of whatever
-  /// operation triggered the eviction.
-  std::uint64_t take_flushed();
-
-  /// Per-tier breakdown of the pending flushes: `rows` mirrors what
-  /// take_flushed() would return, `warm`/`cold` split it by destination
-  /// tier (both zero with tiering disabled). Clears all three counters —
-  /// callers use either this or take_flushed(), not both.
+  /// holding a deferred array write): `rows` counts them, `warm`/`cold`
+  /// split them by destination tier (both zero with tiering disabled).
+  /// Clears all three counters. Callers charge each flush at the
+  /// row-write cost into the hardware time of whatever operation
+  /// triggered the eviction.
   struct TierFlush {
     std::uint64_t rows = 0;
     std::uint64_t warm = 0;
@@ -254,8 +250,8 @@ class HotEmbeddingCache {
   /// at or below it skip the admission settle entirely.
   std::uint64_t settled_min_ = 0;
   util::FlatSet64 dirty_;          // resident rows awaiting flush
-  std::uint64_t pending_flushes_ = 0;        // since last take_flushed()
-  std::uint64_t pending_flush_warm_ = 0;     // tier split of the above
+  std::uint64_t pending_flushes_ = 0;     // since last take_flushed_tiers()
+  std::uint64_t pending_flush_warm_ = 0;  // tier split of the above
   std::uint64_t pending_flush_cold_ = 0;
   // Lazy min-heap over resident frequencies (stale entries skipped).
   std::priority_queue<HeapEntry, std::vector<HeapEntry>,

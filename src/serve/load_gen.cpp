@@ -32,6 +32,9 @@ LoadGenerator::LoadGenerator(const LoadGenConfig& cfg)
                   "LoadGenerator: open-loop mode needs a positive rate");
   if (cfg_.arrivals == ArrivalProcess::kTrace) {
     IMARS_REQUIRE(!cfg_.trace.empty(), "LoadGenerator: empty trace");
+    for (const Request& r : cfg_.trace)
+      IMARS_REQUIRE(std::isfinite(r.enqueue.value),
+                    "LoadGenerator: trace arrivals must be finite");
     for (std::size_t i = 1; i < cfg_.trace.size(); ++i)
       IMARS_REQUIRE(cfg_.trace[i - 1].enqueue <= cfg_.trace[i].enqueue,
                     "LoadGenerator: trace arrivals must be time-ordered");

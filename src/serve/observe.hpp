@@ -159,7 +159,7 @@ enum class Tier : std::uint8_t { kArray = 0, kWarm = 1, kCold = 2 };
 struct StageSpan {
   std::size_t slot = 0;       ///< co-resident servable slot
   std::size_t stage = 0;      ///< stage index within the slot's graph
-  std::string_view name;      ///< graph-node name ("" when unnamed)
+  std::string_view name;      ///< graph-node name
   std::size_t shard = 0;
   std::size_t query = 0;      ///< request id
   std::size_t batch = 0;      ///< batch id

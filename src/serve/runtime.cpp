@@ -111,19 +111,6 @@ ServingRuntime::ServingRuntime(
                   "ServingRuntime: warm pinning needs an offline histogram "
                   "or a warmup window");
   }
-  // A filter/rank servable passed through the generic constructor (e.g. a
-  // heterogeneous fabric) still supports run(gen, users).
-  for (const auto& s : servables_)
-    if (auto* r = dynamic_cast<ShardRouter*>(s.get())) {
-      router_ = r;
-      break;
-    }
-}
-
-ShardRouter& ServingRuntime::router() {
-  IMARS_REQUIRE(router_ != nullptr,
-                "ServingRuntime: not a filter/rank fabric");
-  return *router_;
 }
 
 namespace {
@@ -337,11 +324,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
       cost.latency += c.latency;
       cost.energy += c.energy;
     }
-    // update() never evicts today (no write-allocate), but stay general:
-    // any flush it ever records is charged with this update's traffic.
-    const double flushed = static_cast<double>(cache.take_flushed());
-    cost.latency += timing.row_write.latency * flushed;
-    cost.energy += timing.row_write.energy * flushed;
     pipeline_.charge_write(home, cost, r.enqueue);
     ++report.updates;
     report.update_cost += cost;
@@ -360,12 +342,9 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
 
   // Deterministic accounting of the oldest in-flight batch (collection
   // happens in dispatch order, so overlapped and phased execution yield
-  // bit-identical reports).
-  // One result buffer reused across every drained batch, and the arena
-  // accumulating per-query records until the single materialization after
-  // the event loop.
+  // bit-identical reports). One result buffer is reused across every
+  // drained batch.
   std::vector<StagePipeline::QueryResult> results;
-  QueryArena arena;
   auto drain_one = [&] {
     InflightBatch entry = std::move(inflight.front());
     inflight.pop_front();
@@ -417,7 +396,7 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
                               (res.complete - req.enqueue).value,
                               energy.value, device_time.value);
       } else {
-        ServedQuery q;
+        ServedQuery& q = report.queries.emplace_back();
         q.id = req.id;
         q.user = req.user;
         q.client = req.client;
@@ -437,9 +416,7 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
         q.rank_latency = res.stage_latency.back();
         q.energy = energy;
         q.device_time = device_time;
-        // Flat arena: one scalar record + the flat top-k pool, materialized
-        // into report.queries once after the event loop.
-        arena.push(q, res.topk);
+        q.topk = res.topk;
       }
       for (std::size_t s = 0; s + 1 < res.stage_stats.size(); ++s)
         report.filter_stats.merge(res.stage_stats[s]);
@@ -473,7 +450,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     const std::size_t cls = batch.qos_class;
     const QosClassConfig& ccfg = qos.classes[cls];
     ServableBackend* servable = servables_[ccfg.servable].get();
-    const bool urgent = ccfg.deadline.value > 0.0;
     // Batch coordinates are captured BEFORE submit consumes the batch
     // (its request storage moves into the engine).
     InflightBatch entry;
@@ -489,7 +465,7 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     {
       HostProfiler::Scope host(prof, "host.submit");
       entry.handle = pipeline_.submit(std::move(batch), *servable, cfg_.k,
-                                      ccfg.servable, urgent);
+                                      ccfg.servable);
     }
     inflight.push_back(std::move(entry));
     if (!defer) {
@@ -666,10 +642,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   }
   // Updates trailing the last batch dispatch (or an update-only stream).
   apply_updates_until(device::Ns{std::numeric_limits<double>::infinity()});
-
-  // One bulk AoS materialization of the arena-accumulated records, outside
-  // every host span (streaming retains none).
-  if (!report.streaming.enabled) report.queries = arena.materialize();
 
   report.shards.assign(pipeline_.usage().begin(), pipeline_.usage().end());
   for (std::size_t slot = 0; slot < pipeline_.spec_count(); ++slot) {

@@ -141,14 +141,6 @@ class ServingRuntime {
   ServableBackend& servable() noexcept { return *servables_.front(); }
   ServableBackend& servable(std::size_t slot) { return *servables_.at(slot); }
   std::size_t servable_count() const noexcept { return servables_.size(); }
-  /// The first filter/rank servable (valid whenever the fabric serves one,
-  /// whichever constructor built it).
-  ShardRouter& router();
-  /// Per-shard cache timings (a single entry when all shards share the
-  /// controller profile's technology).
-  std::span<const CacheTiming> cache_timing() const noexcept {
-    return timings_;
-  }
 
   /// Serves the generator's whole stream against the user population
   /// (binds `users` to every filter/rank servable); resets clocks and cache
@@ -192,9 +184,8 @@ class ServingRuntime {
   QosBatcherConfig qos_;              ///< effective class table
   std::vector<CacheTiming> timings_;  ///< one, or one per shard
   std::vector<std::unique_ptr<ServableBackend>> servables_;
-  ShardRouter* router_ = nullptr;  ///< first filter/rank servable, if any
-  std::size_t row_bytes_ = 0;      ///< flush-traffic bytes per ET row
-  ObserverSink* sink_ = nullptr;   ///< pure observer; never feeds back
+  std::size_t row_bytes_ = 0;     ///< flush-traffic bytes per ET row
+  ObserverSink* sink_ = nullptr;  ///< pure observer; never feeds back
   StagePipeline pipeline_;
 };
 

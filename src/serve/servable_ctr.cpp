@@ -23,12 +23,12 @@ PipelineSpec CtrServable::pipeline_spec(CtrGraph graph) {
       spec.stages = {{"score", StageKind::kSharded, {}}};
       break;
     case CtrGraph::kTowerChain:
-      // The same three tower stages, serialized (an implicit linear
-      // chain): the dense stage passes the impression through as the
-      // interact stage's work item.
+      // The same three tower stages, serialized as a chain: the dense
+      // stage passes the impression through as the interact stage's work
+      // item.
       spec.stages = {{"gather", StageKind::kSharded, {}},
-                     {"dense", StageKind::kReplicated, {}},
-                     {"interact", StageKind::kSharded, {}}};
+                     {"dense", StageKind::kReplicated, {"gather"}},
+                     {"interact", StageKind::kSharded, {"dense"}}};
       break;
     case CtrGraph::kTowerDag:
       // Parallel feature towers: gather (CMA banks) and dense (crossbars)

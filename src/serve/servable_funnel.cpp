@@ -13,6 +13,13 @@ using recsys::StageStats;
 
 namespace {
 
+// Stage indices (spec order below; the re-rank stage exists only when
+// FunnelConfig::rerank is on).
+constexpr std::size_t kRetrieveStage = 0;
+constexpr std::size_t kFilterStage = 1;
+constexpr std::size_t kRankStage = 2;
+constexpr std::size_t kRerankStage = 3;
+
 /// `cost` charged `n` times (the analytical stages price per candidate).
 recsys::OpCost scaled(const recsys::OpCost& cost, std::size_t n) {
   const double f = static_cast<double>(n);
@@ -67,13 +74,6 @@ class LshRetrieval final : public RetrievalBackend {
 
 PipelineSpec FunnelServable::pipeline_spec(const FunnelConfig& cfg) {
   PipelineSpec spec;
-  if (cfg.retrieval == RetrievalKind::kFixed && !cfg.rerank) {
-    // Degenerate: exactly the ShardRouter graph (bit-parity anchor).
-    spec.stages = {{"filter", StageKind::kReplicated, {}},
-                   {"rank", StageKind::kSharded, {}}};
-    spec.merge_topk = true;
-    return spec;
-  }
   StageSpec retrieve{"retrieve", StageKind::kReplicated, {}};
   StageSpec filter{"filter", StageKind::kReplicated, {"retrieve"}};
   filter.consume_items = true;
@@ -112,40 +112,29 @@ FunnelServable::FunnelServable(const recsys::YoutubeDnn& model,
       traffic_(std::move(traffic)) {
   IMARS_REQUIRE(!profiles.empty(), "FunnelServable: need at least one shard");
   IMARS_REQUIRE(cfg_.retrieve_k >= 1, "FunnelServable: retrieve_k >= 1");
-  degenerate_ = cfg_.retrieval == RetrievalKind::kFixed && !cfg_.rerank;
-  if (degenerate_) {
-    s_filter_ = 0;
-    s_rank_ = 1;
-  } else {
-    s_retrieve_ = 0;
-    s_filter_ = 1;
-    s_rank_ = 2;
-    if (cfg_.rerank) s_rerank_ = 3;
-  }
 
   shards_ = core::build_replicas(factory, profiles);
   perf_.reserve(profiles.size());
   for (const auto& p : profiles) perf_.emplace_back(arch_, p);
 
-  if (!degenerate_) {
-    // Signatures for the narrowing filter (and the kLsh retrieval tier):
-    // same planes/seed family as the hardware's stored ItET signatures.
-    const auto& items = model.item_table();
-    lsh_ = std::make_unique<lsh::RandomHyperplaneLsh>(
-        items.dim(), cfg_.lsh_bits, cfg_.lsh_seed);
-    item_sigs_.reserve(items.rows());
-    for (std::size_t i = 0; i < items.rows(); ++i)
-      item_sigs_.push_back(lsh_->encode(items.row(i)));
-    switch (cfg_.retrieval) {
-      case RetrievalKind::kIvf:
-        retrieval_ = std::make_unique<IvfRetrieval>(items.matrix(), cfg_.ivf);
-        break;
-      case RetrievalKind::kLsh:
-        retrieval_ = std::make_unique<LshRetrieval>(*lsh_, item_sigs_);
-        break;
-      case RetrievalKind::kFixed:
-        break;  // replica filter pass
-    }
+  // Signatures for the narrowing filter (and the kLsh retrieval tier):
+  // same planes/seed family as the hardware's stored ItET signatures.
+  const auto& items = model.item_table();
+  lsh_ = std::make_unique<lsh::RandomHyperplaneLsh>(items.dim(),
+                                                    cfg_.lsh_bits,
+                                                    cfg_.lsh_seed);
+  item_sigs_.reserve(items.rows());
+  for (std::size_t i = 0; i < items.rows(); ++i)
+    item_sigs_.push_back(lsh_->encode(items.row(i)));
+  switch (cfg_.retrieval) {
+    case RetrievalKind::kIvf:
+      retrieval_ = std::make_unique<IvfRetrieval>(items.matrix(), cfg_.ivf);
+      break;
+    case RetrievalKind::kLsh:
+      retrieval_ = std::make_unique<LshRetrieval>(*lsh_, item_sigs_);
+      break;
+    case RetrievalKind::kFixed:
+      break;  // replica filter pass
   }
 }
 
@@ -257,8 +246,6 @@ std::vector<std::size_t> FunnelServable::retrieval_candidates(
 std::vector<std::size_t> FunnelServable::narrowed_candidates(
     const recsys::UserContext& user,
     std::span<const std::size_t> fed) const {
-  IMARS_REQUIRE(lsh_ != nullptr,
-                "FunnelServable: no signature filter in degenerate mode");
   const util::BitVec sig = lsh_->encode(model_->user_embedding(user));
   std::vector<std::size_t> kept;
   kept.reserve(fed.size());
@@ -277,11 +264,7 @@ std::vector<std::size_t> FunnelServable::narrowed_candidates(
 std::vector<std::size_t> FunnelServable::run_replicated(
     std::size_t stage, std::size_t shard, const Request& req,
     StageStats* stats) {
-  if (degenerate_) {
-    IMARS_REQUIRE(stage == s_filter_, "FunnelServable: filter is stage 0");
-    return shards_[shard]->filter(user_of(req), stats);
-  }
-  IMARS_REQUIRE(stage == s_retrieve_,
+  IMARS_REQUIRE(stage == kRetrieveStage,
                 "FunnelServable: only retrieve runs without fed items");
   return retrieve_on(shard, user_of(req), stats);
 }
@@ -289,7 +272,7 @@ std::vector<std::size_t> FunnelServable::run_replicated(
 std::vector<std::size_t> FunnelServable::run_replicated_fed(
     std::size_t stage, std::size_t shard, const Request& req,
     std::span<const std::size_t> fed, StageStats* stats) {
-  IMARS_REQUIRE(stage == s_filter_ && !degenerate_,
+  IMARS_REQUIRE(stage == kFilterStage,
                 "FunnelServable: only the filter stage consumes items");
   const auto& user = user_of(req);
   auto kept = narrowed_candidates(user, fed);
@@ -302,8 +285,9 @@ std::vector<recsys::ScoredItem> FunnelServable::run_sharded(
     std::size_t stage, std::size_t shard, const Request& req,
     std::span<const std::size_t> slice, std::size_t k, StageStats* stats) {
   const auto& user = user_of(req);
-  if (stage == s_rank_) return shards_[shard]->rank(user, slice, k, stats);
-  IMARS_REQUIRE(stage == s_rerank_, "FunnelServable: unknown sharded stage");
+  if (stage == kRankStage) return shards_[shard]->rank(user, slice, k, stats);
+  IMARS_REQUIRE(stage == kRerankStage,
+                "FunnelServable: unknown sharded stage");
   // Full-precision re-rank of the rank stage's survivors (the float
   // reference model; the quantized crossbar pass already ordered them).
   std::vector<recsys::ScoredItem> scored;
@@ -324,16 +308,16 @@ void FunnelServable::accesses_into(std::size_t stage, const Request& req,
                                    std::span<const std::size_t> slice,
                                    std::vector<RowAccess>& out) const {
   const auto& user = user_of(req);
-  if (stage == s_retrieve_ || (degenerate_ && stage == s_filter_)) {
+  if (stage == kRetrieveStage) {
     append_pooled_pass(user, traffic_.filter_features, out);
     return;
   }
-  if (stage == s_filter_) return;  // signature sweep: no ET rows
-  if (stage == s_rank_) {
+  if (stage == kFilterStage) return;  // signature sweep: no ET rows
+  if (stage == kRankStage) {
     append_rank_pass(user, traffic_.rank_features, slice, out);
     return;
   }
-  IMARS_REQUIRE(stage == s_rerank_, "FunnelServable: unknown stage");
+  IMARS_REQUIRE(stage == kRerankStage, "FunnelServable: unknown stage");
   append_rank_pass(user, model_->rank_features(), slice, out);
 }
 
@@ -354,9 +338,7 @@ std::vector<RowAccess> FunnelServable::update_accesses(
 
 std::vector<std::size_t> FunnelServable::profile_items(const Request& req) {
   const auto& user = user_of(req);
-  auto candidates = retrieve_on(0, user, nullptr);
-  if (degenerate_) return candidates;
-  return narrowed_candidates(user, candidates);
+  return narrowed_candidates(user, retrieve_on(0, user, nullptr));
 }
 
 std::vector<device::Ns> FunnelServable::stage_cost_estimate(std::size_t k) {
@@ -365,15 +347,6 @@ std::vector<device::Ns> FunnelServable::stage_cost_estimate(std::size_t k) {
   std::vector<device::Ns> costs;
   StageStats retrieve_stats;
   auto candidates = retrieve_on(0, probe, &retrieve_stats);
-  if (degenerate_) {
-    costs.push_back(retrieve_stats.total().latency);  // the filter pass
-    StageStats rank_stats;
-    if (!candidates.empty())
-      (void)shards_.front()->rank(probe, candidates,
-                                  std::max<std::size_t>(k, 1), &rank_stats);
-    costs.push_back(rank_stats.total().latency);
-    return costs;
-  }
   costs.push_back(retrieve_stats.total().latency);
   StageStats filter_stats;
   filter_stats.at(OpKind::kNns) +=

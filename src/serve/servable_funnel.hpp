@@ -29,10 +29,8 @@
 // that shard's PerfModel, so a heterogeneous fabric prices every stage on
 // the silicon it actually runs on.
 //
-// Degenerate mode (RetrievalKind::kFixed with rerank off) collapses the
-// spec to the exact filter->rank graph ShardRouter serves, with identical
-// stage semantics and RowAccess traffic — the bit-parity anchor the tests
-// and the funnel bench gate on.
+// Every configuration serves retrieve -> filter -> rank, plus rerank when
+// FunnelConfig::rerank is on.
 #pragma once
 
 #include <cstddef>
@@ -54,8 +52,7 @@ namespace imars::serve {
 /// Which ANN engine generates the retrieval tier's candidates.
 enum class RetrievalKind : std::uint8_t {
   /// The backend replica's own filter pass (the TCAM fixed-radius NNS) —
-  /// the "stubbed to a fixed candidate list" mode; with `rerank` off the
-  /// whole funnel degenerates to the ShardRouter graph bit-for-bit.
+  /// the "stubbed to a fixed candidate list" mode.
   kFixed,
   /// IVF-Flat over the item embeddings (baseline::IvfIndex).
   kIvf,
@@ -102,8 +99,8 @@ class RetrievalBackend {
 
 class FunnelServable final : public ServableBackend {
  public:
-  /// The stage graph `cfg` implies: 2 stages (degenerate), 3 (ANN retrieval,
-  /// no re-rank) or 4 (full funnel).
+  /// The stage graph `cfg` implies: 3 stages (no re-rank) or 4 (full
+  /// funnel).
   static PipelineSpec pipeline_spec(const FunnelConfig& cfg);
 
   /// Uniform fabric: `profiles.size()` replicas from `factory` (the slot is
@@ -126,8 +123,6 @@ class FunnelServable final : public ServableBackend {
 
   recsys::FilterRankBackend& backend(std::size_t shard);
   const FunnelConfig& config() const noexcept { return cfg_; }
-  /// True when the spec collapsed to the exact ShardRouter graph.
-  bool degenerate() const noexcept { return degenerate_; }
 
   /// Offline probe of the retrieval tier for one user (recall@k audits):
   /// the candidate list the retrieve stage would produce, no cost
@@ -195,12 +190,6 @@ class FunnelServable final : public ServableBackend {
   FunnelConfig cfg_;
   PipelineSpec spec_;
   TrafficSpec traffic_;
-  bool degenerate_ = false;
-  // Stage indices within spec_ (kNoStage when the stage is absent).
-  std::size_t s_retrieve_ = PipelineSpec::kNoStage;
-  std::size_t s_filter_ = PipelineSpec::kNoStage;
-  std::size_t s_rank_ = PipelineSpec::kNoStage;
-  std::size_t s_rerank_ = PipelineSpec::kNoStage;
 
   std::vector<std::unique_ptr<recsys::FilterRankBackend>> shards_;
   std::vector<core::PerfModel> perf_;  ///< one per shard (slot profile)

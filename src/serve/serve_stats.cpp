@@ -25,49 +25,6 @@ double percentile_or_zero(std::vector<double> xs, double p) {
 
 }  // namespace
 
-void QueryArena::clear() {
-  recs.clear();
-  topk_flat.clear();
-}
-
-void QueryArena::push(const ServedQuery& q,
-                      std::span<const recsys::ScoredItem> topk) {
-  recs.push_back({q.id, q.user, q.client, q.qos_class, q.batch, q.batch_size,
-                  q.home_shard, q.candidates, q.enqueue, q.dispatch,
-                  q.complete, q.filter_latency, q.rank_latency, q.device_time,
-                  q.energy, topk.size()});
-  topk_flat.insert(topk_flat.end(), topk.begin(), topk.end());
-}
-
-std::vector<ServedQuery> QueryArena::materialize() const {
-  std::vector<ServedQuery> out(size());
-  std::size_t pool = 0;
-  for (std::size_t i = 0; i < size(); ++i) {
-    const Rec& r = recs[i];
-    ServedQuery& q = out[i];
-    q.id = r.id;
-    q.user = r.user;
-    q.client = r.client;
-    q.qos_class = r.qos_class;
-    q.batch = r.batch;
-    q.batch_size = r.batch_size;
-    q.home_shard = r.home_shard;
-    q.candidates = r.candidates;
-    q.enqueue = r.enqueue;
-    q.dispatch = r.dispatch;
-    q.complete = r.complete;
-    q.filter_latency = r.filter_latency;
-    q.rank_latency = r.rank_latency;
-    q.device_time = r.device_time;
-    q.energy = r.energy;
-    q.topk.assign(topk_flat.begin() + static_cast<std::ptrdiff_t>(pool),
-                  topk_flat.begin() +
-                      static_cast<std::ptrdiff_t>(pool + r.topk_len));
-    pool += r.topk_len;
-  }
-  return out;
-}
-
 void StreamingAggregates::note(std::size_t cls, double latency_ns,
                                double energy_pj, double device_ns) {
   ++queries;

@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -47,36 +46,6 @@ struct ServedQuery {
   /// Merged top-k (best first). Kept so cross-tenant isolation can be
   /// asserted result-for-result, not just in aggregate.
   std::vector<recsys::ScoredItem> topk;
-};
-
-/// Accumulation arena for per-query records. The steady-state drain loop
-/// appends one query's scalar fields as a single contiguous POD record
-/// (one growth check, one cache line stream) and its top-k items into one
-/// flat pool — amortized growth, no per-query vector allocation inside the
-/// profiled host.report span. materialize() rebuilds the public
-/// ServedQuery records (identical values) in one pass after the event
-/// loop, outside every host span.
-struct QueryArena {
-  /// ServedQuery's scalar fields, trivially copyable (the top-k vector is
-  /// replaced by a length into the flat pool).
-  struct Rec {
-    std::size_t id, user, client, qos_class, batch, batch_size, home_shard,
-        candidates;
-    device::Ns enqueue, dispatch, complete, filter_latency, rank_latency,
-        device_time;
-    device::Pj energy;
-    std::size_t topk_len;  ///< this query's run in topk_flat
-  };
-  std::vector<Rec> recs;
-  std::vector<recsys::ScoredItem> topk_flat;  ///< all top-k items, in order
-
-  std::size_t size() const noexcept { return recs.size(); }
-  void clear();
-  /// Appends `q`'s scalar fields (its own `topk` member is ignored) and
-  /// `topk` into the flat pool.
-  void push(const ServedQuery& q, std::span<const recsys::ScoredItem> topk);
-  /// The accumulated queries as AoS records, in push order.
-  std::vector<ServedQuery> materialize() const;
 };
 
 /// Busy time of one shard's pipeline units over the run, one entry per

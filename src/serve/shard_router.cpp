@@ -9,7 +9,7 @@ using recsys::StageStats;
 PipelineSpec ShardRouter::pipeline_spec() {
   PipelineSpec spec;
   spec.stages = {{"filter", StageKind::kReplicated, {}},
-                 {"rank", StageKind::kSharded, {}}};
+                 {"rank", StageKind::kSharded, {"filter"}}};
   spec.merge_topk = true;
   return spec;
 }
@@ -35,18 +35,6 @@ ShardRouter::ShardRouter(const core::ShardedBackendFactory& factory,
 void ShardRouter::bind_users(std::span<const recsys::UserContext> users) {
   IMARS_REQUIRE(!users.empty(), "ShardRouter: empty user population");
   users_ = users;
-}
-
-void ShardRouter::override_spec(PipelineSpec spec) {
-  IMARS_REQUIRE(spec.stage_count() == spec_.stage_count() &&
-                    spec.merge_topk == spec_.merge_topk &&
-                    spec.resolve() == spec_.resolve(),
-                "ShardRouter::override_spec: spec must resolve to the "
-                "canonical filter->rank graph");
-  for (std::size_t s = 0; s < spec.stage_count(); ++s)
-    IMARS_REQUIRE(spec.stages[s].kind == spec_.stages[s].kind,
-                  "ShardRouter::override_spec: stage kind mismatch");
-  spec_ = std::move(spec);
 }
 
 recsys::FilterRankBackend& ShardRouter::backend(std::size_t shard) {

@@ -63,15 +63,6 @@ class ShardRouter final : public ServableBackend {
   /// outlive the serving run.
   void bind_users(std::span<const recsys::UserContext> users);
 
-  /// Replaces the spec with an equivalent declaration of the same
-  /// filter->rank graph (must resolve identically — e.g. the chain with
-  /// its edge declared explicitly instead of implied). Exists so tests can
-  /// assert implicit-linear and explicit-DAG specs are interchangeable.
-  /// Call it before the router is handed to a runtime: the pipeline copies
-  /// the spec at construction and submit() requires the servable's spec to
-  /// equal that copy.
-  void override_spec(PipelineSpec spec);
-
   recsys::FilterRankBackend& backend(std::size_t shard);
 
   /// Measures each shard's rank-stage cost on `probe` over `items`

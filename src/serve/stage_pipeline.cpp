@@ -22,43 +22,36 @@ PipelineSpec::Graph PipelineSpec::resolve() const {
   g.succs.resize(n);
   g.item_sources.resize(n);
 
-  const bool linear = linear_chain();
-  if (linear) {
-    for (std::size_t s = 1; s < n; ++s) {
-      g.preds[s].push_back(s - 1);
-      g.succs[s - 1].push_back(s);
-    }
-  } else {
-    // Edges are declared by name, so names must be unique and non-empty.
-    // Every rejection names the offending stage — a spec assembled from
-    // config has to be debuggable from the error text alone.
-    std::unordered_map<std::string_view, std::size_t> by_name;
-    for (std::size_t s = 0; s < n; ++s) {
-      IMARS_REQUIRE(!stages[s].name.empty(),
-                    "PipelineSpec: stage #" + std::to_string(s) +
-                        " of a dependency graph must be named");
-      IMARS_REQUIRE(by_name.emplace(stages[s].name, s).second,
-                    "PipelineSpec: duplicate stage name '" + stages[s].name +
-                        "'");
-    }
-    for (std::size_t s = 0; s < n; ++s) {
-      for (const auto& dep : stages[s].deps) {
-        const auto it = by_name.find(dep);
-        IMARS_REQUIRE(it != by_name.end(),
-                      "PipelineSpec: stage '" + stages[s].name +
-                          "' depends on unknown stage '" + dep + "'");
-        IMARS_REQUIRE(it->second != s,
-                      "PipelineSpec: stage '" + stages[s].name +
-                          "' depends on itself");
-        g.preds[s].push_back(it->second);
-        g.succs[it->second].push_back(s);
-      }
+  // Edges are declared by name, so names must be unique and non-empty.
+  // Every rejection names the offending stage — a spec assembled from
+  // config has to be debuggable from the error text alone.
+  std::unordered_map<std::string_view, std::size_t> by_name;
+  for (std::size_t s = 0; s < n; ++s) {
+    IMARS_REQUIRE(!stages[s].name.empty(),
+                  "PipelineSpec: stage #" + std::to_string(s) +
+                      " must be named");
+    IMARS_REQUIRE(by_name.emplace(stages[s].name, s).second,
+                  "PipelineSpec: duplicate stage name '" + stages[s].name +
+                      "'");
+  }
+  for (std::size_t s = 0; s < n; ++s) {
+    for (const auto& dep : stages[s].deps) {
+      const auto it = by_name.find(dep);
+      IMARS_REQUIRE(it != by_name.end(),
+                    "PipelineSpec: stage '" + stages[s].name +
+                        "' depends on unknown stage '" + dep + "'");
+      IMARS_REQUIRE(it->second != s,
+                    "PipelineSpec: stage '" + stages[s].name +
+                        "' depends on itself");
+      g.preds[s].push_back(it->second);
+      g.succs[it->second].push_back(s);
     }
   }
 
   // Deterministic topological order: Kahn's algorithm, always taking the
-  // lowest ready stage index, so a linear chain yields 0,1,2,... and the
-  // event-model accounting walks every graph in a reproducible order.
+  // lowest ready stage index, so a chain declared in spec order yields
+  // 0,1,2,... and the event-model accounting walks every graph in a
+  // reproducible order.
   std::vector<std::size_t> pending(n);
   for (std::size_t s = 0; s < n; ++s) pending[s] = g.preds[s].size();
   std::vector<bool> placed(n, false);
@@ -86,9 +79,10 @@ PipelineSpec::Graph PipelineSpec::resolve() const {
     for (std::size_t succ : g.succs[next]) --pending[succ];
   }
 
-  // Produced-item-set plumbing (emit_topk / consume_items) only makes
-  // sense on an explicitly declared graph: an implicit linear chain has no
-  // edges to say WHICH stage feeds which.
+  // Work-item routing: a stage consumes its PRODUCING direct predecessors
+  // — replicated stages and emitting (emit_topk) sharded stages — in
+  // declared edge order; sharded stages always consume, replicated stages
+  // only when consume_items opts in.
   for (std::size_t s = 0; s < n; ++s) {
     IMARS_REQUIRE(stages[s].emit_topk == 0 ||
                       stages[s].kind == StageKind::kSharded,
@@ -98,36 +92,12 @@ PipelineSpec::Graph PipelineSpec::resolve() const {
                       stages[s].kind == StageKind::kReplicated,
                   "PipelineSpec: consume_items on non-replicated stage #" +
                       std::to_string(s));
-    IMARS_REQUIRE(!linear ||
-                      (stages[s].emit_topk == 0 && !stages[s].consume_items),
-                  "PipelineSpec: emit_topk/consume_items require an "
-                  "explicit dependency graph (stage #" + std::to_string(s) +
-                      ")");
-  }
-
-  // Work-item routing. Explicit graphs: a stage consumes its PRODUCING
-  // direct predecessors — replicated stages and emitting (emit_topk)
-  // sharded stages — in declared edge order; sharded stages always
-  // consume, replicated stages only when consume_items opts in. Implicit
-  // linear chains: the nearest preceding replicated stage — the pre-DAG
-  // "replicated stages (re)define the item set" rule.
-  for (std::size_t s = 0; s < n; ++s) {
     const bool consumes = stages[s].kind == StageKind::kSharded ||
                           stages[s].consume_items;
     if (!consumes) continue;
-    if (linear) {
-      for (std::size_t p = s; p-- > 0;) {
-        if (stages[p].kind == StageKind::kReplicated) {
-          g.item_sources[s].push_back(p);
-          break;
-        }
-      }
-    } else {
-      for (std::size_t p : g.preds[s])
-        if (stages[p].kind == StageKind::kReplicated ||
-            stages[p].emit_topk > 0)
-          g.item_sources[s].push_back(p);
-    }
+    for (std::size_t p : g.preds[s])
+      if (stages[p].kind == StageKind::kReplicated || stages[p].emit_topk > 0)
+        g.item_sources[s].push_back(p);
     IMARS_REQUIRE(!stages[s].consume_items || !g.item_sources[s].empty(),
                   "PipelineSpec: consume_items stage '" + stages[s].name +
                       "' has no producing predecessor");
@@ -192,7 +162,6 @@ struct StagePipeline::BatchHandle::State {
   Batch batch;
   std::size_t k = 0;
   std::size_t spec_idx = 0;  ///< co-resident servable slot
-  bool urgent = false;       ///< latency-critical: use the executor fast band
   std::uint64_t seq = 0;  ///< submission order (collect() enforces it)
 
   struct StageRec {
@@ -424,8 +393,7 @@ StagePipeline::acquire_state(std::size_t queries, std::size_t stages,
 StagePipeline::BatchHandle StagePipeline::submit(Batch batch,
                                                  ServableBackend& servable,
                                                  std::size_t k,
-                                                 std::size_t spec_idx,
-                                                 bool urgent) {
+                                                 std::size_t spec_idx) {
   const std::size_t n = batch.size();
   const std::size_t ns = shards();
   IMARS_REQUIRE(n >= 1, "StagePipeline::submit: empty batch");
@@ -444,7 +412,6 @@ StagePipeline::BatchHandle StagePipeline::submit(Batch batch,
   st->batch = std::move(batch);
   st->k = k;
   st->spec_idx = spec_idx;
-  st->urgent = urgent;
   st->seq = next_submit_seq_++;
   for (std::size_t qi = 0; qi < n; ++qi) {
     st->stages_left[qi].store(stages);
@@ -495,8 +462,7 @@ StagePipeline::BatchHandle StagePipeline::submit(Batch batch,
          tasks = std::move(dispatch_scratch_[shard])] {
           for (const auto& [qi, stage] : tasks)
             run_stage_task(st, servable, qi, stage, shard);
-        },
-        st->urgent);
+        });
   }
 
   BatchHandle handle;
@@ -628,11 +594,9 @@ void StagePipeline::schedule_stage_unchecked(
       (*defer)[shard].emplace_back(qi, stage);
       continue;
     }
-    executors_.at(shard).submit(
-        [this, st, &servable, qi, stage, shard] {
-          run_stage_task(st, servable, qi, stage, shard);
-        },
-        st->urgent);
+    executors_.at(shard).submit([this, st, &servable, qi, stage, shard] {
+      run_stage_task(st, servable, qi, stage, shard);
+    });
   }
 }
 
@@ -813,8 +777,8 @@ std::vector<Request> StagePipeline::collect(
   // ET-bank contention, as in core/throughput.hpp) composes hardware time.
   // Each query's stages are walked in topological order; a stage becomes
   // ready when its last predecessor ends, so the query's completion is its
-  // critical path through the graph (bit-identical to the old chain walk
-  // on linear specs, where ready is simply the previous stage's end).
+  // critical path through the graph (on a chain, ready is simply the
+  // previous stage's end).
   results.resize(n);
   stage_end_scratch_.resize(stages);
   auto& stage_end = stage_end_scratch_;

@@ -7,13 +7,12 @@
 //   * the *stage graph* is a descriptor (PipelineSpec): a DAG of stages,
 //     each either replicated (the whole query runs on its home shard) or
 //     sharded (the query's work items are partitioned across shards and
-//     the partial results merged). Each stage declares its predecessor
-//     stages; a stage's task becomes ready when ALL predecessors complete,
-//     so independent branches (e.g. DLRM's dense bottom-MLP tower next to
-//     the 26 embedding gathers) dispatch concurrently and a join waits on
-//     its last arriving edge. A spec that declares no edges is a linear
-//     chain (each stage depends on the previous one) and is timed exactly
-//     as the pre-DAG engine timed it. Each stage owns one event-model unit
+//     the partial results merged). Every stage is named and declares its
+//     predecessor stages by name (a stage with none is a source); a
+//     stage's task becomes ready when ALL predecessors complete, so
+//     independent branches (e.g. DLRM's dense bottom-MLP tower next to the
+//     26 embedding gathers) dispatch concurrently and a join waits on its
+//     last arriving edge. Each stage owns one event-model unit
 //     per shard; every stage with embedding-table traffic contends for its
 //     shard's shared ET banks — the same contention rule as
 //     core/throughput.hpp — while ET-free stages (pure crossbar towers)
@@ -155,39 +154,34 @@ enum class StageKind : std::uint8_t {
 };
 
 struct StageSpec {
-  std::string name;
+  std::string name;  ///< unique and non-empty; edges refer to it
   StageKind kind = StageKind::kReplicated;
-  /// Names of predecessor stages. If NO stage of the graph declares any,
-  /// the spec is a linear chain — stage s depends on stage s-1, the
-  /// pre-DAG behavior, timed identically. Otherwise the edges are exactly
-  /// as declared and a stage with an empty list is a source (ready at
-  /// batch dispatch).
+  /// Names of predecessor stages, exactly the graph's edges; a stage with
+  /// an empty list is a source (ready at batch dispatch).
   std::vector<std::string> deps;
   /// Non-zero on a SHARDED stage makes it a *producing* stage: its per-
   /// shard partials are merged (score desc, item asc) into a global
   /// top-`emit_topk` ITEM LIST that downstream stages consume as their
   /// work-item set — the funnel's "retrieval output feeds rank" shape.
   /// The merge is charged like the output merge (RSC ship + tournament)
-  /// and the stage may not be the graph's output stage. Requires an
-  /// explicit dependency graph. Zero (default) = ordinary sharded stage.
+  /// and the stage needs a successor and may not be the graph's output
+  /// stage. Zero (default) = ordinary sharded stage.
   std::size_t emit_topk = 0;
   /// On a REPLICATED stage: the stage consumes the item sets produced by
   /// its predecessors (replicated outputs and/or emitted top-k lists,
   /// declared edge order) instead of deriving work from the request alone;
   /// the engine routes the fed items through run_replicated_fed() and
-  /// passes them as the accesses() slice. Requires an explicit dependency
-  /// graph with at least one producing predecessor. Default off.
+  /// passes them as the accesses() slice. Requires at least one producing
+  /// predecessor. Default off.
   bool consume_items = false;
 
   bool operator==(const StageSpec&) const = default;
 };
 
 /// Stage graph of a workload: a DAG of replicated/sharded stages. A
-/// sharded stage partitions the work items produced by its replicated
-/// direct predecessors (concatenated in declared edge order) — or, with no
-/// replicated predecessor, the servable's initial_items(); on implicit
-/// linear chains the nearest preceding replicated stage feeds it, exactly
-/// the pre-DAG "replicated stages (re)define the item set" rule.
+/// sharded stage partitions the work items produced by its producing
+/// direct predecessors (replicated or emit_topk stages, concatenated in
+/// declared edge order) — or, with none, the servable's initial_items().
 struct PipelineSpec {
   static constexpr std::size_t kNoStage = static_cast<std::size_t>(-1);
 
@@ -198,19 +192,13 @@ struct PipelineSpec {
 
   std::size_t stage_count() const noexcept { return stages.size(); }
 
-  /// True when no stage declares dependencies (the implicit linear chain).
-  bool linear_chain() const noexcept {
-    for (const auto& s : stages)
-      if (!s.deps.empty()) return false;
-    return true;
-  }
-
   /// The resolved, validated dependency structure of a spec.
   struct Graph {
     std::vector<std::vector<std::size_t>> preds;  ///< per stage, resolved
     std::vector<std::vector<std::size_t>> succs;
     /// Deterministic topological order (Kahn's algorithm, lowest stage
-    /// index first among ready stages); a linear chain yields 0,1,2,...
+    /// index first among ready stages); a chain declared in spec order
+    /// yields 0,1,2,...
     std::vector<std::size_t> order;
     /// Per stage: the producing stages whose output items the stage
     /// consumes — for a sharded stage the replicated and emitting
@@ -230,14 +218,14 @@ struct PipelineSpec {
   bool operator==(const PipelineSpec&) const = default;
 
   /// Resolves and validates the graph. Throws imars::Error on: an empty
-  /// graph, duplicate or empty stage names (when edges are declared),
-  /// edges naming unknown stages, dependency cycles, or `merge_topk` on a
-  /// graph with no sharded stage.
+  /// graph, duplicate or empty stage names, edges naming unknown stages,
+  /// dependency cycles, misplaced emit_topk/consume_items, or `merge_topk`
+  /// on a graph with no sharded stage.
   Graph resolve() const;
 
   /// Longest dispatch-to-done path through the graph under the given
   /// per-stage costs (one entry per stage, spec order; merge excluded).
-  /// A linear chain reduces to the plain stage-cost sum.
+  /// A chain reduces to the plain stage-cost sum.
   device::Ns critical_path(std::span<const device::Ns> stage_cost) const;
 };
 
@@ -253,9 +241,9 @@ class ServableBackend {
   virtual const PipelineSpec& spec() const = 0;
   virtual std::size_t shards() const = 0;
 
-  /// Work-item keys entering the pipeline when the FIRST stage is sharded
-  /// (derived from the request alone; e.g. the impression itself for CTR).
-  /// Ignored when the first stage is replicated.
+  /// Work-item keys a sharded stage with no producing predecessor
+  /// partitions (derived from the request alone; e.g. the impression
+  /// itself for CTR). Not called when no stage needs them.
   virtual std::vector<std::size_t> initial_items(const Request& req) const {
     (void)req;
     return {};
@@ -447,12 +435,8 @@ class StagePipeline {
   /// `servable` must outlive the handle and its spec() must equal slot
   /// `spec_idx`'s spec; `batch` is taken by value (move it in to skip the
   /// request copy — lvalue callers keep the pre-existing copy semantics).
-  /// Urgent batches (latency-critical tenants) overtake queued normal work
-  /// on the shard threads — host-side ordering only, reported hardware
-  /// time is unaffected.
   BatchHandle submit(Batch batch, ServableBackend& servable,
-                     std::size_t k, std::size_t spec_idx = 0,
-                     bool urgent = false);
+                     std::size_t k, std::size_t spec_idx = 0);
 
   /// Waits for the batch's functional work, then runs the deterministic
   /// event-model accounting (cache rewrite, per-stage pipeline clocks with

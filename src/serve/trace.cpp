@@ -48,8 +48,7 @@ void TraceLog::name_thread(int pid, int tid, std::string_view name) {
 }
 
 void TraceLog::on_stage(const StageSpan& s) {
-  const std::string stage_name =
-      s.name.empty() ? "stage" + std::to_string(s.stage) : std::string(s.name);
+  const std::string stage_name(s.name);
   name_process(shard_pid(s.shard), "shard " + std::to_string(s.shard));
   name_thread(shard_pid(s.shard), stage_tid(s.slot, s.stage),
               "s" + std::to_string(s.slot) + "/" + stage_name);
@@ -94,9 +93,7 @@ void TraceLog::on_stage_merge(std::size_t slot, std::size_t stage,
                               std::string_view name, std::size_t query,
                               std::size_t batch, device::Ns start,
                               device::Ns end) {
-  const std::string merge_name =
-      (name.empty() ? "stage" + std::to_string(stage) : std::string(name)) +
-      ".merge";
+  const std::string merge_name = std::string(name) + ".merge";
   name_process(kRuntimePid, "serve-runtime");
   const int tid = 60 + static_cast<int>(slot);
   name_thread(kRuntimePid, tid, "merge s" + std::to_string(slot));

@@ -296,7 +296,8 @@ TEST(HotEmbeddingCache, MatchesEagerLfuReference) {
         ASSERT_EQ(cache.access(t, r), ref.access(key_of(t, r))) << "op " << op;
       }
       if (rng.bernoulli(0.2)) {
-        ASSERT_EQ(cache.take_flushed(), ref.pending_flushes) << "op " << op;
+        ASSERT_EQ(cache.take_flushed_tiers().rows, ref.pending_flushes)
+            << "op " << op;
         ref.pending_flushes = 0;
       }
       ASSERT_EQ(cache.resident_rows(), ref.resident.size()) << "op " << op;
@@ -316,7 +317,7 @@ TEST(HotEmbeddingCache, MatchesEagerLfuReference) {
                   s.warm_evictions + s.promotions + s.flushes_warm +
                   s.flushes_cold,
               0u);  // flat mode: the tier counters stay at zero
-    EXPECT_EQ(cache.take_flushed(), ref.pending_flushes);
+    EXPECT_EQ(cache.take_flushed_tiers().rows, ref.pending_flushes);
     EXPECT_GT(s.hits, 0u);
     flushes += s.flushes;
   }
@@ -670,6 +671,36 @@ TEST(LoadGenerator, RejectsNonFiniteClassMix) {
   EXPECT_NE(error_with({big, big}).find("class_mix total must be finite"),
             std::string::npos);
   EXPECT_EQ(error_with({big, 1.0}), "");
+}
+
+TEST(LoadGenerator, RejectsNonFiniteTraceArrivals) {
+  // The ordering check cannot see a non-finite arrival in a one-request
+  // trace or among equal infinities; such traces were served with a NaN
+  // p99 and an infinite makespan. A NaN behind finite arrivals was
+  // rejected, but as out of order.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto error_with = [](std::vector<double> arrivals) -> std::string {
+    LoadGenConfig lg;
+    lg.arrivals = serve::ArrivalProcess::kTrace;
+    for (std::size_t i = 0; i < arrivals.size(); ++i)
+      lg.trace.push_back(make_request(i, arrivals[i]));
+    try {
+      LoadGenerator gen(lg);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return {};
+  };
+  for (const double bad : {inf, -inf, nan}) {
+    for (const auto& trace : {std::vector<double>{bad},
+                              std::vector<double>{bad, bad, bad},
+                              std::vector<double>{0.0, 1e3, bad}})
+      EXPECT_NE(error_with(trace).find("trace arrivals must be finite"),
+                std::string::npos)
+          << bad << " in a " << trace.size() << "-request trace";
+  }
+  EXPECT_EQ(error_with({0.0, 1e3, 1e3}), "");
 }
 
 // --- golden report digests --------------------------------------------------

@@ -1,8 +1,7 @@
 // Tests for the full-funnel servable (src/serve/servable_funnel.*):
 // retrieval recall against the exact-NNS oracle, produced-item-set graph
-// validation, bit-parity of the degenerate funnel against ShardRouter,
-// placement invariance of the four-stage graph, and trace well-formedness
-// of a funnel run.
+// validation, placement invariance of the four-stage graph, and trace
+// well-formedness of a funnel run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include "serve/load_gen.hpp"
 #include "serve/runtime.hpp"
 #include "serve/servable_funnel.hpp"
-#include "serve/shard_router.hpp"
 #include "serve/stage_pipeline.hpp"
 #include "serve/trace.hpp"
 #include "serve_test_util.hpp"
@@ -37,7 +35,6 @@ using serve::PipelineSpec;
 using serve::RetrievalKind;
 using serve::ServingConfig;
 using serve::ServingRuntime;
-using serve::ShardRouter;
 using serve::StageKind;
 using serve::StageSpec;
 
@@ -101,19 +98,18 @@ LoadGenConfig small_stream(std::size_t users) {
 // --- Spec shapes and produced-item-set validation --------------------------
 
 TEST(FunnelSpec, ConfigSelectsGraphShape) {
-  FunnelConfig degenerate;
-  degenerate.retrieval = RetrievalKind::kFixed;
-  degenerate.rerank = false;
-  const auto two = FunnelServable::pipeline_spec(degenerate);
-  ASSERT_EQ(two.stages.size(), 2u);
-  EXPECT_EQ(two.resolve(), ShardRouter::pipeline_spec().resolve());
-
   FunnelConfig no_rerank;
   no_rerank.rerank = false;
   const auto three = FunnelServable::pipeline_spec(no_rerank);
   ASSERT_EQ(three.stages.size(), 3u);
   EXPECT_TRUE(three.stages[1].consume_items);
   EXPECT_EQ(three.resolve().output_stage, 2u);
+
+  // Fixed retrieval changes only the retrieve stage's engine, not the
+  // graph: without the re-rank it is the same three stages.
+  FunnelConfig fixed = no_rerank;
+  fixed.retrieval = RetrievalKind::kFixed;
+  EXPECT_EQ(FunnelServable::pipeline_spec(fixed), three);
 
   const auto four = FunnelServable::pipeline_spec(FunnelConfig{});
   ASSERT_EQ(four.stages.size(), 4u);
@@ -144,7 +140,7 @@ TEST(FunnelSpec, ProducedItemSetValidation) {
     spec.merge_topk = true;
     EXPECT_THROW((void)spec.resolve(), Error);
   }
-  // Either flag on an implicit linear chain is rejected.
+  // An emitting stage with no successor to consume its items is rejected.
   {
     PipelineSpec spec;
     StageSpec a{"a", StageKind::kSharded, {}};
@@ -232,39 +228,6 @@ TEST(FunnelRetrieval, AnnRecallAtKClearsGate) {
   lsh.retrieval = RetrievalKind::kLsh;
   lsh.retrieve_k = 40;
   EXPECT_GE(recall_of(lsh), 0.95);
-}
-
-// --- Degenerate bit-parity against ShardRouter -----------------------------
-
-TEST(Funnel, DegenerateBitIdenticalToShardRouter) {
-  FunnelFixture fx;
-  ServingConfig cfg;
-  cfg.shards = 3;
-  cfg.k = 5;
-  cfg.batcher.max_batch = 4;
-  cfg.batcher.max_wait = Ns{500000.0};
-  cfg.cache.capacity_rows = 256;
-
-  auto run_router = [&] {
-    ServingRuntime rt(fx.factory, cfg, core::ArchConfig{},
-                      device::DeviceProfile::fefet45());
-    LoadGenerator gen(small_stream(fx.users.size()));
-    return rt.run(gen, fx.users);
-  };
-  auto run_funnel = [&] {
-    FunnelConfig fcfg;
-    fcfg.retrieval = RetrievalKind::kFixed;
-    fcfg.rerank = false;  // degenerate: the exact ShardRouter graph
-    auto rt = fx.runtime(fcfg, cfg.shards, cfg);
-    EXPECT_TRUE(
-        dynamic_cast<FunnelServable&>(rt->servable()).degenerate());
-    LoadGenerator gen(small_stream(fx.users.size()));
-    return rt->run(gen, fx.users);
-  };
-
-  const auto a = run_router();
-  const auto b = run_funnel();
-  serve_test::expect_reports_identical(a, b);
 }
 
 // --- Placement invariance of the four-stage graph --------------------------

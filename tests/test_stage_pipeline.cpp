@@ -4,8 +4,8 @@
 // serving parity against serial ImarsCtrBackend::score, async stage-
 // overlap determinism, Poisson open-loop arrivals, and the stage DAG:
 // spec validation, diamond-graph fan-out/join timing, tower-parallel CTR
-// graphs, graph-aware QoS service estimates, the DAG<->linear
-// bit-parity grid, and the golden report digests of the servable graphs.
+// graphs, graph-aware QoS service estimates, and the golden report
+// digests of the servable graphs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -802,6 +802,11 @@ TEST(PipelineSpec, RejectsMalformedGraphs) {
                     {"b", StageKind::kSharded, {""}}};
   EXPECT_THROW(unnamed.resolve(), Error);
 
+  // Every stage is named, even a lone source that no edge refers to.
+  PipelineSpec unnamed_source;
+  unnamed_source.stages = {{"", StageKind::kSharded, {}}};
+  EXPECT_THROW(unnamed_source.resolve(), Error);
+
   PipelineSpec no_sharded_merge;
   no_sharded_merge.stages = {{"a", StageKind::kReplicated, {}}};
   no_sharded_merge.merge_topk = true;
@@ -812,16 +817,8 @@ TEST(PipelineSpec, RejectsMalformedGraphs) {
                Error);
 }
 
-TEST(PipelineSpec, ImplicitAndExplicitChainsResolveIdentically) {
-  const PipelineSpec implicit = ShardRouter::pipeline_spec();
-  ASSERT_TRUE(implicit.linear_chain());
-  PipelineSpec explicit_spec = implicit;
-  explicit_spec.stages[1].deps = {"filter"};
-  ASSERT_FALSE(explicit_spec.linear_chain());
-
-  const auto a = implicit.resolve();
-  const auto b = explicit_spec.resolve();
-  EXPECT_TRUE(a == b);
+TEST(PipelineSpec, FilterRankSpecResolvesToFilterFeedingRank) {
+  const auto a = ShardRouter::pipeline_spec().resolve();
   ASSERT_EQ(a.order.size(), 2u);
   EXPECT_EQ(a.order[0], 0u);
   EXPECT_EQ(a.order[1], 1u);
@@ -843,10 +840,10 @@ TEST(PipelineSpec, CriticalPathFollowsLongestBranch) {
   // prep + max(left, right) + join.
   EXPECT_DOUBLE_EQ(diamond.critical_path(costs).value, 220.0);
 
-  // The same stages as a linear chain sum serially.
+  // The same stages as a chain sum serially.
   PipelineSpec chain = diamond;
-  for (auto& s : chain.stages) s.deps.clear();
-  ASSERT_TRUE(chain.linear_chain());
+  for (std::size_t s = 1; s < chain.stages.size(); ++s)
+    chain.stages[s].deps = {chain.stages[s - 1].name};
   EXPECT_DOUBLE_EQ(chain.critical_path(costs).value, 270.0);
 }
 
@@ -859,8 +856,7 @@ TEST(PipelineSpec, CriticalPathFollowsLongestBranch) {
 
 std::string stage_name(std::size_t i) { return "s" + std::to_string(i); }
 
-/// Random acyclic spec: stages s0..s{n-1}, forward edges only, at least one
-/// edge so the spec is in explicit (named-graph) mode.
+/// Random acyclic spec: stages s0..s{n-1}, forward edges only.
 PipelineSpec random_dag(util::Xoshiro256& rng, std::size_t n) {
   PipelineSpec spec;
   for (std::size_t i = 0; i < n; ++i)
@@ -868,14 +864,9 @@ PipelineSpec random_dag(util::Xoshiro256& rng, std::size_t n) {
                            rng.below(2) == 0 ? StageKind::kReplicated
                                              : StageKind::kSharded,
                            {}});
-  bool any_edge = false;
   for (std::size_t j = 1; j < n; ++j)
     for (std::size_t i = 0; i < j; ++i)
-      if (rng.below(5) < 2) {
-        spec.stages[j].deps.push_back(stage_name(i));
-        any_edge = true;
-      }
-  if (!any_edge) spec.stages[n - 1].deps.push_back(stage_name(0));
+      if (rng.below(5) < 2) spec.stages[j].deps.push_back(stage_name(i));
   return spec;
 }
 
@@ -922,7 +913,7 @@ TEST(PipelineSpecFuzz, RejectedGraphsNameTheOffendingStage) {
         expect_tokens = {"cycle", stage_name(i)};
         break;
       }
-      case 4: {  // unnamed stage in an explicit graph: named by index
+      case 4: {  // unnamed stage: named by index
         const std::size_t j = rng.below(n);
         spec.stages[j].name.clear();
         expect_tokens = {"stage #" + std::to_string(j)};
@@ -1006,7 +997,8 @@ TEST(PipelineSpecFuzz, AcceptedGraphsTopoOrderDeterministically) {
 
 /// Synthetic four-stage diamond servable with scripted per-stage costs:
 ///   prep (replicated) -> {left, right} (replicated towers) -> join
-///   (sharded over the concatenation of both towers' items).
+///   (sharded over the concatenation of both towers' items); `chained`
+///   declares the same stages as the chain prep -> left -> right -> join.
 /// Stage costs are split into an ET part (contends for the shard's shared
 /// banks) and a bank-free part, so join/fan-out timing is hand-checkable.
 class DiamondServable final : public serve::ServableBackend {
@@ -1017,16 +1009,15 @@ class DiamondServable final : public serve::ServableBackend {
   };
 
   DiamondServable(std::size_t shards, std::vector<StageCost> costs,
-                  bool explicit_dag = true)
+                  bool chained = false)
       : shards_(shards), costs_(std::move(costs)) {
     spec_.stages = {{"prep", StageKind::kReplicated, {}},
-                    {"left", StageKind::kReplicated, {}},
-                    {"right", StageKind::kReplicated, {}},
-                    {"join", StageKind::kSharded, {}}};
-    if (explicit_dag) {
-      spec_.stages[1].deps = {"prep"};
-      spec_.stages[2].deps = {"prep"};
-      spec_.stages[3].deps = {"left", "right"};
+                    {"left", StageKind::kReplicated, {"prep"}},
+                    {"right", StageKind::kReplicated, {"prep"}},
+                    {"join", StageKind::kSharded, {"left", "right"}}};
+    if (chained) {
+      spec_.stages[2].deps = {"left"};
+      spec_.stages[3].deps = {"right"};
     }
     spec_.merge_topk = true;
   }
@@ -1109,14 +1100,13 @@ TEST(StagePipeline, DiamondJoinWaitsOnLastArrivingTower) {
   for (std::size_t j = 0; j < 4; ++j)
     EXPECT_EQ(r.topk[j].item, 3 - j) << "position " << j;
 
-  // The same stages as an implicit linear chain serialize: 270 + merge.
-  // (Chain semantics also differ functionally: each replicated stage
-  // REDEFINES the item set, so the join only ranks the right tower's
-  // items — the DAG's multi-feeder concatenation is a genuine
-  // generalization, not just a timing change.)
+  // The same stages as a chain serialize: 270 + merge. (The chain also
+  // differs functionally: the join's only producing predecessor is the
+  // right tower, so it ranks the right tower's items alone — the
+  // diamond's multi-feeder concatenation is not just a timing change.)
   DiamondServable chained(
       1, {{100.0, 10.0}, {50.0, 0.0}, {80.0, 0.0}, {40.0, 5.0}},
-      /*explicit_dag=*/false);
+      /*chained=*/true);
   StagePipeline chain_pipe(1, chained.spec(), profile);
   const auto chain = chain_pipe.execute(batch, chained, 4, nullptr, timing);
   EXPECT_DOUBLE_EQ(chain[0].complete.value, 270.0 + merge);
@@ -1323,85 +1313,6 @@ TEST(StagePipeline, ServiceEstimateComposesCriticalPathAndBatch) {
   // adds one bottleneck-stage (100 ns) occupancy.
   EXPECT_GT(one.value, 220.0);
   EXPECT_DOUBLE_EQ(four.value - one.value, 3.0 * 100.0);
-}
-
-// --- DAG<->linear bit-parity grid ------------------------------------------
-
-TEST(ServingRuntime, ExplicitGraphMatchesImplicitChainAcrossGrid) {
-  FilterRankFixture fx;
-
-  auto run_once = [&](bool explicit_graph, std::size_t classes, bool open,
-                      bool overlap) {
-    auto router = std::make_unique<ShardRouter>(fx.factory, 3);
-    if (explicit_graph) {
-      PipelineSpec spec = ShardRouter::pipeline_spec();
-      spec.stages[1].deps = {"filter"};
-      router->override_spec(spec);
-    }
-    ServingConfig cfg;
-    cfg.k = 5;
-    cfg.batcher.max_batch = 4;
-    cfg.batcher.max_wait = Ns{300000.0};
-    cfg.cache.capacity_rows = 1024;
-    cfg.overlap = overlap;
-    if (classes > 1) {
-      serve::QosClassConfig interactive;
-      interactive.name = "interactive";
-      interactive.max_batch = 2;
-      interactive.max_wait = Ns{300000.0};
-      interactive.deadline = Ns{150000.0};
-      interactive.service_estimate = Ns{20000.0};
-      interactive.weight = 2.0;
-      serve::QosClassConfig bulk;
-      bulk.name = "bulk";
-      bulk.max_batch = 4;
-      bulk.max_wait = Ns{300000.0};
-      bulk.weight = 4.0;
-      serve::QosClassConfig scavenger;
-      scavenger.name = "scavenger";
-      scavenger.max_batch = 4;
-      scavenger.max_wait = Ns{300000.0};
-      scavenger.weight = 0.0;
-      cfg.qos.classes = {interactive, bulk, scavenger};
-    }
-    ServingRuntime rt(std::move(router), cfg, core::ArchConfig{},
-                      device::DeviceProfile::fefet45());
-    LoadGenConfig lg;
-    lg.clients = 8;
-    lg.total_queries = 40;
-    lg.num_users = fx.users.size();
-    lg.seed = 171;
-    if (classes > 1) lg.class_mix = {0.2, 0.7, 0.1};
-    if (open) {
-      lg.arrivals = ArrivalProcess::kOpenPoisson;
-      lg.rate_qps = 2.0e5;
-    }
-    LoadGenerator gen(lg);
-    return rt.run(gen, fx.users);
-  };
-
-  for (const std::size_t classes : {std::size_t{1}, std::size_t{3}}) {
-    for (const bool open : {false, true}) {
-      for (const bool overlap : {false, true}) {
-        const auto implicit = run_once(false, classes, open, overlap);
-        const auto explicit_graph = run_once(true, classes, open, overlap);
-        serve_test::expect_reports_identical(implicit, explicit_graph);
-        ASSERT_EQ(implicit.size(), 40u)
-            << "classes=" << classes << " open=" << open
-            << " overlap=" << overlap;
-      }
-    }
-  }
-}
-
-TEST(ShardRouter, OverrideSpecRejectsDifferentGraphs) {
-  FilterRankFixture fx;
-  ShardRouter router(fx.factory, 2);
-  PipelineSpec reversed;
-  reversed.stages = {{"rank", StageKind::kSharded, {}},
-                     {"filter", StageKind::kReplicated, {"rank"}}};
-  reversed.merge_topk = true;
-  EXPECT_THROW(router.override_spec(reversed), Error);
 }
 
 // --- golden report digests of the servable graphs ---------------------------

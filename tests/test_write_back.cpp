@@ -85,7 +85,7 @@ TEST(WriteBackCache, DirtyEvictionFlushesExactlyOnce) {
   HotEmbeddingCache cache(HotCacheConfig{1});
   cache.access(0, 1);          // resident, freq 1
   cache.update(0, 1);          // dirty, freq 2
-  EXPECT_EQ(cache.take_flushed(), 0u);
+  EXPECT_EQ(cache.take_flushed_tiers().rows, 0u);
   // Make row 2 strictly hotter so admission evicts the dirty row 1.
   cache.access(0, 2);  // miss, freq 1 — not hotter yet, no eviction
   EXPECT_TRUE(cache.contains(0, 1));
@@ -95,8 +95,8 @@ TEST(WriteBackCache, DirtyEvictionFlushesExactlyOnce) {
   EXPECT_TRUE(cache.contains(0, 2));
   EXPECT_FALSE(cache.contains(0, 1));
   EXPECT_EQ(cache.stats().flushes, 1u);
-  EXPECT_EQ(cache.take_flushed(), 1u);
-  EXPECT_EQ(cache.take_flushed(), 0u);  // drained
+  EXPECT_EQ(cache.take_flushed_tiers().rows, 1u);
+  EXPECT_EQ(cache.take_flushed_tiers().rows, 0u);  // drained
   EXPECT_EQ(cache.dirty_rows(), 0u);
 }
 
@@ -118,7 +118,8 @@ TEST(WriteBackCache, FlushedRowReadmittedSameTickComesBackClean) {
   // The deferred write already happened at eviction; the re-admitted copy
   // must be clean — no double flush when it is evicted again later.
   EXPECT_FALSE(cache.dirty(0, 1));
-  EXPECT_EQ(cache.take_flushed(), 1u);  // only the original eviction
+  // Only the original eviction flushed.
+  EXPECT_EQ(cache.take_flushed_tiers().rows, 1u);
   for (int i = 0; i < 7; ++i) cache.access(0, 3);  // evict clean row 1
   EXPECT_FALSE(cache.contains(0, 1));
   EXPECT_EQ(cache.stats().flushes, 1u);  // still exactly one
