@@ -8,10 +8,12 @@
 #include <vector>
 
 #include "cma/cma.hpp"
+#include "data/criteo.hpp"
 #include "data/zipf.hpp"
 #include "lsh/lsh.hpp"
 #include "nn/embedding.hpp"
 #include "nn/layer.hpp"
+#include "recsys/dlrm.hpp"
 #include "serve/hot_cache.hpp"
 #include "synth_servable.hpp"
 #include "tensor/qtensor.hpp"
@@ -66,20 +68,32 @@ void BM_CmaAccumulate(benchmark::State& state) {
 }
 BENCHMARK(BM_CmaAccumulate);
 
-void BM_XbarGemv(benchmark::State& state) {
+// One tile gemv over an occupied rows x cols block: the full 256x128 tile,
+// the ranking tower's 128 -> 1 layer, DLRM's bottom 13 -> 256 (two 13x128
+// tiles) and its top 64 -> 1.
+void BM_CrossbarGemv(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto cols = static_cast<std::size_t>(state.range(1));
   const auto profile = device::DeviceProfile::fefet45();
   device::EnergyLedger ledger;
   xbar::Crossbar xb(profile, &ledger);
   util::Xoshiro256 rng(3);
-  const auto w = tensor::QMatrix::quantize(
-      tensor::Matrix::randn(256, 128, 1.0f, rng));
-  xb.load_weights(w);
-  std::vector<std::int8_t> in(256);
+  xb.load_weights(tensor::QMatrix::quantize(
+      tensor::Matrix::randn(rows, cols, 1.0f, rng)));
+  std::vector<std::int8_t> in(rows);
   for (auto& v : in)
     v = static_cast<std::int8_t>(static_cast<int>(rng.below(200)) - 100);
-  for (auto _ : state) benchmark::DoNotOptimize(xb.gemv(in, nullptr));
+  std::vector<std::int32_t> out(cols, 0);
+  for (auto _ : state) {
+    xb.gemv(in, out, nullptr);
+    benchmark::DoNotOptimize(out.data());
+  }
 }
-BENCHMARK(BM_XbarGemv);
+BENCHMARK(BM_CrossbarGemv)
+    ->Args({256, 128})
+    ->Args({128, 1})
+    ->Args({13, 128})
+    ->Args({64, 1});
 
 void BM_LshEncode(benchmark::State& state) {
   const auto bits = static_cast<std::size_t>(state.range(0));
@@ -168,6 +182,22 @@ void BM_GemvF32(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(tensor::gemv(w, x));
 }
 BENCHMARK(BM_GemvF32)->Args({383, 256})->Args({196, 128});
+
+// DLRM's feature interaction at paper width: the 351 pairwise dots of 26
+// embeddings and the bottom output (27 x 32), plus the concat.
+void BM_DlrmInteract(benchmark::State& state) {
+  data::CriteoConfig dcfg;
+  dcfg.num_samples = 16;
+  const data::CriteoSynth ds(dcfg);
+  const recsys::Dlrm model(ds.schema(), recsys::DlrmConfig{});
+  util::Xoshiro256 rng(12);
+  std::vector<tensor::Vector> embs;
+  for (std::size_t f = 0; f < model.table_count(); ++f)
+    embs.push_back(random_vector(model.config().emb_dim, rng));
+  const tensor::Vector bottom = random_vector(model.config().emb_dim, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(model.interact(embs, bottom));
+}
+BENCHMARK(BM_DlrmInteract);
 
 // One per-sample SGD step of a ReLU layer: forward, backward, apply_sgd.
 // Cycles through 64 samples with random-sign upstream gradients and a small

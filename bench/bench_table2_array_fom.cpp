@@ -128,9 +128,11 @@ int main() {
   {
     device::EnergyLedger ledger;
     xbar::Crossbar xb(profile, &ledger);
+    xb.load_weights(tensor::QMatrix(xb.rows(), xb.cols(), {}));
     ledger.clear();
     device::Ns lat{0.0};
-    (void)xb.gemv(std::vector<std::int8_t>(256, 1), &lat);
+    std::vector<std::int32_t> out(xb.cols(), 0);
+    xb.gemv(std::vector<std::int8_t>(xb.rows(), 1), out, &lat);
     t.row({"256x128 Crossbar", "MatMul",
            fmt({ledger.energy(Component::kCrossbar).value, lat.value}, 13.8,
                225.0)});

@@ -17,10 +17,10 @@ RandomHyperplaneLsh::RandomHyperplaneLsh(std::size_t dim, std::size_t bits,
 
 util::BitVec RandomHyperplaneLsh::encode(std::span<const float> x) const {
   IMARS_REQUIRE(x.size() == dim(), "LSH::encode: dimension mismatch");
+  const tensor::Vector dots = tensor::gemv(planes_, x);
   util::BitVec sig(bits());
-  for (std::size_t k = 0; k < bits(); ++k) {
-    if (tensor::dot(planes_.row(k), x) >= 0.0f) sig.set(k, true);
-  }
+  for (std::size_t k = 0; k < bits(); ++k)
+    if (dots[k] >= 0.0f) sig.set(k, true);
   return sig;
 }
 

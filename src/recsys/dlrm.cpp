@@ -53,26 +53,43 @@ const nn::EmbeddingTable& Dlrm::table(std::size_t f) const {
   return tables_[f];
 }
 
-tensor::Vector Dlrm::interact(std::span<const tensor::Vector> embs,
-                              std::span<const float> bottom_out) const {
+tensor::Matrix Dlrm::stack(std::span<const tensor::Vector> embs,
+                           std::span<const float> bottom_out) const {
   IMARS_REQUIRE(embs.size() == tables_.size(), "Dlrm::interact: feature count");
   IMARS_REQUIRE(bottom_out.size() == cfg_.emb_dim,
                 "Dlrm::interact: bottom width");
-  // V = [emb_0, ..., emb_25, bottom]; z = [V_i . V_j for i < j] ++ bottom.
-  const std::size_t n = embs.size() + 1;
-  std::vector<std::span<const float>> v;
-  v.reserve(n);
-  for (const auto& e : embs) v.emplace_back(e);
-  v.emplace_back(bottom_out);
+  tensor::Matrix v(embs.size() + 1, cfg_.emb_dim);
+  for (std::size_t f = 0; f < embs.size(); ++f) {
+    IMARS_REQUIRE(embs[f].size() == cfg_.emb_dim,
+                  "Dlrm::interact: embedding width");
+    std::copy(embs[f].begin(), embs[f].end(), v.row(f).begin());
+  }
+  std::copy(bottom_out.begin(), bottom_out.end(), v.row(embs.size()).begin());
+  return v;
+}
 
-  tensor::Vector out;
-  out.reserve(top_in_dim_);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j)
-      out.push_back(tensor::dot(v[i], v[j]));
-  out.insert(out.end(), bottom_out.begin(), bottom_out.end());
-  IMARS_REQUIRE(out.size() == top_in_dim_, "Dlrm::interact: size mismatch");
+tensor::Vector Dlrm::interact_stacked(const tensor::Matrix& v) const {
+  // z = [V_i . V_j for i < j] ++ bottom. Row i's dots with the rows below
+  // it are one gemv over that row range; V_j . V_i == V_i . V_j bit for bit.
+  const std::size_t n = v.rows();
+  const std::size_t d = v.cols();
+  tensor::Vector out(top_in_dim_);
+  const std::span<float> z(out);
+  std::size_t at = 0;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const std::size_t below = n - 1 - i;
+    tensor::gemv(v.data().subspan((i + 1) * d, below * d), v.row(i),
+                 z.subspan(at, below));
+    at += below;
+  }
+  const auto bottom_out = v.row(n - 1);
+  std::copy(bottom_out.begin(), bottom_out.end(), z.subspan(at).begin());
   return out;
+}
+
+tensor::Vector Dlrm::interact(std::span<const tensor::Vector> embs,
+                              std::span<const float> bottom_out) const {
+  return interact_stacked(stack(embs, bottom_out));
 }
 
 float Dlrm::infer(const tensor::Vector& dense,
@@ -100,8 +117,8 @@ float Dlrm::train_step(const data::CriteoSample& sample) {
     const auto r = tables_[f].row(sample.sparse[f]);
     embs.emplace_back(r.begin(), r.end());
   }
-  const tensor::Vector x = interact(embs, b);
-  const float p = top_.forward(x)[0];
+  const tensor::Matrix v = stack(embs, b);
+  const float p = top_.forward(interact_stacked(v))[0];
 
   float gp = 0.0f;
   const float loss = nn::bce_loss(p, static_cast<float>(sample.label), &gp);
@@ -109,32 +126,26 @@ float Dlrm::train_step(const data::CriteoSample& sample) {
   // Backward through the top MLP.
   const tensor::Vector grad_x = top_.backward(tensor::Vector{gp});
 
-  // Backward through the interaction layer: V = [embs..., b].
+  // Backward through the interaction layer. G is the symmetric pair
+  // gradient (zero diagonal), so feature k's gradient is the sum over
+  // m != k, in ascending m, of G[k][m] * V_m: one gevm over G's row k.
   const std::size_t n = nf + 1;
-  std::vector<tensor::Vector> grad_v(n, tensor::Vector(cfg_.emb_dim, 0.0f));
+  tensor::Matrix g(n, n);
   std::size_t z = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j, ++z) {
-      const float g = grad_x[z];
-      const auto& vi = (i < nf) ? embs[i] : b;
-      const auto& vj = (j < nf) ? embs[j] : b;
-      for (std::size_t c = 0; c < cfg_.emb_dim; ++c) {
-        grad_v[i][c] += g * vj[c];
-        grad_v[j][c] += g * vi[c];
-      }
-    }
-  }
-  // Direct concat path of the bottom output.
-  for (std::size_t c = 0; c < cfg_.emb_dim; ++c)
-    grad_v[n - 1][c] += grad_x[z + c];
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j, ++z)
+      g.at(i, j) = g.at(j, i) = grad_x[z];
 
   // Embedding updates.
   for (std::size_t f = 0; f < nf; ++f) {
     const std::size_t idx[1] = {sample.sparse[f]};
-    tables_[f].accumulate_grad(idx, nn::Pooling::kSum, grad_v[f]);
+    tables_[f].accumulate_grad(idx, nn::Pooling::kSum,
+                               tensor::gevm(g.row(f), v));
   }
-  // Bottom MLP update.
-  bottom_.backward(grad_v[n - 1]);
+  // Bottom MLP update, plus the direct concat path of the bottom output.
+  tensor::Vector grad_b = tensor::gevm(g.row(nf), v);
+  for (std::size_t c = 0; c < cfg_.emb_dim; ++c) grad_b[c] += grad_x[z + c];
+  bottom_.backward(grad_b);
 
   top_.apply_sgd(cfg_.lr);
   bottom_.apply_sgd(cfg_.lr);

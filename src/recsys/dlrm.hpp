@@ -42,7 +42,8 @@ class Dlrm {
 
   /// Feature-interaction layer: pairwise dots of {emb_0..emb_25, bottom}
   /// concatenated with the bottom output. Exposed so hardware backends can
-  /// reproduce the exact same arithmetic.
+  /// reproduce the exact same arithmetic. Every embedding must be emb_dim
+  /// wide.
   tensor::Vector interact(std::span<const tensor::Vector> embs,
                           std::span<const float> bottom_out) const;
 
@@ -60,6 +61,12 @@ class Dlrm {
   float train_epoch(const data::CriteoSynth& ds, util::Xoshiro256& rng);
 
  private:
+  /// V = [emb_0, ..., emb_25, bottom], one feature per row (checks widths).
+  tensor::Matrix stack(std::span<const tensor::Vector> embs,
+                       std::span<const float> bottom_out) const;
+  /// interact() over the stacked features.
+  tensor::Vector interact_stacked(const tensor::Matrix& v) const;
+
   DlrmConfig cfg_;
   data::DatasetSchema schema_;
   std::vector<nn::EmbeddingTable> tables_;

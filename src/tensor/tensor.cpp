@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "util/error.hpp"
@@ -66,57 +67,67 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Vector gemv(const Matrix& m, std::span<const float> v) {
-  IMARS_REQUIRE(m.cols() == v.size(), "gemv: dimension mismatch");
-  const std::size_t rows = m.rows();
-  const std::size_t cols = m.cols();
-  const float* w = m.data().data();
-  const float* x = v.data();
-  Vector out(rows);
-  std::size_t r = 0;
-  // Eight rows per pass: eight independent add chains hide the FP-add
-  // latency, and each chain still sums its own row in column order.
-  for (; r + 8 <= rows; r += 8) {
-    const float* w0 = w + r * cols;
-    const float* w1 = w0 + cols;
-    const float* w2 = w1 + cols;
-    const float* w3 = w2 + cols;
-    const float* w4 = w3 + cols;
-    const float* w5 = w4 + cols;
-    const float* w6 = w5 + cols;
-    const float* w7 = w6 + cols;
-    float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-    float a4 = 0.0f, a5 = 0.0f, a6 = 0.0f, a7 = 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const float xc = x[c];
-      a0 += w0[c] * xc;
-      a1 += w1[c] * xc;
-      a2 += w2[c] * xc;
-      a3 += w3[c] * xc;
-      a4 += w4[c] * xc;
-      a5 += w5[c] * xc;
-      a6 += w6[c] * xc;
-      a7 += w7[c] * xc;
-    }
-    out[r] = a0;
-    out[r + 1] = a1;
-    out[r + 2] = a2;
-    out[r + 3] = a3;
-    out[r + 4] = a4;
-    out[r + 5] = a5;
-    out[r + 6] = a6;
-    out[r + 7] = a7;
-  }
-  for (; r < rows; ++r) {
-    const float* row = w + r * cols;
-    float acc = 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
-    out[r] = acc;
-  }
-  return out;
+namespace {
+
+// Four floats in one 16-byte register: a GCC/Clang vector extension that
+// x86-64's baseline SSE2 carries, so it needs no -m flag. Loads and stores
+// go through memcpy because rows and vectors have no alignment.
+typedef float f32x4 __attribute__((vector_size(16)));
+
+f32x4 load4(const float* p) {
+  f32x4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
-namespace {
+// acc[i] += p_i[k] * xc[k] for k = 0, 1, 2, 3 in that order, for the rows
+// p_0..p_3 at one 4-column step: four vector multiplies give each row's
+// products, a 4x4 transpose in registers turns them into one vector per
+// column, and the columns add into acc one after another. Lane i only ever
+// holds row i, so no row's sum is reassociated.
+inline void add_columns(f32x4& acc, const float* p0, const float* p1,
+                        const float* p2, const float* p3, f32x4 xc) {
+  const f32x4 m0 = load4(p0) * xc;
+  const f32x4 m1 = load4(p1) * xc;
+  const f32x4 m2 = load4(p2) * xc;
+  const f32x4 m3 = load4(p3) * xc;
+  const f32x4 lo01 = __builtin_shufflevector(m0, m1, 0, 4, 1, 5);
+  const f32x4 hi01 = __builtin_shufflevector(m0, m1, 2, 6, 3, 7);
+  const f32x4 lo23 = __builtin_shufflevector(m2, m3, 0, 4, 1, 5);
+  const f32x4 hi23 = __builtin_shufflevector(m2, m3, 2, 6, 3, 7);
+  acc += __builtin_shufflevector(lo01, lo23, 0, 1, 4, 5);
+  acc += __builtin_shufflevector(lo01, lo23, 2, 3, 6, 7);
+  acc += __builtin_shufflevector(hi01, hi23, 0, 1, 4, 5);
+  acc += __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7);
+}
+
+// out[r] = sum_c w[r * cols + c] * x[c] in blocks of 8 rows x 4 columns.
+// Each row's lane starts at +0 and adds its products in column order, then
+// the last cols % 4 columns one at a time. A block past the last row reads
+// the last row again and drops those sums.
+void gemv_blocks(const float* w, std::size_t rows, std::size_t cols,
+                 const float* x, float* out) {
+  for (std::size_t r = 0; r < rows; r += 8) {
+    const std::size_t n = std::min<std::size_t>(8, rows - r);
+    const float* p[8];
+    for (std::size_t i = 0; i < 8; ++i)
+      p[i] = w + (r + std::min(i, n - 1)) * cols;
+    f32x4 lo = {0.0f, 0.0f, 0.0f, 0.0f};  // rows r .. r+3
+    f32x4 hi = lo;                        // rows r+4 .. r+7
+    std::size_t c = 0;
+    for (; c + 4 <= cols; c += 4) {
+      const f32x4 xc = load4(x + c);
+      add_columns(lo, p[0] + c, p[1] + c, p[2] + c, p[3] + c, xc);
+      add_columns(hi, p[4] + c, p[5] + c, p[6] + c, p[7] + c, xc);
+    }
+    float acc[8];
+    std::memcpy(acc, &lo, sizeof lo);
+    std::memcpy(acc + 4, &hi, sizeof hi);
+    for (; c < cols; ++c)
+      for (std::size_t i = 0; i < 8; ++i) acc[i] += p[i][c] * x[c];
+    std::memcpy(out + r, acc, n * sizeof(float));
+  }
+}
 
 // y[i] += a * x[i]. Four independent lanes per step; with __restrict
 // parameters GCC (-O2 and up) turns the body into one 4-wide multiply and
@@ -133,22 +144,76 @@ void axpy_lanes(float a, const float* __restrict x, float* __restrict y,
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
+// y[i] += a[k] * x[k][i] for k = 0, 1, 2, 3 in that order: four axpys in
+// one pass, so each 4-float step of y stays in a register across the four
+// rows instead of being stored and reloaded by every axpy.
+void axpy4_lanes(const float (&a)[4], const float* const (&x)[4],
+                 float* __restrict y, std::size_t n) {
+  const f32x4 a0 = {a[0], a[0], a[0], a[0]};
+  const f32x4 a1 = {a[1], a[1], a[1], a[1]};
+  const f32x4 a2 = {a[2], a[2], a[2], a[2]};
+  const f32x4 a3 = {a[3], a[3], a[3], a[3]};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    f32x4 yi = load4(y + i);
+    yi += a0 * load4(x[0] + i);
+    yi += a1 * load4(x[1] + i);
+    yi += a2 * load4(x[2] + i);
+    yi += a3 * load4(x[3] + i);
+    std::memcpy(y + i, &yi, sizeof yi);
+  }
+  for (; i < n; ++i)
+    for (std::size_t k = 0; k < 4; ++k) y[i] += a[k] * x[k][i];
+}
+
+// True when the two ranges share no element.
+bool disjoint(std::span<const float> a, std::span<const float> b) {
+  const std::less_equal<const float*> le;
+  return le(a.data() + a.size(), b.data()) ||
+         le(b.data() + b.size(), a.data());
+}
+
 }  // namespace
+
+Vector gemv(const Matrix& m, std::span<const float> v) {
+  IMARS_REQUIRE(m.cols() == v.size(), "gemv: dimension mismatch");
+  Vector out(m.rows());
+  gemv_blocks(m.data().data(), m.rows(), m.cols(), v.data(), out.data());
+  return out;
+}
+
+void gemv(std::span<const float> w, std::span<const float> v,
+          std::span<float> out) {
+  IMARS_REQUIRE(w.size() == out.size() * v.size(), "gemv: dimension mismatch");
+  IMARS_REQUIRE(disjoint(out, w) && disjoint(out, v),
+                "gemv: out must not overlap w or v");
+  gemv_blocks(w.data(), out.size(), v.size(), v.data(), out.data());
+}
 
 void axpy(float a, std::span<const float> x, std::span<float> y) {
   IMARS_REQUIRE(x.size() == y.size(), "axpy: size mismatch");
-  const std::less_equal<const float*> le;
-  IMARS_REQUIRE(le(x.data() + x.size(), y.data()) ||
-                    le(y.data() + y.size(), x.data()),
-                "axpy: x and y must not overlap");
+  IMARS_REQUIRE(disjoint(x, y), "axpy: x and y must not overlap");
   axpy_lanes(a, x.data(), y.data(), y.size());
 }
 
 Vector gevm(std::span<const float> v, const Matrix& m) {
   IMARS_REQUIRE(m.rows() == v.size(), "gevm: dimension mismatch");
   Vector out(m.cols(), 0.0f);
-  for (std::size_t r = 0; r < m.rows(); ++r)
-    if (v[r] != 0.0f) axpy(v[r], m.row(r), out);
+  // The rows with v[r] != 0, in row order, four per pass over out.
+  float a[4] = {};
+  const float* x[4] = {};
+  std::size_t k = 0;
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    if (v[r] == 0.0f) continue;
+    a[k] = v[r];
+    x[k] = m.row(r).data();
+    if (++k == 4) {
+      axpy4_lanes(a, x, out.data(), out.size());
+      k = 0;
+    }
+  }
+  for (std::size_t j = 0; j < k; ++j)
+    axpy(a[j], std::span<const float>(x[j], out.size()), out);
   return out;
 }
 

@@ -8,11 +8,16 @@
 // Kernel contract: every output element is computed in the summation order
 // of the naive loop, so a faster kernel returns the same bits as the plain
 // one (matmul stays the unblocked reference).
-//   * gemv blocks rows, never columns: its eight accumulators are eight
-//     independent rows, each starting at 0 and adding w[r][c] * v[c] for
-//     c = 0..cols-1 in order.
+//   * gemv steps over blocks of 8 rows x 4 columns with 4-float vectors:
+//     one vector multiply gives a row's 4 products, a transpose in
+//     registers gathers the 8 rows' products column by column, and each
+//     lane, always the same row, starts at +0 and adds w[r][c] * v[c] for
+//     c = 0..cols-1 in order. Rows are never split across lanes, so no sum
+//     is reassociated; a short last block recomputes its last row.
 //   * axpy runs four lanes at a time; each lane is a different element of
-//     y, so no sum is reassociated. gevm is one axpy per row, in row order.
+//     y, so no sum is reassociated. gevm adds the rows in row order, four
+//     rows per pass over out: out[c] += v[r] * m[r][c] for each of the
+//     four in turn, exactly the four axpys one after another.
 //   * gevm skips rows with v[r] == 0. On finite data that skip is exact:
 //     the row would only add +-0 products to each output.
 // This also needs a * b + c to stay a rounded multiply then a rounded add.
@@ -76,6 +81,12 @@ Matrix matmul(const Matrix& a, const Matrix& b);
 
 /// out = m (r x c) * v (c)  — matrix-vector product.
 Vector gemv(const Matrix& m, std::span<const float> v);
+
+/// out[r] = w.row(r) . v, where w holds out.size() row-major rows of
+/// v.size() floats (e.g. a row range of a Matrix); out must not overlap
+/// w or v.
+void gemv(std::span<const float> w, std::span<const float> v,
+          std::span<float> out);
 
 /// out = v (r) * m (r x c)  — vector-matrix product (row vector).
 Vector gevm(std::span<const float> v, const Matrix& m);

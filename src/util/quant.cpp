@@ -5,12 +5,6 @@
 
 namespace imars::util {
 
-std::int8_t QuantParams::quantize(float x) const noexcept {
-  const float q = std::nearbyint(x / scale);
-  return sat_cast_i8(static_cast<std::int32_t>(
-      std::clamp(q, -128.0f, 127.0f)));
-}
-
 QuantParams choose_symmetric(std::span<const float> values) {
   float max_abs = 0.0f;
   for (float v : values) max_abs = std::max(max_abs, std::fabs(v));
@@ -37,10 +31,6 @@ std::vector<float> dequantize(std::span<const std::int8_t> values,
 
 std::int8_t sat_add_i8(std::int8_t a, std::int8_t b) noexcept {
   return sat_cast_i8(static_cast<std::int32_t>(a) + static_cast<std::int32_t>(b));
-}
-
-std::int8_t sat_cast_i8(std::int32_t x) noexcept {
-  return static_cast<std::int8_t>(std::clamp<std::int32_t>(x, -127, 127));
 }
 
 }  // namespace imars::util

@@ -6,6 +6,8 @@
 // per-tensor quantization: q = clamp(round(x / scale), -127, 127).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -16,8 +18,18 @@ namespace imars::util {
 struct QuantParams {
   float scale = 1.0f;  ///< real value represented by one integer step
 
-  /// Quantizes one value to int8 with saturation.
-  std::int8_t quantize(float x) const noexcept;
+  /// Quantizes one value to int8: x / scale rounded half to even (what
+  /// std::nearbyint does in the default rounding mode), saturated to
+  /// [-127, 127]; +-inf saturate and NaN quantizes to 0.
+  std::int8_t quantize(float x) const noexcept {
+    const float q = x / scale;
+    if (std::isnan(q)) return 0;  // casting NaN to an integer is undefined
+    // Clamping before rounding gives the same result as after: rounding is
+    // monotone and keeps +-127. Adding and then subtracting 1.5 * 2^23
+    // rounds any |c| <= 127 to an integer, ties to even, with no libm call.
+    const float c = std::min(std::max(q, -127.0f), 127.0f);
+    return static_cast<std::int8_t>((c + 12582912.0f) - 12582912.0f);
+  }
 
   /// Reconstructs the real value of one quantized step.
   float dequantize(std::int8_t q) const noexcept { return scale * static_cast<float>(q); }
@@ -40,6 +52,8 @@ std::vector<float> dequantize(std::span<const std::int8_t> values,
 std::int8_t sat_add_i8(std::int8_t a, std::int8_t b) noexcept;
 
 /// Saturating cast from a wide accumulator back to int8.
-std::int8_t sat_cast_i8(std::int32_t x) noexcept;
+inline std::int8_t sat_cast_i8(std::int32_t x) noexcept {
+  return static_cast<std::int8_t>(std::clamp<std::int32_t>(x, -127, 127));
+}
 
 }  // namespace imars::util

@@ -9,6 +9,14 @@
 //
 // Geometry convention: a tile holds `rows` input lanes x `cols` output
 // lanes, i.e. it computes out[c] = sum_r w[r][c] * in[r].
+//
+// Storage: a tile keeps only its occupied block, the used_rows() x
+// used_cols() weights load_weights() programmed; every other cell is 0, is
+// never driven and adds nothing to any sum. Each stored row is padded with
+// zeros to a multiple of 16 columns, and the kernel runs fixed 16-lane
+// int8 -> int32 steps over the occupied rows and columns only: a 128 -> 1
+// layer computes one 16-lane block, not 128 columns. Integer sums are
+// exact, so the outputs equal the full-tile product.
 #pragma once
 
 #include <cstdint>
@@ -29,16 +37,24 @@ class Crossbar {
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
 
-  /// Programs the tile with `w` (r x c <= rows x cols); unused cells are 0.
-  /// Programming cost is accounted as one-time CMA-RAM-class writes.
+  /// The occupied block: the shape of the last load_weights() (0 x 0 before
+  /// any).
+  std::size_t used_rows() const noexcept { return used_rows_; }
+  std::size_t used_cols() const noexcept { return used_cols_; }
+
+  /// Programs the tile with `w` (r x c <= rows x cols) as its occupied
+  /// block; every other cell is 0. Programming cost is accounted as
+  /// one-time CMA-RAM-class writes.
   void load_weights(const tensor::QMatrix& w);
 
-  /// Tile gemv: out[c] = sum_r w[r][c] * in[r]; `in` size must equal rows().
+  /// Tile gemv over the occupied block, added into `out`:
+  /// out[c] += sum_r w[r][c] * in[r], with in.size() == used_rows() and
+  /// out.size() == used_cols() (the other lanes contribute and sense 0).
   /// Charges one xbar matmul FoM; latency via out-parameter.
-  std::vector<std::int32_t> gemv(std::span<const std::int8_t> in,
-                                 device::Ns* latency) const;
+  void gemv(std::span<const std::int8_t> in, std::span<std::int32_t> out,
+            device::Ns* latency) const;
 
-  /// Stored weight (for tests).
+  /// Stored weight of any cell (for tests): 0 outside the occupied block.
   std::int8_t weight(std::size_t r, std::size_t c) const;
 
  private:
@@ -46,7 +62,10 @@ class Crossbar {
   device::EnergyLedger* ledger_;
   std::size_t rows_;
   std::size_t cols_;
-  std::vector<std::int8_t> w_;  // rows x cols, row-major
+  std::size_t used_rows_ = 0;
+  std::size_t used_cols_ = 0;
+  std::size_t stride_ = 0;      // used_cols_ rounded up to 16
+  std::vector<std::int8_t> w_;  // used_rows_ x stride_, row-major
 };
 
 /// A weight matrix tiled over as many crossbars as needed.
@@ -68,9 +87,10 @@ class TiledMatVec {
   std::size_t out_dim() const noexcept { return out_dim_; }
   std::size_t tile_count() const noexcept { return tiles_.size(); }
 
-  /// out[o] = sum_i W[o][i] * in[i], exact int32.
-  std::vector<std::int32_t> gemv(std::span<const std::int8_t> in,
-                                 device::Ns* latency) const;
+  /// out[o] = sum_i W[o][i] * in[i], exact int32, into the caller's
+  /// out_dim() values (overwritten).
+  void gemv(std::span<const std::int8_t> in, std::span<std::int32_t> out,
+            device::Ns* latency) const;
 
  private:
   const device::DeviceProfile* profile_;

@@ -1,5 +1,6 @@
 #include "xbar/xbar_mlp.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -43,8 +44,10 @@ XbarMlp::XbarMlp(const device::DeviceProfile& profile,
   }
 
   layers_.reserve(mlp.layer_count());
+  max_width_ = in_dim_;
   for (std::size_t li = 0; li < mlp.layer_count(); ++li) {
     const nn::Dense& dense = mlp.layer(li);
+    max_width_ = std::max(max_width_, dense.out_dim());
     const tensor::QMatrix wq = tensor::QMatrix::quantize(dense.weight());
     const float w_scale = wq.params().scale;
     const float in_scale = act_scale[li];
@@ -77,28 +80,37 @@ tensor::Vector XbarMlp::infer(std::span<const float> x,
                               device::Ns* latency) const {
   IMARS_REQUIRE(x.size() == in_dim_, "XbarMlp::infer: input dim mismatch");
 
-  // Quantize the input with the first layer's activation scale.
-  std::vector<std::int8_t> q(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    q[i] = util::QuantParams{layers_.front().in_scale}.quantize(x[i]);
+  // Quantize the input with the first layer's activation scale, in one
+  // pass that also rejects NaN and +-inf.
+  std::vector<std::int8_t> q(max_width_);
+  const util::QuantParams in_params{layers_.front().in_scale};
+  bool finite = true;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    finite &= std::isfinite(x[i]);
+    q[i] = in_params.quantize(x[i]);
+  }
+  IMARS_REQUIRE(finite, "XbarMlp::infer: input must be finite");
 
+  std::vector<std::int32_t> acc(max_width_);
   Ns total{0.0};
   tensor::Vector out_f;
   for (const auto& layer : layers_) {
+    const std::span<const std::int8_t> in(q.data(), layer.matvec.in_dim());
+    const std::span<std::int32_t> a(acc.data(), layer.matvec.out_dim());
     Ns lat{0.0};
-    std::vector<std::int32_t> acc = layer.matvec.gemv(q, &lat);
+    layer.matvec.gemv(in, a, &lat);
     total += lat + profile_->xbar_layer_overhead;
     ledger_->charge(device::Component::kPeripheral,
                     profile_->xbar_layer_energy);
-    for (std::size_t o = 0; o < acc.size(); ++o) acc[o] += layer.bias_q[o];
+    for (std::size_t o = 0; o < a.size(); ++o) a[o] += layer.bias_q[o];
 
     const float acc_scale = layer.in_scale * layer.w_scale;
     if (layer.is_last) {
       // Final layer: dequantize; identity or sigmoid handled in float by the
       // digital periphery.
-      out_f.resize(acc.size());
-      for (std::size_t o = 0; o < acc.size(); ++o) {
-        float v = acc_scale * static_cast<float>(acc[o]);
+      out_f.resize(a.size());
+      for (std::size_t o = 0; o < a.size(); ++o) {
+        float v = acc_scale * static_cast<float>(a[o]);
         if (layer.act == nn::Activation::kSigmoid)
           v = 1.0f / (1.0f + std::exp(-v));
         else if (layer.act == nn::Activation::kRelu)
@@ -108,14 +120,12 @@ tensor::Vector XbarMlp::infer(std::span<const float> x,
     } else {
       // ReLU as int32 clamp, then requantize into the next layer's scale.
       const float requant = acc_scale / layer.out_scale;
-      std::vector<std::int8_t> next(acc.size());
-      for (std::size_t o = 0; o < acc.size(); ++o) {
-        std::int32_t v = acc[o];
+      for (std::size_t o = 0; o < a.size(); ++o) {
+        std::int32_t v = a[o];
         if (layer.act == nn::Activation::kRelu && v < 0) v = 0;
-        next[o] = util::sat_cast_i8(static_cast<std::int32_t>(
+        q[o] = util::sat_cast_i8(static_cast<std::int32_t>(
             std::lround(static_cast<float>(v) * requant)));
       }
-      q = std::move(next);
     }
   }
   if (latency != nullptr) *latency = total;

@@ -40,7 +40,7 @@ class XbarMlp {
   std::size_t tile_count() const noexcept;
 
   /// Runs int8 inference; returns float outputs and the end-to-end latency
-  /// (sum of layer latencies) via out-parameter.
+  /// (sum of layer latencies) via out-parameter. Every input must be finite.
   tensor::Vector infer(std::span<const float> x, device::Ns* latency) const;
 
  private:
@@ -58,6 +58,7 @@ class XbarMlp {
   device::EnergyLedger* ledger_ = nullptr;
   std::size_t in_dim_ = 0;
   std::size_t out_dim_ = 0;
+  std::size_t max_width_ = 0;  // widest layer boundary: infer's scratch size
   std::vector<Layer> layers_;
 };
 

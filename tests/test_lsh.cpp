@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "lsh/lsh.hpp"
 #include "util/error.hpp"
@@ -41,6 +43,34 @@ TEST(Lsh, DiffersAcrossSeeds) {
 TEST(Lsh, EncodeChecksDimension) {
   RandomHyperplaneLsh h(8, 16, 1);
   EXPECT_THROW(h.encode(Vector(7, 0.0f)), Error);
+}
+
+// encode() takes all the plane dots from one gemv; each bit must still be
+// the sign test of that plane's own dot product. The planes are redrawn
+// the way the constructor draws them: N(0, 1), seeded, bits x dim.
+TEST(Lsh, EncodeIsPerPlaneSignOfDot) {
+  for (const auto& [dim, bits] : {std::pair<std::size_t, std::size_t>{32, 256},
+                                  std::pair<std::size_t, std::size_t>{8, 64},
+                                  std::pair<std::size_t, std::size_t>{13, 7}}) {
+    const RandomHyperplaneLsh h(dim, bits, 77);
+    util::Xoshiro256 plane_rng(77);
+    const tensor::Matrix planes =
+        tensor::Matrix::randn(bits, dim, 1.0f, plane_rng);
+    util::Xoshiro256 rng(dim + bits);
+    std::vector<Vector> inputs{Vector(dim, 0.0f), Vector(dim, -0.0f)};
+    for (int t = 0; t < 20; ++t) {
+      Vector v = random_unit(dim, rng);
+      for (auto& x : v)
+        if (rng.below(4) == 0) x = 0.0f;
+      inputs.push_back(v);
+    }
+    for (const Vector& v : inputs) {
+      const util::BitVec sig = h.encode(v);
+      for (std::size_t k = 0; k < bits; ++k)
+        ASSERT_EQ(sig.get(k), tensor::dot(planes.row(k), v) >= 0.0f)
+            << dim << "x" << bits << " bit " << k;
+    }
+  }
 }
 
 TEST(Lsh, IdenticalVectorsCollide) {

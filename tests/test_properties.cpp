@@ -242,7 +242,9 @@ TEST_P(XbarShapeProperty, TilingNeverChangesResult) {
   std::vector<std::int8_t> in(in_dim);
   for (auto& v : in)
     v = static_cast<std::int8_t>(static_cast<int>(rng.below(255)) - 127);
-  EXPECT_EQ(tiled.gemv(in, nullptr), tensor::gemv_i8(w, in));
+  std::vector<std::int32_t> out(out_dim);
+  tiled.gemv(in, out, nullptr);
+  EXPECT_EQ(out, tensor::gemv_i8(w, in));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "data/criteo.hpp"
 #include "data/movielens.hpp"
+#include "nn/loss.hpp"
 #include "recsys/dlrm.hpp"
 #include "recsys/metrics.hpp"
 #include "recsys/types.hpp"
@@ -241,6 +246,155 @@ TEST(Dlrm, InteractLayoutAndSymmetry) {
   // The last emb_dim entries are the bottom output.
   for (std::size_t c = 0; c < 8; ++c)
     EXPECT_FLOAT_EQ(z[z.size() - 8 + c], b[c]);
+}
+
+// The interaction as plain pair loops: the reference the gemv form must
+// match bit for bit.
+tensor::Vector naive_interact(const std::vector<tensor::Vector>& embs,
+                              const tensor::Vector& bottom) {
+  std::vector<tensor::Vector> v = embs;
+  v.push_back(bottom);
+  tensor::Vector out;
+  for (std::size_t i = 0; i < v.size(); ++i)
+    for (std::size_t j = i + 1; j < v.size(); ++j)
+      out.push_back(tensor::dot(v[i], v[j]));
+  out.insert(out.end(), bottom.begin(), bottom.end());
+  return out;
+}
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+std::vector<tensor::Vector> random_embs(std::size_t n, std::size_t d,
+                                        util::Xoshiro256& rng) {
+  std::vector<tensor::Vector> embs(n, tensor::Vector(d));
+  for (auto& e : embs)
+    for (auto& x : e)
+      x = rng.below(8) == 0 ? 0.0f : static_cast<float>(rng.normal());
+  return embs;
+}
+
+TEST(Dlrm, InteractMatchesPairLoopsBitForBit) {
+  const CriteoSynth ds(small_criteo());
+  for (const DlrmConfig& cfg : {small_dlrm(), DlrmConfig{}}) {
+    const Dlrm model(ds.schema(), cfg);
+    util::Xoshiro256 rng(cfg.emb_dim);
+    for (int t = 0; t < 5; ++t) {
+      const auto embs = random_embs(26, cfg.emb_dim, rng);
+      const auto b = random_embs(1, cfg.emb_dim, rng).front();
+      EXPECT_TRUE(same_bits(model.interact(embs, b), naive_interact(embs, b)))
+          << "emb_dim " << cfg.emb_dim << " trial " << t;
+    }
+  }
+}
+
+TEST(Dlrm, InteractRejectsWrongEmbeddingWidth) {
+  const CriteoSynth ds(small_criteo());
+  const Dlrm model(ds.schema(), small_dlrm());
+  util::Xoshiro256 rng(6);
+  const auto b = random_embs(1, 8, rng).front();
+  for (const std::size_t width : {7, 9}) {
+    auto embs = random_embs(26, 8, rng);
+    embs[13].resize(width, 0.5f);
+    try {
+      (void)model.interact(embs, b);
+      ADD_FAILURE() << "width " << width << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("embedding width"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Dlrm::train_step as it was written before the interaction became gemv
+// and gevm calls: the forward pair dots and the backward double loop, on
+// copies of the model's parameters.
+struct ReferenceDlrm {
+  nn::Mlp bottom;
+  nn::Mlp top;
+  std::vector<nn::EmbeddingTable> tables;
+  float lr;
+
+  explicit ReferenceDlrm(const Dlrm& m)
+      : bottom(m.bottom_mlp()), top(m.top_mlp()), lr(m.config().lr) {
+    for (std::size_t f = 0; f < m.table_count(); ++f)
+      tables.push_back(m.table(f));
+  }
+
+  float train_step(const data::CriteoSample& s) {
+    const std::size_t nf = tables.size();
+    const tensor::Vector b = bottom.forward(s.dense);
+    std::vector<tensor::Vector> embs;
+    for (std::size_t f = 0; f < nf; ++f) {
+      const auto r = tables[f].row(s.sparse[f]);
+      embs.emplace_back(r.begin(), r.end());
+    }
+    const float p = top.forward(naive_interact(embs, b))[0];
+    float gp = 0.0f;
+    const float loss = nn::bce_loss(p, static_cast<float>(s.label), &gp);
+    const tensor::Vector grad_x = top.backward(tensor::Vector{gp});
+
+    const std::size_t n = nf + 1;
+    const std::size_t d = b.size();
+    std::vector<tensor::Vector> grad_v(n, tensor::Vector(d, 0.0f));
+    std::size_t z = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j, ++z) {
+        const float g = grad_x[z];
+        const auto& vi = (i < nf) ? embs[i] : b;
+        const auto& vj = (j < nf) ? embs[j] : b;
+        for (std::size_t c = 0; c < d; ++c) {
+          grad_v[i][c] += g * vj[c];
+          grad_v[j][c] += g * vi[c];
+        }
+      }
+    }
+    for (std::size_t c = 0; c < d; ++c) grad_v[n - 1][c] += grad_x[z + c];
+    for (std::size_t f = 0; f < nf; ++f) {
+      const std::size_t idx[1] = {s.sparse[f]};
+      tables[f].accumulate_grad(idx, nn::Pooling::kSum, grad_v[f]);
+    }
+    bottom.backward(grad_v[n - 1]);
+    top.apply_sgd(lr);
+    bottom.apply_sgd(lr);
+    for (auto& t : tables) t.apply_sgd(lr);
+    return loss;
+  }
+};
+
+void expect_same_mlp(const nn::Mlp& a, const nn::Mlp& b, const char* what) {
+  ASSERT_EQ(a.layer_count(), b.layer_count());
+  for (std::size_t i = 0; i < a.layer_count(); ++i) {
+    EXPECT_TRUE(
+        same_bits(a.layer(i).weight().data(), b.layer(i).weight().data()))
+        << what << " layer " << i << " weight";
+    EXPECT_TRUE(same_bits(a.layer(i).bias(), b.layer(i).bias()))
+        << what << " layer " << i << " bias";
+  }
+}
+
+TEST(Dlrm, TrainStepMatchesPairLoopReferenceBitForBit) {
+  const CriteoSynth ds(small_criteo());
+  for (const DlrmConfig& cfg : {small_dlrm(), DlrmConfig{}}) {
+    Dlrm model(ds.schema(), cfg);
+    ReferenceDlrm ref(model);
+    for (std::size_t i = 0; i < 4; ++i) {
+      const auto& sample = ds.sample(i);
+      const float got = model.train_step(sample);
+      const float want = ref.train_step(sample);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+          << "emb_dim " << cfg.emb_dim << " step " << i << " loss";
+    }
+    expect_same_mlp(model.bottom_mlp(), ref.bottom, "bottom");
+    expect_same_mlp(model.top_mlp(), ref.top, "top");
+    for (std::size_t f = 0; f < model.table_count(); ++f)
+      EXPECT_TRUE(same_bits(model.table(f).matrix().data(),
+                            ref.tables[f].matrix().data()))
+          << "emb_dim " << cfg.emb_dim << " table " << f;
+  }
 }
 
 TEST(Dlrm, InferInUnitInterval) {

@@ -3,7 +3,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "tensor/qtensor.hpp"
 #include "tensor/tensor.hpp"
@@ -67,10 +70,27 @@ TEST(Matrix, MatmulAssociativityProperty) {
     EXPECT_NEAR(left.data()[i], right.data()[i], 1e-3f);
 }
 
-// Shapes that hit every remainder of gemv's 8-row blocks and axpy's 4-lane
-// steps, from a single element up to the DLRM top-MLP width.
+// Shapes that hit every remainder of gemv's 8-row blocks and 4-column
+// steps and of axpy's 4-lane steps, from a single element up to the DLRM
+// top-MLP width.
 constexpr std::size_t kGridRows[] = {1, 7, 8, 9, 16, 17, 256};
 constexpr std::size_t kGridCols[] = {1, 3, 4, 5, 8, 13, 383};
+
+// gemv's and gevm's callers beyond the grid: DLRM's stacked interaction
+// features (27 x 32; its pair gradient is 27 x 27), the 256-plane LSH
+// matrix over 32-d embeddings (256 x 32) and the ranking tower's first
+// layer (128 x 260).
+constexpr std::pair<std::size_t, std::size_t> kCallerShapes[] = {
+    {27, 32}, {256, 32}, {128, 260}};
+
+std::vector<std::pair<std::size_t, std::size_t>> gemv_shapes() {
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;
+  for (const std::size_t rows : kGridRows)
+    for (const std::size_t cols : kGridCols) shapes.emplace_back(rows, cols);
+  shapes.insert(shapes.end(), std::begin(kCallerShapes),
+                std::end(kCallerShapes));
+  return shapes;
+}
 
 // Bitwise equality: +0.0 and -0.0 differ, so do NaN payloads.
 bool same_bits(std::span<const float> a, std::span<const float> b) {
@@ -106,31 +126,58 @@ std::span<const float> skip_first(const std::vector<float>& buf) {
 // matmul is the unblocked reference: out(i, 0) sums m(i, k) * v[k] for
 // k = 0..cols-1 in order, exactly like gemv's row i.
 TEST(Matrix, GemvMatchesMatmul) {
-  for (const std::size_t rows : kGridRows) {
-    for (const std::size_t cols : kGridCols) {
-      const Matrix m(rows, cols, offset_buffer(rows * cols - 1, rows * cols));
-      const auto vbuf = offset_buffer(cols, 1000 + rows + cols);
-      const auto v = skip_first(vbuf);
-      const Vector out = tensor::gemv(m, v);
-      const Matrix ref =
-          tensor::matmul(m, Matrix(cols, 1, Vector(v.begin(), v.end())));
-      EXPECT_TRUE(same_bits(out, ref.data())) << rows << "x" << cols;
-    }
+  for (const auto& [rows, cols] : gemv_shapes()) {
+    const Matrix m(rows, cols, offset_buffer(rows * cols - 1, rows * cols));
+    const auto vbuf = offset_buffer(cols, 1000 + rows + cols);
+    const auto v = skip_first(vbuf);
+    const Vector out = tensor::gemv(m, v);
+    const Matrix ref =
+        tensor::matmul(m, Matrix(cols, 1, Vector(v.begin(), v.end())));
+    EXPECT_TRUE(same_bits(out, ref.data())) << rows << "x" << cols;
   }
+}
+
+// The span form over a row range [first, first + n) returns exactly those
+// rows of the whole-matrix gemv.
+TEST(Matrix, SpanGemvMatchesRowRange) {
+  const Matrix m = random_matrix(27, 32, 5);
+  const auto vbuf = offset_buffer(32, 6);
+  const auto v = skip_first(vbuf);
+  const Vector all = tensor::gemv(m, v);
+  for (std::size_t first = 0; first < 27; ++first) {
+    const std::size_t n = 27 - first;
+    Vector out(n + 1, -1.0f);
+    tensor::gemv(m.data().subspan(first * 32, n * 32), v,
+                 std::span<float>(out).subspan(1));
+    EXPECT_EQ(out[0], -1.0f);
+    EXPECT_TRUE(same_bits(std::span<const float>(out).subspan(1),
+                          std::span<const float>(all).subspan(first)))
+        << "first " << first;
+  }
+}
+
+TEST(Matrix, SpanGemvRejectsBadShapesAndOverlap) {
+  Vector w(12, 1.0f), v(4, 1.0f), out(3);
+  EXPECT_THROW(tensor::gemv(w, Vector(5, 1.0f), out), Error);
+  EXPECT_THROW(tensor::gemv(w, v, std::span<float>(out).first(2)), Error);
+  Vector buf(16, 1.0f);
+  const std::span<float> all(buf);
+  EXPECT_THROW(tensor::gemv(all.first(12), v, all.subspan(11, 3)), Error);
+  EXPECT_THROW(tensor::gemv(w, all.first(4), all.subspan(3, 3)), Error);
+  tensor::gemv(all.first(12), v, all.subspan(12, 3));  // adjacent: fine
+  EXPECT_EQ(buf[12], 4.0f);
 }
 
 // gemv of the transpose sums m(r, c) * v[r] for r = 0..rows-1 in order,
 // exactly like gevm's column c; gevm's zero-skip only drops +-0 products.
 TEST(Matrix, GevmIsTransposedGemv) {
-  for (const std::size_t rows : kGridRows) {
-    for (const std::size_t cols : kGridCols) {
-      const Matrix m = random_matrix(rows, cols, rows * 1000 + cols);
-      const auto vbuf = offset_buffer(rows, 2000 + rows + cols);
-      const auto v = skip_first(vbuf);
-      const Vector a = tensor::gevm(v, m);
-      const Vector b = tensor::gemv(m.transposed(), v);
-      EXPECT_TRUE(same_bits(a, b)) << rows << "x" << cols;
-    }
+  for (const auto& [rows, cols] : gemv_shapes()) {
+    const Matrix m = random_matrix(rows, cols, rows * 1000 + cols);
+    const auto vbuf = offset_buffer(rows, 2000 + rows + cols);
+    const auto v = skip_first(vbuf);
+    const Vector a = tensor::gevm(v, m);
+    const Vector b = tensor::gemv(m.transposed(), v);
+    EXPECT_TRUE(same_bits(a, b)) << rows << "x" << cols;
   }
 }
 

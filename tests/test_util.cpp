@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -269,6 +271,43 @@ TEST(Quant, RoundTripErrorBounded) {
   const auto back = util::dequantize(q, p);
   for (std::size_t i = 0; i < xs.size(); ++i) {
     EXPECT_NEAR(back[i], xs[i], p.scale * 0.5f + 1e-6f);
+  }
+}
+
+TEST(Quant, NanQuantizesToZero) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(util::QuantParams{0.5f}.quantize(nan), 0);
+  EXPECT_EQ(util::QuantParams{0.5f}.quantize(-nan), 0);
+  EXPECT_EQ(util::QuantParams{0.0f}.quantize(0.0f), 0);  // 0 / 0
+  EXPECT_EQ(util::QuantParams{0.5f}.quantize(inf), 127);
+  EXPECT_EQ(util::QuantParams{0.5f}.quantize(-inf), -127);
+}
+
+// quantize() rounds without libm; it must agree with the nearbyint, clamp
+// and saturate formula on every tie, on the saturation edges and on
+// random values at several scales.
+TEST(Quant, QuantizeMatchesNearbyintReference) {
+  const auto reference = [](float x, float scale) {
+    const float q = std::nearbyint(x / scale);
+    return util::sat_cast_i8(
+        static_cast<std::int32_t>(std::clamp(q, -128.0f, 127.0f)));
+  };
+  std::vector<float> xs;
+  for (int k = -1040; k <= 1040; ++k) xs.push_back(static_cast<float>(k) / 8);
+  for (const float edge : {126.49999f, 126.5f, 127.49999f, 127.5f, 128.5f,
+                           1e6f, 3e38f, 1e-40f, 0.49999997f, 0.5f, -0.0f,
+                           std::numeric_limits<float>::infinity()}) {
+    xs.push_back(edge);
+    xs.push_back(-edge);
+  }
+  util::Xoshiro256 rng(22);
+  for (int i = 0; i < 4000; ++i)
+    xs.push_back(static_cast<float>(rng.normal() * 60.0));
+  for (const float scale : {1.0f, 0.37f, 2.0f / 127.0f, 1e-3f, 3.0f}) {
+    const util::QuantParams p{scale};
+    for (const float x : xs)
+      ASSERT_EQ(p.quantize(x), reference(x, scale)) << x << " / " << scale;
   }
 }
 
