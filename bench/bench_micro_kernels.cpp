@@ -116,13 +116,6 @@ void BM_EmbeddingPool(benchmark::State& state) {
 }
 BENCHMARK(BM_EmbeddingPool)->Arg(1)->Arg(8)->Arg(64);
 
-void BM_ZipfSample(benchmark::State& state) {
-  const data::ZipfSampler zipf(30000, 1.1);
-  util::Xoshiro256 rng(7);
-  for (auto _ : state) benchmark::DoNotOptimize(zipf.sample(rng));
-}
-BENCHMARK(BM_ZipfSample);
-
 // One synth_host_1m pass through the hot-row cache: 200k queries from
 // Zipf(0.9) users over 10^6, each touching the 24 hashed candidate rows
 // the synthetic servable derives from its user, into a fresh 16384-row
@@ -154,6 +147,16 @@ void BM_HotCacheAccess(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_HotCacheAccess)->Unit(benchmark::kMillisecond);
+
+// One user draw of the load generator at Zipf(0.9): over synth_host_1m's
+// 10^6 users (a guide cell per 16 users) and over MovieLens-1M's 6,040 (a
+// guide cell per user).
+void BM_ZipfSample(benchmark::State& state) {
+  const data::ZipfSampler zipf(static_cast<std::size_t>(state.range(0)), 0.9);
+  util::Xoshiro256 rng(7);
+  for (auto _ : state) benchmark::DoNotOptimize(zipf.sample(rng));
+}
+BENCHMARK(BM_ZipfSample)->Arg(1000000)->Arg(6040);
 
 void BM_GemvI8(benchmark::State& state) {
   util::Xoshiro256 rng(8);

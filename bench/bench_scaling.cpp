@@ -46,7 +46,7 @@ namespace {
 /// Calls of the global operator new so far, on every thread.
 std::atomic<std::uint64_t> g_heap_allocs{0};
 
-/// Part B's gate. GCC 12 / libstdc++ 12 measure ~7.73 allocations per
+/// Part B's gate. GCC 12 / libstdc++ 12 measure ~7.75 allocations per
 /// query on the quick workload and ~7.18 on the full one; one extra
 /// allocation per query, or per (query, shard) on its 4 shards, crosses 8.
 constexpr double kAllocBudgetPerQuery = 8.0;

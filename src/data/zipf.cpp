@@ -19,33 +19,42 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) {
   for (auto& c : cdf_) c /= total;
   cdf_.back() = 1.0;  // guard against accumulated rounding
 
-  // Guide table: one cell per item, cell j holding the first index whose
-  // CDF value reaches j/n. Built with a single merge pass (O(n)); a draw
-  // then resolves in O(1) expected — the forward scan from the guide entry
-  // crosses each CDF step in exactly one cell on average.
+  // Guide table: m cells, cell j holding the first index whose CDF value
+  // reaches j/m. Built with a single merge pass (O(n)); a draw then starts
+  // within its cell's CDF steps of its answer.
   IMARS_REQUIRE(n <= 0xffffffffULL, "ZipfSampler: population exceeds 2^32");
-  guide_.resize(n);
+  const std::size_t m =
+      n <= kDenseGuideItems ? n : (n + kGuideStride - 1) / kGuideStride;
+  guide_.resize(m);
   std::size_t k = 0;
-  const double inv_n = 1.0 / static_cast<double>(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double t = static_cast<double>(j) * inv_n;
+  const double inv_m = 1.0 / static_cast<double>(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const double t = static_cast<double>(j) * inv_m;
     while (cdf_[k] < t) ++k;
     guide_[j] = static_cast<std::uint32_t>(k);
   }
 }
 
-std::size_t ZipfSampler::sample(util::Xoshiro256& rng) const {
-  const double u = rng.uniform();
-  // Start at the guide cell covering u: guide_[j] is the first index with
-  // cdf >= j/n and j/n <= u, so scanning forward to the first cdf >= u
-  // returns exactly what lower_bound over the full CDF would (u < 1 and
-  // cdf_.back() == 1.0 bound the scan).
-  const std::size_t n = cdf_.size();
-  std::size_t j = static_cast<std::size_t>(u * static_cast<double>(n));
-  if (j >= n) j = n - 1;
+std::size_t ZipfSampler::at(double u) const {
+  IMARS_REQUIRE(u >= 0.0 && u <= 1.0, "ZipfSampler::at: u must be in [0, 1]");
+  // Start at the guide cell covering u. Its threshold j * fl(1/m) is the
+  // rounded j/m, which can land above u, so the start may lie past the
+  // answer: step back while the previous CDF value still reaches u, then
+  // scan forward to the first CDF value that does. Together the loops stop
+  // at the first k with cdf >= u — lower_bound's answer — whatever the
+  // start (cdf_.back() == 1.0 >= u bounds the forward scan).
+  const std::size_t m = guide_.size();
+  const std::size_t j =
+      std::min(static_cast<std::size_t>(u * static_cast<double>(m)), m - 1);
   std::size_t k = guide_[j];
+  while (k > 0 && cdf_[k - 1] >= u) --k;
   while (cdf_[k] < u) ++k;
   return k;
+}
+
+double ZipfSampler::cdf(std::size_t k) const {
+  IMARS_REQUIRE(k < cdf_.size(), "ZipfSampler::cdf: index out of range");
+  return cdf_[k];
 }
 
 double ZipfSampler::pmf(std::size_t k) const {

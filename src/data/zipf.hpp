@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -14,14 +15,15 @@
 namespace imars::data {
 
 /// Samples from {0, ..., n-1} with P(k) proportional to 1/(k+1)^s via a
-/// precomputed inverse CDF with an alias-style guide table: cell j of the
-/// guide stores the first index whose CDF reaches j/n, so a draw starts at
-/// the guide entry and scans forward instead of binary-searching the whole
-/// CDF. Expected scan length is exactly 1 (the n guide cells partition the
-/// n CDF steps), making draw cost O(1) at any population — the property
-/// the million-user load generator needs at 10^7+ rows. The scan lands on
-/// the SAME index `std::lower_bound` would return for every u, so sampled
-/// streams are bit-identical to the historical binary-search sampler.
+/// precomputed inverse CDF with an alias-style guide table: cell j of an
+/// m-cell guide stores the first index whose CDF reaches j/m, so a draw
+/// starts at the guide entry of its u and scans instead of binary-searching
+/// the whole CDF. Up to 2^16 items the guide has one cell per item (m = n)
+/// and a draw crosses about one CDF step; above that it keeps one cell per
+/// 16 items (kGuideStride), so the million-user load generator's guide is
+/// 0.25 MB instead of 4 MB, at an expected scan of about 8 steps. Either
+/// way the draw lands on the SAME index `std::lower_bound` over the CDF
+/// returns, for every u in [0, 1] (at()).
 class ZipfSampler {
  public:
   /// n items, exponent s >= 0 (s = 0 is uniform).
@@ -29,15 +31,29 @@ class ZipfSampler {
 
   std::size_t size() const noexcept { return cdf_.size(); }
 
-  /// Draws one index.
-  std::size_t sample(util::Xoshiro256& rng) const;
+  /// Draws one index: at(rng.uniform()).
+  std::size_t sample(util::Xoshiro256& rng) const {
+    return at(rng.uniform());
+  }
+
+  /// The index a draw of `u` in [0, 1] yields: the first k with
+  /// cdf(k) >= u, exactly what `std::lower_bound` over the CDF returns.
+  std::size_t at(double u) const;
+
+  /// Cumulative probability of the indices 0..k.
+  double cdf(std::size_t k) const;
 
   /// Probability mass of index k.
   double pmf(std::size_t k) const;
 
  private:
+  /// Items per guide cell above kDenseGuideItems items.
+  static constexpr std::size_t kGuideStride = 16;
+  /// Largest population with one guide cell per item.
+  static constexpr std::size_t kDenseGuideItems = std::size_t{1} << 16;
+
   std::vector<double> cdf_;
-  std::vector<std::uint32_t> guide_;  ///< guide_[j] = min k with cdf_[k] >= j/n
+  std::vector<std::uint32_t> guide_;  ///< guide_[j] = min k, cdf_[k] >= j/m
 };
 
 }  // namespace imars::data

@@ -11,22 +11,58 @@ HotEmbeddingCache::HotEmbeddingCache(const HotCacheConfig& cfg)
     warm_capacity_blocks_ = cfg_.warm_capacity_rows / cfg_.cold_block_rows;
 }
 
-std::uint64_t& HotEmbeddingCache::history(std::uint64_t key) {
-  // The directory holds page addresses, not indices into pages_: one
-  // dependent load fewer on the per-access path.
-  std::uint64_t& page = page_dir_[page_of(key)];
-  if (page == 0) {
-    pages_.push_back(std::make_unique<std::uint64_t[]>(kPageRows));
-    page = reinterpret_cast<std::uintptr_t>(pages_.back().get());
+std::uint32_t& HotEmbeddingCache::history(std::uint64_t key) {
+  const auto table = static_cast<std::uint32_t>(key >> 32);
+  const auto row = static_cast<std::uint32_t>(key);
+  // A servable's accesses stay in one table or walk its tables in a fixed
+  // order (a DLRM sample reads tables 0..25 in turn), so the scan over the
+  // few touched tables starts at the last one seen and wraps around.
+  const std::size_t n = table_ids_.size();
+  std::size_t i = last_table_;
+  std::size_t left = n;
+  for (; left > 0 && table_ids_[i] != table; --left) i = i + 1 == n ? 0 : i + 1;
+  if (left == 0) {  // first touch of `table`
+    i = n;
+    table_ids_.push_back(table);
+    tables_.emplace_back();
   }
-  return reinterpret_cast<std::uint64_t*>(page)[key & (kPageRows - 1)];
+  last_table_ = i;
+  TableIndex& index = tables_[i];
+  const std::size_t s = row >> kSpanShift;
+  if (s >= index.size()) index.resize(s + 1);
+  std::unique_ptr<Span>& span = index[s];
+  if (!span) span = std::make_unique<Span>();
+  Page& page = (*span)[(row >> kPageShift) & (kSpanPages - 1)];
+  if (!page) page = std::make_unique<std::uint32_t[]>(kPageRows);
+  return page[row & (kPageRows - 1)];
 }
 
-std::uint64_t* HotEmbeddingCache::find_history(std::uint64_t key) noexcept {
-  const std::uint64_t* page = page_dir_.find(page_of(key));
-  return page == nullptr
-             ? nullptr
-             : &reinterpret_cast<std::uint64_t*>(*page)[key & (kPageRows - 1)];
+const std::uint32_t* HotEmbeddingCache::find_history(
+    std::uint64_t key) const noexcept {
+  const auto it = std::find(table_ids_.begin(), table_ids_.end(),
+                            static_cast<std::uint32_t>(key >> 32));
+  if (it == table_ids_.end()) return nullptr;
+  const TableIndex& index = tables_[it - table_ids_.begin()];
+  const auto row = static_cast<std::uint32_t>(key);
+  const std::size_t s = row >> kSpanShift;
+  if (s >= index.size() || !index[s]) return nullptr;
+  const Page& page = (*index[s])[(row >> kPageShift) & (kSpanPages - 1)];
+  return page ? &page[row & (kPageRows - 1)] : nullptr;
+}
+
+std::size_t HotEmbeddingCache::history_bytes() const noexcept {
+  std::size_t bytes = table_ids_.capacity() * sizeof(std::uint32_t) +
+                      tables_.capacity() * sizeof(TableIndex);
+  for (const TableIndex& index : tables_) {
+    bytes += index.capacity() * sizeof(index[0]);
+    for (const auto& span : index) {
+      if (!span) continue;
+      bytes += sizeof(Span);
+      for (const Page& page : *span)
+        if (page) bytes += kPageRows * sizeof(std::uint32_t);
+    }
+  }
+  return bytes;
 }
 
 // --- tiered embedding memory -----------------------------------------------
@@ -124,7 +160,7 @@ HotEmbeddingCache::TierFlush HotEmbeddingCache::take_flushed_tiers() {
 }
 
 bool HotEmbeddingCache::contains(std::uint32_t table, std::uint32_t row) const {
-  const std::uint64_t* slot = find_history(key_of(table, row));
+  const std::uint32_t* slot = find_history(key_of(table, row));
   return slot != nullptr && (*slot & kResidentBit) != 0;
 }
 
@@ -135,7 +171,7 @@ bool HotEmbeddingCache::dirty(std::uint32_t table, std::uint32_t row) const {
 bool HotEmbeddingCache::settle_heap() {
   while (!heap_.empty()) {
     const auto [freq, key] = heap_.top();
-    const std::uint64_t* slot = find_history(key);
+    const std::uint32_t* slot = find_history(key);
     if (slot == nullptr || (*slot & kResidentBit) == 0) {
       heap_.pop();  // evicted row, stale entry
       continue;
@@ -154,7 +190,7 @@ bool HotEmbeddingCache::settle_heap() {
 void HotEmbeddingCache::evict(std::uint64_t key) {
   // The frequency history outlives residency, so eviction is a bit clear
   // on the existing slot.
-  *find_history(key) &= ~kResidentBit;
+  history(key) &= ~kResidentBit;
   --resident_count_;
   // A dirty row leaves the buffer through its deferred array write: the
   // eviction flushes it, landing in the row's owning tier. Read-only
@@ -185,10 +221,10 @@ bool HotEmbeddingCache::access(std::uint32_t table, std::uint32_t row) {
   // One slot read bumps the lifetime frequency and reads residency
   // together. History slots never move, so `slot` stays valid across the
   // admission bookkeeping below.
-  std::uint64_t& slot = history(key);
-  const std::uint64_t freq = (slot & kFreqMask) + 1;
+  std::uint32_t& slot = history(key);
+  slot = bump(slot);
+  const std::uint64_t freq = slot & kFreqMask;
   const bool resident = (slot & kResidentBit) != 0;
-  slot = (slot & kResidentBit) | freq;
 
   if (cfg_.capacity_rows == 0) {
     ++stats_.misses;
@@ -242,11 +278,9 @@ bool HotEmbeddingCache::access(std::uint32_t table, std::uint32_t row) {
 
 bool HotEmbeddingCache::update(std::uint32_t table, std::uint32_t row) {
   const std::uint64_t key = key_of(table, row);
-  std::uint64_t& slot = history(key);
-  const std::uint64_t freq =
-      (slot & kFreqMask) + 1;  // updates count toward LFU admission
+  std::uint32_t& slot = history(key);
+  slot = bump(slot);  // updates count toward LFU admission
   const bool resident = (slot & kResidentBit) != 0;
-  slot = (slot & kResidentBit) | freq;
 
   if (cfg_.capacity_rows == 0) {
     ++stats_.update_misses;  // no buffer: pure write-through

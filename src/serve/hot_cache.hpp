@@ -13,10 +13,14 @@
 // The access history is row-indexed, like the ET tables it shadows: every
 // servable reports rows as ET row indices, so rows of one table cluster in
 // a dense index range. A page of 512 rows is one zero-filled block of
-// 64-bit slots, allocated on the first touch of any of its rows and never
-// moved; a small FlatMap64 directory finds the page of (table, row >> 9).
-// The history thus costs 8 B x 512 rows per touched page, and an access
-// reads one slot.
+// 32-bit slots, allocated on the first touch of any of its rows and never
+// moved. Each table has its own two-level index, so an access computes
+// its slot's address from the row without hashing it: row >> 20 picks a
+// span of 2^20 rows, whose 2048 page pointers (16 KiB, allocated on the
+// span's first touch) are picked by (row >> 9) & 2047. The history thus
+// costs 4 B x 512 rows per touched page plus 16 KiB per touched span, and
+// a row near 2^32 adds at most 48 KiB of index to its table, never an
+// array sized by the highest row.
 //
 // Write-back (embedding-update traffic, cf. MARM arXiv:2411.09425): an
 // update to a *resident* row is absorbed into the periphery buffer — the
@@ -49,6 +53,7 @@
 // bit-identical to the flat row store.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -181,6 +186,16 @@ class HotEmbeddingCache {
   bool contains(std::uint32_t table, std::uint32_t row) const;
   bool dirty(std::uint32_t table, std::uint32_t row) const;
 
+  /// Bytes the access history holds: its pages and their index.
+  std::size_t history_bytes() const noexcept;
+
+  /// History slot `slot` after one more access or update: the lifetime
+  /// frequency (bits 0-30) grows by one and saturates at 2^31 - 1 instead
+  /// of carrying into the resident bit (bit 31), which it leaves as is.
+  static constexpr std::uint32_t bump(std::uint32_t slot) noexcept {
+    return slot + ((slot & kFreqMask) != kFreqMask ? 1u : 0u);
+  }
+
  private:
   static std::uint64_t key_of(std::uint32_t table, std::uint32_t row) {
     return (static_cast<std::uint64_t>(table) << 32) | row;
@@ -192,18 +207,12 @@ class HotEmbeddingCache {
     return (key & ~0xffffffffULL) | (row - row % cfg_.cold_block_rows);
   }
 
-  /// Page-directory key of `key`: the table bits over the row's page.
-  static std::uint64_t page_of(std::uint64_t key) noexcept {
-    return (key & ~0xffffffffULL) | ((key & 0xffffffffULL) >> kPageShift);
-  }
   /// History slot of `key`: {resident bit | lifetime freq}. Allocates the
-  /// key's zero-filled page on first touch; the slot never moves after.
-  std::uint64_t& history(std::uint64_t key);
+  /// key's table index, span and zero-filled page on first touch; the slot
+  /// never moves after.
+  std::uint32_t& history(std::uint64_t key);
   /// History slot of `key`, or nullptr while its page is untouched.
-  std::uint64_t* find_history(std::uint64_t key) noexcept;
-  const std::uint64_t* find_history(std::uint64_t key) const noexcept {
-    return const_cast<HotEmbeddingCache*>(this)->find_history(key);
-  }
+  const std::uint32_t* find_history(std::uint64_t key) const noexcept;
 
   /// Pops stale heap entries until the top reflects a current resident
   /// frequency; returns false when the resident set is empty.
@@ -231,19 +240,29 @@ class HotEmbeddingCache {
   // the frequency history and the resident set share ONE slot per row: the
   // resident set's per-key frequency is always the lifetime frequency
   // (every touch of a resident row syncs it), so a slot packs {resident
-  // bit | lifetime freq}. Eviction clears the bit — the frequency history
-  // must survive the eviction anyway. The slots live in row-indexed pages
-  // of kPageRows (8 B x 512 rows = 4 KiB per touched page), allocated
-  // zero-filled on first touch; pages never move, so a slot reference
-  // stays valid however many pages are added after it.
-  static constexpr std::uint64_t kResidentBit = 1ULL << 63;
-  static constexpr std::uint64_t kFreqMask = kResidentBit - 1;
+  // bit | lifetime freq} in 32 bits (bump() saturates the frequency).
+  // Eviction clears the bit — the frequency history must survive the
+  // eviction anyway. The slots live in row-indexed pages of kPageRows
+  // (4 B x 512 rows = 2 KiB per touched page), allocated zero-filled on
+  // first touch; pages never move, so a slot reference stays valid however
+  // many pages are added after it.
+  static constexpr std::uint32_t kResidentBit = 1u << 31;
+  static constexpr std::uint32_t kFreqMask = kResidentBit - 1;
   static constexpr unsigned kPageShift = 9;
+  static constexpr unsigned kSpanShift = 20;
   static constexpr std::size_t kPageRows = std::size_t{1} << kPageShift;
-  /// (table << 32 | row >> kPageShift) -> address of the page's first
-  /// slot; a fresh entry reads 0.
-  util::FlatMap64 page_dir_;
-  std::vector<std::unique_ptr<std::uint64_t[]>> pages_;  ///< owns the pages
+  static constexpr std::size_t kSpanPages = std::size_t{1}
+                                            << (kSpanShift - kPageShift);
+  using Page = std::unique_ptr<std::uint32_t[]>;
+  /// The pages of 2^20 consecutive rows, by (row >> kPageShift) & 2047.
+  using Span = std::array<Page, kSpanPages>;
+  /// One table's spans by row >> kSpanShift, grown to the highest touched
+  /// span (at most 4096 pointers).
+  using TableIndex = std::vector<std::unique_ptr<Span>>;
+
+  std::vector<std::uint32_t> table_ids_;  ///< touched tables, first touch first
+  std::vector<TableIndex> tables_;        ///< tables_[i] indexes table_ids_[i]
+  std::size_t last_table_ = 0;  ///< position of the table history() last saw
   std::size_t resident_count_ = 0;
   /// Lower bound on the coldest resident frequency (monotone: frequencies
   /// only grow and admissions replace the min with a hotter row). Misses

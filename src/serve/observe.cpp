@@ -18,6 +18,10 @@ StreamingHistogram::StreamingHistogram(double rel_err) : rel_err_(rel_err) {
 }
 
 void StreamingHistogram::record(double x) {
+  // A NaN or infinite sample has no bucket (its index cast would be
+  // undefined) and would turn sum() and mean() into NaN or infinity.
+  IMARS_REQUIRE(std::isfinite(x),
+                "StreamingHistogram::record: value must be finite");
   if (n_ == 0) {
     min_ = x;
     max_ = x;
@@ -55,6 +59,8 @@ double StreamingHistogram::value_at(std::size_t i) const {
 }
 
 double StreamingHistogram::percentile(double p) const {
+  IMARS_REQUIRE(!std::isnan(p),
+                "StreamingHistogram::percentile: p must not be NaN");
   if (n_ == 0) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
   // util::percentile semantics: rank = p/100 * (n-1), linear interpolation

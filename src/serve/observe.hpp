@@ -77,6 +77,7 @@ class StreamingHistogram {
   /// `rel_err` in [kMinRelErr, 1); anything else throws.
   explicit StreamingHistogram(double rel_err = 0.01);
 
+  /// Adds one sample; a NaN or infinite `x` throws.
   void record(double x);
 
   std::size_t count() const noexcept { return n_; }
@@ -91,7 +92,8 @@ class StreamingHistogram {
   /// Incremental percentile, `p` in [0, 100]. Matches
   /// util::percentile(sample, p) — rank p/100 * (n-1), linear interpolation
   /// — within the bucket's relative error; 0.0 on an empty histogram (the
-  /// pinned ServeReport empty-set convention).
+  /// pinned ServeReport empty-set convention). `p` outside [0, 100] is
+  /// clamped; a NaN `p` throws.
   double percentile(double p) const;
 
   /// Folds `other` in (same rel_err required).

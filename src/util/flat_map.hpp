@@ -1,9 +1,8 @@
 // Open-addressing hash containers for the serving hot path.
 //
-// The hot-embedding cache keeps three point-lookup structures keyed by
-// packed 64-bit ids: the directory of its row-indexed history pages (keyed
-// by table and row >> 9; one probe per ET row access, over few keys), the
-// warm tier's block map and the set of dirty resident rows. With
+// The hot-embedding cache keeps two point-lookup structures keyed by
+// packed 64-bit ids: the warm tier's block map and the set of dirty
+// resident rows (its access history is direct-indexed by row). With
 // node-based std::unordered_map each new key would be one malloc and each
 // erase a free — per-event heap traffic in the simulator's innermost
 // loop. FlatMap64 is a linear-probing open table (u64 -> u64,

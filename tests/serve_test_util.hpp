@@ -258,6 +258,17 @@ inline void expect_golden(const GoldenRow& golden, std::string_view cell,
     }
 }
 
+/// Conservation: each stage unit of each shard runs its executions one at a
+/// time, starting at or after 0 and ending by their queries' completion,
+/// so no unit is busy for longer than the makespan.
+inline void expect_stage_busy_within_makespan(std::string_view cell,
+                                              const serve::ServeReport& r) {
+  for (std::size_t s = 0; s < r.shards.size(); ++s)
+    for (std::size_t u = 0; u < r.shards[s].stage_busy.size(); ++u)
+      EXPECT_LE(r.shards[s].stage_busy[u].value, r.makespan.value)
+          << cell << ": shard " << s << ", stage unit " << u;
+}
+
 /// Every simulated field of `r`, in walk order.
 inline std::vector<ReportField> report_fields(const serve::ServeReport& r) {
   std::vector<ReportField> out;

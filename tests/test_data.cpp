@@ -2,8 +2,10 @@
 // determinism, statistical properties of the ground truth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "data/criteo.hpp"
 #include "data/movielens.hpp"
@@ -63,6 +65,47 @@ TEST(Zipf, EmpiricalFrequencyTracksPmf) {
 TEST(Zipf, RejectsDegenerate) {
   EXPECT_THROW(ZipfSampler(0, 1.0), Error);
   EXPECT_THROW(ZipfSampler(10, -0.1), Error);
+}
+
+TEST(Zipf, AtIsLowerBoundAtEveryCdfValueAndItsNeighbours) {
+  // The guide cell of u is fl(u * m), and cell j's threshold is the
+  // rounded j/m, so a draw can start on either side of its answer (at
+  // n = 5, s = 0, u = fl(0.6) starts at index 3; lower_bound says 2). The
+  // populations cover one guide cell per item (up to 65,536) and one per
+  // 16 items (above).
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{100},
+        std::size_t{65536}, std::size_t{65537}, std::size_t{1000000}}) {
+    for (const double s : {0.0, 0.9, 1.0, 1.2}) {
+      const ZipfSampler z(n, s);
+      std::vector<double> cdf(n);
+      for (std::size_t k = 0; k < n; ++k) cdf[k] = z.cdf(k);
+      std::size_t checked = 0, mismatches = 0;
+      double first_bad = -1.0;
+      const auto check = [&](double u) {
+        if (u < 0.0 || u > 1.0) return;
+        const auto want = static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        ++checked;
+        if (z.at(u) != want && mismatches++ == 0) first_bad = u;
+      };
+      check(0.0);
+      for (const double c : cdf) {
+        check(std::nextafter(c, 0.0));
+        check(c);
+        check(std::nextafter(c, 2.0));
+      }
+      EXPECT_EQ(mismatches, 0u)
+          << "n=" << n << " s=" << s << ": " << mismatches << " of "
+          << checked << " u differ, first u=" << std::hexfloat << first_bad;
+    }
+  }
+  const ZipfSampler z(5, 0.0);
+  EXPECT_EQ(z.at(0.6), 2u);
+  util::Xoshiro256 a(9), b(9);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(z.sample(a), z.at(b.uniform()));
+  for (const double u : {-0.1, std::nextafter(1.0, 2.0), std::nan("")})
+    EXPECT_THROW(z.at(u), Error) << u;
 }
 
 // ---------- MovieLens ----------------------------------------------------------

@@ -168,6 +168,27 @@ TEST(StreamingHistogram, RejectsBadConfigs) {
   EXPECT_THROW(a.merge(b), std::runtime_error);
 }
 
+TEST(StreamingHistogram, RejectsNonFiniteSamplesAndNanPercentile) {
+  // A NaN or +inf sample has no bucket (the index cast is undefined), and
+  // any non-finite sample would make sum() and mean() non-finite.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  StreamingHistogram h(0.01);
+  h.record(2.0);
+  for (const double x :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf})
+    EXPECT_THROW(h.record(x), std::runtime_error) << x;
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_DOUBLE_EQ(h.mean(), 2.0);
+  EXPECT_DOUBLE_EQ(h.min(), 2.0);
+  EXPECT_DOUBLE_EQ(h.max(), 2.0);
+  // A NaN rank has no order statistic; infinite p clamps like any p
+  // outside [0, 100].
+  EXPECT_THROW(h.percentile(std::numeric_limits<double>::quiet_NaN()),
+               std::runtime_error);
+  EXPECT_DOUBLE_EQ(h.percentile(kInf), 2.0);
+  EXPECT_DOUBLE_EQ(h.percentile(-kInf), 2.0);
+}
+
 // --- MetricsRegistry --------------------------------------------------------
 
 TEST(MetricsRegistry, CountersGaugesAndHistograms) {

@@ -259,13 +259,17 @@ struct EagerLfu {
 };
 
 // Pins every observable of the flat-mode cache to the eager reference on a
-// Zipf stream with 10% updates. The keys straddle history-page boundaries
-// (rows 511/512/513) and the extremes of both key halves.
+// Zipf stream with 10% updates. The keys straddle both levels of the
+// history index: 512-row pages (rows 511/512/513) and 2^20-row spans
+// (0xFFFFF/0x100000, a page edge inside span 1, the first and the last
+// span), and the extremes of both key halves.
 TEST(HotEmbeddingCache, MatchesEagerLfuReference) {
   constexpr std::uint32_t kTables[] = {0, 1, 0xFFFF, 0xFFFFFFFF};
-  std::vector<std::uint32_t> rows = {0,    511,  512,        513,
-                                     1,    1023, 1024,       0xFFFFFFFF,
-                                     4095, 4096, 0xFFFFFE00, 0xFFFFFDFF};
+  std::vector<std::uint32_t> rows = {
+      0,          511,        512,        513,        1,
+      1023,       1024,       0xFFFFFFFF, 4095,       4096,
+      0xFFFFFE00, 0xFFFFFDFF, 0xFFFFF,    0x100000,   0x1001FF,
+      0x100200,   0x1FFFFF,   0x200000,   0xFFEFFFFF, 0xFFF00000};
   util::Xoshiro256 row_rng(5);
   while (rows.size() < 48)
     rows.push_back(static_cast<std::uint32_t>(row_rng.below(1ULL << 32)));
@@ -322,6 +326,37 @@ TEST(HotEmbeddingCache, MatchesEagerLfuReference) {
     flushes += s.flushes;
   }
   EXPECT_GT(flushes, 0u);  // the stream exercises dirty evictions
+}
+
+TEST(HotEmbeddingCache, FrequencyBumpSaturatesBelowTheResidentBit) {
+  using C = HotEmbeddingCache;
+  static_assert(C::bump(0) == 1);
+  static_assert(C::bump(0x7FFFFFFE) == 0x7FFFFFFF);
+  // At 2^31 - 1 the frequency stays put instead of carrying into bit 31,
+  // which would make a non-resident row read as resident.
+  static_assert(C::bump(0x7FFFFFFF) == 0x7FFFFFFF);
+  static_assert(C::bump(0x80000000) == 0x80000001);
+  static_assert(C::bump(0xFFFFFFFE) == 0xFFFFFFFF);
+  static_assert(C::bump(0xFFFFFFFF) == 0xFFFFFFFF);
+  EXPECT_EQ(C::bump(0x7FFFFFFF), 0x7FFFFFFFu);
+  EXPECT_EQ(C::bump(0xFFFFFFFF), 0xFFFFFFFFu);
+}
+
+TEST(HotEmbeddingCache, HistoryCostsFourBytesPerRowAndNoIndexByKeyRange) {
+  // Rows 0 and 2^32 - 1 of a table cost two 2 KiB pages, two 16 KiB spans
+  // and a list of 4096 span pointers (32 KiB), whatever the table id: no
+  // array is sized by a row or table value.
+  HotEmbeddingCache sparse(HotCacheConfig{4});
+  for (const std::uint32_t t : {0u, 0xFFFFFFFFu})
+    for (const std::uint32_t r : {0u, 0xFFFFFFFFu}) sparse.access(t, r);
+  EXPECT_TRUE(sparse.contains(0xFFFFFFFF, 0xFFFFFFFF));
+  EXPECT_LE(sparse.history_bytes(), (2 * (32 + 2 * (16 + 2)) + 1) * 1024u);
+  // A dense table costs 4 B per row plus one 16 KiB span per 2^20 rows.
+  HotEmbeddingCache dense(HotCacheConfig{4});
+  constexpr std::uint32_t kRows = 1u << 20;
+  for (std::uint32_t r = 0; r < kRows; ++r) dense.access(7, r);
+  EXPECT_GE(dense.history_bytes(), std::size_t{4} * kRows);
+  EXPECT_LE(dense.history_bytes(), std::size_t{4} * kRows + 17 * 1024);
 }
 
 // --- Sharded serving over the CPU oracle ----------------------------------
@@ -713,7 +748,8 @@ TEST(LoadGenerator, RejectsNonFiniteTraceArrivals) {
 // 2.36, x86-64); the library builds with -ffp-contract=off, so an
 // FMA-capable -march does not move them. After an intended change, run
 // this test: every moved cell prints its new row, ready to paste over the
-// old one.
+// old one. Every cell also checks that no stage unit is busy for longer
+// than the makespan.
 
 serve::ServeReport serve_synth(const ServingConfig& cfg,
                                const LoadGenConfig& lg) {
@@ -767,6 +803,7 @@ TEST(ServeReport, GoldenDigestsPinTheScalingGrid) {
                                  const serve::ServeReport& report) {
     ASSERT_LT(i, std::size(kGolden));
     serve_test::expect_golden(kGolden[i++], cell, report);
+    serve_test::expect_stage_busy_within_makespan(cell, report);
   };
   for (const bool overlap : {false, true})
     for (const bool open : {false, true})

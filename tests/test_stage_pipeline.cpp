@@ -1322,7 +1322,8 @@ TEST(StagePipeline, ServiceEstimateComposesCriticalPathAndBatch) {
 // filter and emit_topk rank merge (FunnelServable over IVF retrieval), and
 // DLRM's tower chain and tower DAG join with parallel-bank lookups on a
 // mixed FeFET/ReRAM fabric with a cost-weighted ShardMap. Same contract as
-// the scaling grid: after an intended change, paste the printed rows.
+// the scaling grid: after an intended change, paste the printed rows; no
+// stage unit may be busy for longer than the makespan.
 
 TEST(StagePipeline, GoldenDigestsPinTheServableGraphs) {
   // clang-format off
@@ -1389,6 +1390,7 @@ TEST(StagePipeline, GoldenDigestsPinTheServableGraphs) {
                                  const serve::ServeReport& report) {
     ASSERT_LT(i, std::size(kGolden));
     serve_test::expect_golden(kGolden[i++], cell, report);
+    serve_test::expect_stage_busy_within_makespan(cell, report);
   };
   const auto serve_yt = [&](std::unique_ptr<ServingRuntime> rt,
                             const LoadGenConfig& lg) {
