@@ -202,8 +202,9 @@ void BM_DlrmInteract(benchmark::State& state) {
 }
 BENCHMARK(BM_DlrmInteract);
 
-// One per-sample SGD step of a ReLU layer: forward, backward, apply_sgd.
-// Cycles through 64 samples with random-sign upstream gradients and a small
+// One per-sample SGD step of a ReLU layer: forward, then backward, which
+// returns dLoss/dInput and updates the weights in the same pass. Cycles
+// through 64 samples with random-sign upstream gradients and a small
 // learning rate, so the weights (and the ReLU mask) barely drift.
 void BM_DenseTrainStep(benchmark::State& state) {
   const auto in = static_cast<std::size_t>(state.range(0));
@@ -218,8 +219,7 @@ void BM_DenseTrainStep(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(layer.forward(xs[i]));
-    benchmark::DoNotOptimize(layer.backward(gs[i]));
-    layer.apply_sgd(1e-5f);
+    benchmark::DoNotOptimize(layer.backward(gs[i], 1e-5f));
     i = (i + 1) % xs.size();
   }
   benchmark::DoNotOptimize(layer.weight().data().data());

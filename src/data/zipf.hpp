@@ -16,9 +16,9 @@ namespace imars::data {
 
 /// Samples from {0, ..., n-1} with P(k) proportional to 1/(k+1)^s via a
 /// precomputed inverse CDF with an alias-style guide table: cell j of an
-/// m-cell guide stores the first index whose CDF reaches j/m, so a draw
-/// starts at the guide entry of its u and scans instead of binary-searching
-/// the whole CDF. Up to 2^16 items the guide has one cell per item (m = n)
+/// m-cell guide stores the first index whose CDF reaches about j/m, never
+/// past the answer of any u in the cell, so a draw starts at the guide
+/// entry of its u and scans forward instead of binary-searching the CDF. Up to 2^16 items the guide has one cell per item (m = n)
 /// and a draw crosses about one CDF step; above that it keeps one cell per
 /// 16 items (kGuideStride), so the million-user load generator's guide is
 /// 0.25 MB instead of 4 MB, at an expected scan of about 8 steps. Either
@@ -53,7 +53,9 @@ class ZipfSampler {
   static constexpr std::size_t kDenseGuideItems = std::size_t{1} << 16;
 
   std::vector<double> cdf_;
-  std::vector<std::uint32_t> guide_;  ///< guide_[j] = min k, cdf_[k] >= j/m
+  /// guide_[j] = min k with cdf_[k] >= t, for a t <= every u with
+  /// fl(u * m) >= j.
+  std::vector<std::uint32_t> guide_;
 };
 
 }  // namespace imars::data

@@ -39,40 +39,28 @@ tensor::Vector EmbeddingTable::lookup_pooled(
   return out;
 }
 
-void EmbeddingTable::accumulate_grad(std::span<const std::size_t> indices,
-                                     Pooling pooling,
-                                     std::span<const float> grad) {
+void EmbeddingTable::sgd(std::span<const std::size_t> indices,
+                         Pooling pooling, std::span<const float> grad,
+                         float lr) {
+  IMARS_REQUIRE(std::isfinite(lr) && lr > 0.0f,
+                "EmbeddingTable::sgd: lr must be finite and positive");
   if (indices.empty()) return;
+  const bool concat = pooling == Pooling::kConcat;
+  IMARS_REQUIRE(grad.size() == (concat ? indices.size() : 1) * dim(),
+                "EmbeddingTable::sgd: grad size mismatch");
+  IMARS_REQUIRE(tensor::disjoint(grad, table_.data()),
+                "EmbeddingTable::sgd: grad must not overlap the table");
+  for (const std::size_t idx : indices)
+    IMARS_REQUIRE(idx < rows(), "EmbeddingTable: grad index out of range");
   const float scale = (pooling == Pooling::kMean)
                           ? 1.0f / static_cast<float>(indices.size())
                           : 1.0f;
   for (std::size_t k = 0; k < indices.size(); ++k) {
-    const std::size_t idx = indices[k];
-    IMARS_REQUIRE(idx < rows(), "EmbeddingTable: grad index out of range");
-    tensor::Vector g(dim(), 0.0f);
-    if (pooling == Pooling::kConcat) {
-      IMARS_REQUIRE(grad.size() == indices.size() * dim(),
-                    "concat grad size mismatch");
-      for (std::size_t c = 0; c < dim(); ++c) g[c] = grad[k * dim() + c];
-    } else {
-      IMARS_REQUIRE(grad.size() == dim(), "pooled grad size mismatch");
-      for (std::size_t c = 0; c < dim(); ++c) g[c] = grad[c] * scale;
-    }
-    pending_grads_.emplace_back(idx, std::move(g));
+    const auto r = table_.row(indices[k]);
+    const auto g = concat ? grad.subspan(k * dim(), dim()) : grad;
+    for (std::size_t c = 0; c < r.size(); ++c) r[c] -= lr * (g[c] * scale);
   }
 }
-
-void EmbeddingTable::apply_sgd(float lr) {
-  IMARS_REQUIRE(std::isfinite(lr) && lr > 0.0f,
-                "EmbeddingTable::apply_sgd: lr must be finite and positive");
-  for (const auto& [idx, g] : pending_grads_) {
-    auto r = table_.row(idx);
-    for (std::size_t c = 0; c < g.size(); ++c) r[c] -= lr * g[c];
-  }
-  pending_grads_.clear();
-}
-
-void EmbeddingTable::zero_grad() { pending_grads_.clear(); }
 
 void EmbeddingTable::set_row(std::size_t index, std::span<const float> values) {
   IMARS_REQUIRE(index < rows(), "EmbeddingTable::set_row out of range");

@@ -3,12 +3,12 @@
 // This is the *algorithmic* embedding table used for model training and for
 // the CPU/GPU baselines. The in-memory (hardware) incarnation lives in
 // core::ImarsAccelerator, which loads a quantized snapshot of these tables
-// into CMA banks (Sec III-B).
+// into CMA banks (Sec III-B). A training step updates the looked-up rows in
+// place (sgd()); nothing is buffered between steps.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "tensor/qtensor.hpp"
 #include "tensor/tensor.hpp"
@@ -42,13 +42,14 @@ class EmbeddingTable {
   tensor::Vector lookup_pooled(std::span<const std::size_t> indices,
                                Pooling pooling) const;
 
-  /// SGD update for a pooled lookup: distributes grad over the looked-up
-  /// rows (scaled 1/n for mean pooling).
-  void accumulate_grad(std::span<const std::size_t> indices, Pooling pooling,
-                       std::span<const float> grad);
-  /// Applies the pending gradients (lr must be finite and positive).
-  void apply_sgd(float lr);
-  void zero_grad();
+  /// One plain SGD step for a pooled lookup of `indices`, given the
+  /// gradient of the pooled output: each looked-up row, in call order,
+  /// moves by row[c] -= lr * g[c], where g is grad * (1/n for mean pooling,
+  /// 1 for sum) or, for concat, the row's dim()-slice of grad. A row
+  /// looked up twice moves twice. `lr` must be finite and positive, and
+  /// grad must not overlap the table.
+  void sgd(std::span<const std::size_t> indices, Pooling pooling,
+           std::span<const float> grad, float lr);
 
   /// Direct row write (used by tests and synthetic setups).
   void set_row(std::size_t index, std::span<const float> values);
@@ -60,8 +61,6 @@ class EmbeddingTable {
 
  private:
   tensor::Matrix table_;
-  // Sparse gradient accumulator: only touched rows are stored.
-  std::vector<std::pair<std::size_t, tensor::Vector>> pending_grads_;
 };
 
 }  // namespace imars::nn

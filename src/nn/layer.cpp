@@ -1,36 +1,10 @@
 #include "nn/layer.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
 
 namespace imars::nn {
-
-namespace {
-
-// w[i] -= lr * g[i]; g[i] = 0. Four lanes per step, vectorized like
-// tensor::axpy.
-void sgd_row(float lr, float* __restrict w, float* __restrict g,
-             std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    w[i] -= lr * g[i];
-    w[i + 1] -= lr * g[i + 1];
-    w[i + 2] -= lr * g[i + 2];
-    w[i + 3] -= lr * g[i + 3];
-    g[i] = 0.0f;
-    g[i + 1] = 0.0f;
-    g[i + 2] = 0.0f;
-    g[i + 3] = 0.0f;
-  }
-  for (; i < n; ++i) {
-    w[i] -= lr * g[i];
-    g[i] = 0.0f;
-  }
-}
-
-}  // namespace
 
 Dense::Dense(std::size_t in, std::size_t out, Activation act,
              util::Xoshiro256& rng)
@@ -38,10 +12,7 @@ Dense::Dense(std::size_t in, std::size_t out, Activation act,
                                     std::sqrt(2.0f / static_cast<float>(in)),
                                     rng)),
       bias_(out, 0.0f),
-      act_(act),
-      grad_weight_(out, in),
-      grad_bias_(out, 0.0f),
-      row_dirty_(out, 0) {
+      act_(act) {
   IMARS_REQUIRE(in > 0 && out > 0, "Dense: dimensions must be positive");
 }
 
@@ -74,7 +45,7 @@ tensor::Vector Dense::infer(std::span<const float> x) const {
   return apply_act(std::move(z));
 }
 
-tensor::Vector Dense::backward(std::span<const float> grad_out) {
+tensor::Vector Dense::backward(std::span<const float> grad_out, float lr) {
   IMARS_REQUIRE(has_forward_state_, "Dense::backward without forward");
   IMARS_REQUIRE(grad_out.size() == out_dim(),
                 "Dense::backward: grad dim mismatch");
@@ -96,41 +67,12 @@ tensor::Vector Dense::backward(std::span<const float> grad_out) {
       break;
   }
 
-  // Accumulate dL/dW = grad_z * x^T, dL/db = grad_z. A zero grad_z[o]
-  // leaves row o untouched, and clean.
-  for (std::size_t o = 0; o < out_dim(); ++o) {
-    const float g = grad_z[o];
-    if (g != 0.0f) {
-      tensor::axpy(g, last_input_, grad_weight_.row(o));
-      row_dirty_[o] = 1;
-    }
-    grad_bias_[o] += g;
-  }
-
-  // dL/dx = W^T grad_z.
-  return tensor::gevm(grad_z, weight_);
-}
-
-void Dense::apply_sgd(float lr) {
-  IMARS_REQUIRE(std::isfinite(lr) && lr > 0.0f,
-                "Dense::apply_sgd: lr must be finite and positive");
-  for (std::size_t o = 0; o < out_dim(); ++o) {
-    if (row_dirty_[o] == 0) continue;
-    sgd_row(lr, weight_.row(o).data(), grad_weight_.row(o).data(), in_dim());
-    row_dirty_[o] = 0;
-  }
-  for (std::size_t i = 0; i < bias_.size(); ++i) bias_[i] -= lr * grad_bias_[i];
-  std::fill(grad_bias_.begin(), grad_bias_.end(), 0.0f);
-}
-
-void Dense::zero_grad() {
-  for (std::size_t o = 0; o < out_dim(); ++o) {
-    if (row_dirty_[o] == 0) continue;
-    const auto g = grad_weight_.row(o);
-    std::fill(g.begin(), g.end(), 0.0f);
-    row_dirty_[o] = 0;
-  }
-  std::fill(grad_bias_.begin(), grad_bias_.end(), 0.0f);
+  // dL/dx = W^T grad_z from the weights as they were, and W -= lr *
+  // grad_z x^T row by row; gevm_sgd checks lr before it writes anything.
+  tensor::Vector grad_x = tensor::gevm_sgd(grad_z, weight_, last_input_, lr);
+  for (std::size_t o = 0; o < out_dim(); ++o)
+    bias_[o] -= lr * (0.0f + grad_z[o]);
+  return grad_x;
 }
 
 }  // namespace imars::nn

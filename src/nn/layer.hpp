@@ -1,19 +1,14 @@
 // Fully connected layer with activation, forward + backward.
 //
 // The DNN stacks in the paper are plain MLPs (YouTubeDNN 128-64-32 / 128-1,
-// DLRM 256-128-32 / 256-64-1). Training runs sample-at-a-time SGD.
-//
-// The SGD update is dirty-row: backward() adds to a weight-gradient row only
-// when that output's upstream gradient is nonzero (ReLU zeroes about half
-// of them) and records the rows it touched. apply_sgd() and zero_grad()
-// then visit only those rows, plus the whole bias. A clean row's gradient
-// is +0, and w - lr * (+0) == w for every finite lr > 0, so the result is
-// bit-identical to a full sweep; apply_sgd() rejects any other lr.
+// DLRM 256-128-32 / 256-64-1). Training runs sample-at-a-time SGD, and a
+// training step updates the parameters in place: backward() computes
+// dLoss/dInput and steps the weights and bias in one pass (gevm_sgd), with
+// no gradient buffer. A row whose upstream gradient is zero (ReLU zeroes
+// about half of them) is neither read nor written.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -44,24 +39,17 @@ class Dense {
   /// Inference-only forward (no caching); usable from const contexts.
   tensor::Vector infer(std::span<const float> x) const;
 
-  /// Backward pass for the most recent forward() call. Accumulates weight
-  /// and bias gradients internally and returns dLoss/dInput.
-  tensor::Vector backward(std::span<const float> grad_out);
-
-  /// Applies accumulated gradients with plain SGD and clears them. `lr`
+  /// One plain SGD step for the most recent forward() call: returns
+  /// dLoss/dInput through the weights as they were, and moves them in
+  /// place, W[o] -= lr * (+0 + dz[o] * x) for each dz[o] != 0 and
+  /// b[o] -= lr * (+0 + dz[o]) for every o, where dz is dLoss/dz. `lr`
   /// must be finite and positive.
-  void apply_sgd(float lr);
-
-  /// Clears accumulated gradients.
-  void zero_grad();
+  tensor::Vector backward(std::span<const float> grad_out, float lr);
 
   const tensor::Matrix& weight() const noexcept { return weight_; }
   const tensor::Vector& bias() const noexcept { return bias_; }
   tensor::Matrix& mutable_weight() noexcept { return weight_; }
   tensor::Vector& mutable_bias() noexcept { return bias_; }
-
-  const tensor::Matrix& weight_grad() const noexcept { return grad_weight_; }
-  const tensor::Vector& bias_grad() const noexcept { return grad_bias_; }
 
  private:
   tensor::Vector apply_act(tensor::Vector z) const;
@@ -69,12 +57,6 @@ class Dense {
   tensor::Matrix weight_;      // out x in
   tensor::Vector bias_;        // out
   Activation act_;
-
-  tensor::Matrix grad_weight_;
-  tensor::Vector grad_bias_;
-  // row_dirty_[o] != 0 when grad_weight_ row o may be nonzero; every other
-  // row is all +0.
-  std::vector<std::uint8_t> row_dirty_;
 
   // Cached forward state.
   tensor::Vector last_input_;

@@ -48,19 +48,11 @@ tensor::Vector Mlp::infer(std::span<const float> x) const {
   return v;
 }
 
-tensor::Vector Mlp::backward(std::span<const float> grad_out) {
+tensor::Vector Mlp::backward(std::span<const float> grad_out, float lr) {
   tensor::Vector g(grad_out.begin(), grad_out.end());
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    g = it->backward(g);
+    g = it->backward(g, lr);
   return g;
-}
-
-void Mlp::apply_sgd(float lr) {
-  for (auto& l : layers_) l.apply_sgd(lr);
-}
-
-void Mlp::zero_grad() {
-  for (auto& l : layers_) l.zero_grad();
 }
 
 }  // namespace imars::nn

@@ -1,4 +1,6 @@
 // Sequential MLP container matching the paper's DNN-stack configurations.
+// Training is per-sample SGD in place: forward() caches each layer's input,
+// and backward(grad, lr) steps the layers last to first (Dense::backward).
 #pragma once
 
 #include <cstddef>
@@ -34,11 +36,10 @@ class Mlp {
   tensor::Vector forward(std::span<const float> x);
   tensor::Vector infer(std::span<const float> x) const;
 
-  /// Backward through all layers; returns dLoss/dInput.
-  tensor::Vector backward(std::span<const float> grad_out);
-
-  void apply_sgd(float lr);
-  void zero_grad();
+  /// One SGD step through all layers, last to first (Dense::backward):
+  /// each layer moves in place once it has passed its dLoss/dInput on.
+  /// Returns dLoss/dInput of the first layer.
+  tensor::Vector backward(std::span<const float> grad_out, float lr);
 
  private:
   std::vector<std::size_t> dims_;

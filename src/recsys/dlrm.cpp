@@ -123,8 +123,9 @@ float Dlrm::train_step(const data::CriteoSample& sample) {
   float gp = 0.0f;
   const float loss = nn::bce_loss(p, static_cast<float>(sample.label), &gp);
 
-  // Backward through the top MLP.
-  const tensor::Vector grad_x = top_.backward(tensor::Vector{gp});
+  // Backward through the top MLP, which steps its weights in place; each
+  // part of the model moves once its own gradient is known.
+  const tensor::Vector grad_x = top_.backward(tensor::Vector{gp}, cfg_.lr);
 
   // Backward through the interaction layer. G is the symmetric pair
   // gradient (zero diagonal), so feature k's gradient is the sum over
@@ -136,20 +137,16 @@ float Dlrm::train_step(const data::CriteoSample& sample) {
     for (std::size_t j = i + 1; j < n; ++j, ++z)
       g.at(i, j) = g.at(j, i) = grad_x[z];
 
-  // Embedding updates.
+  // Embedding updates (v holds copies of the rows as they were).
   for (std::size_t f = 0; f < nf; ++f) {
     const std::size_t idx[1] = {sample.sparse[f]};
-    tables_[f].accumulate_grad(idx, nn::Pooling::kSum,
-                               tensor::gevm(g.row(f), v));
+    tables_[f].sgd(idx, nn::Pooling::kSum, tensor::gevm(g.row(f), v),
+                   cfg_.lr);
   }
   // Bottom MLP update, plus the direct concat path of the bottom output.
   tensor::Vector grad_b = tensor::gevm(g.row(nf), v);
   for (std::size_t c = 0; c < cfg_.emb_dim; ++c) grad_b[c] += grad_x[z + c];
-  bottom_.backward(grad_b);
-
-  top_.apply_sgd(cfg_.lr);
-  bottom_.apply_sgd(cfg_.lr);
-  for (auto& t : tables_) t.apply_sgd(cfg_.lr);
+  bottom_.backward(grad_b, cfg_.lr);
   return loss;
 }
 

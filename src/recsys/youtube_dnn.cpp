@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <numeric>
-#include <unordered_set>
 
 #include "nn/loss.hpp"
 #include "util/error.hpp"
@@ -35,6 +34,29 @@ std::vector<std::size_t> make_dims(std::size_t in,
   if (dims.back() != out) dims.push_back(out);
   return dims;
 }
+
+// The items of one user's history, for negative sampling: marking a new
+// history stamps its items with a new step number, so a step allocates
+// and clears nothing. One per epoch.
+class HistoryMarks {
+ public:
+  explicit HistoryMarks(std::size_t items) : stamp_(items, 0) {}
+
+  void mark(std::span<const std::size_t> history) {
+    ++step_;
+    for (const std::size_t item : history) {
+      IMARS_REQUIRE(item < stamp_.size(),
+                    "YoutubeDnn: history item out of range");
+      stamp_[item] = step_;
+    }
+  }
+
+  bool contains(std::size_t item) const { return stamp_[item] == step_; }
+
+ private:
+  std::vector<std::size_t> stamp_;
+  std::size_t step_ = 0;
+};
 
 }  // namespace
 
@@ -147,6 +169,7 @@ float YoutubeDnn::train_filter_epoch(const data::MovieLensSynth& ds,
 
   double total_loss = 0.0;
   std::size_t steps = 0;
+  HistoryMarks hist(ds.num_items());
   for (auto u : order) {
     const UserContext ctx = make_context(ds, u);
     if (ctx.history.empty()) continue;
@@ -156,13 +179,12 @@ float YoutubeDnn::train_filter_epoch(const data::MovieLensSynth& ds,
 
     // One positive drawn from history, cfg.negatives uniform negatives.
     const std::size_t pos = ctx.history[rng.below(ctx.history.size())];
-    std::unordered_set<std::size_t> hist_set(ctx.history.begin(),
-                                             ctx.history.end());
+    hist.mark(ctx.history);
     std::vector<std::size_t> neg_ids;
     std::vector<tensor::Vector> negs;
     while (neg_ids.size() < cfg_.negatives) {
       const std::size_t cand = rng.below(ds.num_items());
-      if (hist_set.contains(cand)) continue;
+      if (hist.contains(cand)) continue;
       neg_ids.push_back(cand);
       const auto r = item_table_.row(cand);
       negs.emplace_back(r.begin(), r.end());
@@ -176,30 +198,26 @@ float YoutubeDnn::train_filter_epoch(const data::MovieLensSynth& ds,
                                            &grad_pos, &grad_negs);
     ++steps;
 
-    // Backprop through the tower and route the input gradient to the
-    // embedding tables segment by segment.
-    const auto grad_in = filter_mlp_.backward(grad_user);
+    // Step the tower, then route its input gradient to the embedding
+    // tables segment by segment. Every gradient is known by now, so each
+    // table row moves in place as its gradient arrives.
+    const auto grad_in = filter_mlp_.backward(grad_user, cfg_.lr);
     std::size_t off = 0;
     for (auto f : filter_features_) {
-      uiets_[f].accumulate_grad(
-          ctx.sparse[f], nn::Pooling::kMean,
-          std::span(grad_in).subspan(off, cfg_.emb_dim));
+      uiets_[f].sgd(ctx.sparse[f], nn::Pooling::kMean,
+                    std::span(grad_in).subspan(off, cfg_.emb_dim), cfg_.lr);
       off += cfg_.emb_dim;
     }
-    item_table_.accumulate_grad(ctx.history, nn::Pooling::kMean,
-                                std::span(grad_in).subspan(off, cfg_.emb_dim));
+    item_table_.sgd(ctx.history, nn::Pooling::kMean,
+                    std::span(grad_in).subspan(off, cfg_.emb_dim), cfg_.lr);
 
     // Item-side gradients from the sampled softmax.
     const std::size_t pos_idx[1] = {pos};
-    item_table_.accumulate_grad(pos_idx, nn::Pooling::kSum, grad_pos);
+    item_table_.sgd(pos_idx, nn::Pooling::kSum, grad_pos, cfg_.lr);
     for (std::size_t i = 0; i < neg_ids.size(); ++i) {
       const std::size_t neg_idx[1] = {neg_ids[i]};
-      item_table_.accumulate_grad(neg_idx, nn::Pooling::kSum, grad_negs[i]);
+      item_table_.sgd(neg_idx, nn::Pooling::kSum, grad_negs[i], cfg_.lr);
     }
-
-    filter_mlp_.apply_sgd(cfg_.lr);
-    for (auto f : filter_features_) uiets_[f].apply_sgd(cfg_.lr);
-    item_table_.apply_sgd(cfg_.lr);
   }
   return steps == 0 ? 0.0f : static_cast<float>(total_loss / static_cast<double>(steps));
 }
@@ -212,18 +230,18 @@ float YoutubeDnn::train_rank_epoch(const data::MovieLensSynth& ds,
 
   double total_loss = 0.0;
   std::size_t steps = 0;
+  HistoryMarks hist(ds.num_items());
   for (auto u : order) {
     const UserContext ctx = make_context(ds, u);
     if (ctx.history.empty()) continue;
-    std::unordered_set<std::size_t> hist_set(ctx.history.begin(),
-                                             ctx.history.end());
+    hist.mark(ctx.history);
 
     // label 1: a history item; label 0: a random unseen item.
     const std::array<std::pair<std::size_t, float>, 2> samples = {{
         {ctx.history[rng.below(ctx.history.size())], 1.0f},
         {[&] {
            std::size_t cand = rng.below(ds.num_items());
-           while (hist_set.contains(cand)) cand = rng.below(ds.num_items());
+           while (hist.contains(cand)) cand = rng.below(ds.num_items());
            return cand;
          }(),
          0.0f},
@@ -237,25 +255,20 @@ float YoutubeDnn::train_rank_epoch(const data::MovieLensSynth& ds,
       ++steps;
 
       const tensor::Vector grad_out{grad};
-      const auto grad_in = rank_mlp_.backward(grad_out);
+      const auto grad_in = rank_mlp_.backward(grad_out, cfg_.lr);
 
       std::size_t off = 0;
       for (auto f : rank_features_) {
-        uiets_[f].accumulate_grad(
-            ctx.sparse[f], nn::Pooling::kMean,
-            std::span(grad_in).subspan(off, cfg_.emb_dim));
+        uiets_[f].sgd(ctx.sparse[f], nn::Pooling::kMean,
+                      std::span(grad_in).subspan(off, cfg_.emb_dim), cfg_.lr);
         off += cfg_.emb_dim;
       }
       const std::size_t item_idx[1] = {item};
-      item_table_.accumulate_grad(item_idx, nn::Pooling::kSum,
-                                  std::span(grad_in).subspan(off, cfg_.emb_dim));
+      item_table_.sgd(item_idx, nn::Pooling::kSum,
+                      std::span(grad_in).subspan(off, cfg_.emb_dim), cfg_.lr);
       off += cfg_.emb_dim;
-      item_table_.accumulate_grad(ctx.history, nn::Pooling::kMean,
-                                  std::span(grad_in).subspan(off, cfg_.emb_dim));
-
-      rank_mlp_.apply_sgd(cfg_.lr);
-      for (auto f : rank_features_) uiets_[f].apply_sgd(cfg_.lr);
-      item_table_.apply_sgd(cfg_.lr);
+      item_table_.sgd(ctx.history, nn::Pooling::kMean,
+                      std::span(grad_in).subspan(off, cfg_.emb_dim), cfg_.lr);
     }
   }
   return steps == 0 ? 0.0f : static_cast<float>(total_loss / static_cast<double>(steps));

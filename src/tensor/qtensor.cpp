@@ -12,9 +12,11 @@ QMatrix QMatrix::quantize(const Matrix& m) {
 }
 
 QMatrix QMatrix::quantize(const Matrix& m, util::QuantParams params) {
-  QMatrix q(m.rows(), m.cols(), params);
-  for (std::size_t i = 0; i < m.data().size(); ++i)
-    q.data_[i] = params.quantize(m.data()[i]);
+  QMatrix q;
+  q.rows_ = m.rows();
+  q.cols_ = m.cols();
+  q.params_ = params;
+  q.data_ = util::quantize(m.data(), params);
   return q;
 }
 

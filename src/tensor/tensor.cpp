@@ -80,6 +80,8 @@ f32x4 load4(const float* p) {
   return v;
 }
 
+void store4(float* p, f32x4 v) { std::memcpy(p, &v, sizeof v); }
+
 // acc[i] += p_i[k] * xc[k] for k = 0, 1, 2, 3 in that order, for the rows
 // p_0..p_3 at one 4-column step: four vector multiplies give each row's
 // products, a 4x4 transpose in registers turns them into one vector per
@@ -129,25 +131,9 @@ void gemv_blocks(const float* w, std::size_t rows, std::size_t cols,
   }
 }
 
-// y[i] += a * x[i]. Four independent lanes per step; with __restrict
-// parameters GCC (-O2 and up) turns the body into one 4-wide multiply and
-// add on unaligned loads.
-void axpy_lanes(float a, const float* __restrict x, float* __restrict y,
-                std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    y[i] += a * x[i];
-    y[i + 1] += a * x[i + 1];
-    y[i + 2] += a * x[i + 2];
-    y[i + 3] += a * x[i + 3];
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-// y[i] += a[k] * x[k][i] for k = 0, 1, 2, 3 in that order: four axpys in
-// one pass, so each 4-float step of y stays in a register across the four
-// rows instead of being stored and reloaded by every axpy.
-void axpy4_lanes(const float (&a)[4], const float* const (&x)[4],
+// y[i] += a[k] * x[k][i] for k = 0, 1, 2, 3 in that order, in one pass, so
+// each 4-float step of y stays in a register across the four rows.
+void gevm4_lanes(const float (&a)[4], const float* const (&x)[4],
                  float* __restrict y, std::size_t n) {
   const f32x4 a0 = {a[0], a[0], a[0], a[0]};
   const f32x4 a1 = {a[1], a[1], a[1], a[1]};
@@ -160,20 +146,55 @@ void axpy4_lanes(const float (&a)[4], const float* const (&x)[4],
     yi += a1 * load4(x[1] + i);
     yi += a2 * load4(x[2] + i);
     yi += a3 * load4(x[3] + i);
-    std::memcpy(y + i, &yi, sizeof yi);
+    store4(y + i, yi);
   }
   for (; i < n; ++i)
     for (std::size_t k = 0; k < 4; ++k) y[i] += a[k] * x[k][i];
 }
 
-// True when the two ranges share no element.
+// Four rows of gevm_sgd in one pass over out: at each 4-column step,
+// out += a[k] * w_k for k = 0, 1, 2, 3 in turn, each from the row as it
+// was, then every row's update is stored. Each row is loaded and stored
+// once, and the step of out stays in a register across the four rows.
+void gevm_sgd4_lanes(const float (&a)[4], float* const (&w)[4],
+                     const float* x, float lr, float* out, std::size_t n) {
+  const f32x4 zero = {0.0f, 0.0f, 0.0f, 0.0f};
+  const f32x4 a0 = {a[0], a[0], a[0], a[0]};
+  const f32x4 a1 = {a[1], a[1], a[1], a[1]};
+  const f32x4 a2 = {a[2], a[2], a[2], a[2]};
+  const f32x4 a3 = {a[3], a[3], a[3], a[3]};
+  const f32x4 lr4 = {lr, lr, lr, lr};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const f32x4 xi = load4(x + i);
+    const f32x4 w0 = load4(w[0] + i), w1 = load4(w[1] + i);
+    const f32x4 w2 = load4(w[2] + i), w3 = load4(w[3] + i);
+    f32x4 oi = load4(out + i);
+    oi += a0 * w0;
+    oi += a1 * w1;
+    oi += a2 * w2;
+    oi += a3 * w3;
+    store4(out + i, oi);
+    store4(w[0] + i, w0 - lr4 * (zero + a0 * xi));
+    store4(w[1] + i, w1 - lr4 * (zero + a1 * xi));
+    store4(w[2] + i, w2 - lr4 * (zero + a2 * xi));
+    store4(w[3] + i, w3 - lr4 * (zero + a3 * xi));
+  }
+  for (; i < n; ++i) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      out[i] += a[k] * w[k][i];
+      w[k][i] -= lr * (0.0f + a[k] * x[i]);
+    }
+  }
+}
+
+}  // namespace
+
 bool disjoint(std::span<const float> a, std::span<const float> b) {
   const std::less_equal<const float*> le;
   return le(a.data() + a.size(), b.data()) ||
          le(b.data() + b.size(), a.data());
 }
-
-}  // namespace
 
 Vector gemv(const Matrix& m, std::span<const float> v) {
   IMARS_REQUIRE(m.cols() == v.size(), "gemv: dimension mismatch");
@@ -190,12 +211,6 @@ void gemv(std::span<const float> w, std::span<const float> v,
   gemv_blocks(w.data(), out.size(), v.size(), v.data(), out.data());
 }
 
-void axpy(float a, std::span<const float> x, std::span<float> y) {
-  IMARS_REQUIRE(x.size() == y.size(), "axpy: size mismatch");
-  IMARS_REQUIRE(disjoint(x, y), "axpy: x and y must not overlap");
-  axpy_lanes(a, x.data(), y.data(), y.size());
-}
-
 Vector gevm(std::span<const float> v, const Matrix& m) {
   IMARS_REQUIRE(m.rows() == v.size(), "gevm: dimension mismatch");
   Vector out(m.cols(), 0.0f);
@@ -208,12 +223,43 @@ Vector gevm(std::span<const float> v, const Matrix& m) {
     a[k] = v[r];
     x[k] = m.row(r).data();
     if (++k == 4) {
-      axpy4_lanes(a, x, out.data(), out.size());
+      gevm4_lanes(a, x, out.data(), out.size());
       k = 0;
     }
   }
-  for (std::size_t j = 0; j < k; ++j)
-    axpy(a[j], std::span<const float>(x[j], out.size()), out);
+  for (std::size_t j = 0; j < k; ++j)  // the last k < 4 rows, in order
+    for (std::size_t c = 0; c < out.size(); ++c) out[c] += a[j] * x[j][c];
+  return out;
+}
+
+Vector gevm_sgd(std::span<const float> v, Matrix& m, std::span<const float> x,
+                float lr) {
+  IMARS_REQUIRE(m.rows() == v.size() && m.cols() == x.size(),
+                "gevm_sgd: dimension mismatch");
+  IMARS_REQUIRE(disjoint(v, m.data()) && disjoint(x, m.data()),
+                "gevm_sgd: v and x must not overlap m");
+  IMARS_REQUIRE(std::isfinite(lr) && lr > 0.0f,
+                "gevm_sgd: lr must be finite and positive");
+  Vector out(m.cols(), 0.0f);
+  // The rows with v[r] != 0, in row order, four per pass over out.
+  float a[4] = {};
+  float* w[4] = {};
+  std::size_t k = 0;
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    if (v[r] == 0.0f) continue;
+    a[k] = v[r];
+    w[k] = m.row(r).data();
+    if (++k == 4) {
+      gevm_sgd4_lanes(a, w, x.data(), lr, out.data(), out.size());
+      k = 0;
+    }
+  }
+  for (std::size_t j = 0; j < k; ++j) {  // the last k < 4 rows, in order
+    for (std::size_t c = 0; c < out.size(); ++c) {
+      out[c] += a[j] * w[j][c];
+      w[j][c] -= lr * (0.0f + a[j] * x[c]);
+    }
+  }
   return out;
 }
 

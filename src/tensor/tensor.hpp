@@ -14,12 +14,17 @@
 //     lane, always the same row, starts at +0 and adds w[r][c] * v[c] for
 //     c = 0..cols-1 in order. Rows are never split across lanes, so no sum
 //     is reassociated; a short last block recomputes its last row.
-//   * axpy runs four lanes at a time; each lane is a different element of
-//     y, so no sum is reassociated. gevm adds the rows in row order, four
-//     rows per pass over out: out[c] += v[r] * m[r][c] for each of the
-//     four in turn, exactly the four axpys one after another.
+//   * gevm adds the rows in row order, four rows per pass over out with
+//     4-float vectors: out[c] += v[r] * m[r][c] for each of the four in
+//     turn. Each lane is a different element of out, so no sum is
+//     reassociated; the rows after the last group of four follow one by one.
 //   * gevm skips rows with v[r] == 0. On finite data that skip is exact:
 //     the row would only add +-0 products to each output.
+//   * gevm_sgd is gevm plus a dense layer's SGD step, four rows per pass:
+//     at each 4-column step it adds the rows' products into out, rows in
+//     order and each row as it was, then stores each row's update. The
+//     skipped rows would only move by lr * (+0), which is exact for finite
+//     x and finite lr > 0, the only lr it accepts.
 // This also needs a * b + c to stay a rounded multiply then a rounded add.
 // The builds set no -march, so x86-64 has no FMA instruction to contract
 // into. GCC contracts C++ even in ISO mode once FMA is enabled (for example
@@ -91,9 +96,16 @@ void gemv(std::span<const float> w, std::span<const float> v,
 /// out = v (r) * m (r x c)  — vector-matrix product (row vector).
 Vector gevm(std::span<const float> v, const Matrix& m);
 
-/// y += a * x, element by element (sizes must match; x and y must not
-/// overlap).
-void axpy(float a, std::span<const float> x, std::span<float> y);
+/// The backward pass and SGD step of a dense layer with weights m, input x
+/// and upstream gradient v: returns gevm(v, m) of m as it was, and moves
+/// each row with v[r] != 0 in place, m[r][c] -= lr * (+0 + v[r] * x[c]),
+/// as a +0 gradient buffer would. Sizes must match, v and x must not
+/// overlap m, and lr must be finite and positive.
+Vector gevm_sgd(std::span<const float> v, Matrix& m, std::span<const float> x,
+                float lr);
+
+/// True when the two ranges share no element.
+bool disjoint(std::span<const float> a, std::span<const float> b);
 
 /// Elementwise helpers (sizes must match).
 Vector add(std::span<const float> a, std::span<const float> b);

@@ -2,19 +2,19 @@
 // convergence, embedding pooling, losses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/embedding.hpp"
 #include "nn/layer.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
-#include "nn/optimizer.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -29,10 +29,12 @@ using nn::Pooling;
 using tensor::Vector;
 
 // Numerical gradient check of a Dense layer: perturb each weight and compare
-// the finite difference of a scalar loss with the analytic gradient.
+// the finite difference of a scalar loss with the gradient the SGD step
+// applied, (w_before - w_after) / lr.
 TEST(Dense, WeightGradientMatchesFiniteDifference) {
   util::Xoshiro256 rng(1);
   Dense layer(4, 3, Activation::kRelu, rng);
+  const Dense before = layer;
   const Vector x = {0.5f, -1.0f, 2.0f, 0.25f};
 
   // Loss = sum(outputs).
@@ -43,20 +45,22 @@ TEST(Dense, WeightGradientMatchesFiniteDifference) {
     return s;
   };
 
+  const float lr = 0.5f;
   layer.forward(x);
-  layer.backward(Vector(3, 1.0f));
-  const auto& analytic = layer.weight_grad();
+  layer.backward(Vector(3, 1.0f), lr);
 
   const float eps = 1e-3f;
   for (std::size_t o = 0; o < 3; ++o) {
     for (std::size_t i = 0; i < 4; ++i) {
-      Dense probe = layer;
+      const float analytic =
+          (before.weight().at(o, i) - layer.weight().at(o, i)) / lr;
+      Dense probe = before;
       probe.mutable_weight().at(o, i) += eps;
       const float up = loss_of(probe);
       probe.mutable_weight().at(o, i) -= 2 * eps;
       const float down = loss_of(probe);
       const float numeric = (up - down) / (2 * eps);
-      EXPECT_NEAR(analytic.at(o, i), numeric, 5e-2f)
+      EXPECT_NEAR(analytic, numeric, 5e-2f)
           << "weight (" << o << "," << i << ")";
     }
   }
@@ -65,15 +69,16 @@ TEST(Dense, WeightGradientMatchesFiniteDifference) {
 TEST(Dense, InputGradientMatchesFiniteDifference) {
   util::Xoshiro256 rng(2);
   Dense layer(5, 2, Activation::kSigmoid, rng);
+  const Dense before = layer;
   Vector x = {0.1f, -0.2f, 0.3f, 0.7f, -0.5f};
 
   const auto loss_of = [&](const Vector& in) {
-    const Vector y = layer.infer(in);
+    const Vector y = before.infer(in);
     return y[0] + 2.0f * y[1];
   };
 
   layer.forward(x);
-  const Vector gin = layer.backward(Vector{1.0f, 2.0f});
+  const Vector gin = layer.backward(Vector{1.0f, 2.0f}, 0.1f);
 
   const float eps = 1e-3f;
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -88,7 +93,7 @@ TEST(Dense, InputGradientMatchesFiniteDifference) {
 TEST(Dense, BackwardWithoutForwardThrows) {
   util::Xoshiro256 rng(3);
   Dense layer(2, 2, Activation::kIdentity, rng);
-  EXPECT_THROW(layer.backward(Vector{1.0f, 1.0f}), Error);
+  EXPECT_THROW(layer.backward(Vector{1.0f, 1.0f}, 0.1f), Error);
 }
 
 TEST(Dense, ForwardChecksDimensions) {
@@ -106,8 +111,7 @@ TEST(Dense, SgdStepReducesLoss) {
   for (int step = 0; step < 50; ++step) {
     const float y = layer.forward(x)[0];
     const float loss = 0.5f * (y - target) * (y - target);
-    layer.backward(Vector{y - target});
-    layer.apply_sgd(0.1f);
+    layer.backward(Vector{y - target}, 0.1f);
     if (step > 0) {
       EXPECT_LE(loss, prev + 1e-5f);
     }
@@ -122,32 +126,10 @@ bool same_bits(std::span<const float> a, std::span<const float> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-bool all_positive_zero(std::span<const float> a) {
-  return same_bits(a, Vector(a.size(), 0.0f));
-}
-
-void expect_same_state(const Dense& got, const Dense& want,
-                       const std::string& where) {
-  EXPECT_TRUE(same_bits(got.weight().data(), want.weight().data())) << where;
-  EXPECT_TRUE(same_bits(got.bias(), want.bias())) << where;
-  EXPECT_TRUE(same_bits(got.weight_grad().data(), want.weight_grad().data()))
-      << where;
-  EXPECT_TRUE(same_bits(got.bias_grad(), want.bias_grad())) << where;
-}
-
-// The plain SGD step Dense::apply_sgd must equal: w -= lr * gw over every
-// weight, clean rows included, then the same for the bias.
-void full_sweep_sgd(Dense& d, float lr) {
-  const auto w = d.mutable_weight().data();
-  const auto gw = d.weight_grad().data();
-  for (std::size_t i = 0; i < w.size(); ++i) w[i] -= lr * gw[i];
-  auto& b = d.mutable_bias();
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] -= lr * d.bias_grad()[i];
-  d.zero_grad();
-}
+bool is_negative_zero(float v) { return v == 0.0f && std::signbit(v); }
 
 // Gaussian values with about a third exact zeros (half of them -0.0f), so
-// whole weight-gradient rows stay clean under every activation.
+// whole rows are skipped under every activation and products come out -0.
 Vector sparse_vector(std::size_t n, util::Xoshiro256& rng) {
   Vector v(n);
   for (auto& x : v) {
@@ -165,72 +147,118 @@ Vector sparse_vector(std::size_t n, util::Xoshiro256& rng) {
   return v;
 }
 
-// Dirty-row SGD against a full-sweep reference on a seeded schedule: 1-3
-// forward/backward calls per step, then apply_sgd or (one step in five)
-// zero_grad. A copy taken mid-accumulation is stepped alongside. 13 inputs
-// cover both the 4-lane body and the tail of the row update.
-TEST(Dense, DirtyRowSgdMatchesFullSweep) {
+// The two-phase SGD step a Dense layer's in-place step must equal bit for
+// bit: plain loops for forward (each sum from +0 in column order, then the
+// bias), dL/dz, and dL/dx (from +0, rows with dz != 0 in order); the
+// gradient accumulated into +0 buffers; then w -= lr * gw and b -= lr * gb
+// over every parameter.
+struct TwoPhaseDense {
+  tensor::Matrix w;
+  Vector b;
+  Activation act;
+  Vector x, z;
+  std::size_t neg_zero_weight_hits = 0;  // -0 weight meets a -0 product
+  std::size_t neg_zero_bias_hits = 0;    // -0 bias meets a -0 dz
+
+  explicit TwoPhaseDense(const Dense& d)
+      : w(d.weight()), b(d.bias()), act(d.activation()) {}
+
+  Vector forward(const Vector& in) {
+    x = in;
+    z.assign(w.rows(), 0.0f);
+    Vector y(w.rows());
+    for (std::size_t o = 0; o < w.rows(); ++o) {
+      for (std::size_t c = 0; c < w.cols(); ++c) z[o] += w.at(o, c) * x[c];
+      z[o] += b[o];
+      y[o] = z[o];
+      if (act == Activation::kRelu) y[o] = std::max(z[o], 0.0f);
+      if (act == Activation::kSigmoid) y[o] = 1.0f / (1.0f + std::exp(-z[o]));
+    }
+    return y;
+  }
+
+  Vector backward(const Vector& grad_out, float lr) {
+    Vector dz = grad_out;
+    for (std::size_t o = 0; o < dz.size(); ++o) {
+      if (act == Activation::kRelu && z[o] <= 0.0f) dz[o] = 0.0f;
+      if (act == Activation::kSigmoid) {
+        const float s = 1.0f / (1.0f + std::exp(-z[o]));
+        dz[o] *= s * (1.0f - s);
+      }
+    }
+    Vector dx(w.cols(), 0.0f);
+    tensor::Matrix gw(w.rows(), w.cols());
+    Vector gb(w.rows(), 0.0f);
+    for (std::size_t o = 0; o < w.rows(); ++o) {
+      gb[o] += dz[o];
+      if (is_negative_zero(b[o]) && is_negative_zero(dz[o]))
+        ++neg_zero_bias_hits;
+      if (dz[o] == 0.0f) continue;
+      for (std::size_t c = 0; c < w.cols(); ++c) {
+        dx[c] += dz[o] * w.at(o, c);
+        gw.at(o, c) += dz[o] * x[c];
+        if (is_negative_zero(w.at(o, c)) && is_negative_zero(dz[o] * x[c]))
+          ++neg_zero_weight_hits;
+      }
+    }
+    for (std::size_t i = 0; i < w.size(); ++i)
+      w.data()[i] -= lr * gw.data()[i];
+    for (std::size_t o = 0; o < b.size(); ++o) b[o] -= lr * gb[o];
+    return dx;
+  }
+};
+
+// Dense's in-place step against the two-phase reference on a seeded
+// schedule. 13 inputs cover both the 4-lane body and the tail of the row
+// update; 9 outputs leave 1-4 rows past the last group of four. Inputs and
+// upstream gradients hold exact zeros and -0, and every fifth step plants
+// -0 in some weights and biases, so a -0 parameter meets a -0 update (the
+// "+0 +" of the buffer keeps it -0).
+TEST(Dense, InPlaceStepMatchesTwoPhaseReference) {
   for (const Activation act :
        {Activation::kIdentity, Activation::kRelu, Activation::kSigmoid}) {
     const std::string name = "act " + std::to_string(static_cast<int>(act));
     util::Xoshiro256 rng(100 + static_cast<std::uint64_t>(act));
     Dense layer(13, 9, act, rng);
-    Dense ref = layer;
-    std::optional<Dense> copy;  // taken during step 7's accumulation
-    std::size_t clean_rows = 0, dirty_rows = 0;
-    for (int step = 0; step < 40; ++step) {
+    TwoPhaseDense ref(layer);
+    std::size_t skipped_rows = 0;
+    for (int step = 0; step < 60; ++step) {
       const std::string where = name + " step " + std::to_string(step);
-      const std::size_t calls = 1 + rng.below(3);
-      for (std::size_t k = 0; k < calls; ++k) {
-        const Vector x = sparse_vector(13, rng);
-        const Vector g = sparse_vector(9, rng);
-        EXPECT_TRUE(same_bits(layer.forward(x), ref.forward(x))) << where;
-        EXPECT_TRUE(same_bits(layer.backward(g), ref.backward(g))) << where;
-        if (copy) {
-          copy->forward(x);
-          copy->backward(g);
-        }
-        if (step == 7 && k == 0) copy = layer;
+      if (step % 5 == 0) {
+        for (std::size_t i = step % 3; i < ref.w.size(); i += 3)
+          layer.mutable_weight().data()[i] = ref.w.data()[i] = -0.0f;
+        for (std::size_t o = step % 2; o < ref.b.size(); o += 2)
+          layer.mutable_bias()[o] = ref.b[o] = -0.0f;
       }
-      for (std::size_t o = 0; o < 9; ++o) {
-        if (all_positive_zero(layer.weight_grad().row(o))) {
-          ++clean_rows;
-        } else {
-          ++dirty_rows;
-        }
-      }
-      if (rng.below(5) == 0) {
-        layer.zero_grad();
-        ref.zero_grad();
-        if (copy) copy->zero_grad();
-      } else {
-        const float lr = 0.01f + 0.2f * static_cast<float>(rng.uniform());
-        layer.apply_sgd(lr);
-        full_sweep_sgd(ref, lr);
-        if (copy) copy->apply_sgd(lr);
-      }
-      EXPECT_TRUE(all_positive_zero(layer.weight_grad().data())) << where;
-      EXPECT_TRUE(all_positive_zero(layer.bias_grad())) << where;
-      expect_same_state(layer, ref, where);
-      if (copy) expect_same_state(*copy, ref, where + " copy");
+      const Vector x = sparse_vector(13, rng);
+      const Vector g = sparse_vector(9, rng);
+      const float lr = 0.01f + 0.2f * static_cast<float>(rng.uniform());
+      EXPECT_TRUE(same_bits(layer.forward(x), ref.forward(x))) << where;
+      const tensor::Matrix w_before = layer.weight();
+      EXPECT_TRUE(same_bits(layer.backward(g, lr), ref.backward(g, lr)))
+          << where;
+      EXPECT_TRUE(same_bits(layer.weight().data(), ref.w.data())) << where;
+      EXPECT_TRUE(same_bits(layer.bias(), ref.b)) << where;
+      for (std::size_t o = 0; o < 9; ++o)
+        if (same_bits(layer.weight().row(o), w_before.row(o))) ++skipped_rows;
     }
-    EXPECT_TRUE(copy.has_value());
-    // The schedule must exercise both kinds of row.
-    EXPECT_GT(clean_rows, 20u) << name;
-    EXPECT_GT(dirty_rows, 20u) << name;
+    // The schedule must exercise skipped rows and both -0 cases.
+    EXPECT_GT(skipped_rows, 60u) << name;
+    EXPECT_GT(ref.neg_zero_weight_hits, 20u) << name;
+    EXPECT_GT(ref.neg_zero_bias_hits, 5u) << name;
   }
 }
 
-TEST(Dense, ApplySgdRejectsBadLearningRate) {
+TEST(Dense, BackwardRejectsBadLearningRate) {
   util::Xoshiro256 rng(16);
   Dense layer(3, 2, Activation::kIdentity, rng);
   layer.forward(Vector{1.0f, 2.0f, 3.0f});
-  layer.backward(Vector{1.0f, -1.0f});
   const Dense before = layer;
   for (const float lr : {0.0f, -0.01f, std::nanf(""),
                          std::numeric_limits<float>::infinity()}) {
-    EXPECT_THROW(layer.apply_sgd(lr), Error) << lr;
+    EXPECT_THROW(layer.backward(Vector{1.0f, -1.0f}, lr), Error) << lr;
     EXPECT_TRUE(same_bits(layer.weight().data(), before.weight().data()));
+    EXPECT_TRUE(same_bits(layer.bias(), before.bias()));
   }
 }
 
@@ -268,8 +296,7 @@ TEST(Mlp, LearnsXor) {
       const float p = mlp.forward(x)[0];
       float g = 0.0f;
       nn::bce_loss(p, t, &g);
-      mlp.backward(Vector{g});
-      mlp.apply_sgd(0.5f);
+      mlp.backward(Vector{g}, 0.5f);
     }
   }
   for (const auto& [x, t] : data) {
@@ -313,8 +340,7 @@ TEST(Embedding, GradientDistributesOverMeanPooling) {
   t.set_row(1, Vector{0, 0});
   const std::size_t idx[2] = {0, 1};
   const Vector grad = {2.0f, 4.0f};
-  t.accumulate_grad(idx, Pooling::kMean, grad);
-  t.apply_sgd(1.0f);
+  t.sgd(idx, Pooling::kMean, grad, 1.0f);
   // Each row receives grad/2 and moves by -lr * grad/2.
   EXPECT_EQ(Vector(t.row(0).begin(), t.row(0).end()), (Vector{-1.0f, -2.0f}));
   EXPECT_EQ(Vector(t.row(1).begin(), t.row(1).end()), (Vector{-1.0f, -2.0f}));
@@ -329,23 +355,80 @@ TEST(Embedding, TrainingPullsEmbeddingTowardTarget) {
     const Vector e = t.lookup_pooled(idx, Pooling::kSum);
     Vector grad(4);
     for (int c = 0; c < 4; ++c) grad[c] = e[c] - target[c];
-    t.accumulate_grad(idx, Pooling::kSum, grad);
-    t.apply_sgd(0.1f);
+    t.sgd(idx, Pooling::kSum, grad, 0.1f);
   }
   const auto e = t.row(0);
   for (int c = 0; c < 4; ++c) EXPECT_NEAR(e[c], target[c], 1e-3f);
 }
 
-TEST(Embedding, ApplySgdRejectsBadLearningRate) {
+TEST(Embedding, SgdRejectsBadLearningRate) {
   util::Xoshiro256 rng(17);
   EmbeddingTable t(3, 2, rng);
   const std::size_t idx[1] = {1};
-  t.accumulate_grad(idx, Pooling::kSum, Vector{1.0f, -1.0f});
   const tensor::Matrix before = t.matrix();
   for (const float lr : {0.0f, -0.01f, std::nanf(""),
                          std::numeric_limits<float>::infinity()}) {
-    EXPECT_THROW(t.apply_sgd(lr), Error) << lr;
+    EXPECT_THROW(t.sgd(idx, Pooling::kSum, Vector{1.0f, -1.0f}, lr), Error)
+        << lr;
     EXPECT_EQ(t.matrix(), before);
+  }
+}
+
+// A rejected step moves no row, also the rows before a bad index.
+TEST(Embedding, SgdRejectsBadShapesAndOverlap) {
+  util::Xoshiro256 rng(18);
+  EmbeddingTable t(3, 2, rng);
+  const tensor::Matrix before = t.matrix();
+  const std::size_t ok[2] = {0, 1};
+  const std::size_t bad[2] = {0, 3};
+  EXPECT_THROW(t.sgd(bad, Pooling::kSum, Vector{1.0f, 1.0f}, 0.1f), Error);
+  EXPECT_THROW(t.sgd(ok, Pooling::kSum, Vector(4, 1.0f), 0.1f), Error);
+  EXPECT_THROW(t.sgd(ok, Pooling::kConcat, Vector(2, 1.0f), 0.1f), Error);
+  EXPECT_THROW(t.sgd(ok, Pooling::kMean, t.row(2), 0.1f), Error);
+  EXPECT_EQ(t.matrix(), before);
+  t.sgd({}, Pooling::kConcat, {}, 0.1f);  // no lookup, no step
+  EXPECT_EQ(t.matrix(), before);
+}
+
+// EmbeddingTable::sgd against the pending-list reference it replaced: per
+// looked-up row, g = grad * scale (or the concat slice) copied into a list,
+// then row -= lr * g for each entry in list order. Every call repeats one
+// row, so that row moves twice within the call.
+TEST(Embedding, SgdMatchesPendingListReference) {
+  for (const Pooling pooling :
+       {Pooling::kSum, Pooling::kMean, Pooling::kConcat}) {
+    const std::string name =
+        "pooling " + std::to_string(static_cast<int>(pooling));
+    util::Xoshiro256 rng(200 + static_cast<std::uint64_t>(pooling));
+    const std::size_t dim = 7;
+    EmbeddingTable t(6, dim, rng);
+    t.set_row(5, Vector(dim, -0.0f));
+    tensor::Matrix ref = t.matrix();
+    for (int step = 0; step < 30; ++step) {
+      const std::string where = name + " step " + std::to_string(step);
+      std::vector<std::size_t> idx(1 + rng.below(4));
+      for (auto& i : idx) i = rng.below(6);
+      idx.push_back(idx[rng.below(idx.size())]);
+      const bool concat = pooling == Pooling::kConcat;
+      const Vector grad = sparse_vector((concat ? idx.size() : 1) * dim, rng);
+      const float lr = 0.01f + 0.5f * static_cast<float>(rng.uniform());
+
+      const float scale = pooling == Pooling::kMean
+                              ? 1.0f / static_cast<float>(idx.size())
+                              : 1.0f;
+      std::vector<std::pair<std::size_t, Vector>> pending;
+      for (std::size_t k = 0; k < idx.size(); ++k) {
+        Vector g(dim, 0.0f);
+        for (std::size_t c = 0; c < dim; ++c)
+          g[c] = concat ? grad[k * dim + c] : grad[c] * scale;
+        pending.emplace_back(idx[k], std::move(g));
+      }
+      for (const auto& [row, g] : pending)
+        for (std::size_t c = 0; c < dim; ++c) ref.at(row, c) -= lr * g[c];
+
+      t.sgd(idx, pooling, grad, lr);
+      EXPECT_TRUE(same_bits(t.matrix().data(), ref.data())) << where;
+    }
   }
 }
 
@@ -428,22 +511,6 @@ TEST(Loss, SampledSoftmaxLossDropsWhenPositiveCloser) {
   const float close =
       nn::sampled_softmax_loss(user, Vector{2.0f, 0.0f}, negs, &gu, &gp, &gn);
   EXPECT_LT(close, far);
-}
-
-// ---------- LrSchedule --------------------------------------------------------
-
-TEST(LrSchedule, StepDecay) {
-  nn::LrSchedule s(1.0f, 0.5f, 10);
-  EXPECT_FLOAT_EQ(s.at(0), 1.0f);
-  EXPECT_FLOAT_EQ(s.at(9), 1.0f);
-  EXPECT_FLOAT_EQ(s.at(10), 0.5f);
-  EXPECT_FLOAT_EQ(s.at(25), 0.25f);
-}
-
-TEST(LrSchedule, RejectsBadParams) {
-  EXPECT_THROW(nn::LrSchedule(0.0f, 0.5f, 10), Error);
-  EXPECT_THROW(nn::LrSchedule(1.0f, 1.5f, 10), Error);
-  EXPECT_THROW(nn::LrSchedule(1.0f, 0.5f, 0), Error);
 }
 
 }  // namespace

@@ -335,7 +335,7 @@ struct ReferenceDlrm {
     const float p = top.forward(naive_interact(embs, b))[0];
     float gp = 0.0f;
     const float loss = nn::bce_loss(p, static_cast<float>(s.label), &gp);
-    const tensor::Vector grad_x = top.backward(tensor::Vector{gp});
+    const tensor::Vector grad_x = top.backward(tensor::Vector{gp}, lr);
 
     const std::size_t n = nf + 1;
     const std::size_t d = b.size();
@@ -355,12 +355,9 @@ struct ReferenceDlrm {
     for (std::size_t c = 0; c < d; ++c) grad_v[n - 1][c] += grad_x[z + c];
     for (std::size_t f = 0; f < nf; ++f) {
       const std::size_t idx[1] = {s.sparse[f]};
-      tables[f].accumulate_grad(idx, nn::Pooling::kSum, grad_v[f]);
+      tables[f].sgd(idx, nn::Pooling::kSum, grad_v[f], lr);
     }
-    bottom.backward(grad_v[n - 1]);
-    top.apply_sgd(lr);
-    bottom.apply_sgd(lr);
-    for (auto& t : tables) t.apply_sgd(lr);
+    bottom.backward(grad_v[n - 1], lr);
     return loss;
   }
 };

@@ -1,9 +1,11 @@
 // Unit + property tests for the tensor module.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -71,7 +73,7 @@ TEST(Matrix, MatmulAssociativityProperty) {
 }
 
 // Shapes that hit every remainder of gemv's 8-row blocks and 4-column
-// steps and of axpy's 4-lane steps, from a single element up to the DLRM
+// steps and of gevm's 4-row groups, from a single element up to the DLRM
 // top-MLP width.
 constexpr std::size_t kGridRows[] = {1, 7, 8, 9, 16, 17, 256};
 constexpr std::size_t kGridCols[] = {1, 3, 4, 5, 8, 13, 383};
@@ -181,27 +183,41 @@ TEST(Matrix, GevmIsTransposedGemv) {
   }
 }
 
-TEST(Matrix, AxpyMatchesScalarLoop) {
-  for (const std::size_t n : {0, 1, 3, 4, 5, 8, 13, 383}) {
-    const auto xbuf = offset_buffer(n, 3000 + n);
-    auto ybuf = offset_buffer(n, 4000 + n);
-    auto ref = ybuf;
-    const float a = -0.37f;
-    for (std::size_t i = 1; i <= n; ++i) ref[i] += a * xbuf[i];
-    tensor::axpy(a, skip_first(xbuf), std::span<float>(ybuf).subspan(1));
-    EXPECT_TRUE(same_bits(ybuf, ref)) << "n=" << n;
+// gevm_sgd returns gevm of the matrix as it was and moves each row with
+// v[r] != 0 by w -= lr * (+0 + v[r] * x), the other rows not at all. The
+// grid covers every remainder of its 4-row groups and 4-column steps; m, v
+// and x hold exact zeros and -0.
+TEST(Matrix, GevmSgdIsGevmThenRowUpdate) {
+  const float lr = 0.3f;
+  for (const auto& [rows, cols] : gemv_shapes()) {
+    Matrix m(rows, cols, offset_buffer(rows * cols - 1, 5000 + rows * cols));
+    const auto vbuf = offset_buffer(rows, 6000 + rows + cols);
+    const auto xbuf = offset_buffer(cols, 7000 + rows + cols);
+    const auto v = skip_first(vbuf);
+    const auto x = skip_first(xbuf);
+    const Vector want_out = tensor::gevm(v, m);
+    Matrix want = m;
+    for (std::size_t r = 0; r < rows; ++r)
+      if (v[r] != 0.0f)
+        for (std::size_t c = 0; c < cols; ++c)
+          want.at(r, c) -= lr * (0.0f + v[r] * x[c]);
+    const Vector out = tensor::gevm_sgd(v, m, x, lr);
+    EXPECT_TRUE(same_bits(out, want_out)) << rows << "x" << cols;
+    EXPECT_TRUE(same_bits(m.data(), want.data())) << rows << "x" << cols;
   }
 }
 
-TEST(Matrix, AxpyRejectsSizeMismatchAndOverlap) {
-  Vector x(4, 1.0f), y(5, 0.0f);
-  EXPECT_THROW(tensor::axpy(1.0f, x, y), Error);
-  Vector buf(8, 1.0f);
-  const std::span<float> all(buf);
-  EXPECT_THROW(tensor::axpy(1.0f, all.subspan(0, 4), all.subspan(2, 4)), Error);
-  EXPECT_THROW(tensor::axpy(1.0f, all.subspan(2, 4), all.subspan(0, 4)), Error);
-  tensor::axpy(1.0f, all.subspan(0, 4), all.subspan(4, 4));  // adjacent: fine
-  EXPECT_EQ(buf, (Vector{1, 1, 1, 1, 2, 2, 2, 2}));
+TEST(Matrix, GevmSgdRejectsBadArgumentsAndMovesNothing) {
+  Matrix m(3, 4);
+  const Vector v(3, 1.0f), x(4, 1.0f);
+  EXPECT_THROW(tensor::gevm_sgd(Vector(2, 1.0f), m, x, 0.1f), Error);
+  EXPECT_THROW(tensor::gevm_sgd(v, m, Vector(5, 1.0f), 0.1f), Error);
+  EXPECT_THROW(tensor::gevm_sgd(v, m, m.row(1), 0.1f), Error);
+  EXPECT_THROW(tensor::gevm_sgd(m.data().subspan(4, 3), m, x, 0.1f), Error);
+  for (const float lr : {0.0f, -0.01f, std::nanf(""),
+                         std::numeric_limits<float>::infinity()})
+    EXPECT_THROW(tensor::gevm_sgd(v, m, x, lr), Error) << lr;
+  EXPECT_EQ(m, Matrix(3, 4));
 }
 
 TEST(Elementwise, AddSubHadamard) {
@@ -266,6 +282,26 @@ TEST(Concat, PreservesOrder) {
 }
 
 // ---------- QMatrix ---------------------------------------------------------
+
+// QMatrix::quantize is the 4-lane util::quantize over the row-major data,
+// with the scale of choose_symmetric: the one-lane max and then
+// QuantParams::quantize of every element.
+TEST(QMatrix, QuantizeMatchesScalarLoop) {
+  for (const auto& [rows, cols] : gemv_shapes()) {
+    const Matrix m(rows, cols,
+                   offset_buffer(rows * cols - 1, 8000 + rows * cols));
+    float max_abs = 0.0f;
+    for (const float x : m.data()) max_abs = std::max(max_abs, std::fabs(x));
+    const auto q = tensor::QMatrix::quantize(m);
+    ASSERT_EQ(q.rows(), rows);
+    ASSERT_EQ(q.cols(), cols);
+    EXPECT_EQ(q.params().scale, max_abs / 127.0f) << rows << "x" << cols;
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t c = 0; c < cols; ++c)
+        ASSERT_EQ(q.at(r, c), q.params().quantize(m.at(r, c)))
+            << rows << "x" << cols << " at " << r << "," << c;
+  }
+}
 
 TEST(QMatrix, QuantizeDequantizeBounded) {
   const Matrix m = random_matrix(8, 8, 11);

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -308,6 +310,49 @@ TEST(Quant, QuantizeMatchesNearbyintReference) {
     const util::QuantParams p{scale};
     for (const float x : xs)
       ASSERT_EQ(p.quantize(x), reference(x, scale)) << x << " / " << scale;
+  }
+}
+
+// choose_symmetric and quantize run four lanes at a time; both must equal
+// the one-lane loops (std::max(max_abs, std::fabs(v)), then
+// QuantParams::quantize per value) at every length 0-9, so every lane and
+// tail position, and at longer lengths, on random values mixed with +-0,
+// NaN of both signs (the max skips it, quantize maps it to 0), +-inf,
+// denormals and +-FLT_MAX.
+TEST(Quant, LaneKernelsMatchScalarLoops) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float big = std::numeric_limits<float>::max();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float edges[] = {0.0f,   -0.0f, nan,    -nan,    inf,  -inf, tiny,
+                         -tiny,  3e-39f, -1e-39f, big, -big, 126.5f};
+  const auto same_bits = [](float a, float b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  util::Xoshiro256 rng(23);
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = trial < 300 ? trial % 10 : rng.below(70);
+    std::vector<float> xs(n);
+    for (auto& x : xs) {
+      x = rng.below(3) == 0
+              ? edges[rng.below(std::size(edges))]
+              : static_cast<float>(rng.normal() *
+                                   std::pow(10.0, rng.uniform(-3.0, 3.0)));
+    }
+    float max_abs = 0.0f;
+    for (const float x : xs) max_abs = std::max(max_abs, std::fabs(x));
+    const float scale = (max_abs > 0.0f) ? max_abs / 127.0f : 1.0f;
+    const util::QuantParams p = util::choose_symmetric(xs);
+    EXPECT_TRUE(same_bits(p.scale, scale)) << "trial " << trial;
+    for (const float s : {p.scale, 0.37f, 0.0f}) {
+      const util::QuantParams ps{s};
+      const auto q = util::quantize(xs, ps);
+      ASSERT_EQ(q.size(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(q[i], ps.quantize(xs[i]))
+            << "trial " << trial << " i " << i << " x " << xs[i] << " / "
+            << s;
+    }
   }
 }
 
