@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
       bench::print_host_spans(g.name, report.host_span_us, std::cout);
 
     std::string utils;
-    for (const auto& node : report.stage_names[0]) {
+    for (const auto& node : report.stage_names) {
       if (!utils.empty()) utils += " ";
       utils += node.substr(0, 3) + "=" +
                util::Table::num(report.stage_utilization(0, node), 2);
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
                     .set("mean_batch", report.mean_batch_size())
                     .set("makespan_ms", report.makespan.ms());
     for (std::size_t s = 0; s < shards; ++s)
-      for (const auto& node : report.stage_names[0])
+      for (const auto& node : report.stage_names)
         rec.set("util_" + node + "_s" + std::to_string(s),
                 report.stage_utilization(s, node));
   }

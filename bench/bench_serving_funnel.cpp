@@ -27,10 +27,10 @@
 #include "core/backend_factory.hpp"
 #include "core/calibration.hpp"
 #include "harness.hpp"
+#include "report_walk.hpp"
 #include "serve/runtime.hpp"
 #include "serve/servable_funnel.hpp"
 #include "serve/trace.hpp"
-#include "serve_compare.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 

@@ -18,12 +18,13 @@ namespace imars::data {
 /// precomputed inverse CDF with an alias-style guide table: cell j of an
 /// m-cell guide stores the first index whose CDF reaches about j/m, never
 /// past the answer of any u in the cell, so a draw starts at the guide
-/// entry of its u and scans forward instead of binary-searching the CDF. Up to 2^16 items the guide has one cell per item (m = n)
-/// and a draw crosses about one CDF step; above that it keeps one cell per
-/// 16 items (kGuideStride), so the million-user load generator's guide is
-/// 0.25 MB instead of 4 MB, at an expected scan of about 8 steps. Either
-/// way the draw lands on the SAME index `std::lower_bound` over the CDF
-/// returns, for every u in [0, 1] (at()).
+/// entry of its u and scans forward instead of binary-searching the CDF.
+/// Up to 2^16 items the guide has one cell per item (m = n) and a draw
+/// crosses about one CDF step; above that it keeps one cell per 16 items
+/// (kGuideStride), so the million-user load generator's guide is 0.25 MB
+/// instead of 4 MB, at an expected scan of about 8 steps. Either way the
+/// draw lands on the SAME index `std::lower_bound` over the CDF returns,
+/// for every u in [0, 1] (at()).
 class ZipfSampler {
  public:
   /// n items, exponent s >= 0 (s = 0 is uniform).

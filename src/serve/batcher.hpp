@@ -130,9 +130,6 @@ struct QosClassConfig {
   /// a scavenger class: it is only ever admitted when no other class has
   /// pending work.
   double weight = 1.0;
-  /// Which servable of the runtime serves this class (index into the
-  /// servable table; classes may share one).
-  std::size_t servable = 0;
 };
 
 struct QosBatcherConfig {

@@ -159,8 +159,7 @@ enum class Tier : std::uint8_t { kArray = 0, kWarm = 1, kCold = 2 };
 /// was still busy with earlier work) then et_wait (the shard's shared ET
 /// banks were still claimed) — the contention anatomy of a tail latency.
 struct StageSpan {
-  std::size_t slot = 0;       ///< co-resident servable slot
-  std::size_t stage = 0;      ///< stage index within the slot's graph
+  std::size_t stage = 0;      ///< stage index within the servable's graph
   std::string_view name;      ///< graph-node name
   std::size_t shard = 0;
   std::size_t query = 0;      ///< request id
@@ -179,7 +178,6 @@ struct BatchSpan {
   std::size_t qos_class = 0;
   std::string_view class_name;
   std::size_t size = 0;
-  std::size_t servable = 0;
   CloseTrigger trigger = CloseTrigger::kSize;
   device::Ns first_enqueue;  ///< oldest member's arrival
   device::Ns close;          ///< batcher close (dispatch stamp)
@@ -201,12 +199,11 @@ class ObserverSink {
   /// per-shard partials ship to the controller and the global item list is
   /// built over [start, end) before any successor can begin. Distinct from
   /// the output top-k merge, which is folded into its batch span.
-  virtual void on_stage_merge(std::size_t slot, std::size_t stage,
-                              std::string_view name, std::size_t query,
-                              std::size_t batch, device::Ns start,
-                              device::Ns end) {
-    (void)slot, (void)stage, (void)name, (void)query, (void)batch,
-        (void)start, (void)end;
+  virtual void on_stage_merge(std::size_t stage, std::string_view name,
+                              std::size_t query, std::size_t batch,
+                              device::Ns start, device::Ns end) {
+    (void)stage, (void)name, (void)query, (void)batch, (void)start,
+        (void)end;
   }
   virtual void on_batch(const BatchSpan&) {}
   /// Embedding-update write traffic occupying shard `shard`'s ET banks.

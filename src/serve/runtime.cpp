@@ -15,43 +15,16 @@
 
 namespace imars::serve {
 
-ShardMap ServingRuntime::make_map(const ServingConfig& cfg,
-                                  std::size_t shards) {
-  if (cfg.shard_map.empty()) return ShardMap::uniform(shards);
-  IMARS_REQUIRE(cfg.shard_map.shards() == shards,
-                "ServingRuntime: shard_map covers a different shard count");
-  return cfg.shard_map;
-}
-
 namespace {
 
-std::vector<std::unique_ptr<ServableBackend>> into_vector(
-    std::unique_ptr<ServableBackend> servable) {
-  std::vector<std::unique_ptr<ServableBackend>> out;
-  out.push_back(std::move(servable));
-  return out;
-}
-
-std::size_t checked_shards(
-    const std::vector<std::unique_ptr<ServableBackend>>& servables) {
-  IMARS_REQUIRE(!servables.empty(), "ServingRuntime: no servables");
-  for (const auto& s : servables) {
-    IMARS_REQUIRE(s != nullptr, "ServingRuntime: null servable");
-    IMARS_REQUIRE(s->shards() == servables.front()->shards(),
-                  "ServingRuntime: co-resident servables must expose the "
-                  "same shard count");
-  }
-  return servables.front()->shards();
+/// The runtime's servable, refused when null before the pipeline is built
+/// over it.
+ServableBackend& non_null(const std::unique_ptr<ServableBackend>& servable) {
+  IMARS_REQUIRE(servable != nullptr, "ServingRuntime: null servable");
+  return *servable;
 }
 
 }  // namespace
-
-std::vector<PipelineSpec> ServingRuntime::specs_of(
-    const std::vector<std::unique_ptr<ServableBackend>>& servables) {
-  std::vector<PipelineSpec> specs;
-  for (const auto& s : servables) specs.push_back(s->spec());
-  return specs;
-}
 
 ServingRuntime::ServingRuntime(const core::BackendFactory& factory,
                                const ServingConfig& cfg,
@@ -67,23 +40,11 @@ ServingRuntime::ServingRuntime(std::unique_ptr<ServableBackend> servable,
                                const device::DeviceProfile& profile,
                                std::span<const device::DeviceProfile>
                                    shard_profiles)
-    : ServingRuntime(into_vector(std::move(servable)), cfg, arch, profile,
-                     shard_profiles) {}
-
-ServingRuntime::ServingRuntime(
-    std::vector<std::unique_ptr<ServableBackend>> servables,
-    const ServingConfig& cfg, const core::ArchConfig& arch,
-    const device::DeviceProfile& profile,
-    std::span<const device::DeviceProfile> shard_profiles)
     : cfg_(cfg),
       qos_(cfg.effective_qos()),
-      servables_(std::move(servables)),
-      pipeline_(checked_shards(servables_), specs_of(servables_), profile,
-                make_map(cfg, checked_shards(servables_))) {
+      servable_(std::move(servable)),
+      pipeline_(non_null(servable_), profile, cfg.shard_map) {
   IMARS_REQUIRE(cfg_.k >= 1, "ServingRuntime: k must be >= 1");
-  for (const auto& cls : qos_.classes)
-    IMARS_REQUIRE(cls.servable < servables_.size(),
-                  "ServingRuntime: class routed to a missing servable slot");
   // Heterogeneous fabrics: a cache hit must credit back the *owning*
   // shard's miss cost, so the timing is derived per shard profile. With
   // tiering enabled the timings also carry the cold-tier block-fetch cost
@@ -94,14 +55,14 @@ ServingRuntime::ServingRuntime(
     timings_ = {
         CacheTiming::from_model(core::PerfModel(arch, profile), block_rows)};
   } else {
-    IMARS_REQUIRE(shard_profiles.size() == servables_.front()->shards(),
+    IMARS_REQUIRE(shard_profiles.size() == servable_->shards(),
                   "ServingRuntime: one shard profile per shard");
     for (const auto& p : shard_profiles)
       timings_.push_back(
           CacheTiming::from_model(core::PerfModel(arch, p), block_rows));
   }
   // The config's shard count reflects the fabric actually built.
-  cfg_.shards = servables_.front()->shards();
+  cfg_.shards = servable_->shards();
   row_bytes_ = arch.emb_dim;  // int8 lanes: one byte per lane per row
   if (cfg_.placement.warm_rows > 0) {
     IMARS_REQUIRE(cfg_.cache.tiering_enabled(),
@@ -133,17 +94,13 @@ struct ArrivalLater {
 ServeReport ServingRuntime::run(LoadGenerator& gen,
                                 std::span<const recsys::UserContext> users) {
   IMARS_REQUIRE(!users.empty(), "ServingRuntime::run: empty user population");
-  bool bound = false;
-  for (const auto& s : servables_) {
-    if (auto* r = dynamic_cast<ShardRouter*>(s.get())) {
-      r->bind_users(users);
-      bound = true;
-    } else if (auto* f = dynamic_cast<FunnelServable*>(s.get())) {
-      f->bind_users(users);
-      bound = true;
-    }
+  if (auto* r = dynamic_cast<ShardRouter*>(servable_.get())) {
+    r->bind_users(users);
+  } else {
+    auto* f = dynamic_cast<FunnelServable*>(servable_.get());
+    IMARS_REQUIRE(f != nullptr, "ServingRuntime::run: no filter/rank servable");
+    f->bind_users(users);
   }
-  IMARS_REQUIRE(bound, "ServingRuntime::run: no filter/rank servable");
   return run(gen);
 }
 
@@ -152,10 +109,10 @@ QosBatcherConfig ServingRuntime::resolved_qos() {
   for (auto& cls : qos.classes) {
     if (cls.deadline.value <= 0.0 || cls.service_estimate.value > 0.0)
       continue;
-    const auto costs = servables_[cls.servable]->stage_cost_estimate(cfg_.k);
+    const auto costs = servable_->stage_cost_estimate(cfg_.k);
     if (costs.empty()) continue;
-    cls.service_estimate = pipeline_.service_estimate(cls.servable, costs,
-                                                      cfg_.k, cls.max_batch);
+    cls.service_estimate =
+        pipeline_.service_estimate(costs, cfg_.k, cls.max_batch);
   }
   return qos;
 }
@@ -175,7 +132,7 @@ std::vector<std::uint64_t> ServingRuntime::warm_pin_keys(
     // no batch is in flight yet, exactly like the QoS estimate probes.
     std::unordered_map<std::size_t, std::uint64_t> counts;
     LoadGenerator warm(load);
-    ServableBackend& sv = *servables_.front();
+    ServableBackend& sv = *servable_;
     std::size_t profiled = 0;
     for (std::size_t i = 0; profiled < pc.warmup_queries; ++i) {
       const std::optional<Request> r =
@@ -284,7 +241,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
 
   struct InflightBatch {
     StagePipeline::BatchHandle handle;
-    ServableBackend* servable = nullptr;
     std::size_t qos_class = 0;
     std::size_t id = 0;        ///< batch id (observer span key)
     device::Ns first_enqueue;  ///< oldest member's arrival
@@ -303,11 +259,9 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   // (the write-back analogue of the bit-identical-reports contract).
   std::deque<Request> pending_updates;
   auto apply_update = [&](const Request& r) {
-    const std::size_t cls = qos.classes.size() == 1 ? 0 : r.qos_class;
-    IMARS_REQUIRE(cls < qos.classes.size(),
+    // A single-class table is class-blind, like QosBatcher::add.
+    IMARS_REQUIRE(qos.classes.size() == 1 || r.qos_class < qos.classes.size(),
                   "ServingRuntime: update routed to a missing class");
-    const QosClassConfig& ccfg = qos.classes[cls];
-    ServableBackend& sv = *servables_[ccfg.servable];
     // The update's home shard, keyed by request id like a query's home.
     const std::size_t home = pipeline_.shard_map().shard_of(r.id);
     const CacheTiming& timing =
@@ -316,9 +270,8 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     // The cache object is used even when the read path runs cache-less
     // (capacity 0): update() then degrades to counted write-through, which
     // is exactly the telemetry a buffer-less fabric should report.
-    for (const auto& a : sv.update_accesses(r)) {
-      const bool absorbed =
-          cache.update(cache_table_id(ccfg.servable, a.table), a.row);
+    for (const auto& a : servable_->update_accesses(r)) {
+      const bool absorbed = cache.update(a.table, a.row);
       const recsys::OpCost& c =
           absorbed ? timing.buffer_fill : timing.row_write;
       cost.latency += c.latency;
@@ -366,9 +319,8 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
       HostProfiler::Scope host(prof, "host.collect");
       // Collected request storage flows back to the batcher's spare pool
       // instead of being freed.
-      batcher.recycle(pipeline_.collect(std::move(entry.handle),
-                                        *entry.servable, cache_ptr, timings_,
-                                        results));
+      batcher.recycle(pipeline_.collect(std::move(entry.handle), cache_ptr,
+                                        timings_, results));
     }
     HostProfiler::Scope host(prof, "host.report");
     ++report.batches;
@@ -430,13 +382,11 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
           arrivals.push(*next);
     }
     if (sink_ != nullptr) {
-      const QosClassConfig& ccfg = qos.classes[entry.qos_class];
       BatchSpan bs;
       bs.id = entry.id;
       bs.qos_class = entry.qos_class;
-      bs.class_name = ccfg.name;
+      bs.class_name = qos.classes[entry.qos_class].name;
       bs.size = results.size();
-      bs.servable = ccfg.servable;
       bs.trigger = entry.trigger;
       bs.first_enqueue = entry.first_enqueue;
       bs.close = entry.dispatch;
@@ -447,14 +397,10 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   };
 
   auto submit_batch = [&](Batch batch, device::Ns release) {
-    const std::size_t cls = batch.qos_class;
-    const QosClassConfig& ccfg = qos.classes[cls];
-    ServableBackend* servable = servables_[ccfg.servable].get();
     // Batch coordinates are captured BEFORE submit consumes the batch
     // (its request storage moves into the engine).
     InflightBatch entry;
-    entry.servable = servable;
-    entry.qos_class = cls;
+    entry.qos_class = batch.qos_class;
     entry.id = batch.id;
     entry.first_enqueue = batch.requests.empty()
                               ? batch.dispatch
@@ -464,8 +410,7 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     entry.trigger = batch.trigger;
     {
       HostProfiler::Scope host(prof, "host.submit");
-      entry.handle = pipeline_.submit(std::move(batch), *servable, cfg_.k,
-                                      ccfg.servable);
+      entry.handle = pipeline_.submit(std::move(batch), cfg_.k);
     }
     inflight.push_back(std::move(entry));
     if (!defer) {
@@ -644,14 +589,9 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   apply_updates_until(device::Ns{std::numeric_limits<double>::infinity()});
 
   report.shards.assign(pipeline_.usage().begin(), pipeline_.usage().end());
-  for (std::size_t slot = 0; slot < pipeline_.spec_count(); ++slot) {
-    report.stage_offsets.push_back(pipeline_.stage_offset(slot));
-    // Graph-node keys into the per-shard stage_busy layout.
-    std::vector<std::string> names;
-    for (const auto& stage : pipeline_.spec(slot).stages)
-      names.push_back(stage.name);
-    report.stage_names.push_back(std::move(names));
-  }
+  // Graph-node keys into the per-shard stage_busy layout.
+  for (const auto& stage : pipeline_.spec().stages)
+    report.stage_names.push_back(stage.name);
   report.cache = cache.stats();
   report.flush_bytes =
       static_cast<std::size_t>(cache.stats().flushes) * row_bytes_;

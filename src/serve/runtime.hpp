@@ -1,7 +1,7 @@
 // The concurrent serving runtime: glue between the load generator (closed-
 // loop, open-loop Poisson or trace replay), the class-aware QoS batcher,
-// the hot-embedding cache and the staged-pipeline engine over one or more
-// abstract ServableBackends (co-resident tenants).
+// the hot-embedding cache and the staged-pipeline engine over one abstract
+// ServableBackend, which every QoS class (tenant) shares.
 //
 // The event loop advances simulated hardware time deterministically
 // (arrivals, batch triggers, admission-gate openings, completions), while
@@ -59,7 +59,7 @@ struct PlacementConfig {
   /// warm pins.
   std::size_t warm_rows = 0;
   /// Offline row-frequency profile for warm pinning: key =
-  /// (table << 32 | row) in slot 0's namespace (overrides the warmup).
+  /// (table << 32 | row) (overrides the warmup).
   std::vector<HotKey> warm_histogram;
 };
 
@@ -127,28 +127,17 @@ class ServingRuntime {
                  const device::DeviceProfile& profile,
                  std::span<const device::DeviceProfile> shard_profiles = {});
 
-  /// Multi-tenant fabric: several co-resident servables sharing one
-  /// pipeline (and each shard's ET banks). All servables must expose the
-  /// same shard count; `QosClassConfig::servable` routes each class to its
-  /// slot.
-  ServingRuntime(std::vector<std::unique_ptr<ServableBackend>> servables,
-                 const ServingConfig& cfg, const core::ArchConfig& arch,
-                 const device::DeviceProfile& profile,
-                 std::span<const device::DeviceProfile> shard_profiles = {});
-
   const ServingConfig& config() const noexcept { return cfg_; }
   StagePipeline& pipeline() noexcept { return pipeline_; }
-  ServableBackend& servable() noexcept { return *servables_.front(); }
-  ServableBackend& servable(std::size_t slot) { return *servables_.at(slot); }
-  std::size_t servable_count() const noexcept { return servables_.size(); }
+  ServableBackend& servable() noexcept { return *servable_; }
 
   /// Serves the generator's whole stream against the user population
-  /// (binds `users` to every filter/rank servable); resets clocks and cache
+  /// (binds `users` to the filter/rank servable); resets clocks and cache
   /// statistics first.
   ServeReport run(LoadGenerator& gen,
                   std::span<const recsys::UserContext> users);
 
-  /// Serves the generator's whole stream; every servable's population must
+  /// Serves the generator's whole stream; the servable's population must
   /// already be bound (e.g. CtrServable::bind_samples).
   ServeReport run(LoadGenerator& gen);
 
@@ -158,15 +147,10 @@ class ServingRuntime {
   /// `self_profile`, host wall-clock spans. Observation never feeds back:
   /// every report is bit-identical with the sink attached or not.
   void set_observer(ObserverSink* sink) noexcept { sink_ = sink; }
-  ObserverSink* observer() const noexcept { return sink_; }
 
  private:
-  static ShardMap make_map(const ServingConfig& cfg, std::size_t shards);
-  static std::vector<PipelineSpec> specs_of(
-      const std::vector<std::unique_ptr<ServableBackend>>& servables);
-
   /// The class table a run uses: the effective table with every unset
-  /// `service_estimate` of a latency-critical class defaulted from its
+  /// `service_estimate` of a latency-critical class defaulted from the
   /// servable's probed graph critical path
   /// (StagePipeline::service_estimate). Probes run on the calling thread
   /// before any batch is in flight, so the derived estimates stay static —
@@ -176,14 +160,15 @@ class ServingRuntime {
 
   /// Tier-aware pin resolution: the hottest `placement.warm_rows` ET row
   /// keys, from the offline warm_histogram or a warmup replay profiling
-  /// row accesses (slot 0's namespace). Deterministic for a given load
-  /// config.
+  /// row accesses. Deterministic for a given load config.
   std::vector<std::uint64_t> warm_pin_keys(const LoadGenConfig& load);
 
   ServingConfig cfg_;
   QosBatcherConfig qos_;              ///< effective class table
   std::vector<CacheTiming> timings_;  ///< one, or one per shard
-  std::vector<std::unique_ptr<ServableBackend>> servables_;
+  /// Declared before pipeline_, which runs it: the pipeline's destructor
+  /// drains in-flight worker tasks before the servable is destroyed.
+  std::unique_ptr<ServableBackend> servable_;
   std::size_t row_bytes_ = 0;     ///< flush-traffic bytes per ET row
   ObserverSink* sink_ = nullptr;  ///< pure observer; never feeds back
   StagePipeline pipeline_;

@@ -58,11 +58,6 @@ void CtrServable::bind_samples(std::span<const data::CriteoSample> samples) {
   samples_ = samples;
 }
 
-recsys::CtrBackend& CtrServable::backend(std::size_t shard) {
-  IMARS_REQUIRE(shard < shards_.size(), "CtrServable: shard out of range");
-  return *shards_[shard];
-}
-
 const data::CriteoSample& CtrServable::sample_of(const Request& req) const {
   IMARS_REQUIRE(req.user < samples_.size(),
                 "CtrServable: sample out of range (bind_samples first)");

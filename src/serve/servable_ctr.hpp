@@ -64,9 +64,6 @@ class CtrServable final : public ServableBackend {
   /// outlive the serving run.
   void bind_samples(std::span<const data::CriteoSample> samples);
 
-  recsys::CtrBackend& backend(std::size_t shard);
-  CtrGraph graph() const noexcept { return graph_; }
-
   /// Measures each shard's per-impression scoring cost on `probe` (hardware
   /// latency), for capability-weighted ShardMaps. Runs the replicas on the
   /// calling thread, so it must NOT be called while a batch is in flight

@@ -143,11 +143,6 @@ void FunnelServable::bind_users(std::span<const recsys::UserContext> users) {
   users_ = users;
 }
 
-recsys::FilterRankBackend& FunnelServable::backend(std::size_t shard) {
-  IMARS_REQUIRE(shard < shards_.size(), "FunnelServable: shard out of range");
-  return *shards_[shard];
-}
-
 const recsys::UserContext& FunnelServable::user_of(const Request& req) const {
   IMARS_REQUIRE(req.user < users_.size(),
                 "FunnelServable: user out of range (bind_users first)");

@@ -121,9 +121,6 @@ class FunnelServable final : public ServableBackend {
   /// contract as ShardRouter::bind_users).
   void bind_users(std::span<const recsys::UserContext> users);
 
-  recsys::FilterRankBackend& backend(std::size_t shard);
-  const FunnelConfig& config() const noexcept { return cfg_; }
-
   /// Offline probe of the retrieval tier for one user (recall@k audits):
   /// the candidate list the retrieve stage would produce, no cost
   /// accounting, replica 0 for RetrievalKind::kFixed.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -93,63 +92,29 @@ double ServeReport::mean_energy_pj() const {
   return sum / static_cast<double>(queries.size());
 }
 
-namespace {
-
-/// [begin, end) stage range of servable `slot` in the concatenated
-/// per-shard stage layout.
-std::pair<std::size_t, std::size_t> slot_range(
-    const std::vector<std::size_t>& offsets, std::size_t total,
-    std::size_t slot) {
-  if (offsets.empty()) {
-    IMARS_REQUIRE(slot == 0, "ServeReport: servable slot out of range");
-    return {0, total};
-  }
-  IMARS_REQUIRE(slot < offsets.size(),
-                "ServeReport: servable slot out of range");
-  const std::size_t end =
-      slot + 1 < offsets.size() ? offsets[slot + 1] : total;
-  return {offsets[slot], end};
+double ServeReport::rank_utilization(std::size_t s) const {
+  IMARS_REQUIRE(s < shards.size(), "ServeReport: shard out of range");
+  if (makespan.value <= 0.0) return 0.0;
+  return shards[s].last_stage_busy().value / makespan.value;
 }
 
-}  // namespace
-
-double ServeReport::rank_utilization(std::size_t s, std::size_t slot) const {
+double ServeReport::filter_utilization(std::size_t s) const {
   IMARS_REQUIRE(s < shards.size(), "ServeReport: shard out of range");
-  if (makespan.value <= 0.0 || shards[s].stage_busy.empty()) return 0.0;
-  const auto [begin, end] =
-      slot_range(stage_offsets, shards[s].stage_busy.size(), slot);
-  return shards[s].stage_busy[end - 1].value / makespan.value;
+  if (makespan.value <= 0.0) return 0.0;
+  return shards[s].first_stage_busy().value / makespan.value;
 }
 
-double ServeReport::filter_utilization(std::size_t s,
-                                       std::size_t slot) const {
+double ServeReport::stage_utilization(std::size_t s,
+                                      std::string_view stage) const {
   IMARS_REQUIRE(s < shards.size(), "ServeReport: shard out of range");
-  if (makespan.value <= 0.0 || shards[s].stage_busy.empty()) return 0.0;
-  const auto [begin, end] =
-      slot_range(stage_offsets, shards[s].stage_busy.size(), slot);
-  if (end - begin < 2) return 0.0;  // single-stage pipeline: no filter
-  return shards[s].stage_busy[begin].value / makespan.value;
-}
-
-double ServeReport::stage_utilization(std::size_t s, std::string_view stage,
-                                      std::size_t slot) const {
-  IMARS_REQUIRE(s < shards.size(), "ServeReport: shard out of range");
-  IMARS_REQUIRE(slot < stage_names.size(),
-                "ServeReport: no stage names recorded for this slot");
-  const auto& names = stage_names[slot];
-  std::size_t idx = names.size();
-  for (std::size_t i = 0; i < names.size(); ++i)
-    if (names[i] == stage) {
-      idx = i;
-      break;
-    }
-  IMARS_REQUIRE(idx < names.size(),
+  const auto it = std::find(stage_names.begin(), stage_names.end(), stage);
+  IMARS_REQUIRE(it != stage_names.end(),
                 "ServeReport: unknown stage '" + std::string(stage) + "'");
   if (makespan.value <= 0.0) return 0.0;
-  const auto [begin, end] =
-      slot_range(stage_offsets, shards[s].stage_busy.size(), slot);
-  IMARS_REQUIRE(begin + idx < end, "ServeReport: stage outside slot range");
-  return shards[s].stage_busy[begin + idx].value / makespan.value;
+  const auto idx = static_cast<std::size_t>(it - stage_names.begin());
+  IMARS_REQUIRE(idx < shards[s].stage_busy.size(),
+                "ServeReport: stage outside the shard's stage layout");
+  return shards[s].stage_busy[idx].value / makespan.value;
 }
 
 std::vector<double> ServeReport::class_latencies_ns(std::size_t cls) const {
@@ -191,13 +156,6 @@ double ServeReport::class_p50_latency_ns(std::size_t cls) const {
     return h == nullptr ? 0.0 : h->percentile(50.0);
   }
   return percentile_or_zero(class_latencies_ns(cls), 50.0);
-}
-double ServeReport::class_p95_latency_ns(std::size_t cls) const {
-  if (streaming.enabled) {
-    const auto* h = class_hist(streaming, cls);
-    return h == nullptr ? 0.0 : h->percentile(95.0);
-  }
-  return percentile_or_zero(class_latencies_ns(cls), 95.0);
 }
 double ServeReport::class_p99_latency_ns(std::size_t cls) const {
   if (streaming.enabled) {

@@ -49,8 +49,7 @@ struct ServedQuery {
 };
 
 /// Busy time of one shard's pipeline units over the run, one entry per
-/// pipeline stage (two for the filter/rank pipeline, one for CTR scoring;
-/// co-resident servables concatenate their stages in servable order).
+/// pipeline stage (two for the filter/rank pipeline, one for CTR scoring).
 struct ShardUsage {
   std::vector<device::Ns> stage_busy;
   /// ET-bank time consumed by embedding-update write traffic (buffer
@@ -130,15 +129,9 @@ struct ServeReport {
   std::vector<ServedQuery> queries;
   std::vector<ShardUsage> shards;
   std::vector<ClassReport> classes;  ///< one per configured QoS class
-  /// First stage index of each co-resident servable slot inside the
-  /// concatenated ShardUsage::stage_busy layout (empty = single slot
-  /// starting at 0). The utilization helpers resolve their stage through
-  /// this, so multi-tenant fabrics report the requested slot's stages.
-  std::vector<std::size_t> stage_offsets;
-  /// Stage names per servable slot (graph-node keys into the per-shard
-  /// stage_busy layout), aligned with stage_offsets; empty when the run
-  /// did not record them.
-  std::vector<std::vector<std::string>> stage_names;
+  /// Stage names in spec order (graph-node keys into the per-shard
+  /// stage_busy layout); empty when the run did not record them.
+  std::vector<std::string> stage_names;
   CacheStats cache;
   recsys::StageStats filter_stats;  ///< summed, cache-adjusted
   recsys::StageStats rank_stats;
@@ -205,18 +198,17 @@ struct ServeReport {
   double mean_energy_pj() const;
 
   /// Fraction of the makespan shard `s` kept its rank units busy (the
-  /// last stage of servable `slot` — the sharded stage; the figure of
-  /// merit for load balance). Single-tenant fabrics have one slot.
-  double rank_utilization(std::size_t s, std::size_t slot = 0) const;
-  /// First-stage (replicated filter) busy fraction of servable `slot`;
-  /// zero for its single-stage pipelines.
-  double filter_utilization(std::size_t s, std::size_t slot = 0) const;
+  /// last stage — the sharded stage; the figure of merit for load
+  /// balance).
+  double rank_utilization(std::size_t s) const;
+  /// First-stage (replicated filter) busy fraction; zero for single-stage
+  /// pipelines.
+  double filter_utilization(std::size_t s) const;
   /// Busy fraction of one graph node: the fraction of the makespan shard
   /// `s` kept the named stage's unit busy (requires stage_names; stage
   /// graphs key utilization by node, e.g. "gather" vs "dense" vs
   /// "interact" on the tower-parallel CTR graph).
-  double stage_utilization(std::size_t s, std::string_view stage,
-                           std::size_t slot = 0) const;
+  double stage_utilization(std::size_t s, std::string_view stage) const;
 
   // --- per-class (tenant) views -------------------------------------------
   // Filtered by the per-request `qos_class` label, so they work on
@@ -226,7 +218,6 @@ struct ServeReport {
   std::vector<double> class_latencies_ns(std::size_t cls) const;
   double class_mean_latency_ns(std::size_t cls) const;
   double class_p50_latency_ns(std::size_t cls) const;
-  double class_p95_latency_ns(std::size_t cls) const;
   double class_p99_latency_ns(std::size_t cls) const;
   double class_qps(std::size_t cls) const;
 

@@ -37,11 +37,6 @@ void ShardRouter::bind_users(std::span<const recsys::UserContext> users) {
   users_ = users;
 }
 
-recsys::FilterRankBackend& ShardRouter::backend(std::size_t shard) {
-  IMARS_REQUIRE(shard < shards_.size(), "ShardRouter: shard out of range");
-  return *shards_[shard];
-}
-
 const recsys::UserContext& ShardRouter::user_of(const Request& req) const {
   IMARS_REQUIRE(req.user < users_.size(),
                 "ShardRouter: user out of range (bind_users first)");

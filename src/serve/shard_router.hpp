@@ -63,8 +63,6 @@ class ShardRouter final : public ServableBackend {
   /// outlive the serving run.
   void bind_users(std::span<const recsys::UserContext> users);
 
-  recsys::FilterRankBackend& backend(std::size_t shard);
-
   /// Measures each shard's rank-stage cost on `probe` over `items`
   /// (hardware latency per slice), for capability-weighted ShardMaps.
   /// Purely observational: replicas are not mutated functionally. Runs the

@@ -161,7 +161,6 @@ bool score_order(const recsys::ScoredItem& a, const recsys::ScoredItem& b) {
 struct StagePipeline::BatchHandle::State {
   Batch batch;
   std::size_t k = 0;
-  std::size_t spec_idx = 0;  ///< co-resident servable slot
   std::uint64_t seq = 0;  ///< submission order (collect() enforces it)
 
   struct StageRec {
@@ -183,7 +182,7 @@ struct StagePipeline::BatchHandle::State {
   std::vector<std::vector<StageRec>> rec;         ///< [query][stage]
   /// Partial scored results of the OUTPUT sharded stage, [query][shard].
   std::vector<std::vector<std::vector<recsys::ScoredItem>>> partials;
-  std::size_t stages = 0;  ///< stage count of the slot's graph
+  std::size_t stages = 0;  ///< stage count of the graph
   /// Per (query, stage), flattened qi * stages + s: executions still
   /// running of a dispatched stage / pending predecessor edges of a
   /// not-yet-ready stage.
@@ -223,34 +222,23 @@ struct StagePipeline::BatchHandle::State {
   }
 };
 
-StagePipeline::StagePipeline(std::size_t shards, PipelineSpec spec,
+StagePipeline::StagePipeline(ServableBackend& servable,
                              const device::DeviceProfile& profile,
                              ShardMap map)
-    : StagePipeline(shards,
-                    std::vector<PipelineSpec>{std::move(spec)}, profile,
-                    std::move(map)) {}
-
-StagePipeline::StagePipeline(std::size_t shards,
-                             std::vector<PipelineSpec> specs,
-                             const device::DeviceProfile& profile,
-                             ShardMap map)
-    : specs_(std::move(specs)),
+    : servable_(servable),
+      spec_(servable.spec()),
+      graph_(spec_.resolve()),  // validates the stage graph
       profile_(profile),
-      map_(map.empty() ? ShardMap::uniform(shards) : std::move(map)),
-      executors_(shards),
-      clocks_(shards),
-      usage_(shards) {
-  IMARS_REQUIRE(shards >= 1, "StagePipeline: need at least one shard");
-  IMARS_REQUIRE(!specs_.empty(), "StagePipeline: need at least one spec");
-  IMARS_REQUIRE(map_.shards() == shards,
+      map_(map.empty() ? ShardMap::uniform(servable.shards())
+                       : std::move(map)),
+      executors_(servable.shards()),
+      clocks_(servable.shards()),
+      usage_(servable.shards()) {
+  IMARS_REQUIRE(shards() >= 1, "StagePipeline: need at least one shard");
+  IMARS_REQUIRE(map_.shards() == shards(),
                 "StagePipeline: ShardMap covers a different shard count");
-  for (const auto& spec : specs_) {
-    graphs_.push_back(spec.resolve());  // validates the stage graph
-    offsets_.push_back(total_stages_);
-    total_stages_ += spec.stage_count();
-  }
-  for (auto& c : clocks_) c.stage_free.resize(total_stages_);
-  for (auto& u : usage_) u.stage_busy.resize(total_stages_);
+  for (auto& c : clocks_) c.stage_free.resize(spec_.stage_count());
+  for (auto& u : usage_) u.stage_busy.resize(spec_.stage_count());
 }
 
 StagePipeline::~StagePipeline() {
@@ -274,11 +262,11 @@ void StagePipeline::BatchHandle::wait() const {
 
 void StagePipeline::reset_clock() {
   for (auto& c : clocks_) {
-    c.stage_free.assign(total_stages_, device::Ns{0.0});
+    c.stage_free.assign(spec_.stage_count(), device::Ns{0.0});
     c.shared_free = device::Ns{0.0};
   }
   for (auto& u : usage_) {
-    u.stage_busy.assign(total_stages_, device::Ns{0.0});
+    u.stage_busy.assign(spec_.stage_count(), device::Ns{0.0});
     u.write_busy = device::Ns{0.0};
   }
   frontier_ = device::Ns{0.0};
@@ -311,25 +299,22 @@ device::Ns StagePipeline::frontier() const {
 }
 
 device::Ns StagePipeline::service_estimate(
-    std::size_t slot, std::span<const device::Ns> stage_cost, std::size_t k,
+    std::span<const device::Ns> stage_cost, std::size_t k,
     std::size_t batch) const {
-  IMARS_REQUIRE(slot < specs_.size(),
-                "StagePipeline::service_estimate: slot out of range");
-  const PipelineSpec& spec = specs_[slot];
-  device::Ns est = spec.critical_path(stage_cost);
+  device::Ns est = spec_.critical_path(stage_cost);
   // The remaining batch pipelines behind the first query, paced by the
   // slowest stage unit.
   device::Ns bottleneck{0.0};
   for (const auto& c : stage_cost) bottleneck = device::max(bottleneck, c);
   if (batch > 1) est += bottleneck * static_cast<double>(batch - 1);
-  if (spec.merge_topk) est += merge_cost(shards(), k).latency;
+  if (spec_.merge_topk) est += merge_cost(shards(), k).latency;
   return est;
 }
 
 std::shared_ptr<StagePipeline::BatchHandle::State>
-StagePipeline::acquire_state(std::size_t queries, std::size_t stages,
-                             const PipelineSpec& spec) {
+StagePipeline::acquire_state(std::size_t queries) {
   const std::size_t ns = shards();
+  const std::size_t stages = spec_.stage_count();
   std::shared_ptr<BatchHandle::State> st;
   if (!state_pool_.empty()) {
     st = std::move(state_pool_.back());
@@ -355,7 +340,7 @@ StagePipeline::acquire_state(std::size_t queries, std::size_t stages,
       r.shard_stats.assign(ns, StageStats{});
       r.slices.resize(ns);
       for (auto& slice : r.slices) slice.clear();
-      if (spec.stages[s].emit_topk > 0) {
+      if (spec_.stages[s].emit_topk > 0) {
         r.emit.resize(ns);
         for (auto& e : r.emit) e.clear();
       } else {
@@ -391,32 +376,21 @@ StagePipeline::acquire_state(std::size_t queries, std::size_t stages,
 }
 
 StagePipeline::BatchHandle StagePipeline::submit(Batch batch,
-                                                 ServableBackend& servable,
-                                                 std::size_t k,
-                                                 std::size_t spec_idx) {
+                                                 std::size_t k) {
   const std::size_t n = batch.size();
   const std::size_t ns = shards();
   IMARS_REQUIRE(n >= 1, "StagePipeline::submit: empty batch");
-  IMARS_REQUIRE(servable.shards() == ns,
-                "StagePipeline::submit: servable shard count mismatch");
   IMARS_REQUIRE(k >= 1, "StagePipeline::submit: k must be >= 1");
-  IMARS_REQUIRE(spec_idx < specs_.size(),
-                "StagePipeline::submit: spec slot out of range");
-  const PipelineSpec& spec = specs_[spec_idx];
-  const PipelineSpec::Graph& graph = graphs_[spec_idx];
-  IMARS_REQUIRE(servable.spec() == spec,
-                "StagePipeline::submit: servable stage graph mismatch");
 
-  const std::size_t stages = spec.stage_count();
-  auto st = acquire_state(n, stages, spec);
+  const std::size_t stages = spec_.stage_count();
+  auto st = acquire_state(n);
   st->batch = std::move(batch);
   st->k = k;
-  st->spec_idx = spec_idx;
   st->seq = next_submit_seq_++;
   for (std::size_t qi = 0; qi < n; ++qi) {
     st->stages_left[qi].store(stages);
     for (std::size_t s = 0; s < stages; ++s)
-      st->deps(qi, s).store(graph.preds[s].size());
+      st->deps(qi, s).store(graph_.preds[s].size());
   }
   st->outstanding.store(n);
   {
@@ -428,8 +402,8 @@ StagePipeline::BatchHandle StagePipeline::submit(Batch batch,
   // Does any sharded stage partition the request's own item set?
   const bool needs_initial = [&] {
     for (std::size_t s = 0; s < stages; ++s)
-      if (spec.stages[s].kind == StageKind::kSharded &&
-          graph.item_sources[s].empty())
+      if (spec_.stages[s].kind == StageKind::kSharded &&
+          graph_.item_sources[s].empty())
         return true;
     return false;
   }();
@@ -448,20 +422,19 @@ StagePipeline::BatchHandle StagePipeline::submit(Batch batch,
     // All placement routes through the ShardMap: queries spread over the
     // replicated stage's replicas by id, proportionally to capability.
     st->home[qi] = map_.shard_of(req.id);
-    if (needs_initial) st->init_items[qi] = servable.initial_items(req);
+    if (needs_initial) st->init_items[qi] = servable_.initial_items(req);
     // Kick off every source stage; the rest chain along the graph edges.
     for (std::size_t s = 0; s < stages; ++s)
-      if (graph.preds[s].empty())
-        schedule_stage(st, servable, qi, s, &dispatch_scratch_);
+      if (graph_.preds[s].empty())
+        schedule_stage(st, qi, s, &dispatch_scratch_);
   }
 
   for (std::size_t shard = 0; shard < ns; ++shard) {
     if (dispatch_scratch_[shard].empty()) continue;
     executors_.at(shard).submit(
-        [this, st, &servable, shard,
-         tasks = std::move(dispatch_scratch_[shard])] {
+        [this, st, shard, tasks = std::move(dispatch_scratch_[shard])] {
           for (const auto& [qi, stage] : tasks)
-            run_stage_task(st, servable, qi, stage, shard);
+            run_stage_task(st, qi, stage, shard);
         });
   }
 
@@ -471,48 +444,46 @@ StagePipeline::BatchHandle StagePipeline::submit(Batch batch,
 }
 
 void StagePipeline::schedule_stage(
-    const std::shared_ptr<BatchHandle::State>& st, ServableBackend& servable,
-    std::size_t qi, std::size_t stage, DeferredTasks* defer) {
+    const std::shared_ptr<BatchHandle::State>& st, std::size_t qi,
+    std::size_t stage, DeferredTasks* defer) {
   // Nothing in the chain may leak an exception: a throw between the
   // counter updates (e.g. bad_alloc in partition or task submission)
   // would leave the batch's counters above zero and hang collect()
   // forever, so any such failure marks the batch failed and structurally
   // completes the stage instead.
   try {
-    schedule_stage_unchecked(st, servable, qi, stage, defer);
+    schedule_stage_unchecked(st, qi, stage, defer);
   } catch (...) {
     st->fail(std::current_exception());
-    finish_stage(st, servable, qi, stage);
+    finish_stage(st, qi, stage);
   }
 }
 
 void StagePipeline::run_stage_task(
-    const std::shared_ptr<BatchHandle::State>& st, ServableBackend& servable,
-    std::size_t qi, std::size_t stage, std::size_t shard) {
-  const PipelineSpec& spec = specs_[st->spec_idx];
-  const PipelineSpec::Graph& graph = graphs_[st->spec_idx];
-  const std::size_t emit_k = spec.stages[stage].emit_topk;
+    const std::shared_ptr<BatchHandle::State>& st, std::size_t qi,
+    std::size_t stage, std::size_t shard) {
+  const std::size_t emit_k = spec_.stages[stage].emit_topk;
   const Request& req = st->batch.requests[qi];
   auto& r = st->rec[qi][stage];
   try {
-    if (spec.stages[stage].kind == StageKind::kReplicated) {
+    if (spec_.stages[stage].kind == StageKind::kReplicated) {
       // consume_items: the predecessors' produced items are the slice.
       r.out_items =
-          graph.item_sources[stage].empty()
-              ? servable.run_replicated(stage, shard, req,
-                                        &r.shard_stats[shard])
-              : servable.run_replicated_fed(stage, shard, req,
-                                            r.slices[shard],
-                                            &r.shard_stats[shard]);
+          graph_.item_sources[stage].empty()
+              ? servable_.run_replicated(stage, shard, req,
+                                         &r.shard_stats[shard])
+              : servable_.run_replicated_fed(stage, shard, req,
+                                             r.slices[shard],
+                                             &r.shard_stats[shard]);
     } else {
-      auto partial = servable.run_sharded(
+      auto partial = servable_.run_sharded(
           stage, shard, req, r.slices[shard], emit_k > 0 ? emit_k : st->k,
           &r.shard_stats[shard]);
       // Only the output stage's partials reach the top-k merge; an
       // emitting interior stage holds them per shard for the item-list
       // merge below; any other interior sharded stage (e.g. an
       // embedding-gather tower) feeds timing and successors, not results.
-      if (stage == graph.output_stage)
+      if (stage == graph_.output_stage)
         st->partials[qi][shard] = std::move(partial);
       else if (emit_k > 0)
         r.emit[shard] = std::move(partial);
@@ -539,26 +510,24 @@ void StagePipeline::run_stage_task(
       st->fail(std::current_exception());
     }
   }
-  finish_stage(st, servable, qi, stage);
+  finish_stage(st, qi, stage);
 }
 
 void StagePipeline::schedule_stage_unchecked(
-    const std::shared_ptr<BatchHandle::State>& st, ServableBackend& servable,
-    std::size_t qi, std::size_t stage, DeferredTasks* defer) {
-  const PipelineSpec& spec = specs_[st->spec_idx];
-  const PipelineSpec::Graph& graph = graphs_[st->spec_idx];
+    const std::shared_ptr<BatchHandle::State>& st, std::size_t qi,
+    std::size_t stage, DeferredTasks* defer) {
   // A failed batch skips its remaining functional work; stages still
   // complete structurally so the done promise fires (collect() rethrows).
   if (st->failed.load(std::memory_order_acquire)) {
-    finish_stage(st, servable, qi, stage);
+    finish_stage(st, qi, stage);
     return;
   }
 
   // The stage's input items: its one producing source's output, the
   // concatenation of several in declared edge order (deterministic), or
   // with none the request's own item set for a sharded stage.
-  const bool replicated = spec.stages[stage].kind == StageKind::kReplicated;
-  const auto& sources = graph.item_sources[stage];
+  const bool replicated = spec_.stages[stage].kind == StageKind::kReplicated;
+  const auto& sources = graph_.item_sources[stage];
   std::span<const std::size_t> items;
   std::vector<std::size_t> joined;
   if (sources.size() == 1) {
@@ -584,7 +553,7 @@ void StagePipeline::schedule_stage_unchecked(
   for (std::size_t shard = 0; shard < slices.size(); ++shard)
     if (st->runs_on(qi, stage, replicated, shard)) ++fan_in;
   if (fan_in == 0) {
-    finish_stage(st, servable, qi, stage);
+    finish_stage(st, qi, stage);
     return;
   }
   st->fan(qi, stage).store(fan_in);
@@ -594,26 +563,24 @@ void StagePipeline::schedule_stage_unchecked(
       (*defer)[shard].emplace_back(qi, stage);
       continue;
     }
-    executors_.at(shard).submit([this, st, &servable, qi, stage, shard] {
-      run_stage_task(st, servable, qi, stage, shard);
+    executors_.at(shard).submit([this, st, qi, stage, shard] {
+      run_stage_task(st, qi, stage, shard);
     });
   }
 }
 
 void StagePipeline::finish_stage(
-    const std::shared_ptr<BatchHandle::State>& st, ServableBackend& servable,
-    std::size_t qi, std::size_t stage) {
-  const PipelineSpec::Graph& graph = graphs_[st->spec_idx];
-  for (std::size_t succ : graph.succs[stage])
-    if (st->deps(qi, succ).fetch_sub(1) == 1)
-      schedule_stage(st, servable, qi, succ);
+    const std::shared_ptr<BatchHandle::State>& st, std::size_t qi,
+    std::size_t stage) {
+  for (std::size_t succ : graph_.succs[stage])
+    if (st->deps(qi, succ).fetch_sub(1) == 1) schedule_stage(st, qi, succ);
   if (st->stages_left[qi].fetch_sub(1) == 1)
     if (st->outstanding.fetch_sub(1) == 1) st->done.set_value();
 }
 
 StageStats StagePipeline::adjust_stage(
     const StageStats& measured, std::span<const RowAccess> accesses,
-    HotEmbeddingCache* cache, const CacheTiming& timing, std::size_t slot,
+    HotEmbeddingCache* cache, const CacheTiming& timing,
     HotEmbeddingCache::TierFlush* flushed_out) const {
   if (flushed_out != nullptr) *flushed_out = {};
   if (cache == nullptr) return measured;
@@ -628,7 +595,7 @@ StageStats StagePipeline::adjust_stage(
   // adjustment, so the tally order cannot affect results.
   group_scratch_.clear();
   for (const auto& a : accesses) {
-    const bool hit = cache->access(cache_table_id(slot, a.table), a.row);
+    const bool hit = cache->access(a.table, a.row);
     if (a.parallel_bank) {
       auto it = std::find_if(
           group_scratch_.begin(), group_scratch_.end(),
@@ -746,7 +713,7 @@ OpCost StagePipeline::merge_cost(std::size_t slices, std::size_t k) const {
 }
 
 std::vector<Request> StagePipeline::collect(
-    BatchHandle handle, ServableBackend& servable, HotEmbeddingCache* cache,
+    BatchHandle handle, HotEmbeddingCache* cache,
     std::span<const CacheTiming> timing, std::vector<QueryResult>& results) {
   IMARS_REQUIRE(handle.valid(), "StagePipeline::collect: invalid handle");
   IMARS_REQUIRE(handle.state_->seq == next_collect_seq_,
@@ -767,10 +734,7 @@ std::vector<Request> StagePipeline::collect(
 
   const std::size_t n = st->batch.size();
   const std::size_t ns = shards();
-  const PipelineSpec& spec = specs_[st->spec_idx];
-  const PipelineSpec::Graph& graph = graphs_[st->spec_idx];
-  const std::size_t base = offsets_[st->spec_idx];
-  const std::size_t stages = spec.stage_count();
+  const std::size_t stages = spec_.stage_count();
 
   // Deterministic accounting in batch order: cache rewrite of ET costs,
   // then the event model (per-shard multi-stage pipeline with shared
@@ -801,16 +765,16 @@ std::vector<Request> StagePipeline::collect(
     out.work_items = 0;
 
     device::Ns complete = st->batch.dispatch;
-    for (std::size_t s : graph.order) {
+    for (std::size_t s : graph_.order) {
       const auto& rec = st->rec[qi][s];
       device::Ns ready = st->batch.dispatch;
-      for (std::size_t p : graph.preds[s])
+      for (std::size_t p : graph_.preds[s])
         ready = device::max(ready, stage_end[p]);
 
       // Each execution occupies its shard's stage unit and, with ET
       // traffic, the shard's shared ET banks; the stage ends with its last
       // execution. A replicated stage runs once, on the query's home shard.
-      const bool replicated = spec.stages[s].kind == StageKind::kReplicated;
+      const bool replicated = spec_.stages[s].kind == StageKind::kReplicated;
       device::Ns end = ready;
       std::size_t contributing = 0;
       for (std::size_t shard = 0; shard < ns; ++shard) {
@@ -821,13 +785,12 @@ std::vector<Request> StagePipeline::collect(
         std::span<const RowAccess> accesses;
         if (cache != nullptr) {
           access_scratch_.clear();
-          servable.accesses_into(s, req, rec.slices[shard], access_scratch_);
+          servable_.accesses_into(s, req, rec.slices[shard], access_scratch_);
           accesses = access_scratch_;
         }
         HotEmbeddingCache::TierFlush flushed;
-        const StageStats adj =
-            adjust_stage(rec.shard_stats[shard], accesses, cache,
-                         timing_of(shard), st->spec_idx, &flushed);
+        const StageStats adj = adjust_stage(rec.shard_stats[shard], accesses,
+                                            cache, timing_of(shard), &flushed);
         out.stage_stats[s].merge(adj);
         const device::Ns t = adj.total().latency;
         // Flush write-backs (kEtWrite) occupy the same in-memory arrays as
@@ -838,7 +801,7 @@ std::vector<Request> StagePipeline::collect(
                               adj.at(OpKind::kEtWrite).latency +
                               adj.at(OpKind::kEtBlock).latency;
         ShardClocks& c = clocks_[shard];
-        const device::Ns unit_free = c.stage_free[base + s];
+        const device::Ns unit_free = c.stage_free[s];
         const device::Ns shared_free = c.shared_free;
         // A stage with no ET traffic (e.g. a pure crossbar tower) neither
         // waits on nor claims the shard's shared ET banks — that is what
@@ -847,20 +810,19 @@ std::vector<Request> StagePipeline::collect(
             et.value > 0.0 ? std::max({ready, unit_free, shared_free})
                            : std::max(ready, unit_free);
         const device::Ns exec_end = start + t;
-        c.stage_free[base + s] = exec_end;
+        c.stage_free[s] = exec_end;
         if (et.value > 0.0) c.shared_free = start + et;
         // et <= t, so `exec_end` dominates both commits.
         frontier_ = device::max(frontier_, exec_end);
-        usage_[shard].stage_busy[base + s] += t;
+        usage_[shard].stage_busy[s] += t;
         end = device::max(end, exec_end);
         if (sink_ != nullptr) {
           if (flushed.rows > 0)
             sink_->on_cache_flush(shard, start, flushed.rows, flushed.warm,
                                   flushed.cold);
           StageSpan span;
-          span.slot = st->spec_idx;
           span.stage = s;
-          span.name = spec.stages[s].name;
+          span.name = spec_.stages[s].name;
           span.shard = shard;
           span.query = req.id;
           span.batch = st->batch.id;
@@ -877,24 +839,24 @@ std::vector<Request> StagePipeline::collect(
           sink_->on_stage(span);
         }
       }
-      if (spec.stages[s].emit_topk > 0) {
+      if (spec_.stages[s].emit_topk > 0) {
         // Emitting stage: the per-shard partials ship to the controller
         // and merge into the global top-emit_topk item list BEFORE any
         // successor can start — the merge latency is on the produced item
         // set's critical path, so it lands in stage_end[s].
         const OpCost merge = merge_cost(
-            std::max<std::size_t>(contributing, 1), spec.stages[s].emit_topk);
+            std::max<std::size_t>(contributing, 1), spec_.stages[s].emit_topk);
         out.stage_stats[s].at(OpKind::kComm) += merge;
         const device::Ns merge_start = end;
         end = end + merge.latency;
         if (sink_ != nullptr)
-          sink_->on_stage_merge(st->spec_idx, s, spec.stages[s].name, req.id,
-                                st->batch.id, merge_start, end);
+          sink_->on_stage_merge(s, spec_.stages[s].name, req.id, st->batch.id,
+                                merge_start, end);
       }
-      if (s == graph.output_stage) {
+      if (s == graph_.output_stage) {
         out.work_items = 0;
         for (const auto& slice : rec.slices) out.work_items += slice.size();
-        if (spec.merge_topk) {
+        if (spec_.merge_topk) {
           // Merge unit: global top-k from the per-shard top-k lists.
           const OpCost merge =
               merge_cost(std::max<std::size_t>(contributing, 1), st->k);
@@ -909,9 +871,9 @@ std::vector<Request> StagePipeline::collect(
     out.complete = complete;
     // Graphs without a sharded stage report the last replicated stage's
     // item output (the pre-DAG "current item set" semantics).
-    if (graph.output_stage == PipelineSpec::kNoStage) {
-      for (std::size_t s : graph.order)
-        if (spec.stages[s].kind == StageKind::kReplicated)
+    if (graph_.output_stage == PipelineSpec::kNoStage) {
+      for (std::size_t s : graph_.order)
+        if (spec_.stages[s].kind == StageKind::kReplicated)
           out.work_items = st->rec[qi][s].out_items.size();
     }
 
@@ -948,10 +910,10 @@ std::vector<Request> StagePipeline::collect(
 }
 
 std::vector<StagePipeline::QueryResult> StagePipeline::execute(
-    const Batch& batch, ServableBackend& servable, std::size_t k,
-    HotEmbeddingCache* cache, std::span<const CacheTiming> timing) {
+    const Batch& batch, std::size_t k, HotEmbeddingCache* cache,
+    std::span<const CacheTiming> timing) {
   std::vector<QueryResult> results;
-  collect(submit(batch, servable, k), servable, cache, timing, results);
+  collect(submit(batch, k), cache, timing, results);
   return results;
 }
 

@@ -44,15 +44,9 @@
 // happens in collect(), overlapped and phased execution produce
 // bit-identical reports.
 //
-// Multi-tenant fabrics (PR 3): one pipeline can host SEVERAL co-resident
-// servables — e.g. an interactive filter/rank tenant next to a bulk CTR
-// tenant — by constructing it with one PipelineSpec per servable and
-// passing the servable's slot to submit(). Each servable's stages own
-// their own per-shard event-model units (the stage clocks concatenate in
-// slot order), but ALL slots of a shard contend for its single shared
-// ET-bank clock: co-resident tenants really fight over the in-memory
-// arrays, which is what the QoS batcher arbitrates. Hot-cache bookkeeping
-// namespaces RowAccess table keys per slot so tenants never alias rows.
+// A pipeline serves exactly one servable, the one it is built over: the
+// servable fixes the shard count and the stage graph, and every batch of
+// every QoS class runs through it.
 #pragma once
 
 #include <array>
@@ -75,7 +69,6 @@
 #include "serve/observe.hpp"
 #include "serve/serve_stats.hpp"
 #include "serve/shard_map.hpp"
-#include "util/error.hpp"
 
 namespace imars::serve {
 
@@ -117,8 +110,7 @@ struct CacheTiming {
 
 /// One ET row touched by a query (cache bookkeeping granularity).
 struct RowAccess {
-  /// ET table index within the servable; must be below kMaxRowAccessTable
-  /// (the hot cache keeps the servable's slot in the bits above it).
+  /// ET table index within the servable; the hot cache keys rows by it.
   std::uint32_t table = 0;
   std::uint32_t row = 0;  ///< row index within the ET table
   bool pooled = false;  ///< pooled lookup (vs RAM-mode row fetch)
@@ -133,19 +125,6 @@ struct RowAccess {
   /// scored impression); meaningful only when `parallel_bank` is set.
   std::uint32_t parallel_group = 0;
 };
-
-/// Exclusive bound on RowAccess::table.
-inline constexpr std::uint32_t kMaxRowAccessTable = 1u << 16;
-
-/// Hot-cache table id of table `table` of co-resident servable slot
-/// `slot`: the slot fills the upper 16 bits, so co-resident servables
-/// never alias each other's rows. The read path (collect()) and the
-/// update path (ServingRuntime) both key the cache through here.
-inline std::uint32_t cache_table_id(std::size_t slot, std::uint32_t table) {
-  IMARS_REQUIRE(table < kMaxRowAccessTable,
-                "cache_table_id: RowAccess::table must be below 1 << 16");
-  return static_cast<std::uint32_t>(slot << 16) | table;
-}
 
 /// How one pipeline stage spreads over the shard fabric.
 enum class StageKind : std::uint8_t {
@@ -372,16 +351,12 @@ class StagePipeline {
     std::shared_ptr<State> state_;
   };
 
-  /// `profile` supplies the merge-unit / controller timing (stored by
-  /// value; on heterogeneous fabrics pass the controller-side technology).
-  /// An empty `map` defaults to the uniform (modulo-compatible) placement.
-  StagePipeline(std::size_t shards, PipelineSpec spec,
-                const device::DeviceProfile& profile, ShardMap map = {});
-
-  /// Multi-tenant fabric: one spec per co-resident servable slot. Each
-  /// slot's stages get their own event-model units; all slots share each
-  /// shard's ET banks.
-  StagePipeline(std::size_t shards, std::vector<PipelineSpec> specs,
+  /// The engine over `servable`, which must outlive it: the shard count
+  /// and the stage graph (validated here) are the servable's. `profile`
+  /// supplies the merge-unit / controller timing (stored by value; on
+  /// heterogeneous fabrics pass the controller-side technology). An empty
+  /// `map` defaults to the uniform (modulo-compatible) placement.
+  StagePipeline(ServableBackend& servable,
                 const device::DeviceProfile& profile, ShardMap map = {});
 
   /// Waits out any still-running functional work of uncollected batches
@@ -390,13 +365,7 @@ class StagePipeline {
   ~StagePipeline();
 
   std::size_t shards() const noexcept { return executors_.size(); }
-  const PipelineSpec& spec() const noexcept { return specs_.front(); }
-  const PipelineSpec& spec(std::size_t slot) const { return specs_.at(slot); }
-  std::size_t spec_count() const noexcept { return specs_.size(); }
-  /// First index of `slot`'s stages in the concatenated clock/usage layout.
-  std::size_t stage_offset(std::size_t slot) const {
-    return offsets_.at(slot);
-  }
+  const PipelineSpec& spec() const noexcept { return spec_; }
   const ShardMap& shard_map() const noexcept { return map_; }
 
   /// Attaches a pure-observer sink (nullptr detaches): collect() reports
@@ -406,7 +375,6 @@ class StagePipeline {
   /// of decisions already made — timing is bit-identical with or without
   /// one attached.
   void set_observer(ObserverSink* sink) noexcept { sink_ = sink; }
-  ObserverSink* observer() const noexcept { return sink_; }
 
   /// Charges embedding-update write traffic to shard `shard`'s shared ET
   /// banks, starting no earlier than `at` (the update's arrival): row
@@ -420,23 +388,20 @@ class StagePipeline {
   /// until the frontier comes within its admit window of simulated now.
   device::Ns frontier() const;
 
-  /// Graph-aware batch service estimate for slot `slot`: one query's
-  /// critical path through the stage DAG under `stage_cost` (one entry per
-  /// stage) plus pipelined occupancy of the bottleneck stage for the
-  /// remaining `batch - 1` queries, plus the top-k merge when the graph
-  /// merges. The runtime uses this to default an unset
+  /// Graph-aware batch service estimate: one query's critical path
+  /// through the stage DAG under `stage_cost` (one entry per stage) plus
+  /// pipelined occupancy of the bottleneck stage for the remaining
+  /// `batch - 1` queries, plus the top-k merge when the graph merges. The
+  /// runtime uses this to default an unset
   /// QosClassConfig::service_estimate.
-  device::Ns service_estimate(std::size_t slot,
-                              std::span<const device::Ns> stage_cost,
+  device::Ns service_estimate(std::span<const device::Ns> stage_cost,
                               std::size_t k, std::size_t batch) const;
 
   /// Enqueues the batch's functional work; returns immediately. Stages
   /// chain across the shard executors with no inter-stage barrier.
-  /// `servable` must outlive the handle and its spec() must equal slot
-  /// `spec_idx`'s spec; `batch` is taken by value (move it in to skip the
-  /// request copy — lvalue callers keep the pre-existing copy semantics).
-  BatchHandle submit(Batch batch, ServableBackend& servable,
-                     std::size_t k, std::size_t spec_idx = 0);
+  /// `batch` is taken by value (move it in to skip the request copy —
+  /// lvalue callers keep the pre-existing copy semantics).
+  BatchHandle submit(Batch batch, std::size_t k);
 
   /// Waits for the batch's functional work, then runs the deterministic
   /// event-model accounting (cache rewrite, per-stage pipeline clocks with
@@ -452,28 +417,23 @@ class StagePipeline {
   /// sharded stage's execution on each shard with a non-empty slice alike.
   /// Returns the batch's spent request storage, for the caller to hand
   /// back to its producer (e.g. QosBatcher::recycle) instead of freeing it.
-  std::vector<Request> collect(BatchHandle handle, ServableBackend& servable,
-                               HotEmbeddingCache* cache,
+  std::vector<Request> collect(BatchHandle handle, HotEmbeddingCache* cache,
                                std::span<const CacheTiming> timing,
                                std::vector<QueryResult>& results);
 
   /// submit() + collect() in one step (no cross-batch overlap).
-  std::vector<QueryResult> execute(const Batch& batch,
-                                   ServableBackend& servable, std::size_t k,
+  std::vector<QueryResult> execute(const Batch& batch, std::size_t k,
                                    HotEmbeddingCache* cache,
                                    std::span<const CacheTiming> timing);
 
   /// Convenience for homogeneous fabrics: one CacheTiming for all shards.
-  std::vector<QueryResult> execute(const Batch& batch,
-                                   ServableBackend& servable, std::size_t k,
+  std::vector<QueryResult> execute(const Batch& batch, std::size_t k,
                                    HotEmbeddingCache* cache,
                                    const CacheTiming& timing) {
-    return execute(batch, servable, k, cache,
-                   std::span<const CacheTiming>(&timing, 1));
+    return execute(batch, k, cache, std::span<const CacheTiming>(&timing, 1));
   }
 
-  /// Cumulative per-shard, per-stage busy time (multi-tenant fabrics
-  /// concatenate each slot's stages in slot order; see stage_offset()).
+  /// Cumulative per-shard, per-stage busy time.
   const std::vector<ShardUsage>& usage() const noexcept { return usage_; }
 
   /// Resets the event clocks and usage counters (not the replicas).
@@ -499,28 +459,24 @@ class StagePipeline {
   /// buffered per shard instead of enqueued (submit()'s batched initial
   /// dispatch); graph-chained scheduling from finish_stage passes null.
   void schedule_stage(const std::shared_ptr<BatchHandle::State>& st,
-                      ServableBackend& servable, std::size_t qi,
-                      std::size_t stage, DeferredTasks* defer = nullptr);
+                      std::size_t qi, std::size_t stage,
+                      DeferredTasks* defer = nullptr);
   void schedule_stage_unchecked(const std::shared_ptr<BatchHandle::State>& st,
-                                ServableBackend& servable, std::size_t qi,
-                                std::size_t stage,
+                                std::size_t qi, std::size_t stage,
                                 DeferredTasks* defer = nullptr);
   /// The functional body of one (query, stage) execution on `shard`'s
   /// worker thread — shared by the per-query and composite dispatch paths.
   /// The last of the stage's executions to finish completes the stage.
   void run_stage_task(const std::shared_ptr<BatchHandle::State>& st,
-                      ServableBackend& servable, std::size_t qi,
-                      std::size_t stage, std::size_t shard);
+                      std::size_t qi, std::size_t stage, std::size_t shard);
   /// Marks stage `stage` of query `qi` complete: schedules successors whose
   /// last pending edge this was, and fires the batch's done promise when
   /// the last stage of the last query finishes.
   void finish_stage(const std::shared_ptr<BatchHandle::State>& st,
-                    ServableBackend& servable, std::size_t qi,
-                    std::size_t stage);
+                    std::size_t qi, std::size_t stage);
 
   /// Applies the cache to `accesses` and rewrites the stage's ET-lookup
-  /// cost; returns the adjusted stats. The cache keys are namespaced by the
-  /// servable's `slot` (see cache_table_id()).
+  /// cost; returns the adjusted stats.
   /// `flushed` (optional) receives the dirty-row flush counts (with their
   /// tier split) charged into the stage's kEtWrite cost, for the
   /// observer's cache-flush events. Cold-tier block faults raised by the
@@ -529,24 +485,20 @@ class StagePipeline {
                                   std::span<const RowAccess> accesses,
                                   HotEmbeddingCache* cache,
                                   const CacheTiming& timing,
-                                  std::size_t slot,
                                   HotEmbeddingCache::TierFlush* flushed =
                                       nullptr) const;
 
   /// Acquires a batch State: pooled (structure-preserving reset, steady
   /// state allocates nothing) or fresh while the pool is empty.
-  std::shared_ptr<BatchHandle::State> acquire_state(std::size_t queries,
-                                                    std::size_t stages,
-                                                    const PipelineSpec& spec);
+  std::shared_ptr<BatchHandle::State> acquire_state(std::size_t queries);
 
   /// Merge-unit cost: each contributing shard ships its top-k over the RSC
   /// bus, the controller runs the k-way tournament.
   recsys::OpCost merge_cost(std::size_t slices, std::size_t k) const;
 
-  std::vector<PipelineSpec> specs_;   ///< one per co-resident servable slot
-  std::vector<PipelineSpec::Graph> graphs_;  ///< resolved, one per slot
-  std::vector<std::size_t> offsets_;  ///< per slot, into the stage layout
-  std::size_t total_stages_ = 0;
+  ServableBackend& servable_;  ///< runs every stage; outlives the pipeline
+  PipelineSpec spec_;
+  PipelineSpec::Graph graph_;  ///< spec_, resolved
   device::DeviceProfile profile_;
   ShardMap map_;
   ObserverSink* sink_ = nullptr;  ///< pure observer; never feeds back

@@ -18,12 +18,9 @@ constexpr int kRuntimePid = 1;
 constexpr int kHostPid = 99;
 int shard_pid(std::size_t shard) { return 10 + static_cast<int>(shard); }
 
-/// Stage-unit thread id inside a shard's process track. tid 0 is the ET
-/// bank; stage units follow, slot-major. 64 stages per slot is far above
-/// any real spec (the largest graph in the repo has 4).
-int stage_tid(std::size_t slot, std::size_t stage) {
-  return 1 + static_cast<int>(slot) * 64 + static_cast<int>(stage);
-}
+/// Stage-unit thread id inside a shard's process track: tid 0 is the ET
+/// bank, stage units follow.
+int stage_tid(std::size_t stage) { return 1 + static_cast<int>(stage); }
 
 }  // namespace
 
@@ -50,8 +47,7 @@ void TraceLog::name_thread(int pid, int tid, std::string_view name) {
 void TraceLog::on_stage(const StageSpan& s) {
   const std::string stage_name(s.name);
   name_process(shard_pid(s.shard), "shard " + std::to_string(s.shard));
-  name_thread(shard_pid(s.shard), stage_tid(s.slot, s.stage),
-              "s" + std::to_string(s.slot) + "/" + stage_name);
+  name_thread(shard_pid(s.shard), stage_tid(s.stage), stage_name);
 
   TraceEvent ev;
   ev.phase = TraceEvent::Phase::kComplete;
@@ -60,7 +56,7 @@ void TraceLog::on_stage(const StageSpan& s) {
   ev.ts_us = s.start.us();
   ev.dur_us = (s.end - s.start).us();
   ev.pid = shard_pid(s.shard);
-  ev.tid = stage_tid(s.slot, s.stage);
+  ev.tid = stage_tid(s.stage);
   ev.num_args = {{"query", static_cast<double>(s.query)},
                  {"batch", static_cast<double>(s.batch)},
                  {"unit_wait_us", s.unit_wait.us()},
@@ -89,14 +85,13 @@ void TraceLog::on_stage(const StageSpan& s) {
   registry_.histogram("stage.busy_ns").record((s.end - s.start).value);
 }
 
-void TraceLog::on_stage_merge(std::size_t slot, std::size_t stage,
-                              std::string_view name, std::size_t query,
-                              std::size_t batch, device::Ns start,
-                              device::Ns end) {
+void TraceLog::on_stage_merge(std::size_t stage, std::string_view name,
+                              std::size_t query, std::size_t batch,
+                              device::Ns start, device::Ns end) {
   const std::string merge_name = std::string(name) + ".merge";
   name_process(kRuntimePid, "serve-runtime");
-  const int tid = 60 + static_cast<int>(slot);
-  name_thread(kRuntimePid, tid, "merge s" + std::to_string(slot));
+  const int tid = 60;  // one merge track, clear of the per-class tracks
+  name_thread(kRuntimePid, tid, "merge");
   // Produced-item merges belong to individual QUERIES, and different
   // queries' merge windows of one batch interleave arbitrarily in
   // simulated time — async spans (paired by query id), like the batch
@@ -144,8 +139,7 @@ void TraceLog::on_batch(const BatchSpan& b) {
     begin.id = b.id;
     if (with_args) {
       begin.str_args = {{"trigger", std::string(to_string(b.trigger))}};
-      begin.num_args = {{"size", static_cast<double>(b.size)},
-                        {"servable", static_cast<double>(b.servable)}};
+      begin.num_args = {{"size", static_cast<double>(b.size)}};
     }
     TraceEvent end = begin;
     end.phase = TraceEvent::Phase::kAsyncEnd;

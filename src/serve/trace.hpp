@@ -10,8 +10,8 @@
 //                                     queue-depth / frontier counter series;
 //   pid 10 + s     "shard s"        — tid 0 is the shard's shared ET-bank
 //                                     track (ET claims and write-back
-//                                     traffic), tid 1 + slot*64 + stage is
-//                                     one stage unit's execution track;
+//                                     traffic), tid 1 + stage is one
+//                                     stage unit's execution track;
 //   pid 99         "host-profile"   — wall-clock self-profiling spans of
 //                                     the simulator itself (HostProfiler).
 //
@@ -75,9 +75,8 @@ char phase_char(TraceEvent::Phase p);
 class TraceLog final : public ObserverSink {
  public:
   void on_stage(const StageSpan& s) override;
-  void on_stage_merge(std::size_t slot, std::size_t stage,
-                      std::string_view name, std::size_t query,
-                      std::size_t batch, device::Ns start,
+  void on_stage_merge(std::size_t stage, std::string_view name,
+                      std::size_t query, std::size_t batch, device::Ns start,
                       device::Ns end) override;
   void on_batch(const BatchSpan& b) override;
   void on_write(std::size_t shard, device::Ns start, device::Ns end) override;

@@ -68,11 +68,13 @@ TEST(Zipf, RejectsDegenerate) {
 }
 
 TEST(Zipf, AtIsLowerBoundAtEveryCdfValueAndItsNeighbours) {
-  // The guide cell of u is fl(u * m), and cell j's threshold is the
-  // rounded j/m, so a draw can start on either side of its answer (at
-  // n = 5, s = 0, u = fl(0.6) starts at index 3; lower_bound says 2). The
-  // populations cover one guide cell per item (up to 65,536) and one per
-  // 16 items (above).
+  // Every guide cell starts at or before the answer of each u in it (the
+  // constructor steps each cell's threshold down to the smallest u that
+  // maps to the cell), so the forward scan of at(u) ends where
+  // std::lower_bound over the CDF does. Checked at u = 0, at every CDF
+  // value and at its two neighbouring doubles, where a cell starting past
+  // its answer would show. The populations cover one guide cell per item
+  // (up to 65,536) and one per 16 items (above).
   for (const std::size_t n :
        {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{100},
         std::size_t{65536}, std::size_t{65537}, std::size_t{1000000}}) {

@@ -403,16 +403,16 @@ TEST(ShardRouter, MergedTopkMatchesSingleBackend) {
   ShardRouter sharded(fx.factory, 4);
   single.bind_users(fx.users);
   sharded.bind_users(fx.users);
-  StagePipeline pipe1(1, ShardRouter::pipeline_spec(), profile);
-  StagePipeline pipe4(4, ShardRouter::pipeline_spec(), profile);
+  StagePipeline pipe1(single, profile);
+  StagePipeline pipe4(sharded, profile);
 
   Batch batch;
   batch.dispatch = Ns{0.0};
   for (std::size_t u = 0; u < 12; ++u)
     batch.requests.push_back(make_request(u, 0.0, u));
 
-  const auto ref = pipe1.execute(batch, single, k, nullptr, timing);
-  const auto got = pipe4.execute(batch, sharded, k, nullptr, timing);
+  const auto ref = pipe1.execute(batch, k, nullptr, timing);
+  const auto got = pipe4.execute(batch, k, nullptr, timing);
   ASSERT_EQ(ref.size(), got.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_EQ(ref[i].work_items, got[i].work_items);
@@ -432,13 +432,13 @@ TEST(ShardRouter, RoundRobinSpreadsFilterLoad) {
       core::PerfModel(core::ArchConfig{}, profile));
   ShardRouter router(fx.factory, 4);
   router.bind_users(fx.users);
-  StagePipeline pipe(4, ShardRouter::pipeline_spec(), profile);
+  StagePipeline pipe(router, profile);
 
   Batch batch;
   batch.dispatch = Ns{0.0};
   for (std::size_t u = 0; u < 8; ++u)
     batch.requests.push_back(make_request(u, 0.0, u));
-  const auto res = pipe.execute(batch, router, 5, nullptr, timing);
+  const auto res = pipe.execute(batch, 5, nullptr, timing);
 
   std::vector<std::size_t> per_shard(4, 0);
   for (const auto& r : res) ++per_shard[r.home_shard];
@@ -780,16 +780,16 @@ std::vector<serve::QosClassConfig> grid_classes() {
 TEST(ServeReport, GoldenDigestsPinTheScalingGrid) {
   // clang-format off
   static constexpr serve_test::GoldenRow kGolden[] = {
-      {"phased:closed:c1", {{0x15862f25203d6057ULL, 0x5d5e6b26af0b3b55ULL, 0x429ed30ee39394f0ULL, 0x7fcf285121116c09ULL}}},
-      {"phased:closed:c2", {{0x5ccdab059f5c3feaULL, 0x2f6f859be45b544bULL, 0xb0c6f4d7963573f2ULL, 0x7ce83168952701ebULL}}},
-      {"phased:open:c1", {{0x62f52748833e966aULL, 0x5d5e6b26af0b3b55ULL, 0x429ed30ee39394f0ULL, 0x02a0ea0c8b9647ccULL}}},
-      {"phased:open:c2", {{0xcfc2b1042acf8354ULL, 0x97061a1cbbd3dc37ULL, 0xa7559849f60786daULL, 0x00530ea96478a090ULL}}},
-      {"overlap:closed:c1", {{0xc86ed93c42812bf9ULL, 0x3cc8ffad636b28fdULL, 0x737497d3cef2e580ULL, 0x9cc5368504537126ULL}}},
-      {"overlap:closed:c2", {{0xb8db5e6f53891cdbULL, 0xe8f1351234e08d45ULL, 0x5edcf50ad3e90576ULL, 0x23a78743a7c0f2b2ULL}}},
-      {"overlap:open:c1", {{0x72cf9442b990b307ULL, 0x3cc8ffad636b28fdULL, 0x737497d3cef2e580ULL, 0x843a0cd708fb66e1ULL}}},
-      {"overlap:open:c2", {{0x0c93a7ce5d7949c8ULL, 0x8060598235be1845ULL, 0x9dd34ea2deabacedULL, 0x362a7d68dfb4ea56ULL}}},
-      {"gated:closed:c2", {{0x8a4034390c483933ULL, 0x8d885967b115a99dULL, 0xb92be6fcae8a76afULL, 0xdfda00f748330c4eULL}}},
-      {"gated:open:c2", {{0x9be04db54154bc94ULL, 0x9ecd5755a6ea5174ULL, 0x1d6c14cf26eb40acULL, 0xf55754da85c5849aULL}}},
+      {"phased:closed:c1", {{0xe0e5c2fbc01d7977ULL, 0x5d5e6b26af0b3b55ULL, 0x429ed30ee39394f0ULL, 0x7fcf285121116c09ULL}}},
+      {"phased:closed:c2", {{0x90b2cb85ecb25e6aULL, 0x2f6f859be45b544bULL, 0xb0c6f4d7963573f2ULL, 0x7ce83168952701ebULL}}},
+      {"phased:open:c1", {{0x913517762f7d4aeaULL, 0x5d5e6b26af0b3b55ULL, 0x429ed30ee39394f0ULL, 0x02a0ea0c8b9647ccULL}}},
+      {"phased:open:c2", {{0xd3eb62c4bd7e7694ULL, 0x97061a1cbbd3dc37ULL, 0xa7559849f60786daULL, 0x00530ea96478a090ULL}}},
+      {"overlap:closed:c1", {{0x5a1c6da73b068c59ULL, 0x3cc8ffad636b28fdULL, 0x737497d3cef2e580ULL, 0x9cc5368504537126ULL}}},
+      {"overlap:closed:c2", {{0xd4ee24eb4bd567fbULL, 0xe8f1351234e08d45ULL, 0x5edcf50ad3e90576ULL, 0x23a78743a7c0f2b2ULL}}},
+      {"overlap:open:c1", {{0x34a5af59bee17e27ULL, 0x3cc8ffad636b28fdULL, 0x737497d3cef2e580ULL, 0x843a0cd708fb66e1ULL}}},
+      {"overlap:open:c2", {{0xbf5af40a47afba88ULL, 0x8060598235be1845ULL, 0x9dd34ea2deabacedULL, 0x362a7d68dfb4ea56ULL}}},
+      {"gated:closed:c2", {{0x496e558cd96950d3ULL, 0x8d885967b115a99dULL, 0xb92be6fcae8a76afULL, 0xdfda00f748330c4eULL}}},
+      {"gated:open:c2", {{0x527bffae0f9832d4ULL, 0x9ecd5755a6ea5174ULL, 0x1d6c14cf26eb40acULL, 0xf55754da85c5849aULL}}},
   };
   // clang-format on
   constexpr std::size_t kQueries = 160;

@@ -214,23 +214,22 @@ TEST(StagePipeline, SkewedPartitionMatchesSingleBackend) {
 
   ShardRouter single(fx.factory, 1);
   single.bind_users(fx.users);
-  StagePipeline pipe1(1, ShardRouter::pipeline_spec(), profile);
+  StagePipeline pipe1(single, profile);
 
   // Heavily skewed capabilities, including a zero-weight shard that must
   // receive empty slices and still merge correctly.
   const std::vector<double> weights = {3.0, 0.0, 1.0, 6.0};
   ShardRouter sharded(fx.factory, 4);
   sharded.bind_users(fx.users);
-  StagePipeline pipe4(4, ShardRouter::pipeline_spec(), profile,
-                      ShardMap::weighted(weights, 16));
+  StagePipeline pipe4(sharded, profile, ShardMap::weighted(weights, 16));
 
   Batch batch;
   batch.dispatch = Ns{0.0};
   for (std::size_t u = 0; u < 12; ++u)
     batch.requests.push_back(make_request(u, 0.0, u));
 
-  const auto ref = pipe1.execute(batch, single, k, nullptr, timing);
-  const auto got = pipe4.execute(batch, sharded, k, nullptr, timing);
+  const auto ref = pipe1.execute(batch, k, nullptr, timing);
+  const auto got = pipe4.execute(batch, k, nullptr, timing);
   ASSERT_EQ(ref.size(), got.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_EQ(ref[i].work_items, got[i].work_items);
@@ -302,15 +301,15 @@ TEST(ShardRouter, MixedTechnologyFabricMatchesSingleBackend) {
   uniform_tech.bind_users(users);
   const serve::CacheTiming timing = serve::CacheTiming::from_model(
       core::PerfModel(arch, fefet45));
-  StagePipeline pipe_ref(2, ShardRouter::pipeline_spec(), fefet45, map);
-  StagePipeline pipe_mix(2, ShardRouter::pipeline_spec(), fefet45, map);
+  StagePipeline pipe_ref(uniform_tech, fefet45, map);
+  StagePipeline pipe_mix(hetero, fefet45, map);
 
   Batch batch;
   batch.dispatch = Ns{0.0};
   for (std::size_t u = 0; u < 6; ++u)
     batch.requests.push_back(make_request(u, 0.0, u));
-  const auto ref = pipe_ref.execute(batch, uniform_tech, 8, nullptr, timing);
-  const auto got = pipe_mix.execute(batch, hetero, 8, nullptr, timing);
+  const auto ref = pipe_ref.execute(batch, 8, nullptr, timing);
+  const auto got = pipe_mix.execute(batch, 8, nullptr, timing);
   ASSERT_EQ(ref.size(), got.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_EQ(ref[i].work_items, got[i].work_items);
@@ -362,8 +361,7 @@ TEST(CtrServable, ShardedScoresMatchSerialBackend) {
     samples.push_back(fx.ds->sample(i));
   servable.bind_samples(samples);
   const std::vector<double> weights = {1.0, 3.0, 2.0};
-  StagePipeline pipe(3, CtrServable::pipeline_spec(), profile,
-                     serve::ShardMap::weighted(weights, 16));
+  StagePipeline pipe(servable, profile, serve::ShardMap::weighted(weights, 16));
 
   Batch batch;
   batch.dispatch = Ns{0.0};
@@ -371,7 +369,7 @@ TEST(CtrServable, ShardedScoresMatchSerialBackend) {
   for (std::size_t i = 0; i < n; ++i)
     batch.requests.push_back(make_request(i, 0.0, i % samples.size()));
 
-  const auto results = pipe.execute(batch, servable, 1, nullptr, timing);
+  const auto results = pipe.execute(batch, 1, nullptr, timing);
   ASSERT_EQ(results.size(), n);
 
   // Serial reference: one more replica from the same factory.
@@ -467,207 +465,6 @@ TEST(ServingRuntime, OverlapPreservesHardwareTimeReport) {
   for (std::size_t s = 0; s < 3; ++s)
     EXPECT_DOUBLE_EQ(phased.rank_utilization(s),
                      overlapped.rank_utilization(s));
-}
-
-// --- Co-resident tenants (distinct servables, one pipeline) ----------------
-
-TEST(ServingRuntime, CoResidentTenantsServeDistinctServables) {
-  FilterRankFixture fr;
-  CtrFixture ctr;
-  const auto profile = device::DeviceProfile::fefet45();
-  const std::size_t shards = 2;
-  const std::vector<device::DeviceProfile> profiles(shards, profile);
-
-  std::vector<data::CriteoSample> samples;
-  for (std::size_t i = 0; i < ctr.ds->size(); ++i)
-    samples.push_back(ctr.ds->sample(i));
-
-  // Slot 0: the interactive filter/rank tenant; slot 1: the bulk CTR
-  // tenant. Both share the pipeline's shard fabric (and its ET banks).
-  std::vector<std::unique_ptr<serve::ServableBackend>> servables;
-  servables.push_back(std::make_unique<ShardRouter>(fr.factory, shards));
-  auto ctr_servable = std::make_unique<CtrServable>(ctr.factory, profiles);
-  ctr_servable->bind_samples(samples);
-  servables.push_back(std::move(ctr_servable));
-
-  ServingConfig cfg;
-  cfg.k = 5;
-  serve::QosClassConfig interactive;
-  interactive.name = "interactive";
-  interactive.max_batch = 2;
-  interactive.max_wait = Ns{100000.0};
-  interactive.deadline = Ns{400000.0};
-  interactive.service_estimate = Ns{20000.0};
-  interactive.weight = 1.0;
-  interactive.servable = 0;
-  serve::QosClassConfig bulk;
-  bulk.name = "bulk-ctr";
-  bulk.max_batch = 4;
-  bulk.max_wait = Ns{200000.0};
-  bulk.weight = 3.0;
-  bulk.servable = 1;
-  cfg.qos.classes = {interactive, bulk};
-  cfg.qos.admit_window = Ns{100000.0};  // exercise gated admission too
-  cfg.cache.capacity_rows = 1024;
-  ServingRuntime rt(std::move(servables), cfg, core::ArchConfig{}, profile);
-
-  // The engine concatenated both tenants' stage graphs.
-  EXPECT_EQ(rt.pipeline().spec_count(), 2u);
-  EXPECT_EQ(rt.pipeline().stage_offset(0), 0u);
-  EXPECT_EQ(rt.pipeline().stage_offset(1), 2u);
-  EXPECT_EQ(rt.servable_count(), 2u);
-
-  serve::LoadGenConfig lg;
-  lg.clients = 8;
-  lg.total_queries = 36;
-  lg.num_users = std::min(fr.users.size(), samples.size());
-  lg.user_zipf_s = 0.9;
-  lg.class_mix = {0.4, 0.6};
-  lg.arrivals = ArrivalProcess::kOpenPoisson;
-  lg.rate_qps = 2.0e5;
-  lg.seed = 93;
-  LoadGenerator gen(lg);
-  const auto report = rt.run(gen, fr.users);
-  ASSERT_EQ(report.size(), 36u);
-  ASSERT_EQ(report.classes.size(), 2u);
-  EXPECT_GT(report.classes[0].queries, 0u);
-  EXPECT_GT(report.classes[1].queries, 0u);
-  // Per-shard usage concatenates both tenants' stages (2 FR + 1 CTR), and
-  // the utilization helpers resolve per slot: slot 0's rank stage is the
-  // filter/rank tenant's, slot 1 is the single-stage CTR tenant (which
-  // therefore has no filter stage).
-  ASSERT_EQ(report.stage_offsets.size(), 2u);
-  for (const auto& shard : report.shards)
-    EXPECT_EQ(shard.stage_busy.size(), 3u);
-  for (std::size_t s = 0; s < 2; ++s) {
-    EXPECT_DOUBLE_EQ(report.rank_utilization(s, 0) * report.makespan.value,
-                     report.shards[s].stage_busy[1].value);
-    EXPECT_DOUBLE_EQ(report.rank_utilization(s, 1) * report.makespan.value,
-                     report.shards[s].stage_busy[2].value);
-    EXPECT_DOUBLE_EQ(report.filter_utilization(s, 1), 0.0);
-  }
-
-  // Filter/rank tenant: merged top-k must equal a dedicated single-shard
-  // reference fabric (co-residency never leaks into results).
-  ShardRouter single(fr.factory, 1);
-  single.bind_users(fr.users);
-  StagePipeline pipe1(1, ShardRouter::pipeline_spec(), profile);
-  const serve::CacheTiming timing = serve::CacheTiming::from_model(
-      core::PerfModel(core::ArchConfig{}, profile));
-  // Serial CTR reference replica from the same factory.
-  const auto serial = ctr.factory(core::ShardSlot{0, profile});
-
-  for (const auto& q : report.queries) {
-    if (q.qos_class == 0) {
-      Batch ref_batch;
-      ref_batch.dispatch = Ns{0.0};
-      ref_batch.requests.push_back(make_request(q.id, 0.0, q.user));
-      const auto ref =
-          pipe1.execute(ref_batch, single, cfg.k, nullptr, timing);
-      ASSERT_EQ(ref.size(), 1u);
-      ASSERT_EQ(q.topk.size(), ref[0].topk.size()) << "query " << q.id;
-      for (std::size_t j = 0; j < q.topk.size(); ++j) {
-        EXPECT_EQ(q.topk[j].item, ref[0].topk[j].item) << "query " << q.id;
-        EXPECT_FLOAT_EQ(q.topk[j].score, ref[0].topk[j].score);
-      }
-    } else {
-      const auto& s = samples[q.user];
-      ASSERT_EQ(q.topk.size(), 1u) << "query " << q.id;
-      EXPECT_EQ(q.topk[0].item, q.user);
-      EXPECT_FLOAT_EQ(q.topk[0].score,
-                      serial->score(s.dense, s.sparse, nullptr));
-    }
-  }
-}
-
-/// One sharded stage whose reads and update writes all land on ET table
-/// `table`, row = item (reads) or user (writes).
-class OneTableServable final : public serve::ServableBackend {
- public:
-  explicit OneTableServable(std::uint32_t table) : table_(table) {
-    spec_.stages = {{"score", StageKind::kSharded, {}}};
-    spec_.merge_topk = true;
-  }
-
-  std::string_view name() const override { return "one-table"; }
-  const PipelineSpec& spec() const override { return spec_; }
-  std::size_t shards() const override { return 1; }
-  std::vector<std::size_t> initial_items(const Request&) const override {
-    return {3, 4};
-  }
-  std::vector<std::size_t> run_replicated(std::size_t, std::size_t,
-                                          const Request&,
-                                          recsys::StageStats*) override {
-    return {};
-  }
-  std::vector<recsys::ScoredItem> run_sharded(
-      std::size_t, std::size_t, const Request&,
-      std::span<const std::size_t> slice, std::size_t,
-      recsys::StageStats* stats) override {
-    stats->at(recsys::OpKind::kEtLookup).latency = Ns{10.0};
-    std::vector<recsys::ScoredItem> out;
-    for (std::size_t item : slice)
-      out.push_back({item, static_cast<float>(item)});
-    return out;
-  }
-  std::vector<serve::RowAccess> accesses(
-      std::size_t, const Request&,
-      std::span<const std::size_t> slice) const override {
-    std::vector<serve::RowAccess> out;
-    for (std::size_t item : slice)
-      out.push_back({table_, static_cast<std::uint32_t>(item)});
-    return out;
-  }
-  std::vector<serve::RowAccess> update_accesses(
-      const Request& req) const override {
-    return {{table_, static_cast<std::uint32_t>(req.user)}};
-  }
-
- private:
-  std::uint32_t table_;
-  PipelineSpec spec_;
-};
-
-// The hot cache keys a row by a 32-bit table id whose upper 16 bits hold
-// the servable's co-resident slot, so a RowAccess::table of 1 << 16 would
-// alias slot 1's table 0. Both the read path and the update path reject
-// it; the largest in-range table serves.
-TEST(ServingRuntime, RejectsRowAccessTablesBeyondTheSlotNamespace) {
-  const auto profile = device::DeviceProfile::fefet45();
-  const serve::CacheTiming timing = serve::CacheTiming::from_model(
-      core::PerfModel(core::ArchConfig{}, profile));
-  Batch batch;
-  batch.requests.push_back(make_request(0, 0.0));
-  for (const std::uint32_t table : {0xFFFFu, 0x10000u}) {
-    SCOPED_TRACE(table);
-    OneTableServable servable(table);
-    StagePipeline pipe(1, servable.spec(), profile);
-    serve::HotEmbeddingCache cache(serve::HotCacheConfig{4});
-    if (table == 0xFFFFu) {
-      EXPECT_EQ(pipe.execute(batch, servable, 2, &cache, timing).size(), 1u);
-      EXPECT_EQ(cache.stats().accesses(), 2u);
-    } else {
-      EXPECT_THROW(pipe.execute(batch, servable, 2, &cache, timing), Error);
-    }
-
-    ServingConfig cfg;
-    cfg.k = 2;
-    cfg.cache.capacity_rows = 4;
-    ServingRuntime rt(std::make_unique<OneTableServable>(table), cfg,
-                      core::ArchConfig{}, profile);
-    LoadGenConfig lg;
-    lg.clients = 1;
-    lg.total_queries = 4;
-    lg.num_users = 8;
-    lg.seed = 7;
-    lg.update_fraction = 1.0;  // updates only: no batch is ever in flight
-    LoadGenerator gen(lg);
-    if (table == 0xFFFFu) {
-      EXPECT_EQ(rt.run(gen).updates, 4u);
-    } else {
-      EXPECT_THROW(rt.run(gen), Error);
-    }
-  }
 }
 
 // --- Poisson open-loop arrivals --------------------------------------------
@@ -774,6 +571,35 @@ TEST(LoadGenerator, TraceReplayIsVerbatim) {
 
 // --- Stage-DAG spec validation ---------------------------------------------
 
+/// A one-shard servable that only declares a stage graph: enough to build
+/// a pipeline over it, whose constructor validates the graph.
+class SpecOnlyServable final : public serve::ServableBackend {
+ public:
+  explicit SpecOnlyServable(PipelineSpec spec) : spec_(std::move(spec)) {}
+
+  std::string_view name() const override { return "spec-only"; }
+  const PipelineSpec& spec() const override { return spec_; }
+  std::size_t shards() const override { return 1; }
+  std::vector<std::size_t> run_replicated(std::size_t, std::size_t,
+                                          const Request&,
+                                          recsys::StageStats*) override {
+    return {};
+  }
+  std::vector<recsys::ScoredItem> run_sharded(
+      std::size_t, std::size_t, const Request&, std::span<const std::size_t>,
+      std::size_t, recsys::StageStats*) override {
+    return {};
+  }
+  std::vector<serve::RowAccess> accesses(
+      std::size_t, const Request&,
+      std::span<const std::size_t>) const override {
+    return {};
+  }
+
+ private:
+  PipelineSpec spec_;
+};
+
 TEST(PipelineSpec, RejectsMalformedGraphs) {
   PipelineSpec empty;
   EXPECT_THROW(empty.resolve(), Error);
@@ -812,9 +638,9 @@ TEST(PipelineSpec, RejectsMalformedGraphs) {
   no_sharded_merge.merge_topk = true;
   EXPECT_THROW(no_sharded_merge.resolve(), Error);
 
-  // A malformed spec is rejected at pipeline construction too.
-  EXPECT_THROW(StagePipeline(1, cycle, device::DeviceProfile::fefet45()),
-               Error);
+  // A servable with a malformed graph is rejected at pipeline construction.
+  SpecOnlyServable cyclic(cycle);
+  EXPECT_THROW(StagePipeline(cyclic, device::DeviceProfile::fefet45()), Error);
 }
 
 TEST(PipelineSpec, FilterRankSpecResolvesToFilterFeedingRank) {
@@ -1072,12 +898,12 @@ TEST(StagePipeline, DiamondJoinWaitsOnLastArrivingTower) {
   // prep and join carry ET traffic.
   DiamondServable servable(
       1, {{100.0, 10.0}, {50.0, 0.0}, {80.0, 0.0}, {40.0, 5.0}});
-  StagePipeline pipe(1, servable.spec(), profile);
+  StagePipeline pipe(servable, profile);
 
   Batch batch;
   batch.dispatch = Ns{0.0};
   batch.requests.push_back(make_request(0, 0.0));
-  const auto results = pipe.execute(batch, servable, 4, nullptr, timing);
+  const auto results = pipe.execute(batch, 4, nullptr, timing);
   ASSERT_EQ(results.size(), 1u);
   const auto& r = results[0];
 
@@ -1107,8 +933,8 @@ TEST(StagePipeline, DiamondJoinWaitsOnLastArrivingTower) {
   DiamondServable chained(
       1, {{100.0, 10.0}, {50.0, 0.0}, {80.0, 0.0}, {40.0, 5.0}},
       /*chained=*/true);
-  StagePipeline chain_pipe(1, chained.spec(), profile);
-  const auto chain = chain_pipe.execute(batch, chained, 4, nullptr, timing);
+  StagePipeline chain_pipe(chained, profile);
+  const auto chain = chain_pipe.execute(batch, 4, nullptr, timing);
   EXPECT_DOUBLE_EQ(chain[0].complete.value, 270.0 + merge);
   ASSERT_EQ(chain[0].topk.size(), 2u);
   EXPECT_EQ(chain[0].topk[0].item, 3u);
@@ -1124,12 +950,12 @@ TEST(StagePipeline, ParallelTowersWithEtTrafficSerializeOnSharedBanks) {
   // 100..105, so right cannot start before 105).
   DiamondServable servable(
       1, {{100.0, 10.0}, {50.0, 5.0}, {80.0, 5.0}, {40.0, 5.0}});
-  StagePipeline pipe(1, servable.spec(), profile);
+  StagePipeline pipe(servable, profile);
 
   Batch batch;
   batch.dispatch = Ns{0.0};
   batch.requests.push_back(make_request(0, 0.0));
-  const auto results = pipe.execute(batch, servable, 4, nullptr, timing);
+  const auto results = pipe.execute(batch, 4, nullptr, timing);
   const auto& r = results[0];
   const double merge =
       r.stage_stats[3].at(recsys::OpKind::kComm).latency.value;
@@ -1160,8 +986,8 @@ TEST(CtrServable, TowerGraphsMatchFusedScores) {
   auto run_graph = [&](CtrGraph graph) {
     CtrServable servable(fx.factory, profiles, graph);
     servable.bind_samples(samples);
-    StagePipeline pipe(2, CtrServable::pipeline_spec(graph), profile);
-    return pipe.execute(batch, servable, 1, nullptr, timing);
+    StagePipeline pipe(servable, profile);
+    return pipe.execute(batch, 1, nullptr, timing);
   };
   const auto fused = run_graph(CtrGraph::kFused);
   const auto chain = run_graph(CtrGraph::kTowerChain);
@@ -1230,8 +1056,7 @@ TEST(CtrServable, TowerGraphServesThroughRuntimeWithNamedUtilization) {
   EXPECT_GT(report.cache.hit_rate(), 0.0);
 
   // Per-stage utilization is keyed by graph node.
-  ASSERT_EQ(report.stage_names.size(), 1u);
-  EXPECT_EQ(report.stage_names[0],
+  EXPECT_EQ(report.stage_names,
             (std::vector<std::string>{"gather", "dense", "interact"}));
   double gather_busy = 0.0, interact_busy = 0.0;
   for (std::size_t s = 0; s < 2; ++s) {
@@ -1288,9 +1113,8 @@ TEST(ServingRuntime, DefaultsServiceEstimateFromGraphCriticalPath) {
   probe.bind_users(fx.users);
   const auto costs = probe.stage_cost_estimate(5);  // the runtime's cfg.k
   ASSERT_EQ(costs.size(), 2u);  // {filter, rank}
-  StagePipeline pipe(2, ShardRouter::pipeline_spec(),
-                     device::DeviceProfile::fefet45());
-  const Ns expected = pipe.service_estimate(0, costs, 5, 2);
+  StagePipeline pipe(probe, device::DeviceProfile::fefet45());
+  const Ns expected = pipe.service_estimate(costs, 5, 2);
   EXPECT_GT(expected.value, 0.0);  // merge cost at minimum (CPU oracle)
 
   serve_test::expect_reports_identical(run_with(Ns{0.0}), run_with(expected));
@@ -1305,10 +1129,10 @@ TEST(StagePipeline, ServiceEstimateComposesCriticalPathAndBatch) {
   const auto profile = device::DeviceProfile::fefet45();
   DiamondServable servable(
       1, {{100.0, 10.0}, {50.0, 0.0}, {80.0, 0.0}, {40.0, 5.0}});
-  StagePipeline pipe(1, servable.spec(), profile);
+  StagePipeline pipe(servable, profile);
   const std::vector<Ns> costs = {Ns{100.0}, Ns{50.0}, Ns{80.0}, Ns{40.0}};
-  const Ns one = pipe.service_estimate(0, costs, 4, 1);
-  const Ns four = pipe.service_estimate(0, costs, 4, 4);
+  const Ns one = pipe.service_estimate(costs, 4, 1);
+  const Ns four = pipe.service_estimate(costs, 4, 4);
   // Batch 1: the 220 ns critical path plus the merge; each further query
   // adds one bottleneck-stage (100 ns) occupancy.
   EXPECT_GT(one.value, 220.0);
@@ -1328,11 +1152,11 @@ TEST(StagePipeline, ServiceEstimateComposesCriticalPathAndBatch) {
 TEST(StagePipeline, GoldenDigestsPinTheServableGraphs) {
   // clang-format off
   static constexpr serve_test::GoldenRow kGolden[] = {
-      {"filter_rank:open", {{0x29b01ad0b71a86efULL, 0x79c43d090eaf2465ULL, 0x9d8eb8a6c8dadd29ULL, 0xeb8a738c8453d70eULL}}},
-      {"filter_rank:gated", {{0x925a1ecea4925fd1ULL, 0x8a58c44302440016ULL, 0x6aef0c7d16275596ULL, 0x8f68cb8c0cd61f7dULL}}},
-      {"funnel:open", {{0xaa29ed64845cd916ULL, 0x1a238824606edb5fULL, 0x7983545d7b845839ULL, 0x8ab0e7d3693cc642ULL}}},
-      {"ctr_chain:open", {{0x8307fc65d6f6978cULL, 0xc3dd5e31cd02772eULL, 0xeda8046fb51b348cULL, 0xe203db1e20a5609dULL}}},
-      {"ctr_dag:open", {{0x0143bb12ead15902ULL, 0xc3dd5e31cd02772eULL, 0xeda8046fb51b348cULL, 0xf7edcbe290571ae2ULL}}},
+      {"filter_rank:open", {{0xc43237619c79fa6fULL, 0x79c43d090eaf2465ULL, 0x9d8eb8a6c8dadd29ULL, 0xeb8a738c8453d70eULL}}},
+      {"filter_rank:gated", {{0x05ab6459e6369211ULL, 0x8a58c44302440016ULL, 0x6aef0c7d16275596ULL, 0x8f68cb8c0cd61f7dULL}}},
+      {"funnel:open", {{0x5a913480c39dc896ULL, 0x1a238824606edb5fULL, 0x7983545d7b845839ULL, 0x8ab0e7d3693cc642ULL}}},
+      {"ctr_chain:open", {{0xfff1431efc8c1cecULL, 0xc3dd5e31cd02772eULL, 0xeda8046fb51b348cULL, 0xe203db1e20a5609dULL}}},
+      {"ctr_dag:open", {{0xa6a7aaae2672dea2ULL, 0xc3dd5e31cd02772eULL, 0xeda8046fb51b348cULL, 0xf7edcbe290571ae2ULL}}},
   };
   // clang-format on
   const core::ArchConfig arch;
@@ -1431,7 +1255,7 @@ TEST(StagePipeline, GoldenDigestsPinTheServableGraphs) {
             yt, arch, fefet45),
         yt_open);
     expect_golden("funnel:open", report);
-    EXPECT_EQ(report.stage_names.front().size(), 4u);
+    EXPECT_EQ(report.stage_names.size(), 4u);
   }
 
   // DLRM on a FeFET-45 / FeFET-22 / ReRAM-45 fabric.

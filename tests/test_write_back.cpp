@@ -1,9 +1,10 @@
 // Write-back cache model tests: dirty-row bookkeeping and flush accounting
 // in HotEmbeddingCache, the LoadGenerator update mix, and the runtime-level
-// edge cases the ISSUE pins down — dirty-row eviction while a batch is in
-// flight (overlap on/off must stay bit-identical), a flushed row
-// re-admitted on the very next access (must come back clean), and a
-// zero-capacity cache with updates enabled (pure write-through, no crash).
+// edge cases — dirty-row eviction while a batch is in flight (overlap
+// on/off must stay bit-identical), a flushed row re-admitted on the very
+// next access (must come back clean), a zero-capacity cache with updates
+// enabled (pure write-through, no crash) and an update labelled with a
+// class the table lacks.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +18,8 @@
 #include "serve/load_gen.hpp"
 #include "serve/runtime.hpp"
 #include "serve_test_util.hpp"
+#include "synth_servable.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace imars {
@@ -284,6 +287,40 @@ TEST(WriteBackRuntime, UpdatesLeaveResultsUnchanged) {
   }
   EXPECT_GT(mixed.updates, 0u);
   EXPECT_GT(mixed.cache.update_hits + mixed.cache.update_misses, 0u);
+}
+
+// An update's class label is checked like a query's (QosBatcher::add): a
+// label the class table lacks is refused, while a single-class table is
+// class-blind and takes any label.
+TEST(WriteBackRuntime, UpdateLabelledWithAMissingClassIsRejected) {
+  const core::ArchConfig arch;
+  const auto profile = device::DeviceProfile::fefet45();
+  const auto serve_trace = [&](std::size_t classes, std::size_t label) {
+    ServingConfig cfg;
+    cfg.shards = 2;
+    cfg.k = 4;
+    cfg.cache.capacity_rows = 16;
+    cfg.qos.classes.assign(classes, serve::QosClassConfig{});
+    serve::Request query;
+    query.user = 3;
+    query.enqueue = Ns{10.0};
+    serve::Request update = query;
+    update.id = 1;
+    update.is_update = true;
+    update.qos_class = label;
+    update.enqueue = Ns{20.0};
+    LoadGenConfig lg;
+    lg.num_users = 8;
+    lg.arrivals = ArrivalProcess::kTrace;
+    lg.trace = {query, update};
+    ServingRuntime rt(bench::make_synth(cfg, lg, arch, profile), cfg, arch,
+                      profile);
+    LoadGenerator gen(lg);
+    return rt.run(gen);
+  };
+  EXPECT_EQ(serve_trace(1, 5).updates, 1u);
+  EXPECT_EQ(serve_trace(2, 1).updates, 1u);
+  EXPECT_THROW(serve_trace(2, 5), Error);
 }
 
 }  // namespace
