@@ -1,6 +1,7 @@
 #include "serve/hot_cache.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace imars::serve {
@@ -32,7 +33,13 @@ std::uint32_t& HotEmbeddingCache::history(std::uint64_t key) {
   if (s >= index.size()) index.resize(s + 1);
   std::unique_ptr<Span>& span = index[s];
   if (!span) span = std::make_unique<Span>();
-  Page& page = (*span)[(row >> kPageShift) & (kSpanPages - 1)];
+  const std::size_t p = (row >> kPageShift) & (kSpanPages - 1);
+  if (p >= span->size()) {
+    // Power-of-two capacities: geometric growth that stops at kSpanPages.
+    span->reserve(std::bit_ceil(p + 1));
+    span->resize(p + 1);
+  }
+  Page& page = (*span)[p];
   if (!page) page = std::make_unique<std::uint32_t[]>(kPageRows);
   return page[row & (kPageRows - 1)];
 }
@@ -46,8 +53,10 @@ const std::uint32_t* HotEmbeddingCache::find_history(
   const auto row = static_cast<std::uint32_t>(key);
   const std::size_t s = row >> kSpanShift;
   if (s >= index.size() || !index[s]) return nullptr;
-  const Page& page = (*index[s])[(row >> kPageShift) & (kSpanPages - 1)];
-  return page ? &page[row & (kPageRows - 1)] : nullptr;
+  const Span& span = *index[s];
+  const std::size_t p = (row >> kPageShift) & (kSpanPages - 1);
+  if (p >= span.size() || !span[p]) return nullptr;
+  return &span[p][row & (kPageRows - 1)];
 }
 
 std::size_t HotEmbeddingCache::history_bytes() const noexcept {
@@ -57,7 +66,7 @@ std::size_t HotEmbeddingCache::history_bytes() const noexcept {
     bytes += index.capacity() * sizeof(index[0]);
     for (const auto& span : index) {
       if (!span) continue;
-      bytes += sizeof(Span);
+      bytes += sizeof(Span) + span->capacity() * sizeof(Page);
       for (const Page& page : *span)
         if (page) bytes += kPageRows * sizeof(std::uint32_t);
     }

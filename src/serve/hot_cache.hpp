@@ -16,9 +16,11 @@
 // 32-bit slots, allocated on the first touch of any of its rows and never
 // moved. Each table has its own two-level index, so an access computes
 // its slot's address from the row without hashing it: row >> 20 picks a
-// span of 2^20 rows, whose 2048 page pointers (16 KiB, allocated on the
-// span's first touch) are picked by (row >> 9) & 2047. The history thus
-// costs 4 B x 512 rows per touched page plus 16 KiB per touched span, and
+// span of 2^20 rows, whose list of page pointers is picked by
+// (row >> 9) & 2047 and grows only to the highest touched page (at most
+// 2048 pointers, 16 KiB). The history thus costs 4 B x 512 rows per
+// touched page plus 8 B per page up to the highest touched one in each
+// touched span: a 4,000-row table pays 8 pages and 64 B of pointers, and
 // a row near 2^32 adds at most 48 KiB of index to its table, never an
 // array sized by the highest row.
 //
@@ -53,7 +55,6 @@
 // bit-identical to the flat row store.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -254,8 +255,9 @@ class HotEmbeddingCache {
   static constexpr std::size_t kSpanPages = std::size_t{1}
                                             << (kSpanShift - kPageShift);
   using Page = std::unique_ptr<std::uint32_t[]>;
-  /// The pages of 2^20 consecutive rows, by (row >> kPageShift) & 2047.
-  using Span = std::array<Page, kSpanPages>;
+  /// The pages of 2^20 consecutive rows, by (row >> kPageShift) & 2047,
+  /// grown to the highest touched page (at most kSpanPages pointers).
+  using Span = std::vector<Page>;
   /// One table's spans by row >> kSpanShift, grown to the highest touched
   /// span (at most 4096 pointers).
   using TableIndex = std::vector<std::unique_ptr<Span>>;

@@ -1,5 +1,7 @@
 #include "serve/session_table.hpp"
 
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace imars::serve {
@@ -24,10 +26,16 @@ SessionTable::SessionTable(const SessionTableConfig& cfg)
       kick_rng_(util::hash64(cfg.seed, 0x6b69636bULL)) {
   IMARS_REQUIRE(cfg.capacity >= 2 * kSlotsPerBucket,
                 "SessionTable: capacity must cover at least two buckets");
+  // Bounding the capacity first keeps the rounding below from wrapping: at
+  // SIZE_MAX, capacity + 3 would wrap to a one-bucket table whose
+  // alt_bucket lies past slots_.
+  IMARS_REQUIRE(cfg.capacity <= kMaxCapacity,
+                "SessionTable: capacity exceeds 2^32 slots");
   IMARS_REQUIRE(cfg.max_kicks >= 1, "SessionTable: max_kicks must be >= 1");
   buckets_ = next_pow2((cfg.capacity + kSlotsPerBucket - 1) / kSlotsPerBucket);
   mask_ = buckets_ - 1;
   slots_.resize(buckets_ * kSlotsPerBucket);
+  occupied_.resize((slots_.size() + 63) / 64);
 }
 
 std::size_t SessionTable::bucket_of(std::uint64_t user) const noexcept {
@@ -50,23 +58,20 @@ std::size_t SessionTable::alt_bucket(std::size_t bucket,
 std::size_t SessionTable::find_in(std::size_t bucket,
                                   std::uint64_t user) const noexcept {
   const std::size_t base = bucket * kSlotsPerBucket;
-  for (std::size_t i = 0; i < kSlotsPerBucket; ++i) {
-    const Slot& s = slots_[base + i];
-    if (s.occupied && s.state.user == user) return i;
-  }
+  const unsigned live = bucket_bits(bucket);
+  for (std::size_t i = 0; i < kSlotsPerBucket; ++i)
+    if ((live >> i & 1u) != 0 && slots_[base + i].user == user) return i;
   return kSlotsPerBucket;
 }
 
 bool SessionTable::place_if_free(std::size_t bucket, const SessionState& s) {
-  const std::size_t base = bucket * kSlotsPerBucket;
-  for (std::size_t i = 0; i < kSlotsPerBucket; ++i) {
-    if (!slots_[base + i].occupied) {
-      slots_[base + i].occupied = true;
-      slots_[base + i].state = s;
-      return true;
-    }
-  }
-  return false;
+  const unsigned free = ~bucket_bits(bucket) & 0xfu;
+  if (free == 0) return false;
+  const std::size_t slot = bucket * kSlotsPerBucket +
+                           static_cast<std::size_t>(std::countr_zero(free));
+  occupied_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+  slots_[slot] = s;
+  return true;
 }
 
 bool SessionTable::contains(std::uint64_t user) const {
@@ -92,7 +97,7 @@ void SessionTable::insert(const SessionState& s) {
     const std::size_t slot =
         bucket * kSlotsPerBucket +
         static_cast<std::size_t>(kick_rng_.below(kSlotsPerBucket));
-    std::swap(carry, slots_[slot].state);
+    std::swap(carry, slots_[slot]);
     ++stats_.kicks;
     if (kick + 1 > max_kick_chain_) max_kick_chain_ = kick + 1;
     bucket = alt_bucket(bucket, carry.user);
@@ -117,7 +122,7 @@ SessionState SessionTable::touch(std::uint64_t user, device::Ns now) {
     slot = find_in(bucket, user);
   }
   if (slot < kSlotsPerBucket) {
-    SessionState& st = slots_[bucket * kSlotsPerBucket + slot].state;
+    SessionState& st = slots_[bucket * kSlotsPerBucket + slot];
     ++st.sequence;
     st.last_seen = now;
     ++stats_.hits;
@@ -142,8 +147,9 @@ bool SessionTable::evict_random(util::Xoshiro256& rng) {
   for (;;) {
     const std::size_t idx =
         static_cast<std::size_t>(rng.below(slots_.size()));
-    if (!slots_[idx].occupied) continue;
-    slots_[idx].occupied = false;
+    const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+    if ((occupied_[idx / 64] & bit) == 0) continue;
+    occupied_[idx / 64] &= ~bit;
     --occupancy_;
     ++stats_.departures;
     return true;

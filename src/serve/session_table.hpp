@@ -10,6 +10,10 @@
 //
 //   * O(1) lookup — a key lives in one of two buckets (4 slots each), so a
 //     probe touches at most 8 slots regardless of capacity or load.
+//   * 32 bytes per slot — a slot is a bare SessionState; which slots are
+//     live is one bit per slot beside them, and a bucket's four bits sit
+//     in one word. 10^5 sessions round up to 2^17 slots: 4 MiB of states
+//     plus 16 KiB of bits.
 //   * bounded kicks — an insert displaces at most `max_kicks` victims; if
 //     the kick chain runs out, the last displaced session departs (a
 //     forced eviction, counted) instead of the insert looping. Per-insert
@@ -46,7 +50,7 @@ struct SessionState {
 
 struct SessionTableConfig {
   /// Target live-session capacity; rounded up to a power-of-two bucket
-  /// count times 4 slots per bucket.
+  /// count times 4 slots per bucket. At most 2^32 slots.
   std::size_t capacity = 1 << 16;
   /// Kick-chain bound per insert (the O(1) guarantee).
   std::size_t max_kicks = 32;
@@ -56,6 +60,8 @@ struct SessionTableConfig {
 class SessionTable {
  public:
   static constexpr std::size_t kSlotsPerBucket = 4;
+  /// Largest accepted SessionTableConfig::capacity, in slots.
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 32;
 
   struct Stats {
     std::uint64_t lookups = 0;
@@ -99,11 +105,6 @@ class SessionTable {
   bool evict_random(util::Xoshiro256& rng);
 
  private:
-  struct Slot {
-    bool occupied = false;
-    SessionState state;
-  };
-
   std::size_t bucket_of(std::uint64_t user) const noexcept;
   /// The key's other bucket, computable from either one (cuckoo property).
   std::size_t alt_bucket(std::size_t bucket, std::uint64_t user) const noexcept;
@@ -112,12 +113,23 @@ class SessionTable {
   /// Places into a free slot of `bucket` if any; true on success.
   bool place_if_free(std::size_t bucket, const SessionState& s);
   void insert(const SessionState& s);
+  /// Occupancy bits of `bucket`'s slots (bit i = slot i).
+  unsigned bucket_bits(std::size_t bucket) const noexcept {
+    return static_cast<unsigned>(occupied_[bucket / kBucketsPerWord] >>
+                                 (bucket % kBucketsPerWord * kSlotsPerBucket)) &
+           0xfu;
+  }
+
+  static constexpr std::size_t kBucketsPerWord = 64 / kSlotsPerBucket;
 
   std::size_t buckets_ = 0;  ///< power of two
   std::size_t mask_ = 0;
   std::uint64_t seed_ = 0;
   std::size_t max_kicks_ = 0;
-  std::vector<Slot> slots_;  ///< buckets_ * kSlotsPerBucket, bucket-major
+  /// buckets_ * kSlotsPerBucket sessions, bucket-major. A slot is live
+  /// while its bit in occupied_ is set; a free slot's state is stale.
+  std::vector<SessionState> slots_;
+  std::vector<std::uint64_t> occupied_;  ///< one bit per slot, slot order
   util::Xoshiro256 kick_rng_;
   std::size_t occupancy_ = 0;
   std::size_t max_kick_chain_ = 0;

@@ -286,7 +286,18 @@ Vector hadamard(std::span<const float> a, std::span<const float> b) {
 
 void add_inplace(std::span<float> a, std::span<const float> b) {
   IMARS_REQUIRE(a.size() == b.size(), "add_inplace: size mismatch");
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
+  // Four elements per step, each lane adding its own pair: the one-lane
+  // loop's sums bit for bit (a sum of two NaNs may carry either payload in
+  // both). Under a partial overlap a step could read an element the
+  // one-lane loop would already have written; a == b cannot.
+  IMARS_REQUIRE(a.data() == b.data() || disjoint(a, b),
+                "add_inplace: a and b must not partially overlap");
+  float* pa = a.data();
+  const float* pb = b.data();
+  const std::size_t n = a.size();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) store4(pa + i, load4(pa + i) + load4(pb + i));
+  for (; i < n; ++i) pa[i] += pb[i];
 }
 
 void scale_inplace(std::span<float> a, float s) {

@@ -111,6 +111,7 @@ bool disjoint(std::span<const float> a, std::span<const float> b);
 Vector add(std::span<const float> a, std::span<const float> b);
 Vector sub(std::span<const float> a, std::span<const float> b);
 Vector hadamard(std::span<const float> a, std::span<const float> b);
+/// a[i] += b[i]; b must be a itself or disjoint from it.
 void add_inplace(std::span<float> a, std::span<const float> b);
 void scale_inplace(std::span<float> a, float s);
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -67,21 +69,48 @@ TEST(Zipf, RejectsDegenerate) {
   EXPECT_THROW(ZipfSampler(10, -0.1), Error);
 }
 
+// The dense CDF a sampler of n items must reproduce, written out here as
+// an independent reference: the running sum of 1 / (k + 1)^s in item order,
+// each sum divided by the total, the last item set to 1.0.
+std::vector<double> reference_cdf(std::size_t n, double s) {
+  std::vector<double> cdf(n);
+  double total = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    total += 1.0 / std::pow(static_cast<double>(k + 1), s);
+    cdf[k] = total;
+  }
+  for (auto& c : cdf) c /= total;
+  cdf.back() = 1.0;
+  return cdf;
+}
+
 TEST(Zipf, AtIsLowerBoundAtEveryCdfValueAndItsNeighbours) {
-  // Every guide cell starts at or before the answer of each u in it (the
-  // constructor steps each cell's threshold down to the smallest u that
-  // maps to the cell), so the forward scan of at(u) ends where
-  // std::lower_bound over the CDF does. Checked at u = 0, at every CDF
-  // value and at its two neighbouring doubles, where a cell starting past
-  // its answer would show. The populations cover one guide cell per item
-  // (up to 65,536) and one per 16 items (above).
+  // cdf(k) and pmf(k) must equal the dense reference bit for bit at every
+  // k, and at(u) must be std::lower_bound over it: at u = 0, at every CDF
+  // value and its two neighbouring doubles (where a guide cell starting
+  // past its answer, or a recomputed value one rounding off, would show)
+  // and at random u. The populations cover one guide cell per item (up to
+  // 65,536), the first tail item (65,537), a partial last tail cell
+  // (70,001) and the load generator's 10^6 users.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   for (const std::size_t n :
        {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{100},
-        std::size_t{65536}, std::size_t{65537}, std::size_t{1000000}}) {
+        std::size_t{65536}, std::size_t{65537}, std::size_t{70001},
+        std::size_t{1000000}}) {
     for (const double s : {0.0, 0.9, 1.0, 1.2}) {
       const ZipfSampler z(n, s);
-      std::vector<double> cdf(n);
-      for (std::size_t k = 0; k < n; ++k) cdf[k] = z.cdf(k);
+      ASSERT_EQ(z.size(), n);
+      const std::vector<double> cdf = reference_cdf(n, s);
+      std::size_t bad_cdf = 0, bad_pmf = 0, first_cdf = n, first_pmf = n;
+      for (std::size_t k = 0; k < n; ++k) {
+        const double pmf = k == 0 ? cdf[0] : cdf[k] - cdf[k - 1];
+        if (bits(z.cdf(k)) != bits(cdf[k]) && bad_cdf++ == 0) first_cdf = k;
+        if (bits(z.pmf(k)) != bits(pmf) && bad_pmf++ == 0) first_pmf = k;
+      }
+      EXPECT_EQ(bad_cdf, 0u) << "n=" << n << " s=" << s << ": " << bad_cdf
+                             << " cdf values differ, first k=" << first_cdf;
+      EXPECT_EQ(bad_pmf, 0u) << "n=" << n << " s=" << s << ": " << bad_pmf
+                             << " pmf values differ, first k=" << first_pmf;
       std::size_t checked = 0, mismatches = 0;
       double first_bad = -1.0;
       const auto check = [&](double u) {
@@ -97,6 +126,8 @@ TEST(Zipf, AtIsLowerBoundAtEveryCdfValueAndItsNeighbours) {
         check(c);
         check(std::nextafter(c, 2.0));
       }
+      util::Xoshiro256 rng(n);
+      for (int i = 0; i < 20000; ++i) check(rng.uniform());
       EXPECT_EQ(mismatches, 0u)
           << "n=" << n << " s=" << s << ": " << mismatches << " of "
           << checked << " u differ, first u=" << std::hexfloat << first_bad;

@@ -432,6 +432,58 @@ TEST(Embedding, SgdMatchesPendingListReference) {
   }
 }
 
+// EmbeddingTable::sgd's four-lane row update against the one-lane loop
+// r[c] -= lr * (g[c] * scale), at every width from 1 to 9 and at 32, with
+// signed zeros, NaNs, infinities and denormals in the rows and gradients.
+TEST(Embedding, SgdRowMatchesScalarLoop) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float edges[] = {0.0f, -0.0f, nan, -nan, inf, -inf,
+                         tiny, -tiny, 3e-39f, -1e-39f, 1e-30f};
+  util::Xoshiro256 rng(41);
+  const auto value = [&] {
+    return rng.below(2) == 0 ? edges[rng.below(std::size(edges))]
+                             : static_cast<float>(rng.normal());
+  };
+  for (const std::size_t dim : {1, 2, 3, 4, 5, 6, 7, 8, 9, 32}) {
+    for (const Pooling pooling :
+         {Pooling::kSum, Pooling::kMean, Pooling::kConcat}) {
+      const std::string where = "dim " + std::to_string(dim) + " pooling " +
+                                std::to_string(static_cast<int>(pooling));
+      EmbeddingTable t(4, dim, rng);
+      for (std::size_t r = 0; r < 4; ++r) {
+        Vector row(dim);
+        for (auto& x : row) x = value();
+        t.set_row(r, row);
+      }
+      tensor::Matrix ref = t.matrix();
+      // An empty step moves nothing.
+      t.sgd({}, pooling, {}, 0.5f);
+      EXPECT_TRUE(same_bits(t.matrix().data(), ref.data())) << where;
+      for (int step = 0; step < 20; ++step) {
+        std::vector<std::size_t> idx(1 + rng.below(3));
+        for (auto& i : idx) i = rng.below(4);
+        const bool concat = pooling == Pooling::kConcat;
+        Vector grad((concat ? idx.size() : 1) * dim);
+        for (auto& x : grad) x = value();
+        const float lr = 0.01f + 0.5f * static_cast<float>(rng.uniform());
+        const float scale = pooling == Pooling::kMean
+                                ? 1.0f / static_cast<float>(idx.size())
+                                : 1.0f;
+        for (std::size_t k = 0; k < idx.size(); ++k) {
+          const float* g = grad.data() + (concat ? k * dim : 0);
+          for (std::size_t c = 0; c < dim; ++c)
+            ref.at(idx[k], c) -= lr * (g[c] * scale);
+        }
+        t.sgd(idx, pooling, grad, lr);
+        EXPECT_TRUE(same_bits(t.matrix().data(), ref.data()))
+            << where << " step " << step;
+      }
+    }
+  }
+}
+
 TEST(Embedding, QuantizedSnapshotRoundTrips) {
   util::Xoshiro256 rng(14);
   EmbeddingTable t(8, 4, rng);

@@ -343,20 +343,28 @@ TEST(HotEmbeddingCache, FrequencyBumpSaturatesBelowTheResidentBit) {
 }
 
 TEST(HotEmbeddingCache, HistoryCostsFourBytesPerRowAndNoIndexByKeyRange) {
-  // Rows 0 and 2^32 - 1 of a table cost two 2 KiB pages, two 16 KiB spans
-  // and a list of 4096 span pointers (32 KiB), whatever the table id: no
-  // array is sized by a row or table value.
+  // Rows 0 and 2^32 - 1 of a table cost two 2 KiB pages, a list of 4096
+  // span pointers (32 KiB) and two page lists: one pointer for row 0's span
+  // and 2048 (16 KiB) for row 2^32 - 1's, whatever the table id: no array
+  // is sized by a row or table value.
   HotEmbeddingCache sparse(HotCacheConfig{4});
   for (const std::uint32_t t : {0u, 0xFFFFFFFFu})
     for (const std::uint32_t r : {0u, 0xFFFFFFFFu}) sparse.access(t, r);
   EXPECT_TRUE(sparse.contains(0xFFFFFFFF, 0xFFFFFFFF));
-  EXPECT_LE(sparse.history_bytes(), (2 * (32 + 2 * (16 + 2)) + 1) * 1024u);
-  // A dense table costs 4 B per row plus one 16 KiB span per 2^20 rows.
+  EXPECT_LE(sparse.history_bytes(), (2 * (32 + 16 + 2 * 2) + 1) * 1024u);
+  // A dense table costs 4 B per row plus one 16 KiB page list per 2^20
+  // rows.
   HotEmbeddingCache dense(HotCacheConfig{4});
   constexpr std::uint32_t kRows = 1u << 20;
   for (std::uint32_t r = 0; r < kRows; ++r) dense.access(7, r);
   EXPECT_GE(dense.history_bytes(), std::size_t{4} * kRows);
   EXPECT_LE(dense.history_bytes(), std::size_t{4} * kRows + 17 * 1024);
+  // A 4,000-row table pays for its 8 pages and their pointers, not for a
+  // 16 KiB page list.
+  HotEmbeddingCache small(HotCacheConfig{4});
+  for (std::uint32_t r = 0; r < 4000; ++r) small.access(3, r);
+  EXPECT_GE(small.history_bytes(), std::size_t{4} * 4096);
+  EXPECT_LE(small.history_bytes(), std::size_t{4} * 4096 + 256);
 }
 
 // --- Sharded serving over the CPU oracle ----------------------------------

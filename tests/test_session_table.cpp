@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "serve/load_gen.hpp"
 #include "serve/session_table.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace imars {
@@ -162,6 +165,37 @@ LoadGenConfig session_gen_config(double churn) {
   lg.session_capacity = 16384;
   lg.session_churn = churn;
   return lg;
+}
+
+// A capacity above 2^32 slots is refused by name. At SIZE_MAX the bucket
+// rounding (capacity + 3) / 4 used to wrap to a one-bucket table whose
+// alternate bucket lay past the slots, so the first touch read out of
+// bounds. The load generator's session_capacity reaches the same check.
+TEST(SessionTable, RejectsCapacityAbove2To32Slots) {
+  const auto error_with = [](std::size_t capacity, bool via_load_gen) {
+    try {
+      if (via_load_gen) {
+        LoadGenConfig lg = session_gen_config(0.0);
+        lg.session_capacity = capacity;
+        LoadGenerator gen(lg);
+      } else {
+        SessionTableConfig cfg;
+        cfg.capacity = capacity;
+        SessionTable table(cfg);
+      }
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  for (const std::size_t capacity :
+       {kMax, kMax - 2, SessionTable::kMaxCapacity + 1})
+    for (const bool via_load_gen : {false, true})
+      EXPECT_NE(error_with(capacity, via_load_gen)
+                    .find("SessionTable: capacity exceeds 2^32 slots"),
+                std::string::npos)
+          << capacity << (via_load_gen ? " via LoadGenConfig" : "");
 }
 
 // Churn-0 parity: enabling session mode must not shift ANY draw — the

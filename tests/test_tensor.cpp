@@ -7,6 +7,7 @@
 #include <iterator>
 #include <limits>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -94,10 +95,12 @@ std::vector<std::pair<std::size_t, std::size_t>> gemv_shapes() {
   return shapes;
 }
 
-// Bitwise equality: +0.0 and -0.0 differ, so do NaN payloads.
+// Bitwise equality: +0.0 and -0.0 differ, so do NaN payloads. Empty spans
+// may hold null pointers, which memcmp must not see.
 bool same_bits(std::span<const float> a, std::span<const float> b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 // n + 1 Gaussian floats with about one in eight an exact 0.0f and one in
@@ -233,6 +236,71 @@ TEST(Elementwise, SizeMismatchThrows) {
   const Vector b = {1, 2, 3};
   EXPECT_THROW(tensor::add(a, b), Error);
   EXPECT_THROW(tensor::dot(a, b), Error);
+}
+
+// Values that stress a lane kernel: signed zeros, NaNs of either sign,
+// infinities, denormals and the largest finite float, plus ordinary ones.
+float edge_or_normal(util::Xoshiro256& rng) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float big = std::numeric_limits<float>::max();
+  const float edges[] = {0.0f, -0.0f, nan,     -nan, inf, -inf,
+                         tiny, -tiny, 3e-39f, -1e-39f, big, -big};
+  return rng.below(2) == 0 ? edges[rng.below(std::size(edges))]
+                           : static_cast<float>(rng.normal());
+}
+
+TEST(Elementwise, AddInplaceMatchesScalarLoop) {
+  // Every sum must match the one-lane loop's bits, except where both
+  // addends are NaN: IEEE 754 leaves open whose payload the sum carries,
+  // and GCC commutes a + b either way, so there only NaN-ness is compared.
+  util::Xoshiro256 rng(31);
+  for (const std::size_t n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 32}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      Vector a(n), b(n);
+      for (auto& x : a) x = edge_or_normal(rng);
+      for (auto& x : b) x = edge_or_normal(rng);
+      Vector want = a;
+      for (std::size_t i = 0; i < n; ++i) want[i] += b[i];
+      const Vector before = a;
+      tensor::add_inplace(a, b);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (std::isnan(before[i]) && std::isnan(b[i]))
+          EXPECT_TRUE(std::isnan(a[i])) << "n " << n << " i " << i;
+        else
+          EXPECT_TRUE(same_bits({&a[i], 1}, {&want[i], 1}))
+              << "n " << n << " trial " << trial << " i " << i << ": "
+              << before[i] << " + " << b[i];
+      }
+      // a += a: the one span on both sides doubles every element.
+      want = a;
+      for (std::size_t i = 0; i < n; ++i) want[i] += want[i];
+      tensor::add_inplace(a, a);
+      EXPECT_TRUE(same_bits(a, want)) << "n " << n << " trial " << trial;
+    }
+  }
+}
+
+TEST(Elementwise, AddInplaceRejectsPartialOverlap) {
+  Vector v(12, 1.0f);
+  const std::span<float> all(v);
+  for (const std::size_t shift : {1, 3, 4}) {
+    try {
+      tensor::add_inplace(all.subspan(shift, 5), all.subspan(0, 5));
+      ADD_FAILURE() << "shift " << shift << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "add_inplace: a and b must not partially overlap"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(tensor::add_inplace(all.subspan(0, 5), all.subspan(shift, 5)),
+                 Error);
+  }
+  EXPECT_EQ(v, Vector(12, 1.0f));  // nothing moved
+  tensor::add_inplace(all.subspan(0, 4), all.subspan(4, 4));  // adjacent
+  EXPECT_EQ(v[0], 2.0f);
 }
 
 TEST(Elementwise, DotNormCosine) {
