@@ -105,16 +105,46 @@ void BM_LshEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_LshEncode)->Arg(64)->Arg(256);
 
+// Pooling over stored rows: every row is written first, as training
+// writes the rows a trained model's lookups read.
 void BM_EmbeddingPool(benchmark::State& state) {
   const auto lookups = static_cast<std::size_t>(state.range(0));
   util::Xoshiro256 rng(6);
   nn::EmbeddingTable table(4096, 32, rng);
+  tensor::Vector row(32);
+  for (std::size_t r = 0; r < 4096; ++r) {
+    table.copy_row(r, row);
+    table.set_row(r, row);
+  }
   std::vector<std::size_t> idx(lookups);
   for (auto& i : idx) i = rng.below(4096);
   for (auto _ : state)
     benchmark::DoNotOptimize(table.lookup_pooled(idx, nn::Pooling::kMean));
 }
 BENCHMARK(BM_EmbeddingPool)->Arg(1)->Arg(8)->Arg(64);
+
+// The int8 snapshot an image build takes of a Criteo-shaped table: 30,000
+// rows of 32 with 6.6% of them written (the share 4,000 training samples
+// write in the Criteo tables), drawn like the generator's ids from
+// Zipf(1.1). The unwritten pages are regenerated from their init stream.
+void BM_EmbeddingQuantize(benchmark::State& state) {
+  constexpr std::size_t kRows = 30000, kWritten = 1980;
+  util::Xoshiro256 rng(13);
+  nn::EmbeddingTable table(kRows, 32, rng);
+  const data::ZipfSampler zipf(kRows, 1.1);
+  std::vector<bool> written(kRows, false);
+  tensor::Vector row(32);
+  for (std::size_t n = 0; n < kWritten;) {
+    const std::size_t r = zipf.sample(rng);
+    if (written[r]) continue;
+    written[r] = true;
+    ++n;
+    table.copy_row(r, row);
+    table.set_row(r, row);
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(table.quantized());
+}
+BENCHMARK(BM_EmbeddingQuantize)->Unit(benchmark::kMillisecond);
 
 // One synth_host_1m pass through the hot-row cache: 200k queries from
 // Zipf(0.9) users over 10^6, each touching the 24 hashed candidate rows

@@ -77,12 +77,12 @@ int main(int argc, char** argv) {
 
   // --- gate 1: retrieval recall@k vs the exact cosine top-k --------------
   serve::FunnelServable probe(*ml.model, arch, factory, profs, fcfg);
-  const auto& item_mat = ml.model->item_table().matrix();
+  const auto& items = ml.model->item_table();
   const std::size_t audit_users = std::min<std::size_t>(48, users.size());
   double recall_sum = 0.0;
   for (std::size_t u = 0; u < audit_users; ++u) {
     const auto exact = baseline::topk_cosine(
-        item_mat, ml.model->user_embedding(users[u]), k);
+        items, ml.model->user_embedding(users[u]), k);
     const auto cand = probe.retrieval_candidates(users[u]);
     const std::unordered_set<std::size_t> got(cand.begin(), cand.end());
     std::size_t hit = 0;

@@ -70,7 +70,7 @@ std::vector<std::size_t> CpuBackend::filter(const UserContext& user,
   const tensor::Vector u = model_->user_embedding(user);
   switch (cfg_.variant) {
     case FilterVariant::kFp32Cosine:
-      return topk_cosine(model_->item_table().matrix(), u, cfg_.candidates);
+      return topk_cosine(model_->item_table(), u, cfg_.candidates);
     case FilterVariant::kInt8Cosine:
       return topk_cosine(items_deq_, u, cfg_.candidates);
     case FilterVariant::kInt8LshHamming: {
@@ -97,8 +97,7 @@ std::vector<std::size_t> GpuModelBackend::filter(const UserContext& user,
                                                  StageStats* stats) {
   // Functional result: the original fp32 cosine top-N (what the GPU runs).
   const tensor::Vector u = model_->user_embedding(user);
-  auto candidates =
-      topk_cosine(model_->item_table().matrix(), u, cfg_.candidates);
+  auto candidates = topk_cosine(model_->item_table(), u, cfg_.candidates);
 
   if (stats != nullptr) {
     // Tables touched: every filtering UIET plus the ItET history pooling.

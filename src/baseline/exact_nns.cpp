@@ -36,6 +36,19 @@ std::vector<std::size_t> topk_cosine(const tensor::Matrix& items,
   return topk_by_score(scores, k);
 }
 
+std::vector<std::size_t> topk_cosine(const nn::EmbeddingTable& items,
+                                     std::span<const float> query,
+                                     std::size_t k) {
+  IMARS_REQUIRE(items.dim() == query.size(), "topk_cosine: dim mismatch");
+  const std::size_t dim = items.dim();
+  std::vector<float> scores(items.rows());
+  items.for_each_page([&](std::size_t first, std::span<const float> values) {
+    for (std::size_t i = 0; i * dim < values.size(); ++i)
+      scores[first + i] = tensor::cosine(values.subspan(i * dim, dim), query);
+  });
+  return topk_by_score(scores, k);
+}
+
 std::vector<std::size_t> topk_dot(const tensor::Matrix& items,
                                   std::span<const float> query,
                                   std::size_t k) {

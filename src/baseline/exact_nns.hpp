@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "nn/embedding.hpp"
 #include "tensor/tensor.hpp"
 #include "util/bitvec.hpp"
 
@@ -16,6 +17,12 @@ namespace imars::baseline {
 /// Top-k rows of `items` by descending cosine similarity to `query`.
 /// Deterministic tie-break: lower index wins.
 std::vector<std::size_t> topk_cosine(const tensor::Matrix& items,
+                                     std::span<const float> query,
+                                     std::size_t k);
+
+/// The same over an embedding table's rows, read a page at a time (no
+/// dense copy of the table).
+std::vector<std::size_t> topk_cosine(const nn::EmbeddingTable& items,
                                      std::span<const float> query,
                                      std::size_t k);
 

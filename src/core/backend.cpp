@@ -259,10 +259,9 @@ void ImarsCtrBackend::program_dnns(
     const tensor::Vector b = model.bottom_mlp().infer(s.dense);
     std::vector<tensor::Vector> embs;
     embs.reserve(schema.user_item.size());
-    for (std::size_t f = 0; f < schema.user_item.size(); ++f) {
-      const auto r = model.table(f).row(s.sparse[f]);
-      embs.emplace_back(r.begin(), r.end());
-    }
+    for (std::size_t f = 0; f < schema.user_item.size(); ++f)
+      model.table(f).copy_row(s.sparse[f],
+                              embs.emplace_back(model.table(f).dim()));
     top_calib.push_back(model.interact(embs, b));
   }
   bottom_dnn_ = std::make_unique<xbar::XbarMlp>(acc_->profile(),

@@ -145,7 +145,7 @@ Mlp load_mlp(std::istream& is) {
 
 void save(std::ostream& os, const EmbeddingTable& table) {
   write_header(os, kMagicEmb);
-  save(os, table.matrix());
+  save(os, table.dense());
 }
 
 EmbeddingTable load_embedding_table(std::istream& is) {

@@ -98,10 +98,8 @@ float Dlrm::infer(const tensor::Vector& dense,
   const tensor::Vector b = bottom_.infer(dense);
   std::vector<tensor::Vector> embs;
   embs.reserve(tables_.size());
-  for (std::size_t f = 0; f < tables_.size(); ++f) {
-    const auto r = tables_[f].row(sparse[f]);
-    embs.emplace_back(r.begin(), r.end());
-  }
+  for (std::size_t f = 0; f < tables_.size(); ++f)
+    tables_[f].copy_row(sparse[f], embs.emplace_back(cfg_.emb_dim));
   return top_.infer(interact(embs, b))[0];
 }
 
@@ -113,10 +111,8 @@ float Dlrm::train_step(const data::CriteoSample& sample) {
   const tensor::Vector b = bottom_.forward(sample.dense);
   std::vector<tensor::Vector> embs;
   embs.reserve(nf);
-  for (std::size_t f = 0; f < nf; ++f) {
-    const auto r = tables_[f].row(sample.sparse[f]);
-    embs.emplace_back(r.begin(), r.end());
-  }
+  for (std::size_t f = 0; f < nf; ++f)
+    tables_[f].copy_row(sample.sparse[f], embs.emplace_back(cfg_.emb_dim));
   const tensor::Matrix v = stack(embs, b);
   const float p = top_.forward(interact_stacked(v))[0];
 

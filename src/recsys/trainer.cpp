@@ -83,12 +83,13 @@ TrainResult train_filter(YoutubeDnn& model, const data::MovieLensSynth& ds,
       options,
       [&](util::Xoshiro256& rng) { return model.train_filter_epoch(ds, rng); },
       [&] {
+        const tensor::Matrix items = model.item_table().dense();
         return hit_rate(
             ds.num_users(),
             [&](std::size_t u) {
               const auto ctx = model.make_context(ds, u);
-              return topk_cosine_local(model.item_table().matrix(),
-                                       model.user_embedding(ctx), hr_topn);
+              return topk_cosine_local(items, model.user_embedding(ctx),
+                                       hr_topn);
             },
             [&](std::size_t u) { return ds.user(u).heldout; });
       });

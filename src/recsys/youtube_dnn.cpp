@@ -147,8 +147,9 @@ tensor::Vector YoutubeDnn::rank_input(const UserContext& user,
         uiets_[f].lookup_pooled(user.sparse[f], nn::Pooling::kMean);
     in.insert(in.end(), pooled.begin(), pooled.end());
   }
-  const auto item_emb = item_table_.row(item);
-  in.insert(in.end(), item_emb.begin(), item_emb.end());
+  const std::size_t at = in.size();
+  in.resize(at + cfg_.emb_dim);
+  item_table_.copy_row(item, std::span(in).subspan(at));
   const auto hist =
       item_table_.lookup_pooled(user.history, nn::Pooling::kMean);
   in.insert(in.end(), hist.begin(), hist.end());
@@ -186,11 +187,10 @@ float YoutubeDnn::train_filter_epoch(const data::MovieLensSynth& ds,
       const std::size_t cand = rng.below(ds.num_items());
       if (hist.contains(cand)) continue;
       neg_ids.push_back(cand);
-      const auto r = item_table_.row(cand);
-      negs.emplace_back(r.begin(), r.end());
+      item_table_.copy_row(cand, negs.emplace_back(cfg_.emb_dim));
     }
-    const auto pos_row = item_table_.row(pos);
-    const tensor::Vector pos_emb(pos_row.begin(), pos_row.end());
+    tensor::Vector pos_emb(cfg_.emb_dim);
+    item_table_.copy_row(pos, pos_emb);
 
     tensor::Vector grad_user, grad_pos;
     std::vector<tensor::Vector> grad_negs;

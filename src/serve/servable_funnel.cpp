@@ -124,11 +124,13 @@ FunnelServable::FunnelServable(const recsys::YoutubeDnn& model,
                                                     cfg_.lsh_bits,
                                                     cfg_.lsh_seed);
   item_sigs_.reserve(items.rows());
-  for (std::size_t i = 0; i < items.rows(); ++i)
-    item_sigs_.push_back(lsh_->encode(items.row(i)));
+  items.for_each_page([&](std::size_t, std::span<const float> values) {
+    for (std::size_t at = 0; at < values.size(); at += items.dim())
+      item_sigs_.push_back(lsh_->encode(values.subspan(at, items.dim())));
+  });
   switch (cfg_.retrieval) {
     case RetrievalKind::kIvf:
-      retrieval_ = std::make_unique<IvfRetrieval>(items.matrix(), cfg_.ivf);
+      retrieval_ = std::make_unique<IvfRetrieval>(items.dense(), cfg_.ivf);
       break;
     case RetrievalKind::kLsh:
       retrieval_ = std::make_unique<LshRetrieval>(*lsh_, item_sigs_);

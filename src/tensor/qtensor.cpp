@@ -5,7 +5,10 @@
 namespace imars::tensor {
 
 QMatrix::QMatrix(std::size_t rows, std::size_t cols, util::QuantParams params)
-    : rows_(rows), cols_(cols), params_(params), data_(rows * cols, 0) {}
+    : rows_(rows),
+      cols_(cols),
+      params_(params),
+      data_(checked_elements(rows, cols, "QMatrix"), 0) {}
 
 QMatrix QMatrix::quantize(const Matrix& m) {
   return quantize(m, util::choose_symmetric(m.data()));

@@ -19,7 +19,8 @@ class QMatrix {
  public:
   QMatrix() = default;
 
-  /// rows x cols of zeros with the given scale.
+  /// rows x cols of zeros with the given scale; rejects a rows x cols that
+  /// overflows size_t.
   QMatrix(std::size_t rows, std::size_t cols, util::QuantParams params);
 
   /// Quantizes a float matrix with a scale chosen from its own range.
@@ -37,6 +38,10 @@ class QMatrix {
 
   std::span<std::int8_t> row(std::size_t r);
   std::span<const std::int8_t> row(std::size_t r) const;
+
+  /// All rows, row-major.
+  std::span<std::int8_t> data() noexcept { return data_; }
+  std::span<const std::int8_t> data() const noexcept { return data_; }
 
   /// Dequantized copy of row r.
   Vector dequantize_row(std::size_t r) const;

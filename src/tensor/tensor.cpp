@@ -4,17 +4,30 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <string>
 
 #include "util/error.hpp"
 
 namespace imars::tensor {
 
+std::size_t checked_elements(std::size_t rows, std::size_t cols,
+                             const char* what) {
+  IMARS_REQUIRE(
+      cols == 0 || rows <= std::numeric_limits<std::size_t>::max() / cols,
+      std::string(what) + ": rows x cols overflows size_t");
+  return rows * cols;
+}
+
 Matrix::Matrix(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), data_(rows * cols, 0.0f) {}
+    : rows_(rows),
+      cols_(cols),
+      data_(checked_elements(rows, cols, "Matrix"), 0.0f) {}
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<float> data)
     : rows_(rows), cols_(cols), data_(std::move(data)) {
-  IMARS_REQUIRE(data_.size() == rows * cols, "Matrix: data size mismatch");
+  IMARS_REQUIRE(data_.size() == checked_elements(rows, cols, "Matrix"),
+                "Matrix: data size mismatch");
 }
 
 Matrix Matrix::randn(std::size_t rows, std::size_t cols, float stddev,

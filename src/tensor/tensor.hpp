@@ -44,7 +44,8 @@ class Matrix {
  public:
   Matrix() = default;
 
-  /// rows x cols, zero-initialized.
+  /// rows x cols, zero-initialized. Both constructors reject a rows x cols
+  /// that overflows size_t.
   Matrix(std::size_t rows, std::size_t cols);
 
   /// rows x cols from row-major data (size must be rows*cols).
@@ -80,6 +81,11 @@ class Matrix {
 };
 
 using Vector = std::vector<float>;
+
+/// rows * cols, or a thrown imars::Error naming `what` when the product
+/// overflows size_t.
+std::size_t checked_elements(std::size_t rows, std::size_t cols,
+                             const char* what);
 
 /// out = a (m x k) * b (k x n).
 Matrix matmul(const Matrix& a, const Matrix& b);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/error.hpp"
+
 namespace imars::util {
 
 namespace {
@@ -16,10 +18,10 @@ typedef std::int8_t i8x4 __attribute__((vector_size(4)));
 
 }  // namespace
 
-QuantParams choose_symmetric(std::span<const float> values) {
+float max_abs(std::span<const float> values) {
   // max|v| over four independent lanes (vectorized by GCC at -O2), then
   // the tail. A max of non-negative values does not depend on their order
-  // and std::max(m, NaN) keeps m, so the scale is the one-lane loop's.
+  // and std::max(m, NaN) keeps m, so the result is the one-lane loop's.
   const float* v = values.data();
   const std::size_t n = values.size();
   float lane[4] = {0.0f, 0.0f, 0.0f, 0.0f};
@@ -27,26 +29,40 @@ QuantParams choose_symmetric(std::span<const float> values) {
   for (; i + 4 <= n; i += 4)
     for (std::size_t l = 0; l < 4; ++l)
       lane[l] = std::max(lane[l], std::fabs(v[i + l]));
-  float max_abs = std::max(std::max(lane[0], lane[1]),
-                           std::max(lane[2], lane[3]));
-  for (; i < n; ++i) max_abs = std::max(max_abs, std::fabs(v[i]));
+  float m = std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
+  for (; i < n; ++i) m = std::max(m, std::fabs(v[i]));
+  return m;
+}
+
+QuantParams symmetric_for(float max_abs_value) {
   QuantParams p;
-  p.scale = (max_abs > 0.0f) ? max_abs / 127.0f : 1.0f;
+  p.scale = (max_abs_value > 0.0f) ? max_abs_value / 127.0f : 1.0f;
   return p;
+}
+
+QuantParams choose_symmetric(std::span<const float> values) {
+  return symmetric_for(max_abs(values));
 }
 
 std::vector<std::int8_t> quantize(std::span<const float> values,
                                   const QuantParams& params) {
+  std::vector<std::int8_t> out(values.size());
+  quantize(values, params, out);
+  return out;
+}
+
+void quantize(std::span<const float> values, const QuantParams& params,
+              std::span<std::int8_t> out) {
   // QuantParams::quantize four lanes at a time: the same divide, clamp and
   // 1.5 * 2^23 rounding per lane, NaN lanes selected to 0 before the
   // integer conversion, so every int8 is the scalar one.
+  IMARS_REQUIRE(out.size() == values.size(), "quantize: size mismatch");
   const float s = params.scale;
   const f32x4 scale = {s, s, s, s};
   const f32x4 lo = {-127.0f, -127.0f, -127.0f, -127.0f};
   const f32x4 hi = {127.0f, 127.0f, 127.0f, 127.0f};
   const f32x4 k = {12582912.0f, 12582912.0f, 12582912.0f, 12582912.0f};
   const f32x4 zero = {0.0f, 0.0f, 0.0f, 0.0f};
-  std::vector<std::int8_t> out(values.size());
   std::size_t i = 0;
   for (; i + 4 <= values.size(); i += 4) {
     f32x4 x;
@@ -60,7 +76,6 @@ std::vector<std::int8_t> quantize(std::span<const float> values,
     std::memcpy(out.data() + i, &r, sizeof r);
   }
   for (; i < values.size(); ++i) out[i] = params.quantize(values[i]);
-  return out;
 }
 
 std::vector<float> dequantize(std::span<const std::int8_t> values,

@@ -35,13 +35,26 @@ struct QuantParams {
   float dequantize(std::int8_t q) const noexcept { return scale * static_cast<float>(q); }
 };
 
-/// Chooses the symmetric scale that maps max|x| to 127. A zero/empty input
-/// yields scale 1 (any scale represents all-zero exactly).
+/// max |x| over `values`, NaNs skipped; 0 for an empty input. A max does
+/// not depend on the order it is taken in, so the max of parts' maxima is
+/// the whole's.
+float max_abs(std::span<const float> values);
+
+/// The symmetric scale that maps `max_abs_value` to 127. Zero yields scale
+/// 1 (any scale represents all-zero exactly).
+QuantParams symmetric_for(float max_abs_value);
+
+/// Chooses the symmetric scale that maps max|x| to 127:
+/// symmetric_for(max_abs(values)).
 QuantParams choose_symmetric(std::span<const float> values);
 
 /// Quantizes a vector with the given parameters.
 std::vector<std::int8_t> quantize(std::span<const float> values,
                                   const QuantParams& params);
+
+/// Quantizes `values` into `out` (same size), element by element as above.
+void quantize(std::span<const float> values, const QuantParams& params,
+              std::span<std::int8_t> out);
 
 /// Dequantizes a vector with the given parameters.
 std::vector<float> dequantize(std::span<const std::int8_t> values,

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 
@@ -73,11 +75,7 @@ TEST(Serialize, EmbeddingTableRoundTrip) {
   nn::EmbeddingTable back = nn::load_embedding_table(ss);
   EXPECT_EQ(back.rows(), t.rows());
   EXPECT_EQ(back.dim(), t.dim());
-  for (std::size_t r = 0; r < t.rows(); ++r) {
-    const auto a = t.row(r);
-    const auto b = back.row(r);
-    for (std::size_t c = 0; c < t.dim(); ++c) EXPECT_FLOAT_EQ(a[c], b[c]);
-  }
+  EXPECT_EQ(back.dense(), t.dense());
 }
 
 TEST(Serialize, BadMagicThrows) {
@@ -102,6 +100,32 @@ TEST(Serialize, WrongObjectTypeThrows) {
   std::stringstream ss;
   nn::save(ss, mlp);
   EXPECT_THROW((void)nn::load_matrix(ss), Error);  // expects ITMX magic
+}
+
+// A rows x cols that wraps size_t (2^32 x 2^32 is 0 mod 2^64) used to build
+// a matrix reporting 2^32 rows over no storage, and a loader then wrote its
+// rows through a null pointer. Both constructors and both loaders reject it.
+TEST(Serialize, OverflowingShapeIsRejected) {
+  const std::uint64_t big = std::uint64_t{1} << 32;
+  EXPECT_THROW(Matrix(big, big), Error);
+  EXPECT_THROW(Matrix(big, big, {}), Error);
+  EXPECT_THROW(QMatrix(big, big, util::QuantParams{}), Error);
+
+  // A saved 1 x 1 object whose header then claims 2^32 x 2^32: the shape
+  // follows the 4-byte magic and 4-byte version.
+  const auto with_big_shape = [&](std::string bytes) {
+    std::memcpy(bytes.data() + 8, &big, sizeof big);
+    std::memcpy(bytes.data() + 16, &big, sizeof big);
+    return std::stringstream(bytes);
+  };
+  std::stringstream m;
+  nn::save(m, Matrix(1, 1));
+  auto bad_m = with_big_shape(m.str());
+  EXPECT_THROW((void)nn::load_matrix(bad_m), Error);
+  std::stringstream q;
+  nn::save(q, QMatrix(1, 1, util::QuantParams{}));
+  auto bad_q = with_big_shape(q.str());
+  EXPECT_THROW((void)nn::load_qmatrix(bad_q), Error);
 }
 
 // ---------- exact top-k NNS ----------------------------------------------------

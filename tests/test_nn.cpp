@@ -8,6 +8,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "nn/layer.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
+#include "tensor/qtensor.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -307,6 +309,12 @@ TEST(Mlp, LearnsXor) {
 
 // ---------- EmbeddingTable ---------------------------------------------------
 
+Vector row_of(const EmbeddingTable& t, std::size_t r) {
+  Vector out(t.dim());
+  t.copy_row(r, out);
+  return out;
+}
+
 TEST(Embedding, LookupPooledSumMeanConcat) {
   util::Xoshiro256 rng(9);
   EmbeddingTable t(4, 2, rng);
@@ -342,8 +350,8 @@ TEST(Embedding, GradientDistributesOverMeanPooling) {
   const Vector grad = {2.0f, 4.0f};
   t.sgd(idx, Pooling::kMean, grad, 1.0f);
   // Each row receives grad/2 and moves by -lr * grad/2.
-  EXPECT_EQ(Vector(t.row(0).begin(), t.row(0).end()), (Vector{-1.0f, -2.0f}));
-  EXPECT_EQ(Vector(t.row(1).begin(), t.row(1).end()), (Vector{-1.0f, -2.0f}));
+  EXPECT_EQ(row_of(t, 0), (Vector{-1.0f, -2.0f}));
+  EXPECT_EQ(row_of(t, 1), (Vector{-1.0f, -2.0f}));
 }
 
 TEST(Embedding, TrainingPullsEmbeddingTowardTarget) {
@@ -357,7 +365,7 @@ TEST(Embedding, TrainingPullsEmbeddingTowardTarget) {
     for (int c = 0; c < 4; ++c) grad[c] = e[c] - target[c];
     t.sgd(idx, Pooling::kSum, grad, 0.1f);
   }
-  const auto e = t.row(0);
+  const Vector e = row_of(t, 0);
   for (int c = 0; c < 4; ++c) EXPECT_NEAR(e[c], target[c], 1e-3f);
 }
 
@@ -365,29 +373,36 @@ TEST(Embedding, SgdRejectsBadLearningRate) {
   util::Xoshiro256 rng(17);
   EmbeddingTable t(3, 2, rng);
   const std::size_t idx[1] = {1};
-  const tensor::Matrix before = t.matrix();
+  const tensor::Matrix before = t.dense();
   for (const float lr : {0.0f, -0.01f, std::nanf(""),
                          std::numeric_limits<float>::infinity()}) {
     EXPECT_THROW(t.sgd(idx, Pooling::kSum, Vector{1.0f, -1.0f}, lr), Error)
         << lr;
-    EXPECT_EQ(t.matrix(), before);
+    EXPECT_EQ(t.dense(), before);
   }
 }
 
-// A rejected step moves no row, also the rows before a bad index.
+// A rejected step moves no row, also the rows before a bad index. A grad
+// that is a stored row the step moves is rejected too; for_each_page hands
+// out a written page's own storage.
 TEST(Embedding, SgdRejectsBadShapesAndOverlap) {
   util::Xoshiro256 rng(18);
   EmbeddingTable t(3, 2, rng);
-  const tensor::Matrix before = t.matrix();
+  t.set_row(1, row_of(t, 1));  // stores the page, values unchanged
+  const tensor::Matrix before = t.dense();
+  std::span<const float> stored;
+  t.for_each_page([&](std::size_t, std::span<const float> values) {
+    stored = values;
+  });
   const std::size_t ok[2] = {0, 1};
   const std::size_t bad[2] = {0, 3};
   EXPECT_THROW(t.sgd(bad, Pooling::kSum, Vector{1.0f, 1.0f}, 0.1f), Error);
   EXPECT_THROW(t.sgd(ok, Pooling::kSum, Vector(4, 1.0f), 0.1f), Error);
   EXPECT_THROW(t.sgd(ok, Pooling::kConcat, Vector(2, 1.0f), 0.1f), Error);
-  EXPECT_THROW(t.sgd(ok, Pooling::kMean, t.row(2), 0.1f), Error);
-  EXPECT_EQ(t.matrix(), before);
+  EXPECT_THROW(t.sgd(ok, Pooling::kMean, stored.subspan(2, 2), 0.1f), Error);
+  EXPECT_EQ(t.dense(), before);
   t.sgd({}, Pooling::kConcat, {}, 0.1f);  // no lookup, no step
-  EXPECT_EQ(t.matrix(), before);
+  EXPECT_EQ(t.dense(), before);
 }
 
 // EmbeddingTable::sgd against the pending-list reference it replaced: per
@@ -403,7 +418,7 @@ TEST(Embedding, SgdMatchesPendingListReference) {
     const std::size_t dim = 7;
     EmbeddingTable t(6, dim, rng);
     t.set_row(5, Vector(dim, -0.0f));
-    tensor::Matrix ref = t.matrix();
+    tensor::Matrix ref = t.dense();
     for (int step = 0; step < 30; ++step) {
       const std::string where = name + " step " + std::to_string(step);
       std::vector<std::size_t> idx(1 + rng.below(4));
@@ -427,7 +442,7 @@ TEST(Embedding, SgdMatchesPendingListReference) {
         for (std::size_t c = 0; c < dim; ++c) ref.at(row, c) -= lr * g[c];
 
       t.sgd(idx, pooling, grad, lr);
-      EXPECT_TRUE(same_bits(t.matrix().data(), ref.data())) << where;
+      EXPECT_TRUE(same_bits(t.dense().data(), ref.data())) << where;
     }
   }
 }
@@ -457,10 +472,10 @@ TEST(Embedding, SgdRowMatchesScalarLoop) {
         for (auto& x : row) x = value();
         t.set_row(r, row);
       }
-      tensor::Matrix ref = t.matrix();
+      tensor::Matrix ref = t.dense();
       // An empty step moves nothing.
       t.sgd({}, pooling, {}, 0.5f);
-      EXPECT_TRUE(same_bits(t.matrix().data(), ref.data())) << where;
+      EXPECT_TRUE(same_bits(t.dense().data(), ref.data())) << where;
       for (int step = 0; step < 20; ++step) {
         std::vector<std::size_t> idx(1 + rng.below(3));
         for (auto& i : idx) i = rng.below(4);
@@ -477,7 +492,7 @@ TEST(Embedding, SgdRowMatchesScalarLoop) {
             ref.at(idx[k], c) -= lr * (g[c] * scale);
         }
         t.sgd(idx, pooling, grad, lr);
-        EXPECT_TRUE(same_bits(t.matrix().data(), ref.data()))
+        EXPECT_TRUE(same_bits(t.dense().data(), ref.data()))
             << where << " step " << step;
       }
     }
@@ -492,10 +507,165 @@ TEST(Embedding, QuantizedSnapshotRoundTrips) {
   EXPECT_EQ(q.cols(), 4u);
   for (std::size_t r = 0; r < 8; ++r) {
     const auto back = q.dequantize_row(r);
-    const auto orig = t.row(r);
+    const Vector orig = row_of(t, r);
     for (std::size_t c = 0; c < 4; ++c)
       EXPECT_NEAR(back[c], orig[c], q.params().scale * 0.5f + 1e-6f);
   }
+}
+
+// ---------- Page-lazy storage ------------------------------------------------
+
+// The dense table the constructor's draws describe: the loop the table ran
+// before it stored pages lazily, over a copy of the generator.
+tensor::Matrix dense_init(std::size_t rows, std::size_t dim,
+                          util::Xoshiro256& rng) {
+  tensor::Matrix m(rows, dim);
+  const float r = 1.0f / static_cast<float>(dim);
+  for (auto& x : m.data()) x = static_cast<float>(rng.uniform(-r, r));
+  return m;
+}
+
+// Every read of `t` against the dense reference: each row, the dense copy,
+// the three poolings over a spread of rows (sum/mean add the rows into +0
+// in call order) and the int8 snapshot's scale and bytes.
+void expect_matches_reference(const EmbeddingTable& t,
+                              const tensor::Matrix& ref,
+                              const std::string& where) {
+  ASSERT_EQ(t.rows(), ref.rows()) << where;
+  ASSERT_EQ(t.dim(), ref.cols()) << where;
+  for (std::size_t r = 0; r < t.rows(); ++r)
+    ASSERT_TRUE(same_bits(row_of(t, r), ref.row(r))) << where << " row " << r;
+  EXPECT_TRUE(same_bits(t.dense().data(), ref.data())) << where;
+
+  const std::vector<std::size_t> idx = {t.rows() - 1, 0, t.rows() / 2,
+                                        t.rows() - 1};
+  Vector sum(t.dim(), 0.0f);
+  Vector concat;
+  for (const std::size_t i : idx) {
+    tensor::add_inplace(sum, ref.row(i));
+    concat.insert(concat.end(), ref.row(i).begin(), ref.row(i).end());
+  }
+  Vector mean = sum;
+  tensor::scale_inplace(mean, 1.0f / static_cast<float>(idx.size()));
+  EXPECT_TRUE(same_bits(t.lookup_pooled(idx, Pooling::kSum), sum)) << where;
+  EXPECT_TRUE(same_bits(t.lookup_pooled(idx, Pooling::kMean), mean)) << where;
+  EXPECT_TRUE(same_bits(t.lookup_pooled(idx, Pooling::kConcat), concat))
+      << where;
+
+  const tensor::QMatrix q = t.quantized();
+  const tensor::QMatrix want = tensor::QMatrix::quantize(ref);
+  EXPECT_EQ(q.params().scale, want.params().scale) << where;
+  ASSERT_EQ(q.rows(), want.rows()) << where;
+  ASSERT_EQ(q.cols(), want.cols()) << where;
+  EXPECT_TRUE(std::equal(q.data().begin(), q.data().end(),
+                         want.data().begin()))
+      << where;
+}
+
+// Page boundaries (7, 8, 9 rows), a partial last page (17, 1000) and a
+// one-row table, at widths 1, 3 and 32: every read matches the dense table
+// the same draws describe, before and after writes, and the generator
+// leaves the constructor where the dense loop leaves it. The first
+// snapshot has no stored page at all, so its scale is the unwritten
+// pages' alone.
+TEST(Embedding, PageLazyTableMatchesDenseReference) {
+  for (const std::size_t rows : {1, 7, 8, 9, 17, 1000}) {
+    for (const std::size_t dim : {1, 3, 32}) {
+      const std::string where =
+          std::to_string(rows) + " x " + std::to_string(dim);
+      util::Xoshiro256 rng(300 + rows * 64 + dim);
+      util::Xoshiro256 ref_rng = rng;
+      EmbeddingTable t(rows, dim, rng);
+      tensor::Matrix ref = dense_init(rows, dim, ref_rng);
+      EXPECT_EQ(rng(), ref_rng()) << where;
+      expect_matches_reference(t, ref, where + " as built");
+
+      // One sgd step per pooling, each a first write to some page, then
+      // set_row on a mix: from 17 rows on, `mid` is a row on a page no step
+      // touched, mid and mid + 1 are two rows of one page, and the last row.
+      const float lr = 0.25f;
+      const std::size_t last = rows - 1;
+      const std::size_t mid = rows / 2;
+      const std::vector<std::size_t> steps[3] = {
+          {rows / 3}, {0, last, 0}, {last, 0}};
+      for (const Pooling pooling :
+           {Pooling::kSum, Pooling::kMean, Pooling::kConcat}) {
+        const auto& idx = steps[static_cast<int>(pooling)];
+        const bool concat = pooling == Pooling::kConcat;
+        Vector grad((concat ? idx.size() : 1) * dim);
+        for (std::size_t c = 0; c < grad.size(); ++c)
+          grad[c] = 0.5f * ref.data()[c % ref.size()];
+        const float scale = pooling == Pooling::kMean
+                                ? 1.0f / static_cast<float>(idx.size())
+                                : 1.0f;
+        for (std::size_t k = 0; k < idx.size(); ++k)
+          for (std::size_t c = 0; c < dim; ++c)
+            ref.at(idx[k], c) -=
+                lr * (grad[(concat ? k * dim : 0) + c] * scale);
+        t.sgd(idx, pooling, grad, lr);
+      }
+      for (const std::size_t r : {mid, mid + 1, last}) {
+        if (r >= rows) continue;
+        Vector values(dim);
+        for (std::size_t c = 0; c < dim; ++c) values[c] = 0.25f * ref.at(r, c);
+        t.set_row(r, values);
+        std::copy(values.begin(), values.end(), ref.row(r).begin());
+      }
+      expect_matches_reference(t, ref, where + " after writes");
+
+      // A copy owns its pages: writing the original leaves it as it was.
+      EmbeddingTable copy = t;
+      t.set_row(0, Vector(dim, 0.0f));
+      expect_matches_reference(copy, ref, where + " copy");
+      copy = t;
+      std::fill(ref.row(0).begin(), ref.row(0).end(), 0.0f);
+      expect_matches_reference(copy, ref, where + " assigned copy");
+    }
+  }
+}
+
+// Readers on four threads reading never-written rows of one table (no
+// thread writes it): each regenerates into its own storage, so every read
+// matches and a thread sanitizer sees no race.
+TEST(Embedding, ConcurrentReadsOfUnwrittenRows) {
+  util::Xoshiro256 rng(77);
+  util::Xoshiro256 ref_rng = rng;
+  const EmbeddingTable t(203, 5, rng);
+  const tensor::Matrix ref = dense_init(203, 5, ref_rng);
+  const tensor::QMatrix want = tensor::QMatrix::quantize(ref);
+  std::vector<int> bad(4, 0);
+  std::vector<std::thread> readers;
+  for (int k = 0; k < 4; ++k) {
+    readers.emplace_back([&, k] {
+      Vector row(5);
+      for (int pass = 0; pass < 20; ++pass) {
+        for (std::size_t r = static_cast<std::size_t>(k); r < 203; r += 3) {
+          t.copy_row(r, row);
+          bad[k] += same_bits(row, ref.row(r)) ? 0 : 1;
+          const std::size_t idx[2] = {r, 202 - r};
+          Vector sum(5, 0.0f);
+          tensor::add_inplace(sum, ref.row(r));
+          tensor::add_inplace(sum, ref.row(202 - r));
+          bad[k] += same_bits(t.lookup_pooled(idx, Pooling::kSum), sum) ? 0 : 1;
+        }
+      }
+      const tensor::QMatrix q = t.quantized();
+      bad[k] += std::equal(q.data().begin(), q.data().end(),
+                           want.data().begin())
+                    ? 0
+                    : 1;
+    });
+  }
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(bad, std::vector<int>(4, 0));
+}
+
+TEST(Embedding, OverflowingShapeIsRejected) {
+  util::Xoshiro256 rng(78);
+  const std::size_t big = std::size_t{1} << 32;
+  EXPECT_THROW(EmbeddingTable(big, big, rng), Error);
+  EXPECT_THROW(EmbeddingTable(std::numeric_limits<std::size_t>::max(), 2, rng),
+               Error);
 }
 
 // ---------- Losses -----------------------------------------------------------

@@ -170,8 +170,11 @@ TEST(YoutubeDnn, TrainedTowerSeparatesHeldoutFromRandom) {
   for (std::size_t u = 0; u < ds.num_users(); ++u) {
     const auto ctx = model.make_context(ds, u);
     const auto ue = model.user_embedding(ctx);
-    held.add(tensor::dot(ue, model.item_table().row(ds.user(u).heldout)));
-    rnd.add(tensor::dot(ue, model.item_table().row(rng.below(ds.num_items()))));
+    tensor::Vector item(model.item_table().dim());
+    model.item_table().copy_row(ds.user(u).heldout, item);
+    held.add(tensor::dot(ue, item));
+    model.item_table().copy_row(rng.below(ds.num_items()), item);
+    rnd.add(tensor::dot(ue, item));
   }
   EXPECT_GT(held.mean(), rnd.mean());
 }
@@ -328,10 +331,8 @@ struct ReferenceDlrm {
     const std::size_t nf = tables.size();
     const tensor::Vector b = bottom.forward(s.dense);
     std::vector<tensor::Vector> embs;
-    for (std::size_t f = 0; f < nf; ++f) {
-      const auto r = tables[f].row(s.sparse[f]);
-      embs.emplace_back(r.begin(), r.end());
-    }
+    for (std::size_t f = 0; f < nf; ++f)
+      tables[f].copy_row(s.sparse[f], embs.emplace_back(tables[f].dim()));
     const float p = top.forward(naive_interact(embs, b))[0];
     float gp = 0.0f;
     const float loss = nn::bce_loss(p, static_cast<float>(s.label), &gp);
@@ -388,8 +389,8 @@ TEST(Dlrm, TrainStepMatchesPairLoopReferenceBitForBit) {
     expect_same_mlp(model.bottom_mlp(), ref.bottom, "bottom");
     expect_same_mlp(model.top_mlp(), ref.top, "top");
     for (std::size_t f = 0; f < model.table_count(); ++f)
-      EXPECT_TRUE(same_bits(model.table(f).matrix().data(),
-                            ref.tables[f].matrix().data()))
+      EXPECT_TRUE(same_bits(model.table(f).dense().data(),
+                            ref.tables[f].dense().data()))
           << "emb_dim " << cfg.emb_dim << " table " << f;
   }
 }

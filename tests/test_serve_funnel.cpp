@@ -182,7 +182,7 @@ TEST(FunnelRetrieval, ExhaustiveIvfMatchesExactNns) {
   FunnelServable funnel(*fx.model, core::ArchConfig{}, fx.factory, profs,
                         fcfg);
 
-  const auto& items = fx.model->item_table().matrix();
+  const auto& items = fx.model->item_table();
   for (std::size_t u = 0; u < 16; ++u) {
     const auto exact = baseline::topk_cosine(
         items, fx.model->user_embedding(fx.users[u]), fcfg.retrieve_k);
@@ -197,7 +197,7 @@ TEST(FunnelRetrieval, ExhaustiveIvfMatchesExactNns) {
 TEST(FunnelRetrieval, AnnRecallAtKClearsGate) {
   FunnelFixture fx;
   const auto profs = fx.profiles(1);
-  const auto& items = fx.model->item_table().matrix();
+  const auto& items = fx.model->item_table();
   const std::size_t k = 10;
 
   auto recall_of = [&](FunnelConfig fcfg) {

@@ -35,7 +35,7 @@ struct ParamDigest {
     }
     floats += values.size();
   }
-  void add(const nn::EmbeddingTable& t) { add(t.matrix().data()); }
+  void add(const nn::EmbeddingTable& t) { add(t.dense().data()); }
   void add(const nn::Mlp& mlp) {
     for (std::size_t i = 0; i < mlp.layer_count(); ++i) {
       add(mlp.layer(i).weight().data());
