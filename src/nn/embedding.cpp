@@ -53,8 +53,12 @@ EmbeddingTable::EmbeddingTable(std::size_t rows, std::size_t dim,
                                util::Xoshiro256& rng)
     : rows_(rows), dim_(dim) {
   IMARS_REQUIRE(rows > 0 && dim > 0, "EmbeddingTable: dims must be positive");
-  tensor::checked_elements(rows, dim, "EmbeddingTable");
-  const std::size_t n_pages = (rows + kPageRows - 1) / kPageRows;
+  // dense() holds every value at once, so a shape no Matrix could hold is
+  // rejected before the first draw.
+  IMARS_REQUIRE(tensor::checked_elements(rows, dim, "EmbeddingTable") <=
+                    std::vector<float>().max_size(),
+                "EmbeddingTable: rows x dim exceeds a Matrix's capacity");
+  const std::size_t n_pages = rows / kPageRows + (rows % kPageRows != 0);
   pages_.reserve(n_pages);
   const float r = 1.0f / static_cast<float>(dim);
   for (std::size_t p = 0; p < n_pages; ++p) {

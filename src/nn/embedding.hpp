@@ -47,6 +47,7 @@ class EmbeddingTable {
 
   /// Uniform init in [-1/dim, 1/dim) (DLRM-style): rows * dim draws from
   /// `rng`, row-major, so `rng` ends where a dense init would leave it.
+  /// Throws Error, before any draw, for a shape no tensor::Matrix can hold.
   EmbeddingTable(std::size_t rows, std::size_t dim, util::Xoshiro256& rng);
 
   EmbeddingTable(const EmbeddingTable& other);

@@ -6,20 +6,6 @@
 
 namespace imars::serve {
 
-namespace {
-
-// The first span of a table index (ascending ids) whose id is not below
-// `id`. Every table the servables build is below 2^20 rows, one span, so
-// a scan from the front (one compare) beats a binary search.
-template <class Index>
-auto span_of(Index& index, std::uint32_t id) {
-  auto span = index.begin();
-  while (span != index.end() && span->id < id) ++span;
-  return span;
-}
-
-}  // namespace
-
 HotEmbeddingCache::HotEmbeddingCache(const HotCacheConfig& cfg)
     : cfg_(cfg), tier_on_(cfg.tiering_enabled()) {
   if (tier_on_)
@@ -43,17 +29,17 @@ std::uint32_t& HotEmbeddingCache::history(std::uint64_t key) {
   }
   last_table_ = i;
   TableIndex& index = tables_[i];
-  const std::uint32_t s = row >> kSpanShift;
-  auto span = span_of(index, s);
-  if (span == index.end() || span->id != s) span = index.insert(span, {s, {}});
-  std::vector<Page>& pages = span->pages;
+  const std::size_t s = row >> kSpanShift;
+  if (s >= index.size()) index.resize(s + 1);
+  std::unique_ptr<Span>& span = index[s];
+  if (!span) span = std::make_unique<Span>();
   const std::size_t p = (row >> kPageShift) & (kSpanPages - 1);
-  if (p >= pages.size()) {
+  if (p >= span->size()) {
     // Power-of-two capacities: geometric growth that stops at kSpanPages.
-    pages.reserve(std::bit_ceil(p + 1));
-    pages.resize(p + 1);
+    span->reserve(std::bit_ceil(p + 1));
+    span->resize(p + 1);
   }
-  Page& page = pages[p];
+  Page& page = (*span)[p];
   if (!page) page = std::make_unique<std::uint32_t[]>(kPageRows);
   return page[row & (kPageRows - 1)];
 }
@@ -65,22 +51,23 @@ const std::uint32_t* HotEmbeddingCache::find_history(
   if (it == table_ids_.end()) return nullptr;
   const TableIndex& index = tables_[it - table_ids_.begin()];
   const auto row = static_cast<std::uint32_t>(key);
-  const std::uint32_t s = row >> kSpanShift;
-  const auto span = span_of(index, s);
-  if (span == index.end() || span->id != s) return nullptr;
+  const std::size_t s = row >> kSpanShift;
+  if (s >= index.size() || !index[s]) return nullptr;
+  const Span& span = *index[s];
   const std::size_t p = (row >> kPageShift) & (kSpanPages - 1);
-  if (p >= span->pages.size() || !span->pages[p]) return nullptr;
-  return &span->pages[p][row & (kPageRows - 1)];
+  if (p >= span.size() || !span[p]) return nullptr;
+  return &span[p][row & (kPageRows - 1)];
 }
 
 std::size_t HotEmbeddingCache::history_bytes() const noexcept {
   std::size_t bytes = table_ids_.capacity() * sizeof(std::uint32_t) +
                       tables_.capacity() * sizeof(TableIndex);
   for (const TableIndex& index : tables_) {
-    bytes += index.capacity() * sizeof(Span);
-    for (const Span& span : index) {
-      bytes += span.pages.capacity() * sizeof(Page);
-      for (const Page& page : span.pages)
+    bytes += index.capacity() * sizeof(index[0]);
+    for (const auto& span : index) {
+      if (!span) continue;
+      bytes += sizeof(Span) + span->capacity() * sizeof(Page);
+      for (const Page& page : *span)
         if (page) bytes += kPageRows * sizeof(std::uint32_t);
     }
   }

@@ -15,17 +15,14 @@
 // a dense index range. A page of 512 rows is one zero-filled block of
 // 32-bit slots, allocated on the first touch of any of its rows and never
 // moved. Each table has its own two-level index, so an access computes
-// its slot's address from the row without hashing it: row >> 20 names a
-// span of 2^20 rows, found among the table's touched spans (one, below
-// 2^20 rows), whose list of page pointers is picked by (row >> 9) & 2047
-// and grows only to the highest touched page (at most 2048 pointers,
-// 16 KiB). The spans sit in the index by value, so an access reads the
-// page list's bounds from the index itself. The history thus costs
-// 4 B x 512 rows per touched page plus 8 B per page up to the highest
-// touched one in each touched span and 32 B per touched span: a 4,000-row
-// table pays 8 pages and 96 B of index, and a row near 2^32 adds at most
-// 16 KiB and 32 B of index to its table, never an array sized by the
-// highest row.
+// its slot's address from the row without hashing it: row >> 20 picks a
+// span of 2^20 rows, whose list of page pointers is picked by
+// (row >> 9) & 2047 and grows only to the highest touched page (at most
+// 2048 pointers, 16 KiB). The history thus costs 4 B x 512 rows per
+// touched page plus 8 B per page up to the highest touched one in each
+// touched span: a 4,000-row table pays 8 pages and 64 B of pointers, and
+// a row near 2^32 adds at most 48 KiB of index to its table, never an
+// array sized by the highest row.
 //
 // Write-back (embedding-update traffic, cf. MARM arXiv:2411.09425): an
 // update to a *resident* row is absorbed into the periphery buffer — the
@@ -258,16 +255,12 @@ class HotEmbeddingCache {
   static constexpr std::size_t kSpanPages = std::size_t{1}
                                             << (kSpanShift - kPageShift);
   using Page = std::unique_ptr<std::uint32_t[]>;
-  /// The pages of the 2^20 rows with row >> kSpanShift == id, by
-  /// (row >> kPageShift) & 2047, grown to the highest touched page (at
-  /// most kSpanPages pointers).
-  struct Span {
-    std::uint32_t id;
-    std::vector<Page> pages;
-  };
-  /// One table's touched spans by ascending id, held by value: an access
-  /// reads its span's page list straight from the index.
-  using TableIndex = std::vector<Span>;
+  /// The pages of 2^20 consecutive rows, by (row >> kPageShift) & 2047,
+  /// grown to the highest touched page (at most kSpanPages pointers).
+  using Span = std::vector<Page>;
+  /// One table's spans by row >> kSpanShift, grown to the highest touched
+  /// span (at most 4096 pointers).
+  using TableIndex = std::vector<std::unique_ptr<Span>>;
 
   std::vector<std::uint32_t> table_ids_;  ///< touched tables, first touch first
   std::vector<TableIndex> tables_;        ///< tables_[i] indexes table_ids_[i]

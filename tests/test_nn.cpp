@@ -660,12 +660,19 @@ TEST(Embedding, ConcurrentReadsOfUnwrittenRows) {
   EXPECT_EQ(bad, std::vector<int>(4, 0));
 }
 
+// A shape whose values no Matrix could hold is rejected before any draw.
+// SIZE_MAX x 1 does not overflow rows x dim, but rounding its rows up to
+// whole pages does: a wrapped page count of 0 would back 2^64 - 1 rows with
+// no pages.
 TEST(Embedding, OverflowingShapeIsRejected) {
   util::Xoshiro256 rng(78);
+  util::Xoshiro256 untouched = rng;
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
   const std::size_t big = std::size_t{1} << 32;
   EXPECT_THROW(EmbeddingTable(big, big, rng), Error);
-  EXPECT_THROW(EmbeddingTable(std::numeric_limits<std::size_t>::max(), 2, rng),
-               Error);
+  EXPECT_THROW(EmbeddingTable(kMax, 2, rng), Error);
+  EXPECT_THROW(EmbeddingTable(kMax, 1, rng), Error);
+  EXPECT_EQ(rng(), untouched());
 }
 
 // ---------- Losses -----------------------------------------------------------

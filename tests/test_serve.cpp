@@ -343,15 +343,15 @@ TEST(HotEmbeddingCache, FrequencyBumpSaturatesBelowTheResidentBit) {
 }
 
 TEST(HotEmbeddingCache, HistoryCostsFourBytesPerRowAndNoIndexByKeyRange) {
-  // Rows 0 and 2^32 - 1 of a table cost two 2 KiB pages, two span entries
-  // and two page lists: one pointer for row 0's span and 2048 (16 KiB) for
-  // row 2^32 - 1's, whatever the table id: no array is sized by a row or
-  // table value.
+  // Rows 0 and 2^32 - 1 of a table cost two 2 KiB pages, a list of 4096
+  // span pointers (32 KiB) and two page lists: one pointer for row 0's span
+  // and 2048 (16 KiB) for row 2^32 - 1's, whatever the table id: no array
+  // is sized by a row or table value.
   HotEmbeddingCache sparse(HotCacheConfig{4});
   for (const std::uint32_t t : {0u, 0xFFFFFFFFu})
     for (const std::uint32_t r : {0u, 0xFFFFFFFFu}) sparse.access(t, r);
   EXPECT_TRUE(sparse.contains(0xFFFFFFFF, 0xFFFFFFFF));
-  EXPECT_LE(sparse.history_bytes(), (2 * (16 + 2 * 2) + 1) * 1024u);
+  EXPECT_LE(sparse.history_bytes(), (2 * (32 + 16 + 2 * 2) + 1) * 1024u);
   // A dense table costs 4 B per row plus one 16 KiB page list per 2^20
   // rows.
   HotEmbeddingCache dense(HotCacheConfig{4});
