@@ -70,7 +70,7 @@ int main() {
          "   energy again at a quarter of the area.\n"
          " * Endurance: embedding tables are written once per deployment\n"
          "   and read at inference, so even ReRAM's ~1e7-cycle budget is\n"
-         "   ample; wear only matters for GPCiM staging patterns (tracked\n"
-         "   per-row by cma::Cma::row_writes).\n";
+         "   ample; wear would only matter for GPCiM staging patterns,\n"
+         "   which no modeled workload runs.\n";
   return 0;
 }

@@ -49,16 +49,6 @@ std::vector<std::size_t> topk_cosine(const nn::EmbeddingTable& items,
   return topk_by_score(scores, k);
 }
 
-std::vector<std::size_t> topk_dot(const tensor::Matrix& items,
-                                  std::span<const float> query,
-                                  std::size_t k) {
-  IMARS_REQUIRE(items.cols() == query.size(), "topk_dot: dim mismatch");
-  std::vector<float> scores(items.rows());
-  for (std::size_t r = 0; r < items.rows(); ++r)
-    scores[r] = tensor::dot(items.row(r), query);
-  return topk_by_score(scores, k);
-}
-
 std::vector<std::size_t> radius_hamming(
     std::span<const util::BitVec> signatures, const util::BitVec& query,
     std::size_t radius) {

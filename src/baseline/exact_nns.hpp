@@ -26,11 +26,6 @@ std::vector<std::size_t> topk_cosine(const nn::EmbeddingTable& items,
                                      std::span<const float> query,
                                      std::size_t k);
 
-/// Top-k rows by descending inner product.
-std::vector<std::size_t> topk_dot(const tensor::Matrix& items,
-                                  std::span<const float> query,
-                                  std::size_t k);
-
 /// All signature indices with Hamming distance <= radius (ascending index) —
 /// the fixed-radius near-neighbour semantics of the TCAM threshold match.
 std::vector<std::size_t> radius_hamming(

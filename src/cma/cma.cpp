@@ -26,9 +26,7 @@ Cma::Cma(const device::DeviceProfile& profile, device::EnergyLedger* ledger)
       words_per_row_((profile.cma_cols + 63) / 64),
       store_(std::make_shared<Storage>(
           Storage{std::vector<std::uint64_t>(rows_ * words_per_row_, 0),
-                  {},
-                  std::vector<bool>(rows_, false),
-                  std::vector<std::uint64_t>(rows_, 0)})) {
+                  std::vector<bool>(rows_, false)})) {
   IMARS_REQUIRE(ledger != nullptr, "Cma: ledger must not be null");
   IMARS_REQUIRE(cols_ % 8 == 0, "Cma: columns must be a multiple of 8");
 }
@@ -57,7 +55,6 @@ Cma::Storage& Cma::own() {
 void Cma::set_mode(Mode m) {
   if (m != mode_) {
     mode_ = m;
-    ++mode_switches_;
     // Reconfiguration selects different peripherals (CAM SA vs RAM SA vs
     // accumulator); charged as one controller decision.
     ledger_->charge(Component::kController, profile_->controller_energy);
@@ -77,7 +74,6 @@ void Cma::require_mode(Mode m, const char* op) const {
 
 device::Ns Cma::commit_write(Storage& s, std::size_t row) {
   s.valid[row] = true;
-  ++s.writes[row];
   ledger_->charge(Component::kCmaRam, profile_->cma_write.energy);
   return profile_->cma_write.latency;
 }
@@ -129,29 +125,12 @@ std::vector<std::int8_t> Cma::read_row_i8(std::size_t row,
   return lanes;
 }
 
-void Cma::set_dont_care(std::size_t row, std::size_t col, bool dont_care) {
-  require_mode(Mode::kRam, "set_dont_care");
-  check_row(row);
-  IMARS_REQUIRE(col < cols_, "Cma::set_dont_care: column out of range");
-  // An absent mask means every cell is binary: clearing is then a no-op.
-  if (dont_care || !store_->xmask.empty()) {
-    Storage& s = own();
-    if (s.xmask.empty()) s.xmask.assign(s.data.size(), 0);
-    const std::uint64_t bit = 1ULL << (col % 64);
-    std::uint64_t& w = s.xmask[row * words_per_row_ + col / 64];
-    w = dont_care ? (w | bit) : (w & ~bit);
-  }
-  // Programming the ternary mask is a write through the same drivers.
-  ledger_->charge(Component::kCmaRam, profile_->cma_write.energy);
-}
-
 SearchResult Cma::search(const util::BitVec& query,
                          std::size_t threshold) const {
   require_mode(Mode::kTcam, "search");
   IMARS_REQUIRE(query.size() == cols_, "Cma::search: query width mismatch");
 
   SearchResult result;
-  result.matchlines = util::BitVec(rows_);
   // All matchlines evaluate in parallel: one search is one array operation
   // regardless of row count (O(1) search, Sec II-B).
   ledger_->charge(Component::kCmaSearch, profile_->cma_search.energy);
@@ -159,29 +138,17 @@ SearchResult Cma::search(const util::BitVec& query,
   const Storage& s = *store_;
   for (std::size_t r = 0; r < rows_; ++r) {
     if (!s.valid[r]) continue;
-    // Mismatch current only flows through cells that are binary (not X) and
-    // differ from the query bit.
+    // Mismatch current flows through every cell that differs from the
+    // query bit.
     const std::uint64_t* d = s.data.data() + r * words_per_row_;
-    const std::uint64_t* x =
-        s.xmask.empty() ? nullptr : s.xmask.data() + r * words_per_row_;
     std::size_t mismatches = 0;
-    for (std::size_t w = 0; w < words_per_row_; ++w) {
-      const std::uint64_t diff = (d[w] ^ q[w]) & (x ? ~x[w] : ~0ULL);
-      mismatches += static_cast<std::size_t>(std::popcount(diff));
-    }
-    if (mismatches <= threshold) {
-      result.matchlines.set(r, true);
-      result.matches.push_back(r);
-    }
+    for (std::size_t w = 0; w < words_per_row_; ++w)
+      mismatches += static_cast<std::size_t>(std::popcount(d[w] ^ q[w]));
+    if (mismatches <= threshold) result.matches.push_back(r);
   }
   // Search + priority-encoder pass.
   result.latency = profile_->cma_search.latency;
   return result;
-}
-
-std::optional<std::size_t> Cma::first_match(const SearchResult& r) {
-  if (r.matches.empty()) return std::nullopt;
-  return r.matches.front();
 }
 
 device::Ns Cma::add_rows(std::size_t dst_row, std::size_t a_row,
@@ -208,7 +175,6 @@ device::Ns Cma::add_rows(std::size_t dst_row, std::size_t a_row,
     dst[w] = out;
   }
   s.valid[dst_row] = true;
-  ++s.writes[dst_row];  // the in-memory add rewrites the destination row
   ledger_->charge(Component::kCmaAdd, profile_->cma_add.energy);
   return profile_->cma_add.latency;
 }
@@ -230,23 +196,6 @@ bool Cma::row_valid(std::size_t row) const {
   return store_->valid[row];
 }
 
-std::uint64_t Cma::row_writes(std::size_t row) const {
-  check_row(row);
-  return store_->writes[row];
-}
-
-std::uint64_t Cma::max_row_writes() const noexcept {
-  std::uint64_t m = 0;
-  for (auto w : store_->writes) m = std::max(m, w);
-  return m;
-}
-
-double Cma::wearout_fraction() const noexcept {
-  if (profile_->endurance_cycles == 0) return 0.0;
-  return static_cast<double>(max_row_writes()) /
-         static_cast<double>(profile_->endurance_cycles);
-}
-
 const std::uint64_t* Cma::peek_words(std::size_t row) const {
   check_row(row);
   IMARS_REQUIRE(store_->valid[row], "Cma::peek_row: row never written");
@@ -255,13 +204,6 @@ const std::uint64_t* Cma::peek_words(std::size_t row) const {
 
 util::BitVec Cma::peek_row(std::size_t row) const {
   return util::BitVec::from_words({peek_words(row), words_per_row_}, cols_);
-}
-
-std::vector<std::int8_t> Cma::peek_row_i8(std::size_t row) const {
-  const std::uint64_t* w = peek_words(row);
-  std::vector<std::int8_t> lanes(cols_ / 8);
-  for (std::size_t l = 0; l < lanes.size(); ++l) lanes[l] = lane(w, l);
-  return lanes;
 }
 
 void Cma::peek_accumulate_i8(std::size_t row,

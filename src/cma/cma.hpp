@@ -9,7 +9,6 @@
 //             compares the matchline current against a reference generated
 //             by a dummy 1T+1FeFET cell, implementing *threshold* match:
 //             row matches iff HammingDistance(row, query) <= threshold.
-//             Ternary cells can store X (don't care), which never mismatches.
 //   * GPCiM — two rows are activated simultaneously and an accumulator next
 //             to the RAM sense amps produces their lane-wise integer sum
 //             (32 lanes x int8 for the paper's 32-d embeddings).
@@ -25,23 +24,20 @@
 // occupies bits [8l, 8l+8), i.e. byte l%8 of word l/8 with bit 8l as the
 // LSB; a lane never straddles words. Bits past `cols` in a row's last word
 // are always zero, like a query BitVec's tail, so they never mismatch in a
-// search. The don't-care mask has the same shape but is allocated on the
-// first set_dont_care(.., true); until then every cell is binary.
+// search.
 //
-// A 256-column row costs 32 B of bits plus 8 B of write counter, ~40 B of
-// host memory. Thousands of arrays per accelerator make this the
-// simulator's largest host-memory cost, so the bits, mask, valid flags and
-// write counters live in one shared, copy-on-write block: a copy or a
-// replica (Cma(image, profile, ledger)) shares its source's block, and
-// every mutator first takes a private copy if the block is shared. Shard
-// replicas of one model therefore hold one table image between them, and a
-// write to any array is seen by no other. Profile, ledger, mode and
-// mode-switch count are per array.
+// A 256-column row costs 32 B of host memory (plus its valid bit).
+// Thousands of arrays per accelerator make this the simulator's largest
+// host-memory cost, so the bits and valid flags live in one shared,
+// copy-on-write block: a copy or a replica (Cma(image, profile, ledger))
+// shares its source's block, and every mutator first takes a private copy
+// if the block is shared. Shard replicas of one model therefore hold one
+// table image between them, and a write to any array is seen by no other.
+// Profile, ledger and mode are per array.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -61,9 +57,8 @@ enum class Mode : std::uint8_t {
 
 /// Result of a TCAM threshold search.
 struct SearchResult {
-  util::BitVec matchlines;            ///< bit r set = row r matched
-  std::vector<std::size_t> matches;   ///< matching row indices, ascending
-  device::Ns latency;                 ///< search + priority-encode time
+  std::vector<std::size_t> matches;  ///< matching row indices, ascending
+  device::Ns latency;                ///< search + priority-encode time
 };
 
 /// One 256x256 configurable memory array.
@@ -75,11 +70,10 @@ class Cma {
   /// the owner (e.g. core::ImarsAccelerator) holds one stable copy.
   Cma(const device::DeviceProfile& profile, device::EnergyLedger* ledger);
 
-  /// Replica of `image`: shares its stored bits, don't-care mask, valid
-  /// flags and write counters (copy-on-write, see above) and starts in its
-  /// mode with its mode-switch count, but charges `ledger` at `profile`'s
-  /// figures of merit. `profile` must have the image's geometry and, as
-  /// above, outlive the array.
+  /// Replica of `image`: shares its stored bits and valid flags
+  /// (copy-on-write, see above) and starts in its mode, but charges
+  /// `ledger` at `profile`'s figures of merit. `profile` must have the
+  /// image's geometry and, as above, outlive the array.
   Cma(const Cma& image, const device::DeviceProfile& profile,
       device::EnergyLedger* ledger);
 
@@ -90,9 +84,6 @@ class Cma {
   /// Switches operating mode. Reconfiguration itself is charged to the
   /// controller (peripheral mux select), not the array.
   void set_mode(Mode m);
-
-  /// Number of mode switches so far (exposed for scheduling diagnostics).
-  std::size_t mode_switches() const noexcept { return mode_switches_; }
 
   // --- RAM mode ---------------------------------------------------------
 
@@ -111,18 +102,10 @@ class Cma {
 
   // --- TCAM mode --------------------------------------------------------
 
-  /// Marks a stored bit as ternary don't-care (never mismatches) or
-  /// restores it to binary. Requires RAM mode (mask programming uses the
-  /// write path).
-  void set_dont_care(std::size_t row, std::size_t col, bool dont_care);
-
   /// Threshold search: returns all valid rows with Hamming distance
-  /// <= threshold from `query` (don't-care cells never mismatch).
-  /// Requires TCAM mode. Invalid (never-written) rows do not match.
+  /// <= threshold from `query`. Requires TCAM mode. Invalid
+  /// (never-written) rows do not match.
   SearchResult search(const util::BitVec& query, std::size_t threshold) const;
-
-  /// Priority encoder over the last search: lowest matching row index.
-  static std::optional<std::size_t> first_match(const SearchResult& r);
 
   // --- GPCiM mode -------------------------------------------------------
 
@@ -140,22 +123,6 @@ class Cma {
   /// True if the row has ever been written.
   bool row_valid(std::size_t row) const;
 
-  // --- Endurance tracking -------------------------------------------------
-  // FeFET cells endure a bounded number of polarization switches
-  // (DeviceProfile::endurance_cycles). The array counts per-row writes so
-  // mapping policies can be audited for wear hot-spots (embedding tables
-  // are written rarely, but GPCiM staging patterns could concentrate
-  // writes).
-
-  /// Writes ever issued to `row`.
-  std::uint64_t row_writes(std::size_t row) const;
-
-  /// Maximum per-row write count across the array.
-  std::uint64_t max_row_writes() const noexcept;
-
-  /// Worst-row wear as a fraction of the profile's endurance budget.
-  double wearout_fraction() const noexcept;
-
   // --- Simulator-internal access ----------------------------------------
 
   /// Unaccounted row read used by composite models that charge energy and
@@ -164,9 +131,6 @@ class Cma {
   /// access). Not part of the hardware API: no mode check, no charge.
   util::BitVec peek_row(std::size_t row) const;
 
-  /// Unaccounted int8-lane view of a row (see peek_row).
-  std::vector<std::int8_t> peek_row_i8(std::size_t row) const;
-
   /// Unaccounted, allocation-free acc[l] += lane l of `row` (see peek_row).
   /// `acc` must hold cols/8 lanes.
   void peek_accumulate_i8(std::size_t row, std::span<std::int32_t> acc) const;
@@ -174,11 +138,8 @@ class Cma {
  private:
   /// The programmed contents a copy or replica shares with its source.
   struct Storage {
-    std::vector<std::uint64_t> data;    ///< rows x words_per_row_ stored bits
-    std::vector<std::uint64_t> xmask;   ///< don't-care bits, same shape;
-                                        ///< empty until the first don't-care
-    std::vector<bool> valid;            ///< row has been written
-    std::vector<std::uint64_t> writes;  ///< per-row write counts (endurance)
+    std::vector<std::uint64_t> data;  ///< rows x words_per_row_ stored bits
+    std::vector<bool> valid;          ///< row has been written
   };
 
   /// The storage for writing: copied first if any other array shares it.
@@ -206,7 +167,6 @@ class Cma {
   std::size_t cols_;
   std::size_t words_per_row_;
   Mode mode_ = Mode::kRam;
-  std::size_t mode_switches_ = 0;
   /// Read-only here; only own() hands out a writable reference.
   std::shared_ptr<const Storage> store_;
 };

@@ -406,71 +406,6 @@ std::vector<std::size_t> ImarsAccelerator::nns(std::size_t itet_id,
   return matches;
 }
 
-std::vector<std::size_t> ImarsAccelerator::nns_topk(std::size_t itet_id,
-                                                    const util::BitVec& query,
-                                                    std::size_t k,
-                                                    recsys::OpCost* cost) {
-  BankState& b = bank(itet_id);
-  IMARS_REQUIRE(b.has_sigs, "ImarsAccelerator::nns_topk: no signatures");
-  IMARS_REQUIRE(k > 0, "ImarsAccelerator::nns_topk: k must be positive");
-
-  // Binary-search the threshold; every probe is a full parallel search
-  // (each charging all signature arrays through nns()).
-  std::size_t lo = 0, hi = arch_.lsh_bits;
-  std::vector<std::size_t> matched;
-  recsys::OpCost total;
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    recsys::OpCost probe;
-    auto m = nns(itet_id, query, mid, &probe);
-    total.latency += probe.latency;  // probes serialize
-    total.energy += probe.energy;
-    if (m.size() >= k) {
-      matched = std::move(m);
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  if (matched.size() < k) {
-    // k exceeds the table: widest threshold matches everything.
-    recsys::OpCost probe;
-    matched = nns(itet_id, query, arch_.lsh_bits, &probe);
-    total.latency += probe.latency;
-    total.energy += probe.energy;
-  }
-
-  // Order the matched superset by true Hamming distance (the host reads the
-  // per-threshold match flags; functionally equivalent, deterministic).
-  util::BitVec padded(arch_.cma_cols);
-  padded.copy_from(query, 0, query.size(), 0);
-  std::vector<std::size_t> dist(matched.size());
-  for (std::size_t i = 0; i < matched.size(); ++i) {
-    const std::size_t id = matched[i];
-    const auto sig =
-        b.sig_cmas[cma_of(b.placement, id, b.sig_cmas.size(), arch_.cma_rows)]
-            .peek_row(
-                local_of(b.placement, id, b.sig_cmas.size(), arch_.cma_rows));
-    dist[i] = sig.hamming(padded);
-  }
-  std::vector<std::size_t> order(matched.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t c) {
-    if (dist[a] != dist[c]) return dist[a] < dist[c];
-    return matched[a] < matched[c];
-  });
-  std::vector<std::size_t> out;
-  out.reserve(std::min(k, matched.size()));
-  for (std::size_t i = 0; i < order.size() && out.size() < k; ++i)
-    out.push_back(matched[order[i]]);
-
-  if (cost != nullptr) {
-    cost->latency += total.latency;
-    cost->energy += total.energy;
-  }
-  return out;
-}
-
 std::vector<std::size_t> ImarsAccelerator::topk_ctr(
     std::span<const float> scores, std::size_t k, recsys::OpCost* cost) {
   IMARS_REQUIRE(!scores.empty(), "ImarsAccelerator::topk_ctr: no scores");

@@ -104,7 +104,7 @@ class ImarsAccelerator {
   std::size_t active_cmas() const;
 
   /// A table's data arrays and (ItET only) signature arrays, read-only:
-  /// for wear and reconfiguration audits.
+  /// for audits of the stored image and the array modes.
   std::span<const cma::Cma> data_cmas(std::size_t table_id) const;
   std::span<const cma::Cma> sig_cmas(std::size_t table_id) const;
 
@@ -126,16 +126,6 @@ class ImarsAccelerator {
   /// all arrays in parallel). Returns matching entry ids (ascending).
   std::vector<std::size_t> nns(std::size_t itet_id, const util::BitVec& query,
                                std::size_t radius, recsys::OpCost* cost);
-
-  /// Exact top-k NNS: sweeps the TCAM threshold (binary search of the
-  /// dummy-cell reference) until at least k rows match, then returns the k
-  /// nearest by Hamming distance (ties: lower id). Costs up to
-  /// log2(lsh_bits) full searches — the op-count reduction Sec III-B cites
-  /// as the reason the filtering stage prefers the single-search
-  /// fixed-radius mode.
-  std::vector<std::size_t> nns_topk(std::size_t itet_id,
-                                    const util::BitVec& query, std::size_t k,
-                                    recsys::OpCost* cost);
 
   /// Top-k over CTR scores using the CTR-buffer CMA: scores are written as
   /// int8 rows and selected with threshold matches against an all-ones

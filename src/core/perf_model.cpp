@@ -93,18 +93,6 @@ OpCost PerfModel::nns(std::size_t sig_cmas) const {
   return cost;
 }
 
-std::size_t PerfModel::dnn_tiles(std::span<const std::size_t> dims) const {
-  IMARS_REQUIRE(dims.size() >= 2, "PerfModel::dnn_tiles: need >= 2 dims");
-  const auto& p = profile_;
-  std::size_t tiles = 0;
-  for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
-    const std::size_t rt = (dims[i] + p.xbar_rows - 1) / p.xbar_rows;
-    const std::size_t ct = (dims[i + 1] + p.xbar_cols - 1) / p.xbar_cols;
-    tiles += rt * ct;
-  }
-  return tiles;
-}
-
 OpCost PerfModel::dnn(std::span<const std::size_t> dims) const {
   IMARS_REQUIRE(dims.size() >= 2, "PerfModel::dnn: need >= 2 dims");
   const auto& p = profile_;

@@ -39,9 +39,6 @@ class PerfModel {
   /// (dims = {in, h1, ..., out}).
   recsys::OpCost dnn(std::span<const std::size_t> dims) const;
 
-  /// Crossbar tiles needed for the MLP.
-  std::size_t dnn_tiles(std::span<const std::size_t> dims) const;
-
   /// Top-k through the CTR buffer over `candidates` scores, worst case
   /// (full threshold binary search).
   recsys::OpCost topk(std::size_t candidates, std::size_t k) const;

@@ -61,13 +61,6 @@ Pj EnergyLedger::total() const {
   return Pj{sum};
 }
 
-void EnergyLedger::merge(const EnergyLedger& other) {
-  for (std::size_t i = 0; i < energy_pj_.size(); ++i) {
-    energy_pj_[i] += other.energy_pj_[i];
-    ops_[i] += other.ops_[i];
-  }
-}
-
 void EnergyLedger::clear() {
   energy_pj_.fill(0.0);
   ops_.fill(0);

@@ -56,15 +56,11 @@ class EnergyLedger {
   /// in the last bits, which breaks bit-identical serving reports the
   /// moment call order changes (overlapped execution interleaves
   /// per-shard work differently from phased). Single-level: a nested
-  /// begin_capture() is a bug. merge() is aggregation, not a hardware
-  /// charge, and does not feed an open capture.
+  /// begin_capture() is a bug.
   void begin_capture();
 
   /// Closes the window; returns the energy charged since begin_capture().
   Pj end_capture();
-
-  /// Adds another ledger into this one.
-  void merge(const EnergyLedger& other);
 
   /// Resets all counters (and abandons any open capture).
   void clear();

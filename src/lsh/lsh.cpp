@@ -1,8 +1,5 @@
 #include "lsh/lsh.hpp"
 
-#include <cmath>
-#include <numbers>
-
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -22,21 +19,6 @@ util::BitVec RandomHyperplaneLsh::encode(std::span<const float> x) const {
   for (std::size_t k = 0; k < bits(); ++k)
     if (dots[k] >= 0.0f) sig.set(k, true);
   return sig;
-}
-
-double RandomHyperplaneLsh::expected_hamming(double theta_rad) const noexcept {
-  return static_cast<double>(bits()) * theta_rad / std::numbers::pi;
-}
-
-double RandomHyperplaneLsh::estimate_angle(
-    std::size_t hamming_distance) const noexcept {
-  return std::numbers::pi * static_cast<double>(hamming_distance) /
-         static_cast<double>(bits());
-}
-
-double RandomHyperplaneLsh::estimate_cosine(
-    std::size_t hamming_distance) const noexcept {
-  return std::cos(estimate_angle(hamming_distance));
 }
 
 }  // namespace imars::lsh

@@ -30,16 +30,6 @@ class RandomHyperplaneLsh {
   /// Signature bit k = [planes[k] . x >= 0].
   util::BitVec encode(std::span<const float> x) const;
 
-  /// Expected Hamming distance between signatures of vectors at angle
-  /// `theta_rad`: bits * theta / pi.
-  double expected_hamming(double theta_rad) const noexcept;
-
-  /// Inverse of expected_hamming: estimated angle for an observed distance.
-  double estimate_angle(std::size_t hamming_distance) const noexcept;
-
-  /// Estimated cosine similarity for an observed Hamming distance.
-  double estimate_cosine(std::size_t hamming_distance) const noexcept;
-
  private:
   tensor::Matrix planes_;  // bits x dim
 };

@@ -84,11 +84,6 @@ EmbeddingTable::EmbeddingTable(const EmbeddingTable& other)
   }
 }
 
-EmbeddingTable& EmbeddingTable::operator=(const EmbeddingTable& other) {
-  if (this != &other) *this = EmbeddingTable(other);
-  return *this;
-}
-
 std::size_t EmbeddingTable::page_floats(std::size_t p) const noexcept {
   return std::min(kPageRows, rows_ - p * kPageRows) * dim_;
 }

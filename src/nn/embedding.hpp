@@ -51,7 +51,7 @@ class EmbeddingTable {
   EmbeddingTable(std::size_t rows, std::size_t dim, util::Xoshiro256& rng);
 
   EmbeddingTable(const EmbeddingTable& other);
-  EmbeddingTable& operator=(const EmbeddingTable& other);
+  EmbeddingTable& operator=(const EmbeddingTable&) = delete;
   EmbeddingTable(EmbeddingTable&&) noexcept = default;
   EmbeddingTable& operator=(EmbeddingTable&&) noexcept = default;
 
@@ -78,7 +78,7 @@ class EmbeddingTable {
   void sgd(std::span<const std::size_t> indices, Pooling pooling,
            std::span<const float> grad, float lr);
 
-  /// Direct row write (used by tests, loaders and synthetic setups).
+  /// Direct row write (used by tests and synthetic setups).
   void set_row(std::size_t index, std::span<const float> values);
 
   /// Post-training int8 snapshot of the whole table (per-tensor symmetric):

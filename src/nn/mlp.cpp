@@ -29,13 +29,6 @@ Dense& Mlp::mutable_layer(std::size_t i) {
   return layers_[i];
 }
 
-std::size_t Mlp::parameter_count() const noexcept {
-  std::size_t total = 0;
-  for (const auto& l : layers_)
-    total += l.weight().size() + l.bias().size();
-  return total;
-}
-
 tensor::Vector Mlp::forward(std::span<const float> x) {
   tensor::Vector v(x.begin(), x.end());
   for (auto& l : layers_) v = l.forward(v);

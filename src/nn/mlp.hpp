@@ -27,9 +27,6 @@ class Mlp {
   const Dense& layer(std::size_t i) const;
   Dense& mutable_layer(std::size_t i);
 
-  /// Total trainable parameters (weights + biases).
-  std::size_t parameter_count() const noexcept;
-
   /// Layer widths {in, h1, ..., out} as constructed.
   const std::vector<std::size_t>& dims() const noexcept { return dims_; }
 

@@ -48,10 +48,9 @@ void read_header(std::istream& is, std::uint32_t magic, const char* what) {
                 std::string("serialize: unsupported version for ") + what);
 }
 
-constexpr std::uint32_t kMagicMatrix = 0x584d5449u;   // "ITMX"
-constexpr std::uint32_t kMagicQMatrix = 0x584d5149u;  // "IQMX"
-constexpr std::uint32_t kMagicMlp = 0x504c4d49u;      // "IMLP"
-constexpr std::uint32_t kMagicEmb = 0x424d4549u;      // "IEMB"
+constexpr std::uint32_t kMagicMatrix = 0x584d5449u;  // "ITMX"
+constexpr std::uint32_t kMagicMlp = 0x504c4d49u;     // "IMLP"
+constexpr std::uint32_t kMagicEmb = 0x424d4549u;     // "IEMB"
 
 }  // namespace
 
@@ -71,33 +70,6 @@ tensor::Matrix load_matrix(std::istream& is) {
   is.read(reinterpret_cast<char*>(m.data().data()),
           static_cast<std::streamsize>(m.data().size() * sizeof(float)));
   IMARS_REQUIRE(is.good(), "serialize: truncated Matrix payload");
-  return m;
-}
-
-void save(std::ostream& os, const tensor::QMatrix& m) {
-  write_header(os, kMagicQMatrix);
-  write_pod<std::uint64_t>(os, m.rows());
-  write_pod<std::uint64_t>(os, m.cols());
-  write_pod<float>(os, m.params().scale);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const auto row = m.row(r);
-    os.write(reinterpret_cast<const char*>(row.data()),
-             static_cast<std::streamsize>(row.size()));
-  }
-}
-
-tensor::QMatrix load_qmatrix(std::istream& is) {
-  read_header(is, kMagicQMatrix, "QMatrix");
-  const auto rows = read_pod<std::uint64_t>(is);
-  const auto cols = read_pod<std::uint64_t>(is);
-  const auto scale = read_pod<float>(is);
-  tensor::QMatrix m(rows, cols, util::QuantParams{scale});
-  for (std::size_t r = 0; r < rows; ++r) {
-    auto row = m.row(r);
-    is.read(reinterpret_cast<char*>(row.data()),
-            static_cast<std::streamsize>(row.size()));
-  }
-  IMARS_REQUIRE(is.good(), "serialize: truncated QMatrix payload");
   return m;
 }
 

@@ -10,7 +10,6 @@
 
 #include "nn/embedding.hpp"
 #include "nn/mlp.hpp"
-#include "tensor/qtensor.hpp"
 #include "tensor/tensor.hpp"
 
 namespace imars::nn {
@@ -22,9 +21,6 @@ inline constexpr std::uint32_t kSerializeVersion = 1;
 
 void save(std::ostream& os, const tensor::Matrix& m);
 tensor::Matrix load_matrix(std::istream& is);
-
-void save(std::ostream& os, const tensor::QMatrix& m);
-tensor::QMatrix load_qmatrix(std::istream& is);
 
 // Model components -----------------------------------------------------------
 

@@ -1,7 +1,6 @@
 #include "recsys/metrics.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "util/error.hpp"
 
@@ -19,17 +18,6 @@ double hit_rate(
     if (std::find(items.begin(), items.end(), target) != items.end()) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(num_users);
-}
-
-double recall(std::span<const std::size_t> retrieved,
-              std::span<const std::size_t> relevant) {
-  if (relevant.empty()) return 0.0;
-  const std::unordered_set<std::size_t> got(retrieved.begin(),
-                                            retrieved.end());
-  std::size_t inter = 0;
-  for (auto r : relevant)
-    if (got.contains(r)) ++inter;
-  return static_cast<double>(inter) / static_cast<double>(relevant.size());
 }
 
 }  // namespace imars::recsys

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <span>
 #include <vector>
 
 namespace imars::recsys {
@@ -15,9 +14,5 @@ double hit_rate(
     std::size_t num_users,
     const std::function<std::vector<std::size_t>(std::size_t user)>& retrieve,
     const std::function<std::size_t(std::size_t user)>& heldout);
-
-/// Recall@set for a single query: |retrieved ∩ relevant| / |relevant|.
-double recall(std::span<const std::size_t> retrieved,
-              std::span<const std::size_t> relevant);
 
 }  // namespace imars::recsys

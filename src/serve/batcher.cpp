@@ -8,56 +8,6 @@
 
 namespace imars::serve {
 
-DynamicBatcher::DynamicBatcher(const DynamicBatcherConfig& cfg) : cfg_(cfg) {
-  IMARS_REQUIRE(cfg_.max_batch >= 1, "DynamicBatcher: max_batch must be >= 1");
-  IMARS_REQUIRE(cfg_.max_wait.value >= 0.0,
-                "DynamicBatcher: max_wait must be non-negative");
-}
-
-void DynamicBatcher::add(const Request& r) {
-  IMARS_REQUIRE(pending_.empty() || pending_.back().enqueue <= r.enqueue,
-                "DynamicBatcher::add: arrivals must be time-ordered");
-  pending_.push_back(r);
-}
-
-std::optional<device::Ns> DynamicBatcher::deadline() const {
-  if (pending_.empty()) return std::nullopt;
-  return pending_.front().enqueue + cfg_.max_wait;
-}
-
-std::optional<Batch> DynamicBatcher::poll(device::Ns now) {
-  if (pending_.empty()) return std::nullopt;
-  if (pending_.size() >= cfg_.max_batch)
-    return close_batch(now, cfg_.max_batch, CloseTrigger::kSize);
-  if (now >= *deadline())
-    return close_batch(now, pending_.size(), CloseTrigger::kDeadline);
-  return std::nullopt;
-}
-
-std::optional<Batch> DynamicBatcher::flush(device::Ns now) {
-  if (pending_.empty()) return std::nullopt;
-  return close_batch(now, std::min(pending_.size(), cfg_.max_batch),
-                     CloseTrigger::kFlush);
-}
-
-Batch DynamicBatcher::close_batch(device::Ns now, std::size_t count,
-                                  CloseTrigger trigger) {
-  Batch b;
-  b.id = next_batch_id_++;
-  // Class-blind: the batch may mix labels, so it carries class 0 — the
-  // same value a single-class QosBatcher emits for the identical stream.
-  b.qos_class = 0;
-  b.dispatch = now;
-  b.trigger = trigger;
-  b.requests.assign(pending_.begin(),
-                    pending_.begin() + static_cast<std::ptrdiff_t>(count));
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<std::ptrdiff_t>(count));
-  return b;
-}
-
-// --- QosBatcher -------------------------------------------------------------
-
 QosBatcherConfig QosBatcherConfig::single(const DynamicBatcherConfig& cfg) {
   QosClassConfig cls;
   cls.max_batch = cfg.max_batch;

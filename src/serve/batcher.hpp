@@ -9,15 +9,13 @@
 // nanoseconds), so the runtime's event loop and the unit tests drive it
 // deterministically; the worker threads only execute the batches it emits.
 //
-// Two policies live here:
-//   * DynamicBatcher — the single-tenant policy above (PR 1/2).
-//   * QosBatcher     — the multi-tenant, class-aware policy: one queue per
-//     priority class, each with its own size/deadline triggers, preemptive
-//     close for latency-critical classes (close early so the end-to-end
-//     deadline survives the expected service time), and weighted admission
-//     so a flood of bulk-class requests cannot starve interactive classes.
-//     Configured with a single class it reduces bit-identically to
-//     DynamicBatcher (same batch composition, ids and close times).
+// QosBatcher runs this policy per tenant: one queue per priority class,
+// each with its own size/deadline triggers, preemptive close for
+// latency-critical classes (close early so the end-to-end deadline
+// survives the expected service time), and weighted admission so a flood
+// of bulk-class requests cannot starve interactive classes. Configured with
+// a single class (QosBatcherConfig::single) it is the class-blind policy
+// above.
 #pragma once
 
 #include <cstddef>
@@ -66,39 +64,10 @@ struct Batch {
   std::size_t size() const noexcept { return requests.size(); }
 };
 
+/// Triggers of the class-blind policy (see QosBatcherConfig::single).
 struct DynamicBatcherConfig {
   std::size_t max_batch = 8;        ///< size trigger
   device::Ns max_wait{200000.0};    ///< deadline trigger (200 us default)
-};
-
-class DynamicBatcher {
- public:
-  explicit DynamicBatcher(const DynamicBatcherConfig& cfg);
-
-  const DynamicBatcherConfig& config() const noexcept { return cfg_; }
-
-  /// Adds a request (arrival order must be non-decreasing in enqueue time).
-  void add(const Request& r);
-
-  std::size_t pending() const noexcept { return pending_.size(); }
-  bool empty() const noexcept { return pending_.empty(); }
-
-  /// Simulated time at which the deadline trigger fires for the current
-  /// oldest request; nullopt when nothing is pending.
-  std::optional<device::Ns> deadline() const;
-
-  /// Closes and returns a batch if either trigger has fired by `now`.
-  std::optional<Batch> poll(device::Ns now);
-
-  /// Unconditionally closes the remaining requests (end-of-stream drain).
-  std::optional<Batch> flush(device::Ns now);
-
- private:
-  Batch close_batch(device::Ns now, std::size_t count, CloseTrigger trigger);
-
-  DynamicBatcherConfig cfg_;
-  std::deque<Request> pending_;
-  std::size_t next_batch_id_ = 0;
 };
 
 // --- Multi-tenant QoS batching ---------------------------------------------
@@ -145,15 +114,15 @@ struct QosBatcherConfig {
 
   bool gated() const noexcept { return admit_window.value > 0.0; }
 
-  /// The single-class (class-blind) table equivalent to a DynamicBatcher.
+  /// The single-class (class-blind) table with `cfg`'s triggers.
   static QosBatcherConfig single(const DynamicBatcherConfig& cfg);
 };
 
-/// Class-aware batching policy: one FIFO queue per class. Like
-/// DynamicBatcher it is a pure object over device timestamps; the runtime's
-/// event loop drives it. With one configured class it is class-blind (all
-/// requests route to class 0, whatever their label) and reproduces
-/// DynamicBatcher's batch stream bit-identically.
+/// Class-aware batching policy: one FIFO queue per class, a pure object
+/// over device timestamps that the runtime's event loop drives. With one
+/// configured class it is class-blind (all requests route to class 0,
+/// whatever their label) and closes batches by the size and deadline
+/// triggers alone.
 class QosBatcher {
  public:
   explicit QosBatcher(const QosBatcherConfig& cfg);

@@ -98,12 +98,6 @@ double ServeReport::rank_utilization(std::size_t s) const {
   return shards[s].last_stage_busy().value / makespan.value;
 }
 
-double ServeReport::filter_utilization(std::size_t s) const {
-  IMARS_REQUIRE(s < shards.size(), "ServeReport: shard out of range");
-  if (makespan.value <= 0.0) return 0.0;
-  return shards[s].first_stage_busy().value / makespan.value;
-}
-
 double ServeReport::stage_utilization(std::size_t s,
                                       std::string_view stage) const {
   IMARS_REQUIRE(s < shards.size(), "ServeReport: shard out of range");
@@ -138,18 +132,6 @@ const StreamingHistogram* class_hist(const StreamingAggregates& s,
 
 }  // namespace
 
-double ServeReport::class_mean_latency_ns(std::size_t cls) const {
-  if (streaming.enabled) {
-    const auto* h = class_hist(streaming, cls);
-    return h == nullptr ? 0.0 : h->mean();
-  }
-  const auto xs = class_latencies_ns(cls);
-  if (xs.empty()) return 0.0;
-  double sum = 0.0;
-  for (double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
-}
-
 double ServeReport::class_p50_latency_ns(std::size_t cls) const {
   if (streaming.enabled) {
     const auto* h = class_hist(streaming, cls);
@@ -163,18 +145,6 @@ double ServeReport::class_p99_latency_ns(std::size_t cls) const {
     return h == nullptr ? 0.0 : h->percentile(99.0);
   }
   return percentile_or_zero(class_latencies_ns(cls), 99.0);
-}
-
-double ServeReport::class_qps(std::size_t cls) const {
-  if (makespan.value <= 0.0) return 0.0;
-  std::size_t n = 0;
-  if (streaming.enabled) {
-    if (cls < streaming.class_queries.size()) n = streaming.class_queries[cls];
-  } else {
-    for (const auto& q : queries)
-      if (q.qos_class == cls) ++n;
-  }
-  return static_cast<double>(n) / makespan.seconds();
 }
 
 double ServeReport::device_share(std::size_t cls, device::Ns cutoff) const {

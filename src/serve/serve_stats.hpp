@@ -56,20 +56,15 @@ struct ShardUsage {
   /// fills, write-through rows and dirty-row flushes charged outside the
   /// stage units); zero on read-only streams.
   ///
-  /// Deliberately EXCLUDED from rank_utilization / filter_utilization /
-  /// stage_utilization and from the per-class device_share accounting:
-  /// those report STAGE-UNIT occupancy and query-attributed device time,
-  /// while write traffic occupies only the shared ET banks and belongs to
-  /// no query or class. Use total_busy() (also surfaced as the observer's
-  /// end-of-run "shard.total_busy_ns" counters) for whole-shard occupancy
-  /// including the write path.
+  /// Deliberately EXCLUDED from rank_utilization / stage_utilization and
+  /// from the per-class device_share accounting: those report STAGE-UNIT
+  /// occupancy and query-attributed device time, while write traffic
+  /// occupies only the shared ET banks and belongs to no query or class.
+  /// Use total_busy() (also surfaced as the observer's end-of-run
+  /// "shard.total_busy_ns" counters) for whole-shard occupancy including
+  /// the write path.
   device::Ns write_busy;
 
-  /// Busy time of the first stage (the replicated filter in the two-stage
-  /// pipeline); zero for single-stage pipelines.
-  device::Ns first_stage_busy() const {
-    return stage_busy.size() > 1 ? stage_busy.front() : device::Ns{0.0};
-  }
   /// Busy time of the last stage (the sharded rank / scoring stage — the
   /// figure of merit for load balance).
   device::Ns last_stage_busy() const {
@@ -201,9 +196,6 @@ struct ServeReport {
   /// last stage — the sharded stage; the figure of merit for load
   /// balance).
   double rank_utilization(std::size_t s) const;
-  /// First-stage (replicated filter) busy fraction; zero for single-stage
-  /// pipelines.
-  double filter_utilization(std::size_t s) const;
   /// Busy fraction of one graph node: the fraction of the makespan shard
   /// `s` kept the named stage's unit busy (requires stage_names; stage
   /// graphs key utilization by node, e.g. "gather" vs "dense" vs
@@ -216,10 +208,8 @@ struct ServeReport {
   // class's tail latency with and without class-aware batching).
 
   std::vector<double> class_latencies_ns(std::size_t cls) const;
-  double class_mean_latency_ns(std::size_t cls) const;
   double class_p50_latency_ns(std::size_t cls) const;
   double class_p99_latency_ns(std::size_t cls) const;
-  double class_qps(std::size_t cls) const;
 
   /// Share of total consumed device time that went to queries labeled
   /// `cls`, counting only queries completing by `cutoff` (defaults to the

@@ -43,13 +43,6 @@ std::span<const std::int8_t> QMatrix::row(std::size_t r) const {
   return {data_.data() + r * cols_, cols_};
 }
 
-Vector QMatrix::dequantize_row(std::size_t r) const {
-  const auto src = row(r);
-  Vector out(cols_);
-  for (std::size_t c = 0; c < cols_; ++c) out[c] = params_.dequantize(src[c]);
-  return out;
-}
-
 Matrix QMatrix::dequantize() const {
   Matrix out(rows_, cols_);
   for (std::size_t r = 0; r < rows_; ++r) {

@@ -43,9 +43,6 @@ class QMatrix {
   std::span<std::int8_t> data() noexcept { return data_; }
   std::span<const std::int8_t> data() const noexcept { return data_; }
 
-  /// Dequantized copy of row r.
-  Vector dequantize_row(std::size_t r) const;
-
   /// Full dequantized matrix.
   Matrix dequantize() const;
 

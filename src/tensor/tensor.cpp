@@ -276,27 +276,6 @@ Vector gevm_sgd(std::span<const float> v, Matrix& m, std::span<const float> x,
   return out;
 }
 
-Vector add(std::span<const float> a, std::span<const float> b) {
-  IMARS_REQUIRE(a.size() == b.size(), "add: size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-Vector sub(std::span<const float> a, std::span<const float> b) {
-  IMARS_REQUIRE(a.size() == b.size(), "sub: size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-Vector hadamard(std::span<const float> a, std::span<const float> b) {
-  IMARS_REQUIRE(a.size() == b.size(), "hadamard: size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] * b[i];
-  return out;
-}
-
 void add_inplace(std::span<float> a, std::span<const float> b) {
   IMARS_REQUIRE(a.size() == b.size(), "add_inplace: size mismatch");
   // Four elements per step, each lane adding its own pair: the one-lane
@@ -333,12 +312,6 @@ float cosine(std::span<const float> a, std::span<const float> b) {
   return dot(a, b) / (na * nb);
 }
 
-Vector relu(std::span<const float> x) {
-  Vector out(x.begin(), x.end());
-  relu_inplace(out);
-  return out;
-}
-
 void relu_inplace(std::span<float> x) {
   for (auto& v : x) v = std::max(v, 0.0f);
 }
@@ -360,15 +333,6 @@ Vector softmax(std::span<const float> x) {
     sum += out[i];
   }
   for (auto& v : out) v /= sum;
-  return out;
-}
-
-Vector concat(std::span<const Vector> parts) {
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  Vector out;
-  out.reserve(total);
-  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
   return out;
 }
 

@@ -113,11 +113,7 @@ Vector gevm_sgd(std::span<const float> v, Matrix& m, std::span<const float> x,
 /// True when the two ranges share no element.
 bool disjoint(std::span<const float> a, std::span<const float> b);
 
-/// Elementwise helpers (sizes must match).
-Vector add(std::span<const float> a, std::span<const float> b);
-Vector sub(std::span<const float> a, std::span<const float> b);
-Vector hadamard(std::span<const float> a, std::span<const float> b);
-/// a[i] += b[i]; b must be a itself or disjoint from it.
+/// a[i] += b[i] (sizes must match); b must be a itself or disjoint from it.
 void add_inplace(std::span<float> a, std::span<const float> b);
 void scale_inplace(std::span<float> a, float s);
 
@@ -130,14 +126,10 @@ float norm(std::span<const float> a);
 /// Cosine similarity; 0 when either vector is all-zero.
 float cosine(std::span<const float> a, std::span<const float> b);
 
-/// Activations (new-vector and in-place variants).
-Vector relu(std::span<const float> x);
+/// Activations.
 void relu_inplace(std::span<float> x);
 Vector sigmoid(std::span<const float> x);
 /// Numerically stable softmax.
 Vector softmax(std::span<const float> x);
-
-/// Concatenates vectors in order.
-Vector concat(std::span<const Vector> parts);
 
 }  // namespace imars::tensor

@@ -115,37 +115,6 @@ std::size_t BitVec::hamming(const BitVec& other) const {
   return total;
 }
 
-BitVec BitVec::operator^(const BitVec& other) const {
-  IMARS_REQUIRE(nbits_ == other.nbits_, "xor: size mismatch");
-  BitVec out(nbits_);
-  for (std::size_t w = 0; w < words_.size(); ++w)
-    out.words_[w] = words_[w] ^ other.words_[w];
-  return out;
-}
-
-BitVec BitVec::operator&(const BitVec& other) const {
-  IMARS_REQUIRE(nbits_ == other.nbits_, "and: size mismatch");
-  BitVec out(nbits_);
-  for (std::size_t w = 0; w < words_.size(); ++w)
-    out.words_[w] = words_[w] & other.words_[w];
-  return out;
-}
-
-BitVec BitVec::operator|(const BitVec& other) const {
-  IMARS_REQUIRE(nbits_ == other.nbits_, "or: size mismatch");
-  BitVec out(nbits_);
-  for (std::size_t w = 0; w < words_.size(); ++w)
-    out.words_[w] = words_[w] | other.words_[w];
-  return out;
-}
-
-BitVec BitVec::operator~() const {
-  BitVec out(nbits_);
-  for (std::size_t w = 0; w < words_.size(); ++w) out.words_[w] = ~words_[w];
-  out.clear_tail();
-  return out;
-}
-
 void BitVec::copy_from(const BitVec& src, std::size_t src_begin,
                        std::size_t len, std::size_t dst_begin) {
   IMARS_REQUIRE(src_begin + len <= src.nbits_, "copy_from: source range");
@@ -162,29 +131,9 @@ void BitVec::copy_from(const BitVec& src, std::size_t src_begin,
   }
 }
 
-BitVec BitVec::slice(std::size_t begin, std::size_t len) const {
-  IMARS_REQUIRE(begin + len <= nbits_, "slice: range out of bounds");
-  BitVec out(len);
-  out.copy_from(*this, begin, len, 0);
-  return out;
-}
-
 std::uint8_t BitVec::byte_at(std::size_t begin) const {
   IMARS_REQUIRE(begin + 8 <= nbits_, "byte_at: range out of bounds");
   return static_cast<std::uint8_t>(load_bits(words_.data(), begin, 8));
-}
-
-void BitVec::set_byte(std::size_t begin, std::uint8_t value) {
-  IMARS_REQUIRE(begin + 8 <= nbits_, "set_byte: range out of bounds");
-  store_bits(words_.data(), begin, 8, value);
-}
-
-std::string BitVec::to_string() const {
-  std::string s(nbits_, '0');
-  for (std::size_t i = 0; i < nbits_; ++i) {
-    if (get(i)) s[i] = '1';
-  }
-  return s;
 }
 
 }  // namespace imars::util

@@ -45,12 +45,6 @@ class BitVec {
   /// Hamming distance to another vector of the same size.
   std::size_t hamming(const BitVec& other) const;
 
-  /// Bitwise operators (sizes must match).
-  BitVec operator^(const BitVec& other) const;
-  BitVec operator&(const BitVec& other) const;
-  BitVec operator|(const BitVec& other) const;
-  BitVec operator~() const;
-
   bool operator==(const BitVec& other) const noexcept = default;
 
   /// Copies bits [src_begin, src_begin+len) of `src` into this vector
@@ -58,17 +52,8 @@ class BitVec {
   void copy_from(const BitVec& src, std::size_t src_begin, std::size_t len,
                  std::size_t dst_begin);
 
-  /// Returns bits [begin, begin+len) as a new vector.
-  BitVec slice(std::size_t begin, std::size_t len) const;
-
   /// Interprets bits [begin, begin+8) as an unsigned byte (bit begin = LSB).
   std::uint8_t byte_at(std::size_t begin) const;
-
-  /// Writes `value` into bits [begin, begin+8) (bit begin = LSB).
-  void set_byte(std::size_t begin, std::uint8_t value);
-
-  /// '0'/'1' string, index 0 first.
-  std::string to_string() const;
 
   /// Raw word storage (low word first). Trailing bits beyond size() are zero.
   std::span<const std::uint64_t> words() const noexcept { return words_; }

@@ -78,14 +78,6 @@ void quantize(std::span<const float> values, const QuantParams& params,
   for (; i < values.size(); ++i) out[i] = params.quantize(values[i]);
 }
 
-std::vector<float> dequantize(std::span<const std::int8_t> values,
-                              const QuantParams& params) {
-  std::vector<float> out(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i)
-    out[i] = params.dequantize(values[i]);
-  return out;
-}
-
 std::int8_t sat_add_i8(std::int8_t a, std::int8_t b) noexcept {
   return sat_cast_i8(static_cast<std::int32_t>(a) + static_cast<std::int32_t>(b));
 }

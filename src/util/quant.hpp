@@ -56,10 +56,6 @@ std::vector<std::int8_t> quantize(std::span<const float> values,
 void quantize(std::span<const float> values, const QuantParams& params,
               std::span<std::int8_t> out);
 
-/// Dequantizes a vector with the given parameters.
-std::vector<float> dequantize(std::span<const std::int8_t> values,
-                              const QuantParams& params);
-
 /// Saturating int8 addition (the CMA in-memory adder saturates each 8-bit
 /// lane; see cma::Cma::add_rows).
 std::int8_t sat_add_i8(std::int8_t a, std::int8_t b) noexcept;

@@ -16,16 +16,8 @@ void RunningStats::add(double x) noexcept {
     max_ = std::max(max_, x);
   }
   ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
-
-double RunningStats::variance() const noexcept {
-  return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double percentile(std::span<const double> values, double p) {
   IMARS_REQUIRE(!values.empty(), "percentile of empty span");

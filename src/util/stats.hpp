@@ -7,23 +7,19 @@
 
 namespace imars::util {
 
-/// Streaming mean/variance/min/max accumulator (Welford).
+/// Streaming mean/min/max accumulator.
 class RunningStats {
  public:
   void add(double x) noexcept;
 
   std::size_t count() const noexcept { return n_; }
   double mean() const noexcept { return mean_; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
   double min() const noexcept { return min_; }
   double max() const noexcept { return max_; }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };

@@ -350,11 +350,8 @@ TEST(Accelerator, ReplicaServesTheImageTablesOnItsOwnFabric) {
   EXPECT_EQ(replica.active_cmas(), 2u + 4u + 4u);
   EXPECT_DOUBLE_EQ(replica.ledger().total().value, 0.0);
   EXPECT_EQ(replica.sig_cmas(itet).size(), 4u);
-  for (const auto& a : replica.sig_cmas(itet)) {
+  for (const auto& a : replica.sig_cmas(itet))
     EXPECT_EQ(a.mode(), cma::Mode::kTcam);
-    EXPECT_DOUBLE_EQ(a.wearout_fraction(),
-                     1.0 / static_cast<double>(reram.endurance_cycles));
-  }
   EXPECT_TRUE(replica.sig_cmas(uiet).empty());
 
   recsys::OpCost cost;

@@ -1,13 +1,16 @@
 // Tests for multi-tenant QoS serving: the class-aware QosBatcher edge
 // cases (deadline exactly at the close tick, empty class queues, all
-// classes starved, single-class bit-equivalence with the PR 2
-// DynamicBatcher, weight-0 scavenger gating, preemptive close), weighted
-// admission ordering, and the runtime-level determinism grid
-// (overlap on/off x open/closed loop x 1/3 classes).
+// classes starved, single-class bit-equivalence with the single-tenant
+// DynamicBatcher reference below, weight-0 scavenger gating, preemptive
+// close), weighted admission ordering, and the runtime-level determinism
+// grid (overlap on/off x open/closed loop x 1/3 classes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,7 +31,7 @@ namespace {
 using device::Ns;
 using serve::ArrivalProcess;
 using serve::Batch;
-using serve::DynamicBatcher;
+using serve::CloseTrigger;
 using serve::DynamicBatcherConfig;
 using serve::LoadGenConfig;
 using serve::LoadGenerator;
@@ -38,6 +41,65 @@ using serve::QosClassConfig;
 using serve::Request;
 using serve::ServingConfig;
 using serve::ServingRuntime;
+
+// The single-tenant policy a single-class QosBatcher must reproduce bit
+// for bit: one FIFO, closed when max_batch requests are pending (size
+// trigger) or the oldest has waited max_wait (deadline trigger).
+class DynamicBatcher {
+ public:
+  explicit DynamicBatcher(const DynamicBatcherConfig& cfg) : cfg_(cfg) {}
+
+  /// Adds a request (arrival order must be non-decreasing in enqueue time).
+  void add(const Request& r) {
+    IMARS_REQUIRE(pending_.empty() || pending_.back().enqueue <= r.enqueue,
+                  "DynamicBatcher::add: arrivals must be time-ordered");
+    pending_.push_back(r);
+  }
+
+  /// Simulated time at which the deadline trigger fires for the current
+  /// oldest request; nullopt when nothing is pending.
+  std::optional<Ns> deadline() const {
+    if (pending_.empty()) return std::nullopt;
+    return pending_.front().enqueue + cfg_.max_wait;
+  }
+
+  /// Closes and returns a batch if either trigger has fired by `now`.
+  std::optional<Batch> poll(Ns now) {
+    if (pending_.empty()) return std::nullopt;
+    if (pending_.size() >= cfg_.max_batch)
+      return close_batch(now, cfg_.max_batch, CloseTrigger::kSize);
+    if (now >= *deadline())
+      return close_batch(now, pending_.size(), CloseTrigger::kDeadline);
+    return std::nullopt;
+  }
+
+  /// Unconditionally closes the remaining requests (end-of-stream drain).
+  std::optional<Batch> flush(Ns now) {
+    if (pending_.empty()) return std::nullopt;
+    return close_batch(now, std::min(pending_.size(), cfg_.max_batch),
+                       CloseTrigger::kFlush);
+  }
+
+ private:
+  Batch close_batch(Ns now, std::size_t count, CloseTrigger trigger) {
+    Batch b;
+    b.id = next_batch_id_++;
+    // Class-blind: the batch may mix labels, so it carries class 0 — the
+    // same value a single-class QosBatcher emits for the identical stream.
+    b.qos_class = 0;
+    b.dispatch = now;
+    b.trigger = trigger;
+    b.requests.assign(pending_.begin(),
+                      pending_.begin() + static_cast<std::ptrdiff_t>(count));
+    pending_.erase(pending_.begin(),
+                   pending_.begin() + static_cast<std::ptrdiff_t>(count));
+    return b;
+  }
+
+  DynamicBatcherConfig cfg_;
+  std::deque<Request> pending_;
+  std::size_t next_batch_id_ = 0;
+};
 
 Request make_request(std::size_t id, double t, std::size_t cls = 0) {
   Request r;

@@ -1,9 +1,8 @@
 // Tests for the CMA functional model: RAM read/write, TCAM threshold search
 // (vs brute-force Hamming oracle), GPCiM in-memory addition, mode rules,
-// ternary cells, energy accounting.
+// energy accounting and the copy-on-write storage that replicas share.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -97,7 +96,7 @@ TEST(Cma, ModeSwitchCountsAndCharges) {
   f.array.set_mode(Mode::kTcam);
   f.array.set_mode(Mode::kTcam);  // no-op
   f.array.set_mode(Mode::kRam);
-  EXPECT_EQ(f.array.mode_switches(), 2u);
+  EXPECT_EQ(f.ledger.ops(Component::kController), 2u);
   EXPECT_GT(f.ledger.energy(Component::kController).value, before);
 }
 
@@ -132,11 +131,7 @@ TEST(Cma, ExactMatchSearch) {
   f.array.set_mode(Mode::kTcam);
 
   const auto r = f.array.search(a, 0);
-  ASSERT_EQ(r.matches.size(), 1u);
-  EXPECT_EQ(r.matches[0], 10u);
-  EXPECT_TRUE(r.matchlines.get(10));
-  EXPECT_FALSE(r.matchlines.get(20));
-  EXPECT_EQ(Cma::first_match(r), std::optional<std::size_t>(10));
+  EXPECT_EQ(r.matches, std::vector<std::size_t>{10});
 }
 
 TEST(Cma, NoMatchGivesEmpty) {
@@ -145,7 +140,6 @@ TEST(Cma, NoMatchGivesEmpty) {
   f.array.set_mode(Mode::kTcam);
   const auto r = f.array.search(BitVec(256), 10);  // distance 256 > 10
   EXPECT_TRUE(r.matches.empty());
-  EXPECT_EQ(Cma::first_match(r), std::nullopt);
 }
 
 TEST(Cma, UnwrittenRowsNeverMatch) {
@@ -186,26 +180,6 @@ TEST_P(CmaSearchProperty, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Thresholds, CmaSearchProperty,
                          ::testing::Values(0, 1, 4, 16, 64, 100, 128, 200,
                                            256));
-
-TEST(Cma, TernaryDontCareNeverMismatches) {
-  Fixture f;
-  const BitVec stored = BitVec::from_string("1010" + std::string(252, '0'));
-  f.array.write_row(0, stored);
-  // Mark the first four cells as X.
-  for (std::size_t c = 0; c < 4; ++c) f.array.set_dont_care(0, c, true);
-  f.array.set_mode(Mode::kTcam);
-
-  // Query differs in all four X positions: still an exact (distance-0) match.
-  const BitVec q = BitVec::from_string("0101" + std::string(252, '0'));
-  const auto r = f.array.search(q, 0);
-  ASSERT_EQ(r.matches.size(), 1u);
-
-  // Restoring binary behaviour makes it mismatch again.
-  f.array.set_mode(Mode::kRam);
-  for (std::size_t c = 0; c < 4; ++c) f.array.set_dont_care(0, c, false);
-  f.array.set_mode(Mode::kTcam);
-  EXPECT_TRUE(f.array.search(q, 3).matches.empty());
-}
 
 TEST(Cma, SearchChargesOneArrayOp) {
   Fixture f;
@@ -280,7 +254,6 @@ TEST(Cma, PeekDoesNotCharge) {
   f.array.write_row_i8(0, std::vector<std::int8_t>(32, 5));
   const auto before = f.ledger.total().value;
   (void)f.array.peek_row(0);
-  (void)f.array.peek_row_i8(0);
   std::vector<std::int32_t> acc(32, 0);
   f.array.peek_accumulate_i8(0, acc);
   EXPECT_DOUBLE_EQ(f.ledger.total().value, before);
@@ -324,30 +297,6 @@ TEST(Cma, AddRowsDestinationMayAliasASource) {
   const auto sum = f.array.read_row_i8(0);
   for (std::size_t l = 0; l < 32; ++l)
     EXPECT_EQ(sum[l], util::sat_add_i8(a[l], b[l])) << "lane " << l;
-  EXPECT_EQ(f.array.row_writes(0), 2u);
-}
-
-TEST(Cma, DontCareSetThenClearedOnFreshArray) {
-  Fixture f;
-  const BitVec stored = BitVec::from_string("1" + std::string(255, '0'));
-  f.array.write_row(0, stored);
-  // Clearing before any mask exists is a charged no-op.
-  f.array.set_dont_care(0, 0, false);
-  EXPECT_EQ(f.ledger.ops(Component::kCmaRam), 2u);
-  const BitVec q(256);  // differs from the stored row in column 0 only
-  f.array.set_mode(Mode::kTcam);
-  EXPECT_TRUE(f.array.search(q, 0).matches.empty());
-
-  f.array.set_mode(Mode::kRam);
-  f.array.set_dont_care(0, 0, true);
-  f.array.set_mode(Mode::kTcam);
-  EXPECT_EQ(f.array.search(q, 0).matches, std::vector<std::size_t>{0});
-
-  f.array.set_mode(Mode::kRam);
-  f.array.set_dont_care(0, 0, false);
-  f.array.set_mode(Mode::kTcam);
-  EXPECT_TRUE(f.array.search(q, 0).matches.empty());
-  EXPECT_EQ(f.array.search(q, 1).matches, std::vector<std::size_t>{0});
 }
 
 // 200 columns: the last storage word is part-used, and its unused tail
@@ -386,13 +335,13 @@ TEST(Cma, NonWordMultipleWidthRoundTripsAndSearches) {
   EXPECT_EQ(array.search(all_ones, 0).matches, std::vector<std::size_t>{15});
 }
 
-TEST(Cma, PeekAccumulateEqualsSumOfPeekedLanes) {
+TEST(Cma, PeekAccumulateEqualsSumOfWrittenLanes) {
   Fixture f;
   util::Xoshiro256 rng(7);
   std::vector<std::int32_t> expected(32, 0);
   for (std::size_t r = 0; r < 12; ++r) {
-    f.array.write_row_i8(r, random_lanes(32, rng));
-    const auto lanes = f.array.peek_row_i8(r);
+    const auto lanes = random_lanes(32, rng);
+    f.array.write_row_i8(r, lanes);
     for (std::size_t l = 0; l < 32; ++l) expected[l] += lanes[l];
   }
   std::vector<std::int32_t> acc(32, 0);
@@ -406,19 +355,11 @@ TEST(Cma, PeekAccumulateEqualsSumOfPeekedLanes) {
 
 // ---------- shared storage: copies and replicas are copy-on-write ------------
 
-// The don't-care cells the sharing tests set up and then mutate.
-const std::vector<std::pair<std::size_t, std::size_t>> kMaskCells = {
-    {0, 3}, {1, 9}};
-
 // Everything a write could change in an array, read through the public
-// API. The don't-care state is probed at kMaskCells by searching a replica
-// on its own ledger, so the probe neither charges the array nor touches
-// its mode.
+// API without a charge.
 struct Contents {
   std::vector<bool> valid;
-  std::vector<std::uint64_t> writes;
   std::vector<BitVec> bits;  ///< peek_row of valid rows, empty otherwise
-  std::vector<bool> dont_care;
   bool operator==(const Contents&) const = default;
 };
 
@@ -426,30 +367,17 @@ Contents contents_of(const Cma& array) {
   Contents c;
   for (std::size_t r = 0; r < array.rows(); ++r) {
     c.valid.push_back(array.row_valid(r));
-    c.writes.push_back(array.row_writes(r));
     c.bits.push_back(c.valid.back() ? array.peek_row(r) : BitVec());
-  }
-  const DeviceProfile profile = DeviceProfile::fefet45();
-  EnergyLedger ledger;
-  Cma probe(array, profile, &ledger);
-  probe.set_mode(Mode::kTcam);
-  for (const auto& [row, col] : kMaskCells) {
-    // Flipping the stored bit at `col` mismatches unless the cell is X.
-    BitVec q = array.peek_row(row);
-    q.set(col, !q.get(col));
-    const auto m = probe.search(q, 0).matches;
-    c.dont_care.push_back(std::find(m.begin(), m.end(), row) != m.end());
   }
   return c;
 }
 
-// An image with written rows 0..7 and a don't-care at kMaskCells[0].
+// An image with written rows 0..7.
 struct SharedFixture {
   SharedFixture() {
     util::Xoshiro256 rng(11);
     for (std::size_t r = 0; r < 8; ++r)
       image.write_row(r, random_row(256, rng));
-    image.set_dont_care(kMaskCells[0].first, kMaskCells[0].second, true);
   }
   DeviceProfile fefet = DeviceProfile::fefet45();
   DeviceProfile reram = DeviceProfile::reram45();
@@ -462,12 +390,8 @@ TEST(Cma, ReplicaSharesContentsUnderItsOwnProfileAndLedger) {
   f.image.set_mode(Mode::kTcam);
   const Cma replica(f.image, f.reram, &f.ledger_a);
   EXPECT_EQ(contents_of(replica), contents_of(f.image));
-  // Mode and switch count start from the image's, then are the replica's.
+  // The mode starts from the image's, then is the replica's.
   EXPECT_EQ(replica.mode(), Mode::kTcam);
-  EXPECT_EQ(replica.mode_switches(), 1u);
-  // Wear is judged against the replica's endurance budget.
-  EXPECT_DOUBLE_EQ(replica.wearout_fraction(),
-                   1.0 / static_cast<double>(f.reram.endurance_cycles));
 
   f.image_ledger.clear();
   const auto r = replica.search(f.image.peek_row(2), 0);
@@ -484,8 +408,8 @@ TEST(Cma, ReplicaSharesContentsUnderItsOwnProfileAndLedger) {
 }
 
 // Every mutator, applied to the image, a replica or a plain copy, changes
-// that array only: the image and every sibling keep their bits, valid
-// flags, don't-care mask and write counters.
+// that array only: the image and every sibling keep their bits and valid
+// flags.
 TEST(Cma, WritesToAnySharerReachNoOther) {
   util::Xoshiro256 rng(12);
   const BitVec fresh = random_row(256, rng);
@@ -494,12 +418,6 @@ TEST(Cma, WritesToAnySharerReachNoOther) {
       {"write_row (rewrite)", [&](Cma& a) { a.write_row(2, fresh); }},
       {"write_row (new row)", [&](Cma& a) { a.write_row(200, fresh); }},
       {"write_row_i8", [&](Cma& a) { a.write_row_i8(3, lanes); }},
-      {"set_dont_care (set)",
-       [](Cma& a) { a.set_dont_care(kMaskCells[1].first,
-                                    kMaskCells[1].second, true); }},
-      {"set_dont_care (clear)",
-       [](Cma& a) { a.set_dont_care(kMaskCells[0].first,
-                                    kMaskCells[0].second, false); }},
       {"add_rows",
        [](Cma& a) {
          a.set_mode(Mode::kGpcim);

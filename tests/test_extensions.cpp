@@ -1,17 +1,15 @@
-// Tests for the extension features: model serialization, exact top-k NNS on
-// the TCAM, endurance tracking, the 22nm profile, and the throughput model.
+// Tests for the extension features: model serialization, the 22nm profile,
+// and the throughput model.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <numeric>
 #include <sstream>
 
-#include "core/accelerator.hpp"
 #include "core/throughput.hpp"
-#include "lsh/lsh.hpp"
+#include "device/profile.hpp"
 #include "nn/serialize.hpp"
+#include "tensor/qtensor.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -32,20 +30,6 @@ TEST(Serialize, MatrixRoundTrip) {
   nn::save(ss, m);
   const Matrix back = nn::load_matrix(ss);
   EXPECT_EQ(back, m);
-}
-
-TEST(Serialize, QMatrixRoundTrip) {
-  util::Xoshiro256 rng(2);
-  const QMatrix q = QMatrix::quantize(Matrix::randn(5, 8, 2.0f, rng));
-  std::stringstream ss;
-  nn::save(ss, q);
-  const QMatrix back = nn::load_qmatrix(ss);
-  EXPECT_EQ(back.rows(), q.rows());
-  EXPECT_EQ(back.cols(), q.cols());
-  EXPECT_FLOAT_EQ(back.params().scale, q.params().scale);
-  for (std::size_t r = 0; r < q.rows(); ++r)
-    for (std::size_t c = 0; c < q.cols(); ++c)
-      EXPECT_EQ(back.at(r, c), q.at(r, c));
 }
 
 TEST(Serialize, MlpRoundTripPreservesInference) {
@@ -104,7 +88,7 @@ TEST(Serialize, WrongObjectTypeThrows) {
 
 // A rows x cols that wraps size_t (2^32 x 2^32 is 0 mod 2^64) used to build
 // a matrix reporting 2^32 rows over no storage, and a loader then wrote its
-// rows through a null pointer. Both constructors and both loaders reject it.
+// rows through a null pointer. Both constructors and the loader reject it.
 TEST(Serialize, OverflowingShapeIsRejected) {
   const std::uint64_t big = std::uint64_t{1} << 32;
   EXPECT_THROW(Matrix(big, big), Error);
@@ -122,129 +106,6 @@ TEST(Serialize, OverflowingShapeIsRejected) {
   nn::save(m, Matrix(1, 1));
   auto bad_m = with_big_shape(m.str());
   EXPECT_THROW((void)nn::load_matrix(bad_m), Error);
-  std::stringstream q;
-  nn::save(q, QMatrix(1, 1, util::QuantParams{}));
-  auto bad_q = with_big_shape(q.str());
-  EXPECT_THROW((void)nn::load_qmatrix(bad_q), Error);
-}
-
-// ---------- exact top-k NNS ----------------------------------------------------
-
-struct NnsFixture {
-  NnsFixture() {
-    util::Xoshiro256 rng(7);
-    table = QMatrix::quantize(Matrix::randn(700, 32, 0.5f, rng));
-    const Matrix deq = table.dequantize();
-    for (std::size_t r = 0; r < deq.rows(); ++r)
-      sigs.push_back(hasher.encode(deq.row(r)));
-    itet = acc.nns_ready(table, sigs);
-  }
-  // helper to load
-  struct AccWrap {
-    DeviceProfile profile = DeviceProfile::fefet45();
-    core::ImarsAccelerator acc{core::ArchConfig{}, profile};
-    std::size_t nns_ready(const QMatrix& t,
-                          const std::vector<util::BitVec>& s) {
-      const auto id = acc.load_itet("ItET", t, s);
-      acc.reset_energy();
-      return id;
-    }
-    core::ImarsAccelerator* operator->() { return &acc; }
-  } acc;
-  lsh::RandomHyperplaneLsh hasher{32, 256, 77};
-  QMatrix table;
-  std::vector<util::BitVec> sigs;
-  std::size_t itet = 0;
-};
-
-TEST(NnsTopk, MatchesBruteForceTopk) {
-  NnsFixture f;
-  util::Xoshiro256 rng(8);
-  for (std::size_t k : {1ul, 5ul, 20ul}) {
-    Vector q(32);
-    for (auto& x : q) x = static_cast<float>(rng.normal());
-    const auto qsig = f.hasher.encode(q);
-
-    recsys::OpCost cost;
-    const auto got = f.acc->nns_topk(f.itet, qsig, k, &cost);
-    ASSERT_EQ(got.size(), k);
-
-    // Brute-force oracle: ascending Hamming distance, ties by index.
-    std::vector<std::size_t> order(f.sigs.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::vector<std::size_t> dist(f.sigs.size());
-    for (std::size_t i = 0; i < f.sigs.size(); ++i)
-      dist[i] = f.sigs[i].hamming(qsig);
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (dist[a] != dist[b]) return dist[a] < dist[b];
-      return a < b;
-    });
-    for (std::size_t i = 0; i < k; ++i) EXPECT_EQ(got[i], order[i]) << "k=" << k;
-    EXPECT_GT(cost.latency.value, 0.0);
-  }
-}
-
-TEST(NnsTopk, KLargerThanTableReturnsEverything) {
-  NnsFixture f;
-  const auto got = f.acc->nns_topk(f.itet, f.sigs[0], 10000, nullptr);
-  EXPECT_EQ(got.size(), 700u);
-}
-
-TEST(NnsTopk, CostsMoreThanFixedRadius) {
-  NnsFixture f;
-  recsys::OpCost fixed, topk;
-  (void)f.acc->nns(f.itet, f.sigs[0], 96, &fixed);
-  (void)f.acc->nns_topk(f.itet, f.sigs[0], 10, &topk);
-  // The threshold sweep costs multiple searches — the op-count reduction
-  // the paper cites for preferring fixed-radius search in filtering.
-  EXPECT_GT(topk.latency.value, 2.0 * fixed.latency.value);
-  EXPECT_GT(topk.energy.value, 2.0 * fixed.energy.value);
-}
-
-TEST(NnsTopk, RejectsBadArguments) {
-  NnsFixture f;
-  EXPECT_THROW((void)f.acc->nns_topk(f.itet, f.sigs[0], 0, nullptr), Error);
-}
-
-// ---------- endurance tracking ---------------------------------------------------
-
-TEST(Endurance, CountsRowWrites) {
-  device::EnergyLedger ledger;
-  const auto profile = DeviceProfile::fefet45();
-  cma::Cma array(profile, &ledger);
-  EXPECT_EQ(array.row_writes(5), 0u);
-  for (int i = 0; i < 3; ++i) array.write_row(5, util::BitVec(256));
-  array.write_row(6, util::BitVec(256));
-  EXPECT_EQ(array.row_writes(5), 3u);
-  EXPECT_EQ(array.row_writes(6), 1u);
-  EXPECT_EQ(array.max_row_writes(), 3u);
-}
-
-TEST(Endurance, GpcimAddWearsDestination) {
-  device::EnergyLedger ledger;
-  const auto profile = DeviceProfile::fefet45();
-  cma::Cma array(profile, &ledger);
-  array.write_row_i8(0, std::vector<std::int8_t>(32, 1));
-  array.write_row_i8(1, std::vector<std::int8_t>(32, 2));
-  array.set_mode(cma::Mode::kGpcim);
-  for (int i = 0; i < 5; ++i) array.add_rows(2, 0, 1);
-  EXPECT_EQ(array.row_writes(2), 5u);
-  // Sources are only sensed, not rewritten.
-  EXPECT_EQ(array.row_writes(0), 1u);
-}
-
-TEST(Endurance, WearoutFractionUsesProfileBudget) {
-  device::EnergyLedger ledger;
-  auto profile = DeviceProfile::reram45();  // 1e7 budget
-  cma::Cma array(profile, &ledger);
-  for (int i = 0; i < 100; ++i) array.write_row(0, util::BitVec(256));
-  EXPECT_NEAR(array.wearout_fraction(), 100.0 / 1e7, 1e-12);
-  // FeFET budget is 1e11: same writes wear 10,000x less. (Cma keeps a
-  // pointer to the profile, so it must outlive the array.)
-  const auto fefet_profile = DeviceProfile::fefet45();
-  cma::Cma fefet(fefet_profile, &ledger);
-  for (int i = 0; i < 100; ++i) fefet.write_row(0, util::BitVec(256));
-  EXPECT_LT(fefet.wearout_fraction(), array.wearout_fraction() / 1000.0);
 }
 
 // ---------- 22nm profile ----------------------------------------------------------

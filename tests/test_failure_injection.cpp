@@ -11,7 +11,6 @@
 #include "data/criteo.hpp"
 #include "data/movielens.hpp"
 #include "noc/controller.hpp"
-#include "recsys/trainer.hpp"
 #include "recsys/youtube_dnn.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -133,22 +132,6 @@ TEST(FailureInjection, AdderTreeInputValidation) {
   const std::vector<adder::Lanes> ragged = {adder::Lanes(32, 0),
                                             adder::Lanes(31, 0)};
   EXPECT_THROW((void)mat_tree.sum(ragged, nullptr), Error);
-}
-
-TEST(FailureInjection, TrainerRejectsZeroEpochs) {
-  data::MovieLensConfig dcfg;
-  dcfg.num_users = 50;
-  dcfg.num_items = 60;
-  dcfg.seed = 5;
-  const data::MovieLensSynth ds(dcfg);
-  recsys::YoutubeDnnConfig mcfg;
-  mcfg.emb_dim = 16;
-  mcfg.filter_hidden = {16, 16};
-  mcfg.seed = 6;
-  recsys::YoutubeDnn model(ds.schema(), mcfg);
-  recsys::TrainOptions opts;
-  opts.max_epochs = 0;
-  EXPECT_THROW((void)recsys::train_filter(model, ds, opts), Error);
 }
 
 TEST(FailureInjection, BackendContextValidation) {

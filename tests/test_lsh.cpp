@@ -137,17 +137,6 @@ INSTANTIATE_TEST_SUITE_P(Angles, LshCollision,
                          ::testing::Values(0.1, 0.3, 0.5, 0.8, 1.2, 1.6, 2.2,
                                            2.8));
 
-TEST(Lsh, EstimateCosineInvertsExpectedHamming) {
-  RandomHyperplaneLsh h(8, 256, 11);
-  for (double theta : {0.2, 0.7, 1.3}) {
-    const double d = h.expected_hamming(theta);
-    EXPECT_NEAR(h.estimate_angle(static_cast<std::size_t>(std::lround(d))),
-                theta, 0.02);
-    EXPECT_NEAR(h.estimate_cosine(static_cast<std::size_t>(std::lround(d))),
-                std::cos(theta), 0.02);
-  }
-}
-
 // Property: Hamming distance preserves cosine *ordering* in expectation —
 // the justification for the Sec III-B substitution. Spearman correlation
 // between cosine distance and Hamming distance should be strongly positive.

@@ -36,7 +36,6 @@ using device::Ns;
 using serve::ArrivalProcess;
 using serve::BatchSpan;
 using serve::CloseTrigger;
-using serve::DynamicBatcher;
 using serve::DynamicBatcherConfig;
 using serve::HostProfiler;
 using serve::LoadGenConfig;
@@ -256,7 +255,7 @@ TEST(CloseTriggerTelemetry, BatcherAttributesEveryCloseReason) {
   DynamicBatcherConfig cfg;
   cfg.max_batch = 2;
   cfg.max_wait = Ns{100.0};
-  DynamicBatcher b(cfg);
+  QosBatcher b(QosBatcherConfig::single(cfg));
   b.add(make_request(0, 0.0));
   b.add(make_request(1, 1.0));
   auto size_batch = b.poll(Ns{1.0});
@@ -599,15 +598,10 @@ TEST(ObserveRuntime, StreamingAggregatesMatchRecordMode) {
                 tol * record.p99_latency_ns());
 
     for (std::size_t c = 0; c < classes; ++c) {
-      EXPECT_NEAR(stream.class_mean_latency_ns(c),
-                  record.class_mean_latency_ns(c),
-                  1e-9 * record.class_mean_latency_ns(c) + 1e-9)
-          << "class " << c;
       EXPECT_NEAR(stream.class_p99_latency_ns(c),
                   record.class_p99_latency_ns(c),
                   tol * record.class_p99_latency_ns(c))
           << "class " << c;
-      EXPECT_DOUBLE_EQ(stream.class_qps(c), record.class_qps(c));
       EXPECT_NEAR(stream.device_share(c), record.device_share(c), 1e-12)
           << "class " << c;
     }

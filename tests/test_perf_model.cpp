@@ -118,18 +118,9 @@ TEST(PerfModel, DnnTilesAndLatency) {
   Fixture f;
   // Paper filtering stack on 196-wide input: 3 layers, all single-tile.
   const std::size_t dims[] = {196, 128, 64, 32};
-  EXPECT_EQ(f.model.dnn_tiles(dims), 3u);
   const auto c = f.model.dnn(dims);
   // 3 x (matmul + per-layer overhead): calibrated to ~2.34 us (2.69x GPU).
   EXPECT_NEAR(c.latency.us(), 2.34, 0.1);
-}
-
-TEST(PerfModel, DnnWideLayerNeedsMoreTiles) {
-  Fixture f;
-  const std::size_t dims[] = {383, 256, 64, 1};
-  // Layer1: ceil(383/256) x ceil(256/128) = 2x2 = 4; layer2: 1x2... wait
-  // layer2 is (256 -> 64): 1 row tile x 1 col tile; layer3 (64 -> 1): 1.
-  EXPECT_EQ(f.model.dnn_tiles(dims), 4u + 1u + 1u);
 }
 
 TEST(PerfModel, TopkScalesWithCandidates) {

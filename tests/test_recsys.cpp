@@ -440,12 +440,5 @@ TEST(Metrics, HitRateCountsMembership) {
   EXPECT_DOUBLE_EQ(recsys::hit_rate(10, retrieve, heldout_miss), 0.0);
 }
 
-TEST(Metrics, RecallIntersection) {
-  const std::vector<std::size_t> retrieved = {1, 2, 3, 4};
-  const std::vector<std::size_t> relevant = {2, 4, 6};
-  EXPECT_NEAR(recsys::recall(retrieved, relevant), 2.0 / 3.0, 1e-12);
-  EXPECT_EQ(recsys::recall(retrieved, {}), 0.0);
-}
-
 }  // namespace
 }  // namespace imars

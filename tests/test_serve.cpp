@@ -42,12 +42,13 @@ namespace {
 
 using device::Ns;
 using serve::Batch;
-using serve::DynamicBatcher;
 using serve::DynamicBatcherConfig;
 using serve::HotCacheConfig;
 using serve::HotEmbeddingCache;
 using serve::LoadGenConfig;
 using serve::LoadGenerator;
+using serve::QosBatcher;
+using serve::QosBatcherConfig;
 using serve::Request;
 using serve::ServingConfig;
 using serve::ServingRuntime;
@@ -63,13 +64,13 @@ Request make_request(std::size_t id, double t, std::size_t user = 0) {
   return r;
 }
 
-// --- DynamicBatcher --------------------------------------------------------
+// --- Class-blind batching (QosBatcherConfig::single) ----------------------
 
 TEST(DynamicBatcher, SizeTriggerClosesFullBatch) {
   DynamicBatcherConfig cfg;
   cfg.max_batch = 3;
   cfg.max_wait = Ns{1e9};  // deadline effectively off
-  DynamicBatcher b(cfg);
+  QosBatcher b(QosBatcherConfig::single(cfg));
 
   b.add(make_request(0, 0.0));
   b.add(make_request(1, 10.0));
@@ -87,7 +88,7 @@ TEST(DynamicBatcher, DeadlineTriggerClosesPartialBatch) {
   DynamicBatcherConfig cfg;
   cfg.max_batch = 8;
   cfg.max_wait = Ns{100.0};
-  DynamicBatcher b(cfg);
+  QosBatcher b(QosBatcherConfig::single(cfg));
 
   b.add(make_request(0, 50.0));
   b.add(make_request(1, 80.0));
@@ -104,7 +105,7 @@ TEST(DynamicBatcher, SizeTriggerLeavesExcessPending) {
   DynamicBatcherConfig cfg;
   cfg.max_batch = 2;
   cfg.max_wait = Ns{1e9};
-  DynamicBatcher b(cfg);
+  QosBatcher b(QosBatcherConfig::single(cfg));
   for (std::size_t i = 0; i < 5; ++i)
     b.add(make_request(i, static_cast<double>(i)));
 
@@ -491,7 +492,7 @@ TEST(ServingRuntime, ClosedLoopServesWholeStream) {
   for (std::size_t s = 0; s < cfg.shards; ++s) {
     EXPECT_GE(report.rank_utilization(s), 0.0);
     EXPECT_LE(report.rank_utilization(s), 1.0);
-    EXPECT_LE(report.filter_utilization(s), 1.0);
+    EXPECT_LE(report.stage_utilization(s, "filter"), 1.0);
   }
   EXPECT_GT(report.cache.accesses(), 0u);
   EXPECT_GT(report.cache.hit_rate(), 0.0);  // Zipf users repeat hot rows

@@ -76,9 +76,14 @@ TEST(Rng, XoshiroBelowCoversAllValues) {
 TEST(Rng, NormalMomentsApproxStandard) {
   util::Xoshiro256 rng(11);
   util::RunningStats s;
-  for (int i = 0; i < 100000; ++i) s.add(rng.normal());
+  double sum_sq = 0.0;
+  for (int i = 0; i < 100000; ++i) {
+    const double x = rng.normal();
+    s.add(x);
+    sum_sq += x * x;
+  }
   EXPECT_NEAR(s.mean(), 0.0, 0.02);
-  EXPECT_NEAR(s.stddev(), 1.0, 0.02);
+  EXPECT_NEAR(std::sqrt(sum_sq / 100000.0), 1.0, 0.02);
 }
 
 TEST(Rng, BernoulliFrequency) {
@@ -112,10 +117,11 @@ TEST(BitVec, SetGetFlipRoundTrip) {
   EXPECT_EQ(v.popcount(), 2u);
 }
 
-TEST(BitVec, FromStringMatchesToString) {
+TEST(BitVec, FromStringSetsOneBitPerCharacter) {
   const std::string s = "1010011100101";
   const BitVec v = BitVec::from_string(s);
-  EXPECT_EQ(v.to_string(), s);
+  ASSERT_EQ(v.size(), s.size());
+  for (std::size_t i = 0; i < s.size(); ++i) EXPECT_EQ(v.get(i), s[i] == '1');
   EXPECT_EQ(v.popcount(), 7u);
 }
 
@@ -127,9 +133,8 @@ TEST(BitVec, FillSetsEverythingAndClearsTail) {
   BitVec v(70);
   v.fill(true);
   EXPECT_EQ(v.popcount(), 70u);
-  // Tail bits beyond size must not leak into popcount via operator~.
-  const BitVec w = ~v;
-  EXPECT_EQ(w.popcount(), 0u);
+  // Tail bits beyond size stay zero.
+  EXPECT_EQ(v.words().back(), (1ULL << 6) - 1);
 }
 
 TEST(BitVec, HammingAgainstManual) {
@@ -143,49 +148,16 @@ TEST(BitVec, HammingSizeMismatchThrows) {
   EXPECT_THROW(BitVec(8).hamming(BitVec(9)), Error);
 }
 
-TEST(BitVec, XorEqualsHammingPopcount) {
-  util::Xoshiro256 rng(3);
-  for (int trial = 0; trial < 50; ++trial) {
-    BitVec a(257), b(257);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      a.set(i, rng.bernoulli(0.5));
-      b.set(i, rng.bernoulli(0.5));
-    }
-    EXPECT_EQ((a ^ b).popcount(), a.hamming(b));
-  }
-}
-
-TEST(BitVec, AndOrDeMorgan) {
-  util::Xoshiro256 rng(4);
-  BitVec a(100), b(100);
-  for (std::size_t i = 0; i < 100; ++i) {
-    a.set(i, rng.bernoulli(0.5));
-    b.set(i, rng.bernoulli(0.5));
-  }
-  EXPECT_EQ(~(a & b), (~a | ~b));
-  EXPECT_EQ(~(a | b), (~a & ~b));
-}
-
-TEST(BitVec, ByteRoundTrip) {
-  BitVec v(256);
-  for (int x : {0, 1, 127, 128, 200, 255}) {
-    v.set_byte(8, static_cast<std::uint8_t>(x));
-    EXPECT_EQ(v.byte_at(8), static_cast<std::uint8_t>(x));
-  }
-}
-
-TEST(BitVec, SliceAndCopyFrom) {
+TEST(BitVec, CopyFrom) {
   const BitVec v = BitVec::from_string("11001010");
-  const BitVec s = v.slice(2, 4);
-  EXPECT_EQ(s.to_string(), "0010");
   BitVec d(10);
   d.copy_from(v, 0, 8, 1);
-  EXPECT_EQ(d.to_string(), "0110010100");
+  EXPECT_EQ(d, BitVec::from_string("0110010100"));
 }
 
-// byte_at/set_byte/copy_from/slice work on whole words; the oracle is plain
-// get/set (and string splicing), over random sizes with offsets and lengths
-// that straddle word boundaries, len = 0 and ranges ending on the last bit.
+// byte_at and copy_from work on whole words; the oracle is plain get/set,
+// over random sizes with offsets and lengths that straddle word
+// boundaries, len = 0 and ranges ending on the last bit.
 TEST(BitVec, WordLevelRangeOpsMatchBitwiseOracle) {
   util::Xoshiro256 rng(2024);
   auto random_vec = [&](std::size_t n) {
@@ -202,11 +174,6 @@ TEST(BitVec, WordLevelRangeOpsMatchBitwiseOracle) {
     for (std::size_t b = 0; b < 8; ++b)
       if (v.get(pos + b)) want |= static_cast<std::uint8_t>(1u << b);
     ASSERT_EQ(v.byte_at(pos), want) << "n " << n << " pos " << pos;
-    const auto byte = static_cast<std::uint8_t>(rng.below(256));
-    BitVec expect = v;
-    for (std::size_t b = 0; b < 8; ++b) expect.set(pos + b, (byte >> b) & 1u);
-    v.set_byte(pos, byte);
-    ASSERT_EQ(v.to_string(), expect.to_string()) << "n " << n << " pos " << pos;
 
     const BitVec src = random_vec(1 + rng.below(300));
     const std::size_t len =
@@ -214,20 +181,17 @@ TEST(BitVec, WordLevelRangeOpsMatchBitwiseOracle) {
     const std::size_t sb =
         trial % 3 == 1 ? src.size() - len : rng.below(src.size() - len + 1);
     const std::size_t db = trial % 3 == 2 ? n - len : rng.below(n - len + 1);
-    expect = v;
+    BitVec expect = v;
     for (std::size_t i = 0; i < len; ++i) expect.set(db + i, src.get(sb + i));
     v.copy_from(src, sb, len, db);
-    ASSERT_EQ(v.to_string(), expect.to_string())
-        << "n " << n << " src " << src.size() << " [" << sb << ", +" << len
-        << ") -> " << db;
-    EXPECT_EQ(src.slice(sb, len).to_string(), src.to_string().substr(sb, len));
+    ASSERT_EQ(v, expect) << "n " << n << " src " << src.size() << " [" << sb
+                         << ", +" << len << ") -> " << db;
 
     // Overlapping self-copy behaves like memmove.
-    std::string s = v.to_string();
     const std::size_t a = rng.below(n - len + 1);
-    s.replace(db, len, s.substr(a, len));
+    for (std::size_t i = 0; i < len; ++i) expect.set(db + i, v.get(a + i));
     v.copy_from(v, a, len, db);
-    ASSERT_EQ(v.to_string(), s);
+    ASSERT_EQ(v, expect);
   }
 }
 
@@ -235,7 +199,6 @@ TEST(BitVec, OutOfRangeThrows) {
   BitVec v(16);
   EXPECT_THROW(v.get(16), Error);
   EXPECT_THROW(v.set(100, true), Error);
-  EXPECT_THROW(v.slice(10, 8), Error);
   EXPECT_THROW(v.byte_at(9), Error);
 }
 
@@ -270,9 +233,8 @@ TEST(Quant, RoundTripErrorBounded) {
   for (auto& x : xs) x = static_cast<float>(rng.uniform(-3.0, 3.0));
   const auto p = util::choose_symmetric(xs);
   const auto q = util::quantize(xs, p);
-  const auto back = util::dequantize(q, p);
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_NEAR(back[i], xs[i], p.scale * 0.5f + 1e-6f);
+    EXPECT_NEAR(p.dequantize(q[i]), xs[i], p.scale * 0.5f + 1e-6f);
   }
 }
 
@@ -376,7 +338,6 @@ TEST(Stats, RunningStatsMatchesClosedForm) {
   for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
   EXPECT_EQ(s.count(), 4u);
   EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
   EXPECT_DOUBLE_EQ(s.max(), 4.0);
 }
