@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cma/cma.hpp"
@@ -126,7 +127,8 @@ BENCHMARK(BM_EmbeddingPool)->Arg(1)->Arg(8)->Arg(64);
 // The int8 snapshot an image build takes of a Criteo-shaped table: 30,000
 // rows of 32 with 6.6% of them written (the share 4,000 training samples
 // write in the Criteo tables), drawn like the generator's ids from
-// Zipf(1.1). The unwritten pages are regenerated from their init stream.
+// Zipf(1.1). The unwritten rows are regenerated from their pages' init
+// streams.
 void BM_EmbeddingQuantize(benchmark::State& state) {
   constexpr std::size_t kRows = 30000, kWritten = 1980;
   util::Xoshiro256 rng(13);
@@ -145,6 +147,41 @@ void BM_EmbeddingQuantize(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(table.quantized());
 }
 BENCHMARK(BM_EmbeddingQuantize)->Unit(benchmark::kMillisecond);
+
+// Criteo training's access to one table: per sample, copy_row of a
+// Zipf(1.1) row of a 30,000 x 32 table, then a one-row sum-pooled sgd on
+// it, over 4,000 samples. Each pass starts from a fresh table (built
+// outside the timed region), so its first writes store rows as training's
+// do; `per_step` is the host time of one copy_row plus sgd.
+void BM_EmbeddingSgd(benchmark::State& state) {
+  constexpr std::size_t kRows = 30000, kDim = 32, kSteps = 4000;
+  util::Xoshiro256 rng(17);
+  const data::ZipfSampler zipf(kRows, 1.1);
+  std::vector<std::size_t> stream(kSteps);
+  for (auto& r : stream) r = zipf.sample(rng);
+  const tensor::Vector grad(kDim, 0.01f);
+  tensor::Vector row(kDim);
+  for (auto _ : state) {
+    state.PauseTiming();
+    util::Xoshiro256 init(13);
+    auto table = std::make_unique<nn::EmbeddingTable>(kRows, kDim, init);
+    state.ResumeTiming();
+    for (const std::size_t& r : stream) {
+      table->copy_row(r, row);
+      table->sgd({&r, 1}, nn::Pooling::kSum, grad, 0.05f);
+    }
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    table.reset();
+    state.ResumeTiming();
+  }
+  state.counters["per_step"] = benchmark::Counter(
+      static_cast<double>(kSteps),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EmbeddingSgd)->Unit(benchmark::kMicrosecond);
 
 // One synth_host_1m pass through the hot-row cache: 200k queries from
 // Zipf(0.9) users over 10^6, each touching the 24 hashed candidate rows

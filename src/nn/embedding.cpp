@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/quant.hpp"
@@ -39,8 +40,9 @@ float init_value(util::Xoshiro256& g, float r) {
   return static_cast<float>(g.uniform(-r, r));
 }
 
-// Writes the init values that follow `skip` draws of `g` into `out`.
-void regenerate(util::Xoshiro256 g, std::size_t skip, std::size_t dim,
+// Writes into `out` the init values that follow `skip` more draws of `g`,
+// leaving `g` after the last one.
+void regenerate(util::Xoshiro256& g, std::size_t skip, std::size_t dim,
                 std::span<float> out) {
   for (std::size_t i = 0; i < skip; ++i) g();
   const float r = 1.0f / static_cast<float>(dim);
@@ -53,6 +55,9 @@ EmbeddingTable::EmbeddingTable(std::size_t rows, std::size_t dim,
                                util::Xoshiro256& rng)
     : rows_(rows), dim_(dim) {
   IMARS_REQUIRE(rows > 0 && dim > 0, "EmbeddingTable: dims must be positive");
+  // A row's slot numbers the stored rows from 1.
+  IMARS_REQUIRE(rows <= std::numeric_limits<std::uint32_t>::max(),
+                "EmbeddingTable: more rows than a 32-bit row slot numbers");
   // dense() holds every value at once, so a shape no Matrix could hold is
   // rejected before the first draw.
   IMARS_REQUIRE(tensor::checked_elements(rows, dim, "EmbeddingTable") <=
@@ -62,56 +67,69 @@ EmbeddingTable::EmbeddingTable(std::size_t rows, std::size_t dim,
   pages_.reserve(n_pages);
   const float r = 1.0f / static_cast<float>(dim);
   for (std::size_t p = 0; p < n_pages; ++p) {
-    Page page{rng, 0.0f, nullptr};
-    for (std::size_t i = page_floats(p); i > 0; --i)
+    Page page{rng, 0.0f};
+    for (std::size_t i = page_rows(p) * dim; i > 0; --i)
       page.init_max = std::max(page.init_max, std::fabs(init_value(rng, r)));
-    pages_.push_back(std::move(page));
+    pages_.push_back(page);
   }
+  slots_.assign(rows, 0);
 }
 
-EmbeddingTable::EmbeddingTable(const EmbeddingTable& other)
-    : rows_(other.rows_), dim_(other.dim_) {
-  pages_.reserve(other.pages_.size());
-  for (std::size_t p = 0; p < other.pages_.size(); ++p) {
-    const Page& src = other.pages_[p];
-    Page page{src.init, src.init_max, nullptr};
-    if (src.values) {
-      const std::size_t n = page_floats(p);
-      page.values = std::make_unique_for_overwrite<float[]>(n);
-      std::copy_n(src.values.get(), n, page.values.get());
-    }
-    pages_.push_back(std::move(page));
-  }
+std::size_t EmbeddingTable::stored_rows() const noexcept {
+  return std::min(chunks_.size() * kChunkRows, rows_);
 }
 
-std::size_t EmbeddingTable::page_floats(std::size_t p) const noexcept {
-  return std::min(kPageRows, rows_ - p * kPageRows) * dim_;
+std::size_t EmbeddingTable::page_rows(std::size_t p) const noexcept {
+  return std::min(kPageRows, rows_ - p * kPageRows);
+}
+
+bool EmbeddingTable::page_written(std::size_t p) const noexcept {
+  const std::uint32_t* first = slots_.data() + p * kPageRows;
+  return std::any_of(first, first + page_rows(p),
+                     [](std::uint32_t slot) { return slot != 0; });
 }
 
 std::span<const float> EmbeddingTable::page_values(
     std::size_t p, std::span<float> scratch) const {
-  const Page& page = pages_[p];
-  const std::size_t n = page_floats(p);
-  if (page.values) return {page.values.get(), n};
-  regenerate(page.init, 0, dim_, scratch.first(n));
-  return scratch.first(n);
+  // One walk of the page's generator: a stored row's draws are skipped,
+  // and only when an unwritten row follows them.
+  util::Xoshiro256 g = pages_[p].init;
+  std::size_t skip = 0;
+  for (std::size_t i = 0; i < page_rows(p); ++i) {
+    const std::span<float> out = scratch.subspan(i * dim_, dim_);
+    if (const float* stored = stored_row(p * kPageRows + i)) {
+      std::copy_n(stored, dim_, out.begin());
+      skip += dim_;
+    } else {
+      regenerate(g, skip, dim_, out);
+      skip = 0;
+    }
+  }
+  return scratch.first(page_rows(p) * dim_);
 }
 
 const float* EmbeddingTable::stored_row(std::size_t index) const noexcept {
-  const Page& page = pages_[index / kPageRows];
-  return page.values ? page.values.get() + (index % kPageRows) * dim_
-                     : nullptr;
+  const std::size_t slot = slots_[index];
+  if (slot == 0) return nullptr;
+  return chunks_[(slot - 1) / kChunkRows].get() +
+         (slot - 1) % kChunkRows * dim_;
 }
 
 float* EmbeddingTable::writable_row(std::size_t index) {
-  const std::size_t p = index / kPageRows;
-  Page& page = pages_[p];
-  if (!page.values) {
-    const std::size_t n = page_floats(p);
-    page.values = std::make_unique_for_overwrite<float[]>(n);
-    regenerate(page.init, 0, dim_, {page.values.get(), n});
-  }
-  return page.values.get() + (index % kPageRows) * dim_;
+  std::uint32_t& slot = slots_[index];
+  if (slot != 0)
+    return chunks_[(slot - 1) / kChunkRows].get() +
+           (slot - 1) % kChunkRows * dim_;
+  // A first write stores the row at the end of the last chunk, which holds
+  // kChunkRows rows or, in a nearly full table, the rows left to store.
+  if (stored_ % kChunkRows == 0)
+    chunks_.push_back(std::make_unique_for_overwrite<float[]>(
+        std::min(kChunkRows, rows_ - stored_) * dim_));
+  float* row = chunks_.back().get() + stored_ % kChunkRows * dim_;
+  util::Xoshiro256 g = pages_[index / kPageRows].init;
+  regenerate(g, index % kPageRows * dim_, dim_, {row, dim_});
+  slot = static_cast<std::uint32_t>(++stored_);
+  return row;
 }
 
 void EmbeddingTable::copy_row(std::size_t index, std::span<float> out) const {
@@ -121,8 +139,8 @@ void EmbeddingTable::copy_row(std::size_t index, std::span<float> out) const {
   if (const float* stored = stored_row(index)) {
     std::copy_n(stored, dim_, out.begin());
   } else {
-    regenerate(pages_[index / kPageRows].init, (index % kPageRows) * dim_,
-               dim_, out);
+    util::Xoshiro256 g = pages_[index / kPageRows].init;
+    regenerate(g, index % kPageRows * dim_, dim_, out);
   }
 }
 
@@ -135,8 +153,7 @@ tensor::Vector EmbeddingTable::lookup_pooled(
       copy_row(indices[k], std::span(out).subspan(k * dim_, dim_));
     return out;
   }
-  // Stored rows add in place; only a row on an unwritten page needs the
-  // scratch row.
+  // Stored rows add in place; only an unwritten row needs the scratch row.
   tensor::Vector out(dim_, 0.0f);
   tensor::Vector scratch;
   for (const std::size_t idx : indices) {
@@ -164,14 +181,10 @@ void EmbeddingTable::sgd(std::span<const std::size_t> indices,
   const bool concat = pooling == Pooling::kConcat;
   IMARS_REQUIRE(grad.size() == (concat ? indices.size() : 1) * dim_,
                 "EmbeddingTable::sgd: grad size mismatch");
-  // Every check before the first move, so a rejected step moves no row. A
-  // page allocated below cannot overlap grad, which is live memory already.
-  for (const std::size_t idx : indices) {
+  // Every check before the first move, so a rejected step moves no row.
+  // No member hands out a stored row, so grad cannot overlap one.
+  for (const std::size_t idx : indices)
     IMARS_REQUIRE(idx < rows_, "EmbeddingTable: grad index out of range");
-    const float* stored = stored_row(idx);
-    IMARS_REQUIRE(stored == nullptr || tensor::disjoint(grad, {stored, dim_}),
-                  "EmbeddingTable::sgd: grad must not overlap a row it moves");
-  }
   const float scale = (pooling == Pooling::kMean)
                           ? 1.0f / static_cast<float>(indices.size())
                           : 1.0f;
@@ -189,15 +202,22 @@ void EmbeddingTable::set_row(std::size_t index, std::span<const float> values) {
 }
 
 tensor::QMatrix EmbeddingTable::quantized() const {
-  // The scale of the dense table: the stored pages' max |x| and the
-  // unwritten pages' cached init max, whose max is the dense table's.
+  // The scale of the dense table: the max |x| of the stored rows and of
+  // the unwritten pages' cached init maxima. A written page's init max is
+  // not its max (a written row may have grown, or held that max and
+  // shrunk), but it bounds its unwritten rows'. So only a written page
+  // whose init max exceeds the running max can raise it, and only such a
+  // page is regenerated.
   float m = 0.0f;
-  for (std::size_t p = 0; p < pages_.size(); ++p) {
-    const Page& page = pages_[p];
-    m = std::max(m, page.values
-                        ? util::max_abs({page.values.get(), page_floats(p)})
-                        : page.init_max);
-  }
+  for (std::size_t s = 0; s < stored_; s += kChunkRows)
+    m = std::max(m, util::max_abs({chunks_[s / kChunkRows].get(),
+                                   std::min(kChunkRows, stored_ - s) * dim_}));
+  for (std::size_t p = 0; p < pages_.size(); ++p)
+    if (!page_written(p)) m = std::max(m, pages_[p].init_max);
+  std::vector<float> scratch(kPageRows * dim_);
+  for (std::size_t p = 0; p < pages_.size(); ++p)
+    if (pages_[p].init_max > m && page_written(p))
+      m = std::max(m, util::max_abs(page_values(p, scratch)));
   const util::QuantParams params = util::symmetric_for(m);
   tensor::QMatrix q(rows_, dim_, params);
   for_each_page([&](std::size_t first, std::span<const float> values) {

@@ -70,11 +70,6 @@ std::size_t QosBatcher::pending() const noexcept {
   return n;
 }
 
-std::size_t QosBatcher::pending(std::size_t cls) const {
-  IMARS_REQUIRE(cls < queues_.size(), "QosBatcher: class out of range");
-  return queues_[cls].size();
-}
-
 device::Ns QosBatcher::trigger_time(std::size_t cls) const {
   const auto& c = cfg_.classes[cls];
   const device::Ns enqueue = queues_[cls].front().enqueue;

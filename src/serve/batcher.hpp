@@ -138,7 +138,6 @@ class QosBatcher {
   void add(const Request& r);
 
   std::size_t pending() const noexcept;
-  std::size_t pending(std::size_t cls) const;
   bool empty() const noexcept { return pending() == 0; }
 
   /// Earliest future time at which any *admissible* class's deadline

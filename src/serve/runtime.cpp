@@ -81,6 +81,10 @@ namespace {
 /// identical at any depth.
 constexpr std::size_t kMaxInflight = 4;
 
+/// Most query records run() reserves before serving (2^20 records,
+/// ~136 MiB); a longer recorded stream regrows past it.
+constexpr std::size_t kMaxReservedRecords = std::size_t{1} << 20;
+
 struct ArrivalLater {
   bool operator()(const Request& a, const Request& b) const {
     if (a.enqueue.value != b.enqueue.value)
@@ -225,6 +229,15 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   if (cfg_.streaming_report) {
     report.streaming = StreamingAggregates(cfg_.streaming_rel_err);
     report.streaming.enabled = true;
+  } else {
+    // One record per served query: room for the whole stream up front, so
+    // the records never regrow mid-run, capped so a huge configured length
+    // cannot fail before serving.
+    const LoadGenConfig& lc = gen.config();
+    report.queries.reserve(std::min<std::size_t>(
+        lc.arrivals == ArrivalProcess::kTrace ? lc.trace.size()
+                                              : lc.total_queries,
+        kMaxReservedRecords));
   }
   for (const auto& cls : qos.classes) {
     ClassReport cr;

@@ -12,12 +12,14 @@
 #include <utility>
 #include <vector>
 
+#include "data/zipf.hpp"
 #include "nn/embedding.hpp"
 #include "nn/layer.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 #include "tensor/qtensor.hpp"
 #include "util/error.hpp"
+#include "util/quant.hpp"
 #include "util/rng.hpp"
 
 namespace imars {
@@ -381,24 +383,17 @@ TEST(Embedding, SgdRejectsBadLearningRate) {
   }
 }
 
-// A rejected step moves no row, also the rows before a bad index. A grad
-// that is a stored row the step moves is rejected too; for_each_page hands
-// out a written page's own storage.
-TEST(Embedding, SgdRejectsBadShapesAndOverlap) {
+// A rejected step moves no row, also the rows before a bad index.
+TEST(Embedding, SgdRejectsBadIndicesAndShapes) {
   util::Xoshiro256 rng(18);
   EmbeddingTable t(3, 2, rng);
-  t.set_row(1, row_of(t, 1));  // stores the page, values unchanged
+  t.set_row(1, row_of(t, 1));  // stores the row, values unchanged
   const tensor::Matrix before = t.dense();
-  std::span<const float> stored;
-  t.for_each_page([&](std::size_t, std::span<const float> values) {
-    stored = values;
-  });
   const std::size_t ok[2] = {0, 1};
   const std::size_t bad[2] = {0, 3};
   EXPECT_THROW(t.sgd(bad, Pooling::kSum, Vector{1.0f, 1.0f}, 0.1f), Error);
   EXPECT_THROW(t.sgd(ok, Pooling::kSum, Vector(4, 1.0f), 0.1f), Error);
   EXPECT_THROW(t.sgd(ok, Pooling::kConcat, Vector(2, 1.0f), 0.1f), Error);
-  EXPECT_THROW(t.sgd(ok, Pooling::kMean, stored.subspan(2, 2), 0.1f), Error);
   EXPECT_EQ(t.dense(), before);
   t.sgd({}, Pooling::kConcat, {}, 0.1f);  // no lookup, no step
   EXPECT_EQ(t.dense(), before);
@@ -512,10 +507,10 @@ TEST(Embedding, QuantizedSnapshotRoundTrips) {
   }
 }
 
-// ---------- Page-lazy storage ------------------------------------------------
+// ---------- Row storage ------------------------------------------------------
 
 // The dense table the constructor's draws describe: the loop the table ran
-// before it stored pages lazily, over a copy of the generator.
+// before it stored rows lazily, over a copy of the generator.
 tensor::Matrix dense_init(std::size_t rows, std::size_t dim,
                           util::Xoshiro256& rng) {
   tensor::Matrix m(rows, dim);
@@ -565,8 +560,10 @@ void expect_matches_reference(const EmbeddingTable& t,
 // one-row table, at widths 1, 3 and 32: every read matches the dense table
 // the same draws describe, before and after writes, and the generator
 // leaves the constructor where the dense loop leaves it. The first
-// snapshot has no stored page at all, so its scale is the unwritten
-// pages' alone.
+// snapshot has no stored row at all, so its scale is the unwritten
+// pages' alone. Both ways a written page's init max stops being its max
+// are checked: the row holding the table's largest init value is written
+// to zero first, and a row grows past every init value last.
 TEST(Embedding, PageLazyTableMatchesDenseReference) {
   for (const std::size_t rows : {1, 7, 8, 9, 17, 1000}) {
     for (const std::size_t dim : {1, 3, 32}) {
@@ -579,17 +576,24 @@ TEST(Embedding, PageLazyTableMatchesDenseReference) {
       EXPECT_EQ(rng(), ref_rng()) << where;
       expect_matches_reference(t, ref, where + " as built");
 
-      // One sgd step per pooling, each a first write to some page, then
+      const auto set = [&](std::size_t r, const Vector& values) {
+        t.set_row(r, values);
+        std::copy(values.begin(), values.end(), ref.row(r).begin());
+      };
+      std::size_t top = 0;
+      for (std::size_t r = 1; r < rows; ++r)
+        if (util::max_abs(ref.row(r)) > util::max_abs(ref.row(top))) top = r;
+      set(top, Vector(dim, 0.0f));
+      expect_matches_reference(t, ref, where + " init max written down");
+
+      // One sgd step per pooling, each a first write to some row, then
       // set_row on a mix: from 17 rows on, `mid` is a row on a page no step
       // touched, mid and mid + 1 are two rows of one page, and the last row.
       const float lr = 0.25f;
       const std::size_t last = rows - 1;
       const std::size_t mid = rows / 2;
-      const std::vector<std::size_t> steps[3] = {
-          {rows / 3}, {0, last, 0}, {last, 0}};
-      for (const Pooling pooling :
-           {Pooling::kSum, Pooling::kMean, Pooling::kConcat}) {
-        const auto& idx = steps[static_cast<int>(pooling)];
+      const auto step = [&](const std::vector<std::size_t>& idx,
+                            Pooling pooling) {
         const bool concat = pooling == Pooling::kConcat;
         Vector grad((concat ? idx.size() : 1) * dim);
         for (std::size_t c = 0; c < grad.size(); ++c)
@@ -602,25 +606,66 @@ TEST(Embedding, PageLazyTableMatchesDenseReference) {
             ref.at(idx[k], c) -=
                 lr * (grad[(concat ? k * dim : 0) + c] * scale);
         t.sgd(idx, pooling, grad, lr);
+      };
+      step({rows / 3}, Pooling::kSum);
+      step({0, last, 0}, Pooling::kMean);
+      step({last, 0}, Pooling::kConcat);
+      if (rows >= 17) {
+        // Every row of page 1 written by one step, out of order.
+        step({13, 8, 15, 10, 9, 14, 11, 12}, Pooling::kConcat);
+        // Row b of page 0 stays unwritten between rows b - 1 and b + 1,
+        // written here in reverse order.
+        const std::size_t b = top == 2 ? 4 : 2;
+        set(b + 1, Vector(dim, 0.5f / static_cast<float>(dim)));
+        set(b - 1, Vector(dim, -0.5f / static_cast<float>(dim)));
       }
       for (const std::size_t r : {mid, mid + 1, last}) {
         if (r >= rows) continue;
         Vector values(dim);
         for (std::size_t c = 0; c < dim; ++c) values[c] = 0.25f * ref.at(r, c);
-        t.set_row(r, values);
-        std::copy(values.begin(), values.end(), ref.row(r).begin());
+        set(r, values);
       }
       expect_matches_reference(t, ref, where + " after writes");
 
-      // A copy owns its pages: writing the original leaves it as it was.
-      EmbeddingTable copy = t;
-      t.set_row(0, Vector(dim, 0.0f));
-      expect_matches_reference(copy, ref, where + " copy");
-      copy = EmbeddingTable(t);
-      std::fill(ref.row(0).begin(), ref.row(0).end(), 0.0f);
-      expect_matches_reference(copy, ref, where + " assigned copy");
+      // Init values lie in [-1/dim, 1/dim).
+      Vector grown(dim, 2.0f / static_cast<float>(dim));
+      grown.back() = -grown.back();
+      set(rows / 3, grown);
+      expect_matches_reference(t, ref, where + " row grown");
+
+      // A move keeps every stored row.
+      const EmbeddingTable moved = std::move(t);
+      expect_matches_reference(moved, ref, where + " moved");
     }
   }
+}
+
+// Storage grows with the rows written, not with the pages they are on:
+// after k distinct rows of a Criteo-shaped table (30,000 x 32, Zipf(1.1)
+// rows, some written again) are written, the table stores k rows plus at
+// most one chunk's slack, and a table with every row written stores
+// exactly its rows.
+TEST(Embedding, StoresOnlyTheWrittenRows) {
+  util::Xoshiro256 rng(79);
+  EmbeddingTable t(30000, 32, rng);
+  EXPECT_EQ(t.stored_rows(), 0u);
+  const data::ZipfSampler zipf(t.rows(), 1.1);
+  std::vector<bool> written(t.rows(), false);
+  std::size_t k = 0;
+  for (int n = 0; n < 5000; ++n) {
+    const std::size_t r = zipf.sample(rng);
+    k += written[r] ? 0 : 1;
+    written[r] = true;
+    const std::size_t idx[1] = {r};
+    t.sgd(idx, Pooling::kSum, Vector(t.dim(), 0.5f), 0.1f);
+    ASSERT_GE(t.stored_rows(), k) << n;
+    ASSERT_LT(t.stored_rows(), k + EmbeddingTable::kChunkRows) << n;
+  }
+  EXPECT_LT(k, 5000u);  // some rows were written more than once
+
+  EmbeddingTable full(100, 3, rng);
+  for (std::size_t r = full.rows(); r-- > 0;) full.set_row(r, Vector(3, 1.0f));
+  EXPECT_EQ(full.stored_rows(), full.rows());
 }
 
 // Readers on four threads reading never-written rows of one table (no
@@ -659,10 +704,9 @@ TEST(Embedding, ConcurrentReadsOfUnwrittenRows) {
   EXPECT_EQ(bad, std::vector<int>(4, 0));
 }
 
-// A shape whose values no Matrix could hold is rejected before any draw.
-// SIZE_MAX x 1 does not overflow rows x dim, but rounding its rows up to
-// whole pages does: a wrapped page count of 0 would back 2^64 - 1 rows with
-// no pages.
+// A shape whose values no Matrix could hold, or with more rows than a
+// 32-bit row slot numbers (2^32 - 1), is rejected before any draw. 2^32 x 1
+// fits a Matrix, so only the slot limit rejects it.
 TEST(Embedding, OverflowingShapeIsRejected) {
   util::Xoshiro256 rng(78);
   util::Xoshiro256 untouched = rng;
@@ -671,6 +715,16 @@ TEST(Embedding, OverflowingShapeIsRejected) {
   EXPECT_THROW(EmbeddingTable(big, big, rng), Error);
   EXPECT_THROW(EmbeddingTable(kMax, 2, rng), Error);
   EXPECT_THROW(EmbeddingTable(kMax, 1, rng), Error);
+  try {
+    EmbeddingTable(big, 1, rng);
+    ADD_FAILURE() << "2^32 rows accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("32-bit row slot"),
+              std::string::npos)
+        << e.what();
+  }
+  const std::size_t cap = std::vector<float>().max_size();
+  EXPECT_THROW(EmbeddingTable(big - 1, cap / (big - 1) + 1, rng), Error);
   EXPECT_EQ(rng(), untouched());
 }
 

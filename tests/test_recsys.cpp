@@ -17,6 +17,7 @@
 #include "recsys/types.hpp"
 #include "recsys/youtube_dnn.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace imars {
@@ -312,6 +313,15 @@ TEST(Dlrm, InteractRejectsWrongEmbeddingWidth) {
   }
 }
 
+// A table holding `t`'s values, every row stored.
+nn::EmbeddingTable copy_of(const nn::EmbeddingTable& t) {
+  util::Xoshiro256 rng(0);
+  nn::EmbeddingTable out(t.rows(), t.dim(), rng);
+  const tensor::Matrix values = t.dense();
+  for (std::size_t r = 0; r < t.rows(); ++r) out.set_row(r, values.row(r));
+  return out;
+}
+
 // Dlrm::train_step as it was written before the interaction became gemv
 // and gevm calls: the forward pair dots and the backward double loop, on
 // copies of the model's parameters.
@@ -324,7 +334,7 @@ struct ReferenceDlrm {
   explicit ReferenceDlrm(const Dlrm& m)
       : bottom(m.bottom_mlp()), top(m.top_mlp()), lr(m.config().lr) {
     for (std::size_t f = 0; f < m.table_count(); ++f)
-      tables.push_back(m.table(f));
+      tables.push_back(copy_of(m.table(f)));
   }
 
   float train_step(const data::CriteoSample& s) {

@@ -13,9 +13,11 @@
 #
 # Prints, sorted and one a line, every function defined in src/**/*.cpp
 # that some test binary links and no bench, example, tool or imars_bench
-# links, as its qualified name with the parameter list removed. Exits 1 if
-# a printed name is not in tools/test_only_api.allow, whose lines read
-# "<name>  # <reason>" and must each carry a reason.
+# links, as its full signature (qualified name, parameter list and
+# qualifiers), so an overload only tests link is listed beside a production
+# overload of the same name. Exits 1 if a printed signature is not in
+# tools/test_only_api.allow, whose lines read "<signature>  # <reason>" and
+# must each carry a reason.
 set -euo pipefail
 export LC_ALL=C
 
@@ -33,8 +35,8 @@ cmake -S "$root/benchmark" -B "$build/benchmark" -G Ninja \
       -DCMAKE_EXE_LINKER_FLAGS="$link" >&2
 cmake --build "$build/benchmark" -j >&2
 
-# Function names whose definition `nm -l` places in src/**/*.cpp, with the
-# parameter list (and any clone suffix or ABI tag) removed.
+# Signatures of the functions whose definition `nm -l` places in
+# src/**/*.cpp, without any clone suffix or ABI tag.
 linked() {
   for bin in "$@"; do
     nm -C -l --defined-only "$bin" | awk -F'\t' -v src="$root/src/" '
@@ -46,15 +48,9 @@ linked() {
         # A lambda counts as the function it is defined in.
         if ((i = index(name, "::{lambda(")) > 0) name = substr(name, 1, i - 1)
         # A function template instance starts with its return type.
-        if (substr(name, 1, 7) != "imars::" && (i = index(name, " imars::")) > 0)
+        if (substr(name, 1, 7) != "imars::" && (i = index(name, " imars::")) > 0 &&
+            index(substr(name, 1, i), "(") == 0)
           name = substr(name, i + 1)
-        # Cut the last balanced (...) group and what follows it.
-        depth = 0
-        for (i = length(name); i > 0; --i) {
-          c = substr(name, i, 1)
-          if (c == ")") ++depth
-          else if (c == "(" && --depth == 0) { name = substr(name, 1, i - 1); break }
-        }
         print name
       }'
   done | sort -u
