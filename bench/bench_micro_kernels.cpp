@@ -4,6 +4,7 @@
 // the modeled hardware numbers in the other benches.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -16,6 +17,8 @@
 #include "nn/layer.hpp"
 #include "recsys/dlrm.hpp"
 #include "serve/hot_cache.hpp"
+#include "serve/observe.hpp"
+#include "serve/session_table.hpp"
 #include "synth_servable.hpp"
 #include "tensor/qtensor.hpp"
 #include "util/bitvec.hpp"
@@ -224,6 +227,54 @@ void BM_ZipfSample(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(zipf.sample(rng));
 }
 BENCHMARK(BM_ZipfSample)->Arg(1000000)->Arg(6040);
+
+// One streaming latency report at synth_host_1m's resolution: 1e5
+// lognormal latencies around 10 us (sigma 0.3, spanning ~13,000 buckets)
+// recorded at rel_err 1e-4 into a fresh histogram, then its p50 and p99.
+// The samples are drawn once, outside the timed loop; `per_record` is the
+// host time per sample.
+void BM_StreamingHistogramRecord(benchmark::State& state) {
+  constexpr std::size_t kSamples = 100000;
+  util::Xoshiro256 rng(13);
+  std::vector<double> latency_ns(kSamples);
+  for (double& x : latency_ns) x = 1.0e4 * std::exp(0.3 * rng.normal());
+  for (auto _ : state) {
+    serve::StreamingHistogram h(1e-4);
+    for (const double x : latency_ns) h.record(x);
+    benchmark::DoNotOptimize(h.percentile(50.0));
+    benchmark::DoNotOptimize(h.percentile(99.0));
+  }
+  state.counters["per_record"] = benchmark::Counter(
+      static_cast<double>(kSamples),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StreamingHistogramRecord)->Unit(benchmark::kMillisecond);
+
+// The load generator's session lookup: 2e5 Zipf(0.9) draws over
+// synth_host_1m's 10^6 users touch a 2^17-slot session table, which one
+// untimed pass of the same draws fills first, so misses walk kick chains
+// and force evictions as in the workload's steady state. `per_touch` is
+// the host time per touch.
+void BM_SessionTouch(benchmark::State& state) {
+  constexpr std::size_t kUsers = 1000000, kTouches = 200000;
+  const data::ZipfSampler zipf(kUsers, 0.9);
+  util::Xoshiro256 rng(17);
+  std::vector<std::uint64_t> users(kTouches);
+  for (std::uint64_t& u : users) u = zipf.sample(rng);
+  serve::SessionTableConfig cfg;
+  cfg.capacity = std::size_t{1} << 17;
+  serve::SessionTable table(cfg);
+  for (const std::uint64_t u : users) table.touch(u);
+  for (auto _ : state)
+    for (const std::uint64_t u : users)
+      benchmark::DoNotOptimize(table.touch(u));
+  state.counters["per_touch"] = benchmark::Counter(
+      static_cast<double>(kTouches),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SessionTouch)->Unit(benchmark::kMillisecond);
 
 void BM_GemvI8(benchmark::State& state) {
   util::Xoshiro256 rng(8);

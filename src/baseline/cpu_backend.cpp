@@ -48,7 +48,7 @@ CpuBackend::CpuBackend(const recsys::YoutubeDnn& model,
       items_q_(model.item_table().quantized()),
       items_deq_(items_q_.dequantize()) {
   if (cfg_.variant == FilterVariant::kInt8LshHamming) {
-    lsh_.emplace(model.config().emb_dim, cfg_.lsh_bits, cfg_.lsh_seed);
+    lsh_.emplace(model.config().emb_dim, cfg_.lsh_bits, lsh::kLshSeed);
     signatures_.reserve(items_deq_.rows());
     // Signatures are computed from the quantized (then dequantized) item
     // embeddings: the chip stores int8 rows, so the stored LSH planes see

@@ -33,7 +33,6 @@ struct CpuBackendConfig {
   std::size_t candidates = 100;  ///< top-N for the cosine variants
   std::size_t lsh_bits = 256;    ///< paper signature length
   std::size_t lsh_radius = 96;   ///< fixed-radius threshold (Hamming)
-  std::uint64_t lsh_seed = 2022;
 };
 
 /// Exact software execution of the two-stage pipeline.

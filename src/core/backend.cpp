@@ -22,7 +22,7 @@ ImarsBackend::ImarsBackend(const recsys::YoutubeDnn& model,
     : model_(&model),
       cfg_(cfg),
       acc_(std::make_unique<ImarsAccelerator>(arch, profile)),
-      lsh_(model.config().emb_dim, arch.lsh_bits, cfg.lsh_seed) {
+      lsh_(model.config().emb_dim, arch.lsh_bits, lsh::kLshSeed) {
   IMARS_REQUIRE(cfg_.max_candidates <= arch.cma_rows,
                 "ImarsBackend: candidate cap exceeds the CTR buffer");
 

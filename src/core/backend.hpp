@@ -29,7 +29,6 @@ namespace imars::core {
 struct ImarsBackendConfig {
   std::size_t nns_radius = 96;    ///< fixed-radius Hamming threshold
   TimingMode timing = TimingMode::kActualPlacement;
-  std::uint64_t lsh_seed = 2022;  ///< must match the CPU LSH variant for parity
   /// Candidate cap = CTR-buffer rows (one CMA): the item buffer holds at
   /// most this many candidates per query.
   std::size_t max_candidates = 256;

@@ -11,12 +11,18 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "tensor/tensor.hpp"
 #include "util/bitvec.hpp"
 
 namespace imars::lsh {
+
+/// Seed of the hyperplanes the hardware's stored signatures, the CPU LSH
+/// variant and the funnel's narrowing filter all draw: one set of planes
+/// keeps their filters in parity.
+inline constexpr std::uint64_t kLshSeed = 2022;
 
 /// A fixed set of random hyperplanes mapping R^dim -> {0,1}^bits.
 class RandomHyperplaneLsh {

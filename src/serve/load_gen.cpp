@@ -71,7 +71,7 @@ void LoadGenerator::stamp_session(Request& r) {
   if (cfg_.session_churn > 0.0 &&
       churn_rng_.uniform() < cfg_.session_churn)
     sessions_->evict_random(churn_rng_);
-  const SessionState s = sessions_->touch(r.user, r.enqueue);
+  const SessionState s = sessions_->touch(r.user);
   r.session_seq = s.sequence;
   r.session_fresh = s.sequence == 1;
 }

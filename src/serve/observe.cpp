@@ -35,7 +35,29 @@ void StreamingHistogram::record(double x) {
     ++zero_;
     return;
   }
-  ++buckets_[static_cast<std::int32_t>(std::floor(std::log(x) / log_base_))];
+  const auto idx =
+      static_cast<std::int32_t>(std::floor(std::log(x) / log_base_));
+  Page& page = page_of(idx);
+  std::uint64_t& cnt = page.counts[static_cast<std::size_t>(idx - page.first)];
+  if (cnt == 0) ++buckets_;
+  ++cnt;
+  ++page.total;
+}
+
+StreamingHistogram::Page& StreamingHistogram::page_of(std::int32_t idx) {
+  // kPageBuckets is a power of two, so masking rounds toward -infinity
+  // and a negative index lands on its page too.
+  const std::int32_t first = idx & -kPageBuckets;
+  if (last_ < pages_.size() && pages_[last_].first == first)
+    return pages_[last_];
+  auto it = std::lower_bound(
+      pages_.begin(), pages_.end(), first,
+      [](const Page& p, std::int32_t f) { return p.first < f; });
+  if (it == pages_.end() || it->first != first)
+    it = pages_.insert(
+        it, Page{first, 0, std::vector<std::uint64_t>(kPageBuckets)});
+  last_ = static_cast<std::size_t>(it - pages_.begin());
+  return *it;
 }
 
 double StreamingHistogram::value_at(std::size_t i) const {
@@ -46,14 +68,23 @@ double StreamingHistogram::value_at(std::size_t i) const {
   if (i + 1 >= n_) return max_;
   std::uint64_t cum = zero_;
   if (i < cum) return std::clamp(0.0, min_, max_);
-  // Bucket keys ascend with sample value, so the i-th order statistic lies
-  // in the first bucket whose cumulative count exceeds i; its geometric-
-  // mean representative is within rel_err of every sample in the bucket.
-  for (const auto& [idx, cnt] : buckets_) {
-    cum += cnt;
-    if (i < cum)
-      return std::clamp(std::pow(base_, static_cast<double>(idx) + 0.5),
-                        min_, max_);
+  // Bucket indices ascend with sample value, so the i-th order statistic
+  // lies in the first bucket whose cumulative count exceeds i; its
+  // geometric-mean representative is within rel_err of every sample in the
+  // bucket. A page whose total leaves the count at or below i is skipped;
+  // the walk ends inside the first page it enters.
+  for (const Page& page : pages_) {
+    if (i >= cum + page.total) {
+      cum += page.total;
+      continue;
+    }
+    for (std::int32_t j = 0;; ++j) {
+      cum += page.counts[static_cast<std::size_t>(j)];
+      if (i < cum)
+        return std::clamp(
+            std::pow(base_, static_cast<double>(page.first + j) + 0.5), min_,
+            max_);
+    }
   }
   return max_;
 }
@@ -87,7 +118,17 @@ void StreamingHistogram::merge(const StreamingHistogram& other) {
   n_ += other.n_;
   sum_ += other.sum_;
   zero_ += other.zero_;
-  for (const auto& [idx, cnt] : other.buckets_) buckets_[idx] += cnt;
+  // page_of() inserts only pages this histogram lacks, so a self-merge,
+  // which lacks none, never moves the directory it walks.
+  for (const Page& from : other.pages_) {
+    Page& page = page_of(from.first);
+    for (std::size_t j = 0; j < from.counts.size(); ++j) {
+      if (from.counts[j] == 0) continue;
+      if (page.counts[j] == 0) ++buckets_;
+      page.counts[j] += from.counts[j];
+    }
+    page.total += from.total;
+  }
 }
 
 void MetricsRegistry::add_counter(std::string_view name, std::uint64_t delta) {
@@ -106,12 +147,10 @@ void MetricsRegistry::set_gauge(std::string_view name, double value) {
     it->second = value;
 }
 
-StreamingHistogram& MetricsRegistry::histogram(std::string_view name,
-                                               double rel_err) {
+StreamingHistogram& MetricsRegistry::histogram(std::string_view name) {
   auto it = histograms_.find(name);
   if (it == histograms_.end())
-    it = histograms_.emplace(std::string(name), StreamingHistogram(rel_err))
-             .first;
+    it = histograms_.emplace(std::string(name), StreamingHistogram()).first;
   return it->second;
 }
 

@@ -4,12 +4,12 @@
 // this layer opens the run up without perturbing it. Three pieces live here:
 //
 //   * StreamingHistogram — log-bucketed latency histogram with incremental
-//     percentiles. Memory is O(buckets) instead of O(queries), and the
-//     incremental p50/p95/p99 match the exact sorted-sample percentiles
-//     (util::percentile semantics: rank = p/100 * (n-1), linear
-//     interpolation) within the bucket's relative-error bound. The
-//     ROADMAP's million-user steady state cannot retain every ServedQuery;
-//     this is the replacement accounting.
+//     percentiles. Memory is O(pages of buckets touched) instead of
+//     O(queries), and the incremental p50/p95/p99 match the exact
+//     sorted-sample percentiles (util::percentile semantics: rank =
+//     p/100 * (n-1), linear interpolation) within the bucket's
+//     relative-error bound. The ROADMAP's million-user steady state cannot
+//     retain every ServedQuery; this is the replacement accounting.
 //   * MetricsRegistry — named counters / gauges / histograms, the
 //     aggregation side of the observer events below.
 //   * ObserverSink — the instrumentation interface. QosBatcher,
@@ -33,6 +33,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "device/units.hpp"
 
@@ -67,12 +68,23 @@ constexpr std::string_view to_string(CloseTrigger t) {
 /// and interior ranks are within the bucket bound. Non-positive samples
 /// (latency 0 exists: a closed-loop client's enqueue can equal its
 /// dispatch) collect in a dedicated zero bucket.
+///
+/// Bucket counts live in pages of kPageBuckets consecutive buckets, each
+/// allocated when one of its buckets is first touched and kept in a
+/// directory ordered by first bucket. Memory follows the pages touched,
+/// never the distance between the smallest and largest sample: a latency
+/// stream clustered over ~15,000 buckets at rel_err 1e-4 fills about one
+/// page per kPageBuckets buckets of its span, and two samples 7e8 buckets
+/// apart hold two pages. record() tries the page it used last before it
+/// searches the directory, so clustered samples are O(1) each.
 class StreamingHistogram {
  public:
   /// Finest accepted resolution. Bucket indices are int32 and every finite
   /// positive double has |ln x| <= 744.5, so ln(base) must exceed
   /// 744.5 / 2^31, i.e. rel_err above ~1.74e-7; the floor leaves margin.
   static constexpr double kMinRelErr = 1e-6;
+  /// Buckets per page of counts; a page starts at a multiple of it.
+  static constexpr std::int32_t kPageBuckets = 256;
 
   /// `rel_err` in [kMinRelErr, 1); anything else throws.
   explicit StreamingHistogram(double rel_err = 0.01);
@@ -99,14 +111,24 @@ class StreamingHistogram {
   /// Folds `other` in (same rel_err required).
   void merge(const StreamingHistogram& other);
 
+  /// Distinct non-empty buckets, the zero bucket included.
   std::size_t bucket_count() const noexcept {
-    return buckets_.size() + (zero_ > 0 ? 1 : 0);
+    return buckets_ + (zero_ > 0 ? 1 : 0);
   }
 
  private:
+  struct Page {
+    std::int32_t first;                 ///< first bucket index
+    std::uint64_t total;                ///< samples in the page's buckets
+    std::vector<std::uint64_t> counts;  ///< kPageBuckets per-bucket counts
+  };
+
   /// Approximate value of the i-th smallest sample (0-based): exact at the
   /// ends, the bucket representative in between.
   double value_at(std::size_t i) const;
+  /// The page holding bucket `idx`, allocated if no bucket of it was
+  /// touched yet.
+  Page& page_of(std::int32_t idx);
 
   double rel_err_;
   double base_;      ///< (1 + rel_err)^2
@@ -115,8 +137,10 @@ class StreamingHistogram {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  std::uint64_t zero_ = 0;  ///< samples <= 0
-  std::map<std::int32_t, std::uint64_t> buckets_;
+  std::uint64_t zero_ = 0;   ///< samples <= 0
+  std::size_t buckets_ = 0;  ///< buckets with a non-zero count
+  std::vector<Page> pages_;  ///< ordered by first bucket
+  std::size_t last_ = 0;     ///< the page page_of() returned last
 };
 
 /// Named metrics: monotone counters, last-value gauges, histograms. The
@@ -126,8 +150,9 @@ class MetricsRegistry {
  public:
   void add_counter(std::string_view name, std::uint64_t delta = 1);
   void set_gauge(std::string_view name, double value);
-  /// Returns (creating on first use) the named histogram.
-  StreamingHistogram& histogram(std::string_view name, double rel_err = 0.01);
+  /// Returns (creating on first use) the named histogram, at the default
+  /// resolution (rel_err 0.01).
+  StreamingHistogram& histogram(std::string_view name);
 
   std::uint64_t counter(std::string_view name) const;
 

@@ -120,9 +120,8 @@ FunnelServable::FunnelServable(const recsys::YoutubeDnn& model,
   // Signatures for the narrowing filter (and the kLsh retrieval tier):
   // same planes/seed family as the hardware's stored ItET signatures.
   const auto& items = model.item_table();
-  lsh_ = std::make_unique<lsh::RandomHyperplaneLsh>(items.dim(),
-                                                    cfg_.lsh_bits,
-                                                    cfg_.lsh_seed);
+  lsh_ = std::make_unique<lsh::RandomHyperplaneLsh>(
+      items.dim(), cfg_.lsh_bits, lsh::kLshSeed);
   item_sigs_.reserve(items.rows());
   items.for_each_page([&](std::size_t, std::span<const float> values) {
     for (std::size_t at = 0; at < values.size(); at += items.dim())

@@ -77,10 +77,10 @@ struct FunnelConfig {
   bool rerank = true;
   /// IVF build/search parameters (RetrievalKind::kIvf).
   baseline::IvfIndex::Config ivf{};
-  /// Signature geometry; defaults match ImarsBackendConfig so the filter
-  /// stage narrows with the same planes the hardware stores.
+  /// Signature length; the default matches the hardware's, and the planes
+  /// are lsh::kLshSeed's, so the filter stage narrows with the planes the
+  /// hardware stores.
   std::size_t lsh_bits = 256;
-  std::uint64_t lsh_seed = 2022;
 };
 
 /// The retrieval tier behind a uniform adapter: one engine turns a user

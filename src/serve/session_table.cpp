@@ -10,7 +10,6 @@ namespace {
 
 constexpr std::uint64_t kBucketSeed = 0x73657373696f6e31ULL;  // "session1"
 constexpr std::uint64_t kAltSeed = 0x73657373696f6e32ULL;     // "session2"
-constexpr std::uint64_t kProfileSeed = 0x70726f66696c65ULL;   // "profile"
 
 std::size_t next_pow2(std::size_t v) {
   std::size_t p = 1;
@@ -112,7 +111,7 @@ void SessionTable::insert(const SessionState& s) {
   ++stats_.departures;
 }
 
-SessionState SessionTable::touch(std::uint64_t user, device::Ns now) {
+SessionState SessionTable::touch(std::uint64_t user) {
   ++stats_.lookups;
   const std::size_t b1 = bucket_of(user);
   std::size_t bucket = b1;
@@ -124,17 +123,10 @@ SessionState SessionTable::touch(std::uint64_t user, device::Ns now) {
   if (slot < kSlotsPerBucket) {
     SessionState& st = slots_[bucket * kSlotsPerBucket + slot];
     ++st.sequence;
-    st.last_seen = now;
     ++stats_.hits;
     return st;
   }
-  SessionState fresh;
-  fresh.user = user;
-  fresh.sequence = 1;
-  fresh.profile =
-      static_cast<std::uint32_t>(util::hash64(seed_ ^ kProfileSeed, user));
-  fresh.first_seen = now;
-  fresh.last_seen = now;
+  const SessionState fresh{user, 1};
   ++stats_.arrivals;
   insert(fresh);
   return fresh;

@@ -10,10 +10,11 @@
 //
 //   * O(1) lookup — a key lives in one of two buckets (4 slots each), so a
 //     probe touches at most 8 slots regardless of capacity or load.
-//   * 32 bytes per slot — a slot is a bare SessionState; which slots are
-//     live is one bit per slot beside them, and a bucket's four bits sit
-//     in one word. 10^5 sessions round up to 2^17 slots: 4 MiB of states
-//     plus 16 KiB of bits.
+//   * 16 bytes per slot — a slot is a bare SessionState (the user and its
+//     query sequence, all the load generator reads); which slots are live
+//     is one bit per slot beside them, and a bucket's four bits sit in one
+//     word. 10^5 sessions round up to 2^17 slots: 2 MiB of states plus
+//     16 KiB of bits.
 //   * bounded kicks — an insert displaces at most `max_kicks` victims; if
 //     the kick chain runs out, the last displaced session departs (a
 //     forced eviction, counted) instead of the insert looping. Per-insert
@@ -34,7 +35,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "device/units.hpp"
 #include "util/rng.hpp"
 
 namespace imars::serve {
@@ -43,10 +43,9 @@ namespace imars::serve {
 struct SessionState {
   std::uint64_t user = 0;      ///< key: user-context index
   std::uint32_t sequence = 0;  ///< queries this session has issued (1 = first)
-  std::uint32_t profile = 0;   ///< session personalization tag (seeded hash)
-  device::Ns first_seen{0.0};  ///< arrival time (simulated)
-  device::Ns last_seen{0.0};   ///< newest query time (simulated)
 };
+static_assert(sizeof(SessionState) == 16,
+              "a session slot is the user key and its query sequence");
 
 struct SessionTableConfig {
   /// Target live-session capacity; rounded up to a power-of-two bucket
@@ -90,12 +89,12 @@ class SessionTable {
   /// Longest kick chain any insert has walked (<= cfg.max_kicks always).
   std::size_t max_kick_chain() const noexcept { return max_kick_chain_; }
 
-  /// Looks up `user`'s live session: a hit bumps its query sequence and
-  /// last_seen; a miss creates the session (cuckoo insert with bounded
+  /// Looks up `user`'s live session: a hit bumps its query sequence; a
+  /// miss creates the session at sequence 1 (cuckoo insert with bounded
   /// kicks — a full table along the kick path forcibly retires the last
   /// displaced session). Returns the post-bump state by value (the slot
   /// may move on later inserts).
-  SessionState touch(std::uint64_t user, device::Ns now);
+  SessionState touch(std::uint64_t user);
 
   /// True if `user` has a live session (no stats side effects).
   bool contains(std::uint64_t user) const;

@@ -1,5 +1,6 @@
 // Tests for the serving observability layer: the streaming histogram
-// against exact sorted-sample percentiles, the metrics registry, the
+// against exact sorted-sample percentiles and against the map-backed
+// histogram its paged counts replaced, its memory, the metrics registry, the
 // HostProfiler, the bit-identical-with-observation-on parity grid
 // (observers must never perturb the run), streaming-mode ServeReport
 // aggregates against record mode, trace well-formedness (check_trace on a
@@ -8,11 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +33,44 @@
 #include "serve_test_util.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+
+namespace {
+
+/// Bytes the global operator new handed out while g_counting was set
+/// (StreamingHistogram.RejectsBadConfigs bounds a histogram's memory).
+std::atomic<std::size_t> g_counted_bytes{0};
+std::atomic<bool> g_counting{false};
+/// Larger requests fail while counting, so a histogram that sized its
+/// storage by the span of its samples fails its test instead of filling
+/// gigabytes.
+constexpr std::size_t kCountedRequestCap = std::size_t{1} << 20;
+
+/// malloc for the replaced operator new forms below; nullptr on failure or
+/// on a counted request above the cap.
+void* counted_malloc(std::size_t size) noexcept {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    if (size > kCountedRequestCap) return nullptr;
+    g_counted_bytes.fetch_add(size, std::memory_order_relaxed);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+}  // namespace
+
+// Counting global allocator. libstdc++'s array forms forward to these; the
+// nothrow form is replaced too, because a sanitizer runtime's own nothrow
+// form would hand out memory the delete below frees with free().
+// Over-aligned allocations are not counted.
+void* operator new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace imars {
 namespace {
@@ -156,10 +199,22 @@ TEST(StreamingHistogram, RejectsBadConfigs) {
   // 1e-17, (1 + r)^2 rounds to 1 and every index is infinite).
   EXPECT_THROW(StreamingHistogram h(1e-9), std::runtime_error);
   EXPECT_THROW(StreamingHistogram h(1e-17), std::runtime_error);
-  // At the floor, the extreme finite samples still index in range.
+  // At the floor, the extreme finite samples still index in range. They
+  // lie ~7.3e8 buckets apart, where counts dense over the span would fill
+  // ~5.8 GB; memory follows the pages touched, so they hold two pages of
+  // counts and the directory's two entries.
   StreamingHistogram fine(StreamingHistogram::kMinRelErr);
-  fine.record(std::numeric_limits<double>::denorm_min());
-  fine.record(std::numeric_limits<double>::max());
+  g_counted_bytes = 0;
+  g_counting = true;
+  EXPECT_NO_THROW({
+    fine.record(std::numeric_limits<double>::denorm_min());
+    fine.record(std::numeric_limits<double>::max());
+  });
+  g_counting = false;
+  const std::size_t page_bytes =
+      StreamingHistogram::kPageBuckets * sizeof(std::uint64_t);
+  EXPECT_GE(g_counted_bytes.load(), 2 * page_bytes);
+  EXPECT_LE(g_counted_bytes.load(), 2 * page_bytes + 256);
   EXPECT_EQ(fine.bucket_count(), 2u);
   EXPECT_EQ(fine.percentile(0.0), std::numeric_limits<double>::denorm_min());
   EXPECT_EQ(fine.percentile(100.0), std::numeric_limits<double>::max());
@@ -186,6 +241,208 @@ TEST(StreamingHistogram, RejectsNonFiniteSamplesAndNanPercentile) {
                std::runtime_error);
   EXPECT_DOUBLE_EQ(h.percentile(kInf), 2.0);
   EXPECT_DOUBLE_EQ(h.percentile(-kInf), 2.0);
+}
+
+// The map-backed histogram that paged counts replaced: one std::map node per
+// non-empty bucket. StreamingHistogram must answer exactly as it does.
+class MapHistogram {
+ public:
+  explicit MapHistogram(double rel_err)
+      : base_((1.0 + rel_err) * (1.0 + rel_err)), log_base_(std::log(base_)) {}
+
+  void record(double x) {
+    min_ = n_ == 0 ? x : std::min(min_, x);
+    max_ = n_ == 0 ? x : std::max(max_, x);
+    ++n_;
+    sum_ += x;
+    if (x <= 0.0)
+      ++zero_;
+    else
+      ++buckets_[static_cast<std::int32_t>(std::floor(std::log(x) /
+                                                      log_base_))];
+  }
+
+  void merge(const MapHistogram& other) {
+    if (other.n_ == 0) return;
+    min_ = n_ == 0 ? other.min_ : std::min(min_, other.min_);
+    max_ = n_ == 0 ? other.max_ : std::max(max_, other.max_);
+    n_ += other.n_;
+    sum_ += other.sum_;
+    zero_ += other.zero_;
+    for (const auto& [idx, cnt] : other.buckets_) buckets_[idx] += cnt;
+  }
+
+  double percentile(double p) const {
+    if (n_ == 0) return 0.0;
+    p = std::clamp(p, 0.0, 100.0);
+    const double rank = p / 100.0 * static_cast<double>(n_ - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const double frac = rank - static_cast<double>(lo);
+    const double a = value_at(lo);
+    if (frac == 0.0 || lo + 1 >= n_) return a;
+    return a + frac * (value_at(lo + 1) - a);
+  }
+
+  std::size_t count() const { return n_; }
+  double sum() const { return sum_; }
+  double min() const { return n_ == 0 ? 0.0 : min_; }
+  double max() const { return n_ == 0 ? 0.0 : max_; }
+  std::size_t bucket_count() const {
+    return buckets_.size() + (zero_ > 0 ? 1 : 0);
+  }
+
+ private:
+  double value_at(std::size_t i) const {
+    if (i == 0) return min_;
+    if (i + 1 >= n_) return max_;
+    std::uint64_t cum = zero_;
+    if (i < cum) return std::clamp(0.0, min_, max_);
+    for (const auto& [idx, cnt] : buckets_) {
+      cum += cnt;
+      if (i < cum)
+        return std::clamp(std::pow(base_, static_cast<double>(idx) + 0.5),
+                          min_, max_);
+    }
+    return max_;
+  }
+
+  double base_;
+  double log_base_;
+  std::size_t n_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
+  std::uint64_t zero_ = 0;
+  std::map<std::int32_t, std::uint64_t> buckets_;
+};
+
+// Every field bit for bit, and the percentile at a grid of p and at the
+// rank of every order statistic (every stride-th one past 1,000 samples),
+// which reads value_at() at each of those indices.
+void expect_same(const StreamingHistogram& h, const MapHistogram& ref,
+                 const std::string& what) {
+  EXPECT_EQ(h.count(), ref.count()) << what;
+  EXPECT_EQ(h.sum(), ref.sum()) << what;
+  EXPECT_EQ(h.min(), ref.min()) << what;
+  EXPECT_EQ(h.max(), ref.max()) << what;
+  EXPECT_EQ(h.bucket_count(), ref.bucket_count()) << what;
+  std::vector<double> ps = {0.0,  0.1,  1.0,  10.0, 25.0,  50.0,
+                            75.0, 90.0, 99.0, 99.9, 100.0, 250.0};
+  const std::size_t n = ref.count();
+  const std::size_t stride = std::max<std::size_t>(1, n / 1000);
+  for (std::size_t i = 1; i + 1 < n; i += stride)
+    ps.push_back(100.0 * static_cast<double>(i) / static_cast<double>(n - 1));
+  std::size_t mismatches = 0;
+  for (const double p : ps)
+    if (h.percentile(p) != ref.percentile(p) && mismatches++ == 0)
+      ADD_FAILURE() << what << ": p" << p << " reads " << h.percentile(p)
+                    << ", the map reads " << ref.percentile(p);
+  EXPECT_EQ(mismatches, 0u) << what;
+}
+
+// A sample stream that exercises every path of the bucket walk: clustered
+// lognormal latencies, zeros, negatives, repeats of earlier samples, samples
+// in the buckets on both sides of a page edge, and the extreme finite
+// values. `lo` and `hi` bound the cluster's natural log.
+std::vector<double> mixed_stream(double rel_err, std::size_t n, double lo,
+                                 double hi, std::uint64_t seed) {
+  const double log_base = std::log((1.0 + rel_err) * (1.0 + rel_err));
+  const double page_log = StreamingHistogram::kPageBuckets * log_base;
+  util::Xoshiro256 rng(seed);
+  std::vector<double> xs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double u = rng.uniform();
+    double x;
+    if (u < 0.05) {
+      x = u < 0.03 ? 0.0 : -rng.uniform(0.0, 100.0);
+    } else if (u < 0.15 && !xs.empty()) {
+      x = xs[rng.below(xs.size())];
+    } else if (u < 0.3) {
+      // A bucket just below or just above an edge of a page near the
+      // cluster (or, at fine resolutions, the page holding it).
+      const double edge = std::floor(rng.uniform(lo, hi) / page_log) *
+                          StreamingHistogram::kPageBuckets;
+      const double off = static_cast<double>(rng.below(4)) - 2.0;
+      x = std::exp((edge + off + 0.5) * log_base);
+    } else if (u < 0.301) {
+      x = rng.bernoulli(0.5) ? std::numeric_limits<double>::denorm_min()
+                             : std::numeric_limits<double>::max();
+    } else {
+      const double mid = 0.5 * (lo + hi);
+      x = std::exp(std::clamp(mid + 0.15 * (hi - lo) * rng.normal(), lo, hi));
+    }
+    xs.push_back(x);
+  }
+  return xs;
+}
+
+TEST(StreamingHistogram, PagedCountsMatchTheMapBackedHistogram) {
+  for (const double rel_err : {0.01, 1e-4, StreamingHistogram::kMinRelErr}) {
+    for (const std::uint64_t seed : {3u, 4u}) {
+      const std::size_t n = seed == 3 ? 1000 : 10000;
+      const auto what = "rel_err " + std::to_string(rel_err) + " seed " +
+                        std::to_string(seed);
+      StreamingHistogram h(rel_err);
+      MapHistogram ref(rel_err);
+      expect_same(h, ref, what + " empty");
+      for (const double x : mixed_stream(rel_err, n, 6.0, 12.0, seed)) {
+        h.record(x);
+        ref.record(x);
+        if (ref.count() <= 3) expect_same(h, ref, what + " tiny");
+      }
+      expect_same(h, ref, what);
+    }
+  }
+}
+
+TEST(StreamingHistogram, MergesMatchTheMapBackedHistogram) {
+  struct Case {
+    const char* name;
+    double a_lo, a_hi, b_lo, b_hi;
+  };
+  // Natural-log ranges of the two clusters; "identical" feeds both
+  // histograms the same stream.
+  const Case cases[] = {{"disjoint", 2.0, 5.0, 14.0, 17.0},
+                        {"overlapping", 4.0, 10.0, 8.0, 14.0},
+                        {"identical", 6.0, 12.0, 6.0, 12.0}};
+  for (const double rel_err : {0.01, 1e-4, StreamingHistogram::kMinRelErr}) {
+    for (const Case& c : cases) {
+      const auto what = std::string(c.name) + " at rel_err " +
+                        std::to_string(rel_err);
+      const bool same = std::string(c.name) == "identical";
+      StreamingHistogram a(rel_err), b(rel_err);
+      MapHistogram ra(rel_err), rb(rel_err);
+      for (const double x : mixed_stream(rel_err, 3000, c.a_lo, c.a_hi, 5)) {
+        a.record(x);
+        ra.record(x);
+      }
+      for (const double x : mixed_stream(rel_err, same ? 3000 : 2000, c.b_lo,
+                                         c.b_hi, same ? 5 : 6)) {
+        b.record(x);
+        rb.record(x);
+      }
+      a.merge(b);
+      ra.merge(rb);
+      expect_same(a, ra, what);
+      expect_same(b, rb, what + ", the merged-in side");
+      b.merge(b);
+      rb.merge(rb);
+      expect_same(b, rb, what + ", self-merge");
+    }
+  }
+  // Merges into and from an empty histogram.
+  StreamingHistogram empty(1e-4), h(1e-4);
+  MapHistogram rempty(1e-4), rh(1e-4);
+  for (const double x : mixed_stream(1e-4, 500, 6.0, 9.0, 7)) {
+    h.record(x);
+    rh.record(x);
+  }
+  h.merge(empty);
+  rh.merge(rempty);
+  expect_same(h, rh, "merge of an empty histogram");
+  empty.merge(h);
+  rempty.merge(rh);
+  expect_same(empty, rempty, "merge into an empty histogram");
 }
 
 // --- MetricsRegistry --------------------------------------------------------

@@ -21,7 +21,6 @@
 namespace imars {
 namespace {
 
-using device::Ns;
 using serve::ArrivalProcess;
 using serve::LoadGenConfig;
 using serve::LoadGenerator;
@@ -35,19 +34,14 @@ TEST(SessionTable, TouchCreatesThenBumpsSequence) {
   cfg.capacity = 64;
   SessionTable table(cfg);
 
-  const SessionState first = table.touch(42, Ns{10.0});
+  const SessionState first = table.touch(42);
   EXPECT_EQ(first.user, 42u);
   EXPECT_EQ(first.sequence, 1u);  // arrival: first query of the session
-  EXPECT_EQ(first.first_seen.value, 10.0);
-  EXPECT_EQ(first.last_seen.value, 10.0);
   EXPECT_TRUE(table.contains(42));
   EXPECT_EQ(table.occupancy(), 1u);
 
-  const SessionState second = table.touch(42, Ns{25.0});
+  const SessionState second = table.touch(42);
   EXPECT_EQ(second.sequence, 2u);
-  EXPECT_EQ(second.first_seen.value, 10.0);  // arrival time sticks
-  EXPECT_EQ(second.last_seen.value, 25.0);
-  EXPECT_EQ(second.profile, first.profile);  // personalization tag stable
   EXPECT_EQ(table.occupancy(), 1u);
 
   EXPECT_EQ(table.stats().lookups, 2u);
@@ -59,7 +53,7 @@ TEST(SessionTable, EvictRandomRetiresLiveSessions) {
   SessionTableConfig cfg;
   cfg.capacity = 64;
   SessionTable table(cfg);
-  for (std::uint64_t u = 0; u < 16; ++u) table.touch(u, Ns{1.0});
+  for (std::uint64_t u = 0; u < 16; ++u) table.touch(u);
   ASSERT_EQ(table.occupancy(), 16u);
 
   util::Xoshiro256 rng(99);
@@ -81,7 +75,7 @@ TEST(SessionTable, KickChainsStayBoundedUnderFillPressure) {
   SessionTable table(cfg);
 
   const std::size_t population = 10000;
-  for (std::uint64_t u = 0; u < population; ++u) table.touch(u, Ns{1.0});
+  for (std::uint64_t u = 0; u < population; ++u) table.touch(u);
 
   EXPECT_LE(table.max_kick_chain(), cfg.max_kicks);
   EXPECT_LE(table.occupancy(), table.capacity());
@@ -110,11 +104,9 @@ TEST(SessionTable, SeededChurnIsDeterministic) {
   util::Xoshiro256 churn_b(31);
   for (std::size_t i = 0; i < 5000; ++i) {
     const std::uint64_t u = users() % 1000;
-    const Ns now{static_cast<double>(i)};
-    const SessionState sa = a.touch(u, now);
-    const SessionState sb = b.touch(u, now);
+    const SessionState sa = a.touch(u);
+    const SessionState sb = b.touch(u);
     EXPECT_EQ(sa.sequence, sb.sequence);
-    EXPECT_EQ(sa.profile, sb.profile);
     if (i % 7 == 0) {
       EXPECT_EQ(a.evict_random(churn_a), b.evict_random(churn_b));
     }
@@ -140,7 +132,7 @@ TEST(SessionTable, SequenceMatchesPerUserCountWithoutChurn) {
   util::Xoshiro256 users(3);
   for (std::size_t i = 0; i < 8000; ++i) {
     const std::uint64_t u = users() % 512;  // fits: nothing departs
-    const SessionState s = table.touch(u, Ns{static_cast<double>(i)});
+    const SessionState s = table.touch(u);
     EXPECT_EQ(s.sequence, ++counts[u]);
   }
   EXPECT_EQ(table.stats().forced_evictions, 0u);
