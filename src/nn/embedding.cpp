@@ -91,15 +91,9 @@ bool EmbeddingTable::page_written(std::size_t p) const noexcept {
 
 std::span<const float> EmbeddingTable::page_values(
     std::size_t p, std::span<float> scratch) const {
-  // One walk of the page's generator: a page no write touched is
-  // regenerated in one call; otherwise a stored row's draws are skipped,
+  // One walk of the page's generator: a stored row's draws are skipped,
   // and only when an unwritten row follows them.
   util::Xoshiro256 g = pages_[p].init;
-  const std::span<float> values = scratch.first(page_rows(p) * dim_);
-  if (!page_written(p)) {
-    regenerate(g, 0, dim_, values);
-    return values;
-  }
   std::size_t skip = 0;
   for (std::size_t i = 0; i < page_rows(p); ++i) {
     const std::span<float> out = scratch.subspan(i * dim_, dim_);
@@ -111,7 +105,7 @@ std::span<const float> EmbeddingTable::page_values(
       skip = 0;
     }
   }
-  return values;
+  return scratch.first(page_rows(p) * dim_);
 }
 
 const float* EmbeddingTable::stored_row(std::size_t index) const noexcept {

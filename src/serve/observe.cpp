@@ -41,22 +41,18 @@ void StreamingHistogram::record(double x) {
   std::uint64_t& cnt = page.counts[static_cast<std::size_t>(idx - page.first)];
   if (cnt == 0) ++buckets_;
   ++cnt;
-  ++page.total;
 }
 
 StreamingHistogram::Page& StreamingHistogram::page_of(std::int32_t idx) {
   // kPageBuckets is a power of two, so masking rounds toward -infinity
   // and a negative index lands on its page too.
   const std::int32_t first = idx & -kPageBuckets;
-  if (last_ < pages_.size() && pages_[last_].first == first)
-    return pages_[last_];
   auto it = std::lower_bound(
       pages_.begin(), pages_.end(), first,
       [](const Page& p, std::int32_t f) { return p.first < f; });
   if (it == pages_.end() || it->first != first)
-    it = pages_.insert(
-        it, Page{first, 0, std::vector<std::uint64_t>(kPageBuckets)});
-  last_ = static_cast<std::size_t>(it - pages_.begin());
+    it = pages_.insert(it,
+                       Page{first, std::vector<std::uint64_t>(kPageBuckets)});
   return *it;
 }
 
@@ -71,14 +67,9 @@ double StreamingHistogram::value_at(std::size_t i) const {
   // Bucket indices ascend with sample value, so the i-th order statistic
   // lies in the first bucket whose cumulative count exceeds i; its
   // geometric-mean representative is within rel_err of every sample in the
-  // bucket. A page whose total leaves the count at or below i is skipped;
-  // the walk ends inside the first page it enters.
+  // bucket.
   for (const Page& page : pages_) {
-    if (i >= cum + page.total) {
-      cum += page.total;
-      continue;
-    }
-    for (std::int32_t j = 0;; ++j) {
+    for (std::int32_t j = 0; j < kPageBuckets; ++j) {
       cum += page.counts[static_cast<std::size_t>(j)];
       if (i < cum)
         return std::clamp(
@@ -127,7 +118,6 @@ void StreamingHistogram::merge(const StreamingHistogram& other) {
       if (page.counts[j] == 0) ++buckets_;
       page.counts[j] += from.counts[j];
     }
-    page.total += from.total;
   }
 }
 

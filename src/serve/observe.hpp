@@ -75,8 +75,8 @@ constexpr std::string_view to_string(CloseTrigger t) {
 /// never the distance between the smallest and largest sample: a latency
 /// stream clustered over ~15,000 buckets at rel_err 1e-4 fills about one
 /// page per kPageBuckets buckets of its span, and two samples 7e8 buckets
-/// apart hold two pages. record() tries the page it used last before it
-/// searches the directory, so clustered samples are O(1) each.
+/// apart hold two pages. record() finds a sample's page by binary search
+/// of the directory.
 class StreamingHistogram {
  public:
   /// Finest accepted resolution. Bucket indices are int32 and every finite
@@ -119,7 +119,6 @@ class StreamingHistogram {
  private:
   struct Page {
     std::int32_t first;                 ///< first bucket index
-    std::uint64_t total;                ///< samples in the page's buckets
     std::vector<std::uint64_t> counts;  ///< kPageBuckets per-bucket counts
   };
 
@@ -140,7 +139,6 @@ class StreamingHistogram {
   std::uint64_t zero_ = 0;   ///< samples <= 0
   std::size_t buckets_ = 0;  ///< buckets with a non-zero count
   std::vector<Page> pages_;  ///< ordered by first bucket
-  std::size_t last_ = 0;     ///< the page page_of() returned last
 };
 
 /// Named metrics: monotone counters, last-value gauges, histograms. The
