@@ -19,14 +19,13 @@ using namespace imars;
 using bench::PaperWorkloads;
 
 int main() {
-  const bool quick = bench::quick_mode();
-  const double scale = quick ? 0.05 : 0.25;
+  const double scale = 0.25;
   const std::size_t topn = 10;
 
   std::cout << "=== Ablation: LSH signature length (paper: 256 bits) ===\n"
             << "(synthetic MovieLens at scale " << scale << ")\n\n";
 
-  auto setup = bench::make_movielens(scale, quick ? 3 : 6, 0);
+  auto setup = bench::make_movielens(scale, 6, 0);
   const auto& ds = *setup.ds;
   const auto& model = *setup.model;
 

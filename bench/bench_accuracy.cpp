@@ -21,15 +21,14 @@ using baseline::CpuBackendConfig;
 using baseline::FilterVariant;
 
 int main() {
-  const bool quick = bench::quick_mode();
-  const double scale = quick ? 0.05 : 0.5;
-  const std::size_t epochs = quick ? 3 : 8;
+  const double scale = 0.5;
+  const std::size_t epochs = 8;
   const std::size_t topn = 10;  // HR@10, the usual MovieLens protocol
 
   std::cout << "=== Sec IV-B: filtering-stage accuracy (HR@" << topn
             << ", leave-one-out) ===\n"
             << "(synthetic MovieLens at scale " << scale << ", " << epochs
-            << " training epochs; set IMARS_BENCH_QUICK=1 for a fast run)\n\n";
+            << " training epochs)\n\n";
 
   auto setup = bench::make_movielens(scale, epochs, 0);
   const auto& ds = *setup.ds;

@@ -14,7 +14,7 @@
 // Acceptance (exit nonzero on violation):
 //   * per-query top-k parity between weighted and uniform placements
 //     (placement moves work, never results);
-//   * full mode: weighted p99 strictly beats uniform p99 under BOTH skews,
+//   * weighted p99 strictly beats uniform p99 under BOTH skews,
 //     read-only and update mix.
 //
 // Emits BENCH_placement.json (bench/harness.hpp JsonReport).
@@ -57,9 +57,8 @@ int main(int argc, char** argv) {
   // --self-profile / --trace <file>: observation only (harness.hpp); the
   // trace exports the weighted placement under the heaviest load point.
   const auto obs = bench::parse_observe_flags(argc, argv);
-  const bool quick = bench::quick_mode();
-  const double scale = quick ? 0.04 : 0.12;
-  const std::size_t queries = quick ? 48 : 192;
+  const double scale = 0.12;
+  const std::size_t queries = 192;
   const std::size_t k = 10;
 
   std::cout << "=== Extension: frequency-aware placement & write-back ===\n"
@@ -67,7 +66,7 @@ int main(int argc, char** argv) {
             << " open-loop arrivals per point, mixed FeFET-22/45 + ReRAM-45 "
                "fabric)\n\n";
 
-  auto ml = bench::make_movielens(scale, quick ? 2 : 3, 1);
+  auto ml = bench::make_movielens(scale, 3, 1);
   std::vector<recsys::UserContext> users;
   for (std::size_t u = 0; u < ml.ds->num_users(); ++u)
     users.push_back(ml.model->make_context(*ml.ds, u));
@@ -108,13 +107,13 @@ int main(int argc, char** argv) {
     cal_cfg.k = k;
     cal_cfg.batcher.max_batch = 8;
     cal_cfg.batcher.max_wait = device::Ns{500000.0};
-    cal_cfg.cache.capacity_rows = quick ? 96 : 128;
+    cal_cfg.cache.capacity_rows = 128;
     cal_cfg.traffic = traffic;
     serve::ServingRuntime cal_rt(std::move(probe), cal_cfg, arch,
                                  base_profile, profiles);
     serve::LoadGenConfig cal_lg;
     cal_lg.clients = 16;
-    cal_lg.total_queries = quick ? 32 : 96;
+    cal_lg.total_queries = 96;
     cal_lg.num_users = users.size();
     cal_lg.user_zipf_s = 0.8;
     cal_lg.seed = 877;
@@ -145,7 +144,7 @@ int main(int argc, char** argv) {
     // keep reaching the CMA arrays for placement to matter (a buffer that
     // swallows the whole catalog hides the technology difference), and
     // admission churn is what exercises dirty-row eviction flushes.
-    cfg.cache.capacity_rows = quick ? 96 : 128;
+    cfg.cache.capacity_rows = 128;
     cfg.traffic = traffic;
     cfg.overlap = true;
     cfg.self_profile = obs.any();
@@ -268,10 +267,8 @@ int main(int argc, char** argv) {
 
   if (!parity_ok)
     std::cout << "\nFAIL: placement changed per-query top-k results\n";
-  if (!p99_ok && !quick)
+  if (!p99_ok)
     std::cout << "\nFAIL: weighted placement did not strictly beat uniform "
                  "p99 under skew\n";
-  // Quick mode keeps the parity gate only (tiny streams make tail
-  // percentiles noisy); full mode enforces the p99 acceptance too.
-  return parity_ok && (quick || p99_ok) ? 0 : 1;
+  return parity_ok && p99_ok ? 0 : 1;
 }

@@ -1,10 +1,9 @@
 // Million-user steady-state scaling bench (MARM-style, arXiv:2411.09425):
 //
 //   Part A — cache scaling-law curves. Hit rate / p50 / p99 / QPS versus
-//     hot-cache capacity across user populations {1e5, 1e6, 1e7} (reduced
-//     in quick mode) with the cuckoo session layer churning, reporting
-//     both the modeled metrics and the simulator's own wall-clock
-//     (queries per host-second).
+//     hot-cache capacity across user populations {1e5, 1e6, 1e7} with the
+//     cuckoo session layer churning, reporting both the modeled metrics
+//     and the simulator's own wall-clock (queries per host-second).
 //
 //   Part B — host allocation budget. A scaling workload runs under a
 //     counting global operator new; the heap allocations run() makes per
@@ -14,8 +13,8 @@
 //     path (state pooling, scratch reuse, request recycling, the report
 //     arena) where a wall-clock ratio would only be noise.
 //
-//   Part C — steady-state endurance (full mode): a 1e7-user population
-//     driven through a ~1e6-slot session table to saturation, where every
+//   Part C — steady-state endurance: a 1e7-user population driven
+//     through a ~1e6-slot session table to saturation, where every
 //     arrival exercises the bounded cuckoo kick chain (forced evictions,
 //     max kick chain <= the configured bound).
 //
@@ -46,9 +45,9 @@ namespace {
 /// Calls of the global operator new so far, on every thread.
 std::atomic<std::uint64_t> g_heap_allocs{0};
 
-/// Part B's gate. GCC 12 / libstdc++ 12 measure ~7.75 allocations per
-/// query on the quick workload and ~7.18 on the full one; one extra
-/// allocation per query, or per (query, shard) on its 4 shards, crosses 8.
+/// Part B's gate. GCC 12 / libstdc++ 12 measure ~7.18 allocations per
+/// query; one extra allocation per query, or per (query, shard) on its 4
+/// shards, crosses 8.
 constexpr double kAllocBudgetPerQuery = 8.0;
 
 }  // namespace
@@ -102,7 +101,6 @@ RunResult run_synth(const serve::ServingConfig& cfg,
 }  // namespace
 
 int main() {
-  const bool quick = bench::quick_mode();
   const core::ArchConfig arch;
   const auto profile = device::DeviceProfile::fefet45();
   bench::JsonReport json("scaling");
@@ -114,7 +112,7 @@ int main() {
   // the scaling grid's fabric.
   const double open_rate =
       run_synth(bench::grid_serving_config(),
-                bench::grid_load_config(quick ? 160 : 480), arch, profile)
+                bench::grid_load_config(480), arch, profile)
           .report.qps();
 
   // --- Part A: cache scaling-law curves ----------------------------------
@@ -122,13 +120,9 @@ int main() {
   // scales, with the session layer churning. Streaming reports bound
   // memory, so the curve points scale to 1e7 users without retaining
   // per-query records.
-  const std::vector<std::size_t> populations =
-      quick ? std::vector<std::size_t>{100000, 1000000}
-            : std::vector<std::size_t>{100000, 1000000, 10000000};
-  const std::vector<std::size_t> capacities =
-      quick ? std::vector<std::size_t>{2048, 16384}
-            : std::vector<std::size_t>{2048, 16384, 131072};
-  const std::size_t curve_queries = quick ? 4000 : 60000;
+  const std::vector<std::size_t> populations = {100000, 1000000, 10000000};
+  const std::vector<std::size_t> capacities = {2048, 16384, 131072};
+  const std::size_t curve_queries = 60000;
 
   util::Table curve_table("Cache scaling laws (session churn on)");
   curve_table.header({"users", "cache rows", "hit rate", "p50 us", "p99 us",
@@ -191,7 +185,7 @@ int main() {
   // A 1e5-user scaling workload (16384-row cache, session churn) with
   // self-profiling on; the gate counts run()'s heap allocations per
   // served query.
-  const std::size_t budget_queries = quick ? 6000 : 30000;
+  const std::size_t budget_queries = 30000;
   serve::ServingConfig budget_cfg;
   budget_cfg.shards = 4;
   budget_cfg.k = 8;
@@ -232,11 +226,11 @@ int main() {
   for (const auto& [name, us] : budget.report.host_span_us)
     budget_json.set(name + "_us", us);
 
-  // --- Part C: steady-state endurance (full mode) -------------------------
+  // --- Part C: steady-state endurance ------------------------------------
   // A 1e7-user population through a ~1e6-slot session table until the
   // cuckoo layer saturates: near-capacity occupancy, forced evictions
   // absorbing the overflow, kick chains still bounded.
-  if (!quick) {
+  {
     serve::ServingConfig cfg;
     cfg.shards = 4;
     cfg.k = 8;

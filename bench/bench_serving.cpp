@@ -44,16 +44,15 @@ int main(int argc, char** argv) {
     if (std::string_view(argv[i]) == "--trace" && i + 1 < argc)
       trace_path = argv[++i];
 
-  const bool quick = bench::quick_mode();
-  const double scale = quick ? 0.04 : 0.12;
-  const std::size_t queries = quick ? 24 : 96;
+  const double scale = 0.12;
+  const std::size_t queries = 96;
   const std::size_t k = 10;
 
   std::cout << "=== Extension: concurrent serving runtime ===\n"
             << "(synthetic MovieLens at scale " << scale << ", " << queries
             << " Zipf-skewed queries per configuration)\n\n";
 
-  auto ml = bench::make_movielens(scale, quick ? 2 : 3, 1);
+  auto ml = bench::make_movielens(scale, 3, 1);
   std::vector<recsys::UserContext> users;
   for (std::size_t u = 0; u < ml.ds->num_users(); ++u)
     users.push_back(ml.model->make_context(*ml.ds, u));

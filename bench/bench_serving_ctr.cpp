@@ -38,17 +38,16 @@ int main(int argc, char** argv) {
   // --self-profile / --trace <file>: observation only (harness.hpp); the
   // trace exports the most loaded point, weighted+cache.
   const auto obs = bench::parse_observe_flags(argc, argv);
-  const bool quick = bench::quick_mode();
-  const std::size_t train_samples = quick ? 800 : 4000;
-  const std::size_t queries = quick ? 32 : 128;
-  const std::size_t population = quick ? 128 : 512;
+  const std::size_t train_samples = 4000;
+  const std::size_t queries = 128;
+  const std::size_t population = 512;
 
   std::cout << "=== Extension: CTR (DLRM/Criteo) serving runtime ===\n"
             << "(synthetic Criteo, " << queries
             << " Zipf-skewed impressions per configuration, mixed-technology "
                "fabric)\n\n";
 
-  auto cr = bench::make_criteo(train_samples, quick ? 1 : 2);
+  auto cr = bench::make_criteo(train_samples, 2);
   std::vector<data::CriteoSample> samples;
   for (std::size_t i = 0; i < std::min(population, cr.ds->size()); ++i)
     samples.push_back(cr.ds->sample(i));

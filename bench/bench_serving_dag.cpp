@@ -36,10 +36,9 @@ int main(int argc, char** argv) {
   // --self-profile / --trace <file>: observation only (harness.hpp); the
   // trace exports the tower-parallel dag point.
   const auto obs = bench::parse_observe_flags(argc, argv);
-  const bool quick = bench::quick_mode();
-  const std::size_t train_samples = quick ? 800 : 4000;
-  const std::size_t queries = quick ? 48 : 192;
-  const std::size_t population = quick ? 128 : 512;
+  const std::size_t train_samples = 4000;
+  const std::size_t queries = 192;
+  const std::size_t population = 512;
   const std::size_t shards = 2;
 
   std::cout << "=== Extension: stage-DAG serving (tower-parallel CTR) ===\n"
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
             << " Zipf-skewed impressions per graph, " << shards
             << " FeFET-45 shards)\n\n";
 
-  auto cr = bench::make_criteo(train_samples, quick ? 1 : 2);
+  auto cr = bench::make_criteo(train_samples, 2);
   std::vector<data::CriteoSample> samples;
   for (std::size_t i = 0; i < std::min(population, cr.ds->size()); ++i)
     samples.push_back(cr.ds->sample(i));

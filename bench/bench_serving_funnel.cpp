@@ -40,9 +40,8 @@ int main(int argc, char** argv) {
   // --trace <file>: export the fused open-loop run as Chrome trace-event
   // JSON (pure observation — every figure stays bit-identical).
   const auto observe = bench::parse_observe_flags(argc, argv);
-  const bool quick = bench::quick_mode();
-  const double scale = quick ? 0.02 : 0.05;
-  const std::size_t queries = quick ? 36 : 96;
+  const double scale = 0.05;
+  const std::size_t queries = 96;
   const std::size_t k = 10;
   const std::size_t shards = 2;
 
@@ -69,7 +68,7 @@ int main(int argc, char** argv) {
 
   serve::FunnelConfig fcfg;
   fcfg.retrieval = serve::RetrievalKind::kIvf;
-  fcfg.retrieve_k = quick ? 40 : 64;
+  fcfg.retrieve_k = 64;
   fcfg.filter_radius = 120;
   fcfg.rank_keep = 24;
   fcfg.ivf.nlist = 8;
@@ -118,10 +117,10 @@ int main(int argc, char** argv) {
     lg.seed = 909;
     if (open) {
       lg.arrivals = serve::ArrivalProcess::kOpenPoisson;
-      // Below the fabric's closed-loop saturation point in both modes, so
-      // the open regime measures batching + service (where the two-pass
-      // baseline pays its second admission round trip), not queue backlog.
-      lg.rate_qps = quick ? 2.0e4 : 8.0e3;
+      // Below the fabric's closed-loop saturation point, so the open
+      // regime measures batching + service (where the two-pass baseline
+      // pays its second admission round trip), not queue backlog.
+      lg.rate_qps = 8.0e3;
     }
     return lg;
   };

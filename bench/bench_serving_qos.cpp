@@ -69,15 +69,14 @@ int main(int argc, char** argv) {
     if (std::string_view(argv[i]) == "--trace" && i + 1 < argc)
       trace_path = argv[++i];
 
-  const bool quick = bench::quick_mode();
-  const double scale = quick ? 0.04 : 0.12;
-  const std::size_t base_queries = quick ? 24 : 96;
+  const double scale = 0.12;
+  const std::size_t base_queries = 96;
 
   std::cout << "=== Extension: multi-tenant QoS serving ===\n"
             << "(synthetic MovieLens at scale " << scale
             << ", 10:1 bulk:interactive overload + weighted fairness)\n\n";
 
-  auto ml = bench::make_movielens(scale, quick ? 2 : 3, 1);
+  auto ml = bench::make_movielens(scale, 3, 1);
   Fabric fx;
   for (std::size_t u = 0; u < ml.ds->num_users(); ++u)
     fx.users.push_back(ml.model->make_context(*ml.ds, u));

@@ -27,7 +27,13 @@ struct Measured {
   double latency_ns = 0.0;
 };
 
+/// Measured values that differ from their paper value, over every fmt().
+std::size_t g_mismatches = 0;
+
+/// Formats one measured E/L pair next to the paper's and counts each
+/// value that is not exactly the paper's in g_mismatches.
 std::string fmt(const Measured& m, double paper_e, double paper_l) {
+  g_mismatches += (m.energy_pj != paper_e) + (m.latency_ns != paper_l);
   return util::Table::num(m.energy_pj, 1) + " / " +
          util::Table::num(m.latency_ns, 1) + "  [paper " +
          util::Table::num(paper_e, 1) + " / " + util::Table::num(paper_l, 1) +
@@ -142,5 +148,8 @@ int main() {
   std::cout << "\nAll rows must match the paper exactly: the device layer\n"
                "carries the published Table II values, and each functional\n"
                "operation charges exactly one FoM.\n";
-  return 0;
+  if (g_mismatches != 0)
+    std::cout << "\nFAIL: measured values that differ from the paper: "
+              << g_mismatches << "\n";
+  return g_mismatches == 0 ? 0 : 1;
 }

@@ -19,14 +19,13 @@ using recsys::OpKind;
 using recsys::StageStats;
 
 int main() {
-  const bool quick = bench::quick_mode();
-  const double scale = quick ? 0.04 : 0.25;
-  const std::size_t users_to_run = quick ? 10 : 60;
+  const double scale = 0.25;
+  const std::size_t users_to_run = 60;
 
   std::cout << "=== Extension: query throughput with stage pipelining ===\n"
             << "(synthetic MovieLens at scale " << scale << ")\n\n";
 
-  auto ml = bench::make_movielens(scale, quick ? 2 : 3, 1);
+  auto ml = bench::make_movielens(scale, 3, 1);
   std::vector<recsys::UserContext> calib;
   for (std::size_t u = 0; u < 8; ++u)
     calib.push_back(ml.model->make_context(*ml.ds, u));

@@ -62,15 +62,14 @@ struct EtStageAgg final : serve::ObserverSink {
 
 int main(int argc, char** argv) {
   const auto obs = bench::parse_observe_flags(argc, argv);
-  const bool quick = bench::quick_mode();
-  const std::size_t train_samples = quick ? 800 : 4000;
-  const std::size_t queries = quick ? 96 : 384;  // per phase: queries / 2
-  const std::size_t population = quick ? 128 : 512;
+  const std::size_t train_samples = 4000;
+  const std::size_t queries = 384;  // per phase: queries / 2
+  const std::size_t population = 512;
   const std::size_t shards = 2;
   // Tier geometry: a small hot periphery buffer, a warm tier of
   // block-granular CMA residency, everything else cold.
   const std::size_t hot_rows = 256;
-  const std::size_t warm_rows = quick ? 1024 : 2048;
+  const std::size_t warm_rows = 2048;
   const std::size_t block_rows = 8;
 
   std::cout << "=== Extension: tiered embedding memory ===\n"
@@ -79,7 +78,7 @@ int main(int argc, char** argv) {
             << " FeFET-45 shards; hot " << hot_rows << " rows, warm "
             << warm_rows << " rows in blocks of " << block_rows << ")\n\n";
 
-  auto cr = bench::make_criteo(train_samples, quick ? 1 : 2);
+  auto cr = bench::make_criteo(train_samples, 2);
   std::vector<data::CriteoSample> samples;
   for (std::size_t i = 0; i < std::min(population, cr.ds->size()); ++i)
     samples.push_back(cr.ds->sample(i));

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -115,12 +114,6 @@ inline CriteoSetup make_criteo(std::size_t samples, std::size_t epochs,
               << loss << "\n";
   }
   return s;
-}
-
-/// Honors IMARS_BENCH_QUICK=1 for CI-speed runs of the slow benches.
-inline bool quick_mode() {
-  const char* v = std::getenv("IMARS_BENCH_QUICK");
-  return v != nullptr && std::string(v) == "1";
 }
 
 /// Shared `--self-profile` / `--trace <file>` flags for the serving benches.

@@ -99,14 +99,6 @@ class SynthServable final : public serve::ServableBackend {
     return out;
   }
 
-  std::vector<serve::RowAccess> accesses(
-      std::size_t stage, const serve::Request& req,
-      std::span<const std::size_t> slice) const override {
-    std::vector<serve::RowAccess> out;
-    accesses_into(stage, req, slice, out);
-    return out;
-  }
-
   void accesses_into(std::size_t, const serve::Request&,
                      std::span<const std::size_t> slice,
                      std::vector<serve::RowAccess>& out) const override {

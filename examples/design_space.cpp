@@ -36,11 +36,22 @@ int main() {
   {
     const core::PerfModel pm(core::ArchConfig{}, fefet);
     const auto c = pm.et_lookup(criteo_params(4));
+    // The worst case as PerfModel::et_lookup composes it: all lookups in
+    // one array, read + (L-1) x (read + write + add), then one intra-mat
+    // add, one IBC shot and one intra-bank round.
+    const std::size_t lookups = core::kWorstCaseLookupsPerTable;
+    const double array_ns =
+        static_cast<double>(lookups) * fefet.cma_read.latency.value +
+        static_cast<double>(lookups - 1) *
+            (fefet.cma_write.latency.value + fefet.cma_add.latency.value);
+    const double trees_ns = fefet.intra_mat_add.latency.value +
+                            fefet.ibc_cycle.value +
+                            fefet.intra_bank_add.latency.value;
     std::cout << "Criteo worst-case ET lookup: " << c.latency.value << " ns, "
               << c.energy.uj() << " uJ\n"
-              << "  array phase (8 serialized lookups): "
-              << 8 * 0.3 + 7 * (10.0 + 8.1) << " ns\n"
-              << "  trees + IBC: " << 14.7 + 1.5 + 44.2 << " ns\n"
+              << "  array phase (" << lookups << " serialized lookups): "
+              << array_ns << " ns\n"
+              << "  trees + IBC: " << trees_ns << " ns\n"
               << "  RSC serialization (26 banks): the rest\n\n";
   }
 

@@ -43,10 +43,4 @@ struct ArchConfig {
   }
 };
 
-/// Fixed-radius NNS settings (Sec III-B: fixed-radius near-neighbour search
-/// replaces top-k in the filtering stage).
-struct NnsConfig {
-  std::size_t radius = 96;  ///< Hamming threshold on lsh_bits-wide signatures
-};
-
 }  // namespace imars::core

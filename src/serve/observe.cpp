@@ -58,8 +58,8 @@ StreamingHistogram::Page& StreamingHistogram::page_of(std::int32_t idx) {
 
 double StreamingHistogram::value_at(std::size_t i) const {
   // The first and last order statistics are tracked exactly, which makes
-  // n = 1 and n = 2 exact for every p — the tiny-n behavior the CI quick
-  // benches rely on (pinned against ServeReport in the tests).
+  // n = 1 and n = 2 exact for every p — the tiny-n behavior a QoS class
+  // with little traffic relies on (pinned against ServeReport in the tests).
   if (i == 0) return min_;
   if (i + 1 >= n_) return max_;
   std::uint64_t cum = zero_;

@@ -145,23 +145,15 @@ std::vector<recsys::ScoredItem> CtrServable::run_sharded(
   return out;
 }
 
-std::vector<RowAccess> CtrServable::accesses(
-    std::size_t stage, const Request& req,
-    std::span<const std::size_t> slice) const {
+void CtrServable::accesses_into(std::size_t stage, const Request& req,
+                                std::span<const std::size_t> slice,
+                                std::vector<RowAccess>& out) const {
   // One row fetch per categorical feature per scored impression (DLRM
   // looks up exactly one row per table; no pooling chain). The 26 banks
   // read in parallel — the measured ET latency is the slowest bank, not a
   // sum — so hits are flagged parallel_bank, grouped per impression:
   // energy is credited per hit, latency only when a whole impression hits.
   // In the tower graphs only the gather stage touches the ET banks.
-  std::vector<RowAccess> out;
-  accesses_into(stage, req, slice, out);
-  return out;
-}
-
-void CtrServable::accesses_into(std::size_t stage, const Request& req,
-                                std::span<const std::size_t> slice,
-                                std::vector<RowAccess>& out) const {
   if (graph_ != CtrGraph::kFused && stage != kGatherStage) return;
   const auto& s = sample_of(req);
   out.reserve(out.size() + slice.size() * s.sparse.size());

@@ -92,13 +92,6 @@ class CtrServable final : public ServableBackend {
       std::span<const std::size_t> slice, std::size_t k,
       recsys::StageStats* stats) override;
 
-  std::vector<RowAccess> accesses(
-      std::size_t stage, const Request& req,
-      std::span<const std::size_t> slice) const override;
-
-  /// Hot-path form: appends the same rows into `out` (the pipeline's
-  /// per-batch scratch) without a fresh allocation; accesses() is
-  /// implemented on top of it.
   void accesses_into(std::size_t stage, const Request& req,
                      std::span<const std::size_t> slice,
                      std::vector<RowAccess>& out) const override;

@@ -317,14 +317,6 @@ void FunnelServable::accesses_into(std::size_t stage, const Request& req,
   append_rank_pass(user, model_->rank_features(), slice, out);
 }
 
-std::vector<RowAccess> FunnelServable::accesses(
-    std::size_t stage, const Request& req,
-    std::span<const std::size_t> slice) const {
-  std::vector<RowAccess> out;
-  accesses_into(stage, req, slice, out);
-  return out;
-}
-
 std::vector<RowAccess> FunnelServable::update_accesses(
     const Request& req) const {
   std::vector<RowAccess> out;

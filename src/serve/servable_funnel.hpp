@@ -151,10 +151,6 @@ class FunnelServable final : public ServableBackend {
       std::span<const std::size_t> slice, std::size_t k,
       recsys::StageStats* stats) override;
 
-  std::vector<RowAccess> accesses(
-      std::size_t stage, const Request& req,
-      std::span<const std::size_t> slice) const override;
-
   void accesses_into(std::size_t stage, const Request& req,
                      std::span<const std::size_t> slice,
                      std::vector<RowAccess>& out) const override;

@@ -175,10 +175,10 @@ struct ServeReport {
 
   // Latency percentiles use linear interpolation over the sorted sample
   // (util::percentile): rank = p/100 * (n-1), so no index can run past the
-  // vector and n = 1 returns the single sample for every p — the CI quick
-  // benches run tiny streams, so the small-n behavior is load-bearing and
-  // pinned by tests. All aggregates return 0.0 on an empty query set
-  // (e.g. a configured class that received no traffic). Streaming-mode
+  // vector and n = 1 returns the single sample for every p — a QoS class
+  // with little traffic holds a tiny sample, so the small-n behavior is
+  // load-bearing and pinned by tests. All aggregates return 0.0 on an
+  // empty query set (e.g. a class that received no traffic). Streaming-mode
   // runs answer from the histograms: identical small-n semantics, interior
   // percentiles within streaming.rel_err bucket resolution, means exact.
   double mean_latency_ns() const;

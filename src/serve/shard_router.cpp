@@ -120,14 +120,6 @@ void append_rank_pass(const recsys::UserContext& user,
   }
 }
 
-std::vector<RowAccess> ShardRouter::accesses(
-    std::size_t stage, const Request& req,
-    std::span<const std::size_t> slice) const {
-  std::vector<RowAccess> out;
-  accesses_into(stage, req, slice, out);
-  return out;
-}
-
 void ShardRouter::accesses_into(std::size_t stage, const Request& req,
                                 std::span<const std::size_t> slice,
                                 std::vector<RowAccess>& out) const {

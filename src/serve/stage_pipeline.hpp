@@ -150,7 +150,7 @@ struct StageSpec {
   /// its predecessors (replicated outputs and/or emitted top-k lists,
   /// declared edge order) instead of deriving work from the request alone;
   /// the engine routes the fed items through run_replicated_fed() and
-  /// passes them as the accesses() slice. Requires at least one producing
+  /// passes them as the accesses_into() slice. Requires at least one producing
   /// predecessor. Default off.
   bool consume_items = false;
 
@@ -240,8 +240,8 @@ class ServableBackend {
   /// produced by the stage's graph predecessors (StageSpec::consume_items):
   /// the funnel's filter narrowing the retrieval stage's candidates. `fed`
   /// is the stage's slice on its home shard: the producing predecessors'
-  /// items, concatenated in declared edge order; accesses() receives the
-  /// same slice. Only called for stages with resolved item sources; the
+  /// items, concatenated in declared edge order; accesses_into() receives
+  /// the same slice. Only called for stages with resolved item sources; the
   /// default ignores the fed items and delegates to run_replicated().
   virtual std::vector<std::size_t> run_replicated_fed(
       std::size_t stage, std::size_t shard, const Request& req,
@@ -258,25 +258,23 @@ class ServableBackend {
       std::span<const std::size_t> slice, std::size_t k,
       recsys::StageStats* stats) = 0;
 
-  /// ET rows stage `stage` of `req` touches (hot-cache bookkeeping).
-  /// `slice` is the executing shard's slice: a sharded stage's ShardMap
-  /// slice, a replicated stage's fed items (empty unless it consumes
-  /// items). Called from collect() — single-threaded, deterministic order.
-  virtual std::vector<RowAccess> accesses(
-      std::size_t stage, const Request& req,
-      std::span<const std::size_t> slice) const = 0;
-
-  /// Appends the same rows accesses() would return to `out` — the engine's
-  /// collect() feeds a reused scratch buffer so the per-(stage, shard,
-  /// query) vector allocation disappears from the host hot path. The
-  /// default delegates to accesses() (still one allocation); servables
-  /// serving high-rate streams should override it to append directly and
-  /// implement accesses() on top of it.
+  /// Appends the ET rows stage `stage` of `req` touches (hot-cache
+  /// bookkeeping) to `out`. `slice` is the executing shard's slice: a
+  /// sharded stage's ShardMap slice, a replicated stage's fed items (empty
+  /// unless it consumes items). Called from collect() — single-threaded,
+  /// deterministic order — into a reused scratch buffer, so the host hot
+  /// path allocates no vector per (stage, shard, query).
   virtual void accesses_into(std::size_t stage, const Request& req,
                              std::span<const std::size_t> slice,
-                             std::vector<RowAccess>& out) const {
-    const auto rows = accesses(stage, req, slice);
-    out.insert(out.end(), rows.begin(), rows.end());
+                             std::vector<RowAccess>& out) const = 0;
+
+  /// The rows accesses_into() appends, in a fresh vector.
+  virtual std::vector<RowAccess> accesses(
+      std::size_t stage, const Request& req,
+      std::span<const std::size_t> slice) const {
+    std::vector<RowAccess> out;
+    accesses_into(stage, req, slice, out);
+    return out;
   }
 
   /// ET rows an embedding-update request (Request::is_update) writes —

@@ -584,8 +584,8 @@ TEST(ServingRuntime, SameSeedReproducesReportBitIdentically) {
 }
 
 // --- ServeReport percentiles on tiny samples --------------------------------
-// The CI quick benches serve a handful of queries; p99 on those streams
-// must neither read past the sorted latency vector nor collapse to 0.
+// A QoS class with little traffic serves a handful of queries; p99 on those
+// streams must neither read past the sorted latency vector nor collapse to 0.
 
 serve::ServedQuery tiny_query(std::size_t id, double latency_ns) {
   serve::ServedQuery q;

@@ -590,11 +590,9 @@ class SpecOnlyServable final : public serve::ServableBackend {
       std::size_t, recsys::StageStats*) override {
     return {};
   }
-  std::vector<serve::RowAccess> accesses(
-      std::size_t, const Request&,
-      std::span<const std::size_t>) const override {
-    return {};
-  }
+  void accesses_into(std::size_t, const Request&,
+                     std::span<const std::size_t>,
+                     std::vector<serve::RowAccess>&) const override {}
 
  private:
   PipelineSpec spec_;
@@ -872,11 +870,9 @@ class DiamondServable final : public serve::ServableBackend {
     return out;
   }
 
-  std::vector<serve::RowAccess> accesses(
-      std::size_t, const Request&,
-      std::span<const std::size_t>) const override {
-    return {};
-  }
+  void accesses_into(std::size_t, const Request&,
+                     std::span<const std::size_t>,
+                     std::vector<serve::RowAccess>&) const override {}
 
  private:
   void fill(std::size_t stage, recsys::StageStats* stats) const {

@@ -357,8 +357,8 @@ TEST(Stats, PercentileRejectsBadInput) {
 
 // Tiny-sample audit: the interpolated rank p/100 * (n-1) stays inside
 // [0, n-1] for every p in [0, 100], so high percentiles on the small
-// streams the CI quick benches produce can never index past the sorted
-// vector nor return 0 for a non-zero sample.
+// streams a QoS class with little traffic produces can never index past the
+// sorted vector nor return 0 for a non-zero sample.
 TEST(Stats, PercentileTinySamplesNeverEscapeTheData) {
   const std::vector<double> one = {7.5};
   for (double p : {0.0, 50.0, 95.0, 99.0, 100.0})
