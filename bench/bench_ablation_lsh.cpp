@@ -16,7 +16,6 @@
 #include "util/table.hpp"
 
 using namespace imars;
-using bench::PaperWorkloads;
 
 int main() {
   const double scale = 0.25;

@@ -29,13 +29,9 @@ struct PaperWorkloads {
   static constexpr std::size_t kMlItems = 3952;
   static constexpr std::size_t kMlFilterTables = 6;  // 5 UIETs + ItET
   static constexpr std::size_t kMlRankTables = 7;    // 6 UIETs + ItET
-  // Active CMAs of the touched tables (our mapping; see bench_table1).
-  static constexpr std::size_t kMlFilterActiveCmas = 73;
-  static constexpr std::size_t kMlRankActiveCmas = 74;
-  static constexpr std::size_t kMlItetSigCmas = 16;
 
   // Criteo Kaggle (DLRM, ranking only). Table I: 26 banks / 104 mats /
-  // 2860 CMAs.
+  // 2860 CMAs, which bench_paper derives with core::EtMapping.
   static constexpr std::size_t kCriteoTables = 26;
   static constexpr std::size_t kCriteoActiveCmas = 2860;
   static constexpr std::size_t kCriteoMatsPerTable = 4;
@@ -44,8 +40,6 @@ struct PaperWorkloads {
   // reproduction; the hidden widths are the paper's).
   static constexpr std::size_t kFilterDnnDims[4] = {196, 128, 64, 32};
   static constexpr std::size_t kRankDnnDims[3] = {260, 128, 1};
-  static constexpr std::size_t kDlrmBottomDims[4] = {13, 256, 128, 32};
-  static constexpr std::size_t kDlrmTopDims[4] = {383, 256, 64, 1};
 };
 
 /// A trained MovieLens + YouTubeDNN pair.

@@ -53,7 +53,6 @@ ImarsAccelerator::ImarsAccelerator(const ArchConfig& arch,
       rsc_(profile_, &ledger_),
       ibc_(profile_, &ledger_),
       controller_(profile_, &ledger_),
-      mat_tree_(profile_, &ledger_, arch.cmas_per_mat, arch.emb_dim),
       bank_tree_(profile_, &ledger_, arch.bank_fan_in, arch.emb_dim) {
   IMARS_REQUIRE(arch.cma_rows == profile.cma_rows &&
                     arch.cma_cols == profile.cma_cols,

@@ -163,7 +163,6 @@ class ImarsAccelerator {
   noc::RscBus rsc_;
   noc::IbcNetwork ibc_;
   noc::Controller controller_;
-  adder::IntraMatAdderTree mat_tree_;
   adder::IntraBankAdderTree bank_tree_;
   std::vector<BankState> banks_;
   std::unique_ptr<cma::Cma> ctr_buffer_;

@@ -3,8 +3,8 @@
 // The paper composes its system-level numbers (Table III, Sec IV-C) from the
 // Table II array FoM plus assumptions it states but does not fully quantify.
 // The two constants below close that gap; each carries its derivation.
-// bench_table3_et_lookup and bench_end_to_end print paper-vs-measured for
-// the numbers that depend on them.
+// bench_paper's table3.* rows and bench_end_to_end record paper-vs-measured
+// for the numbers that depend on them.
 #pragma once
 
 #include <cstddef>
@@ -19,9 +19,13 @@ namespace imars::core {
 /// Derivation: with the Table II FoM and the serialized sequence
 ///   read + (L-1) x (read + write + add) + intra-mat + IBC + intra-bank
 ///   + RSC serialization,
-/// L = 8 reproduces all three Table III iMARS latencies simultaneously:
-///   MovieLens filtering 0.20us (paper 0.21), ranking 0.21us (paper 0.21),
-///   Criteo ranking 0.25us (paper 0.24).
+/// each lookup past the first adds 18.4 ns, and L = 8 composes the three
+/// Table III iMARS latencies as
+///   MovieLens filtering 0.2135us (paper 0.21), ranking 0.2175us (paper
+///   0.21), Criteo ranking 0.2935us (paper 0.24).
+/// No one L fits all three: L = 8 puts MovieLens within 4% and leaves
+/// Criteo 22% high. bench_paper's table3.*.imars_latency_us rows bound
+/// these gaps.
 inline constexpr std::size_t kWorstCaseLookupsPerTable = 8;
 
 /// Peripheral energy charged per *active* CMA per ET operation (word-line /
@@ -32,7 +36,8 @@ inline constexpr std::size_t kWorstCaseLookupsPerTable = 8;
 /// system energies scale with the number of active arrays (0.40uJ for 54-74
 /// active CMAs on MovieLens vs 6.88uJ for 2860 on Criteo). Solving the
 /// Criteo point for the per-array overhead gives ~2.4 nJ per array per ET
-/// operation; MovieLens then lands within ~2x (bench_table3_et_lookup).
+/// operation; MovieLens then lands 2.1x and 2.4x below the paper
+/// (bench_paper's table3.ml_*.imars_energy_uj rows).
 inline constexpr double kPeripheralPjPerActiveCmaPerOp = 2400.0;
 
 /// Peripheral energy charged per *searched* signature CMA per NNS operation

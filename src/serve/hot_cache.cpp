@@ -235,14 +235,6 @@ bool HotEmbeddingCache::access(std::uint32_t table, std::uint32_t row) {
   const std::uint64_t freq = slot & kFreqMask;
   const bool resident = (slot & kResidentBit) != 0;
 
-  if (cfg_.capacity_rows == 0) {
-    ++stats_.misses;
-    // No hot buffer at all: with tiering on, misses still resolve against
-    // the warm/cold stack (a pure warm/cold hierarchy).
-    if (tier_on_) touch_tiers(key, freq);
-    return false;
-  }
-
   if (resident) {
     ++stats_.hits;  // heap entry refreshed lazily in settle_heap()
     return true;
@@ -291,11 +283,6 @@ bool HotEmbeddingCache::update(std::uint32_t table, std::uint32_t row) {
   slot = bump(slot);  // updates count toward LFU admission
   const bool resident = (slot & kResidentBit) != 0;
 
-  if (cfg_.capacity_rows == 0) {
-    ++stats_.update_misses;  // no buffer: pure write-through
-    if (sink_ != nullptr) sink_->on_cache_update(/*absorbed=*/false);
-    return false;
-  }
   if (resident) {
     dirty_.insert(key);  // heap refreshed lazily in settle_heap()
     ++stats_.update_hits;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "baseline/exact_nns.hpp"
 #include "util/error.hpp"
 
 namespace imars::serve {
@@ -49,25 +48,6 @@ class IvfRetrieval final : public RetrievalBackend {
 
  private:
   baseline::IvfIndex index_;
-};
-
-/// LSH signature top-k retrieval adapter (Hamming over all item sigs).
-class LshRetrieval final : public RetrievalBackend {
- public:
-  LshRetrieval(const lsh::RandomHyperplaneLsh& planes,
-               std::span<const util::BitVec> sigs)
-      : planes_(&planes), sigs_(sigs) {}
-
-  std::vector<std::size_t> retrieve(std::span<const float> embedding,
-                                    std::size_t k,
-                                    std::size_t* scanned) const override {
-    if (scanned != nullptr) *scanned = sigs_.size();
-    return baseline::topk_hamming(sigs_, planes_->encode(embedding), k);
-  }
-
- private:
-  const lsh::RandomHyperplaneLsh* planes_;
-  std::span<const util::BitVec> sigs_;
 };
 
 }  // namespace
@@ -117,11 +97,11 @@ FunnelServable::FunnelServable(const recsys::YoutubeDnn& model,
   perf_.reserve(profiles.size());
   for (const auto& p : profiles) perf_.emplace_back(arch_, p);
 
-  // Signatures for the narrowing filter (and the kLsh retrieval tier):
-  // same planes/seed family as the hardware's stored ItET signatures.
+  // Signatures for the narrowing filter: the planes of the hardware's
+  // stored ItET signatures.
   const auto& items = model.item_table();
   lsh_ = std::make_unique<lsh::RandomHyperplaneLsh>(
-      items.dim(), cfg_.lsh_bits, lsh::kLshSeed);
+      items.dim(), arch_.lsh_bits, lsh::kLshSeed);
   item_sigs_.reserve(items.rows());
   items.for_each_page([&](std::size_t, std::span<const float> values) {
     for (std::size_t at = 0; at < values.size(); at += items.dim())
@@ -130,9 +110,6 @@ FunnelServable::FunnelServable(const recsys::YoutubeDnn& model,
   switch (cfg_.retrieval) {
     case RetrievalKind::kIvf:
       retrieval_ = std::make_unique<IvfRetrieval>(items.dense(), cfg_.ivf);
-      break;
-    case RetrievalKind::kLsh:
-      retrieval_ = std::make_unique<LshRetrieval>(*lsh_, item_sigs_);
       break;
     case RetrievalKind::kFixed:
       break;  // replica filter pass
@@ -152,7 +129,7 @@ const recsys::UserContext& FunnelServable::user_of(const Request& req) const {
 
 std::size_t FunnelServable::sig_cmas(std::size_t entries) const {
   const std::size_t rows = std::max<std::size_t>(arch_.cma_rows, 1);
-  const std::size_t per_entry = (cfg_.lsh_bits + 255) / 256;  // paper: 2 CMAs
+  const std::size_t per_entry = (arch_.lsh_bits + 255) / 256;  // paper: 2 CMAs
   return std::max<std::size_t>((entries + rows - 1) / rows, 1) *
          std::max<std::size_t>(per_entry, 1);
 }

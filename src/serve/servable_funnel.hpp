@@ -10,7 +10,7 @@
 // FunnelServable expresses that shape as a single PipelineSpec:
 //
 //   retrieve (replicated)  — per-query ANN candidate generation through a
-//                            RetrievalBackend adapter (IVF / LSH / the
+//                            RetrievalBackend adapter (IVF or the
 //                            backend's own filter pass);
 //   filter   (replicated,  — narrows the retrieved candidates to those
 //             consume_items) within a Hamming radius of the user's LSH
@@ -56,8 +56,6 @@ enum class RetrievalKind : std::uint8_t {
   kFixed,
   /// IVF-Flat over the item embeddings (baseline::IvfIndex).
   kIvf,
-  /// LSH signature top-k by Hamming distance (baseline::topk_hamming).
-  kLsh,
 };
 
 /// Funnel shape and knobs. Every field defaults to the paper-anchored
@@ -77,10 +75,6 @@ struct FunnelConfig {
   bool rerank = true;
   /// IVF build/search parameters (RetrievalKind::kIvf).
   baseline::IvfIndex::Config ivf{};
-  /// Signature length; the default matches the hardware's, and the planes
-  /// are lsh::kLshSeed's, so the filter stage narrows with the planes the
-  /// hardware stores.
-  std::size_t lsh_bits = 256;
 };
 
 /// The retrieval tier behind a uniform adapter: one engine turns a user

@@ -5,6 +5,7 @@
 #include "core/accelerator.hpp"
 #include "core/calibration.hpp"
 #include "core/perf_model.hpp"
+#include "lsh/lsh.hpp"
 #include "util/rng.hpp"
 
 namespace imars {
@@ -158,6 +159,32 @@ TEST(PerfModel, MatchesFunctionalMachineWorstCase) {
 
   EXPECT_NEAR(functional.latency.value, analytic.latency.value, 1e-6);
   EXPECT_NEAR(functional.energy.value, analytic.energy.value, 1e-6);
+}
+
+// Cross-check: one functional TCAM search over a MovieLens-sized ItET (3952
+// entries, 16 signature arrays) charges exactly PerfModel::nns.
+TEST(PerfModel, NnsMatchesFunctionalMachine) {
+  Fixture f;
+  core::ImarsAccelerator acc(f.arch, f.profile);
+  util::Xoshiro256 rng(7);
+  const QMatrix items = QMatrix::quantize(Matrix::randn(3952, 32, 0.5f, rng));
+  const lsh::RandomHyperplaneLsh hasher(32, f.arch.lsh_bits, lsh::kLshSeed);
+  const Matrix deq = items.dequantize();
+  std::vector<util::BitVec> sigs;
+  for (std::size_t r = 0; r < deq.rows(); ++r)
+    sigs.push_back(hasher.encode(deq.row(r)));
+  const auto id = acc.load_itet("ItET", items, sigs);
+  ASSERT_EQ(acc.sig_cmas(id).size(), 16u);
+  acc.reset_energy();
+
+  tensor::Vector query(32);
+  for (auto& x : query) x = static_cast<float>(rng.normal());
+  recsys::OpCost functional;
+  (void)acc.nns(id, hasher.encode(query), 96, &functional);
+
+  const auto analytic = f.model.nns(acc.sig_cmas(id).size());
+  EXPECT_EQ(functional.latency.value, analytic.latency.value);
+  EXPECT_EQ(functional.energy.value, analytic.energy.value);
 }
 
 }  // namespace

@@ -200,34 +200,25 @@ TEST(FunnelRetrieval, AnnRecallAtKClearsGate) {
   const auto& items = fx.model->item_table();
   const std::size_t k = 10;
 
-  auto recall_of = [&](FunnelConfig fcfg) {
-    FunnelServable funnel(*fx.model, core::ArchConfig{}, fx.factory, profs,
-                          fcfg);
-    std::size_t hits = 0, total = 0;
-    for (std::size_t u = 0; u < 32; ++u) {
-      const auto exact = baseline::topk_cosine(
-          items, fx.model->user_embedding(fx.users[u]), k);
-      const auto got = funnel.retrieval_candidates(fx.users[u]);
-      const std::set<std::size_t> have(got.begin(), got.end());
-      for (std::size_t item : exact) hits += have.count(item);
-      total += exact.size();
-    }
-    return static_cast<double>(hits) / static_cast<double>(total);
-  };
-
   // A generous ANN budget (retrieve_k 4x the audit k) must clear the
-  // funnel's recall@k gate for both engines on the seeded corpus.
-  FunnelConfig ivf;
-  ivf.retrieval = RetrievalKind::kIvf;
-  ivf.retrieve_k = 40;
-  ivf.ivf.nlist = 8;
-  ivf.ivf.nprobe = 4;
-  EXPECT_GE(recall_of(ivf), 0.95);
-
-  FunnelConfig lsh;
-  lsh.retrieval = RetrievalKind::kLsh;
-  lsh.retrieve_k = 40;
-  EXPECT_GE(recall_of(lsh), 0.95);
+  // funnel's recall@k gate on the seeded corpus.
+  FunnelConfig fcfg;
+  fcfg.retrieval = RetrievalKind::kIvf;
+  fcfg.retrieve_k = 40;
+  fcfg.ivf.nlist = 8;
+  fcfg.ivf.nprobe = 4;
+  FunnelServable funnel(*fx.model, core::ArchConfig{}, fx.factory, profs,
+                        fcfg);
+  std::size_t hits = 0, total = 0;
+  for (std::size_t u = 0; u < 32; ++u) {
+    const auto exact = baseline::topk_cosine(
+        items, fx.model->user_embedding(fx.users[u]), k);
+    const auto got = funnel.retrieval_candidates(fx.users[u]);
+    const std::set<std::size_t> have(got.begin(), got.end());
+    for (std::size_t item : exact) hits += have.count(item);
+    total += exact.size();
+  }
+  EXPECT_GE(static_cast<double>(hits) / static_cast<double>(total), 0.95);
 }
 
 // --- Placement invariance of the four-stage graph --------------------------

@@ -1071,9 +1071,10 @@ TEST(CtrServable, TowerGraphServesThroughRuntimeWithNamedUtilization) {
 // --- Graph-aware QoS service estimates -------------------------------------
 
 TEST(ServingRuntime, DefaultsServiceEstimateFromGraphCriticalPath) {
-  FilterRankFixture fx;
-
-  auto run_with = [&](Ns service_estimate) {
+  const auto profile = device::DeviceProfile::fefet45();
+  // Only the interactive class has a deadline; its service_estimate 0
+  // defaults it from the servable's graph.
+  const auto config_with = [](Ns deadline, Ns service_estimate) {
     ServingConfig cfg;
     cfg.shards = 2;
     cfg.k = 5;
@@ -1081,35 +1082,42 @@ TEST(ServingRuntime, DefaultsServiceEstimateFromGraphCriticalPath) {
     interactive.name = "interactive";
     interactive.max_batch = 2;
     interactive.max_wait = Ns{300000.0};
-    interactive.deadline = Ns{150000.0};
-    interactive.service_estimate = service_estimate;  // 0 = default it
+    interactive.deadline = deadline;
+    interactive.service_estimate = service_estimate;
     serve::QosClassConfig bulk;
     bulk.name = "bulk";
     bulk.max_batch = 4;
     bulk.max_wait = Ns{300000.0};
     bulk.weight = 3.0;
     cfg.qos.classes = {interactive, bulk};
-    ServingRuntime rt(fx.factory, cfg, core::ArchConfig{},
-                      device::DeviceProfile::fefet45());
+    return cfg;
+  };
+  const auto load_for = [](std::size_t users) {
     LoadGenConfig lg;
     lg.clients = 6;
     lg.total_queries = 30;
-    lg.num_users = fx.users.size();
+    lg.num_users = users;
     lg.class_mix = {0.4, 0.6};
     lg.arrivals = ArrivalProcess::kOpenPoisson;
     lg.rate_qps = 2.0e5;
     lg.seed = 205;
-    LoadGenerator gen(lg);
-    return rt.run(gen, fx.users);
+    return lg;
   };
 
-  // The defaulted estimate equals the hand-computed graph service
-  // estimate, so both runs make identical close decisions.
+  // Filter -> rank: the defaulted estimate equals the hand-computed graph
+  // service estimate, so both runs make identical close decisions.
+  FilterRankFixture fx;
+  auto run_with = [&](Ns service_estimate) {
+    ServingRuntime rt(fx.factory, config_with(Ns{150000.0}, service_estimate),
+                      core::ArchConfig{}, profile);
+    LoadGenerator gen(load_for(fx.users.size()));
+    return rt.run(gen, fx.users);
+  };
   ShardRouter probe(fx.factory, 2);
   probe.bind_users(fx.users);
   const auto costs = probe.stage_cost_estimate(5);  // the runtime's cfg.k
   ASSERT_EQ(costs.size(), 2u);  // {filter, rank}
-  StagePipeline pipe(probe, device::DeviceProfile::fefet45());
+  StagePipeline pipe(probe, profile);
   const Ns expected = pipe.service_estimate(costs, 5, 2);
   EXPECT_GT(expected.value, 0.0);  // merge cost at minimum (CPU oracle)
 
@@ -1119,6 +1127,38 @@ TEST(ServingRuntime, DefaultsServiceEstimateFromGraphCriticalPath) {
   // (Close decisions only shift if the slack changes the trigger order, so
   // just assert determinism of the defaulted run.)
   serve_test::expect_reports_identical(run_with(Ns{0.0}), run_with(Ns{0.0}));
+
+  // The CTR tower DAG (gather || dense -> interact) probes three stage
+  // costs on its first replica. Its 20 us deadline leaves a slack the
+  // estimate moves.
+  CtrFixture ctr;
+  std::vector<data::CriteoSample> samples;
+  for (std::size_t i = 0; i < ctr.ds->size(); ++i)
+    samples.push_back(ctr.ds->sample(i));
+  const std::vector<device::DeviceProfile> profiles(2, profile);
+  const auto make_tower = [&] {
+    auto servable = std::make_unique<CtrServable>(ctr.factory, profiles,
+                                                  CtrGraph::kTowerDag);
+    servable->bind_samples(samples);
+    return servable;
+  };
+  auto run_tower = [&](Ns service_estimate) {
+    ServingRuntime rt(make_tower(), config_with(Ns{20000.0}, service_estimate),
+                      core::ArchConfig{}, profile);
+    LoadGenerator gen(load_for(samples.size()));
+    return rt.run(gen);
+  };
+  const auto tower = make_tower();
+  const auto tower_costs = tower->stage_cost_estimate(5);
+  ASSERT_EQ(tower_costs.size(), 3u);  // {gather, dense, interact}
+  const Ns tower_expected =
+      StagePipeline(*tower, profile).service_estimate(tower_costs, 5, 2);
+  EXPECT_GT(tower_expected.value, 0.0);
+  const auto defaulted = run_tower(Ns{0.0});
+  serve_test::expect_reports_identical(defaulted, run_tower(tower_expected));
+  // The default engages: a 1 ns estimate closes batches differently.
+  EXPECT_TRUE(
+      bench::first_difference(defaulted, run_tower(Ns{1.0})).has_value());
 }
 
 TEST(StagePipeline, ServiceEstimateComposesCriticalPathAndBatch) {
