@@ -11,11 +11,13 @@
 
 #include "cma/cma.hpp"
 #include "data/criteo.hpp"
+#include "data/movielens.hpp"
 #include "data/zipf.hpp"
 #include "lsh/lsh.hpp"
 #include "nn/embedding.hpp"
 #include "nn/layer.hpp"
 #include "recsys/dlrm.hpp"
+#include "recsys/youtube_dnn.hpp"
 #include "serve/hot_cache.hpp"
 #include "serve/observe.hpp"
 #include "serve/session_table.hpp"
@@ -275,6 +277,25 @@ void BM_SessionTouch(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_SessionTouch)->Unit(benchmark::kMillisecond);
+
+// One serving context per MovieLens user, as the ml_filter_rank workload
+// builds its population: the benchmark's 6,040 x 3,952 set (seed 404) and
+// the paper's YouTubeDNN schema. `per_context` is the host time of one
+// make_context.
+void BM_MakeContext(benchmark::State& state) {
+  data::MovieLensConfig dcfg;
+  dcfg.seed = 404;
+  const data::MovieLensSynth ds(dcfg);
+  const recsys::YoutubeDnn model(ds.schema(), recsys::YoutubeDnnConfig{});
+  for (auto _ : state)
+    for (std::size_t u = 0; u < ds.num_users(); ++u)
+      benchmark::DoNotOptimize(model.make_context(ds, u));
+  state.counters["per_context"] = benchmark::Counter(
+      static_cast<double>(ds.num_users()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MakeContext)->Unit(benchmark::kMillisecond);
 
 void BM_GemvI8(benchmark::State& state) {
   util::Xoshiro256 rng(8);

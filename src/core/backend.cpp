@@ -96,8 +96,11 @@ tensor::Vector ImarsBackend::user_embedding_hw(const UserContext& user,
                                                StageStats* stats) {
   // (1a) Sparse features -> ET lookups and pooling.
   std::vector<LookupRequest> reqs;
-  for (auto f : model_->filter_features())
-    reqs.push_back({uiet_ids_[f], user.sparse[f], /*mean_pool=*/true});
+  for (auto f : model_->filter_features()) {
+    const auto ids = user.sparse[f];
+    reqs.push_back(
+        {uiet_ids_[f], {ids.begin(), ids.end()}, /*mean_pool=*/true});
+  }
   if (!user.history.empty())
     reqs.push_back({itet_id_, user.history, /*mean_pool=*/true});
 
@@ -156,8 +159,11 @@ std::vector<ScoredItem> ImarsBackend::rank(
   // UIETs and the ItET (Sec III-C; Table III's ranking ET lookup is "for
   // one item input", i.e. the full lookup repeats for every candidate).
   std::vector<LookupRequest> reqs;
-  for (auto f : model_->rank_features())
-    reqs.push_back({uiet_ids_[f], user.sparse[f], /*mean_pool=*/true});
+  for (auto f : model_->rank_features()) {
+    const auto ids = user.sparse[f];
+    reqs.push_back(
+        {uiet_ids_[f], {ids.begin(), ids.end()}, /*mean_pool=*/true});
+  }
   if (!user.history.empty())
     reqs.push_back({itet_id_, user.history, /*mean_pool=*/true});
 

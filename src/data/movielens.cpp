@@ -93,6 +93,7 @@ MovieLensSynth::MovieLensSynth(const MovieLensConfig& config)
     const std::size_t target =
         config.history_min +
         rng.below(config.history_max - config.history_min + 1);
+    rec.history.reserve(target);  // the held-out item is the only slack
     std::unordered_set<std::size_t> seen;
     std::size_t attempts = 0;
     const std::size_t max_attempts = target * 50;

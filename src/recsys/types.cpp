@@ -4,6 +4,20 @@
 
 namespace imars::recsys {
 
+FeatureIds::FeatureIds(std::size_t features, std::size_t ids) {
+  buf_.reserve(1 + features + ids);
+  buf_.assign(1 + features, 0);
+  buf_[0] = features;
+}
+
+void FeatureIds::fill_next(std::span<const std::size_t> list) {
+  std::size_t f = 0;
+  while (f < size() && buf_[1 + f] != 0) ++f;
+  IMARS_REQUIRE(f < size(), "FeatureIds: every feature is filled");
+  buf_.insert(buf_.end(), list.begin(), list.end());
+  buf_[1 + f] = buf_.size();
+}
+
 std::string_view op_name(OpKind k) {
   switch (k) {
     case OpKind::kEtLookup: return "ET Lookup";

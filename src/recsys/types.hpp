@@ -12,6 +12,7 @@
 
 #include "device/units.hpp"
 #include "tensor/tensor.hpp"
+#include "util/error.hpp"
 
 namespace imars::recsys {
 
@@ -70,13 +71,44 @@ struct ScoredItem {
   float score = 0.0f;
 };
 
+/// One id list per sparse feature (schema order), in one heap block: the
+/// feature count, each feature's end position in the block, then every
+/// feature's ids, back to back. `ids[f]` views feature f's list.
+class FeatureIds {
+ public:
+  FeatureIds() = default;
+
+  /// `features` lists, which fill_next fills in feature order, with room
+  /// for `ids` ids in all. Reading a list before it is filled throws.
+  FeatureIds(std::size_t features, std::size_t ids);
+
+  /// Fills the next unfilled feature's list with `list`.
+  void fill_next(std::span<const std::size_t> list);
+
+  std::size_t size() const noexcept { return buf_.empty() ? 0 : buf_[0]; }
+
+  std::span<const std::size_t> operator[](std::size_t f) const {
+    IMARS_REQUIRE(f < size() && buf_[1 + f] != 0,
+                  "FeatureIds: feature out of range or not filled");
+    const std::size_t begin = f == 0 ? 1 + size() : buf_[f];
+    return std::span(buf_).subspan(begin, buf_[1 + f] - begin);
+  }
+
+ private:
+  // [count, end_0 .. end_{count-1}, ids]; an end is 0 until its list is
+  // filled.
+  std::vector<std::size_t> buf_;
+};
+
 /// Per-user model inputs (Fig. 1(c)): continuous features, one index list
 /// per sparse feature (schema order), and the interaction history.
 struct UserContext {
   tensor::Vector dense;
-  std::vector<std::vector<std::size_t>> sparse;
+  FeatureIds sparse;
   std::vector<std::size_t> history;
 };
+// A serving population holds one context per user: three heap blocks each.
+static_assert(sizeof(UserContext) == 3 * sizeof(std::vector<std::size_t>));
 
 /// Backend interface for the two-stage (filtering + ranking) pipeline.
 /// Implementations: baseline::CpuBackend, baseline::GpuModelBackend,

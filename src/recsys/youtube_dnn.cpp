@@ -109,9 +109,10 @@ UserContext YoutubeDnn::make_context(const data::MovieLensSynth& ds,
   const auto& rec = ds.user(user);
   UserContext ctx;
   ctx.dense = ds.dense_features(user);
-  ctx.sparse.resize(schema_.user_item.size());
-  for (std::size_t f = 0; f < schema_.user_item.size(); ++f)
-    ctx.sparse[f] = {rec.sparse[f]};
+  const std::size_t features = schema_.user_item.size();
+  ctx.sparse = FeatureIds(features, features);  // one id per feature
+  for (std::size_t f = 0; f < features; ++f)
+    ctx.sparse.fill_next(std::span(rec.sparse).subspan(f, 1));
   ctx.history = rec.history;
   return ctx;
 }

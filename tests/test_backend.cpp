@@ -265,6 +265,64 @@ TEST(ImarsCtrBackend, SparseCountMismatchThrows) {
   EXPECT_THROW((void)f.backend->score(s.dense, wrong, nullptr), Error);
 }
 
+// ---------- energy conservation -------------------------------------------
+//
+// Every charge a call makes lands once in the accelerator's ledger and once
+// in one OpKind of the call's StageStats, so the per-op energies sum to the
+// ledger's growth over the call (to float rounding).
+
+constexpr core::TimingMode kTimingModes[] = {
+    core::TimingMode::kActualPlacement, core::TimingMode::kWorstCaseSameArray};
+
+void expect_sums_to(const StageStats& stats, device::Pj before,
+                    device::Pj after, const std::string& what) {
+  double per_op = 0.0;
+  for (const auto& op : stats.ops) per_op += op.energy.value;
+  const double grew = after.value - before.value;
+  EXPECT_GT(grew, 0.0) << what;
+  EXPECT_NEAR(per_op, grew, 1e-12 * grew) << what;
+}
+
+TEST(ImarsBackend, PerOpEnergySumsToLedgerGrowth) {
+  BackendFixture f;
+  for (const auto timing : kTimingModes) {
+    ImarsBackendConfig bcfg;
+    bcfg.nns_radius = 110;
+    bcfg.timing = timing;
+    ImarsBackend backend(*f.model, ArchConfig{}, DeviceProfile::fefet45(),
+                         bcfg, f.calib);
+    const auto& ledger = backend.accelerator().ledger();
+    for (std::size_t u = 0; u < 50; ++u) {
+      const auto user = f.model->make_context(*f.ds, u);
+      StageStats filter_stats, rank_stats;
+      const auto before = ledger.total();
+      (void)recsys::recommend(backend, user, 10, &filter_stats, &rank_stats);
+      filter_stats.merge(rank_stats);
+      expect_sums_to(filter_stats, before, ledger.total(),
+                     "timing " + std::to_string(static_cast<int>(timing)) +
+                         ", user " + std::to_string(u));
+    }
+  }
+}
+
+TEST(ImarsCtrBackend, PerOpEnergySumsToLedgerGrowth) {
+  CtrFixture f;
+  for (const auto timing : kTimingModes) {
+    ImarsCtrBackend backend(*f.model, ArchConfig{}, DeviceProfile::fefet45(),
+                            timing, f.calib);
+    const auto& ledger = backend.accelerator().ledger();
+    for (std::size_t i = 0; i < 50; ++i) {
+      const auto& s = f.ds->sample(i);
+      StageStats stats;
+      const auto before = ledger.total();
+      (void)backend.score(s.dense, s.sparse, &stats);
+      expect_sums_to(stats, before, ledger.total(),
+                     "timing " + std::to_string(static_cast<int>(timing)) +
+                         ", sample " + std::to_string(i));
+    }
+  }
+}
+
 // ---------- shard replicas -------------------------------------------------
 //
 // A factory-built replica must be indistinguishable from a backend built

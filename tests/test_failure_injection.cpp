@@ -147,7 +147,10 @@ TEST(FailureInjection, BackendContextValidation) {
   // A malformed context (wrong sparse-feature count) is rejected before any
   // hardware state changes.
   recsys::UserContext broken = model.make_context(ds, 0);
-  broken.sparse.pop_back();
+  const std::size_t fewer = broken.sparse.size() - 1;
+  recsys::FeatureIds ids(fewer, fewer);
+  for (std::size_t f = 0; f < fewer; ++f) ids.fill_next(broken.sparse[f]);
+  broken.sparse = std::move(ids);
   EXPECT_THROW((void)model.filter_input(broken), Error);
 }
 

@@ -2,6 +2,7 @@
 // assembly, training signal, metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -127,6 +128,51 @@ TEST(YoutubeDnn, RankInputLayout) {
   // 6 pooled UIETs + item + history + dense.
   EXPECT_EQ(in.size(), 6u * 16 + 16 + 16 + MovieLensSynth::kDenseDim);
   EXPECT_EQ(in.size(), model.rank_input_dim());
+}
+
+TEST(FeatureIds, ListsLieBackToBackInFeatureOrder) {
+  EXPECT_EQ(recsys::FeatureIds().size(), 0u);
+  const std::vector<std::size_t> first = {4, 9, 2}, last = {7};
+  recsys::FeatureIds ids(3, 4);
+  EXPECT_EQ(ids.size(), 3u);
+  ids.fill_next(first);
+  EXPECT_THROW((void)ids[1], Error);  // not filled yet
+  ids.fill_next({});
+  ids.fill_next(last);
+  EXPECT_THROW(ids.fill_next(last), Error);  // every feature is filled
+  EXPECT_THROW((void)ids[3], Error);
+  EXPECT_TRUE(std::ranges::equal(ids[0], first));
+  EXPECT_TRUE(ids[1].empty());
+  EXPECT_TRUE(std::ranges::equal(ids[2], last));
+  EXPECT_EQ(ids[1].data(), ids[0].data() + first.size());
+  EXPECT_EQ(ids[2].data(), ids[1].data());
+}
+
+// Over the benchmark's MovieLens population (bench/harness.hpp at scale
+// 1.0): each context holds the dataset's ids, one list per feature, back to
+// back in one buffer, and no history keeps growth slack beyond the
+// held-out item's slot.
+TEST(YoutubeDnn, BenchScaleContextsHoldTheirIdsInOneBuffer) {
+  MovieLensConfig dcfg;  // 6040 users x 3952 items
+  dcfg.seed = 404;
+  const MovieLensSynth ds(dcfg);
+  const YoutubeDnn model(ds.schema(), YoutubeDnnConfig{});
+  const std::size_t features = ds.schema().user_item.size();
+  for (std::size_t u = 0; u < ds.num_users(); ++u) {
+    const auto& rec = ds.user(u);
+    const auto ctx = model.make_context(ds, u);
+    ASSERT_EQ(ctx.sparse.size(), features) << "u=" << u;
+    for (std::size_t f = 0; f < features; ++f) {
+      const auto ids = ctx.sparse[f];
+      ASSERT_EQ(ids.size(), 1u) << "u=" << u << " f=" << f;
+      EXPECT_EQ(ids[0], rec.sparse[f]) << "u=" << u << " f=" << f;
+      if (f > 0)
+        EXPECT_EQ(ids.data(),
+                  ctx.sparse[f - 1].data() + ctx.sparse[f - 1].size())
+            << "u=" << u << " f=" << f;
+    }
+    EXPECT_LE(rec.history.capacity(), rec.history.size() + 1) << "u=" << u;
+  }
 }
 
 TEST(YoutubeDnn, CtrInUnitInterval) {
