@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cma/cma.hpp"
@@ -21,6 +22,7 @@
 #include "serve/hot_cache.hpp"
 #include "serve/observe.hpp"
 #include "serve/session_table.hpp"
+#include "serve/shard_map.hpp"
 #include "synth_servable.hpp"
 #include "tensor/qtensor.hpp"
 #include "util/bitvec.hpp"
@@ -296,6 +298,41 @@ void BM_MakeContext(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_MakeContext)->Unit(benchmark::kMillisecond);
+
+// One query's scatter: ShardMap::partition_into deals a key list into
+// reused per-shard slices, over the uniform 4-shard ring the workloads
+// serve on (ring 0) and a 256-bucket weighted ring (ring 1: 4 shards at
+// the default 64 buckets each, weights 1:2:3:2), for ml_filter_rank's 20
+// candidates and synth_host_1m's 24. The 1024 key lists are drawn once,
+// outside the timed loop; `per_list` is the host time of one partition.
+void BM_ShardMapPartition(benchmark::State& state) {
+  const serve::ShardMap map =
+      state.range(0) == 0
+          ? serve::ShardMap::uniform(4)
+          : serve::ShardMap::weighted(std::vector{1.0, 2.0, 3.0, 2.0});
+  const auto n = static_cast<std::size_t>(state.range(1));
+  constexpr std::size_t kLists = 1024;
+  util::Xoshiro256 rng(19);
+  std::vector<std::size_t> keys(kLists * n);
+  for (std::size_t& key : keys) key = rng.below(1000000);
+  std::vector<std::vector<std::size_t>> slices;
+  for (auto _ : state)
+    for (std::size_t l = 0; l < kLists; ++l) {
+      map.partition_into(std::span(keys).subspan(l * n, n), slices);
+      benchmark::DoNotOptimize(slices.data());
+      benchmark::ClobberMemory();
+    }
+  state.counters["per_list"] = benchmark::Counter(
+      static_cast<double>(kLists),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ShardMapPartition)
+    ->ArgNames({"ring", "keys"})
+    ->Args({0, 20})
+    ->Args({0, 24})
+    ->Args({1, 20})
+    ->Args({1, 24});
 
 void BM_GemvI8(benchmark::State& state) {
   util::Xoshiro256 rng(8);

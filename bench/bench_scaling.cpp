@@ -109,7 +109,9 @@ int main() {
                "allocation budget ===\n\n";
 
   // The open-loop rate every part drives: the closed-loop throughput of
-  // the scaling grid's fabric.
+  // the scaling grid's fabric. It moves with any change to that fabric's
+  // modeled speed, so the Part A and Part C records carry it: a curve
+  // point that moved because its offered load moved says so.
   const double open_rate =
       run_synth(bench::grid_serving_config(),
                 bench::grid_load_config(480), arch, profile)
@@ -165,6 +167,7 @@ int main() {
                   std::to_string(cap))
           .set("users", pop)
           .set("cache_rows", cap)
+          .set("open_rate_qps", open_rate)
           .set("queries", r.report.size())
           .set("cache_hit_rate", r.report.cache.hit_rate())
           .set("p50_us", r.report.p50_latency_ns() * 1e-3)
@@ -272,6 +275,7 @@ int main() {
               << " s (" << util::Table::num(qphs, 0) << " q/host-s)\n";
     json.record("steady_state")
         .set("users", lg.num_users)
+        .set("open_rate_qps", open_rate)
         .set("queries", r.report.size())
         .set("session_slots", lg.session_capacity)
         .set("session_occupancy", r.session_occupancy)

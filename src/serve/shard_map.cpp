@@ -2,14 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "util/error.hpp"
 
 namespace imars::serve {
 
+namespace {
+
+/// `granularity * shards`, rejected by name when it overflows or exceeds
+/// the ring cap (checked by division, so the product is never formed past
+/// the cap).
+std::size_t ring_buckets(std::size_t shards, std::size_t granularity,
+                         const char* who) {
+  IMARS_REQUIRE(granularity <= ShardMap::kMaxBuckets / shards,
+                std::string(who) + ": granularity " +
+                    std::to_string(granularity) + " x " +
+                    std::to_string(shards) +
+                    " shards exceeds the ring's bucket cap of " +
+                    std::to_string(ShardMap::kMaxBuckets));
+  return granularity * shards;
+}
+
+}  // namespace
+
 ShardMap ShardMap::uniform(std::size_t shards) {
   IMARS_REQUIRE(shards >= 1, "ShardMap::uniform: need at least one shard");
+  IMARS_REQUIRE(shards <= kMaxBuckets,
+                "ShardMap::uniform: " + std::to_string(shards) +
+                    " shards exceed the ring's bucket cap of " +
+                    std::to_string(kMaxBuckets));
   ShardMap m;
   m.table_.resize(shards);
   for (std::size_t s = 0; s < shards; ++s)
@@ -35,7 +58,8 @@ ShardMap ShardMap::weighted(std::span<const double> weights,
   IMARS_REQUIRE(total > 0.0, "ShardMap::weighted: all weights zero");
 
   const std::size_t ns = weights.size();
-  const std::size_t buckets = granularity * ns;
+  const std::size_t buckets =
+      ring_buckets(ns, granularity, "ShardMap::weighted");
   // Largest-remainder apportionment of `buckets` among the shards.
   std::vector<std::size_t> count(ns, 0);
   std::vector<std::pair<double, std::size_t>> remainder;  // (frac, shard)
@@ -83,6 +107,9 @@ ShardMap ShardMap::weighted(std::span<const double> weights,
 ShardMap ShardMap::from_costs(std::span<const device::Ns> per_item_cost,
                               std::size_t granularity) {
   IMARS_REQUIRE(!per_item_cost.empty(), "ShardMap::from_costs: no shards");
+  IMARS_REQUIRE(granularity >= 1, "ShardMap::from_costs: zero granularity");
+  (void)ring_buckets(per_item_cost.size(), granularity,
+                     "ShardMap::from_costs");
   std::vector<double> weights(per_item_cost.size(), 0.0);
   bool any = false;
   for (std::size_t s = 0; s < per_item_cost.size(); ++s) {
@@ -143,7 +170,15 @@ void ShardMap::partition_into(
   IMARS_REQUIRE(!table_.empty(), "ShardMap::partition_into: empty map");
   slices.resize(shards());
   for (auto& slice : slices) slice.clear();
-  for (std::size_t key : keys) slices[shard_of(key)].push_back(key);
+  if (keys.empty()) return;
+  // Deal one bucket per key, from the first key's bucket. The wrapping
+  // index needs no division per key, and the ring's interleave keeps every
+  // shard's slice within shards() of its share however the keys hash.
+  std::size_t bucket = keys.front() % table_.size();
+  for (std::size_t key : keys) {
+    slices[table_[bucket]].push_back(key);
+    if (++bucket == table_.size()) bucket = 0;
+  }
 }
 
 }  // namespace imars::serve

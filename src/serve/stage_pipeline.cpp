@@ -153,6 +153,21 @@ bool score_order(const recsys::ScoredItem& a, const recsys::ScoredItem& b) {
   return a.item < b.item;
 }
 
+/// The merge unit's answer over a stage's per-shard partials: their
+/// shard-order concatenation's best `keep` in score_order, into `out`.
+/// score_order is strict, so partial_sort yields the one answer any full
+/// sort would, whatever order the slices finished in.
+void merge_partials(std::span<const std::vector<recsys::ScoredItem>> parts,
+                    std::size_t keep, std::vector<recsys::ScoredItem>& out) {
+  out.clear();
+  for (const auto& part : parts)
+    out.insert(out.end(), part.begin(), part.end());
+  const auto last =
+      out.begin() + static_cast<std::ptrdiff_t>(std::min(keep, out.size()));
+  std::partial_sort(out.begin(), last, out.end(), score_order);
+  out.erase(last, out.end());
+}
+
 }  // namespace
 
 /// Functional scratch of one in-flight batch. Tasks on the shard executors
@@ -182,6 +197,10 @@ struct StagePipeline::BatchHandle::State {
   std::vector<std::vector<StageRec>> rec;         ///< [query][stage]
   /// Partial scored results of the OUTPUT sharded stage, [query][shard].
   std::vector<std::vector<std::vector<recsys::ScoredItem>>> partials;
+  /// Per query: the merged global top-k over `partials`, built by the
+  /// worker whose output-stage slice finished last (empty when the output
+  /// stage had no items or the graph has none).
+  std::vector<std::vector<recsys::ScoredItem>> topk;
   std::size_t stages = 0;  ///< stage count of the graph
   /// Per (query, stage), flattened qi * stages + s: executions still
   /// running of a dispatched stage / pending predecessor edges of a
@@ -353,6 +372,8 @@ StagePipeline::acquire_state(std::size_t queries) {
     per_shard.resize(ns);
     for (auto& partial : per_shard) partial.clear();
   }
+  st->topk.resize(queries);
+  for (auto& merged : st->topk) merged.clear();
   if (st->atomic_cap < queries * stages) {
     st->fan_in =
         std::make_unique<std::atomic<std::size_t>[]>(queries * stages);
@@ -492,20 +513,23 @@ void StagePipeline::run_stage_task(
     st->fail(std::current_exception());
   }
   if (st->fan(qi, stage).fetch_sub(1) != 1) return;
-  if (emit_k > 0 && !st->failed.load(std::memory_order_acquire)) {
-    // Last slice joined: merge the per-shard partials (shard-order concat,
-    // engine score order, truncate) into the stage's produced item list —
-    // the work-item set its successors partition. The same merge
-    // regardless of slice arrival order, so overlap cannot change
-    // downstream routing.
+  // Last slice joined, so this worker merges the stage's partials: the
+  // output stage's into the query's global top-k (collect() only copies
+  // it), an emitting stage's into the item list its successors partition.
+  // The merge is the same whatever order the slices finished in, so
+  // overlap changes neither results nor downstream routing.
+  if ((stage == graph_.output_stage || emit_k > 0) &&
+      !st->failed.load(std::memory_order_acquire)) {
     try {
-      std::vector<recsys::ScoredItem> all;
-      for (const auto& e : r.emit) all.insert(all.end(), e.begin(), e.end());
-      std::sort(all.begin(), all.end(), score_order);
-      if (all.size() > emit_k) all.resize(emit_k);
-      r.out_items.clear();
-      r.out_items.reserve(all.size());
-      for (const auto& si : all) r.out_items.push_back(si.item);
+      if (stage == graph_.output_stage) {
+        merge_partials(st->partials[qi], st->k, st->topk[qi]);
+      } else {
+        std::vector<recsys::ScoredItem> merged;
+        merge_partials(r.emit, emit_k, merged);
+        r.out_items.clear();
+        r.out_items.reserve(merged.size());
+        for (const auto& si : merged) r.out_items.push_back(si.item);
+      }
     } catch (...) {
       st->fail(std::current_exception());
     }
@@ -746,9 +770,6 @@ std::vector<Request> StagePipeline::collect(
   results.resize(n);
   stage_end_scratch_.resize(stages);
   auto& stage_end = stage_end_scratch_;
-  // The top-k tie-break (score_order: score desc, item asc) is a strict
-  // total order over distinct items, so the partial_sort below yields the
-  // same answer as any full sort.
   for (std::size_t qi = 0; qi < n; ++qi) {
     const Request& req = st->batch.requests[qi];
     QueryResult& out = results[qi];
@@ -876,20 +897,7 @@ std::vector<Request> StagePipeline::collect(
         if (spec_.stages[s].kind == StageKind::kReplicated)
           out.work_items = st->rec[qi][s].out_items.size();
     }
-
-    // Concat into reused scratch, order only the k survivors.
-    topk_scratch_.clear();
-    for (std::size_t shard = 0; shard < ns; ++shard)
-      topk_scratch_.insert(topk_scratch_.end(),
-                           st->partials[qi][shard].begin(),
-                           st->partials[qi][shard].end());
-    const std::size_t keep = std::min(st->k, topk_scratch_.size());
-    std::partial_sort(
-        topk_scratch_.begin(),
-        topk_scratch_.begin() + static_cast<std::ptrdiff_t>(keep),
-        topk_scratch_.end(), score_order);
-    out.topk.assign(topk_scratch_.begin(),
-                    topk_scratch_.begin() + static_cast<std::ptrdiff_t>(keep));
+    out.topk.assign(st->topk[qi].begin(), st->topk[qi].end());
   }
 
   // Close the allocate/free cycle: the batch's request storage goes back

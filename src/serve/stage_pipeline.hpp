@@ -6,28 +6,30 @@
 //
 //   * the *stage graph* is a descriptor (PipelineSpec): a DAG of stages,
 //     each either replicated (the whole query runs on its home shard) or
-//     sharded (the query's work items are partitioned across shards and
-//     the partial results merged). Every stage is named and declares its
-//     predecessor stages by name (a stage with none is a source); a
-//     stage's task becomes ready when ALL predecessors complete, so
-//     independent branches (e.g. DLRM's dense bottom-MLP tower next to the
-//     26 embedding gathers) dispatch concurrently and a join waits on its
-//     last arriving edge. Each stage owns one event-model unit
-//     per shard; every stage with embedding-table traffic contends for its
-//     shard's shared ET banks — the same contention rule as
-//     core/throughput.hpp — while ET-free stages (pure crossbar towers)
-//     overlap freely. Both kinds run as per-shard executions: a
-//     replicated stage as one on the query's home shard, whose slice holds
-//     its fed items; a sharded stage as one on each shard whose ShardMap
-//     slice is non-empty. Dispatch, the worker task and the clock claim
-//     in collect() therefore each have one path for both kinds.
+//     sharded (the query's work items are dealt across shards and the
+//     partial results merged by the worker whose slice finishes last).
+//     Every stage is named and declares its predecessor stages by name (a
+//     stage with none is a source); a stage's task becomes ready when ALL
+//     predecessors complete, so independent branches (e.g. DLRM's dense
+//     bottom-MLP tower next to the 26 embedding gathers) dispatch
+//     concurrently and a join waits on its last arriving edge. Each stage
+//     owns one event-model unit per shard; every stage with
+//     embedding-table traffic contends for its shard's shared ET banks —
+//     the same contention rule as core/throughput.hpp — while ET-free
+//     stages (pure crossbar towers) overlap freely. Both kinds run as
+//     per-shard executions: a replicated stage as one on the query's home
+//     shard, whose slice holds its fed items; a sharded stage as one on
+//     each shard whose ShardMap slice is non-empty. Dispatch, the worker
+//     task and the clock claim in collect() therefore each have one path
+//     for both kinds.
 //   * the *workload* is an abstract ServableBackend: the two-stage
 //     YouTubeDNN flow (serve/shard_router.hpp) and the single-stage
 //     DLRM/Criteo CTR flow (serve/servable_ctr.hpp) both serve through the
 //     identical batcher/cache/engine/report path.
-//   * *placement* routes through a ShardMap (capability-weighted disjoint
-//     cover) instead of a modulo, so heterogeneous fabrics get item slices
-//     proportional to measured stage throughput.
+//   * *placement* routes through a ShardMap (capability-weighted bucket
+//     ring) instead of a modulo: a query's items are dealt along the ring,
+//     so heterogeneous fabrics get item slices proportional to measured
+//     stage throughput and every query's slices are balanced.
 //
 // Execution is split into submit() and collect(). submit() enqueues the
 // batch's functional work onto the per-shard worker threads and returns
@@ -129,7 +131,7 @@ struct RowAccess {
 /// How one pipeline stage spreads over the shard fabric.
 enum class StageKind : std::uint8_t {
   kReplicated,  ///< whole query on its home shard (any replica can serve)
-  kSharded,     ///< work items partitioned across shards via the ShardMap
+  kSharded,     ///< work items dealt across shards by the ShardMap
 };
 
 struct StageSpec {
@@ -139,9 +141,10 @@ struct StageSpec {
   /// an empty list is a source (ready at batch dispatch).
   std::vector<std::string> deps;
   /// Non-zero on a SHARDED stage makes it a *producing* stage: its per-
-  /// shard partials are merged (score desc, item asc) into a global
-  /// top-`emit_topk` ITEM LIST that downstream stages consume as their
-  /// work-item set — the funnel's "retrieval output feeds rank" shape.
+  /// shard partials are merged (score desc, item asc), on the worker whose
+  /// slice finishes last, into a global top-`emit_topk` ITEM LIST that
+  /// downstream stages consume as their work-item set — the funnel's
+  /// "retrieval output feeds rank" shape.
   /// The merge is charged like the output merge (RSC ship + tournament)
   /// and the stage needs a successor and may not be the graph's output
   /// stage. Zero (default) = ordinary sharded stage.
@@ -166,7 +169,10 @@ struct PipelineSpec {
 
   std::vector<StageSpec> stages;
   /// The output stage's partials ship to the merge unit for a k-way
-  /// tournament (the filter/rank flow); single-shot workloads (CTR) skip it.
+  /// tournament (the filter/rank flow), whose cost collect() charges;
+  /// single-shot workloads (CTR) skip the charge. Either way the worker
+  /// whose output slice finishes last merges the partials into the
+  /// query's top-k.
   bool merge_topk = false;
 
   std::size_t stage_count() const noexcept { return stages.size(); }
@@ -403,8 +409,10 @@ class StagePipeline {
 
   /// Waits for the batch's functional work, then runs the deterministic
   /// event-model accounting (cache rewrite, per-stage pipeline clocks with
-  /// shared ET-bank contention, top-k merge). Handles MUST be collected in
-  /// submission order — the pipeline clocks advance batch by batch.
+  /// shared ET-bank contention, the top-k merge's cost) and copies each
+  /// query's top-k, which the workers already merged. Handles MUST be
+  /// collected in submission order — the pipeline clocks advance batch by
+  /// batch.
   /// `timing` holds either one CacheTiming shared by all shards or one per
   /// shard (heterogeneous fabrics: hits must credit back the *owning*
   /// shard's miss cost, not the controller profile's). `results` is resized
@@ -520,11 +528,10 @@ class StagePipeline {
   /// probe. Reset with the clocks.
   device::Ns frontier_{0.0};
   /// collect()-scope scratch (single-threaded there by the submission-order
-  /// contract): per-stage completion times, row-access lists, and the top-k
-  /// merge buffer, reused across queries and batches.
+  /// contract): per-stage completion times and row-access lists, reused
+  /// across queries and batches.
   std::vector<device::Ns> stage_end_scratch_;
   std::vector<RowAccess> access_scratch_;
-  std::vector<recsys::ScoredItem> topk_scratch_;
   /// adjust_stage() parallel-group tally {group id, accesses, hits} —
   /// groups per stage are few (e.g. DLRM impressions in flight), so a flat
   /// linear-scan vector beats the former per-call std::map.

@@ -786,92 +786,144 @@ std::vector<serve::QosClassConfig> grid_classes() {
   return {hi, lo};
 }
 
+/// Queries per grid cell.
+constexpr std::size_t kGridQueries = 160;
+
+/// The open-loop cells arrive at the closed-loop grid fabric's throughput.
+double grid_open_rate() {
+  return serve_synth(bench::grid_serving_config(),
+                     bench::grid_load_config(kGridQueries))
+      .qps();
+}
+
+/// One cell of the scaling grid, on the grid's fabric and load: two QoS
+/// classes (a 60/40 mix) when `classes` is 2, Poisson arrivals at
+/// `open_rate` when `open`, and the session layer in the overlap half. A
+/// gated cell (two classes only) adds gated admission, a three-tier cache
+/// and update writes over a steeper user skew, i.e. the update and
+/// tier-commit fences of the event loop.
+struct GridCell {
+  std::string name;
+  ServingConfig cfg;
+  LoadGenConfig lg;
+};
+
+GridCell grid_cell(bool overlap, bool open, bool gated, std::size_t classes,
+                   double open_rate) {
+  GridCell cell;
+  cell.name = std::string(gated ? "gated" : overlap ? "overlap" : "phased") +
+              (open ? ":open" : ":closed") + ":c" + std::to_string(classes);
+  cell.cfg = bench::grid_serving_config();
+  cell.cfg.overlap = overlap;
+  cell.lg = bench::grid_load_config(kGridQueries);
+  if (classes == 2) {
+    cell.cfg.qos.classes = grid_classes();
+    cell.lg.class_mix = {0.6, 0.4};
+  }
+  if (open) {
+    cell.lg.arrivals = serve::ArrivalProcess::kOpenPoisson;
+    cell.lg.rate_qps = open_rate;
+  }
+  if (overlap) {
+    cell.lg.session_mode = true;
+    cell.lg.session_capacity = 4096;
+    cell.lg.session_churn = 0.01;
+  }
+  if (gated) {
+    cell.cfg.qos.classes[0].deadline = Ns{400000.0};
+    cell.cfg.qos.admit_window = Ns{20000.0};
+    cell.cfg.cache.capacity_rows = 256;
+    cell.cfg.cache.warm_capacity_rows = 2048;
+    cell.cfg.cache.cold_block_rows = 8;
+    cell.lg.user_zipf_s = 1.2;
+    cell.lg.update_fraction = 0.1;
+  }
+  return cell;
+}
+
 TEST(ServeReport, GoldenDigestsPinTheScalingGrid) {
   // clang-format off
   static constexpr serve_test::GoldenRow kGolden[] = {
-      {"phased:closed:c1", {{0xe0e5c2fbc01d7977ULL, 0x5d5e6b26af0b3b55ULL, 0x429ed30ee39394f0ULL, 0x7fcf285121116c09ULL}}},
-      {"phased:closed:c2", {{0x90b2cb85ecb25e6aULL, 0x2f6f859be45b544bULL, 0xb0c6f4d7963573f2ULL, 0x7ce83168952701ebULL}}},
-      {"phased:open:c1", {{0x913517762f7d4aeaULL, 0x5d5e6b26af0b3b55ULL, 0x429ed30ee39394f0ULL, 0x02a0ea0c8b9647ccULL}}},
-      {"phased:open:c2", {{0xd3eb62c4bd7e7694ULL, 0x97061a1cbbd3dc37ULL, 0xa7559849f60786daULL, 0x00530ea96478a090ULL}}},
-      {"overlap:closed:c1", {{0x5a1c6da73b068c59ULL, 0x3cc8ffad636b28fdULL, 0x737497d3cef2e580ULL, 0x9cc5368504537126ULL}}},
-      {"overlap:closed:c2", {{0xd4ee24eb4bd567fbULL, 0xe8f1351234e08d45ULL, 0x5edcf50ad3e90576ULL, 0x23a78743a7c0f2b2ULL}}},
-      {"overlap:open:c1", {{0x34a5af59bee17e27ULL, 0x3cc8ffad636b28fdULL, 0x737497d3cef2e580ULL, 0x843a0cd708fb66e1ULL}}},
-      {"overlap:open:c2", {{0xbf5af40a47afba88ULL, 0x8060598235be1845ULL, 0x9dd34ea2deabacedULL, 0x362a7d68dfb4ea56ULL}}},
-      {"gated:closed:c2", {{0x496e558cd96950d3ULL, 0x8d885967b115a99dULL, 0xb92be6fcae8a76afULL, 0xdfda00f748330c4eULL}}},
-      {"gated:open:c2", {{0x527bffae0f9832d4ULL, 0x9ecd5755a6ea5174ULL, 0x1d6c14cf26eb40acULL, 0xf55754da85c5849aULL}}},
+      {"phased:closed:c1", {{0x47a2151714b3fef7ULL, 0x5d5e6b26af0b3b55ULL, 0xd2bbc34879a25e1dULL, 0xe597c1da23484910ULL}}},
+      {"phased:closed:c2", {{0x5ebe1c5769413949ULL, 0x2f6f859be45b544bULL, 0x42494e90754c6dddULL, 0x7b021d95988a8325ULL}}},
+      {"phased:open:c1", {{0x0662b82aba1e8b51ULL, 0x5d5e6b26af0b3b55ULL, 0xd2bbc34879a25e1dULL, 0x5c729f4a7ec6cc70ULL}}},
+      {"phased:open:c2", {{0xf0113a44fe156d7cULL, 0x634dcd578cc2035dULL, 0x64f6ae6d1d7e6042ULL, 0x4b728f3117b158b9ULL}}},
+      {"overlap:closed:c1", {{0x2d344591bfba2df3ULL, 0x4db8f34be487a34bULL, 0x2a52784cd52d4136ULL, 0xeb5bfd71c6426f37ULL}}},
+      {"overlap:closed:c2", {{0xb40a6ea31e9b3ac4ULL, 0xe8f1351234e08d45ULL, 0xbc307d7be032567fULL, 0x90facf71522c4491ULL}}},
+      {"overlap:open:c1", {{0x0f51c9bae76f4c30ULL, 0x4db8f34be487a34bULL, 0x2a52784cd52d4136ULL, 0x226a30f55e288affULL}}},
+      {"overlap:open:c2", {{0x563201e9b3098ccdULL, 0x8060598235be1845ULL, 0xa6ec6614cdbbc677ULL, 0xc4bf38348b7ee8abULL}}},
+      {"gated:closed:c2", {{0x438d5ff415e11d9eULL, 0x4327032a6ded7a07ULL, 0x9c80030425971524ULL, 0x28e23dc54f19d94bULL}}},
+      {"gated:open:c2", {{0x34fc669a53e43356ULL, 0x0c02c7d226e8ce82ULL, 0xb52d54a41042a54dULL, 0x01e3138dd372bb5fULL}}},
   };
   // clang-format on
-  constexpr std::size_t kQueries = 160;
-  // The open-loop cells arrive at the closed-loop grid fabric's throughput.
-  const double open_rate =
-      serve_synth(bench::grid_serving_config(),
-                  bench::grid_load_config(kQueries))
-          .qps();
+  const double open_rate = grid_open_rate();
   std::size_t i = 0;
-  const auto expect_golden = [&](const std::string& cell,
-                                 const serve::ServeReport& report) {
-    ASSERT_LT(i, std::size(kGolden));
-    serve_test::expect_golden(kGolden[i++], cell, report);
-    serve_test::expect_stage_busy_within_makespan(cell, report);
+  const auto expect_golden = [&](const GridCell& cell) {
+    serve::ServeReport report = serve_synth(cell.cfg, cell.lg);
+    if (i < std::size(kGolden))
+      serve_test::expect_golden(kGolden[i], cell.name, report);
+    else
+      ADD_FAILURE() << "no golden row for cell " << cell.name;
+    ++i;
+    serve_test::expect_stage_busy_within_makespan(cell.name, report);
+    return report;
   };
   for (const bool overlap : {false, true})
     for (const bool open : {false, true})
-      for (const std::size_t classes : {std::size_t{1}, std::size_t{2}}) {
-        ServingConfig cfg = bench::grid_serving_config();
-        cfg.overlap = overlap;
-        LoadGenConfig lg = bench::grid_load_config(kQueries);
-        if (classes == 2) {
-          cfg.qos.classes = grid_classes();
-          lg.class_mix = {0.6, 0.4};
-        }
-        if (open) {
-          lg.arrivals = serve::ArrivalProcess::kOpenPoisson;
-          lg.rate_qps = open_rate;
-        }
-        // The session layer is on in the overlap half of the grid.
-        if (overlap) {
-          lg.session_mode = true;
-          lg.session_capacity = 4096;
-          lg.session_churn = 0.01;
-        }
-        expect_golden(std::string(overlap ? "overlap" : "phased") +
-                          (open ? ":open" : ":closed") + ":c" +
-                          std::to_string(classes),
-                      serve_synth(cfg, lg));
-      }
-  // The gated cells add what the grid never does: gated admission, a
-  // three-tier cache and update writes, i.e. the update and tier-commit
-  // fences of the event loop. Gating collects phased whatever `overlap`
-  // says, so these cells have no overlap half.
+      for (const std::size_t classes : {std::size_t{1}, std::size_t{2}})
+        expect_golden(grid_cell(overlap, open, /*gated=*/false, classes,
+                                open_rate));
+  // Gating collects phased whatever `overlap` says, so the gated cells
+  // have no overlap half.
   for (const bool open : {false, true}) {
-    ServingConfig cfg = bench::grid_serving_config();
-    cfg.qos.classes = grid_classes();
-    cfg.qos.classes[0].deadline = Ns{400000.0};
-    cfg.qos.admit_window = Ns{20000.0};
-    cfg.cache.capacity_rows = 256;
-    cfg.cache.warm_capacity_rows = 2048;
-    cfg.cache.cold_block_rows = 8;
-    LoadGenConfig lg = bench::grid_load_config(kQueries);
-    lg.class_mix = {0.6, 0.4};
-    lg.user_zipf_s = 1.2;
-    lg.update_fraction = 0.1;
-    if (open) {
-      lg.arrivals = serve::ArrivalProcess::kOpenPoisson;
-      lg.rate_qps = open_rate;
-    }
-    const std::string cell =
-        std::string("gated") + (open ? ":open" : ":closed") + ":c2";
-    const serve::ServeReport report = serve_synth(cfg, lg);
-    expect_golden(cell, report);
-    EXPECT_GT(report.updates, 0u) << cell;
-    EXPECT_GT(report.cache.cold_faults, 0u) << cell;
-    EXPECT_GT(report.cache.warm_evictions, 0u) << cell;
-    EXPECT_GT(report.cache.update_hits, 0u) << cell;
+    const GridCell cell =
+        grid_cell(/*overlap=*/false, open, /*gated=*/true, 2, open_rate);
+    const serve::ServeReport report = expect_golden(cell);
+    EXPECT_GT(report.updates, 0u) << cell.name;
+    EXPECT_GT(report.cache.cold_faults, 0u) << cell.name;
+    EXPECT_GT(report.cache.warm_evictions, 0u) << cell.name;
+    EXPECT_GT(report.cache.update_hits, 0u) << cell.name;
     double write_busy = 0.0;
-    for (const auto& shard : report.shards) write_busy += shard.write_busy.value;
-    EXPECT_GT(write_busy, 0.0) << cell;
+    for (const auto& shard : report.shards)
+      write_busy += shard.write_busy.value;
+    EXPECT_GT(write_busy, 0.0) << cell.name;
   }
   EXPECT_EQ(i, std::size(kGolden));
+}
+
+// Conservation over the served report: every query's energy is the sum of
+// its cache-adjusted stage stats (each shard's execution merged in), and
+// the report's filter_stats and rank_stats merge the same stage stats, so
+// the two totals agree to rounding (the sums run in different orders;
+// 1e-9 relative is far above that and far below one item's share of a
+// cell, about 1/(160 * 24)). A streaming-report run keeps no per-query
+// records, only the energy sum, which must be the record-mode sum
+// exactly: the same additions in the same order.
+TEST(ServeReport, QueryEnergiesSumToTheStageTotals) {
+  const double open_rate = grid_open_rate();
+  for (const bool overlap : {false, true})
+    for (const bool open : {false, true})
+      for (const bool gated : {false, true})
+        for (const std::size_t classes : {std::size_t{1}, std::size_t{2}}) {
+          if (gated && classes == 1) continue;  // gating needs a class table
+          GridCell cell = grid_cell(overlap, open, gated, classes, open_rate);
+          SCOPED_TRACE(cell.name + (overlap ? " (overlap)" : ""));
+          const serve::ServeReport record = serve_synth(cell.cfg, cell.lg);
+          ASSERT_GT(record.size(), 0u);
+          double query_sum = 0.0;
+          for (const auto& q : record.queries) query_sum += q.energy.value;
+          recsys::StageStats stages = record.filter_stats;
+          stages.merge(record.rank_stats);
+          const double stage_sum = stages.total().energy.value;
+          EXPECT_GT(query_sum, 0.0);
+          EXPECT_NEAR(query_sum, stage_sum, 1e-9 * stage_sum);
+
+          cell.cfg.streaming_report = true;
+          const serve::ServeReport streamed = serve_synth(cell.cfg, cell.lg);
+          ASSERT_TRUE(streamed.streaming.enabled);
+          EXPECT_EQ(streamed.size(), record.size());
+          EXPECT_EQ(streamed.streaming.energy_pj_sum, query_sum);
+        }
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -104,14 +106,78 @@ TEST(ShardMap, PartitionIsDisjointCover) {
   std::vector<std::vector<std::size_t>> slices = {{1, 2}, {3}, {}, {4, 5}};
   map.partition_into(items, slices);
   ASSERT_EQ(slices.size(), 3u);
+  // The deal: item i goes to the owner of the i-th bucket after the first
+  // item's, i.e. where shard_of places the key (items[0] % buckets) + i,
+  // and each slice keeps input order.
+  std::vector<std::vector<std::size_t>> dealt(3);
+  for (std::size_t i = 0; i < items.size(); ++i)
+    dealt[map.shard_of(items.front() % map.buckets() + i)].push_back(
+        items[i]);
+  EXPECT_EQ(slices, dealt);
   std::multiset<std::size_t> covered;
-  for (std::size_t s = 0; s < slices.size(); ++s)
-    for (std::size_t item : slices[s]) {
-      EXPECT_EQ(map.shard_of(item), s);
-      covered.insert(item);
-    }
+  for (const auto& slice : slices) covered.insert(slice.begin(), slice.end());
   EXPECT_EQ(covered.size(), items.size());  // disjoint (no duplicates)
   for (std::size_t item : items) EXPECT_EQ(covered.count(item), 1u);
+}
+
+// The deal's contract over seeded weighted rings, a zero-weight shard and
+// a single-shard map among them, and lists of 0-300 distinct keys in
+// random order: a disjoint cover, input order within each slice, shard s
+// within shards() of n * share(s) keys (smooth weighted round-robin keeps
+// every prefix of the ring within (-(shards - 1), 1) of its share, so
+// every window, wrapped or not, within (-shards, shards)), zero-weight
+// shards empty, and a one-key list on shard_of(key).
+TEST(ShardMap, DealIsABalancedOrderedCover) {
+  util::Xoshiro256 rng(2029);
+  std::vector<ShardMap> maps = {
+      ShardMap::uniform(4), ShardMap::weighted(std::vector{2.5}),
+      ShardMap::weighted(std::vector{3.0, 0.0, 1.0})};
+  for (std::size_t m = 0; m < 40; ++m) {
+    std::vector<double> w(1 + rng.below(6));
+    for (double& x : w) x = static_cast<double>(rng.below(8));  // 0 = off
+    w[rng.below(w.size())] += 1.0;  // a positive sum
+    const std::size_t granularity[] = {1, 2, 7, 16, 64};
+    maps.push_back(ShardMap::weighted(w, granularity[rng.below(5)]));
+  }
+  std::vector<std::vector<std::size_t>> slices;
+  for (const ShardMap& map : maps) {
+    const std::size_t ns = map.shards();
+    for (std::size_t trial = 0; trial < 12; ++trial) {
+      const std::size_t n = rng.below(301);
+      std::vector<std::size_t> keys(n);
+      std::size_t key = rng.below(1000);
+      for (auto& k : keys) k = key += 1 + rng.below(1000);
+      for (std::size_t i = n; i > 1; --i)
+        std::swap(keys[i - 1], keys[rng.below(i)]);
+      SCOPED_TRACE(::testing::Message() << "map " << (&map - maps.data())
+                                        << ", " << n << " keys");
+      map.partition_into(keys, slices);
+      ASSERT_EQ(slices.size(), ns);
+      std::map<std::size_t, std::size_t> position;
+      for (std::size_t i = 0; i < n; ++i) position[keys[i]] = i;
+      std::size_t dealt = 0;
+      for (std::size_t s = 0; s < ns; ++s) {
+        dealt += slices[s].size();
+        for (std::size_t j = 0; j < slices[s].size(); ++j) {
+          ASSERT_EQ(position.count(slices[s][j]), 1u) << "not an input key";
+          if (j > 0)
+            EXPECT_LT(position[slices[s][j - 1]], position[slices[s][j]])
+                << "shard " << s << " out of input order";
+        }
+        const double fair = static_cast<double>(n) * map.share(s);
+        EXPECT_LT(std::abs(static_cast<double>(slices[s].size()) - fair),
+                  static_cast<double>(ns))
+            << "shard " << s << " of share " << map.share(s);
+        if (map.share(s) == 0.0) EXPECT_TRUE(slices[s].empty());
+      }
+      EXPECT_EQ(dealt, n);  // with every key found once: a disjoint cover
+      if (n > 0) {
+        map.partition_into(std::span(keys).first(1), slices);
+        EXPECT_EQ(slices[map.shard_of(keys[0])],
+                  std::vector<std::size_t>{keys[0]});
+      }
+    }
+  }
 }
 
 TEST(ShardMap, FromCostsFavorsFasterShards) {
@@ -170,6 +236,42 @@ TEST(ShardMap, RejectsNonFiniteWeightsAndCosts) {
   // "unmeasured", and large finite weights that sum finitely are fine.
   EXPECT_EQ(from_costs({Ns{0.0}, Ns{-1.0}, Ns{2.0}}), "");
   EXPECT_EQ(weighted({1e307, 1e307}), "");
+}
+
+TEST(ShardMap, RejectsRingsPastTheBucketCap) {
+  const std::vector<double> four(4, 1.0);
+  const std::vector<Ns> measured(4, Ns{10.0});
+  const std::vector<Ns> unmeasured(4, Ns{0.0});
+  constexpr std::size_t kCap = ShardMap::kMaxBuckets;
+  // At 2^62 x 4, granularity * shards wraps to 0 buckets: a map with no
+  // ring and NaN shares, unless construction rejects it.
+  for (const std::size_t g : {std::size_t{1} << 62,
+                              std::numeric_limits<std::size_t>::max(),
+                              kCap / 4 + 1}) {
+    SCOPED_TRACE(g);
+    EXPECT_NE(error_text([&] { return ShardMap::weighted(four, g); })
+                  .find("ShardMap::weighted: granularity"),
+              std::string::npos);
+    // from_costs rejects it too, also when every cost falls back to the
+    // uniform map.
+    EXPECT_NE(error_text([&] { return ShardMap::from_costs(measured, g); })
+                  .find("exceeds the ring's bucket cap"),
+              std::string::npos);
+    EXPECT_NE(error_text([&] { return ShardMap::from_costs(unmeasured, g); })
+                  .find("exceeds the ring's bucket cap"),
+              std::string::npos);
+  }
+  EXPECT_NE(error_text([] { return ShardMap::uniform(kCap + 1); })
+                .find("exceed the ring's bucket cap"),
+            std::string::npos);
+  EXPECT_NE(
+      error_text([&] { return ShardMap::from_costs(unmeasured, 0); })
+          .find("zero granularity"),
+      std::string::npos);
+  // The cap itself is a valid ring.
+  const auto full = ShardMap::weighted(four, kCap / 4);
+  EXPECT_EQ(full.buckets(), kCap);
+  for (std::size_t s = 0; s < 4; ++s) EXPECT_DOUBLE_EQ(full.share(s), 0.25);
 }
 
 // --- Heterogeneous partitions over the CPU oracle --------------------------
@@ -1187,9 +1289,9 @@ TEST(StagePipeline, ServiceEstimateComposesCriticalPathAndBatch) {
 TEST(StagePipeline, GoldenDigestsPinTheServableGraphs) {
   // clang-format off
   static constexpr serve_test::GoldenRow kGolden[] = {
-      {"filter_rank:open", {{0xc43237619c79fa6fULL, 0x79c43d090eaf2465ULL, 0x9d8eb8a6c8dadd29ULL, 0xeb8a738c8453d70eULL}}},
-      {"filter_rank:gated", {{0x05ab6459e6369211ULL, 0x8a58c44302440016ULL, 0x6aef0c7d16275596ULL, 0x8f68cb8c0cd61f7dULL}}},
-      {"funnel:open", {{0x5a913480c39dc896ULL, 0x1a238824606edb5fULL, 0x7983545d7b845839ULL, 0x8ab0e7d3693cc642ULL}}},
+      {"filter_rank:open", {{0xa2222d893c32ff06ULL, 0x79c43d090eaf2465ULL, 0x8e1eade1719435ecULL, 0x52e1076f93ec3ca1ULL}}},
+      {"filter_rank:gated", {{0xa85e347e3f8b566dULL, 0x1812ebed8e8c385cULL, 0x924f2860adf6ce94ULL, 0x71dbeebb6f441069ULL}}},
+      {"funnel:open", {{0x8915ff58659f560aULL, 0x1a238824606edb5fULL, 0x2e472a63065120feULL, 0x3acbf7c0b576bc1dULL}}},
       {"ctr_chain:open", {{0xfff1431efc8c1cecULL, 0xc3dd5e31cd02772eULL, 0xeda8046fb51b348cULL, 0xe203db1e20a5609dULL}}},
       {"ctr_dag:open", {{0xa6a7aaae2672dea2ULL, 0xc3dd5e31cd02772eULL, 0xeda8046fb51b348cULL, 0xf7edcbe290571ae2ULL}}},
   };
